@@ -11,9 +11,9 @@ configurations:
   faster, *and* both backends must return bit-identical scores.
 * **batched updates (MO)** — Step 2 against the in-RAM stores.  The dict
   backend's in-memory store hands out live dictionaries (no
-  serialisation), so this measures pure repair-loop cost; the array
-  backend pays a small adapter overhead for running the shared repair code
-  over column views and lands near parity.
+  serialisation), so this measures pure repair-loop cost: the dict
+  backend's per-source scalar repairs against the array backend's cohort
+  sweep over the store's column matrices.
 * **batched updates (DO)** — Step 2 against the on-disk columnar store,
   the configuration the kernel targets: the dict backend decodes and
   re-encodes every loaded record, while the array kernel repairs the
@@ -38,7 +38,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core import jit
 from repro.core.framework import IncrementalBetweenness
 from repro.core.updates import EdgeUpdate, batches
 from repro.graph import Graph
@@ -60,12 +59,12 @@ MIN_SWEEP_SPEEDUP = 3.0
 MIN_SWEEP_SPEEDUP_DIRECTED = 1.5
 #: Smoke floors — the cohort sweep reaches ~2.9x (undirected) / ~2.8x
 #: (directed) even on the tiny CI configuration, so a floor halfway to
-#: parity catches a fallback to the per-source solo path (~1.0x) while
-#: leaving ample headroom for scheduler noise.
+#: parity catches a sweep that lost its cohort-wide amortisation (~1.0x)
+#: while leaving ample headroom for scheduler noise.
 MIN_SWEEP_SPEEDUP_SMOKE = 1.5
 MIN_SWEEP_SPEEDUP_DIRECTED_SMOKE = 1.2
 
-#: Keys the flat kernel reports in ``phase_timings`` (plus the derived
+#: Keys the kernel reports in ``phase_timings`` (plus the derived
 #: ``other`` bucket for snapshot compilation, peeks and write-backs).
 PHASE_KEYS = ("classify", "repair", "accumulate")
 
@@ -254,7 +253,6 @@ def run(config: dict, smoke: bool) -> dict:
     return {
         "mode": "smoke" if smoke else "full",
         "python": platform.python_version(),
-        "jit": {"available": jit.jit_available(), "enabled": jit.jit_enabled()},
         "graph": main_report["graph"],
         "directed": directed_report,
         "stream": {

@@ -98,7 +98,7 @@ class BetweennessSession:
         ``BetweennessConfig.for_graph(graph)`` (serial, in-memory, dicts).
     store:
         Escape hatch for callers that already hold a live
-        :class:`~repro.storage.base.BDStore` (the deprecation shims and
+        :class:`~repro.storage.base.BDStore` (out-of-core harnesses and
         some tests); overrides the config's store URI.  Serial executor
         only.
 
@@ -223,7 +223,7 @@ class BetweennessSession:
     ) -> "BetweennessSession":
         """Wrap an existing serial engine instance in a session.
 
-        Used by the resume path and the deprecation shims; the framework is
+        Used by the resume path; the framework is
         adopted as-is (no copy, no re-bootstrap), so the caller must not
         keep driving it directly.
         """

@@ -1,10 +1,8 @@
 """Ready-made session subscribers.
 
-These are the event-driven replacements for what used to be standalone
-harnesses: top-k rank tracking (formerly re-implemented inside
-:class:`~repro.applications.top_k.TopKMonitor`, now a thin deprecation shim
-over :class:`TopKTracker`) and the online deadline ledger the replay
-harness in :mod:`repro.parallel.online` feeds from session events.
+Event-driven harnesses: top-k rank tracking (:class:`TopKTracker`) and
+the online deadline ledger the replay harness in
+:mod:`repro.parallel.online` feeds from session events.
 """
 
 from __future__ import annotations

@@ -3,24 +3,26 @@
 The paper's headline use case (Section 6.3) is Girvan–Newman community
 detection: the algorithm repeatedly removes the edge with the highest edge
 betweenness, which is exactly the operation the incremental framework makes
-cheap.  A second application, top-k centrality monitoring over an edge
+cheap.  A second application, top-k centrality tracking over an edge
 stream, illustrates the "online detection of emerging leaders" direction
-mentioned in the conclusions.
+mentioned in the conclusions; it is a session subscriber
+(:class:`~repro.api.TopKTracker`), re-exported here next to the other
+application.
 """
 
+from repro.api.subscribers import TopKSnapshot, TopKTracker
 from repro.applications.girvan_newman import (
     CommunityHierarchy,
     GirvanNewmanResult,
     girvan_newman,
     modularity,
 )
-from repro.applications.top_k import TopKMonitor, TopKSnapshot
 
 __all__ = [
     "girvan_newman",
     "GirvanNewmanResult",
     "CommunityHierarchy",
     "modularity",
-    "TopKMonitor",
+    "TopKTracker",
     "TopKSnapshot",
 ]

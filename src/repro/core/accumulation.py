@@ -38,13 +38,11 @@ import numpy as np
 from repro.algorithms.brandes import SourceData
 from repro.core.flat import (
     FlatBatchState,
-    FlatScratch,
     first_occurrence,
     group_by_level,
     slice_positions,
 )
-from repro.core.jit import scatter_add
-from repro.core.repair import FlatRepairPlan, RepairPlan
+from repro.core.repair import RepairPlan
 from repro.graph.graph import Graph
 from repro.types import Edge, EdgeScores, Vertex, VertexScores
 
@@ -418,380 +416,20 @@ def _accumulate_directed(
 
 
 # --------------------------------------------------------------------------- #
-# Vectorized (slot-space) variants
+# Cohort (pair-space) variants — the arrays backend
 # --------------------------------------------------------------------------- #
-def accumulate_flat(
-    state: FlatBatchState,
-    source: int,
-    distance: np.ndarray,
-    sigma: np.ndarray,
-    delta: np.ndarray,
-    plan: FlatRepairPlan,
-    vscore: np.ndarray,
-    registry,
-    scratch: FlatScratch,
-    exclude_new_edge: bool,
-    removed_reg_id: int = -1,
-) -> Tuple[np.ndarray, int]:
-    """Vectorized dependency accumulation over a :class:`FlatRepairPlan`.
-
-    ``distance`` / ``sigma`` / ``delta`` are the *old* (pre-update) columns,
-    ``plan`` carries the post-repair working columns, ``vscore`` the flat
-    vertex-score array and ``registry`` the kernel's
-    ``EdgeScoreRegistry`` (duck-typed: ``values`` array plus
-    ``activate_written``).  Returns ``(new_delta_column, vertices_touched)``;
-    the caller writes the column back and zeroes disconnected slots.
-
-    Chunks are processed whole because no dependency write can land on a
-    *member of the chunk that emits it*: new-DAG writes target parents one
-    level up; old-DAG writes target non-affected old-parents, which by the
-    undirected rigidity sit at the same or a lower new level and are never
-    chunk-mates (plan chunks are all-affected, fringe chunks all-fringe).
-    Per float accumulator the scatter order is the scalar visitation order:
-    chunk order is deque (FIFO append) order, flattened edges follow
-    adjacency order, and each edge's new-contribution precedes its
-    old-contribution via the even/odd sort keys.
-    """
-    if state.directed:
-        return _accumulate_directed_flat(
-            state,
-            source,
-            distance,
-            sigma,
-            delta,
-            plan,
-            vscore,
-            registry,
-            scratch,
-            exclude_new_edge,
-            removed_reg_id,
-        )
-    n = state.n
-    in_indptr = state.in_indptr
-    in_indices = state.in_indices
-    in_edge_ids = state.in_edge_ids
-    reg_of_edge = state.reg_of_edge
-    first_of = scratch.first_of
-    wd = plan.work_distance
-    ws = plan.work_sigma
-    affected = plan.affected_mask
-    high, low = plan.high, plan.low
-
-    nd = delta.copy()
-    tracked = np.zeros(n, dtype=np.bool_)
-    touched = 0
-    buckets: Dict[int, Deque[np.ndarray]] = {}
-    for level, members in plan.levels:
-        buckets.setdefault(level, deque()).append(members)
-        nd[members] = 0.0
-        tracked[members] = True
-        touched += members.size
-
-    # Removal seeding: subtract the removed edge's old dependency from its
-    # tail and its own score entry before the sweep (Alg. 2 lines 11-13).
-    if plan.removed_edge_dependency is not None:
-        red = plan.removed_edge_dependency
-        if not tracked[high]:
-            tracked[high] = True
-            touched += 1
-            seed_level = int(wd[high])
-            if seed_level != -1:
-                buckets.setdefault(seed_level, deque()).append(
-                    np.array([high], dtype=np.int64)
-                )
-        nd[high] -= red
-        rid = np.array([removed_reg_id], dtype=np.int64)
-        registry.activate_written(rid)
-        registry.values[removed_reg_id] -= red
-
-    processed = np.zeros(n, dtype=np.bool_)
-    max_level = max(buckets) if buckets else 0
-    for level in range(max_level, 0, -1):
-        queue = buckets.get(level)
-        if not queue:
-            continue
-        while queue:
-            chunk = queue.popleft()
-            chunk = chunk[~processed[chunk]]
-            if chunk.size == 0:
-                continue
-            processed[chunk] = True
-
-            wdo = distance[chunk]
-            deln = nd[chunk]
-            delo = np.where(wdo != -1, delta[chunk], 0.0)
-
-            positions, counts = slice_positions(in_indptr, chunk)
-            if positions.size:
-                par = in_indices[positions]
-                eid = reg_of_edge[in_edge_ids[positions]]
-                rep = np.repeat(np.arange(chunk.size, dtype=np.int64), counts)
-                pdn = wd[par]
-                pdo = distance[par]
-                new_e = (pdn != -1) & (pdn + 1 == level)
-                old_e = (wdo[rep] != -1) & (pdo != -1) & (pdo + 1 == wdo[rep])
-                if exclude_new_edge:
-                    # The freshly added edge met the old parent/child
-                    # distance relation but did not exist before the update.
-                    member = chunk[rep]
-                    old_e &= ~(
-                        ((member == high) | (member == low))
-                        & ((par == high) | (par == low))
-                    )
-
-                i_new = np.flatnonzero(new_e)
-                i_old = np.flatnonzero(old_e)
-                c_new = (
-                    ws[par[i_new]] / ws[chunk][rep[i_new]]
-                    * (1.0 + deln[rep[i_new]])
-                )
-                c_old = (
-                    sigma[par[i_old]] / sigma[chunk][rep[i_old]]
-                    * (1.0 + delo[rep[i_old]])
-                )
-
-                # Dependency flow: new contributions to every new-DAG parent,
-                # old ones subtracted from non-affected old-DAG parents only
-                # (affected parents rebuild from scratch).  Even/odd keys
-                # interleave them back into per-edge new-before-old order.
-                nd_keep = ~affected[par[i_old]]
-                i_old_nd = i_old[nd_keep]
-                order = np.argsort(
-                    np.concatenate((2 * i_new, 2 * i_old_nd + 1))
-                )
-                nd_targets = np.concatenate((par[i_new], par[i_old_nd]))[order]
-                nd_values = np.concatenate((c_new, -c_old[nd_keep]))[order]
-
-                # Fringe vertices enter the sweep the first time a write
-                # lands on them, in write order; rigidity puts them at the
-                # current level (live queue) or below (their own bucket).
-                fresh = first_occurrence(
-                    nd_targets[~tracked[nd_targets]], first_of
-                )
-                if fresh.size:
-                    tracked[fresh] = True
-                    touched += fresh.size
-                    for lvl, members in group_by_level(
-                        fresh, wd[fresh].astype(np.int64)
-                    ):
-                        if lvl == level:
-                            queue.append(members)
-                        else:
-                            buckets.setdefault(lvl, deque()).append(members)
-                scatter_add(nd, nd_targets, nd_values)
-
-                # Edge scores take both flows on every DAG edge.
-                eorder = np.argsort(np.concatenate((2 * i_new, 2 * i_old + 1)))
-                e_targets = np.concatenate((eid[i_new], eid[i_old]))[eorder]
-                e_values = np.concatenate((c_new, -c_old))[eorder]
-                registry.activate_written(e_targets)
-                scatter_add(registry.values, e_targets, e_values)
-
-            # Same association as the scalar update — (score + new) - old,
-            # two sequential float ops — not score + (new - old).
-            keep = chunk != source
-            targets = chunk[keep]
-            vscore[targets] = vscore[targets] + deln[keep] - delo[keep]
-
-    # Disconnected vertices: dependency disappears along with every old-DAG
-    # edge among them (Algorithm 10).
-    disconnected = plan.disconnected
-    if disconnected.size:
-        wdo = distance[disconnected]
-        delo = np.where(wdo != -1, delta[disconnected], 0.0)
-        keep = disconnected != source
-        vscore[disconnected[keep]] -= delo[keep]
-        positions, counts = slice_positions(in_indptr, disconnected)
-        if positions.size:
-            par = in_indices[positions]
-            eid = reg_of_edge[in_edge_ids[positions]]
-            rep = np.repeat(
-                np.arange(disconnected.size, dtype=np.int64), counts
-            )
-            pdo = distance[par]
-            old_e = (wdo[rep] != -1) & (pdo != -1) & (pdo + 1 == wdo[rep])
-            i_old = np.flatnonzero(old_e)
-            c_old = (
-                sigma[par[i_old]] / sigma[disconnected][rep[i_old]]
-                * (1.0 + delo[rep[i_old]])
-            )
-            targets = eid[i_old]
-            registry.activate_written(targets)
-            scatter_add(registry.values, targets, -c_old)
-
-    return nd, touched
-
-
-def _accumulate_directed_flat(
-    state: FlatBatchState,
-    source: int,
-    distance: np.ndarray,
-    sigma: np.ndarray,
-    delta: np.ndarray,
-    plan: FlatRepairPlan,
-    vscore: np.ndarray,
-    registry,
-    scratch: FlatScratch,
-    exclude_new_edge: bool,
-    removed_reg_id: int,
-) -> Tuple[np.ndarray, int]:
-    """Vectorized :func:`_accumulate_directed` (three order-free phases).
-
-    Region membership, not order, determines every result here: phase 2 is
-    a pure function of the new DAG evaluated level-synchronously, and phase
-    3 touches each vertex- and edge-accumulator from exactly one region
-    vertex's scan (new contribution before old, like the scalar loop) — so
-    the scalar's set-iteration seed order need not be reproduced.
-    """
-    n = state.n
-    indptr, indices = state.indptr, state.indices
-    in_indptr = state.in_indptr
-    in_indices = state.in_indices
-    in_edge_ids = state.in_edge_ids
-    reg_of_edge = state.reg_of_edge
-    first_of = scratch.first_of
-    wd = plan.work_distance
-    ws = plan.work_sigma
-    high, low = plan.high, plan.low
-
-    # ------------------------------------------------------------------ #
-    # Phase 1: upward closure of the changed region.
-    # ------------------------------------------------------------------ #
-    region_mask = np.zeros(n, dtype=np.bool_)
-    region_chunks: List[np.ndarray] = []
-    frontier: Deque[np.ndarray] = deque()
-
-    def join(candidates: np.ndarray) -> None:
-        fresh = first_occurrence(candidates[~region_mask[candidates]], first_of)
-        if fresh.size:
-            region_mask[fresh] = True
-            region_chunks.append(fresh)
-            frontier.append(fresh)
-
-    seeds = [members for _level, members in plan.levels]
-    if plan.disconnected.size:
-        seeds.append(plan.disconnected)
-    if plan.removed_edge_dependency is not None:
-        seeds.append(np.array([high], dtype=np.int64))
-    if seeds:
-        join(seeds[0] if len(seeds) == 1 else np.concatenate(seeds))
-    while frontier:
-        members = frontier.popleft()
-        positions, counts = slice_positions(in_indptr, members)
-        if positions.size == 0:
-            continue
-        par = in_indices[positions]
-        rep = np.repeat(np.arange(members.size, dtype=np.int64), counts)
-        wdn = wd[members][rep]
-        wdo = distance[members][rep]
-        pdn = wd[par]
-        pdo = distance[par]
-        joins = ((wdn != -1) & (pdn != -1) & (pdn + 1 == wdn)) | (
-            (wdo != -1) & (pdo != -1) & (pdo + 1 == wdo)
-        )
-        join(par[joins])
-    region = (
-        region_chunks[0]
-        if len(region_chunks) == 1
-        else np.concatenate(region_chunks)
-        if region_chunks
-        else np.empty(0, dtype=np.int64)
-    )
-
-    # ------------------------------------------------------------------ #
-    # Phase 2: new dependencies by descending new distance.
-    # ------------------------------------------------------------------ #
-    nd = delta.copy()
-    reach = region[wd[region] != -1]
-    if reach.size:
-        reach_levels = wd[reach].astype(np.int64)
-        for level in np.unique(reach_levels)[::-1]:
-            members = reach[reach_levels == level]
-            segments = np.zeros(members.size, dtype=np.float64)
-            positions, counts = slice_positions(indptr, members)
-            if positions.size:
-                children = indices[positions]
-                rep = np.repeat(
-                    np.arange(members.size, dtype=np.int64), counts
-                )
-                child_mask = wd[children] == level + 1
-                if child_mask.any():
-                    # Children outside the region contribute their stored
-                    # (unchanged) dependency, which nd still holds.
-                    terms = (
-                        ws[members][rep[child_mask]]
-                        / ws[children[child_mask]]
-                        * (1.0 + nd[children[child_mask]])
-                    )
-                    scatter_add(segments, rep[child_mask], terms)
-            nd[members] = segments
-
-    # ------------------------------------------------------------------ #
-    # Phase 3: fold the corrections into the global scores.
-    # ------------------------------------------------------------------ #
-    if plan.removed_edge_dependency is not None:
-        rid = np.array([removed_reg_id], dtype=np.int64)
-        registry.activate_written(rid)
-        registry.values[removed_reg_id] -= plan.removed_edge_dependency
-
-    if region.size:
-        wdn_v = wd[region]
-        wdo_v = distance[region]
-        wdeln = np.where(wdn_v != -1, nd[region], 0.0)
-        wdelo = np.where(wdo_v != -1, delta[region], 0.0)
-        # (score + new) - old, matching the scalar update's association.
-        keep = region != source
-        targets = region[keep]
-        vscore[targets] = vscore[targets] + wdeln[keep] - wdelo[keep]
-
-        positions, counts = slice_positions(in_indptr, region)
-        if positions.size:
-            par = in_indices[positions]
-            eid = reg_of_edge[in_edge_ids[positions]]
-            rep = np.repeat(np.arange(region.size, dtype=np.int64), counts)
-            pdn = wd[par]
-            pdo = distance[par]
-            wdn_r = wdn_v[rep]
-            wdo_r = wdo_v[rep]
-            new_p = (wdn_r != -1) & (pdn != -1) & (pdn + 1 == wdn_r)
-            old_p = (wdo_r != -1) & (pdo != -1) & (pdo + 1 == wdo_r)
-            if exclude_new_edge:
-                old_p &= ~((par == high) & (region[rep] == low))
-            i_new = np.flatnonzero(new_p)
-            i_old = np.flatnonzero(old_p)
-            c_new = (
-                ws[par[i_new]] / ws[region][rep[i_new]]
-                * (1.0 + wdeln[rep[i_new]])
-            )
-            c_old = (
-                sigma[par[i_old]] / sigma[region][rep[i_old]]
-                * (1.0 + wdelo[rep[i_old]])
-            )
-            # Each directed edge id is scanned from exactly one region
-            # vertex, so two ordered scatters keep every accumulator's
-            # new-before-old sequence.
-            targets = eid[i_new]
-            registry.activate_written(targets)
-            scatter_add(registry.values, targets, c_new)
-            targets = eid[i_old]
-            registry.activate_written(targets)
-            scatter_add(registry.values, targets, -c_old)
-
-    return nd, int(region.size)
-
-
 class CohortScoreStreams:
     """Deferred write streams for the batch-shared score accumulators.
 
-    The solo sweep is *source-outer*: every float that source ``s``
-    contributes to ``vscore`` or an edge score — across all updates of the
-    batch — lands before any contribution of a later source.  The cohort
-    sweep is update-outer, so instead of writing during the sweep it
+    The reference (dicts) sweep is *source-outer*: every float that source
+    ``s`` contributes to ``vscore`` or an edge score — across all updates
+    of the batch — lands before any contribution of a later source.  The
+    cohort sweep is update-outer, so instead of writing during the sweep it
     records ``(source ordinal, target, value)`` triples here; nothing
     reads either accumulator mid-batch (registry pops and score reads all
     happen in batch finalization), so applying the streams once at the end
     of the sweep — stably sorted by ordinal, which keeps each source's
-    update-then-emission order intact — reproduces the solo float
+    update-then-emission order intact — reproduces the reference float
     sequence per accumulator exactly.
     """
 
@@ -828,7 +466,7 @@ class CohortScoreStreams:
         if self.vs_g:
             g = np.concatenate(self.vs_g)
             order = np.argsort(g, kind="stable")
-            scatter_add(
+            np.add.at(
                 vscore,
                 np.concatenate(self.vs_slot)[order],
                 np.concatenate(self.vs_val)[order],
@@ -838,10 +476,9 @@ class CohortScoreStreams:
             order = np.argsort(g, kind="stable")
             ids = np.concatenate(self.es_id)[order]
             registry.activate_written(ids)
-            scatter_add(registry.values, ids, np.concatenate(self.es_val)[order])
+            np.add.at(registry.values, ids, np.concatenate(self.es_val)[order])
         self.vs_g, self.vs_slot, self.vs_val = [], [], []
         self.es_g, self.es_id, self.es_val = [], [], []
-
 
 
 def accumulate_cohort(
@@ -874,23 +511,31 @@ def accumulate_cohort(
     All jobs repair the *same* update, so they share one compiled
     snapshot; the sweep runs in (job ordinal ``k``, vertex slot) pair
     space, which multiplies chunk widths by the cohort size and amortises
-    the per-chunk numpy dispatch cost that dominates solo
-    :func:`accumulate_flat` on small per-source regions.
+    the per-chunk numpy dispatch cost that would dominate on small
+    per-source regions.
 
-    Bit-identity with the solo sweep run source by source in batch order
-    holds per float accumulator:
+    Bit-identity with :func:`accumulate_dependencies` run source by source
+    in batch order holds per float accumulator:
 
+    * chunks are processed whole because no dependency write can land on a
+      *member of the chunk that emits it*: new-DAG writes target parents
+      one level up; old-DAG writes target non-affected old-parents, which
+      by the undirected rigidity sit at the same or a lower new level and
+      are never chunk-mates (plan chunks are all-affected, fringe chunks
+      all-fringe);
     * per-source ``nd`` cells live in disjoint rows of ``new_delta``, and
-      within a row the write sequence is exactly the solo sequence (each
-      ``k``'s subsequence of the merged chunk deque is its solo chunk
-      sequence, and fringe admission order is emission order);
+      within a row the scatter order is the scalar visitation order: each
+      ``k``'s subsequence of the merged chunk deque is its own FIFO level
+      queue, flattened edges follow adjacency order, fringe admission
+      order is emission order, and each edge's new contribution precedes
+      its old one via the even/odd sort keys;
     * the shared ``vscore`` / edge-score arrays are never *read* during the
       batch sweep, so their writes are recorded into ``streams`` (see
       :class:`CohortScoreStreams`) and applied source-major after the whole
-      batch — the solo loop-nest order;
+      batch — the reference loop-nest order;
     * every recorded value is computed from the same operands with the same
-      ops as solo (``+(-x)`` replacing ``-x`` is bitwise identical in
-      IEEE-754).
+      ops as the scalar loop (``+(-x)`` replacing ``-x`` is bitwise
+      identical in IEEE-754).
 
     Inputs describe the slab's jobs in stacked form: ``(m, n)`` work
     columns plus pristine pre-update stacks (``old_*``; ``new_delta``
@@ -943,8 +588,9 @@ def accumulate_cohort(
     tracked = np.zeros(m * n, dtype=np.bool_)
     processed = np.zeros(m * n, dtype=np.bool_)
 
-    # Plan chunks, merged per level: each k's members arrive in its solo
-    # chunk order, so its subsequence of every bucket equals the solo deque.
+    # Plan chunks, merged per level: each k's members arrive in its own
+    # enqueue order, so its subsequence of every bucket equals the level
+    # queue the scalar loop would hold for that source.
     buckets: Dict[int, Deque[Tuple[np.ndarray, np.ndarray]]] = {}
     if chunk_k.size:
         chunk_pid = chunk_k * n + chunk_s
@@ -966,8 +612,8 @@ def accumulate_cohort(
     vs_val: List[np.ndarray] = []
 
     # Removal seeding, merged across the cohort (Alg. 2 lines 11-13): one
-    # seed chunk per level, appended after the plan chunks like each solo
-    # seed follows its own plan chunks.  Seed pairs are per-job distinct,
+    # seed chunk per level, appended after the plan chunks like each
+    # source's own seed follows its own plan chunks.  Seed pairs are per-job distinct,
     # so the fancy-indexed subtraction has no duplicate targets.
     if rem_k.size:
         rh = highs[rem_k]
@@ -1063,7 +709,7 @@ def accumulate_cohort(
                             queue.append(pair_chunk)
                         else:
                             buckets.setdefault(lvl, deque()).append(pair_chunk)
-                scatter_add(nd_flat, nd_pid, nd_values)
+                np.add.at(nd_flat, nd_pid, nd_values)
 
                 eorder = np.argsort(np.concatenate((2 * i_new, 2 * i_old + 1)))
                 es_k.append(np.concatenate((krep[i_new], krep[i_old]))[eorder])
@@ -1071,7 +717,7 @@ def accumulate_cohort(
                 es_val.append(np.concatenate((c_new, -c_old))[eorder])
 
             # Two deferred single adds per member — +new then -old — replay
-            # the solo (score + new) - old association exactly.
+            # the scalar (score + new) - old association exactly.
             keep = chunk != sources[kc]
             tk = kc[keep]
             ts = chunk[keep]
@@ -1083,8 +729,8 @@ def accumulate_cohort(
             vs_val.append(vals)
 
     # Disconnected tails, merged across the cohort (Algorithm 10): each
-    # k's entries keep their solo order, and the ordinal-stable flush puts
-    # them after that k's sweep entries like the solo epilogue.
+    # k's entries keep their discovery order, and the ordinal-stable flush
+    # puts them after that k's sweep entries like the scalar epilogue.
     if disc_k.size:
         dpid = disc_k * n + disc_s
         wdo = od_flat[dpid]
@@ -1138,14 +784,18 @@ def _accumulate_directed_cohort(
     exclude_new_edge: bool,
     pair_first: np.ndarray,
 ) -> np.ndarray:
-    """Cohort variant of :func:`_accumulate_directed_flat`.
+    """Cohort variant of :func:`_accumulate_directed` (three order-free phases).
 
-    The three solo phases are order-free (see the solo docstring), so the
-    pair-space lift only has to preserve *per-accumulator* sequences: the
-    phase-2 level loop runs over global absolute levels (a per-k no-op on
-    levels a region lacks), and phase 3 emits all new contributions before
-    all old ones so the ordinal-stable flush yields the solo
-    new-before-old order per edge id within each source.
+    Region membership, not order, determines every result here: phase 2 is
+    a pure function of the new DAG evaluated level-synchronously, and phase
+    3 touches each vertex- and edge-accumulator from exactly one region
+    vertex's scan (new contribution before old, like the scalar loop) — so
+    the scalar's set-iteration seed order need not be reproduced.  The
+    pair-space lift therefore only has to preserve *per-accumulator*
+    sequences: the phase-2 level loop runs over global absolute levels (a
+    per-k no-op on levels a region lacks), and phase 3 emits all new
+    contributions before all old ones so the ordinal-stable flush yields
+    the scalar new-before-old order per edge id within each source.
     """
     n = state.n
     m = len(sources)
@@ -1234,7 +884,7 @@ def _accumulate_directed_cohort(
                         / ws_flat[kpid[child_mask]]
                         * (1.0 + nd_flat[kpid[child_mask]])
                     )
-                    scatter_add(segments, rep[child_mask], terms)
+                    np.add.at(segments, rep[child_mask], terms)
             nd_flat[mpid] = segments
 
     # ------------------------------------------------------------------ #
@@ -1299,7 +949,7 @@ def _accumulate_directed_cohort(
             # All news before all olds: after the ordinal-stable flush each
             # job's stream is its seed, then its news, then its olds — and
             # each directed edge id is scanned from exactly one region
-            # vertex of a job, so per-accumulator order matches the solo
+            # vertex of a job, so per-accumulator order matches the scalar
             # scatters.
             es_k.append(krep[i_new])
             es_id.append(eid[i_new])

@@ -18,12 +18,11 @@ import numpy as np
 from repro.algorithms.brandes import SourceData
 from repro.core.flat import (
     FlatBatchState,
-    FlatScratch,
     first_occurrence,
     group_by_level,
     slice_positions,
 )
-from repro.core.repair import FlatRepairPlan, RepairPlan
+from repro.core.repair import RepairPlan
 from repro.graph.graph import Graph
 from repro.types import Vertex
 
@@ -152,73 +151,8 @@ def repair_addition_structural(
 
 
 # --------------------------------------------------------------------------- #
-# Vectorized (slot-space) variants
+# Cohort (pair-space) variants — the arrays backend
 # --------------------------------------------------------------------------- #
-def repair_same_level_flat(
-    state: FlatBatchState,
-    distance: np.ndarray,
-    sigma: np.ndarray,
-    high: int,
-    low: int,
-    sign: int,
-    scratch: FlatScratch,
-) -> FlatRepairPlan:
-    """Level-synchronous form of the two ``dd == 1`` repairs (Algorithm 2).
-
-    Shared by addition (``sign=+1``) and removal (``sign=-1``): no distance
-    changes, only path counts in the sub-DAG under ``low`` shift by the
-    paths through ``high``.  The scalar FIFO over that sub-DAG is strictly
-    level-aligned (every queue edge descends exactly one level), so a
-    frontier expansion discovers the same vertices in the same order and the
-    integer sigma increments land identically.
-    """
-    work_distance = distance.copy()
-    work_sigma = sigma.copy()
-    affected = np.zeros(state.n, dtype=np.bool_)
-    first_of = scratch.first_of
-    indptr, indices = state.indptr, state.indices
-
-    affected[low] = True
-    count = 1
-    work_sigma[low] = work_sigma[low] + sign * sigma[high]
-    level = int(distance[low])
-    frontier = np.array([low], dtype=np.int64)
-    levels = [(level, frontier)]
-    while frontier.size:
-        positions, counts = slice_positions(indptr, frontier)
-        if positions.size == 0:
-            break
-        neighbors = indices[positions]
-        in_subdag = distance[neighbors] == level + 1
-        if not in_subdag.any():
-            break
-        targets = neighbors[in_subdag]
-        # delta_sigma of the whole frontier is final here: all increments a
-        # frontier vertex receives were scattered while expanding the
-        # previous level — exactly when the scalar loop pops it.
-        delta_sigma = work_sigma[frontier] - sigma[frontier]
-        increments = np.repeat(delta_sigma, counts)[in_subdag]
-        fresh = first_occurrence(targets[~affected[targets]], first_of)
-        np.add.at(work_sigma, targets, increments)
-        if fresh.size == 0:
-            break
-        affected[fresh] = True
-        count += fresh.size
-        level += 1
-        levels.append((level, fresh))
-        frontier = fresh
-    return FlatRepairPlan(
-        work_distance=work_distance,
-        work_sigma=work_sigma,
-        affected_mask=affected,
-        affected_count=count,
-        levels=levels,
-        disconnected=np.empty(0, dtype=np.int64),
-        high=high,
-        low=low,
-    )
-
-
 def repair_same_level_cohort(
     state: FlatBatchState,
     ks: np.ndarray,
@@ -231,17 +165,24 @@ def repair_same_level_cohort(
     affected: np.ndarray,
     pair_first: np.ndarray,
 ) -> tuple:
-    """:func:`repair_same_level_flat` for a whole cohort in pair space.
+    """The two ``dd == 1`` repairs (Algorithm 2) for a whole cohort in pair space.
+
+    Shared by addition (``sign=+1``) and removal (``sign=-1``): no distance
+    changes, only path counts in the sub-DAG under ``low`` shift by the
+    paths through ``high``.  The scalar FIFO over that sub-DAG is strictly
+    level-aligned (every queue edge descends exactly one level), so a
+    frontier expansion discovers the same vertices in the same order and
+    the integer sigma increments land identically.
 
     All jobs repair the same update against the same compiled snapshot, so
     their per-source sub-DAG walks share frontier expansions: the frontier
     holds ``(job ordinal k, vertex slot)`` pairs and one hop advances every
-    job by one (job-relative) level at once.  Exactness carries over from
-    the solo routine unchanged — all updates are integer sigma arithmetic
-    on per-job rows of ``work_sigma``, every job's pair subsequence of each
-    frontier is its solo frontier (first-occurrence order is preserved
-    because frontiers stay k-grouped), and jobs whose solo loop would have
-    exited simply stop contributing pairs.
+    job by one (job-relative) level at once.  All updates are integer sigma
+    arithmetic on per-job rows of ``work_sigma``, every job's pair
+    subsequence of each frontier is its own scalar frontier
+    (first-occurrence order is preserved because frontiers stay k-grouped),
+    and jobs whose scalar loop would have exited simply stop contributing
+    pairs.
 
     ``ks`` holds the jobs' slab ordinals; ``highs``/``lows`` are the jobs'
     edge endpoints *aligned with ks* (already sliced).  ``old_distance`` /
@@ -274,9 +215,9 @@ def repair_same_level_cohort(
         if not in_subdag.any():
             break
         t_pid = tpid[in_subdag]
-        # delta_sigma of the whole frontier is final here, as in the solo
-        # routine: all increments a frontier pair receives were scattered
-        # while expanding the previous hop.
+        # delta_sigma of the whole frontier is final here: all increments a
+        # frontier pair receives were scattered while expanding the
+        # previous hop — exactly when the scalar loop pops it.
         delta_sigma = ws_flat[fpid] - os_flat[fpid]
         increments = np.repeat(delta_sigma, counts)[in_subdag]
         fresh = first_occurrence(t_pid[~aff_flat[t_pid]], pair_first)
@@ -304,14 +245,23 @@ def repair_addition_structural_cohort(
     affected: np.ndarray,
     pair_first: np.ndarray,
 ) -> tuple:
-    """:func:`repair_addition_structural_flat` for a cohort in pair space.
+    """Algorithm 4 for a cohort in pair space: bucketed settle of the shrinking sub-DAG.
 
-    The bucketed settle runs over *absolute* levels shared by every job:
-    each job's levels are a contiguous subrange starting at its own
-    ``d[high] + 1``, levels a job lacks simply contribute none of its
-    pairs, and every per-pair decision (stale test, sigma recount, relax)
-    reads only that pair's row — so the merged level loop replays each
-    job's solo ascending settle exactly.  All arithmetic is integer.
+    Levels are processed in ascending order as in the scalar routine; within
+    a level the whole bucket is filtered (stale / already-affected entries
+    out, first occurrences kept) and settled at once.  Batch processing is
+    exact because every per-vertex decision the scalar loop makes at this
+    level reads only state that is static across the level: distances of
+    parents (settled at smaller levels) and of children (only lowered *to*
+    ``level + 1``, never to ``level``), and the scheduled/affected sets are
+    consulted in first-occurrence order just as the sequential loop would.
+
+    The settle runs over *absolute* levels shared by every job: each job's
+    levels are a contiguous subrange starting at its own ``d[high] + 1``,
+    levels a job lacks simply contribute none of its pairs, and every
+    per-pair decision (stale test, sigma recount, relax) reads only that
+    pair's row — so the merged level loop replays each job's own ascending
+    settle exactly.  All arithmetic is integer.
 
     Arguments follow :func:`repair_same_level_cohort`, plus the stacked
     ``work_distance`` (mutated by the settle).  Returns merged plan chunks
@@ -373,8 +323,12 @@ def repair_addition_structural_cohort(
                         )
                 ws_flat[members] = totals
 
-                # Relax out-neighbors (see the solo routine for why the
-                # level-batched first-occurrence filter is exact).
+                # Relax out-neighbors: distance shrinks to level + 1, or the
+                # neighbor sits exactly one level below and its sigma must be
+                # recounted.  Only a child's first encounter can qualify (a
+                # relaxation pins its distance to level + 1 and schedules it,
+                # after which both branches reject it), so first-occurrence
+                # filtering reproduces the sequential append order.
                 positions, counts = slice_positions(indptr, ms)
                 if positions.size:
                     rep = np.repeat(
@@ -404,101 +358,3 @@ def repair_addition_structural_cohort(
     )
 
 
-def repair_addition_structural_flat(
-    state: FlatBatchState,
-    distance: np.ndarray,
-    sigma: np.ndarray,
-    high: int,
-    low: int,
-    scratch: FlatScratch,
-) -> FlatRepairPlan:
-    """Vectorized Algorithm 4: bucketed settle of the shrinking sub-DAG.
-
-    Levels are processed in ascending order as in the scalar routine; within
-    a level the whole bucket is filtered (stale / already-affected entries
-    out, first occurrences kept) and settled at once.  Batch processing is
-    exact because every per-vertex decision the scalar loop makes at this
-    level reads only state that is static across the level: distances of
-    parents (settled at smaller levels) and of children (only lowered *to*
-    ``level + 1``, never to ``level``), and the scheduled/affected sets are
-    consulted in first-occurrence order just as the sequential loop would.
-    """
-    n = state.n
-    work_distance = distance.copy()
-    work_sigma = sigma.copy()
-    affected = np.zeros(n, dtype=np.bool_)
-    scheduled = np.zeros(n, dtype=np.bool_)
-    first_of = scratch.first_of
-    indptr, indices = state.indptr, state.indices
-    in_indptr, in_indices = state.in_indptr, state.in_indices
-
-    start_level = int(distance[high]) + 1
-    work_distance[low] = start_level
-    scheduled[low] = True
-    buckets: Dict[int, List[np.ndarray]] = {
-        start_level: [np.array([low], dtype=np.int64)]
-    }
-    levels: List = []
-    count = 0
-    level = start_level
-    max_level = start_level
-    while level <= max_level:
-        chunks = buckets.get(level)
-        if chunks:
-            cand = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            keep = (~affected[cand]) & (work_distance[cand] == level)
-            members = first_occurrence(cand[keep], first_of)
-            if members.size:
-                affected[members] = True
-                count += members.size
-                levels.append((level, members))
-
-                # Sigma recount from parents one level above (all final).
-                positions, counts = slice_positions(in_indptr, members)
-                parents = in_indices[positions]
-                parent_distance = work_distance[parents]
-                parent_mask = (parent_distance != -1) & (
-                    parent_distance + 1 == level
-                )
-                totals = np.zeros(members.size, dtype=np.int64)
-                if parent_mask.any():
-                    rep = np.repeat(
-                        np.arange(members.size, dtype=np.int64), counts
-                    )
-                    np.add.at(
-                        totals, rep[parent_mask], work_sigma[parents[parent_mask]]
-                    )
-                work_sigma[members] = totals
-
-                # Relax out-neighbors: distance shrinks to level + 1, or the
-                # neighbor sits exactly one level below and its sigma must be
-                # recounted.  Only a child's first encounter can qualify (a
-                # relaxation pins its distance to level + 1 and schedules it,
-                # after which both branches reject it), so first-occurrence
-                # filtering reproduces the sequential append order.
-                positions, _counts = slice_positions(indptr, members)
-                kids = first_occurrence(indices[positions], first_of)
-                kid_distance = work_distance[kids]
-                shrink = (kid_distance == -1) | (kid_distance > level + 1)
-                requeue = (
-                    (kid_distance == level + 1)
-                    & ~affected[kids]
-                    & ~scheduled[kids]
-                )
-                appended = kids[shrink | requeue]
-                if appended.size:
-                    work_distance[kids[shrink]] = level + 1
-                    scheduled[appended] = True
-                    buckets.setdefault(level + 1, []).append(appended)
-                    max_level = max(max_level, level + 1)
-        level += 1
-    return FlatRepairPlan(
-        work_distance=work_distance,
-        work_sigma=work_sigma,
-        affected_mask=affected,
-        affected_count=count,
-        levels=levels,
-        disconnected=np.empty(0, dtype=np.int64),
-        high=high,
-        low=low,
-    )

@@ -17,8 +17,8 @@ The two tricks carry the bit-identity burden:
   a scalar loop guarded by a "seen" set admits them.
 
 Everything else in the vectorized phases is arithmetic on arrays arranged by
-these two orders, applied through the ordered scatter-add of
-:mod:`repro.core.jit`.
+these two orders, applied through ``np.add.at``, which applies duplicate
+indices sequentially in operand order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "FlatBatchState",
-    "FlatScratch",
     "slice_positions",
     "first_occurrence",
     "group_by_level",
@@ -89,24 +88,6 @@ EdgeScoreRegistry` ids, so edge-score contributions land in the same
         self.us = us
         self.vs = vs
         self.is_addition = is_addition
-
-
-class FlatScratch:
-    """Reusable length-``n`` scratch arrays for the vectorized repair.
-
-    ``first_of`` backs :func:`first_occurrence`; ``position_of`` and
-    ``member_mask`` back the accumulation sweep's same-level write-hazard
-    detection.  ``member_mask`` must be all-``False`` between uses (every
-    user restores it); the other two carry no invariant.
-    """
-
-    __slots__ = ("n", "first_of", "position_of", "member_mask")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.first_of = np.empty(n, dtype=np.int64)
-        self.position_of = np.empty(n, dtype=np.int64)
-        self.member_mask = np.zeros(n, dtype=np.bool_)
 
 
 def slice_positions(

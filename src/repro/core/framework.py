@@ -20,7 +20,6 @@ scores across instances.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -36,7 +35,7 @@ from repro.core.classification import UpdateCase
 from repro.core.kernel import ArrayKernel
 from repro.core.result import BatchResult, SourceUpdateStats, UpdateResult
 from repro.core.source_update import update_source
-from repro.core.updates import EdgeUpdate, UpdateKind, batches, validate_batch
+from repro.core.updates import EdgeUpdate, UpdateKind, validate_batch
 from repro.exceptions import ConfigurationError, UpdateError
 from repro.graph.graph import Graph
 from repro.storage.arrays import ArrayBDStore
@@ -133,7 +132,6 @@ class IncrementalBetweenness:
         self._graph = graph.copy()
         self._backend = validate_backend(backend)
         self._kernel: Optional[ArrayKernel] = None
-        self._vector_batch = False
         self._restricted = sources is not None
         self._maintain_predecessors = maintain_predecessors
         self._predecessors: Dict[Vertex, Dict[Vertex, set]] = {}
@@ -262,7 +260,6 @@ class IncrementalBetweenness:
         self._graph = graph.copy() if copy_graph else graph
         self._backend = validate_backend(backend)
         self._kernel = None
-        self._vector_batch = False
         self._restricted = restricted
         self._maintain_predecessors = False
         self._predecessors = {}
@@ -636,26 +633,6 @@ class IncrementalBetweenness:
         result.elapsed_seconds = timer.total
         return result
 
-    def process_stream_batched(
-        self, updates: Iterable[EdgeUpdate], batch_size: int
-    ) -> List[BatchResult]:
-        """Deprecated: apply a stream in consecutive batches.
-
-        .. deprecated::
-            The chunk-and-sweep loop now lives in one place —
-            :meth:`repro.api.BetweennessSession.stream`; this shim forwards
-            to the same :meth:`apply_updates` machinery (scores are
-            bit-identical) and will be removed in a future release.
-        """
-        warnings.warn(
-            "IncrementalBetweenness.process_stream_batched is deprecated; "
-            "drive the stream through repro.api.BetweennessSession.stream "
-            "(batch_size lives in BetweennessConfig)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [self.apply_updates(chunk) for chunk in batches(updates, batch_size)]
-
     def add_source(self, vertex: Vertex) -> None:
         """Adopt ``vertex`` as a source maintained by this (partial) instance."""
         if not self._graph.has_vertex(vertex):
@@ -692,44 +669,6 @@ class IncrementalBetweenness:
             self._kernel.register_vertex(vertex)
         else:
             self._store.register_vertex(vertex)
-
-    # -- backend engine: record load / repair / save -------------------- #
-    def _load_record(self, source: Vertex):
-        """Load ``BD[source]`` for repair — flat columns or a dict record."""
-        if self._kernel is not None:
-            return self._kernel.load(source)
-        return self._store.get(source)
-
-    def _repair_record(
-        self,
-        source: Vertex,
-        data,
-        update: EdgeUpdate,
-        update_index: Optional[int] = None,
-    ):
-        """Run one (source, update) repair on the loaded record."""
-        if self._kernel is not None:
-            return self._kernel.repair(data, update, update_index)
-        return update_source(
-            self._graph,
-            data,
-            update,
-            self._vertex_scores,
-            self._edge_scores,
-            self._edge_key,
-            predecessors=(
-                self._predecessors.setdefault(source, {})
-                if self._maintain_predecessors
-                else None
-            ),
-        )
-
-    def _save_record(self, source: Vertex, data) -> None:
-        """Persist a repaired record back into the store."""
-        if self._kernel is not None:
-            self._kernel.save(source, data)
-        else:
-            self._store.put(data)
 
     def _build_predecessors(self, data) -> Dict[Vertex, set]:
         """Predecessor lists of one source, derived from its distances."""
@@ -781,153 +720,121 @@ class IncrementalBetweenness:
         for vertex in births:
             self._register_vertex(vertex)
 
-        # A buffered disk store has no live column matrices; materialising
-        # them for the duration of the batch (begin/end_column_sweep) lets
-        # the kernel's cohort repair run on it too, with one bulk read
-        # before the sweep and one write-back after.  Must open after the
-        # births above registered their slots — the store cannot grow
-        # inside the window.
-        sweep_window = False
         if self._kernel is not None:
-            begin_sweep = getattr(self._store, "begin_column_sweep", None)
-            if begin_sweep is not None:
-                sweep_window = bool(begin_sweep())
-
-        # Sweep the existing sources once each (Step 2, loop inverted).
-        sources = list(self._store.sources())
-        to_load = self._sources_to_load(sources, batch)
-        kernel_batch = (
-            self._kernel.begin_batch(batch) if self._kernel is not None else False
-        )
-        self._vector_batch = kernel_batch
-        try:
-            if kernel_batch and self._kernel.cohort_capable:
-                self._sweep_batch_cohort(
-                    sources, to_load, adopted, batch, results, batch_result
-                )
-            else:
-                for source in sources:
-                    if to_load is not None:
-                        first = to_load.get(source)
-                        skip = first is None
-                    else:
-                        first = 0
-                        skip = self._peek_all_skip(source, batch)
-                    if skip:
-                        for result in results:
-                            result.record(
-                                SourceUpdateStats(case=UpdateCase.SKIP)
-                            )
-                        batch_result.sources_peek_skipped += 1
-                        continue
-                    data = self._load_record(source)
-                    batch_result.sources_loaded += 1
-                    # Updates before the source's first failing peek are
-                    # proven skips on an untouched record — recorded
-                    # without replaying.
-                    for index in range(first):
-                        results[index].record(
-                            SourceUpdateStats(case=UpdateCase.SKIP)
-                        )
-                    self._replay_batch_for_source(
-                        source, data, first, batch, results
-                    )
-                    self._save_record(source, data)
-
-                # Sources born inside the batch replay only their suffix.
-                for vertex, birth in sorted(
-                    adopted.items(), key=lambda item: item[1]
-                ):
-                    if self._kernel is not None:
-                        # The identity record goes into the column store
-                        # first and is then repaired in place — same final
-                        # state as the dict path's build-then-put, with no
-                        # intermediate dict record.
-                        self._store.add_source(vertex)
-                        data = self._kernel.load(vertex)
-                    else:
-                        data = SourceData(source=vertex)
-                        data.distance[vertex] = 0
-                        data.sigma[vertex] = 1
-                        data.delta[vertex] = 0.0
-                    self._replay_batch_for_source(
-                        vertex, data, birth, batch, results
-                    )
-                    self._save_record(vertex, data)
-                    batch_result.sources_loaded += 1
-        finally:
-            self._vector_batch = False
-            if kernel_batch:
-                self._kernel.end_batch()
-            if sweep_window:
-                self._store.end_column_sweep()
-
+            self._sweep_batch_cohort(adopted, batch, results, batch_result)
+        else:
+            self._sweep_batch_sources(adopted, batch, results, batch_result)
         self._finalize_batch(batch, births)
         return batch_result
 
-    def _sweep_batch_cohort(
+    def _sweep_batch_sources(
         self,
-        sources: List[Vertex],
-        to_load: Optional[Dict[Vertex, int]],
         adopted: Dict[Vertex, int],
         batch: List[EdgeUpdate],
         results: List[UpdateResult],
         batch_result: BatchResult,
     ) -> None:
-        """Update-outer sweep: each update repairs its whole cohort at once.
+        """Source-outer sweep of the dicts backend (Step 2, loop inverted).
 
-        Source-outer replay (the solo path) runs every (source, update)
-        repair on its own tiny region; flipping the loop nest lets the
-        kernel accumulate one update across *all* affected sources in a
-        single pair-space sweep (:meth:`ArrayKernel.repair_update_cohort`),
-        which is where the batched sweep's speedup comes from.  Peek
-        semantics, per-update stats and the final record/score state are
-        identical to the source-outer loop.
+        Every existing source is visited once: skipped from its stored
+        endpoint distances alone when Proposition 3.1 holds for the whole
+        batch, otherwise loaded, replayed against the batch and saved.
         """
-        active: List[Tuple[Vertex, int]] = []
-        for source in sources:
-            if to_load is not None:
-                first = to_load.get(source)
-                skip = first is None
-            else:
-                first = 0
-                skip = self._peek_all_skip(source, batch)
-            if skip:
+        for source in list(self._store.sources()):
+            if self._peek_all_skip(source, batch):
                 for result in results:
                     result.record(SourceUpdateStats(case=UpdateCase.SKIP))
                 batch_result.sources_peek_skipped += 1
                 continue
-            for index in range(first):
-                results[index].record(SourceUpdateStats(case=UpdateCase.SKIP))
-            active.append((source, first))
-        # Row growth reallocates the store's matrices, so every born source
-        # gets its row before any record view is opened.
+            data = self._store.get(source)
+            batch_result.sources_loaded += 1
+            self._replay_batch_for_source(source, data, 0, batch, results)
+            self._store.put(data)
+
+        # Sources born inside the batch replay only their suffix.
         for vertex, birth in sorted(adopted.items(), key=lambda item: item[1]):
-            self._store.add_source(vertex)
-            active.append((vertex, birth))
-        loaded = [
-            (source, self._kernel.load(source), first)
-            for source, first in active
-        ]
-        batch_result.sources_loaded += len(loaded)
-        for index in range(len(batch)):
-            cohort = [
-                (ordinal, data)
-                for ordinal, (_source, data, first) in enumerate(loaded)
-                if first <= index
+            data = SourceData(source=vertex)
+            data.distance[vertex] = 0
+            data.sigma[vertex] = 1
+            data.delta[vertex] = 0.0
+            self._replay_batch_for_source(vertex, data, birth, batch, results)
+            self._store.put(data)
+            batch_result.sources_loaded += 1
+
+    def _sweep_batch_cohort(
+        self,
+        adopted: Dict[Vertex, int],
+        batch: List[EdgeUpdate],
+        results: List[UpdateResult],
+        batch_result: BatchResult,
+    ) -> None:
+        """Update-outer sweep of the arrays backend: one cohort per update.
+
+        Flipping the loop nest of :meth:`_sweep_batch_sources` lets the
+        kernel repair and accumulate one update across *all* affected
+        sources in a single pair-space sweep
+        (:meth:`ArrayKernel.repair_update_cohort`).  Peek semantics,
+        per-update stats and the final record/score state are identical to
+        the source-outer loop.
+        """
+        # A buffered disk store has no live column matrices; materialising
+        # them for the duration of the batch (begin/end_column_sweep) gives
+        # the kernel one bulk read before the sweep and one write-back
+        # after.  Must open after the batch's births registered their slots
+        # — the store cannot grow inside the window.
+        begin_sweep = getattr(self._store, "begin_column_sweep", None)
+        sweep_window = begin_sweep is not None and bool(begin_sweep())
+        try:
+            sources = list(self._store.sources())
+            to_load = self._kernel.sources_to_load(sources, batch)
+            self._kernel.begin_batch(batch)
+            active: List[Tuple[Vertex, int]] = []
+            for source in sources:
+                first = to_load.get(source)
+                if first is None:
+                    for result in results:
+                        result.record(SourceUpdateStats(case=UpdateCase.SKIP))
+                    batch_result.sources_peek_skipped += 1
+                    continue
+                # Updates before the source's first failing peek are proven
+                # skips on an untouched record — recorded without repairing.
+                for index in range(first):
+                    results[index].record(SourceUpdateStats(case=UpdateCase.SKIP))
+                active.append((source, first))
+            # Row growth reallocates the store's matrices, so every born
+            # source gets its row before any record view is opened.
+            for vertex, birth in sorted(adopted.items(), key=lambda item: item[1]):
+                self._store.add_source(vertex)
+                active.append((vertex, birth))
+            loaded = [
+                (source, self._kernel.load(source), first)
+                for source, first in active
             ]
-            if not cohort:
-                continue
-            stats_list = self._kernel.repair_update_cohort(
-                [data for _ordinal, data in cohort],
-                [ordinal for ordinal, _data in cohort],
-                index,
-            )
-            for stats in stats_list:
-                results[index].record(stats)
-        self._kernel.flush_cohort_scores()
-        for source, data, _first in loaded:
-            self._save_record(source, data)
+            batch_result.sources_loaded += len(loaded)
+            for index in range(len(batch)):
+                cohort = [
+                    (ordinal, data)
+                    for ordinal, (_source, data, first) in enumerate(loaded)
+                    if first <= index
+                ]
+                if not cohort:
+                    continue
+                stats_list = self._kernel.repair_update_cohort(
+                    [data for _ordinal, data in cohort],
+                    [ordinal for ordinal, _data in cohort],
+                    index,
+                )
+                for stats in stats_list:
+                    results[index].record(stats)
+            self._kernel.flush_cohort_scores()
+            # The repairs went through the store's own views; all that is
+            # left is the store's write accounting.
+            for source, _data, _first in loaded:
+                self._store.record_written(source)
+        finally:
+            self._kernel.end_batch()
+            if sweep_window:
+                self._store.end_column_sweep()
 
     def _resolve_adoptions(
         self, adopt: Optional[Iterable[Vertex]], births: Dict[Vertex, int]
@@ -955,25 +862,6 @@ class IncrementalBetweenness:
                     "self-only seed)"
                 )
         return adopted
-
-    def _sources_to_load(
-        self, sources: List[Vertex], batch: List[EdgeUpdate]
-    ) -> Optional[Dict[Vertex, int]]:
-        """Vectorized Proposition 3.1 peek over the whole source set.
-
-        Arrays backend only: one fancy-indexed gather over the stored
-        distance columns decides, for every source at once, whether the
-        batch can possibly affect it — the same decision the scalar
-        per-source peek makes, without a Python loop over sources.  The
-        result maps each possibly-affected source to the index of the
-        first update whose peek fails; earlier updates are proven skips
-        and need not be replayed.  Returns ``None`` when unavailable
-        (dicts backend, or a store that cannot serve distance blocks), in
-        which case the caller falls back to the scalar peek.
-        """
-        if self._kernel is None or not sources:
-            return None
-        return self._kernel.sources_to_load(sources, batch)
 
     def _peek_all_skip(self, source: Vertex, batch: List[EdgeUpdate]) -> bool:
         """Decide, from stored distances alone, that the batch skips ``source``.
@@ -1033,42 +921,36 @@ class IncrementalBetweenness:
         for every subsequent source and thereby the floating-point
         summation order of their repairs.  Snapshot restore keeps each
         source's roll starting from the bit-identical pre-batch order —
-        the same order the compiled snapshots of the vectorized path see.
-
-        Inside a vectorized batch window the rolling is skipped entirely:
-        every repair reads a compiled per-update snapshot taken by
-        :meth:`ArrayKernel.begin_batch`, and nothing in the flat repair
-        path consults the label graph or the live CSR mirror.
+        the same order the compiled snapshots of the arrays backend see.
         """
-        if self._vector_batch:
-            for index, update in enumerate(batch):
-                if index < start_index:
-                    continue
-                stats = self._repair_record(source, data, update, index)
-                results[index].record(stats)
-            return
         endpoints = {w for update in batch for w in update.endpoints}
         graph_snapshot = self._graph.adjacency_snapshot(endpoints)
-        kernel_snapshot = (
-            self._kernel.adjacency_snapshot(endpoints)
-            if self._kernel is not None
+        predecessors = (
+            self._predecessors.setdefault(source, {})
+            if self._maintain_predecessors
             else None
         )
         try:
             for index, update in enumerate(batch):
                 u, v = update.endpoints
                 if update.kind is UpdateKind.ADDITION:
-                    self._graph_add_edge(u, v)
+                    self._graph.add_edge(u, v)
                 else:
-                    self._graph_remove_edge(u, v)
+                    self._graph.remove_edge(u, v)
                 if index < start_index:
                     continue
-                stats = self._repair_record(source, data, update)
+                stats = update_source(
+                    self._graph,
+                    data,
+                    update,
+                    self._vertex_scores,
+                    self._edge_scores,
+                    self._edge_key,
+                    predecessors=predecessors,
+                )
                 results[index].record(stats)
         finally:
             self._graph.restore_adjacency(graph_snapshot)
-            if kernel_snapshot is not None:
-                self._kernel.restore_adjacency(kernel_snapshot)
 
     def _finalize_batch(
         self, batch: List[EdgeUpdate], births: Dict[Vertex, int]

@@ -11,27 +11,31 @@ float64 delta), indexed by dense integer *slots*:
   per source, BFS frontiers and dependency accumulation are whole-level
   numpy operations over the compiled CSR arrays, with edge-betweenness
   contributions folded into a flat per-edge array via ``np.add.at``;
-* the **update sweep** (Step 2) reuses the per-source repair machinery of
-  :mod:`repro.core` verbatim, but runs it in slot space: the record is the
-  store's own column arrays (zero-copy views for the mmap disk store and
-  the RAM array store — no dictionary is ever materialised), the graph is
-  the :class:`~repro.graph.csr.CSRGraph` mirror, and the global scores are
-  a flat float64 array plus a slot-pair edge dict;
+* the **update sweep** (Step 2) is a *cohort* sweep: per update of the
+  batch, every source the update can affect is classified, repaired and
+  accumulated at once in (source, vertex) pair space over the store's own
+  column matrices (the ``*_cohort`` routines of :mod:`repro.core.addition`,
+  :mod:`repro.core.removal` and :mod:`repro.core.accumulation`) — no
+  dictionary is ever materialised, the graph is a compiled snapshot of the
+  :class:`~repro.graph.csr.CSRGraph` mirror per update, and the global
+  scores are a flat float64 array plus a slot-pair edge registry.  A solo
+  source is a cohort of one; there is no other update path;
 * the **skip test** (Proposition 3.1) is evaluated for a whole batch and
   every source with one fancy-indexed gather over the distance columns.
 
 Bit-identity with the dict backend is by construction, not by accident:
 the label graph's insertion-ordered adjacency is mirrored slot for slot by
-the CSR structure, every repair runs the *same* control flow over the same
-neighbor orders, and the vectorized bootstrap arranges its ``np.add.at``
-operands in exactly the order the scalar loops would visit them — so every
-floating-point operation happens on the same operands in the same
-sequence, and the two backends return byte-for-byte equal scores.
+the CSR structure, every cohort walk admits vertices in the order the
+scalar loops would visit them, the bootstrap and the sweep arrange their
+``np.add.at`` operands in exactly that order, and the writes to the shared
+score accumulators are deferred and replayed source-major (the dict
+backend's loop nest) — so every floating-point operation happens on the
+same operands in the same sequence, and the two backends return
+byte-for-byte equal scores.
 """
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 from typing import (
     Dict,
@@ -46,27 +50,15 @@ from typing import (
 import numpy as np
 
 from repro.algorithms.brandes import BrandesResult, SourceData
-from repro.core.accumulation import (
-    CohortScoreStreams,
-    accumulate_cohort,
-    accumulate_flat,
-)
+from repro.core.accumulation import CohortScoreStreams, accumulate_cohort
 from repro.core.addition import (
     repair_addition_structural_cohort,
-    repair_addition_structural_flat,
     repair_same_level_cohort,
-    repair_same_level_flat,
 )
 from repro.core.classification import UpdateCase, classify_flat
-from repro.core.flat import FlatBatchState, FlatScratch
-from repro.core.removal import (
-    repair_removal_same_level_flat,
-    repair_removal_structural_cohort,
-    repair_removal_structural_flat,
-)
-from repro.core.repair import FlatRepairPlan
+from repro.core.flat import FlatBatchState, slice_positions
+from repro.core.removal import repair_removal_structural_cohort
 from repro.core.result import SourceUpdateStats
-from repro.core.source_update import update_source
 from repro.core.updates import EdgeUpdate
 from repro.exceptions import ConfigurationError, StoreCorruptedError
 from repro.graph.csr import CSRGraph
@@ -88,12 +80,21 @@ __all__ = [
     "brandes_betweenness_arrays",
 ]
 
-#: Environment variable forcing the scalar (per-vertex) repair path.
-VECTOR_ENV = "REPRO_VECTOR_REPAIR"
-
-#: Environment variable forcing solo (per-source) flat repairs — disables
-#: the cohort sweep without touching the vectorized path itself.
-COHORT_ENV = "REPRO_COHORT_REPAIR"
+#: What a store must offer for ``backend="arrays"`` to run on it: the slot
+#: index, record and source registration, and bulk access to the column
+#: matrices the cohort sweep gathers from and writes back to.
+_COLUMN_PROTOCOL = (
+    "vertex_index",
+    "register_vertex",
+    "add_source",
+    "put_columns",
+    "record_columns",
+    "record_written",
+    "columns_in_place",
+    "column_matrices",
+    "row_of_source_slot",
+    "peek_distance_block",
+)
 
 
 def _slot_edge_key(i: int, j: int) -> Tuple[int, int]:
@@ -118,8 +119,8 @@ class EdgeScoreRegistry:
     :attr:`active` mask tracking which pairs currently "exist" as dict
     keys.
 
-    The mapping face reproduces plain-dict semantics for the scalar repair
-    path and the label facade: ``pop`` deactivates *and zeroes* the slot,
+    The mapping face reproduces plain-dict semantics for the label
+    facade: ``pop`` deactivates *and zeroes* the slot,
     so a re-added edge starts from the same ``get(key, 0.0)`` baseline the
     dict backend sees.  Iteration runs in ascending id order — a permuted
     key order relative to the dict backend, which only equality / per-key
@@ -147,7 +148,7 @@ class EdgeScoreRegistry:
         self.values = values
         self.active = active
 
-    # -- id management (vectorized path) ------------------------------- #
+    # -- id management (cohort sweep) ----------------------------------- #
     def ensure_id(self, pair: Tuple[int, int]) -> int:
         """Permanent id of ``pair``, assigning one on first sight."""
         edge_id = self._id_of.get(pair)
@@ -169,7 +170,7 @@ class EdgeScoreRegistry:
         """Make every id in ``ids`` an active key before it is scattered to.
 
         Freshly activated slots start from 0.0 — the ``get(key, 0.0)``
-        baseline the scalar accumulation uses for unseen edges.
+        baseline the dict backend's accumulation uses for unseen edges.
         """
         inactive = ids[~self.active[ids]]
         if inactive.size:
@@ -190,7 +191,7 @@ class EdgeScoreRegistry:
         self.active[:count] = True
         self._count = count
 
-    # -- mapping face (scalar path + label facade) ---------------------- #
+    # -- mapping face (label facade) ------------------------------------ #
     def get(self, key: Tuple[int, int], default=None):
         edge_id = self._id_of.get(key)
         if edge_id is None or not self.active[edge_id]:
@@ -258,118 +259,15 @@ class EdgeScoreRegistry:
 # --------------------------------------------------------------------------- #
 # Flat (slot-indexed) BD records
 # --------------------------------------------------------------------------- #
-def _indexable(arr: np.ndarray):
-    """Fastest scalar-indexable face of a column array.
-
-    A :class:`memoryview` reads and writes native Python scalars at
-    dictionary speed (no numpy scalar boxing) and range-checks writes, so
-    it is preferred.  Memoryview scalar indexing however requires a
-    natively aligned buffer — an mmap-mapped record whose column happens
-    to start off-alignment exports a ``'=q'``-style format that raises
-    ``NotImplementedError`` on indexing — so the array itself (numpy
-    scalar access, bit-identical arithmetic, somewhat slower) is the
-    fallback.  Probed once per record load, off the hot path.
-    """
-    try:
-        view = memoryview(arr)
-        if len(view):
-            view[0]  # probe: unaligned/non-native formats raise here
-        return view
-    except (NotImplementedError, TypeError, ValueError):
-        return arr
-
-
-class _DistanceColumn:
-    """Dict-like view of an int16 distance column (``-1`` = absent).
-
-    Implements exactly the mapping subset the repair machinery uses, so
-    the shared repair code runs unmodified on column arrays.
-    """
-
-    __slots__ = ("_mv",)
-
-    def __init__(self, arr: np.ndarray) -> None:
-        self._mv = _indexable(arr)
-
-    def get(self, slot: int, default=None):
-        value = self._mv[slot]
-        return default if value == -1 else value
-
-    def __getitem__(self, slot: int) -> int:
-        value = self._mv[slot]
-        if value == -1:
-            raise KeyError(slot)
-        return value
-
-    def __setitem__(self, slot: int, value: int) -> None:
-        self._mv[slot] = value
-
-    def __contains__(self, slot: int) -> bool:
-        return self._mv[slot] != -1
-
-    def pop(self, slot: int, default=None):
-        value = self._mv[slot]
-        self._mv[slot] = -1
-        return default if value == -1 else value
-
-
-class _ValueColumn:
-    """Dict-like view of a sigma/delta column gated by the distance column.
-
-    A slot "has a key" exactly while its distance entry is reachable, which
-    reproduces the dict records' invariant that the three dictionaries
-    share one key set.
-    """
-
-    __slots__ = ("_mv", "_dist_mv", "_zero")
-
-    def __init__(self, arr: np.ndarray, distance: "_DistanceColumn", zero) -> None:
-        self._mv = _indexable(arr)
-        self._dist_mv = distance._mv
-        self._zero = zero
-
-    def get(self, slot: int, default=None):
-        if self._dist_mv[slot] == -1:
-            return default
-        return self._mv[slot]
-
-    def __getitem__(self, slot: int):
-        if self._dist_mv[slot] == -1:
-            raise KeyError(slot)
-        return self._mv[slot]
-
-    def __setitem__(self, slot: int, value) -> None:
-        self._mv[slot] = value
-
-    def __contains__(self, slot: int) -> bool:
-        return self._dist_mv[slot] != -1
-
-    def pop(self, slot: int, default=None):
-        value = self._mv[slot]
-        self._mv[slot] = self._zero
-        return value
-
-
 class FlatSourceData:
     """Slot-indexed ``BD[s]`` record over three column arrays.
 
-    Duck-types :class:`~repro.algorithms.brandes.SourceData` for the repair
-    machinery: ``source`` is the source *slot* and ``distance`` / ``sigma``
-    / ``delta`` are dict-like column views keyed by vertex slot.  When the
-    arrays are store views (``in_place``), mutating the record *is*
-    persisting it.
+    ``source`` is the source *slot*; the arrays are the store's own views
+    of the record (``-1`` distance = unreachable), so mutating them *is*
+    persisting the record.
     """
 
-    __slots__ = (
-        "source",
-        "distance",
-        "sigma",
-        "delta",
-        "distance_array",
-        "sigma_array",
-        "delta_array",
-        "in_place",
-    )
+    __slots__ = ("source", "distance_array", "sigma_array", "delta_array")
 
     def __init__(
         self,
@@ -377,16 +275,11 @@ class FlatSourceData:
         distance: np.ndarray,
         sigma: np.ndarray,
         delta: np.ndarray,
-        in_place: bool,
     ) -> None:
         self.source = source_slot
         self.distance_array = distance
         self.sigma_array = sigma
         self.delta_array = delta
-        self.in_place = in_place
-        self.distance = _DistanceColumn(distance)
-        self.sigma = _ValueColumn(sigma, self.distance, 0)
-        self.delta = _ValueColumn(delta, self.distance, 0.0)
 
     def to_source_data(self, index: VertexIndex) -> SourceData:
         """Decode into a label-keyed :class:`SourceData` (testing/snapshot)."""
@@ -397,48 +290,6 @@ class FlatSourceData:
             index.vertex(self.source),
             index,
         )
-
-
-# --------------------------------------------------------------------------- #
-# Slot-space adapters handed to the shared repair machinery
-# --------------------------------------------------------------------------- #
-class _SlotGraphView:
-    """Adjacency view over the CSR mirror (slots in, slots out).
-
-    Exposes exactly what the shared repair machinery consumes: the two
-    neighbor directions and the ``directed`` flag the classifier branches
-    on.  For undirected mirrors both directions are the same lists.
-    """
-
-    __slots__ = ("_csr", "directed")
-
-    def __init__(self, csr: CSRGraph) -> None:
-        self._csr = csr
-        self.directed = csr.directed
-
-    def out_neighbors(self, slot: int) -> List[int]:
-        return self._csr.neighbors(slot)
-
-    def in_neighbors(self, slot: int) -> List[int]:
-        return self._csr.in_neighbors(slot)
-
-
-class _SlotVertexScores:
-    """Dict-like slot view over the kernel's flat vertex-score array."""
-
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: "ArrayKernel") -> None:
-        self._kernel = kernel
-
-    def get(self, slot: int, default=0.0) -> float:
-        return self._kernel._vscore_mv[slot]
-
-    def __getitem__(self, slot: int) -> float:
-        return self._kernel._vscore_mv[slot]
-
-    def __setitem__(self, slot: int, value: float) -> None:
-        self._kernel._vscore_mv[slot] = value
 
 
 # --------------------------------------------------------------------------- #
@@ -577,27 +428,6 @@ class LabelEdgeScores:
 # --------------------------------------------------------------------------- #
 # Vectorized single-source Brandes (the bootstrap kernel)
 # --------------------------------------------------------------------------- #
-def _slice_positions(
-    indptr: np.ndarray, vertices: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flattened ``indices`` positions of every vertex's adjacency slice.
-
-    Returns ``(positions, counts)`` where ``positions`` walks the slices in
-    ``vertices`` order — i.e. the exact order a scalar loop ``for v in
-    vertices: for nbr in adj[v]`` would visit them.
-    """
-    starts = indptr[vertices]
-    counts = indptr[vertices + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), counts
-    offsets = np.cumsum(counts) - counts
-    positions = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - offsets, counts
-    )
-    return positions, counts
-
-
 def _bfs_levels(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -633,7 +463,7 @@ def _bfs_levels(
     level = 0
     while True:
         frontier = levels[-1]
-        positions, counts = _slice_positions(indptr, frontier)
+        positions, counts = slice_positions(indptr, frontier)
         if positions.size == 0:
             break
         neighbors = indices[positions]
@@ -703,7 +533,7 @@ def _accumulate_levels(
     sigma_f = sigma.astype(np.float64)
     for level in range(len(levels) - 1, 0, -1):
         members = levels[level][::-1]
-        positions, counts = _slice_positions(indptr, members)
+        positions, counts = slice_positions(indptr, members)
         if positions.size == 0:
             continue
         neighbors = indices[positions]
@@ -732,33 +562,28 @@ class ArrayKernel:
     """
 
     def __init__(self, graph: Graph, store) -> None:
-        index = getattr(store, "vertex_index", None)
-        if index is None or not hasattr(store, "put_columns"):
-            raise ConfigurationError(
-                f"store {type(store).__name__} does not speak the column "
-                "protocol required by backend='arrays'; use ArrayBDStore "
-                "(default) or DiskBDStore"
-            )
+        for name in _COLUMN_PROTOCOL:
+            if not hasattr(store, name):
+                raise ConfigurationError(
+                    f"store {type(store).__name__} does not speak the column "
+                    f"protocol required by backend='arrays' (missing "
+                    f"{name!r}); use ArrayBDStore (default) or DiskBDStore"
+                )
         self._store = store
-        self.index: VertexIndex = index
+        self.index: VertexIndex = store.vertex_index
         self.directed: bool = graph.directed
         self.slot_edge_key = (
             _directed_slot_edge_key if graph.directed else _slot_edge_key
         )
         for vertex in graph.vertices():
-            if vertex not in index:
+            if vertex not in self.index:
                 store.register_vertex(vertex)
-        self.csr = CSRGraph.from_graph(graph, index)
-        self._vscore = np.zeros(max(len(index), 1), dtype=np.float64)
-        self._vscore_mv = memoryview(self._vscore)
+        self.csr = CSRGraph.from_graph(graph, self.index)
+        self._vscore = np.zeros(max(len(self.index), 1), dtype=np.float64)
         self._escore = EdgeScoreRegistry()
-        self._slot_graph = _SlotGraphView(self.csr)
-        self._slot_scores = _SlotVertexScores(self)
-        self._vector_enabled = os.environ.get(VECTOR_ENV, "1") != "0"
         self._batch_states: Optional[List[FlatBatchState]] = None
-        self._scratch: Optional[FlatScratch] = None
         self._cohort_streams: Optional[CohortScoreStreams] = None
-        #: When set to a dict, the flat repair path accumulates per-phase
+        #: When set to a dict, the cohort sweep accumulates per-phase
         #: wall-clock seconds into the keys "classify" / "repair" /
         #: "accumulate" (benchmark instrumentation, off by default).
         self.phase_timings: Optional[Dict[str, float]] = None
@@ -787,7 +612,6 @@ class ArrayKernel:
             grown = np.zeros(max(n, int(len(self._vscore) * 1.5) + 1), np.float64)
             grown[: len(self._vscore)] = self._vscore
             self._vscore = grown
-            self._vscore_mv = memoryview(self._vscore)
 
     def add_edge(self, u: Vertex, v: Vertex) -> None:
         """Mirror a label-graph edge addition (registers new endpoints)."""
@@ -800,70 +624,35 @@ class ArrayKernel:
         """Mirror a label-graph edge removal."""
         self.csr.remove_edge(self.index.slot(u), self.index.slot(v))
 
-    def adjacency_snapshot(self, labels: Iterable[Vertex]) -> tuple:
-        """Capture the CSR rows of ``labels`` for an order-exact rewind.
-
-        Labels without a slot yet (stream births rolled in later) are
-        remembered and their rows cleared on restore — slots are permanent,
-        so clearing is exactly the freshly registered state.
-        """
-        slots: List[int] = []
-        unregistered: List[Vertex] = []
-        for label in labels:
-            if label in self.index:
-                slots.append(self.index.slot(label))
-            else:
-                unregistered.append(label)
-        return self.csr.adjacency_snapshot(slots), unregistered
-
-    def restore_adjacency(self, snapshot: tuple) -> None:
-        """Reinstate CSR rows captured by :meth:`adjacency_snapshot`."""
-        (rows, num_edges), unregistered = snapshot
-        for label in unregistered:
-            if label in self.index:
-                rows[self.index.slot(label)] = None
-        self.csr.restore_adjacency((rows, num_edges))
-
     # ------------------------------------------------------------------ #
     # Records
     # ------------------------------------------------------------------ #
     def load(self, source: Vertex) -> FlatSourceData:
-        """Open ``source``'s record for repair — zero-copy where the store allows."""
-        in_place = bool(self._store.columns_in_place)
+        """Open ``source``'s record for repair as zero-copy store views."""
         distance, sigma, delta = self._store.record_columns(source, writable=True)
-        return FlatSourceData(
-            self.index.slot(source), distance, sigma, delta, in_place
-        )
-
-    def save(self, source: Vertex, data: FlatSourceData) -> None:
-        """Commit a repaired record (a write-back only when not in place)."""
-        if data.in_place:
-            self._store.record_written(source)
-        else:
-            self._store.put_columns(
-                source, data.distance_array, data.sigma_array, data.delta_array
-            )
+        return FlatSourceData(self.index.slot(source), distance, sigma, delta)
 
     # ------------------------------------------------------------------ #
-    # Step 2: per-source repair (vectorized by default, scalar fallback)
+    # Step 2: the cohort sweep — one update, every affected source at once
     # ------------------------------------------------------------------ #
-    def begin_batch(self, batch: Sequence[EdgeUpdate]) -> bool:
-        """Compile per-update graph snapshots for a vectorized batch sweep.
+    def begin_batch(self, batch: Sequence[EdgeUpdate]) -> None:
+        """Compile per-update graph snapshots for a batch sweep.
 
         Rolls a clone of the CSR mirror forward through the batch, stashing
         the compiled out-/in-CSR families after every update — the graph
         state each scalar repair of that update would see.  Stashing
         references is safe because a recompile *replaces* the arrays rather
-        than mutating them.  Returns False (and compiles nothing) when the
-        vectorized path is disabled via ``REPRO_VECTOR_REPAIR=0``; the
-        caller then rolls the live graph exactly as before.
+        than mutating them.  The live mirror is not touched until the
+        framework finalizes the batch.
         """
-        if not self._vector_enabled or not batch:
-            return False
+        if not self._store.columns_in_place:
+            raise ConfigurationError(
+                f"store {type(self._store).__name__} has no live column "
+                "matrices (columns_in_place is false): the arrays backend "
+                "repairs records in place and cannot sweep it"
+            )
         self._sync_capacity()
         n = len(self.index)
-        if self._scratch is None or self._scratch.n < n:
-            self._scratch = FlatScratch(n)
         work = self.csr.clone()
         work.ensure_vertices(n)
         states: List[FlatBatchState] = []
@@ -894,144 +683,16 @@ class ArrayKernel:
                 )
             )
         self._batch_states = states
-        return True
 
     def end_batch(self) -> None:
         """Drop the compiled batch snapshots (the batch sweep is over)."""
         self._batch_states = None
         self._cohort_streams = None
 
-    def repair(
-        self,
-        data: FlatSourceData,
-        update: EdgeUpdate,
-        update_index: Optional[int] = None,
-    ) -> SourceUpdateStats:
-        """Run one (source, update) repair on the flat record.
-
-        Inside a :meth:`begin_batch` window, ``update_index`` selects the
-        compiled snapshot of that update and the repair runs vectorized in
-        slot space; otherwise the shared scalar machinery runs over the
-        live CSR mirror (which must already reflect the update, as always).
-        """
-        if self._batch_states is not None and update_index is not None:
-            return self._repair_flat(data, self._batch_states[update_index])
-        slot_update = EdgeUpdate(
-            update.kind, self.index.slot(update.u), self.index.slot(update.v)
-        )
-        return update_source(
-            self._slot_graph,
-            data,
-            slot_update,
-            self._slot_scores,
-            self._escore,
-            self.slot_edge_key,
-            predecessors=None,
-        )
-
-    def _repair_flat(
-        self, data: FlatSourceData, state: FlatBatchState
-    ) -> SourceUpdateStats:
-        """Vectorized (source, update) repair over the compiled snapshot."""
-        timings = self.phase_timings
-        if timings is not None:
-            tick = perf_counter()
-        n = state.n
-        distance = data.distance_array[:n]
-        sigma = data.sigma_array[:n]
-        delta = data.delta_array[:n]
-
-        case, high, low = classify_flat(state, distance)
-        if timings is not None:
-            now = perf_counter()
-            timings["classify"] = timings.get("classify", 0.0) + (now - tick)
-            tick = now
-        if case is UpdateCase.SKIP:
-            return SourceUpdateStats(case=case)
-
-        scratch = self._scratch
-        plan: FlatRepairPlan
-        exclude_new_edge = False
-        removed_reg_id = -1
-        if case is UpdateCase.ADD_NO_STRUCTURE:
-            plan = repair_same_level_flat(
-                state, distance, sigma, high, low, 1, scratch
-            )
-            exclude_new_edge = True
-        elif case is UpdateCase.ADD_STRUCTURAL:
-            plan = repair_addition_structural_flat(
-                state, distance, sigma, high, low, scratch
-            )
-            exclude_new_edge = True
-        elif case is UpdateCase.REMOVE_NO_STRUCTURE:
-            plan = repair_removal_same_level_flat(
-                state, distance, sigma, delta, high, low, scratch
-            )
-            removed_reg_id = self._escore.ensure_id(self.slot_edge_key(high, low))
-        else:  # UpdateCase.REMOVE_STRUCTURAL
-            plan = repair_removal_structural_flat(
-                state, distance, sigma, delta, high, low, scratch
-            )
-            removed_reg_id = self._escore.ensure_id(self.slot_edge_key(high, low))
-        if timings is not None:
-            now = perf_counter()
-            timings["repair"] = timings.get("repair", 0.0) + (now - tick)
-            tick = now
-
-        new_delta, touched = accumulate_flat(
-            state,
-            data.source,
-            distance,
-            sigma,
-            delta,
-            plan,
-            self._vscore,
-            self._escore,
-            scratch,
-            exclude_new_edge,
-            removed_reg_id,
-        )
-        if timings is not None:
-            now = perf_counter()
-            timings["accumulate"] = timings.get("accumulate", 0.0) + (now - tick)
-
-        work_sigma = plan.work_sigma
-        disconnected = plan.disconnected
-        if disconnected.size:
-            work_sigma[disconnected] = 0
-            new_delta[disconnected] = 0.0
-        if int(work_sigma.min()) < 0:
-            raise StoreCorruptedError(
-                f"shortest-path count from slot {data.source} overflowed the "
-                "int64 sigma column during an incremental repair"
-            )
-        distance[:] = plan.work_distance
-        sigma[:] = work_sigma
-        delta[:] = new_delta
-        return SourceUpdateStats(
-            case=case,
-            affected_vertices=plan.affected_count,
-            touched_vertices=touched,
-            disconnected_vertices=int(disconnected.size),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Cohort repair: one update, every affected source at once
-    # ------------------------------------------------------------------ #
     #: Upper bound on (cohort size × n) pairs swept at once; larger
     #: cohorts run in source-ordered slabs, which keeps the deferred score
     #: streams' source-major application order.
     COHORT_PAIR_BUDGET = 8_000_000
-
-    @property
-    def cohort_capable(self) -> bool:
-        """True when repairs can run cohort-wide over the store's matrices."""
-        return (
-            self._batch_states is not None
-            and bool(self._store.columns_in_place)
-            and hasattr(self._store, "column_matrices")
-            and os.environ.get(COHORT_ENV, "1") != "0"
-        )
 
     def repair_update_cohort(
         self,
@@ -1041,13 +702,13 @@ class ArrayKernel:
     ) -> List[SourceUpdateStats]:
         """Repair one update for a whole cohort of loaded records at once.
 
-        Classification runs per source exactly as in :meth:`_repair_flat`;
-        the repair and accumulation phases — the batched sweep's hot path —
-        run over the entire cohort in (source, vertex) pair space (the
-        ``*_cohort`` routines and :func:`accumulate_cohort`).  ``ordinals``
-        are the records' positions in the batch sweep's source order:
-        shared-score writes are deferred into a batch-wide stream keyed on
-        them, and :meth:`flush_cohort_scores` replays the solo source-outer
+        Classification runs per source (:func:`classify_flat`); the repair
+        and accumulation phases — the sweep's hot path — run over the
+        entire cohort in (source, vertex) pair space (the ``*_cohort``
+        routines and :func:`accumulate_cohort`).  ``ordinals`` are the
+        records' positions in the batch sweep's source order: shared-score
+        writes are deferred into a batch-wide stream keyed on them, and
+        :meth:`flush_cohort_scores` replays the dict backend's source-outer
         float order once the whole batch has swept.
         """
         state = self._batch_states[update_index]
@@ -1146,9 +807,9 @@ class ArrayKernel:
                 rem_struct.append(k)
 
         # Every removal seeds the sweep with the removed edge's pre-update
-        # dependency — python-scalar operand order of
-        # removed_edge_dependency_flat (int division is correctly rounded
-        # past 2**53).
+        # dependency — python-scalar operand order of the dict backend's
+        # _removed_edge_dependency (int division is correctly rounded past
+        # 2**53).
         for k in same_rem + rem_struct:
             high = int(highs[k])
             low = int(lows[k])
@@ -1276,7 +937,7 @@ class ArrayKernel:
     # ------------------------------------------------------------------ #
     def sources_to_load(
         self, sources: Sequence[Vertex], batch: Sequence[EdgeUpdate]
-    ) -> Optional[Dict[Vertex, int]]:
+    ) -> Dict[Vertex, int]:
         """First update of the batch that may affect each source, batched.
 
         Semantics are exactly those of the scalar per-(source, update) peek
@@ -1289,9 +950,7 @@ class ArrayKernel:
         the whole batch, and a present source is provably SKIP for every
         update before its first index (a passing peek leaves the record
         untouched, so the induction the scalar peek relies on holds per
-        prefix).  Returns ``None`` when the store cannot serve a distance
-        block (buffered disk mode), signalling the caller to fall back to
-        scalar peeks.
+        prefix).
         """
         if not sources or not batch:
             return {}
@@ -1301,8 +960,6 @@ class ArrayKernel:
             endpoint_slots.append(self.index.slot(update.v))
         source_slots = [self.index.slot(source) for source in sources]
         block = self._store.peek_distance_block(source_slots, endpoint_slots)
-        if block is None:
-            return None
         us = block[:, 0::2]
         vs = block[:, 1::2]
         if self.directed:

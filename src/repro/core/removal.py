@@ -20,15 +20,13 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.algorithms.brandes import SourceData
-from repro.core.addition import repair_same_level_flat
 from repro.core.flat import (
     FlatBatchState,
-    FlatScratch,
     first_occurrence,
     group_by_level,
     slice_positions,
 )
-from repro.core.repair import FlatRepairPlan, RepairPlan
+from repro.core.repair import RepairPlan
 from repro.graph.graph import Graph
 from repro.types import Vertex
 
@@ -273,285 +271,9 @@ def repair_removal_structural(
 
 
 # --------------------------------------------------------------------------- #
-# Vectorized (slot-space) variants
+# Cohort (pair-space) variants — the arrays backend
 # --------------------------------------------------------------------------- #
 _INF = np.iinfo(np.int64).max
-
-
-def removed_edge_dependency_flat(
-    distance: np.ndarray, sigma: np.ndarray, delta: np.ndarray, high: int, low: int
-) -> float:
-    """Flat form of :func:`_removed_edge_dependency` (same operand order)."""
-    return int(sigma[high]) / int(sigma[low]) * (1.0 + float(delta[low]))
-
-
-def repair_removal_same_level_flat(
-    state: FlatBatchState,
-    distance: np.ndarray,
-    sigma: np.ndarray,
-    delta: np.ndarray,
-    high: int,
-    low: int,
-    scratch: FlatScratch,
-) -> FlatRepairPlan:
-    """Vectorized Algorithm 2 (deletion flavour): the sigma-only removal."""
-    plan = repair_same_level_flat(state, distance, sigma, high, low, -1, scratch)
-    plan.removed_edge_dependency = removed_edge_dependency_flat(
-        distance, sigma, delta, high, low
-    )
-    return plan
-
-
-def find_drop_set_flat(
-    state: FlatBatchState,
-    distance: np.ndarray,
-    low: int,
-    scratch: FlatScratch,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`find_drop_set`; returns ``(drop, drop_mask)``.
-
-    ``drop`` lists the dropped slots in scalar discovery order.  Per level the
-    batch decision is exact: a candidate's fate depends only on the drop
-    status of its parents one level up (all decided in earlier levels), and
-    candidate dedup combines the decided mask with first-occurrence order —
-    exactly the pop-time ``decided`` guard of the scalar loop.
-    """
-    n = state.n
-    indptr, indices = state.indptr, state.indices
-    in_indptr, in_indices = state.in_indptr, state.in_indices
-    first_of = scratch.first_of
-
-    drop_mask = np.zeros(n, dtype=np.bool_)
-    decided = np.zeros(n, dtype=np.bool_)
-    drop_mask[low] = True
-    decided[low] = True
-    drop_chunks: List[np.ndarray] = [np.array([low], dtype=np.int64)]
-
-    # Initial schedule: children of low one level below (duplicates kept, as
-    # the scalar schedule_children appends them).
-    start = indptr[low]
-    stop = indptr[low + 1]
-    seed_children = indices[start:stop]
-    seed = seed_children[
-        (distance[seed_children] == distance[low] + 1) & ~decided[seed_children]
-    ]
-    if seed.size == 0:
-        return drop_chunks[0], drop_mask
-
-    level = int(distance[low]) + 1
-    max_level = level
-    buckets: Dict[int, List[np.ndarray]] = {level: [seed]}
-    while level <= max_level:
-        chunks = buckets.get(level)
-        if chunks:
-            cand = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            members = first_occurrence(cand[~decided[cand]], first_of)
-            if members.size:
-                decided[members] = True
-                # A member drops iff no parent one level up survives.
-                positions, counts = slice_positions(in_indptr, members)
-                parents = in_indices[positions]
-                survivors = (distance[parents] == level - 1) & ~drop_mask[parents]
-                has_survivor = np.zeros(members.size, dtype=np.bool_)
-                if survivors.any():
-                    rep = np.repeat(
-                        np.arange(members.size, dtype=np.int64), counts
-                    )
-                    has_survivor[rep[survivors]] = True
-                dropped = members[~has_survivor]
-                if dropped.size:
-                    drop_mask[dropped] = True
-                    drop_chunks.append(dropped)
-                    positions, _counts = slice_positions(indptr, dropped)
-                    children = indices[positions]
-                    scheduled = children[
-                        (distance[children] == level + 1) & ~decided[children]
-                    ]
-                    if scheduled.size:
-                        buckets.setdefault(level + 1, []).append(scheduled)
-                    max_level = max(max_level, level + 1)
-        level += 1
-    drop = (
-        drop_chunks[0] if len(drop_chunks) == 1 else np.concatenate(drop_chunks)
-    )
-    return drop, drop_mask
-
-
-def repair_removal_structural_flat(
-    state: FlatBatchState,
-    distance: np.ndarray,
-    sigma: np.ndarray,
-    delta: np.ndarray,
-    high: int,
-    low: int,
-    scratch: FlatScratch,
-) -> FlatRepairPlan:
-    """Vectorized Algorithms 6-10: drop set, pivot settle, sigma recount.
-
-    Each stage is level-synchronous and mirrors its scalar counterpart's
-    bucket order; see the per-stage comments for why whole-level batching
-    cannot reorder any decision the scalar loop makes element by element.
-    """
-    n = state.n
-    indptr, indices = state.indptr, state.indices
-    in_indptr, in_indices = state.in_indptr, state.in_indices
-    first_of = scratch.first_of
-
-    drop, drop_mask = find_drop_set_flat(state, distance, low, scratch)
-
-    # ------------------------------------------------------------------ #
-    # Stage 2: settle new distances of dropped vertices from the pivots.
-    # ------------------------------------------------------------------ #
-    # Initial tentative distances: best surviving in-neighbor + 1.  A
-    # minimum is order-free, so one scatter replaces the scalar scan.
-    tentative = np.full(n, _INF, dtype=np.int64)
-    positions, counts = slice_positions(in_indptr, drop)
-    parents = in_indices[positions]
-    ok = ~drop_mask[parents] & (distance[parents] != -1)
-    if ok.any():
-        rep = np.repeat(np.arange(drop.size, dtype=np.int64), counts)
-        np.minimum.at(
-            tentative, drop[rep[ok]], distance[parents[ok]].astype(np.int64) + 1
-        )
-
-    settled = np.zeros(n, dtype=np.bool_)
-    settle_levels: List[Tuple[int, np.ndarray]] = []
-    seeded = drop[tentative[drop] != _INF]
-    if seeded.size:
-        buckets: Dict[int, List[np.ndarray]] = {}
-        for lvl, members in group_by_level(seeded, tentative[seeded]):
-            buckets[lvl] = [members]
-        level = min(buckets)
-        max_level = max(buckets)
-        while level <= max_level:
-            chunks = buckets.get(level)
-            if chunks:
-                cand = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-                # Stale entries (tentative since lowered) and relax-time
-                # duplicates are rejected exactly as at scalar pop time:
-                # relaxation never writes a tentative <= level, so the keep
-                # mask is static across the level.
-                keep = ~settled[cand] & (tentative[cand] == level)
-                members = first_occurrence(cand[keep], first_of)
-                if members.size:
-                    settled[members] = True
-                    settle_levels.append((level, members))
-                    positions, _counts = slice_positions(indptr, members)
-                    children = indices[positions]
-                    relax = (
-                        drop_mask[children]
-                        & ~settled[children]
-                        & (level + 1 < tentative[children])
-                    )
-                    kids = first_occurrence(children[relax], first_of)
-                    if kids.size:
-                        tentative[kids] = level + 1
-                        buckets.setdefault(level + 1, []).append(kids)
-                        max_level = max(max_level, level + 1)
-            level += 1
-
-    work_distance = distance.copy()
-    for lvl, members in settle_levels:
-        work_distance[members] = lvl
-    disconnected = drop[~settled[drop]]
-    work_distance[disconnected] = -1
-
-    # ------------------------------------------------------------------ #
-    # Stage 3: sigma recount over the affected region, by new distance.
-    # ------------------------------------------------------------------ #
-    work_sigma = sigma.copy()
-    affected = np.zeros(n, dtype=np.bool_)
-    scheduled = np.zeros(n, dtype=np.bool_)
-    sigma_buckets: Dict[int, List[np.ndarray]] = {}
-
-    # Seeds, phase A: every still-reachable dropped vertex, in drop order.
-    seeds_a = drop[work_distance[drop] != -1]
-    scheduled[seeds_a] = True
-    for lvl, members in group_by_level(
-        seeds_a, work_distance[seeds_a].astype(np.int64)
-    ):
-        sigma_buckets.setdefault(lvl, []).append(members)
-
-    # Seeds, phase B: surviving children that lost a dropped predecessor.
-    # The scalar loop runs phase A to completion first, so phase-B chunks
-    # append after phase-A chunks at every level.
-    positions, counts = slice_positions(indptr, drop)
-    children = indices[positions]
-    rep_distance = np.repeat(distance[drop].astype(np.int64), counts)
-    lost = ~drop_mask[children] & (distance[children] == rep_distance + 1)
-    candidates = children[lost]
-    candidates = candidates[~scheduled[candidates]]
-    seeds_b = first_occurrence(candidates, first_of)
-    if seeds_b.size:
-        scheduled[seeds_b] = True
-        for lvl, members in group_by_level(
-            seeds_b, work_distance[seeds_b].astype(np.int64)
-        ):
-            sigma_buckets.setdefault(lvl, []).append(members)
-
-    levels: List[Tuple[int, np.ndarray]] = []
-    count = 0
-    if sigma_buckets:
-        level = min(sigma_buckets)
-        max_level = max(sigma_buckets)
-        while level <= max_level:
-            chunks = sigma_buckets.get(level)
-            if chunks:
-                cand = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-                members = first_occurrence(cand[~affected[cand]], first_of)
-                if members.size:
-                    affected[members] = True
-                    count += members.size
-                    levels.append((level, members))
-
-                    # Sigma recount from parents one level up (all final).
-                    positions, counts = slice_positions(in_indptr, members)
-                    parents = in_indices[positions]
-                    parent_distance = work_distance[parents]
-                    parent_mask = (parent_distance != -1) & (
-                        parent_distance + 1 == level
-                    )
-                    totals = np.zeros(members.size, dtype=np.int64)
-                    if parent_mask.any():
-                        rep = np.repeat(
-                            np.arange(members.size, dtype=np.int64), counts
-                        )
-                        np.add.at(
-                            totals,
-                            rep[parent_mask],
-                            work_sigma[parents[parent_mask]],
-                        )
-                    work_sigma[members] = totals
-
-                    # Children one level down inherit the recount.
-                    positions, _counts = slice_positions(indptr, members)
-                    children = indices[positions]
-                    child_distance = work_distance[children]
-                    grow = (
-                        (child_distance != -1)
-                        & (child_distance == level + 1)
-                        & ~scheduled[children]
-                    )
-                    kids = first_occurrence(children[grow], first_of)
-                    if kids.size:
-                        scheduled[kids] = True
-                        sigma_buckets.setdefault(level + 1, []).append(kids)
-                        max_level = max(max_level, level + 1)
-            level += 1
-
-    return FlatRepairPlan(
-        work_distance=work_distance,
-        work_sigma=work_sigma,
-        affected_mask=affected,
-        affected_count=count,
-        levels=levels,
-        disconnected=disconnected,
-        removed_edge_dependency=removed_edge_dependency_flat(
-            distance, sigma, delta, high, low
-        ),
-        high=high,
-        low=low,
-    )
 
 
 def find_drop_set_cohort(
@@ -561,14 +283,19 @@ def find_drop_set_cohort(
     old_distance: np.ndarray,
     pair_first: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`find_drop_set_flat` for a cohort, in (job, slot) pair space.
+    """:func:`find_drop_set` for a cohort, in (job, slot) pair space.
 
     Returns ``(drop, drop_mask)`` where ``drop`` lists pair ids (``k * n +
-    slot``) in discovery order — each job's subsequence is its solo drop
-    order — and ``drop_mask`` is the flat pair-space membership mask.
-    Levels are absolute per pair (a job's candidates appear only at its own
-    ``d[low] + 1 + hop`` levels), and every drop/survive decision reads
-    only the candidate's own row, so the merged level loop is exact.
+    slot``) in discovery order — each job's subsequence is its scalar drop
+    order — and ``drop_mask`` is the flat pair-space membership mask.  Per
+    level the batch decision is exact: a candidate's fate depends only on
+    the drop status of its parents one level up (all decided in earlier
+    levels), and candidate dedup combines the decided mask with
+    first-occurrence order — exactly the pop-time ``decided`` guard of the
+    scalar loop.  Levels are absolute per pair (a job's candidates appear
+    only at its own ``d[low] + 1 + hop`` levels), and every drop/survive
+    decision reads only the candidate's own row, so the merged level loop
+    is exact.
     """
     n = state.n
     indptr, indices = state.indptr, state.indices
@@ -657,12 +384,15 @@ def repair_removal_structural_cohort(
     pair_first: np.ndarray,
     pair_pos: np.ndarray,
 ) -> tuple:
-    """:func:`repair_removal_structural_flat` for a cohort in pair space.
+    """Algorithms 6-10 for a cohort in pair space: drop set, pivot settle, sigma recount.
 
-    All three stages are level-synchronous integer walks whose per-pair
-    decisions read only that pair's row, so the merged absolute-level loops
-    replay each job's solo stages exactly (each job's pair subsequence of
-    every chunk is its solo chunk).  Stage-2 bookkeeping (``tentative`` /
+    Each stage mirrors its scalar counterpart's bucket order; see the
+    per-stage comments for why whole-level batching cannot reorder any
+    decision the scalar loop makes element by element.  All three stages
+    are level-synchronous integer walks whose per-pair decisions read only
+    that pair's row, so the merged absolute-level loops replay each job's
+    own stages exactly (each job's pair subsequence of every chunk is its
+    scalar bucket).  Stage-2 bookkeeping (``tentative`` /
     ``settled``) is kept compact over the drop list via the ``pair_pos``
     scratch — pair id → drop position — so no dense per-pair integer
     columns are allocated.
@@ -689,6 +419,8 @@ def repair_removal_structural_cohort(
     # ------------------------------------------------------------------ #
     # Stage 2: settle new distances of dropped pairs from the pivots.
     # ------------------------------------------------------------------ #
+    # Initial tentative distances: best surviving in-neighbor + 1.  A
+    # minimum is order-free, so one scatter replaces the scalar scan.
     tentative = np.full(drop.size, _INF, dtype=np.int64)
     positions, counts = slice_positions(in_indptr, ds)
     if positions.size:
@@ -715,6 +447,10 @@ def repair_removal_structural_cohort(
             if chunks:
                 cand = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
                 cpos = pair_pos[cand]
+                # Stale entries (tentative since lowered) and relax-time
+                # duplicates are rejected exactly as at scalar pop time:
+                # relaxation never writes a tentative <= level, so the keep
+                # mask is static across the level.
                 keep = ~settled[cpos] & (tentative[cpos] == level)
                 members = first_occurrence(cand[keep], pair_first)
                 if members.size:
@@ -759,6 +495,8 @@ def repair_removal_structural_cohort(
         sigma_buckets.setdefault(lvl, []).append(members)
 
     # Seeds, phase B: surviving children that lost a dropped predecessor.
+    # The scalar loop runs phase A to completion first, so phase-B chunks
+    # append after phase-A chunks at every level.
     positions, counts = slice_positions(indptr, ds)
     if positions.size:
         rep = np.repeat(np.arange(drop.size, dtype=np.int64), counts)

@@ -10,9 +10,7 @@ artefact and is consumed by the shared dependency-accumulation phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Set
 
 from repro.types import Vertex
 
@@ -68,46 +66,3 @@ class RepairPlan:
     def num_affected(self) -> int:
         """Number of sigma-affected vertices (excluding disconnections)."""
         return len(self.affected)
-
-
-@dataclass
-class FlatRepairPlan:
-    """Slot-space, whole-array form of :class:`RepairPlan`.
-
-    Where :class:`RepairPlan` records *changes* in dictionaries, the flat
-    plan carries full length-``n`` working columns — copies of the record's
-    distance and sigma columns with the repair applied — plus the affected
-    set as a mask and the level queues as dense arrays.  The working columns
-    make the accumulation phase's "new value or old value" overlays a plain
-    array read, and the write-back a whole-slice assignment.
-
-    Attributes
-    ----------
-    work_distance:
-        int16 post-update distances for every slot (``-1`` unreachable);
-        disconnected slots are already ``-1``.
-    work_sigma:
-        int64 post-update path counts for every slot.
-    affected_mask:
-        Boolean mask over slots of the sigma-affected set.
-    affected_count:
-        Population count of :attr:`affected_mask`.
-    levels:
-        ``(level, members)`` pairs, levels strictly ascending, members in
-        the exact order the scalar search phase enqueues them (the order the
-        accumulation sweep consumes).
-    disconnected:
-        Slots that became unreachable (removal only), in discovery order.
-    removed_edge_dependency / high / low:
-        As in :class:`RepairPlan`, with slot endpoints.
-    """
-
-    work_distance: np.ndarray
-    work_sigma: np.ndarray
-    affected_mask: np.ndarray
-    affected_count: int
-    levels: List[Tuple[int, np.ndarray]]
-    disconnected: np.ndarray
-    removed_edge_dependency: Optional[float] = None
-    high: int = -1
-    low: int = -1

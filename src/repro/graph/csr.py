@@ -33,7 +33,7 @@ existing undirected paths (same objects, same orders, same bits).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,47 +162,6 @@ class CSRGraph:
         self._adj[i].remove(j)
         self._in_adj[j].remove(i)
         self._num_edges -= 1
-        self._invalidate()
-
-    def adjacency_snapshot(self, slots: Iterable[int]) -> tuple:
-        """Capture exact neighbor order of ``slots`` plus the edge count.
-
-        Slots beyond the current capacity (labels not yet registered) are
-        recorded as absent; on restore their rows are cleared, matching a
-        freshly registered slot.  See :meth:`restore_adjacency`.
-        """
-        rows: Dict[int, Optional[tuple]] = {}
-        for i in slots:
-            if i < len(self._adj):
-                rows[i] = (
-                    list(self._adj[i]),
-                    list(self._in_adj[i]) if self._directed else None,
-                )
-            else:
-                rows[i] = None
-        return rows, self._num_edges
-
-    def restore_adjacency(self, snapshot: tuple) -> None:
-        """Reinstate rows captured by :meth:`adjacency_snapshot`.
-
-        Inverse-op rewinds are not order-exact (a re-added edge lands at
-        the end of the row); batch replay restores snapshots instead so the
-        mirror keeps the identical pre-batch iteration order.
-        """
-        rows, num_edges = snapshot
-        for i, entry in rows.items():
-            if i >= len(self._adj):
-                continue
-            if entry is None:
-                self._adj[i] = []
-                if self._directed:
-                    self._in_adj[i] = []
-                continue
-            out_row, in_row = entry
-            self._adj[i] = list(out_row)
-            if self._directed:
-                self._in_adj[i] = list(in_row)
-        self._num_edges = num_edges
         self._invalidate()
 
     def clone(self) -> "CSRGraph":

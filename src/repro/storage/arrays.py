@@ -387,7 +387,7 @@ class ArrayBDStore(BDStore):
 
     def peek_distance_block(
         self, source_slots: Sequence[int], vertex_slots: Sequence[int]
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
         """Distances of ``vertex_slots`` from every slot in ``source_slots``.
 
         ``source_slots`` are global vertex slots (the kernel's currency);

@@ -393,11 +393,12 @@ class DiskBDStore(BDStore):
         With ``writable=False`` (default) treat the arrays as read-only —
         in mmap mode they alias the store file, so writing through them
         would bypass :meth:`put` and its range checks.  ``writable=True``
-        is the array kernel's update-sweep path: in mmap mode it marks the
-        store dirty and hands out the live views for an in-place repair
-        (finish with :meth:`record_written`); in buffered mode it returns
-        fresh writable copies (finish with :meth:`put_columns`).  Check
-        :attr:`columns_in_place` to know which contract applies.
+        is the array kernel's update-sweep path: in mmap mode, or inside a
+        buffered :meth:`begin_column_sweep` window, it marks the store
+        dirty and hands out the live views for an in-place repair (finish
+        with :meth:`record_written`); in buffered mode outside a window it
+        returns fresh writable copies (finish with :meth:`put_columns`).
+        Check :attr:`columns_in_place` to know which contract applies.
         """
         self._ensure_open()
         slot = self._index.slot(source)
@@ -479,19 +480,24 @@ class DiskBDStore(BDStore):
         :meth:`repro.storage.arrays.ArrayBDStore.column_matrices` serves
         in RAM.  In buffered mode the matrices exist only inside a
         :meth:`begin_column_sweep` window (outside one the store reports
-        ``columns_in_place = False``, which is the capability bit the
-        kernel checks first).  The views are replaced whenever the file is
+        ``columns_in_place = False``, which the kernel checks before it
+        sweeps).  The views are replaced whenever the file is
         rebuilt for growth — callers must re-fetch per sweep.
         """
         self._ensure_open()
-        if self._mm is not None:
-            return self._dist_view, self._sigma_view, self._delta_view
         if self._sweep_views is not None:
             # The kernel writes whole record rows back through these
             # matrices; every source row may be touched by the sweep.
             self._sweep_dirty_slots.update(
                 self._index.slot(s) for s in self._source_set
             )
+        return self._live_matrices()
+
+    def _live_matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The mapped record area or the open sweep window, as matrices."""
+        if self._mm is not None:
+            return self._dist_view, self._sigma_view, self._delta_view
+        if self._sweep_views is not None:
             return self._sweep_views
         raise ConfigurationError(
             "column matrices require the mmap record area or an open "
@@ -511,43 +517,21 @@ class DiskBDStore(BDStore):
             raise KeyError(vertex)
         return int(slot)
 
-    def peek_distance_block(
-        self, source_slots, vertex_slots
-    ) -> Optional[np.ndarray]:
+    def peek_distance_block(self, source_slots, vertex_slots) -> np.ndarray:
         """Distances of ``vertex_slots`` from every slot in ``source_slots``.
 
-        With mmap this is one fancy-indexed gather over the mapped distance
-        column — the vectorized Proposition 3.1 peek of the array kernel.
-        In buffered mode each source costs a single seek + contiguous read
-        spanning the requested slots (instead of one round trip per
-        endpoint), and the block is gathered from that span.
+        One fancy-indexed gather over the distance matrix — the vectorized
+        Proposition 3.1 peek of the array kernel.  Like
+        :meth:`column_matrices` it needs the matrix to exist: the mmap
+        record area, or (buffered mode) an open
+        :meth:`begin_column_sweep` window.
         """
         self._ensure_open()
-        if self._mm is not None or self._sweep_views is not None:
-            dist = (
-                self._dist_view
-                if self._mm is not None
-                else self._sweep_views[0]
-            )
-            self._bytes_read += (
-                len(source_slots) * len(vertex_slots) * DISTANCE_DTYPE.itemsize
-            )
-            return dist[np.ix_(source_slots, vertex_slots)]
-        src = np.asarray(source_slots, dtype=np.int64)
-        cols = np.asarray(vertex_slots, dtype=np.int64)
-        block = np.empty((src.size, cols.size), dtype=DISTANCE_DTYPE)
-        if src.size == 0 or cols.size == 0:
-            return block
-        lo = int(cols.min())
-        span = int(cols.max()) - lo + 1
-        rel = cols - lo
-        item = DISTANCE_DTYPE.itemsize
-        for row, slot in enumerate(src.tolist()):
-            self._file.seek(self._record_offset(slot) + lo * item)
-            raw = self._file.read(span * item)
-            block[row] = np.frombuffer(raw, dtype=DISTANCE_DTYPE, count=span)[rel]
-        self._bytes_read += src.size * span * item
-        return block
+        dist = self._live_matrices()[0]
+        self._bytes_read += (
+            len(source_slots) * len(vertex_slots) * DISTANCE_DTYPE.itemsize
+        )
+        return dist[np.ix_(source_slots, vertex_slots)]
 
     def endpoint_distances(
         self, source: Vertex, u: Vertex, v: Vertex

@@ -1,10 +1,10 @@
-"""Config round-trips, store-URI parsing and the deprecation shims."""
+"""Config round-trips and store-URI parsing."""
 
 import json
 
 import pytest
 
-from repro.api import BetweennessConfig, BetweennessSession, TopKTracker, resume_session
+from repro.api import BetweennessConfig, BetweennessSession, resume_session
 from repro.api.config import EXECUTORS
 from repro.core import EdgeUpdate, IncrementalBetweenness
 from repro.core.checkpoint import load_checkpoint
@@ -456,42 +456,3 @@ class TestCheckpointEmbeddedConfig:
             )
         finally:
             session.close()
-
-
-class TestDeprecationShims:
-    def test_topk_monitor_warns_and_matches_tracker(self, small_graph):
-        from repro.applications import TopKMonitor
-
-        stream = [EdgeUpdate.addition(0, 100), EdgeUpdate.removal(0, 100)]
-        with pytest.warns(DeprecationWarning):
-            monitor = TopKMonitor(small_graph, k=4)
-        monitor.process_stream(stream)
-
-        session = BetweennessSession(
-            small_graph, BetweennessConfig.for_graph(small_graph)
-        )
-        tracker = session.subscribe(TopKTracker(k=4))
-        for update in stream:
-            session.apply(update)
-        assert monitor.snapshots == tracker.snapshots
-        assert monitor.ranking_churn() == tracker.ranking_churn()
-
-    def test_process_stream_batched_warns_and_matches_stream(self, small_graph):
-        stream = [
-            EdgeUpdate.addition(0, 100),
-            EdgeUpdate.addition(1, 101),
-            EdgeUpdate.removal(0, 100),
-        ]
-        legacy = IncrementalBetweenness(small_graph)
-        with pytest.warns(DeprecationWarning):
-            legacy.process_stream_batched(stream, 2)
-
-        with BetweennessSession(
-            small_graph,
-            BetweennessConfig.for_graph(small_graph, batch_size=2),
-        ) as session:
-            for _ in session.stream(stream):
-                pass
-            # Bit-identical, not just within tolerance.
-            assert session.vertex_betweenness() == legacy.vertex_betweenness()
-            assert session.edge_betweenness() == legacy.edge_betweenness()

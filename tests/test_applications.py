@@ -1,8 +1,9 @@
-"""Tests for the Girvan–Newman and top-k monitoring applications."""
+"""Tests for the Girvan–Newman and top-k tracking applications."""
 
 import pytest
 
-from repro.applications import TopKMonitor, girvan_newman, modularity
+from repro.api import BetweennessConfig, BetweennessSession, TopKTracker
+from repro.applications import girvan_newman, modularity
 from repro.core import EdgeUpdate
 from repro.exceptions import ConfigurationError
 from repro.generators import synthetic_social_graph
@@ -125,80 +126,85 @@ class TestDirectedModularity:
         assert result.num_levels == baseline.num_levels >= 1
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestTopKMonitor:
-    """Exercises the deprecated shim; the warning itself is asserted in
-    tests/test_api_config.py."""
+def tracked_session(graph, k, track_edges=True, backend="dicts", store=None):
+    """A serial session over ``graph`` with a subscribed :class:`TopKTracker`."""
+    config = BetweennessConfig.for_graph(graph, backend=backend)
+    session = BetweennessSession(graph, config, store=store)
+    tracker = session.subscribe(TopKTracker(k=k, track_edges=track_edges))
+    return session, tracker
 
+
+class TestTopKTracker:
     def test_snapshots_track_updates(self, two_communities):
-        monitor = TopKMonitor(two_communities, k=3)
-        snapshot = monitor.process(EdgeUpdate.addition(0, 5))
-        assert len(snapshot.top_vertices) == 3
-        assert len(monitor.snapshots) == 1
+        session, tracker = tracked_session(two_communities, k=3)
+        session.apply(EdgeUpdate.addition(0, 5))
+        assert len(tracker.snapshots[-1].top_vertices) == 3
+        assert len(tracker.snapshots) == 1
 
     def test_bridge_endpoints_lead_ranking(self, two_communities):
-        monitor = TopKMonitor(two_communities, k=2)
-        top = monitor.top_vertices()
+        _session, tracker = tracked_session(two_communities, k=2)
+        top = tracker.top_vertices()
         assert {vertex for vertex, _ in top} == {3, 4}
 
     def test_ranking_churn_counts_changes(self, two_communities):
-        monitor = TopKMonitor(two_communities, k=4)
-        monitor.process(EdgeUpdate.addition(0, 6))
-        monitor.process(EdgeUpdate.removal(3, 4))
-        churn = monitor.ranking_churn()
+        session, tracker = tracked_session(two_communities, k=4)
+        session.apply(EdgeUpdate.addition(0, 6))
+        session.apply(EdgeUpdate.removal(3, 4))
+        churn = tracker.ranking_churn()
         assert len(churn) == 1
         assert churn[0] >= 0
 
     def test_top_edges_tracked_when_enabled(self, two_communities):
-        monitor = TopKMonitor(two_communities, k=2, track_edges=True)
-        snapshot = monitor.process(EdgeUpdate.addition(1, 6))
-        assert len(snapshot.top_edges) == 2
+        session, tracker = tracked_session(two_communities, k=2, track_edges=True)
+        session.apply(EdgeUpdate.addition(1, 6))
+        assert len(tracker.snapshots[-1].top_edges) == 2
 
-    def test_invalid_k(self, two_communities):
+    def test_invalid_k(self):
         with pytest.raises(ConfigurationError):
-            TopKMonitor(two_communities, k=0)
+            TopKTracker(k=0)
 
     def test_heap_ranking_matches_full_sort(self, two_communities):
         """Regression: nlargest-style selection == the old full-sort path."""
-        monitor = TopKMonitor(two_communities, k=3)
+        session, tracker = tracked_session(two_communities, k=3)
         stream = [
             EdgeUpdate.addition(0, 6),
             EdgeUpdate.removal(3, 4),
             EdgeUpdate.addition(2, 5),
         ]
         for update in stream:
-            snapshot = monitor.process(update)
+            session.apply(update)
+            snapshot = tracker.snapshots[-1]
             for ranked, scores in (
-                (snapshot.top_vertices, monitor._framework.vertex_betweenness()),
-                (snapshot.top_edges, monitor._framework.edge_betweenness()),
+                (snapshot.top_vertices, session.framework.vertex_betweenness()),
+                (snapshot.top_edges, session.framework.edge_betweenness()),
             ):
                 full_sort = tuple(
                     sorted(
                         scores.items(), key=lambda item: (-item[1], repr(item[0]))
-                    )[: monitor.k]
+                    )[: tracker.k]
                 )
                 assert ranked == full_sort
 
-    def test_backend_kwarg_gives_identical_snapshots(self, two_communities):
+    def test_backends_give_identical_snapshots(self, two_communities):
         stream = [EdgeUpdate.addition(0, 6), EdgeUpdate.removal(3, 4)]
         snapshots = {}
         for backend in ("dicts", "arrays"):
-            monitor = TopKMonitor(two_communities, k=4, backend=backend)
-            monitor.process_stream(stream)
-            snapshots[backend] = monitor.snapshots
+            session, tracker = tracked_session(two_communities, k=4, backend=backend)
+            for update in stream:
+                session.apply(update)
+            snapshots[backend] = tracker.snapshots
         assert snapshots["dicts"] == snapshots["arrays"]
 
-    def test_store_kwarg_is_used(self, two_communities, tmp_path):
+    def test_store_object_is_used(self, two_communities, tmp_path):
         from repro.storage import DiskBDStore
 
         store = DiskBDStore(
             two_communities.vertex_list(), path=tmp_path / "topk.bin"
         )
-        monitor = TopKMonitor(two_communities, k=2, store=store)
+        session, tracker = tracked_session(two_communities, k=2, store=store)
         try:
-            assert monitor._framework.store is store
-            assert monitor.top_vertices() == TopKMonitor(
-                two_communities, k=2
-            ).top_vertices()
+            assert session.framework.store is store
+            _other, reference = tracked_session(two_communities, k=2)
+            assert tracker.top_vertices() == reference.top_vertices()
         finally:
             store.close()

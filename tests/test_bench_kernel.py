@@ -2,7 +2,7 @@
 
 The benchmark drives acceptance (speedup floors asserted in CI), so this
 suite only pins its *report shape* on a tiny configuration: every phase
-key the flat kernel reports must be present, non-negative, and together
+key the kernel reports must be present, non-negative, and together
 account for (approximately) the whole measured sweep — the contract the
 cross-PR performance trajectory in ``BENCH_kernel.json`` relies on.
 """

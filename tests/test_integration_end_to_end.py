@@ -10,7 +10,8 @@ import pytest
 
 from repro.algorithms import brandes_betweenness
 from repro.analysis import Variant, compare_rankings, measure_stream_speedups
-from repro.applications import TopKMonitor, girvan_newman
+from repro.api import BetweennessConfig, BetweennessSession, TopKTracker
+from repro.applications import girvan_newman
 from repro.core import IncrementalBetweenness
 from repro.generators import (
     addition_stream,
@@ -69,12 +70,15 @@ class TestFullPipelines:
         result = girvan_newman(evolving.base_graph(), max_removals=5)
         assert result.edges_processed == 5
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_monitor_ranking_matches_recomputed_ranking(self, social_graph):
-        monitor = TopKMonitor(social_graph, k=5)
-        updates = addition_stream(social_graph, 3, rng=9)
-        snapshot = monitor.process_stream(updates)[-1]
-        reference = brandes_betweenness(monitor._framework.graph).vertex_scores
+    def test_tracker_ranking_matches_recomputed_ranking(self, social_graph):
+        session = BetweennessSession(
+            social_graph, BetweennessConfig.for_graph(social_graph)
+        )
+        tracker = session.subscribe(TopKTracker(k=5))
+        for update in addition_stream(social_graph, 3, rng=9):
+            session.apply(update)
+        snapshot = tracker.snapshots[-1]
+        reference = brandes_betweenness(session.graph).vertex_scores
         expected_top = sorted(reference.items(), key=lambda kv: (-kv[1], repr(kv[0])))[:5]
         assert snapshot.vertex_ranking() == tuple(v for v, _ in expected_top)
 

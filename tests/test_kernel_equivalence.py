@@ -329,6 +329,23 @@ class TestArrayStore:
                 graph, store=InMemoryBDStore(), backend="arrays"
             )
 
+    def test_arrays_backend_names_the_missing_column_method(self):
+        class NoMatrices:
+            """An array store minus the bulk half of the column protocol."""
+
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                if name == "column_matrices":
+                    raise AttributeError(name)
+                return getattr(self._inner, name)
+
+        graph = Graph.from_edges([(0, 1)])
+        store = NoMatrices(ArrayBDStore(graph.vertex_list()))
+        with pytest.raises(ConfigurationError, match="column_matrices"):
+            IncrementalBetweenness(graph, store=store, backend="arrays")
+
     def test_unknown_backend_rejected(self):
         graph = Graph.from_edges([(0, 1)])
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,6 @@
-"""Adversarial repair streams for the vectorized update-sweep kernel.
+"""Adversarial repair streams for the cohort update-sweep kernel.
 
-The flat (slot-space, numpy-bucketed) repair path promises *bit-identical*
+The cohort (pair-space, numpy-bucketed) repair path promises *bit-identical*
 scores and records against the classic dict backend — ``==`` on floats,
 never approximate.  This suite attacks that promise with the stream shapes
 that historically broke incremental repair implementations:
@@ -17,14 +17,13 @@ that historically broke incremental repair implementations:
 Every deterministic case and every hypothesis-generated stream is checked
 after EVERY batch on {undirected, directed} x {in-RAM columns, mmap disk,
 buffered disk}, comparing vertex scores, edge scores, and all stored
-records.  A differential leg additionally pins the vectorized path against
-the scalar slot-space path (``REPRO_VECTOR_REPAIR=0``) and the JIT
-dispatcher against its pure-numpy fallback.
+records; the deterministic cases additionally run with the cohort cut into
+slabs of one and two jobs.
 """
 
 from __future__ import annotations
 
-import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -33,8 +32,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import EdgeUpdate, IncrementalBetweenness
-from repro.core import jit
+import repro.core
+from repro.core import ArrayKernel, EdgeUpdate, IncrementalBetweenness
 from repro.graph import Graph
 from repro.storage import DiskBDStore
 from repro.storage.buffers import active_segments, shm_available
@@ -156,14 +155,41 @@ ADVERSARIAL_CASES = {
 }
 
 
+@pytest.mark.parametrize(
+    "slab_jobs", [None, 1, 2], ids=["whole-cohort", "slab-1", "slab-2"]
+)
 @pytest.mark.parametrize("store_kind", STORE_KINDS)
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
 @pytest.mark.parametrize("case", sorted(ADVERSARIAL_CASES))
 class TestAdversarialStreams:
-    def test_bit_identical_after_every_batch(self, case, directed, store_kind):
+    def test_bit_identical_after_every_batch(
+        self, case, directed, store_kind, slab_jobs, monkeypatch
+    ):
         n, edges, batches = ADVERSARIAL_CASES[case]
         graph = build_graph(n, edges, directed)
+        slab_sizes = []
+        if slab_jobs is not None:
+            # A slab holds COHORT_PAIR_BUDGET // n jobs, and n grows with
+            # the stream's births: budget for the final vertex count.
+            # Source-ordered slabs must keep the deferred score streams'
+            # source-major order, so scores stay == dicts.
+            widest = max(
+                n, 1 + max(w for batch in batches for u in batch for w in u.endpoints)
+            )
+            monkeypatch.setattr(
+                ArrayKernel, "COHORT_PAIR_BUDGET", slab_jobs * widest
+            )
+            original = ArrayKernel._repair_cohort_slab
+
+            def spy(kernel, state, metas, *args):
+                slab_sizes.append(len(metas))
+                return original(kernel, state, metas, *args)
+
+            monkeypatch.setattr(ArrayKernel, "_repair_cohort_slab", spy)
         run_differential(graph, batches, store_kind)
+        if slab_jobs is not None:
+            # Witness that cohorts really were cut at the requested size.
+            assert max(slab_sizes) == slab_jobs
 
 
 @st.composite
@@ -323,136 +349,28 @@ class TestBufferedCohortSweep:
             assert active_segments() == []
 
 
-class TestScalarVectorDifferential:
-    """The flat path against the scalar slot-space path, same backend."""
-
-    @pytest.mark.parametrize(
-        "directed", [False, True], ids=["undirected", "directed"]
-    )
-    @pytest.mark.parametrize("case", sorted(ADVERSARIAL_CASES))
-    def test_vector_toggle(self, case, directed, monkeypatch):
-        n, edges, batches = ADVERSARIAL_CASES[case]
-        vector = IncrementalBetweenness(
-            build_graph(n, edges, directed), backend="arrays"
-        )
-        monkeypatch.setenv("REPRO_VECTOR_REPAIR", "0")
-        scalar = IncrementalBetweenness(
-            build_graph(n, edges, directed), backend="arrays"
-        )
-        assert not scalar._kernel._vector_enabled
-        assert vector._kernel._vector_enabled
-        for i, batch in enumerate(batches):
-            vector.apply_updates(list(batch))
-            scalar.apply_updates(list(batch))
-            assert vector.vertex_betweenness() == scalar.vertex_betweenness()
-            assert vector.edge_betweenness() == scalar.edge_betweenness()
-
-
-class TestCohortSoloDifferential:
-    """The cohort pair-space sweep against the per-source solo sweep.
-
-    ``REPRO_COHORT_REPAIR=0`` forces the batch sweep down the solo
-    (one-source-at-a-time) flat path; the cohort path promises the same
-    bit-exact scores and records, so both frameworks must stay ``==``
-    after every batch.
-    """
-
-    @pytest.mark.parametrize(
-        "directed", [False, True], ids=["undirected", "directed"]
-    )
-    @pytest.mark.parametrize("case", sorted(ADVERSARIAL_CASES))
-    def test_cohort_toggle(self, case, directed, monkeypatch):
-        n, edges, batches = ADVERSARIAL_CASES[case]
-        cohort = IncrementalBetweenness(
-            build_graph(n, edges, directed), backend="arrays"
-        )
-        solo = IncrementalBetweenness(
-            build_graph(n, edges, directed), backend="arrays"
-        )
-        # Witness that the two frameworks really take different paths: only
-        # the cohort framework may ever enter the pair-space sweep.
-        calls = {"cohort": 0, "solo": 0}
-        kernel_cls = type(cohort._kernel)
-        original = kernel_cls.repair_update_cohort
-
-        def spy(kernel, *args, **kwargs):
-            calls["cohort" if kernel is cohort._kernel else "solo"] += 1
-            return original(kernel, *args, **kwargs)
-
-        monkeypatch.setattr(kernel_cls, "repair_update_cohort", spy)
-        for batch in batches:
-            monkeypatch.delenv("REPRO_COHORT_REPAIR", raising=False)
-            cohort.apply_updates(list(batch))
-            monkeypatch.setenv("REPRO_COHORT_REPAIR", "0")
-            solo.apply_updates(list(batch))
-            assert cohort.vertex_betweenness() == solo.vertex_betweenness()
-            assert cohort.edge_betweenness() == solo.edge_betweenness()
-            for source in solo.store.sources():
-                a, b = cohort.store.get(source), solo.store.get(source)
-                assert a.distance == b.distance
-                assert a.sigma == b.sigma
-                assert a.delta == b.delta
-        assert calls["cohort"] > 0
-        assert calls["solo"] == 0
-
-    @given(data=st.data())
-    def test_cohort_toggle_hypothesis(self, data):
-        directed = data.draw(st.booleans())
-        graph, batches = data.draw(batched_stream(directed))
-        cohort = IncrementalBetweenness(graph.copy(), backend="arrays")
-        solo = IncrementalBetweenness(graph.copy(), backend="arrays")
-        try:
-            for batch in batches:
-                os.environ.pop("REPRO_COHORT_REPAIR", None)
-                cohort.apply_updates(list(batch))
-                os.environ["REPRO_COHORT_REPAIR"] = "0"
-                solo.apply_updates(list(batch))
-                assert cohort.vertex_betweenness() == solo.vertex_betweenness()
-                assert cohort.edge_betweenness() == solo.edge_betweenness()
-        finally:
-            os.environ.pop("REPRO_COHORT_REPAIR", None)
-
-
-class TestJITContract:
-    """The JIT is a speed switch, never a semantics switch."""
-
-    def test_toggle_reports_effective_state(self):
-        previous = jit.jit_enabled()
-        try:
-            # Enabling is a request: without numba it must report False.
-            assert jit.set_jit_enabled(True) == jit.jit_available()
-            assert jit.set_jit_enabled(False) is False
-        finally:
-            jit.set_jit_enabled(previous)
+class TestScatterOrder:
+    """``np.add.at`` applies duplicate indices one by one, in operand order
+    — the property the kernel's bit-identity argument rests on."""
 
     def test_scatter_add_ordered_duplicates(self):
         acc = np.zeros(4)
         idx = np.array([1, 1, 3, 1, 0], dtype=np.int64)
         vals = np.array([0.1, 0.2, 1.0, 0.4, 2.0])
-        jit.scatter_add(acc, idx, vals)
+        np.add.at(acc, idx, vals)
         expected = np.zeros(4)
         for i, v in zip(idx.tolist(), vals.tolist()):
             expected[i] += v
         assert acc.tolist() == expected.tolist()
 
-    @pytest.mark.parametrize("enabled", [False, True])
-    def test_stream_identical_across_jit_modes(self, enabled):
-        if enabled and not jit.jit_available():
-            pytest.skip("numba not installed; only the fallback leg runs")
-        n, edges, batches = ADVERSARIAL_CASES["multi_level_drop"]
-        previous = jit.jit_enabled()
-        try:
-            jit.set_jit_enabled(enabled)
-            arrays = IncrementalBetweenness(
-                build_graph(n, edges, False), backend="arrays"
-            )
-            dicts = IncrementalBetweenness(
-                build_graph(n, edges, False), backend="dicts"
-            )
-            for batch in batches:
-                arrays.apply_updates(list(batch))
-                dicts.apply_updates(list(batch))
-            assert arrays.vertex_betweenness() == dicts.vertex_betweenness()
-            assert arrays.edge_betweenness() == dicts.edge_betweenness()
-        finally:
-            jit.set_jit_enabled(previous)
+
+def test_core_reads_no_environment_switch():
+    """One update path: nothing under ``repro.core`` may branch on the
+    process environment, so a hidden fork cannot come back unnoticed."""
+    core = Path(repro.core.__file__).parent
+    offenders = [
+        path.name
+        for path in sorted(core.glob("*.py"))
+        if re.search("environ|getenv", path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
