@@ -10,8 +10,8 @@ paper's model ``tU = tS * n/p + tM`` (Section 5.3).  Expected shapes:
   mappers stays flat.
 
 A second benchmark replaces the model with measurement: the same stream is
-replayed on the real process-parallel executor
-(:class:`repro.parallel.ProcessParallelBetweenness`) for 1/2/4 worker
+replayed on the real worker runtime
+(:class:`repro.parallel.ShardCoordinator`, no shard root) for 1/2/4 worker
 processes.  The per-worker *CPU* time per update — the measured counterpart
 of ``tS * n/p`` — must shrink as workers are added even when this host has
 fewer physical cores than workers (wall-clock speedup additionally requires
@@ -22,7 +22,7 @@ from repro.analysis import build_framework, Variant, format_table
 from repro.generators import addition_stream
 from repro.parallel import (
     OnlineCapacityModel,
-    ProcessParallelBetweenness,
+    ShardCoordinator,
     strong_scaling,
     weak_scaling,
 )
@@ -120,11 +120,11 @@ def bench_fig7_executor_measured(benchmark, datasets, report):
         scores = {}
         for workers in EXECUTOR_WORKER_COUNTS:
             for plane in planes:
-                with ProcessParallelBetweenness(
+                with ShardCoordinator(
                     graph, num_workers=workers, shared_memory=plane == "shm"
                 ) as cluster:
                     reports = [cluster.apply(update) for update in updates]
-                    payload = cluster.batch_payload_bytes
+                    payload = [r.payload_bytes for r in reports]
                     if workers == EXECUTOR_WORKER_COUNTS[-1]:
                         scores[plane] = cluster.vertex_betweenness()
                     measurements[workers, plane] = {

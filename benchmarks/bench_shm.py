@@ -1,7 +1,8 @@
 """Zero-copy data plane: bootstrap and dispatch cost, heap vs shared memory.
 
-Measures :class:`repro.parallel.ProcessParallelBetweenness` on the same
-snapshot-seeded workload twice — once with the classic heap data plane
+Measures :class:`repro.parallel.ShardCoordinator` (no shard root: nothing
+but the data plane differs between the legs) on the same snapshot-seeded
+workload twice — once with the classic heap data plane
 (every worker receives its pickled snapshot partition and the pickled
 update list of every batch) and once with ``shared_memory=True`` (workers
 attach the driver's columnar segments and read batches from the shared
@@ -11,8 +12,8 @@ update ring; the per-batch pipe message is a tiny descriptor):
   applied update: seed-snapshot transfer plus worker store build, the
   latency before the stream goes live;
 * **dispatch payload** — exact pickled bytes written to the worker pipes
-  per steady-state batch (``batch_payload_bytes``), the driver-side cost
-  the update ring removes;
+  per steady-state batch (``ParallelBatchReport.payload_bytes``), the
+  driver-side cost the update ring removes;
 * **per-batch overhead** — driver wall-clock minus the slowest worker's
   in-worker repair time, per batch.
 
@@ -37,7 +38,7 @@ from pathlib import Path
 
 from repro.algorithms import brandes_betweenness
 from repro.core.updates import batches
-from repro.parallel import ProcessParallelBetweenness
+from repro.parallel import ShardCoordinator
 from repro.storage.buffers import active_segments, shm_available
 
 from bench_shard import build_graph, build_stream
@@ -72,10 +73,9 @@ def bench_leg(graph, seed_data, stream, config, shared_memory) -> dict:
     # payload and overhead metrics describe.
     chunks = list(batches(iter(stream[1:]), config["batch_size"]))
     start = time.perf_counter()
-    executor = ProcessParallelBetweenness(
+    executor = ShardCoordinator(
         graph,
         num_workers=config["workers"],
-        store="memory",
         source_data=seed_data,
         backend="arrays",
         shared_memory=shared_memory,
@@ -90,7 +90,7 @@ def bench_leg(graph, seed_data, stream, config, shared_memory) -> dict:
             max(0.0, (r.elapsed_seconds or 0.0) - max(r.worker_seconds))
             for r in reports[1:]
         ]
-        payload_bytes = executor.batch_payload_bytes[1:]
+        payload_bytes = [r.payload_bytes for r in reports[1:]]
         vertex_scores, edge_scores = executor.betweenness()
         init_wall_clock = executor.init_wall_clock_seconds
     finally:

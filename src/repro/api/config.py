@@ -45,12 +45,12 @@ def _shm_uri_param(uri, store: str) -> Optional[bool]:
 #:
 #: * ``serial`` — one :class:`~repro.core.framework.IncrementalBetweenness`
 #:   instance in this process (the MP/MO/DO configurations of the paper);
-#: * ``process`` — the measured multiprocessing executor
-#:   (:class:`~repro.parallel.executor.ProcessParallelBetweenness`), one
-#:   restricted framework per worker process;
+#: * ``process`` — the measured multiprocessing executor: the shard runtime
+#:   (:class:`~repro.parallel.shards.ShardCoordinator`) without a root, one
+#:   restricted framework per worker process and no disk state;
 #: * ``mapreduce`` — the in-process simulated cluster
 #:   (:class:`~repro.parallel.mapreduce.MapReduceBetweenness`);
-#: * ``shard`` — the fault-tolerant sharded executor
+#: * ``shard`` — the same runtime made fault tolerant by a root
 #:   (:class:`~repro.parallel.shards.ShardCoordinator`): per-shard durable
 #:   stores and checkpoints under a ``shard://`` root, worker-death
 #:   recovery, and disk-only resume.

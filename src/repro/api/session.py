@@ -4,11 +4,11 @@
 takes an initial graph plus a declarative
 :class:`~repro.api.config.BetweennessConfig` and hides, behind one stable
 surface, everything PRs 1–4 grew underneath: the serial framework (in
-memory, columnar or out of core), the batched update pipeline, the real
-multiprocessing executor, the simulated MapReduce cluster and the
-fault-tolerant sharded executor (``executor="shard"`` + a ``shard://``
-store URI).  Adding a new backend, store or executor is a registry/config
-change — no call site ever threads a new kwarg again.
+memory, columnar or out of core), the batched update pipeline, the
+simulated MapReduce cluster and the one multiprocessing runtime — bare
+under ``executor="process"``, fault tolerant under ``executor="shard"`` + a
+``shard://`` store URI.  Adding a new backend, store or executor is a
+registry/config change — no call site ever threads a new kwarg again.
 
 The session is also *event-driven*: every update, batch, checkpoint and
 shutdown is published to subscribers (:mod:`repro.api.events`), which is
@@ -54,7 +54,6 @@ from repro.core.framework import IncrementalBetweenness
 from repro.core.updates import EdgeUpdate, batches
 from repro.exceptions import ConfigurationError, StorageError, SubscriberError
 from repro.graph.graph import Graph
-from repro.parallel.executor import ProcessParallelBetweenness
 from repro.parallel.mapreduce import MapReduceBetweenness
 from repro.parallel.shards import ShardCoordinator
 from repro.storage.base import BDStore
@@ -134,19 +133,7 @@ class BetweennessSession:
                 f"is {graph_kind}; set BetweennessConfig(directed=...) to "
                 "match (or use BetweennessConfig.for_graph)"
             )
-        self._config = config
-        self._subscribers: List[Subscriber] = []
-        self._sequence = 0
-        self._batch_index = 0
-        self._batches_since_checkpoint = 0
-        self._closed = False
-        self._state_lock = threading.RLock()
-        self._framework: Optional[IncrementalBetweenness] = None
-        self._cluster = None
-        # Registered before the bootstrap runs, so constructor-passed
-        # subscribers are the ones that can observe BootstrapCompleted.
-        for subscriber in subscribers:
-            self.subscribe(subscriber)
+        self._reset(config, subscribers)
 
         if config.executor == "serial":
             if store is None:
@@ -168,18 +155,13 @@ class BetweennessSession:
                 "an explicit store object is only supported by the serial "
                 "executor (parallel executors build per-worker stores)"
             )
-        elif config.executor == "process":
-            self._cluster = ProcessParallelBetweenness(
-                graph,
-                num_workers=config.workers,
-                store=self._worker_store_kind(config.store),
-                source_store_path=config.seed_store_path,
-                backend=config.backend,
-                recv_timeout=config.recv_timeout,
-                shared_memory=config.effective_shared_memory,
+        elif config.executor in ("process", "shard"):
+            # One runtime: a shard:// root is what makes it durable.
+            layout = (
+                ShardLayout.from_uri(config.store, workers=config.workers)
+                if config.executor == "shard"
+                else None
             )
-        elif config.executor == "shard":
-            layout = ShardLayout.from_uri(config.store, workers=config.workers)
             self._cluster = ShardCoordinator(
                 graph,
                 layout,
@@ -187,6 +169,9 @@ class BetweennessSession:
                 recv_timeout=config.recv_timeout,
                 shared_memory=config.effective_shared_memory,
                 config=config.to_dict(),
+                num_workers=config.workers,
+                store=self._worker_store_kind(config.store),
+                source_store_path=config.seed_store_path,
             )
             # Hooked up only after construction so the ensemble's round-0
             # checkpoint is not emitted ahead of BootstrapCompleted; every
@@ -199,15 +184,39 @@ class BetweennessSession:
                 store_factory=self._mapper_store_factory(config.store),
                 backend=config.backend,
             )
-        engine = self._framework if self._framework is not None else self._cluster
+        self._announce_bootstrap()
+
+    def _reset(
+        self,
+        config: BetweennessConfig,
+        subscribers: Sequence[Subscriber],
+        batch_index: int = 0,
+    ) -> None:
+        """The state every constructor starts from (no engine yet)."""
+        self._config = config
+        self._subscribers: List[Subscriber] = []
+        self._sequence = 0
+        self._batch_index = batch_index
+        self._batches_since_checkpoint = 0
+        self._closed = False
+        self._state_lock = threading.RLock()
+        self._framework: Optional[IncrementalBetweenness] = None
+        self._cluster = None
+        # Registered before the bootstrap is announced, so constructor-passed
+        # subscribers are the ones that can observe BootstrapCompleted.
+        for subscriber in subscribers:
+            self.subscribe(subscriber)
+
+    def _announce_bootstrap(self) -> None:
+        graph = self._engine().graph
         self._emit(
             BootstrapCompleted,
-            num_vertices=engine.graph.num_vertices,
-            num_edges=engine.graph.num_edges,
+            num_vertices=graph.num_vertices,
+            num_edges=graph.num_edges,
             num_sources=(
                 self._framework.num_sources
                 if self._framework is not None
-                else engine.graph.num_vertices
+                else graph.num_vertices
             ),
         )
 
@@ -232,23 +241,9 @@ class BetweennessSession:
                 backend=framework.backend, directed=framework.graph.directed
             )
         self = cls.__new__(cls)
-        self._config = config
-        self._subscribers = []
-        self._sequence = 0
-        self._batch_index = 0
-        self._batches_since_checkpoint = 0
-        self._closed = False
-        self._state_lock = threading.RLock()
+        self._reset(config, subscribers)
         self._framework = framework
-        self._cluster = None
-        for subscriber in subscribers:
-            self.subscribe(subscriber)
-        self._emit(
-            BootstrapCompleted,
-            num_vertices=framework.graph.num_vertices,
-            num_edges=framework.graph.num_edges,
-            num_sources=framework.num_sources,
-        )
+        self._announce_bootstrap()
         return self
 
     @classmethod
@@ -260,24 +255,10 @@ class BetweennessSession:
     ) -> "BetweennessSession":
         """Wrap a live (usually resumed) shard coordinator in a session."""
         self = cls.__new__(cls)
-        self._config = config
-        self._subscribers = []
-        self._sequence = 0
-        self._batch_index = coordinator.batch_cursor
-        self._batches_since_checkpoint = 0
-        self._closed = False
-        self._state_lock = threading.RLock()
-        self._framework = None
+        self._reset(config, subscribers, batch_index=coordinator.batch_cursor)
         self._cluster = coordinator
-        for subscriber in subscribers:
-            self.subscribe(subscriber)
         coordinator.notify = self._shard_notify
-        self._emit(
-            BootstrapCompleted,
-            num_vertices=coordinator.graph.num_vertices,
-            num_edges=coordinator.graph.num_edges,
-            num_sources=coordinator.graph.num_vertices,
-        )
+        self._announce_bootstrap()
         return self
 
     # ------------------------------------------------------------------ #
@@ -420,9 +401,7 @@ class BetweennessSession:
             self._ensure_open()
             if self._framework is not None:
                 result = self._framework.apply_updates(batch)
-            elif isinstance(
-                self._cluster, (ProcessParallelBetweenness, ShardCoordinator)
-            ):
+            elif isinstance(self._cluster, ShardCoordinator):
                 result = self._cluster.apply_batch(batch)
             else:
                 result = tuple(self._cluster.apply(update) for update in batch)
@@ -525,11 +504,15 @@ class BetweennessSession:
         persists its state into the shard root and the coordinator manifest
         is rewritten; the return value is the manifest path (``path`` must
         be ``None`` — a sharded session's location is its store URI).  The
-        other parallel executors have no durable state to checkpoint.
+        same runtime without a root (``process``) and the simulated cluster
+        have no durable state to checkpoint.
         """
         with self._state_lock:
             self._ensure_open()
-            if isinstance(self._cluster, ShardCoordinator):
+            if (
+                isinstance(self._cluster, ShardCoordinator)
+                and self._cluster.layout is not None
+            ):
                 if path is not None:
                     raise ConfigurationError(
                         "a sharded session checkpoints into its shard root "
@@ -576,9 +559,7 @@ class BetweennessSession:
             self._closed = True
             if self._framework is not None:
                 self._framework.store.close()
-            elif isinstance(
-                self._cluster, (ProcessParallelBetweenness, ShardCoordinator)
-            ):
+            elif isinstance(self._cluster, ShardCoordinator):
                 self._cluster.close()
             elif self._cluster is not None:
                 for mapper in self._cluster.mappers:

@@ -89,10 +89,10 @@ class UpdateError(ReproError, ValueError):
 class WorkerFailedError(ReproError, RuntimeError):
     """A parallel worker process died or stopped responding.
 
-    Raised by the process executor and the shard coordinator instead of
-    blocking forever on a pipe whose peer is gone.  The coordinator catches
-    it internally to re-seed a replacement worker from the shard's
-    checkpoint; the legacy executor propagates it to the caller.
+    Raised by the shard coordinator instead of blocking forever on a pipe
+    whose peer is gone.  With a shard root it is caught internally to
+    re-seed a replacement worker from the shard's checkpoint; without one
+    (the ``process`` executor) it propagates to the caller.
     """
 
 

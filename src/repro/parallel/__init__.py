@@ -12,28 +12,26 @@ Two embodiments are provided.  :class:`MapReduceBetweenness` is a faithful
 in-process simulation: the map phase really runs the per-source incremental
 updates partition by partition, per-partition times are measured, and
 cluster wall-clock is derived exactly as the paper's model prescribes.
-:class:`ProcessParallelBetweenness` replaces the simulation with real OS
-worker processes — each owns one partition's restricted framework, the
-initial Brandes phase and every update batch run concurrently, and the
-reduce step merges the measured partial scores.
+:class:`ShardCoordinator` replaces the simulation with real OS worker
+processes — the only multi-process runtime: each worker owns one partition's
+restricted framework, the initial Brandes phase and every update batch run
+concurrently, and the reduce step merges the measured partial scores (one
+:class:`ParallelBatchReport` per batch).
 
-:class:`ShardCoordinator` promotes those anonymous partitions to first-class
-**shards** with durable per-shard state under a ``shard://`` root: workers
-checkpoint at a configurable cadence, the coordinator detects worker death
-and re-seeds a replacement from the shard's checkpoint (replaying only the
-batches it missed), and the whole ensemble can be resumed from disk alone.
+Given a ``shard://`` root the coordinator's partitions are first-class
+**shards** with durable per-shard state: workers checkpoint at a configurable
+cadence, a dead or wedged worker is replaced from the shard's checkpoint
+(replaying only the batches it missed), and the whole ensemble can be resumed
+from disk alone.  Without a root the same workers run with no disk state, and
+a failed worker is a terminal error.
 """
 
-from repro.parallel.executor import (
-    ParallelBatchReport,
-    ProcessParallelBetweenness,
-)
 from repro.parallel.mapreduce import (
     MapReduceBetweenness,
     MapReduceUpdateReport,
     merge_partial_scores,
 )
-from repro.parallel.shards import ShardCoordinator
+from repro.parallel.shards import ParallelBatchReport, ShardCoordinator
 from repro.parallel.scaling import (
     OnlineCapacityModel,
     ScalingMeasurement,
@@ -53,7 +51,6 @@ __all__ = [
     "MapReduceBetweenness",
     "MapReduceUpdateReport",
     "merge_partial_scores",
-    "ProcessParallelBetweenness",
     "ParallelBatchReport",
     "ShardCoordinator",
     "OnlineCapacityModel",

@@ -7,8 +7,10 @@ not importable under rootdir collection.
 
 from __future__ import annotations
 
+import os
 import random
-from typing import Dict
+import time
+from typing import Callable, Dict, List
 
 from repro.algorithms import brandes_betweenness
 from repro.core.framework import IncrementalBetweenness
@@ -81,3 +83,43 @@ def graphs_equal(a: Graph, b: Graph) -> bool:
     if set(a.vertices()) != set(b.vertices()):
         return False
     return set(a.edges()) == set(b.edges())
+
+
+def process_alive(pid: int) -> bool:
+    """Whether ``pid`` is a running process (Linux ``/proc``).
+
+    A zombie counts as gone: a worker whose SIGKILLed driver can no longer
+    reap it has exited as far as memory, pipes and segments are concerned.
+    """
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            stat = handle.read()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat[stat.rindex(b")") + 2 : stat.rindex(b")") + 3] != b"Z"
+
+
+def live_processes_matching(fragment: str) -> List[int]:
+    """Pids of running processes whose command line contains ``fragment``."""
+    matching = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit() or int(entry) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                command = handle.read().replace(b"\0", b" ").decode(errors="replace")
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if fragment in command and process_alive(int(entry)):
+            matching.append(int(entry))
+    return matching
+
+
+def wait_until(condition: Callable[[], bool], timeout: float) -> bool:
+    """Poll ``condition`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True

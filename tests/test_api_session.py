@@ -24,6 +24,7 @@ from repro.storage import InMemoryBDStore
 from repro.storage.buffers import active_segments, shm_available
 
 from tests.helpers import assert_scores_equal, random_connected_graph
+from tests.test_shard_chaos import update_stream as mixed_stream
 
 #: Exactly zero tolerance — serial pipelines must be bit-identical.  The
 #: process executor reduces partial scores in a *different grouping* than
@@ -36,8 +37,8 @@ EXACT = 0.0
 MERGE_TOLERANCE = 1e-12
 
 
-def build_graph(directed: bool) -> Graph:
-    graph = random_connected_graph(18, 0.18, seed=11)
+def build_graph(directed: bool, vertices: int = 18) -> Graph:
+    graph = random_connected_graph(vertices, 0.18, seed=11)
     if not directed:
         return graph
     oriented = Graph(directed=True)
@@ -184,7 +185,7 @@ class TestSharedMemoryMatrix:
     ``/dev/shm`` empty afterwards.
     """
 
-    def _config(self, executor, directed, shared_memory, tmp_path):
+    def _config(self, executor, directed, shared_memory, tmp_path, workers=2):
         if executor == "process":
             return BetweennessConfig(
                 backend="arrays",
@@ -192,7 +193,7 @@ class TestSharedMemoryMatrix:
                 batch_size=2,
                 directed=directed,
                 executor="process",
-                workers=2,
+                workers=workers,
                 shared_memory=shared_memory,
             )
         root = tmp_path / f"root-{'shm' if shared_memory else 'heap'}"
@@ -200,14 +201,14 @@ class TestSharedMemoryMatrix:
             directed=directed,
             batch_size=2,
             executor="shard",
-            workers=2,
-            store=f"shard://{root}?shards=2",
+            workers=workers,
+            store=f"shard://{root}?shards={workers}",
             shared_memory=shared_memory,
         )
 
-    def _run(self, graph, config):
+    def _run(self, graph, config, stream=None):
         with BetweennessSession(graph, config) as session:
-            for _ in session.stream(update_stream(graph)):
+            for _ in session.stream(stream or update_stream(graph)):
                 pass
             return session.vertex_betweenness(), session.edge_betweenness()
 
@@ -228,6 +229,35 @@ class TestSharedMemoryMatrix:
         expected_vertex, expected_edge = references[(directed, 2)]
         assert_scores_equal(shm[0], expected_vertex, MERGE_TOLERANCE, "vertex")
         assert_scores_equal(shm[1], expected_edge, MERGE_TOLERANCE, "edge")
+
+    @pytest.mark.parametrize(
+        "directed", [False, True], ids=["undirected", "directed"]
+    )
+    @pytest.mark.parametrize("shared_memory", [False, True], ids=["heap", "shm"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_process_run_equals_shard_run_bit_identically(
+        self, tmp_path, workers, shared_memory, directed
+    ):
+        """One runtime: the same partitions, the same adoption of births and
+        the same reduce order, so a shard root changes durability only —
+        never a single bit of a score.  23 vertices split unevenly over 2
+        and 3 workers, so least-loaded adoption and any other policy part
+        ways at the very first birth."""
+        graph = build_graph(directed, vertices=23)
+        stream = mixed_stream(graph, length=30)  # additions, removals, births
+        process = self._run(
+            graph,
+            self._config("process", directed, shared_memory, tmp_path, workers),
+            stream,
+        )
+        shard = self._run(
+            graph,
+            self._config("shard", directed, shared_memory, tmp_path, workers),
+            stream,
+        )
+        assert process[0] == shard[0]
+        assert process[1] == shard[1]
+        assert active_segments() == []
 
     def test_uri_param_is_the_same_switch(self, tmp_path):
         graph = build_graph(False)

@@ -6,7 +6,7 @@ from repro.algorithms import brandes_betweenness
 from repro.core import EdgeUpdate, IncrementalBetweenness
 from repro.exceptions import ConfigurationError, StoreCorruptedError
 from repro.graph import Graph
-from repro.parallel import ProcessParallelBetweenness
+from repro.parallel import ShardCoordinator
 from repro.storage import DiskBDStore
 
 from tests.helpers import assert_scores_equal, random_connected_graph
@@ -151,7 +151,7 @@ class TestFileSeededExecutor:
             EdgeUpdate.addition(*spare[1]),
             EdgeUpdate.removal(*spare[0]),
         ]
-        with ProcessParallelBetweenness(
+        with ShardCoordinator(
             graph, num_workers=2, source_store_path=tmp_path / "bd.bin"
         ) as cluster:
             cluster.apply_batch(updates)
@@ -164,7 +164,7 @@ class TestFileSeededExecutor:
     def test_snapshot_and_store_path_are_mutually_exclusive(self, tmp_path):
         graph = Graph.from_edges([(0, 1), (1, 2)])
         with pytest.raises(ConfigurationError):
-            ProcessParallelBetweenness(
+            ShardCoordinator(
                 graph,
                 num_workers=1,
                 source_data={},
@@ -178,7 +178,7 @@ class TestFileSeededExecutor:
         )
         partial.close()
         with pytest.raises(Exception):
-            with ProcessParallelBetweenness(
+            with ShardCoordinator(
                 graph, num_workers=2, source_store_path=tmp_path / "bd.bin"
             ):
                 pass

@@ -32,7 +32,7 @@ from repro.core.updates import batches
 from repro.exceptions import ConfigurationError
 from repro.generators import erdos_renyi_digraph
 from repro.graph import Graph
-from repro.parallel.executor import ProcessParallelBetweenness
+from repro.parallel.shards import ShardCoordinator
 from repro.parallel.mapreduce import MapReduceBetweenness
 from repro.storage import ArrayBDStore, DiskBDStore
 
@@ -206,7 +206,7 @@ class TestDirectedParallel:
     def test_executor_matches_brandes_both_backends(self):
         graph = erdos_renyi_digraph(8, 0.3, rng=random.Random(3))
         for backend in ("dicts", "arrays"):
-            with ProcessParallelBetweenness(
+            with ShardCoordinator(
                 graph, num_workers=2, backend=backend
             ) as cluster:
                 assert cluster.graph.directed

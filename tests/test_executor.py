@@ -1,11 +1,13 @@
-"""Process-parallel executor: merged scores must equal the serial framework."""
+"""The worker runtime without a shard root (the ``process`` executor):
+merged scores must equal the serial framework, and a failed worker is a
+prompt, terminal, leak-free error."""
 
 import pytest
 
 from repro.algorithms import brandes_betweenness
 from repro.core import EdgeUpdate, IncrementalBetweenness
 from repro.exceptions import ConfigurationError, UpdateError
-from repro.parallel import ProcessParallelBetweenness
+from repro.parallel import ShardCoordinator
 
 from tests.helpers import assert_scores_equal, random_connected_graph
 from tests.test_batched_updates import random_update_sequence
@@ -26,7 +28,7 @@ class TestExecutorEquivalence:
         graph = random_connected_graph(14, 0.15, seed=31)
         updates = random_update_sequence(graph, 8, seed=32)
         serial = serial_reference(graph, updates)
-        with ProcessParallelBetweenness(graph, num_workers=workers) as cluster:
+        with ShardCoordinator(graph, num_workers=workers) as cluster:
             cluster.process_stream(updates, batch_size=1)
             vertex_scores, edge_scores = cluster.betweenness()
         assert_scores_equal(
@@ -39,7 +41,7 @@ class TestExecutorEquivalence:
         graph = random_connected_graph(13, 0.15, seed=41)
         updates = random_update_sequence(graph, 8, seed=42)
         serial = serial_reference(graph, updates)
-        with ProcessParallelBetweenness(graph, num_workers=2) as cluster:
+        with ShardCoordinator(graph, num_workers=2) as cluster:
             cluster.process_stream(updates, batch_size=batch_size)
             vertex_scores, edge_scores = cluster.betweenness()
         assert_scores_equal(vertex_scores, serial.vertex_betweenness(), TOLERANCE)
@@ -49,9 +51,7 @@ class TestExecutorEquivalence:
         graph = random_connected_graph(10, 0.2, seed=51)
         updates = random_update_sequence(graph, 5, seed=52)
         serial = serial_reference(graph, updates)
-        with ProcessParallelBetweenness(
-            graph, num_workers=2, store="disk"
-        ) as cluster:
+        with ShardCoordinator(graph, num_workers=2, store="disk") as cluster:
             cluster.process_stream(updates, batch_size=2)
             vertex_scores, _ = cluster.betweenness()
         assert_scores_equal(vertex_scores, serial.vertex_betweenness(), TOLERANCE)
@@ -61,7 +61,7 @@ class TestExecutorEquivalence:
         base = IncrementalBetweenness(graph)
         updates = random_update_sequence(graph, 6, seed=62)
         serial = serial_reference(graph, updates)
-        with ProcessParallelBetweenness(
+        with ShardCoordinator(
             graph, num_workers=2, source_data=base.store.snapshot()
         ) as cluster:
             cluster.process_stream(updates, batch_size=3)
@@ -70,7 +70,7 @@ class TestExecutorEquivalence:
         assert_scores_equal(edge_scores, serial.edge_betweenness(), TOLERANCE)
 
     def test_new_vertices_assigned_to_exactly_one_worker(self, cycle6):
-        with ProcessParallelBetweenness(cycle6, num_workers=3) as cluster:
+        with ShardCoordinator(cycle6, num_workers=3) as cluster:
             cluster.apply_batch(
                 [EdgeUpdate.addition(0, 99), EdgeUpdate.addition(99, 3)]
             )
@@ -81,7 +81,7 @@ class TestExecutorEquivalence:
 
 class TestExecutorBehaviour:
     def test_reports_worker_timings(self, cycle6):
-        with ProcessParallelBetweenness(cycle6, num_workers=2) as cluster:
+        with ShardCoordinator(cycle6, num_workers=2) as cluster:
             report = cluster.add_edge(0, 3)
         assert len(report.worker_seconds) == 2
         assert len(report.worker_cpu_seconds) == 2
@@ -91,25 +91,25 @@ class TestExecutorBehaviour:
 
     def test_partitions_cover_all_sources(self):
         graph = random_connected_graph(11, 0.2, seed=71)
-        with ProcessParallelBetweenness(graph, num_workers=3) as cluster:
+        with ShardCoordinator(graph, num_workers=3) as cluster:
             covered = sorted(v for p in cluster.partitions for v in p)
         assert covered == sorted(graph.vertices())
 
     def test_init_seconds_reported(self, cycle6):
-        with ProcessParallelBetweenness(cycle6, num_workers=2) as cluster:
+        with ShardCoordinator(cycle6, num_workers=2) as cluster:
             assert len(cluster.init_seconds) == 2
             assert cluster.init_wall_clock_seconds >= max(cluster.init_seconds) - 1e-9
 
     def test_invalid_worker_count(self, cycle6):
         with pytest.raises(ConfigurationError):
-            ProcessParallelBetweenness(cycle6, num_workers=0)
+            ShardCoordinator(cycle6, num_workers=0)
 
     def test_invalid_store_kind(self, cycle6):
         with pytest.raises(ConfigurationError):
-            ProcessParallelBetweenness(cycle6, num_workers=1, store="papyrus")
+            ShardCoordinator(cycle6, num_workers=1, store="papyrus")
 
     def test_invalid_update_raises_and_cluster_survives(self, cycle6):
-        with ProcessParallelBetweenness(cycle6, num_workers=2) as cluster:
+        with ShardCoordinator(cycle6, num_workers=2) as cluster:
             with pytest.raises(UpdateError):
                 cluster.add_edge(0, 1)  # already present
             # The driver rejected the update before sending; still usable.
@@ -119,12 +119,12 @@ class TestExecutorBehaviour:
         assert_scores_equal(vertex_scores, reference.vertex_scores, TOLERANCE)
 
     def test_empty_batch(self, cycle6):
-        with ProcessParallelBetweenness(cycle6, num_workers=2) as cluster:
+        with ShardCoordinator(cycle6, num_workers=2) as cluster:
             report = cluster.apply_batch([])
         assert report.num_updates == 0
 
     def test_close_is_idempotent_and_blocks_use(self, cycle6):
-        cluster = ProcessParallelBetweenness(cycle6, num_workers=2)
+        cluster = ShardCoordinator(cycle6, num_workers=2)
         cluster.close()
         cluster.close()
         with pytest.raises(ConfigurationError):
@@ -132,11 +132,11 @@ class TestExecutorBehaviour:
 
 
 class TestExecutorFaultDetection:
-    """The driver must never hang on a dead worker (the pre-shard failure
-    mode was a blocking ``Pipe.recv`` that waited forever).  The legacy
-    executor has no per-partition durability, so a death is terminal — but
-    it must surface as :exc:`WorkerFailedError` within moments, with the
-    cluster torn down."""
+    """The driver must never hang on a dead worker (a blocking
+    ``Pipe.recv`` would wait forever).  Without a shard root there is no
+    per-partition durability, so a death is terminal — but it must surface
+    as :exc:`WorkerFailedError` within moments, with the cluster torn
+    down."""
 
     def test_sigkilled_worker_raises_instead_of_hanging(self):
         import os
@@ -145,12 +145,12 @@ class TestExecutorFaultDetection:
         from repro.exceptions import WorkerFailedError
 
         graph = random_connected_graph(12, 0.2, seed=81)
-        cluster = ProcessParallelBetweenness(graph, num_workers=2)
+        cluster = ShardCoordinator(graph, num_workers=2)
         try:
             cluster.add_edge(*_absent_edge(graph))
-            os.kill(cluster._processes[1].pid, signal.SIGKILL)
-            cluster._processes[1].join(timeout=10.0)
-            with pytest.raises(WorkerFailedError, match="worker 1"):
+            os.kill(cluster._handles[1].process.pid, signal.SIGKILL)
+            cluster._handles[1].process.join(timeout=10.0)
+            with pytest.raises(WorkerFailedError, match="shard 1"):
                 cluster.betweenness()
         finally:
             cluster.close()
@@ -160,9 +160,7 @@ class TestExecutorFaultDetection:
 
     def test_recv_timeout_bounds_the_wait(self, cycle6):
         """A generous timeout never fires for a healthy worker."""
-        with ProcessParallelBetweenness(
-            cycle6, num_workers=2, recv_timeout=30.0
-        ) as cluster:
+        with ShardCoordinator(cycle6, num_workers=2, recv_timeout=30.0) as cluster:
             report = cluster.add_edge(0, 3)
         assert report.num_updates == 1
 
@@ -174,3 +172,37 @@ def _absent_edge(graph):
             if not graph.has_edge(u, v):
                 return u, v
     raise AssertionError("graph is complete")
+
+
+def test_there_is_exactly_one_worker_runtime():
+    """One ``Process`` target and one class that spawns it under
+    ``repro.parallel`` — a second multi-process driver cannot grow back
+    beside the coordinator without failing here."""
+    import ast
+    from pathlib import Path
+
+    import repro.parallel
+
+    targets, spawners = set(), set()
+    for path in Path(repro.parallel.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): scope.name
+            for scope in ast.walk(tree)
+            if isinstance(scope, ast.ClassDef)
+            for node in ast.walk(scope)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "Process"
+            ):
+                spawners.add(owner.get(id(node), f"<module {path.name}>"))
+                targets.update(
+                    ast.unparse(keyword.value)
+                    for keyword in node.keywords
+                    if keyword.arg == "target"
+                )
+    assert targets == {"_worker_main"}
+    assert spawners == {"ShardCoordinator"}

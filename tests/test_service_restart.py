@@ -21,6 +21,8 @@ from repro.core import EdgeUpdate
 from repro.graph import Graph
 from repro.service import ServiceClient
 
+from tests.helpers import live_processes_matching, wait_until
+
 API_KEY = "restart-secret"
 
 ALPHA_EDGES = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]
@@ -187,3 +189,9 @@ def test_sigkill_and_restart_restores_every_session(tmp_path):
     # Exact equality — not approximate — against the serial oracle replay.
     assert alpha_after == alpha_before == _oracle(ALPHA_EDGES, ALPHA_BATCHES)
     assert gamma_after == gamma_before == _oracle(GAMMA_EDGES, GAMMA_BATCHES)
+
+    # A SIGKILLed server must take its shard workers along: they were forked
+    # from it, so they carry its command line — root included.
+    assert wait_until(lambda: not live_processes_matching(str(root)), timeout=5.0), (
+        f"orphaned processes: {live_processes_matching(str(root))}"
+    )

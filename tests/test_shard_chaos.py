@@ -16,9 +16,14 @@ before acknowledging — the worst case, where computed state is lost and must
 be reconstructed.
 """
 
+import json
 import os
 import random
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +36,7 @@ from repro.api import (
 )
 from repro.core import EdgeUpdate, IncrementalBetweenness
 from repro.core.updates import UpdateKind, validate_batch
+from repro.exceptions import WorkerFailedError
 from repro.graph import Graph
 from repro.parallel import ShardCoordinator
 from repro.parallel.mapreduce import merge_partial_scores
@@ -38,7 +44,12 @@ from repro.storage.buffers import active_segments, shm_available
 from repro.storage.partition import partition_sources
 from repro.storage.shard import ShardLayout, pick_shard
 
-from tests.helpers import assert_scores_equal, random_connected_graph
+from tests.helpers import (
+    assert_scores_equal,
+    process_alive,
+    random_connected_graph,
+    wait_until,
+)
 
 NUM_SHARDS = 3
 CHECKPOINT_EVERY = 2
@@ -358,6 +369,141 @@ class TestShmChaos:
         assert vertex == ref_vertex
         assert edge == ref_edge
         assert active_segments() == []
+
+
+#: A driver that builds a two-worker pool, applies three batches, reports
+#: its workers and segments, and then idles until it is SIGKILLed.
+_DRIVER_SCRIPT = """
+import json, sys, time
+from pathlib import Path
+from repro.parallel import ShardCoordinator
+from repro.storage.buffers import active_segments
+from repro.storage.shard import ShardLayout
+from tests.test_shard_chaos import build_graph, update_stream
+
+root, plane = sys.argv[1:]
+layout = (
+    ShardLayout(root=Path(root), num_shards=2, checkpoint_every=2) if root else None
+)
+graph = build_graph(False)
+coordinator = ShardCoordinator(
+    graph, layout, shared_memory=plane == "shm", num_workers=2
+)
+for update in update_stream(graph)[:3]:
+    coordinator.apply_batch([update])
+print(json.dumps({
+    "workers": [handle.process.pid for handle in coordinator._handles],
+    "segments": active_segments(),
+}), flush=True)
+time.sleep(120)
+"""
+
+
+class TestDriverDeathAndWedgedWorkers:
+    """Neither a dead driver nor a wedged worker may leave a process (or a
+    ``/dev/shm`` segment) behind — with or without a shard root."""
+
+    @pytest.mark.parametrize("plane", ["heap", "shm"])
+    @pytest.mark.parametrize("durable", [False, True], ids=["no-layout", "layout"])
+    def test_sigkilled_driver_takes_its_workers_and_segments_along(
+        self, tmp_path, durable, plane
+    ):
+        if plane == "shm" and not shm_available():
+            pytest.skip("shared memory unavailable")
+        repo_root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(repo_root / "src"), str(repo_root)])
+        driver = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                _DRIVER_SCRIPT,
+                str(tmp_path / "root") if durable else "",
+                plane,
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+        )
+        workers = []
+        try:
+            report = json.loads(driver.stdout.readline())
+            workers = report["workers"]
+            assert len(workers) == 2 and all(map(process_alive, workers))
+            assert bool(report["segments"]) == (plane == "shm")
+            driver.kill()  # SIGKILL: no close(), no atexit, no finalizers
+            driver.wait(timeout=10)
+            assert wait_until(
+                lambda: not any(map(process_alive, workers)), timeout=5.0
+            ), "workers outlived their SIGKILLed driver"
+            assert wait_until(
+                lambda: not set(report["segments"]) & set(active_segments()),
+                timeout=5.0,
+            ), "the dead driver's segments were never reaped"
+        finally:
+            driver.kill()
+            driver.wait(timeout=10)
+            driver.stdout.close()
+            for pid in filter(process_alive, workers):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_wedged_worker_is_killed_and_its_shard_recovered(self, tmp_path):
+        """SIGSTOP is the wedge SIGTERM cannot clear: the stopped worker
+        stays silent past ``recv_timeout``, must be SIGKILLed (not
+        abandoned), and its shard replayed to the exact same scores."""
+        graph = build_graph(directed=False)
+        updates = update_stream(graph)
+        clean = shard_run(graph, tmp_path / "clean", updates)
+
+        layout = ShardLayout(
+            root=tmp_path / "wedged",
+            num_shards=NUM_SHARDS,
+            checkpoint_every=CHECKPOINT_EVERY,
+        )
+        kinds = []
+        coordinator = ShardCoordinator(
+            graph,
+            layout,
+            recv_timeout=0.5,
+            notify=lambda kind, **fields: kinds.append(kind),
+        )
+        victim = coordinator._handles[1].process.pid
+        try:
+            for update in updates[:3]:
+                coordinator.apply_batch([update])
+            os.kill(victim, signal.SIGSTOP)
+            del kinds[:]
+            started = time.monotonic()
+            coordinator.apply_batch([updates[3]])
+            assert time.monotonic() - started < 3.0
+            assert kinds[:2] == ["worker_failed", "shard_recovered"]
+            assert not process_alive(victim)
+            for update in updates[4:]:
+                coordinator.apply_batch([update])
+            wedged = coordinator.betweenness()
+        finally:
+            coordinator.close()
+            if process_alive(victim):
+                os.kill(victim, signal.SIGKILL)
+        assert wedged[0] == clean[0]
+        assert wedged[1] == clean[1]
+
+    def test_wedged_worker_without_a_root_is_a_prompt_terminal_error(self):
+        graph = build_graph(directed=False)
+        updates = update_stream(graph)
+        cluster = ShardCoordinator(graph, num_workers=2, recv_timeout=0.5)
+        workers = [handle.process.pid for handle in cluster._handles]
+        try:
+            cluster.apply_batch([updates[0]])
+            os.kill(workers[1], signal.SIGSTOP)
+            started = time.monotonic()
+            with pytest.raises(WorkerFailedError, match="did not reply"):
+                cluster.apply_batch([updates[1]])
+            assert time.monotonic() - started < 3.0
+            assert not any(map(process_alive, workers))
+        finally:
+            cluster.close()
+            for pid in filter(process_alive, workers):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestSessionLevelFaults:
