@@ -40,6 +40,7 @@ from repro.core.flat import (
     FlatBatchState,
     first_occurrence,
     group_by_level,
+    merge_order,
     slice_positions,
 )
 from repro.core.repair import RepairPlan
@@ -528,7 +529,8 @@ def accumulate_cohort(
       ``k``'s subsequence of the merged chunk deque is its own FIFO level
       queue, flattened edges follow adjacency order, fringe admission
       order is emission order, and each edge's new contribution precedes
-      its old one via the even/odd sort keys;
+      its old one (:func:`~repro.core.flat.merge_order` puts the selected
+      new-DAG entries before old-DAG entries of the same position);
     * the shared ``vscore`` / edge-score arrays are never *read* during the
       batch sweep, so their writes are recorded into ``streams`` (see
       :class:`CohortScoreStreams`) and applied source-major after the whole
@@ -537,6 +539,16 @@ def accumulate_cohort(
       ops as the scalar loop (``+(-x)`` replacing ``-x`` is bitwise
       identical in IEEE-754).
 
+    The parent tests are exact without the scalar loop's ``None`` guards:
+    a chunk member sits on new level ``level >= 1`` and is never the
+    source (only the source has distance 0, and level 0 is never swept),
+    so a new-DAG parent is exactly ``d'[p] == level - 1`` (``-1`` cannot
+    equal ``level - 1 >= 0``) and an old-DAG parent exactly ``d[p] + 1 ==
+    d[w]`` (an unreachable ``d[w] = -1`` would need ``d[p] = -2``, and an
+    unreachable ``d[p] = -1`` would need ``d[w] = 0``, the source).  The
+    new-edge exclusion, edge-id gathers and job lookups then run on the
+    selected entries only.
+
     Inputs describe the slab's jobs in stacked form: ``(m, n)`` work
     columns plus pristine pre-update stacks (``old_*``; ``new_delta``
     starts as a copy of ``old_delta`` and is turned into the post-update
@@ -544,8 +556,9 @@ def accumulate_cohort(
     ``(k, slot, level)`` triples, removal seeds as ``(k, dependency,
     registry id)`` columns, and structural-removal disconnected sets as
     ``(k, slot)`` pair columns in per-job discovery order.  Returns the
-    per-job touched-pair counts; the repaired delta is left in
-    ``new_delta``.
+    flat pair ids (``k * n + slot``, each once) of every pair whose
+    dependency the sweep tracked — the touched set, which contains every
+    plan pair; the repaired delta is left in ``new_delta``.
     """
     if state.directed:
         return _accumulate_directed_cohort(
@@ -576,7 +589,6 @@ def accumulate_cohort(
     in_indptr = state.in_indptr
     in_indices = state.in_indices
     in_edge_ids = state.in_edge_ids
-    reg_of_edge = state.reg_of_edge
     wd_flat = work_distance.reshape(-1)
     ws_flat = work_sigma.reshape(-1)
     od_flat = old_distance.reshape(-1)
@@ -587,6 +599,8 @@ def accumulate_cohort(
 
     tracked = np.zeros(m * n, dtype=np.bool_)
     processed = np.zeros(m * n, dtype=np.bool_)
+    # Every pair the moment it turns tracked, each exactly once.
+    touched: List[np.ndarray] = []
 
     # Plan chunks, merged per level: each k's members arrive in its own
     # enqueue order, so its subsequence of every bucket equals the level
@@ -596,6 +610,7 @@ def accumulate_cohort(
         chunk_pid = chunk_k * n + chunk_s
         nd_flat[chunk_pid] = 0.0
         tracked[chunk_pid] = True
+        touched.append(chunk_pid)
         for level, sel in group_by_level(
             np.arange(chunk_k.size, dtype=np.int64), chunk_l
         ):
@@ -620,6 +635,7 @@ def accumulate_cohort(
         rem_pid = rem_k * n + rh
         fresh_sel = ~tracked[rem_pid]
         tracked[rem_pid[fresh_sel]] = True
+        touched.append(rem_pid[fresh_sel])
         seed_sel = fresh_sel & (wd_flat[rem_pid] != -1)
         sk = rem_k[seed_sel]
         sh = rh[seed_sel]
@@ -656,48 +672,52 @@ def accumulate_cohort(
 
             positions, counts = slice_positions(in_indptr, chunk)
             if positions.size:
-                par = in_indices[positions]
-                eid = reg_of_edge[in_edge_ids[positions]]
-                rep = np.repeat(np.arange(chunk.size, dtype=np.int64), counts)
-                krep = kc[rep]
-                ppid = krep * n + par
-                pdn = wd_flat[ppid]
-                pdo = od_flat[ppid]
-                new_e = (pdn != -1) & (pdn + 1 == level)
-                old_e = (wdo[rep] != -1) & (pdo != -1) & (pdo + 1 == wdo[rep])
+                # Exact parent tests (see the docstring): one gather and one
+                # comparison per entry and DAG; everything else runs on the
+                # selected entries, whose member is found by rank.
+                ppid = np.repeat(kc * n, counts) + in_indices[positions]
+                i_new = np.flatnonzero(wd_flat[ppid] == level - 1)
+                i_old = np.flatnonzero(
+                    od_flat[ppid] == np.repeat(wdo - 1, counts)
+                )
+                eid_old = in_edge_ids[positions[i_old]]
                 if exclude_new_edge:
-                    member = chunk[rep]
-                    hi = highs[krep]
-                    lo = lows[krep]
-                    old_e &= ~(
-                        ((member == hi) | (member == lo))
-                        & ((par == hi) | (par == lo))
-                    )
+                    # The added edge did not exist before the update, so it
+                    # carries no old dependency; it is the only entry with
+                    # its registry id.
+                    kept = eid_old != state.edge_id
+                    i_old = i_old[kept]
+                    eid_old = eid_old[kept]
+                ends = np.cumsum(counts)
+                rn = np.searchsorted(ends, i_new, side="right")
+                ro = np.searchsorted(ends, i_old, side="right")
+                po = ppid[i_old]
+                c_new = ws_flat[ppid[i_new]] / ws_flat[mpid[rn]] * (1.0 + deln[rn])
+                c_old = os_flat[po] / os_flat[mpid[ro]] * (1.0 + delo[ro])
 
-                i_new = np.flatnonzero(new_e)
-                i_old = np.flatnonzero(old_e)
-                c_new = (
-                    ws_flat[ppid[i_new]]
-                    / ws_flat[mpid][rep[i_new]]
-                    * (1.0 + deln[rep[i_new]])
+                # One merge orders both streams as the scalar loop emits
+                # them: entries ascending, an entry's new contribution
+                # before its old one.  Edge scores take every contribution;
+                # a parent's dependency all but the old ones of affected
+                # parents, which rebuild theirs from scratch.
+                order = merge_order(i_new, i_old)
+                target = np.concatenate((ppid[i_new], po))[order]
+                values = np.concatenate((c_new, -c_old))[order]
+                es_k.append(target // n)
+                es_id.append(
+                    np.concatenate((in_edge_ids[positions[i_new]], eid_old))[order]
                 )
-                c_old = (
-                    os_flat[ppid[i_old]]
-                    / os_flat[mpid][rep[i_old]]
-                    * (1.0 + delo[rep[i_old]])
-                )
-
-                nd_keep = ~aff_flat[ppid[i_old]]
-                i_old_nd = i_old[nd_keep]
-                order = np.argsort(
-                    np.concatenate((2 * i_new, 2 * i_old_nd + 1))
-                )
-                nd_pid = np.concatenate((ppid[i_new], ppid[i_old_nd]))[order]
-                nd_values = np.concatenate((c_new, -c_old[nd_keep]))[order]
+                es_val.append(values)
+                nd_keep = np.concatenate(
+                    (np.ones(i_new.size, dtype=np.bool_), ~aff_flat[po])
+                )[order]
+                nd_pid = target[nd_keep]
+                nd_values = values[nd_keep]
 
                 fresh = first_occurrence(nd_pid[~tracked[nd_pid]], pair_first)
                 if fresh.size:
                     tracked[fresh] = True
+                    touched.append(fresh)
                     fk = fresh // n
                     fs = fresh - fk * n
                     flvl = wd_flat[fresh].astype(np.int64)
@@ -710,11 +730,6 @@ def accumulate_cohort(
                         else:
                             buckets.setdefault(lvl, deque()).append(pair_chunk)
                 np.add.at(nd_flat, nd_pid, nd_values)
-
-                eorder = np.argsort(np.concatenate((2 * i_new, 2 * i_old + 1)))
-                es_k.append(np.concatenate((krep[i_new], krep[i_old]))[eorder])
-                es_id.append(np.concatenate((eid[i_new], eid[i_old]))[eorder])
-                es_val.append(np.concatenate((c_new, -c_old))[eorder])
 
             # Two deferred single adds per member — +new then -old — replay
             # the scalar (score + new) - old association exactly.
@@ -742,7 +757,6 @@ def accumulate_cohort(
         positions, counts = slice_positions(in_indptr, disc_s)
         if positions.size:
             par = in_indices[positions]
-            eid = reg_of_edge[in_edge_ids[positions]]
             rep = np.repeat(np.arange(disc_s.size, dtype=np.int64), counts)
             ppid = disc_k[rep] * n + par
             pdo = od_flat[ppid]
@@ -754,11 +768,13 @@ def accumulate_cohort(
                 * (1.0 + delo[rep[i_old]])
             )
             es_k.append(disc_k[rep[i_old]])
-            es_id.append(eid[i_old])
+            es_id.append(in_edge_ids[positions[i_old]])
             es_val.append(-c_old)
 
     streams.extend(ordinals, vs_k, vs_slot, vs_val, es_k, es_id, es_val)
-    return tracked.reshape(m, n).sum(axis=1).astype(np.int64)
+    if not touched:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(touched)
 
 
 def _accumulate_directed_cohort(
@@ -796,6 +812,8 @@ def _accumulate_directed_cohort(
     per-k no-op on levels a region lacks), and phase 3 emits all new
     contributions before all old ones so the ordinal-stable flush yields
     the scalar new-before-old order per edge id within each source.
+    Returns the region's pair ids — the touched set, seeded with every
+    plan pair.
     """
     n = state.n
     m = len(sources)
@@ -803,7 +821,6 @@ def _accumulate_directed_cohort(
     in_indptr = state.in_indptr
     in_indices = state.in_indices
     in_edge_ids = state.in_edge_ids
-    reg_of_edge = state.reg_of_edge
     wd_flat = work_distance.reshape(-1)
     ws_flat = work_sigma.reshape(-1)
     od_flat = old_distance.reshape(-1)
@@ -920,7 +937,7 @@ def _accumulate_directed_cohort(
         positions, counts = slice_positions(in_indptr, region_s)
         if positions.size:
             par = in_indices[positions]
-            eid = reg_of_edge[in_edge_ids[positions]]
+            eid = in_edge_ids[positions]
             rep = np.repeat(np.arange(region_s.size, dtype=np.int64), counts)
             krep = region_k[rep]
             ppid = krep * n + par
@@ -959,4 +976,4 @@ def _accumulate_directed_cohort(
             es_val.append(-c_old)
 
     streams.extend(ordinals, vs_k, vs_slot, vs_val, es_k, es_id, es_val)
-    return region_mask.reshape(m, n).sum(axis=1).astype(np.int64)
+    return region_pid

@@ -270,11 +270,10 @@ class IncrementalBetweenness:
                     self._graph.vertex_list(), directed=self._graph.directed
                 )
             )
+            # The kernel starts every edge at a 0.0 score entry.
             self._kernel = ArrayKernel(self._graph, self._store)
             self._vertex_scores = self._kernel.vertex_score_view()
             self._edge_scores = self._kernel.edge_score_view()
-            for u, v in self._graph.edges():
-                self._edge_scores[self._edge_key(u, v)] = 0.0
         else:
             self._store = store if store is not None else InMemoryBDStore()
             self._vertex_scores = {v: 0.0 for v in self._graph.vertices()}
@@ -788,19 +787,19 @@ class IncrementalBetweenness:
             sources = list(self._store.sources())
             to_load = self._kernel.sources_to_load(sources, batch)
             self._kernel.begin_batch(batch)
-            active: List[Tuple[Vertex, int]] = []
-            for source in sources:
-                first = to_load.get(source)
-                if first is None:
-                    for result in results:
-                        result.record(SourceUpdateStats(case=UpdateCase.SKIP))
-                    batch_result.sources_peek_skipped += 1
-                    continue
-                # Updates before the source's first failing peek are proven
-                # skips on an untouched record — recorded without repairing.
+            active: List[Tuple[Vertex, int]] = [
+                (source, to_load[source]) for source in sources if source in to_load
+            ]
+            batch_result.sources_peek_skipped += len(sources) - len(active)
+            # A peek-skipped source is a proven skip for every update, a
+            # loaded one for the updates before its first failing peek (on
+            # an untouched record) — counted per update, not repaired.
+            proven = [len(sources) - len(active)] * len(batch)
+            for _source, first in active:
                 for index in range(first):
-                    results[index].record(SourceUpdateStats(case=UpdateCase.SKIP))
-                active.append((source, first))
+                    proven[index] += 1
+            for result, skipped in zip(results, proven):
+                result.fold({UpdateCase.SKIP: skipped})
             # Row growth reallocates the store's matrices, so every born
             # source gets its row before any record view is opened.
             for vertex, birth in sorted(adopted.items(), key=lambda item: item[1]):
@@ -819,13 +818,12 @@ class IncrementalBetweenness:
                 ]
                 if not cohort:
                     continue
-                stats_list = self._kernel.repair_update_cohort(
+                self._kernel.repair_update_cohort(
                     [data for _ordinal, data in cohort],
                     [ordinal for ordinal, _data in cohort],
                     index,
+                    results[index],
                 )
-                for stats in stats_list:
-                    results[index].record(stats)
             self._kernel.flush_cohort_scores()
             # The repairs went through the store's own views; all that is
             # left is the store's write accounting.

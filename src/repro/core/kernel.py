@@ -16,7 +16,7 @@ float64 delta), indexed by dense integer *slots*:
   accumulated at once in (source, vertex) pair space over the store's own
   column matrices (the ``*_cohort`` routines of :mod:`repro.core.addition`,
   :mod:`repro.core.removal` and :mod:`repro.core.accumulation`) — no
-  dictionary is ever materialised, the graph is a compiled snapshot of the
+  dictionary is ever materialised, the graph is a patched snapshot of the
   :class:`~repro.graph.csr.CSRGraph` mirror per update, and the global
   scores are a flat float64 array plus a slot-pair edge registry.  A solo
   source is a cohort of one; there is no other update path;
@@ -58,10 +58,10 @@ from repro.core.addition import (
 from repro.core.classification import UpdateCase, classify_flat
 from repro.core.flat import FlatBatchState, slice_positions
 from repro.core.removal import repair_removal_structural_cohort
-from repro.core.result import SourceUpdateStats
+from repro.core.result import UpdateResult
 from repro.core.updates import EdgeUpdate
 from repro.exceptions import ConfigurationError, StoreCorruptedError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, with_edge, without_edge
 from repro.graph.graph import Graph
 from repro.storage.codec import (
     DELTA_DTYPE,
@@ -113,11 +113,11 @@ class EdgeScoreRegistry:
     The vectorized accumulation folds a whole level's edge contributions
     into one scatter-add, which needs every edge score to live at a stable
     integer id.  The registry assigns each slot pair a *permanent* id on
-    first sight (ids survive the edge being removed and re-added, so every
-    compiled snapshot of a batch maps its edge ids to the same
-    accumulators) and keeps the scores in :attr:`values` with an
-    :attr:`active` mask tracking which pairs currently "exist" as dict
-    keys.
+    first sight (ids survive the edge being removed and re-added) and keeps
+    the scores in :attr:`values` with an :attr:`active` mask tracking which
+    pairs currently "exist" as dict keys.  These ids are the kernel's CSR
+    entry ids, so every patched snapshot of a batch scatters straight into
+    the same accumulators.
 
     The mapping face reproduces plain-dict semantics for the label
     facade: ``pop`` deactivates *and zeroes* the slot,
@@ -159,13 +159,6 @@ class EdgeScoreRegistry:
             self._ensure_capacity(edge_id + 1)
         return edge_id
 
-    def ensure_ids(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Ids of a compiled snapshot's ``edge_pairs``, in snapshot order."""
-        out = np.empty(len(pairs), dtype=np.int64)
-        for position, pair in enumerate(pairs):
-            out[position] = self.ensure_id(pair)
-        return out
-
     def activate_written(self, ids: np.ndarray) -> None:
         """Make every id in ``ids`` an active key before it is scattered to.
 
@@ -180,7 +173,11 @@ class EdgeScoreRegistry:
             self._count += int(fresh.size)
 
     def reset(self, pairs: Sequence[Tuple[int, int]], scores: np.ndarray) -> None:
-        """Replace the whole registry (bootstrap): ``pairs[k]`` gets id ``k``."""
+        """Replace the whole registry: ``pairs[k]`` gets id ``k``, all active.
+
+        Called with a from-scratch CSR compile's ``edge_pairs``, this makes
+        the compile's entry ids registry ids.
+        """
         self._id_of = {pair: edge_id for edge_id, pair in enumerate(pairs)}
         self._pairs = list(pairs)
         count = len(self._pairs)
@@ -280,16 +277,6 @@ class FlatSourceData:
         self.distance_array = distance
         self.sigma_array = sigma
         self.delta_array = delta
-
-    def to_source_data(self, index: VertexIndex) -> SourceData:
-        """Decode into a label-keyed :class:`SourceData` (testing/snapshot)."""
-        return decode_record_arrays(
-            self.distance_array,
-            self.sigma_array,
-            self.delta_array,
-            index.vertex(self.source),
-            index,
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -580,7 +567,12 @@ class ArrayKernel:
                 store.register_vertex(vertex)
         self.csr = CSRGraph.from_graph(graph, self.index)
         self._vscore = np.zeros(max(len(self.index), 1), dtype=np.float64)
+        # Every edge starts with a 0.0 score entry (the dict backend's
+        # initial mapping), numbered by the compile: from here on the CSR
+        # entries carry registry ids, and only an added edge needs one.
+        edge_pairs = self.csr.compiled()[3]
         self._escore = EdgeScoreRegistry()
+        self._escore.reset(edge_pairs, np.zeros(len(edge_pairs)))
         self._batch_states: Optional[List[FlatBatchState]] = None
         self._cohort_streams: Optional[CohortScoreStreams] = None
         #: When set to a dict, the cohort sweep accumulates per-phase
@@ -614,11 +606,16 @@ class ArrayKernel:
             self._vscore = grown
 
     def add_edge(self, u: Vertex, v: Vertex) -> None:
-        """Mirror a label-graph edge addition (registers new endpoints)."""
+        """Mirror a label-graph edge addition (registers new endpoints).
+
+        The framework calls this (and :meth:`remove_edge`) only when it
+        commits a batch, so the live CSR never runs ahead of the records.
+        """
         for label in (u, v):
             if label not in self.index:
                 self.register_vertex(label)
-        self.csr.add_edge(self.index.slot(u), self.index.slot(v))
+        us, vs = self.index.slot(u), self.index.slot(v)
+        self.csr.add_edge(us, vs, self._escore.ensure_id(self.slot_edge_key(us, vs)))
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Mirror a label-graph edge removal."""
@@ -636,14 +633,18 @@ class ArrayKernel:
     # Step 2: the cohort sweep — one update, every affected source at once
     # ------------------------------------------------------------------ #
     def begin_batch(self, batch: Sequence[EdgeUpdate]) -> None:
-        """Compile per-update graph snapshots for a batch sweep.
+        """Patch per-update graph snapshots for a batch sweep.
 
-        Rolls a clone of the CSR mirror forward through the batch, stashing
-        the compiled out-/in-CSR families after every update — the graph
-        state each scalar repair of that update would see.  Stashing
-        references is safe because a recompile *replaces* the arrays rather
-        than mutating them.  The live mirror is not touched until the
-        framework finalizes the batch.
+        Rolls the live CSR arrays forward through the batch, one
+        :func:`~repro.graph.csr.with_edge` / :func:`~repro.graph.csr.\
+without_edge` patch per update, stashing the out-/in-CSR families after
+        every update — the graph state each scalar repair of that update
+        would see.  Stashing references is safe because a patch *returns
+        fresh arrays* and never writes its inputs; an added edge is
+        registered (its permanent registry id goes into the patch), nothing
+        is recompiled.  The live mirror is not touched: it advances only
+        when the framework commits the batch (:meth:`add_edge` /
+        :meth:`remove_edge`), so a failed batch leaves it as it was.
         """
         if not self._store.columns_in_place:
             raise ConfigurationError(
@@ -653,33 +654,28 @@ class ArrayKernel:
             )
         self._sync_capacity()
         n = len(self.index)
-        work = self.csr.clone()
-        work.ensure_vertices(n)
+        out = self.csr.compiled()[:3]
+        inn = self.csr.compiled_in()
         states: List[FlatBatchState] = []
         for update in batch:
             us = self.index.slot(update.u)
             vs = self.index.slot(update.v)
+            edge_id = self._escore.ensure_id(self.slot_edge_key(us, vs))
             if update.is_addition:
-                work.add_edge(us, vs)
+                out, inn = with_edge(out, inn, self.directed, us, vs, edge_id)
             else:
-                work.remove_edge(us, vs)
-            indptr, indices, edge_ids, edge_pairs = work.compiled()
-            in_indptr, in_indices, in_edge_ids = work.compiled_in()
-            reg_of_edge = self._escore.ensure_ids(edge_pairs)
+                out, inn = without_edge(out, inn, self.directed, us, vs)
             states.append(
                 FlatBatchState(
                     n,
                     self.directed,
-                    indptr,
-                    indices,
-                    edge_ids,
-                    in_indptr,
-                    in_indices,
-                    in_edge_ids,
-                    reg_of_edge,
+                    out[0],
+                    out[1],
+                    *inn,
                     us,
                     vs,
                     update.is_addition,
+                    edge_id,
                 )
             )
         self._batch_states = states
@@ -699,7 +695,8 @@ class ArrayKernel:
         records: Sequence[FlatSourceData],
         ordinals: Sequence[int],
         update_index: int,
-    ) -> List[SourceUpdateStats]:
+        result: UpdateResult,
+    ) -> None:
         """Repair one update for a whole cohort of loaded records at once.
 
         Classification runs per source (:func:`classify_flat`); the repair
@@ -709,7 +706,8 @@ class ArrayKernel:
         records' positions in the batch sweep's source order: shared-score
         writes are deferred into a batch-wide stream keyed on them, and
         :meth:`flush_cohort_scores` replays the dict backend's source-outer
-        float order once the whole batch has swept.
+        float order once the whole batch has swept.  The cohort's per-case
+        counts and summed work are folded into ``result`` in one call.
         """
         state = self._batch_states[update_index]
         timings = self.phase_timings
@@ -718,33 +716,32 @@ class ArrayKernel:
         n = state.n
         if self._cohort_streams is None:
             self._cohort_streams = CohortScoreStreams()
-        stats: List[Optional[SourceUpdateStats]] = [None] * len(records)
 
+        case_counts: Dict[UpdateCase, int] = {}
         job_meta: List[Tuple[int, FlatSourceData, UpdateCase, int, int]] = []
-        for pos, data in enumerate(records):
+        for ordinal, data in zip(ordinals, records):
             case, high, low = classify_flat(state, data.distance_array[:n])
-            if case is UpdateCase.SKIP:
-                stats[pos] = SourceUpdateStats(case=case)
-            else:
-                job_meta.append((pos, data, case, high, low))
+            case_counts[case] = case_counts.get(case, 0) + 1
+            if case is not UpdateCase.SKIP:
+                job_meta.append((int(ordinal), data, case, high, low))
         if timings is not None:
             now = perf_counter()
             timings["classify"] = timings.get("classify", 0.0) + (now - tick)
 
+        affected = touched = disconnected = 0
         slab = max(1, self.COHORT_PAIR_BUDGET // max(n, 1))
         for start in range(0, len(job_meta), slab):
-            self._repair_cohort_slab(
-                state, job_meta[start : start + slab], ordinals, stats
-            )
-        return stats
+            work = self._repair_cohort_slab(state, job_meta[start : start + slab])
+            affected += work[0]
+            touched += work[1]
+            disconnected += work[2]
+        result.fold(case_counts, affected, touched, disconnected)
 
     def _repair_cohort_slab(
         self,
         state: FlatBatchState,
         metas: List[Tuple[int, FlatSourceData, UpdateCase, int, int]],
-        ordinals: Sequence[int],
-        stats: List[Optional[SourceUpdateStats]],
-    ) -> None:
+    ) -> Tuple[int, int, int]:
         """Repair and accumulate one source-ordered slab of cohort jobs.
 
         Every repair class runs as one cohort walk over (job, slot) pairs —
@@ -753,9 +750,18 @@ class ArrayKernel:
         :func:`repair_removal_structural_cohort` — mutating the slab's
         stacked work columns while pristine ``old_*`` gathers keep the
         pre-update rows.  All classes feed merged ``(k, slot, level)`` plan
-        chunks into one :func:`accumulate_cohort` sweep, after which the
-        whole slab's records are written back with three fancy-indexed
-        assignments.
+        chunks into one :func:`accumulate_cohort` sweep.
+
+        Only the touched pairs are written back.  Distances and path counts
+        change only on affected pairs (every pair a repair walk writes is
+        marked affected) and on disconnected pairs; dependencies change only
+        on the pairs the accumulation tracks — a superset of the affected
+        pairs, which seed it — and on disconnected pairs.  So writing all
+        three columns over tracked ∪ disconnected pairs leaves every record
+        exactly as a whole-row write would, and the σ-overflow check, which
+        must run before anything reaches the store, only has affected pairs
+        to inspect.  Returns the slab's ``(affected, touched,
+        disconnected)`` pair counts.
         """
         timings = self.phase_timings
         if timings is not None:
@@ -770,9 +776,7 @@ class ArrayKernel:
         sources = np.array([meta[1].source for meta in metas], dtype=np.int64)
         highs = np.array([meta[3] for meta in metas], dtype=np.int64)
         lows = np.array([meta[4] for meta in metas], dtype=np.int64)
-        ordinals_arr = np.array(
-            [int(ordinals[meta[0]]) for meta in metas], dtype=np.int64
-        )
+        ordinals = np.array([meta[0] for meta in metas], dtype=np.int64)
         pair_first = np.empty(m * n, dtype=np.int64)
         pair_pos = np.empty(m * n, dtype=np.int64)
 
@@ -791,12 +795,11 @@ class ArrayKernel:
         tri_l: List[np.ndarray] = []
         rem_k: List[int] = []
         rem_red: List[float] = []
-        rem_rid: List[int] = []
         same_add: List[int] = []
         add_struct: List[int] = []
         same_rem: List[int] = []
         rem_struct: List[int] = []
-        for k, (_pos, _data, case, _high, _low) in enumerate(metas):
+        for k, (_ordinal, _data, case, _high, _low) in enumerate(metas):
             if case is UpdateCase.ADD_NO_STRUCTURE:
                 same_add.append(k)
             elif case is UpdateCase.ADD_STRUCTURAL:
@@ -817,9 +820,6 @@ class ArrayKernel:
             rem_red.append(
                 int(old_sigma[k, high]) / int(old_sigma[k, low])
                 * (1.0 + float(old_delta[k, low]))
-            )
-            rem_rid.append(
-                self._escore.ensure_id(self.slot_edge_key(high, low))
             )
 
         disc_pid = np.empty(0, dtype=np.int64)
@@ -863,17 +863,16 @@ class ArrayKernel:
             tri_k.append(ck)
             tri_s.append(cs)
             tri_l.append(cl)
-        affected_counts = affected_rows.sum(axis=1)
+        empty = np.empty(0, dtype=np.int64)
+        chunk_k = np.concatenate(tri_k) if tri_k else empty
+        chunk_s = np.concatenate(tri_s) if tri_s else empty
         disc_k = disc_pid // n
-        disc_s = disc_pid - disc_k * n
-        disc_sizes = np.bincount(disc_k, minlength=m)
         if timings is not None:
             now = perf_counter()
             timings["repair"] = timings.get("repair", 0.0) + (now - tick)
             tick = now
 
-        empty = np.empty(0, dtype=np.int64)
-        touched = accumulate_cohort(
+        touched_pid = accumulate_cohort(
             state,
             work_distance,
             work_sigma,
@@ -885,41 +884,43 @@ class ArrayKernel:
             sources,
             highs,
             lows,
-            ordinals_arr,
-            np.concatenate(tri_k) if tri_k else empty,
-            np.concatenate(tri_s) if tri_s else empty,
+            ordinals,
+            chunk_k,
+            chunk_s,
             np.concatenate(tri_l) if tri_l else empty,
             np.array(rem_k, dtype=np.int64),
             np.array(rem_red, dtype=np.float64),
-            np.array(rem_rid, dtype=np.int64),
+            np.full(len(rem_k), state.edge_id, dtype=np.int64),
             disc_k,
-            disc_s,
+            disc_pid - disc_k * n,
             self._cohort_streams,
             state.is_addition,
             pair_first,
         )
+        wd_flat = work_distance.reshape(-1)
+        ws_flat = work_sigma.reshape(-1)
+        nd_flat = new_delta.reshape(-1)
         if disc_pid.size:
-            work_sigma.reshape(-1)[disc_pid] = 0
-            new_delta.reshape(-1)[disc_pid] = 0.0
-        if int(work_sigma.min()) < 0:
-            bad = int(np.argmin(work_sigma.min(axis=1)))
+            ws_flat[disc_pid] = 0
+            nd_flat[disc_pid] = 0.0
+        affected_sigma = ws_flat[chunk_k * n + chunk_s]
+        if affected_sigma.size and int(affected_sigma.min()) < 0:
+            bad = int(chunk_k[np.argmin(affected_sigma)])
             raise StoreCorruptedError(
                 f"shortest-path count from slot {int(sources[bad])} overflowed "
                 "the int64 sigma column during an incremental repair"
             )
-        dist2d[rows, :n] = work_distance
-        sig2d[rows, :n] = work_sigma
-        delta2d[rows, :n] = new_delta
-        for k, (pos, _data, case, _high, _low) in enumerate(metas):
-            stats[pos] = SourceUpdateStats(
-                case=case,
-                affected_vertices=int(affected_counts[k]),
-                touched_vertices=int(touched[k]),
-                disconnected_vertices=int(disc_sizes[k]),
-            )
+        written = np.concatenate((touched_pid, disc_pid))
+        written_k = written // n
+        written_rows = rows[written_k]
+        written_slots = written - written_k * n
+        dist2d[written_rows, written_slots] = wd_flat[written]
+        sig2d[written_rows, written_slots] = ws_flat[written]
+        delta2d[written_rows, written_slots] = nd_flat[written]
         if timings is not None:
             now = perf_counter()
             timings["accumulate"] = timings.get("accumulate", 0.0) + (now - tick)
+        return chunk_k.size, touched_pid.size, disc_pid.size
 
     def flush_cohort_scores(self) -> None:
         """Apply the batch's deferred shared-score streams (sweep is over)."""

@@ -60,13 +60,32 @@ class UpdateResult:
 
     def record(self, stats: SourceUpdateStats) -> None:
         """Fold the statistics of one source into this result."""
-        self.sources_processed += 1
-        self.case_counts[stats.case] = self.case_counts.get(stats.case, 0) + 1
-        if stats.case is UpdateCase.SKIP:
-            self.sources_skipped += 1
-        self.affected_vertices += stats.affected_vertices
-        self.touched_vertices += stats.touched_vertices
-        self.disconnected_vertices += stats.disconnected_vertices
+        self.fold(
+            {stats.case: 1},
+            stats.affected_vertices,
+            stats.touched_vertices,
+            stats.disconnected_vertices,
+        )
+
+    def fold(
+        self,
+        case_counts: Dict[UpdateCase, int],
+        affected: int = 0,
+        touched: int = 0,
+        disconnected: int = 0,
+    ) -> None:
+        """Fold many sources in at once: ``case_counts[case]`` sources per
+        case, plus their summed work.  Same totals as one :meth:`record`
+        per source; a zero count adds no key."""
+        for case, count in case_counts.items():
+            if count:
+                self.sources_processed += count
+                self.case_counts[case] = self.case_counts.get(case, 0) + count
+                if case is UpdateCase.SKIP:
+                    self.sources_skipped += count
+        self.affected_vertices += affected
+        self.touched_vertices += touched
+        self.disconnected_vertices += disconnected
 
     @property
     def skip_fraction(self) -> float:

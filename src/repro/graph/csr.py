@@ -3,37 +3,36 @@
 The array-native compute kernel (:mod:`repro.core.kernel`) works on integer
 vertex *slots* (assigned by :class:`repro.storage.index.VertexIndex`, the
 same slots the on-disk columnar records use) instead of arbitrary hashable
-labels.  :class:`CSRGraph` is the graph structure behind it:
+labels.  :class:`CSRGraph` is the graph structure behind it: ``indptr`` /
+``indices`` numpy arrays plus per-entry edge ids (``edge_ids``), which let
+the vectorized dependency accumulation fold a whole level's edge-betweenness
+contributions into a flat per-edge score array with one ``np.add.at``.
 
-* mutable adjacency lists of ``int`` slots for the incremental repair
-  loops (append on add, remove-first-occurrence on delete — exactly the
-  insertion-order semantics of :class:`repro.graph.graph.Graph`'s
-  ordered-dict adjacency, so the two structures stay in lockstep when fed
-  the same mutation stream and every traversal visits neighbors in the
-  same order — the property that makes the ``arrays`` and ``dicts``
-  framework backends bit-identical);
-* compiled ``indptr`` / ``indices`` numpy arrays for the vectorized
-  Brandes bootstrap, rebuilt lazily and therefore *amortized*: any number
-  of edge mutations between two vectorized accesses costs a single
-  O(n + m) rebuild.
+The arrays are compiled from scratch once (:meth:`CSRGraph.from_graph`) and
+then *patched* per mutation (:func:`with_edge` / :func:`without_edge`): an
+addition inserts the neighbor at the end of its row, a removal deletes its
+first occurrence — exactly the insertion-order semantics of
+:class:`repro.graph.graph.Graph`'s ordered-dict adjacency, so the two
+structures stay in lockstep when fed the same mutation stream and every
+traversal visits neighbors in the same order (the property that makes the
+``arrays`` and ``dicts`` framework backends bit-identical).  A patch costs
+one O(n + m) array copy in numpy, never a Python pass over the adjacency,
+and always produces *fresh* arrays: arrays handed out earlier are never
+written, so callers may keep references to them as snapshots.
 
-The compiled form also carries per-entry edge ids (``edge_ids``), which
-lets the vectorized dependency accumulation fold a whole level's
-edge-betweenness contributions into a flat per-edge score array with one
-``np.add.at`` instead of one dictionary update per DAG edge.
-
-Directed graphs keep a **predecessor mirror**: a second set of adjacency
-lists (and compiled ``in_indptr`` / ``in_indices`` / ``in_edge_ids``
-arrays) recording in-neighbors in the same insertion order as the label
-graph's ``_pred`` dictionaries.  The forward BFS walks the out-CSR and the
-dependency accumulation walks the in-CSR; for undirected graphs both
-mirrors are one and the same structure, so nothing changes for the
-existing undirected paths (same objects, same orders, same bits).
+Directed graphs keep a **predecessor mirror**: a second family of compiled
+arrays (``in_indptr`` / ``in_indices`` / ``in_edge_ids``) recording
+in-neighbors in the same insertion order as the label graph's ``_pred``
+dictionaries.  The forward BFS walks the out-CSR and the dependency
+accumulation walks the in-CSR; for undirected graphs both families are one
+and the same arrays, so nothing changes for the undirected paths (same
+objects, same orders, same bits).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,75 +44,152 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 #: dtype of the compiled indptr/indices/edge_ids arrays.
 INDEX_DTYPE = np.dtype(np.int64)
 
+#: One compiled CSR family: ``(indptr, indices, edge_ids)``.
+Family = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _empty_family(num_vertices: int) -> Family:
+    empty = np.empty(0, dtype=INDEX_DTYPE)
+    return np.zeros(num_vertices + 1, dtype=INDEX_DTYPE), empty, empty
+
+
+def _appended(family: Family, row: int, col: int, edge_id: int) -> Family:
+    """``family`` with ``col`` (carrying ``edge_id``) appended to ``row``."""
+    indptr, indices, edge_ids = family
+    at = int(indptr[row + 1])
+    shifted = indptr.copy()
+    shifted[row + 1 :] += 1
+    return shifted, np.insert(indices, at, col), np.insert(edge_ids, at, edge_id)
+
+
+def _deleted(family: Family, row: int, col: int) -> Family:
+    """``family`` without the first ``col`` of ``row``."""
+    indptr, indices, edge_ids = family
+    start = int(indptr[row])
+    at = start + int(np.flatnonzero(indices[start : indptr[row + 1]] == col)[0])
+    shifted = indptr.copy()
+    shifted[row + 1 :] -= 1
+    return shifted, np.delete(indices, at), np.delete(edge_ids, at)
+
+
+def with_edge(
+    out: Family, inn: Family, directed: bool, i: int, j: int, edge_id: int
+) -> Tuple[Family, Family]:
+    """The ``(out, in)`` families after adding edge ``(i, j)`` with id ``edge_id``.
+
+    Undirected: ``j`` joins the end of row ``i`` and ``i`` the end of row
+    ``j`` in the one shared family.  Directed: ``j`` joins the end of out-row
+    ``i`` and ``i`` the end of in-row ``j``.  The inputs are not modified.
+    """
+    out = _appended(out, i, j, edge_id)
+    if directed:
+        return out, _appended(inn, j, i, edge_id)
+    out = _appended(out, j, i, edge_id)
+    return out, out
+
+
+def without_edge(
+    out: Family, inn: Family, directed: bool, i: int, j: int
+) -> Tuple[Family, Family]:
+    """The ``(out, in)`` families after removing edge ``(i, j)`` (see :func:`with_edge`)."""
+    out = _deleted(out, i, j)
+    if directed:
+        return out, _deleted(inn, j, i)
+    out = _deleted(out, j, i)
+    return out, out
+
 
 class CSRGraph:
-    """Int-slot adjacency with lazily compiled CSR arrays.
+    """Int-slot adjacency as compiled CSR arrays, patched in place of rebuilds.
 
     Slots are dense integers ``0 .. num_vertices - 1``; the caller (the
-    kernel) owns the mapping between labels and slots.  Mutations are O(1)
-    amortized on the adjacency lists and invalidate the compiled arrays;
-    the next access to :meth:`compiled` rebuilds them once.
+    kernel) owns the mapping between labels and slots.  Edge ids in the
+    arrays are numbered by the from-scratch compile (first encounter,
+    slots ascending); an added edge carries the id its caller passes, which
+    is how the kernel keeps every entry on its permanent
+    :class:`~repro.core.kernel.EdgeScoreRegistry` id.
 
-    When ``directed`` is true the successor and predecessor lists are
-    distinct (``adj`` holds out-neighbors, ``in_adj`` in-neighbors); when
-    false they are the *same* list objects, exactly like
-    :class:`~repro.graph.graph.Graph` aliasing ``_pred`` to ``_succ``.
+    When ``directed`` is true the successor and predecessor families are
+    distinct (out-neighbors and in-neighbors); when false they are the
+    *same* arrays, exactly like :class:`~repro.graph.graph.Graph` aliasing
+    ``_pred`` to ``_succ``.
     """
 
     __slots__ = (
         "_directed",
-        "_adj",
-        "_in_adj",
-        "_num_edges",
-        "_indptr",
-        "_indices",
-        "_edge_ids",
-        "_in_indptr",
-        "_in_indices",
-        "_in_edge_ids",
+        "_out",
+        "_in",
         "_edge_pairs",
-        "_compiled",
+        "_num_edges",
         "rebuild_count",
     )
 
     def __init__(self, num_vertices: int = 0, directed: bool = False) -> None:
         self._directed = directed
-        self._adj: List[List[int]] = [[] for _ in range(num_vertices)]
-        # Aliasing keeps the undirected mirrors in lockstep with a single
-        # update, mirroring Graph's _pred-is-_succ trick.
-        self._in_adj: List[List[int]] = (
-            [[] for _ in range(num_vertices)] if directed else self._adj
+        self._out: Family = _empty_family(num_vertices)
+        self._in: Family = (
+            _empty_family(num_vertices) if directed else self._out
         )
+        self._edge_pairs: List[Tuple[int, int]] = []
         self._num_edges = 0
+        #: From-scratch compiles this mirror has run; patches never add one.
         self.rebuild_count = 0
-        self._invalidate()
 
     @classmethod
     def from_graph(cls, graph: Graph, index: "VertexIndex") -> "CSRGraph":
-        """Mirror ``graph`` into slot space using ``index``'s slot assignment.
+        """Compile ``graph`` into slot space using ``index``'s slot assignment.
 
         Every vertex of ``graph`` must already be indexed; slots the index
         knows but the graph lacks (e.g. vertices registered for another
         worker's partition) become isolated slots.  Neighbor order is the
         graph's (insertion) order, so traversals of the mirror replay the
-        label graph's traversals exactly — out-lists mirror the successor
-        dictionaries and, for directed graphs, in-lists the predecessor
+        label graph's traversals exactly — out-rows mirror the successor
+        dictionaries and, for directed graphs, in-rows the predecessor
         dictionaries.
         """
-        csr = cls(len(index), directed=graph.directed)
+        n = len(index)
+        width = max(n, 1)
         slot_of = {label: slot for slot, label in enumerate(index.vertices())}
-        adj = csr._adj
-        for label in graph.vertices():
-            adj[slot_of[label]] = [slot_of[nbr] for nbr in graph.out_neighbors(label)]
-        if graph.directed:
-            in_adj = csr._in_adj
+
+        def compile_rows(neighbors) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """``(indptr, indices, row of every entry)`` of one family."""
+            rows: List[List[int]] = [[] for _ in range(n)]
             for label in graph.vertices():
-                in_adj[slot_of[label]] = [
-                    slot_of[nbr] for nbr in graph.in_neighbors(label)
-                ]
-            csr._num_edges = sum(len(neighbors) for neighbors in adj)
+                rows[slot_of[label]] = [slot_of[nbr] for nbr in neighbors(label)]
+            degrees = np.fromiter(map(len, rows), dtype=INDEX_DTYPE, count=n)
+            indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+            np.cumsum(degrees, out=indptr[1:])
+            indices = np.fromiter(
+                chain.from_iterable(rows), dtype=INDEX_DTYPE, count=int(indptr[-1])
+            )
+            return indptr, indices, np.repeat(np.arange(n, dtype=INDEX_DTYPE), degrees)
+
+        csr = cls(0, directed=graph.directed)
+        indptr, indices, tails = compile_rows(graph.out_neighbors)
+        if graph.directed:
+            keys = tails * width + indices
         else:
-            csr._num_edges = sum(len(neighbors) for neighbors in adj) // 2
+            keys = np.minimum(tails, indices) * width + np.maximum(tails, indices)
+        # Ids in first-encounter order over the entries (slots ascending,
+        # each row in insertion order): rank the distinct keys by where
+        # they first occur.
+        distinct, first, inverse = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+        by_first = np.argsort(first)
+        rank = np.empty(distinct.size, dtype=INDEX_DTYPE)
+        rank[by_first] = np.arange(distinct.size, dtype=INDEX_DTYPE)
+        ordered = distinct[by_first]
+        csr._edge_pairs = list(
+            zip((ordered // width).tolist(), (ordered % width).tolist())
+        )
+        csr._num_edges = int(distinct.size)
+        csr._out = csr._in = (indptr, indices, rank[inverse.reshape(-1)])
+        if graph.directed:
+            in_indptr, in_indices, heads = compile_rows(graph.in_neighbors)
+            in_ids = rank[np.searchsorted(distinct, in_indices * width + heads)]
+            csr._in = (in_indptr, in_indices, in_ids)
+        csr.rebuild_count = 1
         return csr
 
     # ------------------------------------------------------------------ #
@@ -127,7 +203,7 @@ class CSRGraph:
     @property
     def num_vertices(self) -> int:
         """Number of slots (including isolated ones)."""
-        return len(self._adj)
+        return len(self._out[0]) - 1
 
     @property
     def num_edges(self) -> int:
@@ -135,93 +211,71 @@ class CSRGraph:
         return self._num_edges
 
     # ------------------------------------------------------------------ #
-    # Mutation (O(degree) worst case, order-preserving)
+    # Mutation (one patch per call, order-preserving, fresh arrays)
     # ------------------------------------------------------------------ #
-    def add_vertex(self) -> int:
-        """Append a new isolated slot and return it."""
-        self._adj.append([])
-        if self._directed:
-            self._in_adj.append([])
-        self._invalidate()
-        return len(self._adj) - 1
-
     def ensure_vertices(self, count: int) -> None:
         """Grow to at least ``count`` slots (no-op when already that big)."""
-        while len(self._adj) < count:
-            self.add_vertex()
+        extra = count - self.num_vertices
+        if extra <= 0:
+            return
 
-    def add_edge(self, i: int, j: int) -> None:
-        """Add the edge ``(i, j)`` (``i -> j`` if directed; caller guarantees absence)."""
-        self._adj[i].append(j)
-        self._in_adj[j].append(i)
+        def grown(family: Family) -> Family:
+            indptr, indices, edge_ids = family
+            tail = np.full(extra, indptr[-1], dtype=INDEX_DTYPE)
+            return np.concatenate((indptr, tail)), indices, edge_ids
+
+        self._out = grown(self._out)
+        self._in = grown(self._in) if self._directed else self._out
+
+    def add_edge(self, i: int, j: int, edge_id: int) -> None:
+        """Add the edge ``(i, j)`` (``i -> j`` if directed) under ``edge_id``.
+
+        The caller guarantees the edge is absent.
+        """
+        self._out, self._in = with_edge(
+            self._out, self._in, self._directed, i, j, edge_id
+        )
         self._num_edges += 1
-        self._invalidate()
 
     def remove_edge(self, i: int, j: int) -> None:
         """Remove the edge ``(i, j)`` (``i -> j`` if directed; caller guarantees presence)."""
-        self._adj[i].remove(j)
-        self._in_adj[j].remove(i)
-        self._num_edges -= 1
-        self._invalidate()
-
-    def clone(self) -> "CSRGraph":
-        """Deep copy of the adjacency (compiled arrays are not carried over).
-
-        The batch kernel rolls a clone forward through a batch to compile
-        per-update snapshots without disturbing the live mirror.
-        """
-        other = CSRGraph(0, directed=self._directed)
-        other._adj = [list(neighbors) for neighbors in self._adj]
-        other._in_adj = (
-            [list(parents) for parents in self._in_adj]
-            if self._directed
-            else other._adj
+        self._out, self._in = without_edge(
+            self._out, self._in, self._directed, i, j
         )
-        other._num_edges = self._num_edges
-        return other
+        self._num_edges -= 1
 
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #
     def neighbors(self, i: int) -> List[int]:
-        """Out-neighbors of slot ``i`` in insertion order.  Do not mutate."""
-        return self._adj[i]
-
-    def in_neighbors(self, i: int) -> List[int]:
-        """In-neighbors of slot ``i`` (same list as :meth:`neighbors` when undirected)."""
-        return self._in_adj[i]
-
-    def degree(self, i: int) -> int:
-        """Out-degree of slot ``i``."""
-        return len(self._adj[i])
+        """Out-neighbors of slot ``i`` in insertion order."""
+        indptr, indices, _edge_ids = self._out
+        return indices[indptr[i] : indptr[i + 1]].tolist()
 
     def has_edge(self, i: int, j: int) -> bool:
         """Whether the edge ``(i, j)`` (``i -> j`` if directed) is present."""
-        return j in self._adj[i]
+        return j in self.neighbors(i)
 
-    # ------------------------------------------------------------------ #
-    # Compiled CSR arrays (lazy, amortized rebuild)
-    # ------------------------------------------------------------------ #
     def compiled(
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Tuple[int, int]]]:
-        """Return ``(indptr, indices, edge_ids, edge_pairs)``, rebuilding if stale.
+        """Return ``(indptr, indices, edge_ids, edge_pairs)``.
 
         ``indices[indptr[i]:indptr[i + 1]]`` are the out-neighbors of slot
-        ``i`` in insertion order; ``edge_ids`` maps every entry to its edge
-        id, and ``edge_pairs[e]`` is the slot pair of edge ``e`` — the
-        canonical ``(min, max)`` pair for undirected graphs, the oriented
-        ``(tail, head)`` pair for directed ones.  Edge ids are assigned in
-        first-encounter order scanning slots ascending, which matches the
-        first-encounter order of :meth:`repro.graph.graph.Graph.edges` on
-        the mirrored label graph.
+        ``i`` in insertion order and ``edge_ids`` maps every entry to its
+        edge id.  ``edge_pairs[e]`` is the slot pair of every id ``e`` the
+        from-scratch compile assigned — the canonical ``(min, max)`` pair
+        for undirected graphs, the oriented ``(tail, head)`` pair for
+        directed ones, numbered in first-encounter order scanning slots
+        ascending, which matches the first-encounter order of
+        :meth:`repro.graph.graph.Graph.edges` on the mirrored label graph.
+        Ids of edges added later are whatever :meth:`add_edge` was given.
         """
-        if not self._compiled:
-            self._rebuild()
-        return self._indptr, self._indices, self._edge_ids, self._edge_pairs
+        indptr, indices, edge_ids = self._out
+        return indptr, indices, edge_ids, self._edge_pairs
 
     def compiled_in(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(in_indptr, in_indices, in_edge_ids)``, rebuilding if stale.
+        """Return ``(in_indptr, in_indices, in_edge_ids)``.
 
         ``in_indices[in_indptr[i]:in_indptr[i + 1]]`` are the in-neighbors
         of slot ``i`` in insertion order and ``in_edge_ids`` maps every
@@ -230,9 +284,7 @@ class CSRGraph:
         the out-CSR (shared adjacency), so existing undirected callers see
         identical objects.
         """
-        if not self._compiled:
-            self._rebuild()
-        return self._in_indptr, self._in_indices, self._in_edge_ids
+        return self._in
 
     # ------------------------------------------------------------------ #
     # Shared-memory export / attach
@@ -283,12 +335,11 @@ class CSRGraph:
     def attach_compiled(cls, payload: dict) -> Tuple["CSRGraph", list]:
         """Re-materialize an exported mirror from its segment descriptors.
 
-        The compiled arrays are attached **read-only** and preset (no
-        rebuild), while the mutable adjacency lists are decoded from them —
-        in CSR order, which is insertion order, so traversals replay the
-        exporter's exactly.  Returns ``(csr, buffers)``; the caller closes
-        the attachment buffers when done (the first mutation recompiles
-        into private arrays anyway).
+        The compiled arrays are attached **read-only** and used as they are
+        (no compile).  Returns ``(csr, buffers)``; the caller closes the
+        attachment buffers when done.  A mutation patches into private
+        arrays (patches never write their inputs), but the mirror must not
+        be read after its buffers are closed.
         """
         from repro.storage.buffers import ShmDescriptor, attach as attach_buffer
 
@@ -304,35 +355,15 @@ class CSRGraph:
                 buffer.release()
             raise
         directed = bool(payload["directed"])
-        n = int(payload["num_vertices"])
         csr = cls(0, directed=directed)
-        indptr, indices = arrays["indptr"], arrays["indices"]
-        csr._adj = [
-            [int(j) for j in indices[indptr[i] : indptr[i + 1]]]
-            for i in range(n)
-        ]
-        if directed:
-            in_indptr, in_indices = arrays["in_indptr"], arrays["in_indices"]
-            csr._in_adj = [
-                [int(j) for j in in_indices[in_indptr[i] : in_indptr[i + 1]]]
-                for i in range(n)
-            ]
-        else:
-            csr._in_adj = csr._adj
+        csr._out = (arrays["indptr"], arrays["indices"], arrays["edge_ids"])
+        csr._in = (
+            (arrays["in_indptr"], arrays["in_indices"], arrays["in_edge_ids"])
+            if directed
+            else csr._out
+        )
         csr._num_edges = int(payload["num_edges"])
-        csr._indptr = indptr
-        csr._indices = indices
-        csr._edge_ids = arrays["edge_ids"]
         csr._edge_pairs = [(int(a), int(b)) for a, b in arrays["edge_pairs"]]
-        if directed:
-            csr._in_indptr = arrays["in_indptr"]
-            csr._in_indices = arrays["in_indices"]
-            csr._in_edge_ids = arrays["in_edge_ids"]
-        else:
-            csr._in_indptr = indptr
-            csr._in_indices = indices
-            csr._in_edge_ids = arrays["edge_ids"]
-        csr._compiled = True
         return csr, buffers
 
     def to_label_graph(self, labels: Sequence) -> Graph:
@@ -340,93 +371,26 @@ class CSRGraph:
 
         The inverse of :meth:`from_graph` for fully populated mirrors:
         adjacency (and, when directed, predecessor) iteration order is the
-        slot lists' order, which :meth:`from_graph` took from the label
-        graph — so a round trip reproduces the original graph's traversal
-        order bit-for-bit.
+        rows' order, which :meth:`from_graph` took from the label graph —
+        so a round trip reproduces the original graph's traversal order
+        bit-for-bit.
         """
-        succ = {
-            labels[i]: [labels[j] for j in row]
-            for i, row in enumerate(self._adj)
-        }
-        pred = (
-            {
-                labels[i]: [labels[j] for j in row]
-                for i, row in enumerate(self._in_adj)
+
+        def rows(family: Family) -> dict:
+            bounds = family[0].tolist()
+            flat = family[1].tolist()
+            return {
+                labels[i]: [labels[j] for j in flat[bounds[i] : bounds[i + 1]]]
+                for i in range(len(bounds) - 1)
             }
-            if self._directed
-            else None
-        )
+
         return Graph.from_adjacency_payload(
-            {"succ": succ, "pred": pred}, directed=self._directed
+            {
+                "succ": rows(self._out),
+                "pred": rows(self._in) if self._directed else None,
+            },
+            directed=self._directed,
         )
-
-    def _invalidate(self) -> None:
-        self._compiled = False
-        self._indptr: Optional[np.ndarray] = None
-        self._indices: Optional[np.ndarray] = None
-        self._edge_ids: Optional[np.ndarray] = None
-        self._in_indptr: Optional[np.ndarray] = None
-        self._in_indices: Optional[np.ndarray] = None
-        self._in_edge_ids: Optional[np.ndarray] = None
-        self._edge_pairs: List[Tuple[int, int]] = []
-
-    def _compile_lists(
-        self, lists: List[List[int]]
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """CSR-compile one family of adjacency lists (no edge ids yet)."""
-        n = len(lists)
-        degrees = np.fromiter(
-            (len(neighbors) for neighbors in lists), dtype=INDEX_DTYPE, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-        np.cumsum(degrees, out=indptr[1:])
-        total = int(indptr[-1])
-        indices = np.empty(total, dtype=INDEX_DTYPE)
-        cursor = 0
-        for neighbors in lists:
-            for j in neighbors:
-                indices[cursor] = j
-                cursor += 1
-        return indptr, indices, total
-
-    def _rebuild(self) -> None:
-        indptr, indices, total = self._compile_lists(self._adj)
-        edge_ids = np.empty(total, dtype=INDEX_DTYPE)
-        id_of: Dict[Tuple[int, int], int] = {}
-        cursor = 0
-        for i, neighbors in enumerate(self._adj):
-            for j in neighbors:
-                if self._directed:
-                    pair = (i, j)
-                else:
-                    pair = (i, j) if i <= j else (j, i)
-                edge_id = id_of.get(pair)
-                if edge_id is None:
-                    edge_id = len(id_of)
-                    id_of[pair] = edge_id
-                edge_ids[cursor] = edge_id
-                cursor += 1
-        self._indptr = indptr
-        self._indices = indices
-        self._edge_ids = edge_ids
-        self._edge_pairs = list(id_of)
-        if self._directed:
-            in_indptr, in_indices, in_total = self._compile_lists(self._in_adj)
-            in_edge_ids = np.empty(in_total, dtype=INDEX_DTYPE)
-            cursor = 0
-            for j, parents in enumerate(self._in_adj):
-                for i in parents:
-                    in_edge_ids[cursor] = id_of[(i, j)]
-                    cursor += 1
-            self._in_indptr = in_indptr
-            self._in_indices = in_indices
-            self._in_edge_ids = in_edge_ids
-        else:
-            self._in_indptr = indptr
-            self._in_indices = indices
-            self._in_edge_ids = edge_ids
-        self._compiled = True
-        self.rebuild_count += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "directed" if self._directed else "undirected"

@@ -475,8 +475,9 @@ class DiskBDStore(BDStore):
 
         The mmap record area already *is* a strided ``(capacity,
         capacity)`` matrix per column, so the kernel's cohort repair can
-        gather and write back whole slabs of records with fancy row
-        indexing — the same bulk protocol
+        gather whole slabs of records with fancy row indexing and write
+        the repaired pairs back with fancy pair indexing — the same bulk
+        protocol
         :meth:`repro.storage.arrays.ArrayBDStore.column_matrices` serves
         in RAM.  In buffered mode the matrices exist only inside a
         :meth:`begin_column_sweep` window (outside one the store reports
@@ -486,8 +487,8 @@ class DiskBDStore(BDStore):
         """
         self._ensure_open()
         if self._sweep_views is not None:
-            # The kernel writes whole record rows back through these
-            # matrices; every source row may be touched by the sweep.
+            # The kernel writes record rows back through these matrices;
+            # every source row may be touched by the sweep.
             self._sweep_dirty_slots.update(
                 self._index.slot(s) for s in self._source_set
             )

@@ -254,24 +254,37 @@ class TestCSRMirror:
         graph.remove_edge(0, 2)
         csr.remove_edge(0, 2)
         graph.add_edge(0, 2)
-        csr.add_edge(0, 2)
+        csr.add_edge(0, 2, edge_id=1)
         for label in graph.vertices():
             expected = [index.slot(n) for n in graph.out_neighbors(label)]
             assert csr.neighbors(index.slot(label)) == expected
 
-    def test_compiled_arrays_amortize_rebuilds(self):
-        graph = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_patches_are_fresh_arrays_and_never_rebuild(self, directed):
+        graph = Graph(directed=directed)
+        for u, v in [(0, 1), (1, 2), (2, 3)]:
+            graph.add_edge(u, v)
         index = VertexIndex(graph.vertex_list())
         csr = CSRGraph.from_graph(graph, index)
-        csr.compiled()
-        builds = csr.rebuild_count
-        csr.compiled()
-        assert csr.rebuild_count == builds  # cached, no rebuild
-        csr.add_edge(0, 3)
+        assert csr.rebuild_count == 1  # the from-scratch compile
+        held = csr.compiled()[:3] + csr.compiled_in()
+        pristine = [array.copy() for array in held]
+        csr.add_edge(0, 3, edge_id=7)
         csr.remove_edge(0, 3)
-        csr.add_edge(0, 2)
-        csr.compiled()
-        assert csr.rebuild_count == builds + 1  # three mutations, one rebuild
+        csr.add_edge(0, 2, edge_id=8)
+        assert csr.rebuild_count == 1  # three patches, no rebuild
+        # A patch never writes the arrays it started from, so references
+        # taken before it stay exact snapshots.
+        for kept, original in zip(held, pristine):
+            assert kept.tolist() == original.tolist()
+        # An addition lands at its rows' ends under the id it was given.
+        indptr, indices, edge_ids, _pairs = csr.compiled()
+        assert csr.neighbors(0) == [1, 2]
+        assert edge_ids[indptr[0] : indptr[1]].tolist() == [0, 8]
+        in_indptr, in_indices, in_edge_ids = csr.compiled_in()
+        assert in_indices[in_indptr[2] : in_indptr[3]].tolist()[-1] == 0
+        assert in_edge_ids[in_indptr[2] : in_indptr[3]].tolist()[-1] == 8
+        assert csr.num_edges == 4
 
     def test_compiled_slices_match_adjacency(self):
         graph = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])

@@ -18,7 +18,11 @@ Every deterministic case and every hypothesis-generated stream is checked
 after EVERY batch on {undirected, directed} x {in-RAM columns, mmap disk,
 buffered disk}, comparing vertex scores, edge scores, and all stored
 records; the deterministic cases additionally run with the cohort cut into
-slabs of one and two jobs.
+slabs of one and two jobs, and compare every update's work statistics.
+
+Alongside: the kernel's incrementally patched CSR against a from-scratch
+compile, an int64 sigma overflow inside a repair (refused whole), and the
+merge the accumulation uses in place of a sort.
 """
 
 from __future__ import annotations
@@ -29,12 +33,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.core
+from repro.api import BetweennessConfig, BetweennessSession
 from repro.core import ArrayKernel, EdgeUpdate, IncrementalBetweenness
-from repro.graph import Graph
+from repro.core.flat import merge_order
+from repro.exceptions import StoreCorruptedError
+from repro.graph import CSRGraph, Graph
 from repro.storage import DiskBDStore
 from repro.storage.buffers import active_segments, shm_available
 
@@ -91,17 +98,40 @@ def assert_streams_bit_identical(arrays, dicts, context):
 
 
 def run_differential(graph, batches, store_kind):
+    """Run both backends batch by batch; returns their ``BatchResult`` pairs."""
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         arrays = make_arrays_framework(graph.copy(), store_kind, Path(tmp))
         dicts = IncrementalBetweenness(graph.copy(), backend="dicts")
         assert_streams_bit_identical(arrays, dicts, "bootstrap")
         for i, batch in enumerate(batches):
-            arrays.apply_updates(list(batch))
-            dicts.apply_updates(list(batch))
+            results.append(
+                (arrays.apply_updates(list(batch)), dicts.apply_updates(list(batch)))
+            )
             assert_streams_bit_identical(
                 arrays, dicts, f"after batch {i} ({batch})"
             )
         arrays.store.close()
+    return results
+
+
+def work_counts(batch_result):
+    """A batch's counters and every update's statistics, as comparable data."""
+    return (
+        batch_result.sources_loaded,
+        batch_result.sources_peek_skipped,
+        [
+            (
+                result.case_counts,
+                result.sources_processed,
+                result.sources_skipped,
+                result.affected_vertices,
+                result.touched_vertices,
+                result.disconnected_vertices,
+            )
+            for result in batch_result.results
+        ],
+    )
 
 
 add = EdgeUpdate.addition
@@ -186,7 +216,11 @@ class TestAdversarialStreams:
                 return original(kernel, state, metas, *args)
 
             monkeypatch.setattr(ArrayKernel, "_repair_cohort_slab", spy)
-        run_differential(graph, batches, store_kind)
+        results = run_differential(graph, batches, store_kind)
+        # The bulk-folded statistics equal the dict backend's per-source ones.
+        assert [work_counts(a) for a, _ in results] == [
+            work_counts(d) for _, d in results
+        ]
         if slab_jobs is not None:
             # Witness that cohorts really were cut at the requested size.
             assert max(slab_sizes) == slab_jobs
@@ -271,6 +305,87 @@ class TestHypothesisStreams:
         directed = data.draw(st.booleans())
         graph, batches = data.draw(batched_stream(directed))
         run_differential(graph, batches, store_kind)
+
+
+class TestIncrementalCSR:
+    """The kernel's live CSR is patched per committed update, never
+    recompiled, and stays exactly what a from-scratch compile would be."""
+
+    @pytest.mark.parametrize(
+        "directed", [False, True], ids=["undirected", "directed"]
+    )
+    @given(data=st.data())
+    def test_live_arrays_equal_a_fresh_compile(self, directed, data):
+        graph, batches = data.draw(batched_stream(directed))
+        framework = IncrementalBetweenness(graph, backend="arrays")
+        kernel = framework._kernel
+        compiles = kernel.csr.rebuild_count
+        registry_pairs = kernel._escore._pairs
+        for i, batch in enumerate(batches):
+            framework.apply_updates(batch)
+            fresh = CSRGraph.from_graph(framework.graph, kernel.index)
+            families = [(kernel.csr.compiled()[:3], fresh.compiled()[:3], False)]
+            if directed:
+                families.append((kernel.csr.compiled_in(), fresh.compiled_in(), True))
+            for live, expected, inbound in families:
+                indptr, indices, edge_ids = live
+                assert indptr.tolist() == expected[0].tolist(), f"batch {i}"
+                assert indices.tolist() == expected[1].tolist(), f"batch {i}"
+                # Every entry carries the registry id of its own slot pair.
+                rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+                for row, col, edge_id in zip(
+                    rows.tolist(), indices.tolist(), edge_ids.tolist()
+                ):
+                    tail, head = (col, row) if inbound else (row, col)
+                    assert registry_pairs[edge_id] == kernel.slot_edge_key(
+                        tail, head
+                    ), f"batch {i}"
+            assert kernel.csr.rebuild_count == compiles, f"batch {i}"
+
+
+def diamond_chain():
+    """63 diamonds: hub ``i`` reaches hub ``i + 1`` through ``64 + i`` and
+    ``127 + i``; the last diamond lacks the edge ``(189, 63)``.  190
+    vertices; path counts reach ``2**62`` end to end, one short of the
+    int64 sigma column's limit."""
+    graph = Graph()
+    for i in range(63):
+        graph.add_edge(i, 64 + i)
+        graph.add_edge(64 + i, i + 1)
+        graph.add_edge(i, 127 + i)
+        if i < 62:
+            graph.add_edge(127 + i, i + 1)
+    return graph
+
+
+class TestRepairSigmaOverflow:
+    """An update that overflows int64 sigma fails loudly and changes nothing."""
+
+    @pytest.mark.parametrize("store", ["arrays", "disk-mmap"])
+    def test_overflowing_update_is_refused_whole(self, store, tmp_path):
+        uri = (
+            "arrays://"
+            if store == "arrays"
+            else f"disk://{tmp_path / 'bd.bin'}?mmap=true"
+        )
+        graph = diamond_chain()
+        config = BetweennessConfig(backend="arrays", store=uri)
+        with BetweennessSession(graph, config) as session:
+            vertex_before = session.vertex_betweenness()
+            edge_before = session.edge_betweenness()
+            # Completing the last diamond doubles 2**62 paths to 2**63.
+            with pytest.raises(StoreCorruptedError):
+                session.apply_batch([add(189, 63)])
+            assert session.vertex_betweenness() == vertex_before
+            assert session.edge_betweenness() == edge_before
+            assert not session.graph.has_edge(189, 63)
+            assert (63, 189) not in session.edge_betweenness()
+            # Nothing half-applied survives: the next update is exact.
+            session.apply_batch([remove(63, 126)])
+            oracle = IncrementalBetweenness(graph, backend="dicts")
+            oracle.remove_edge(63, 126)
+            assert session.vertex_betweenness() == oracle.vertex_betweenness()
+            assert session.edge_betweenness() == oracle.edge_betweenness()
 
 
 @pytest.mark.parametrize("sweep_allocator", ["heap", "shm"])
@@ -362,6 +477,26 @@ class TestScatterOrder:
         for i, v in zip(idx.tolist(), vals.tolist()):
             expected[i] += v
         assert acc.tolist() == expected.tolist()
+
+
+class TestMergeOrder:
+    """The accumulation's merge of new- and old-DAG selections is the
+    parity argsort it replaces: ascending, ``first`` before ``second`` on
+    ties."""
+
+    @example(first=set(), second=set())
+    @example(first={0, 3, 9}, second=set())
+    @example(first=set(), second={2, 4})
+    @example(first={1, 5, 6}, second={1, 5, 7})
+    @given(
+        first=st.sets(st.integers(min_value=0, max_value=60)),
+        second=st.sets(st.integers(min_value=0, max_value=60)),
+    )
+    def test_equals_the_parity_argsort(self, first, second):
+        a = np.array(sorted(first), dtype=np.int64)
+        b = np.array(sorted(second), dtype=np.int64)
+        expected = np.argsort(np.concatenate((2 * a, 2 * b + 1)))
+        assert merge_order(a, b).tolist() == expected.tolist()
 
 
 def test_core_reads_no_environment_switch():
