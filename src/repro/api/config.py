@@ -79,7 +79,7 @@ class BetweennessConfig:
         Must be 1 under the ``serial`` executor.
     store:
         Store URI resolved through :func:`repro.storage.create_store`
-        (``memory://``, ``arrays://``, ``disk:///path?mmap=true``, or any
+        (``memory://``, ``arrays://``, ``disk:///path``, or any
         third-party registered scheme).  Under the ``process`` and
         ``mapreduce`` executors the scheme selects the *per-worker* store
         kind and must be path-less (each worker owns a private temporary
@@ -113,9 +113,9 @@ class BetweennessConfig:
         workers attach the initial graph and their seed records from shared
         segments and per-batch dispatch ships ``(offset, length)``
         descriptors into a shared update ring; under ``serial`` the store's
-        columns live in (or sweep through) shared segments
-        (``arrays://``-style columnar stores and buffered ``disk://``
-        stores).  Scores are bit-identical either way.  Equivalent to the
+        columns live in shared segments (``arrays://``-style columnar
+        stores; ``disk://`` is refused, its columns are the mapped file).
+        Scores are bit-identical either way.  Equivalent to the
         ``?shm=1`` query parameter on ``arrays://`` / ``shard://`` URIs —
         setting the field to ``True`` while the URI says ``shm=0`` (or vice
         versa) is a contradiction and is refused.
@@ -270,14 +270,12 @@ class BetweennessConfig:
                         "dict-of-records store under the dicts backend — use "
                         "store='arrays://' or backend='arrays'"
                     )
-                if uri.scheme == "disk" and uri.params.get(
-                    "mmap", "true"
-                ).lower() in ("true", "1", "yes"):
+                if uri.scheme == "disk":
                     raise ConfigurationError(
-                        "shared_memory under the serial executor only "
-                        "applies to the buffered disk store (the mmap path "
-                        "already repairs in place); add mmap=false to the "
-                        "disk:// URI"
+                        "shared_memory under the serial executor does not "
+                        "apply to disk:// (the store's columns are the "
+                        "memory-mapped file, repaired in place); use "
+                        "store='arrays://' for shared-memory columns"
                     )
 
     # ------------------------------------------------------------------ #

@@ -28,7 +28,7 @@ Every experiment subcommand runs on the unified session API
 as JSON via ``--config run.json`` (write one with
 ``BetweennessConfig.save``); **explicit flags override config-file values,
 which override built-in defaults**.  Store backends are addressed by URI
-(``memory://``, ``arrays://``, ``disk:///path?mmap=true``).
+(``memory://``, ``arrays://``, ``disk:///path``).
 
 (``repro`` is installed as a console script; ``python -m repro.cli`` works
 identically.)

@@ -776,13 +776,6 @@ class IncrementalBetweenness:
         per-update stats and the final record/score state are identical to
         the source-outer loop.
         """
-        # A buffered disk store has no live column matrices; materialising
-        # them for the duration of the batch (begin/end_column_sweep) gives
-        # the kernel one bulk read before the sweep and one write-back
-        # after.  Must open after the batch's births registered their slots
-        # — the store cannot grow inside the window.
-        begin_sweep = getattr(self._store, "begin_column_sweep", None)
-        sweep_window = begin_sweep is not None and bool(begin_sweep())
         try:
             sources = list(self._store.sources())
             to_load = self._kernel.sources_to_load(sources, batch)
@@ -831,8 +824,6 @@ class IncrementalBetweenness:
                 self._store.record_written(source)
         finally:
             self._kernel.end_batch()
-            if sweep_window:
-                self._store.end_column_sweep()
 
     def _resolve_adoptions(
         self, adopt: Optional[Iterable[Vertex]], births: Dict[Vertex, int]

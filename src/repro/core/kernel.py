@@ -82,7 +82,8 @@ __all__ = [
 
 #: What a store must offer for ``backend="arrays"`` to run on it: the slot
 #: index, record and source registration, and bulk access to the column
-#: matrices the cohort sweep gathers from and writes back to.
+#: matrices the cohort sweep gathers from and writes back to — live views
+#: that alias the store, so the repair lands in place.
 _COLUMN_PROTOCOL = (
     "vertex_index",
     "register_vertex",
@@ -90,7 +91,6 @@ _COLUMN_PROTOCOL = (
     "put_columns",
     "record_columns",
     "record_written",
-    "columns_in_place",
     "column_matrices",
     "row_of_source_slot",
     "peek_distance_block",
@@ -646,12 +646,6 @@ without_edge` patch per update, stashing the out-/in-CSR families after
         when the framework commits the batch (:meth:`add_edge` /
         :meth:`remove_edge`), so a failed batch leaves it as it was.
         """
-        if not self._store.columns_in_place:
-            raise ConfigurationError(
-                f"store {type(self._store).__name__} has no live column "
-                "matrices (columns_in_place is false): the arrays backend "
-                "repairs records in place and cannot sweep it"
-            )
         self._sync_capacity()
         n = len(self.index)
         out = self.csr.compiled()[:3]

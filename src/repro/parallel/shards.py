@@ -1195,8 +1195,7 @@ class ShardCoordinator:
                 process.join(timeout=5.0)
         if self._shared_memory and process.pid is not None:
             # A killed worker never ran its atexit hooks; any segments it
-            # owned (shm sweep buffers inside a buffered disk store, say)
-            # are reclaimed here so /dev/shm cannot leak.
+            # owned are reclaimed here so /dev/shm cannot leak.
             reclaim_process_segments(process.pid)
 
     def _send(self, shard_id: int, message) -> None:

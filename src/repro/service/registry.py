@@ -18,7 +18,7 @@ Each named session owns one directory under ``<root>/sessions/<name>/``::
 
 Clients never name server filesystem paths: a posted config may choose a
 store *scheme* (``memory://``, ``arrays://``, ``disk://``, ``shard://``)
-and knobs like ``?mmap=`` or ``shards=``, but the registry owns where the
+and knobs like ``?capacity=`` or ``shards=``, but the registry owns where the
 bytes live.  Sessions are always checkpoint-backed (an initial checkpoint
 is written at create time and a final one at close), so a SIGKILLed
 server restores every session — scores bit-identical — from the service

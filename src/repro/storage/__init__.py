@@ -18,7 +18,7 @@ interface:
   lists), using the columnar layout of Section 5.1.
 
 Stores are addressed declaratively by **URI** (``memory://``, ``arrays://``,
-``disk:///path?mmap=true``) through :func:`create_store`; third-party
+``disk:///path``) through :func:`create_store`; third-party
 backends plug in with :func:`register_store_scheme` (see
 :mod:`repro.storage.factory` and ``docs/api.md``).
 """

@@ -163,11 +163,6 @@ class ArrayBDStore(BDStore):
         return self._capacity
 
     @property
-    def columns_in_place(self) -> bool:
-        """Writable column views alias the store (no write-back needed)."""
-        return True
-
-    @property
     def shared(self) -> bool:
         """Whether the column matrices live in shared-memory segments."""
         return bool(self._column_buffers) and self._column_buffers[0].shared

@@ -147,11 +147,10 @@ def reclaim_process_segments(pid: int) -> List[str]:
     """Unlink every segment the (dead) process ``pid`` created; return names.
 
     The crash-reclaim path of the satellite leak guard: a worker that was
-    SIGKILLed while *owning* segments (it created shm sweep buffers, say)
-    can never run its own teardown, so its supervisor sweeps the namespace
-    for the pid marker after confirming the death.  Only call this for a
-    process that is known dead — a live owner's segments would be torn out
-    from under it.
+    SIGKILLed while *owning* segments can never run its own teardown, so
+    its supervisor sweeps the namespace for the pid marker after
+    confirming the death.  Only call this for a process that is known
+    dead — a live owner's segments would be torn out from under it.
     """
     marker = f"-p{pid:x}-"
     reclaimed: List[str] = []

@@ -12,12 +12,9 @@ Both widths are *checked*, not assumed: a distance outside the int16 range
 or a path count outside int64 raises :class:`StoreCorruptedError` instead of
 silently wrapping into a wrong-but-plausible record.
 
-Two API levels are provided.  The byte level (:func:`encode_record` /
-:func:`decode_record`) serialises a whole record to/from ``bytes`` and is
-what the buffered seek/read path uses.  The array level
-(:func:`encode_record_arrays` / :func:`decode_record_arrays`) works on the
-three column arrays directly, so the mmap-backed store can decode records
-from zero-copy views and write columns in place without building an
+:func:`encode_record_arrays` / :func:`decode_record_arrays` work on the
+three column arrays directly, so the mmap-backed store decodes records
+from zero-copy views and writes columns in place without building an
 intermediate byte string.
 """
 
@@ -121,12 +118,6 @@ def encode_record_arrays(
     return distance, sigma, delta
 
 
-def encode_record(data: SourceData, index: VertexIndex, capacity: int) -> bytes:
-    """Serialise ``data`` into the columnar binary format."""
-    distance, sigma, delta = encode_record_arrays(data, index, capacity)
-    return distance.tobytes() + sigma.tobytes() + delta.tobytes()
-
-
 def decode_record_arrays(
     distance: np.ndarray,
     sigma: np.ndarray,
@@ -151,31 +142,3 @@ def decode_record_arrays(
     data.sigma = dict(zip(vertices, sigma[reachable].tolist()))
     data.delta = dict(zip(vertices, delta[reachable].tolist()))
     return data
-
-
-def decode_record(
-    payload: bytes, source: Vertex, index: VertexIndex, capacity: int
-) -> SourceData:
-    """Deserialise a columnar record back into a :class:`SourceData`.
-
-    Only vertices currently present in ``index`` are materialised; stale
-    slots beyond the index (pre-allocated room for future vertices) are
-    ignored.  Unreachable vertices are omitted from the dictionaries, which
-    is the in-memory convention used throughout the library.
-    """
-    expected = record_size(capacity)
-    if len(payload) != expected:
-        raise StoreCorruptedError(
-            f"record has {len(payload)} bytes, expected {expected}"
-        )
-    distance_offset, sigma_offset, delta_offset = column_offsets(capacity)
-    distance = np.frombuffer(
-        payload, dtype=DISTANCE_DTYPE, count=capacity, offset=distance_offset
-    )
-    sigma = np.frombuffer(
-        payload, dtype=SIGMA_DTYPE, count=capacity, offset=sigma_offset
-    )
-    delta = np.frombuffer(
-        payload, dtype=DELTA_DTYPE, count=capacity, offset=delta_offset
-    )
-    return decode_record_arrays(distance, sigma, delta, source, index)

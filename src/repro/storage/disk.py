@@ -20,15 +20,15 @@ what the framework's checkpoint/resume path builds on.  Constructing a new
 store on a path that already holds data refuses with
 :class:`~repro.exceptions.StoreExistsError` instead of clobbering it.
 
-Record access is mmap-backed by default: the record area is mapped once and
-exposed as three strided numpy column views, so a record load is a zero-copy
-slice instead of a seek + read + buffer copy.  Pass ``use_mmap=False`` for
-the plain buffered-IO path (kept for comparison; see
-``benchmarks/bench_store_io.py``).  Standard mmap semantics apply: the
-mapping assumes no other process resizes the file while the store is open —
-an externally *truncated* file can fault the process on access (reopening
-it detects the truncation cleanly, as does the buffered path, which raises
-:class:`~repro.exceptions.StoreCorruptedError` on the short read).
+Record access is memory-mapped, always: the header + record area is mapped
+once and exposed as three strided ``(capacity, capacity)`` numpy column
+views, so a record load is a zero-copy slice and the cohort sweep repairs
+records in place through the same matrices the in-RAM
+:class:`~repro.storage.arrays.ArrayBDStore` serves.  Standard mmap
+semantics apply: the mapping assumes no other process resizes the file
+while the store is open — an externally *truncated* file can fault the
+process on access (reopening it detects the truncation cleanly with
+:class:`~repro.exceptions.StoreCorruptedError`).
 
 The file is pre-allocated with room for ``capacity`` vertices (and as many
 source slots); when the evolving graph outgrows it, the store rebuilds the
@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.algorithms.brandes import SourceData
 from repro.exceptions import (
-    ConfigurationError,
     StoreClosedError,
     StoreCorruptedError,
     StoreExistsError,
@@ -103,14 +102,6 @@ class DiskBDStore(BDStore):
         Vertices that are sources of this store.  Defaults to all of
         ``vertices``; a parallel worker restricted to a partition passes its
         partition here while still giving every graph vertex a column slot.
-    use_mmap:
-        Map the record area and serve record loads as zero-copy numpy views
-        (default).  ``False`` selects the buffered seek/read path.
-    sweep_allocator:
-        Buffered mode only: where :meth:`begin_column_sweep` materialises
-        the per-batch column matrices — ``"heap"`` (default) or ``"shm"``
-        (shared-memory segments, the zero-copy data plane).  Irrelevant in
-        mmap mode, whose columns are always in place.
     directed:
         Orientation of the graph the records will describe.  Persisted as a
         header flag bit; :meth:`open` restores it and the framework refuses
@@ -124,9 +115,7 @@ class DiskBDStore(BDStore):
         path: Optional[PathLike] = None,
         capacity: Optional[int] = None,
         sources: Optional[Iterable[Vertex]] = None,
-        use_mmap: bool = True,
         directed: bool = False,
-        sweep_allocator: Optional[str] = None,
     ) -> None:
         index = VertexIndex(vertices)
         # Every vertex gets a column slot; only sources get a meaningful
@@ -171,9 +160,7 @@ class DiskBDStore(BDStore):
             index=index,
             source_set=source_set,
             owns_file=owns_file,
-            use_mmap=use_mmap,
             directed=directed,
-            sweep_allocator=sweep_allocator,
         )
         self._format_file()
         self._setup_maps()
@@ -182,7 +169,7 @@ class DiskBDStore(BDStore):
     # Alternative constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def open(cls, path: PathLike, use_mmap: bool = True) -> "DiskBDStore":
+    def open(cls, path: PathLike) -> "DiskBDStore":
         """Reopen an existing store file, validating its header and metadata.
 
         The capacity, vertex index (slot order) and source set are restored
@@ -211,7 +198,6 @@ class DiskBDStore(BDStore):
             index=VertexIndex(layout.vertices),
             source_set=set(layout.sources),
             owns_file=False,
-            use_mmap=use_mmap,
             directed=layout.directed,
         )
         self._generation = layout.generation
@@ -225,15 +211,12 @@ class DiskBDStore(BDStore):
         path: PathLike,
         capacity: Optional[int] = None,
         sources: Optional[Iterable[Vertex]] = None,
-        use_mmap: bool = True,
     ) -> "DiskBDStore":
         """Reopen ``path`` when it holds a store, create a fresh one otherwise."""
         path = Path(path)
         if path.exists() and path.stat().st_size > 0:
-            return cls.open(path, use_mmap=use_mmap)
-        return cls(
-            vertices, path=path, capacity=capacity, sources=sources, use_mmap=use_mmap
-        )
+            return cls.open(path)
+        return cls(vertices, path=path, capacity=capacity, sources=sources)
 
     def _attach(
         self,
@@ -243,9 +226,7 @@ class DiskBDStore(BDStore):
         index: VertexIndex,
         source_set: Set[Vertex],
         owns_file: bool,
-        use_mmap: bool,
         directed: bool = False,
-        sweep_allocator: Optional[str] = None,
     ) -> None:
         """Initialise instance state shared by ``__init__`` and ``open``."""
         self._path = path
@@ -254,7 +235,6 @@ class DiskBDStore(BDStore):
         self._index = index
         self._source_set = source_set
         self._owns_file = owns_file
-        self._use_mmap = use_mmap
         self._directed = directed
         self._closed = False
         self._bytes_read = 0
@@ -264,10 +244,6 @@ class DiskBDStore(BDStore):
         self._dirty = False
         self._record_bytes = record_size(capacity)
         self._data_end = HEADER_SIZE + capacity * self._record_bytes
-        self._sweep_allocator = sweep_allocator
-        self._sweep_buffers: Optional[list] = None
-        self._sweep_views: Optional[tuple] = None
-        self._sweep_dirty_slots: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Properties and statistics
@@ -283,17 +259,6 @@ class DiskBDStore(BDStore):
         return self._index
 
     @property
-    def columns_in_place(self) -> bool:
-        """Whether writable column views alias the store.
-
-        Always true in mmap mode; true in buffered mode while a
-        :meth:`begin_column_sweep` window is open (the views then alias the
-        materialised sweep buffers, written back at
-        :meth:`end_column_sweep`).
-        """
-        return self._mm is not None or self._sweep_views is not None
-
-    @property
     def capacity(self) -> int:
         """Number of vertex slots currently allocated per record."""
         return self._capacity
@@ -302,11 +267,6 @@ class DiskBDStore(BDStore):
     def directed(self) -> bool:
         """Orientation recorded in the store header (and enforced on resume)."""
         return self._directed
-
-    @property
-    def uses_mmap(self) -> bool:
-        """Whether record access goes through the mmap views."""
-        return self._use_mmap
 
     @property
     def persistent(self) -> bool:
@@ -357,21 +317,9 @@ class DiskBDStore(BDStore):
             data, self._index, self._capacity
         )
         slot = self._index.slot(data.source)
-        if self._mm is not None:
-            self._dist_view[slot] = distance
-            self._sigma_view[slot] = sigma
-            self._delta_view[slot] = delta
-        elif self._sweep_views is not None:
-            dist_buf, sigma_buf, delta_buf = self._sweep_views
-            dist_buf[slot] = distance
-            sigma_buf[slot] = sigma
-            delta_buf[slot] = delta
-            self._sweep_dirty_slots.add(slot)
-        else:
-            self._file.seek(self._record_offset(slot))
-            self._file.write(
-                distance.tobytes() + sigma.tobytes() + delta.tobytes()
-            )
+        self._dist_view[slot] = distance
+        self._sigma_view[slot] = sigma
+        self._delta_view[slot] = delta
         self._bytes_written += self._record_bytes
 
     def get(self, source: Vertex) -> SourceData:
@@ -384,37 +332,22 @@ class DiskBDStore(BDStore):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Load the raw ``(distance, sigma, delta)`` columns of one record.
 
-        This is the low-level record load underneath :meth:`get`: with mmap
-        it returns zero-copy views into the mapped record area; the buffered
-        path seeks, reads the record's bytes and wraps them.  Exposed so
-        experiments can measure raw record-load throughput without the
+        This is the low-level record load underneath :meth:`get`: zero-copy
+        views into the mapped record area, without the
         dictionary-materialisation cost of full decoding.
 
-        With ``writable=False`` (default) treat the arrays as read-only —
-        in mmap mode they alias the store file, so writing through them
-        would bypass :meth:`put` and its range checks.  ``writable=True``
-        is the array kernel's update-sweep path: in mmap mode, or inside a
-        buffered :meth:`begin_column_sweep` window, it marks the store
-        dirty and hands out the live views for an in-place repair (finish
-        with :meth:`record_written`); in buffered mode outside a window it
-        returns fresh writable copies (finish with :meth:`put_columns`).
-        Check :attr:`columns_in_place` to know which contract applies.
+        The views alias the store file.  With ``writable=False`` (default)
+        treat them as read-only — writing through them would bypass
+        :meth:`put` and its range checks.  ``writable=True`` is the array
+        kernel's update-sweep path: it marks the store dirty and the caller
+        repairs the record in place (finishing with :meth:`record_written`).
         """
         self._ensure_open()
         slot = self._index.slot(source)
         self._bytes_read += self._record_bytes
-        columns = self._read_slot_columns(slot)
-        if not writable:
-            return columns
-        if self._mm is not None:
+        if writable:
             self._mark_dirty()
-            return columns
-        if self._sweep_views is not None:
-            self._mark_dirty()
-            self._sweep_dirty_slots.add(slot)
-            return columns
-        distance, sigma, delta = columns
-        return distance.copy(), sigma.copy(), delta.copy()
+        return self._read_slot_columns(slot)
 
     def put_columns(
         self,
@@ -441,28 +374,9 @@ class DiskBDStore(BDStore):
             self._sync_metadata()
         slot = self._index.slot(source)
         k = len(distance)
-        if self._mm is not None:
-            self._dist_view[slot, :k] = distance
-            self._sigma_view[slot, :k] = sigma
-            self._delta_view[slot, :k] = delta
-        elif self._sweep_views is not None:
-            dist_buf, sigma_buf, delta_buf = self._sweep_views
-            dist_buf[slot, :k] = distance
-            sigma_buf[slot, :k] = sigma
-            delta_buf[slot, :k] = delta
-            self._sweep_dirty_slots.add(slot)
-        else:
-            distance_offset, sigma_offset, delta_offset = column_offsets(
-                self._capacity
-            )
-            base = self._record_offset(slot)
-            for offset, column, dtype in (
-                (distance_offset, distance, DISTANCE_DTYPE),
-                (sigma_offset, sigma, SIGMA_DTYPE),
-                (delta_offset, delta, DELTA_DTYPE),
-            ):
-                self._file.seek(base + offset)
-                self._file.write(np.ascontiguousarray(column, dtype=dtype).tobytes())
+        self._dist_view[slot, :k] = distance
+        self._sigma_view[slot, :k] = sigma
+        self._delta_view[slot, :k] = delta
         self._bytes_written += self._record_bytes
 
     def record_written(self, source: Vertex) -> None:
@@ -473,37 +387,17 @@ class DiskBDStore(BDStore):
     def column_matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live ``(distance, sigma, delta)`` matrices, rows = vertex slots.
 
-        The mmap record area already *is* a strided ``(capacity,
+        The mapped record area already *is* a strided ``(capacity,
         capacity)`` matrix per column, so the kernel's cohort repair can
         gather whole slabs of records with fancy row indexing and write
         the repaired pairs back with fancy pair indexing — the same bulk
         protocol
         :meth:`repro.storage.arrays.ArrayBDStore.column_matrices` serves
-        in RAM.  In buffered mode the matrices exist only inside a
-        :meth:`begin_column_sweep` window (outside one the store reports
-        ``columns_in_place = False``, which the kernel checks before it
-        sweeps).  The views are replaced whenever the file is
-        rebuilt for growth — callers must re-fetch per sweep.
+        in RAM.  The views are replaced whenever the file is rebuilt for
+        growth — callers must re-fetch per sweep.
         """
         self._ensure_open()
-        if self._sweep_views is not None:
-            # The kernel writes record rows back through these matrices;
-            # every source row may be touched by the sweep.
-            self._sweep_dirty_slots.update(
-                self._index.slot(s) for s in self._source_set
-            )
-        return self._live_matrices()
-
-    def _live_matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The mapped record area or the open sweep window, as matrices."""
-        if self._mm is not None:
-            return self._dist_view, self._sigma_view, self._delta_view
-        if self._sweep_views is not None:
-            return self._sweep_views
-        raise ConfigurationError(
-            "column matrices require the mmap record area or an open "
-            "begin_column_sweep() window (buffered mode)"
-        )
+        return self._dist_view, self._sigma_view, self._delta_view
 
     def row_of_source_slot(self, slot: int) -> int:
         """Matrix row of the source with vertex slot ``slot``.
@@ -521,18 +415,14 @@ class DiskBDStore(BDStore):
     def peek_distance_block(self, source_slots, vertex_slots) -> np.ndarray:
         """Distances of ``vertex_slots`` from every slot in ``source_slots``.
 
-        One fancy-indexed gather over the distance matrix — the vectorized
-        Proposition 3.1 peek of the array kernel.  Like
-        :meth:`column_matrices` it needs the matrix to exist: the mmap
-        record area, or (buffered mode) an open
-        :meth:`begin_column_sweep` window.
+        One fancy-indexed gather over the mapped distance matrix — the
+        vectorized Proposition 3.1 peek of the array kernel.
         """
         self._ensure_open()
-        dist = self._live_matrices()[0]
         self._bytes_read += (
             len(source_slots) * len(vertex_slots) * DISTANCE_DTYPE.itemsize
         )
-        return dist[np.ix_(source_slots, vertex_slots)]
+        return self._dist_view[np.ix_(source_slots, vertex_slots)]
 
     def endpoint_distances(
         self, source: Vertex, u: Vertex, v: Vertex
@@ -547,18 +437,7 @@ class DiskBDStore(BDStore):
                 continue
             vertex_slot = self._index.slot(vertex)
             self._bytes_read += DISTANCE_DTYPE.itemsize
-            if self._mm is not None:
-                value = int(self._dist_view[source_slot, vertex_slot])
-            elif self._sweep_views is not None:
-                value = int(self._sweep_views[0][source_slot, vertex_slot])
-            else:
-                offset = (
-                    self._record_offset(source_slot)
-                    + vertex_slot * DISTANCE_DTYPE.itemsize
-                )
-                self._file.seek(offset)
-                raw = self._file.read(DISTANCE_DTYPE.itemsize)
-                value = int(np.frombuffer(raw, dtype=DISTANCE_DTYPE, count=1)[0])
+            value = int(self._dist_view[source_slot, vertex_slot])
             result.append(None if value == UNREACHABLE else value)
         return result[0], result[1]
 
@@ -601,99 +480,12 @@ class DiskBDStore(BDStore):
         return source in self._source_set
 
     # ------------------------------------------------------------------ #
-    # Buffered cohort-sweep window
-    # ------------------------------------------------------------------ #
-    def begin_column_sweep(self) -> bool:
-        """Open a materialised-columns window over the record area.
-
-        Buffered mode only: the whole record area is read once into three
-        ``(capacity, capacity)`` column matrices (allocated heap or
-        shared-memory per ``sweep_allocator``), record access is served
-        from them, and :meth:`end_column_sweep` writes the touched rows
-        back in one pass — which is what lets the kernel's cohort repair
-        (:attr:`columns_in_place` + :meth:`column_matrices`) run over a
-        store that otherwise has no live matrices.  Returns ``True`` when a
-        window opened; ``False`` in mmap mode (columns are always in
-        place) or when a window is already open.
-        """
-        self._ensure_open()
-        if self._mm is not None or self._sweep_views is not None:
-            return False
-        from repro.storage.buffers import get_allocator
-
-        allocator = get_allocator(self._sweep_allocator, hint="sweep")
-        capacity = self._capacity
-        area = capacity * self._record_bytes
-        self._file.seek(HEADER_SIZE)
-        raw = self._file.read(area)
-        if len(raw) != area:
-            raise StoreCorruptedError(
-                f"short read of the record area: got {len(raw)} of {area} "
-                "bytes"
-            )
-        distance_offset, sigma_offset, delta_offset = column_offsets(capacity)
-        strides = lambda dtype: (self._record_bytes, dtype.itemsize)  # noqa: E731
-        buffers = []
-        views = []
-        for offset, dtype in (
-            (distance_offset, DISTANCE_DTYPE),
-            (sigma_offset, SIGMA_DTYPE),
-            (delta_offset, DELTA_DTYPE),
-        ):
-            source = np.ndarray(
-                (capacity, capacity),
-                dtype,
-                buffer=raw,
-                offset=offset,
-                strides=strides(dtype),
-            )
-            buffer = allocator.empty((capacity, capacity), dtype)
-            buffer.array[:] = source
-            buffers.append(buffer)
-            views.append(buffer.array)
-        self._bytes_read += area
-        self._sweep_buffers = buffers
-        self._sweep_views = tuple(views)
-        self._sweep_dirty_slots = set()
-        return True
-
-    def end_column_sweep(self) -> None:
-        """Write the window's touched rows back and release its buffers.
-
-        One seek + one contiguous record write per dirty slot — the
-        "write back once per batch" half of the buffered cohort sweep.
-        No-op when no window is open.
-        """
-        if self._sweep_views is None:
-            return
-        dist_buf, sigma_buf, delta_buf = self._sweep_views
-        try:
-            if not self._closed:
-                for slot in sorted(self._sweep_dirty_slots):
-                    self._file.seek(self._record_offset(slot))
-                    self._file.write(
-                        dist_buf[slot].tobytes()
-                        + sigma_buf[slot].tobytes()
-                        + delta_buf[slot].tobytes()
-                    )
-                    self._bytes_written += self._record_bytes
-                self._file.flush()
-        finally:
-            buffers = self._sweep_buffers or []
-            self._sweep_views = None
-            self._sweep_buffers = None
-            self._sweep_dirty_slots = set()
-            for buffer in buffers:
-                buffer.release()
-
-    # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def flush(self) -> None:
-        """Push mapped pages and buffered writes out to the file."""
+        """Push mapped pages and metadata writes out to the file."""
         self._ensure_open()
-        if self._mm is not None:
-            self._mm.flush()
+        self._mm.flush()
         self._file.flush()
         self._dirty = False
 
@@ -701,16 +493,6 @@ class DiskBDStore(BDStore):
         if self._closed:
             return
         self._closed = True
-        if self._sweep_views is not None:
-            # Closing mid-window (error paths) discards the sweep: the file
-            # still holds the last committed batch, which is the consistent
-            # state to leave behind.
-            buffers = self._sweep_buffers or []
-            self._sweep_views = None
-            self._sweep_buffers = None
-            self._sweep_dirty_slots = set()
-            for buffer in buffers:
-                buffer.release()
         self._teardown_maps()
         self._file.flush()
         self._file.close()
@@ -724,9 +506,6 @@ class DiskBDStore(BDStore):
         if self._closed:
             raise StoreClosedError(f"disk store at {self._path} has been closed")
 
-    def _record_offset(self, slot: int) -> int:
-        return HEADER_SIZE + slot * self._record_bytes
-
     def _header_flags(self) -> int:
         return FLAG_DIRECTED if self._directed else 0
 
@@ -734,36 +513,23 @@ class DiskBDStore(BDStore):
         """(Re)create the mmap and the three strided column views."""
         self._record_bytes = record_size(self._capacity)
         self._data_end = HEADER_SIZE + self._capacity * self._record_bytes
-        if not self._use_mmap:
-            self._mm = None
-            return
         self._file.flush()
         # Map only header + record area: its length is fixed per capacity,
         # so metadata rewrites after it never invalidate the mapping.
         self._mm = mmap.mmap(self._file.fileno(), self._data_end)
         capacity = self._capacity
-        distance_offset, sigma_offset, delta_offset = column_offsets(capacity)
-        strides = lambda dtype: (self._record_bytes, dtype.itemsize)  # noqa: E731
-        self._dist_view = np.ndarray(
-            (capacity, capacity),
-            DISTANCE_DTYPE,
-            buffer=self._mm,
-            offset=HEADER_SIZE + distance_offset,
-            strides=strides(DISTANCE_DTYPE),
-        )
-        self._sigma_view = np.ndarray(
-            (capacity, capacity),
-            SIGMA_DTYPE,
-            buffer=self._mm,
-            offset=HEADER_SIZE + sigma_offset,
-            strides=strides(SIGMA_DTYPE),
-        )
-        self._delta_view = np.ndarray(
-            (capacity, capacity),
-            DELTA_DTYPE,
-            buffer=self._mm,
-            offset=HEADER_SIZE + delta_offset,
-            strides=strides(DELTA_DTYPE),
+        self._dist_view, self._sigma_view, self._delta_view = (
+            np.ndarray(
+                (capacity, capacity),
+                dtype,
+                buffer=self._mm,
+                offset=HEADER_SIZE + offset,
+                strides=(self._record_bytes, dtype.itemsize),
+            )
+            for offset, dtype in zip(
+                column_offsets(capacity),
+                (DISTANCE_DTYPE, SIGMA_DTYPE, DELTA_DTYPE),
+            )
         )
 
     def _teardown_maps(self) -> None:
@@ -851,28 +617,9 @@ class DiskBDStore(BDStore):
 
     def _write_identity(self, slot: int) -> None:
         """Make ``slot``'s record a self-reaching source (d=0, sigma=1, delta=0)."""
-        if self._mm is not None:
-            self._dist_view[slot, slot] = 0
-            self._sigma_view[slot, slot] = 1
-            self._delta_view[slot, slot] = 0.0
-        elif self._sweep_views is not None:
-            dist_buf, sigma_buf, delta_buf = self._sweep_views
-            dist_buf[slot, slot] = 0
-            sigma_buf[slot, slot] = 1
-            delta_buf[slot, slot] = 0.0
-            self._sweep_dirty_slots.add(slot)
-        else:
-            distance_offset, sigma_offset, delta_offset = column_offsets(
-                self._capacity
-            )
-            base = self._record_offset(slot)
-            for column_offset, dtype, value in (
-                (distance_offset, DISTANCE_DTYPE, 0),
-                (sigma_offset, SIGMA_DTYPE, 1),
-                (delta_offset, DELTA_DTYPE, 0.0),
-            ):
-                self._file.seek(base + column_offset + slot * dtype.itemsize)
-                self._file.write(dtype.type(value).tobytes())
+        self._dist_view[slot, slot] = 0
+        self._sigma_view[slot, slot] = 1
+        self._delta_view[slot, slot] = 0.0
         self._bytes_written += (
             DISTANCE_DTYPE.itemsize + SIGMA_DTYPE.itemsize + DELTA_DTYPE.itemsize
         )
@@ -895,11 +642,6 @@ class DiskBDStore(BDStore):
         atomically replaces the old file, so growth uses O(record) memory
         instead of materialising every decoded record at once.
         """
-        if self._sweep_views is not None:
-            raise ConfigurationError(
-                "the store cannot grow inside an open column-sweep window; "
-                "register the batch's new vertices before begin_column_sweep"
-            )
         old_vertex_count = len(self._index)
         self._index.add(new_vertex)
         new_capacity = max(
@@ -955,27 +697,4 @@ class DiskBDStore(BDStore):
         self, slot: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Raw columns of ``slot`` under the *current* layout (no accounting)."""
-        if self._mm is not None:
-            return self._dist_view[slot], self._sigma_view[slot], self._delta_view[slot]
-        if self._sweep_views is not None:
-            dist_buf, sigma_buf, delta_buf = self._sweep_views
-            return dist_buf[slot], sigma_buf[slot], delta_buf[slot]
-        self._file.seek(self._record_offset(slot))
-        payload = self._file.read(self._record_bytes)
-        if len(payload) != self._record_bytes:
-            raise StoreCorruptedError(
-                f"short read for slot {slot}: got {len(payload)} of "
-                f"{self._record_bytes} bytes"
-            )
-        distance_offset, sigma_offset, delta_offset = column_offsets(self._capacity)
-        return (
-            np.frombuffer(
-                payload, DISTANCE_DTYPE, count=self._capacity, offset=distance_offset
-            ),
-            np.frombuffer(
-                payload, SIGMA_DTYPE, count=self._capacity, offset=sigma_offset
-            ),
-            np.frombuffer(
-                payload, DELTA_DTYPE, count=self._capacity, offset=delta_offset
-            ),
-        )
+        return self._dist_view[slot], self._sigma_view[slot], self._delta_view[slot]

@@ -1,7 +1,7 @@
 """Store URIs and the store factory/registry.
 
 Before the service layer existed, every entry point threaded its own
-``store=`` / ``store_path=`` / ``use_mmap=`` kwargs down to whichever
+``store=`` / ``store_path=`` / storage-option kwargs down to whichever
 :class:`~repro.storage.base.BDStore` it happened to build — and every new
 backend meant another cross-cutting kwarg sweep.  This module replaces that
 with one declarative surface: a **store URI** names the backend and its
@@ -30,8 +30,9 @@ Built-in schemes
     Without a path a temporary file is used and deleted on close; with a
     path the store is created there (an existing non-empty file is refused,
     exactly like constructing :class:`DiskBDStore` directly).  Query
-    parameters: ``mmap=true|false`` (default true) and ``capacity=<int>``
-    (pre-allocated vertex slots).
+    parameter: ``capacity=<int>`` (pre-allocated vertex slots).  The store
+    is always memory-mapped; ``mmap=true`` is still accepted, ``mmap=false``
+    is refused.
 
 ``shard:///root/dir?shards=8&checkpoint_every=4``
     A fault-tolerant *ensemble* of per-shard durable stores plus a
@@ -328,26 +329,28 @@ def _build_memory_store(request: StoreRequest) -> BDStore:
 
 def _build_disk_store(request: StoreRequest) -> DiskBDStore:
     params = request.uri.params
-    use_mmap = _parse_bool(params.get("mmap", "true"), "mmap", request.uri)
+    if not _parse_bool(params.get("mmap", "true"), "mmap", request.uri):
+        raise ConfigurationError(
+            f"store URI {request.uri}: the disk store is always memory-mapped "
+            "(there is no buffered mode); drop mmap=false"
+        )
     capacity = (
         _parse_int(params["capacity"], "capacity", request.uri)
         if "capacity" in params
         else None
     )
-    if request.shared_memory and use_mmap:
+    if request.shared_memory:
         raise ConfigurationError(
-            "shared_memory only applies to the buffered disk store (the "
-            "mmap path already repairs in place); add mmap=false to the "
-            f"store URI {request.uri}"
+            "shared_memory does not apply to the disk store: its columns "
+            "are the memory-mapped file, repaired in place; use "
+            f"'arrays://' for shared-memory columns (got {request.uri})"
         )
     return DiskBDStore(
         request.vertices,
         path=request.uri.path or None,
         capacity=capacity,
         sources=request.sources,
-        use_mmap=use_mmap,
         directed=request.directed,
-        sweep_allocator="shm" if request.shared_memory else None,
     )
 
 

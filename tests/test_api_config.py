@@ -294,13 +294,13 @@ class TestSharedMemoryConfig:
             shared_memory=True, store="arrays://"
         ).effective_shared_memory
 
-    def test_serial_disk_needs_buffered_mode(self):
-        with pytest.raises(ConfigurationError, match="mmap"):
-            BetweennessConfig(shared_memory=True, store="disk://")
-        config = BetweennessConfig(
-            shared_memory=True, store="disk://?mmap=false", backend="arrays"
-        )
-        assert config.effective_shared_memory
+    @pytest.mark.parametrize("store", ["disk://", "disk://?mmap=true"])
+    def test_serial_disk_store_is_refused(self, store):
+        # The disk store's columns are the mapped file: there is nothing
+        # to place in shared segments, so the request is refused, not
+        # silently ignored.
+        with pytest.raises(ConfigurationError, match="memory-mapped"):
+            BetweennessConfig(shared_memory=True, store=store, backend="arrays")
 
     def test_round_trips(self):
         config = BetweennessConfig(
@@ -318,10 +318,10 @@ class TestStoreURIs:
     def test_valid_uris_parse(self):
         assert parse_store_uri("memory://").scheme == "memory"
         assert parse_store_uri("arrays://").scheme == "arrays"
-        parsed = parse_store_uri("disk:///tmp/bd.bin?mmap=false&capacity=64")
+        parsed = parse_store_uri("disk:///tmp/bd.bin?mmap=true&capacity=64")
         assert parsed.scheme == "disk"
         assert parsed.path == "/tmp/bd.bin"
-        assert parsed.params == {"mmap": "false", "capacity": "64"}
+        assert parsed.params == {"mmap": "true", "capacity": "64"}
         assert parse_store_uri("disk:relative/bd.bin").path == "relative/bd.bin"
 
     @pytest.mark.parametrize(
@@ -366,13 +366,28 @@ class TestStoreURIs:
     def test_disk_uri_honours_params(self, small_graph, tmp_path):
         vertices = small_graph.vertex_list()
         path = tmp_path / "bd.bin"
-        store = create_store(f"disk:{path}?mmap=false&capacity=64", vertices)
+        store = create_store(f"disk:{path}?mmap=true&capacity=64", vertices)
         try:
             assert isinstance(store, DiskBDStore)
             assert store.capacity == 64
             assert str(store.path) == str(path)
         finally:
             store.close()
+
+    @pytest.mark.parametrize("value", ["false", "0", "no"])
+    def test_disk_uri_refuses_buffered_mode(self, small_graph, tmp_path, value):
+        # There is one disk access path; asking for another fails loudly
+        # and before the file is created.
+        path = tmp_path / "bd.bin"
+        with pytest.raises(ConfigurationError, match="memory-mapped"):
+            create_store(f"disk:{path}?mmap={value}", small_graph.vertex_list())
+        assert not path.exists()
+
+    def test_disk_uri_refuses_shared_memory(self, small_graph):
+        with pytest.raises(ConfigurationError, match="memory-mapped"):
+            create_store(
+                "disk://", small_graph.vertex_list(), shared_memory=True
+            )
 
     def test_str_round_trips_through_parse(self):
         for uri in (
@@ -381,7 +396,7 @@ class TestStoreURIs:
             "disk://",
             "disk:///abs/bd.bin",
             "disk:rel/bd.bin",
-            "disk:///abs/bd.bin?mmap=false&capacity=64",
+            "disk:///abs/bd.bin?mmap=true&capacity=64",
         ):
             parsed = parse_store_uri(uri)
             assert parse_store_uri(str(parsed)) == parsed

@@ -20,7 +20,7 @@ from repro.algorithms import brandes_betweenness
 from repro.core import EdgeUpdate, IncrementalBetweenness
 from repro.exceptions import ConfigurationError
 from repro.graph import Graph
-from repro.storage import InMemoryBDStore
+from repro.storage import DiskBDStore, InMemoryBDStore
 from repro.storage.buffers import active_segments, shm_available
 
 from tests.helpers import assert_scores_equal, random_connected_graph
@@ -468,5 +468,36 @@ class TestSessionSurface:
             assert_scores_equal(
                 resumed.vertex_betweenness(), fresh.vertex_betweenness(), EXACT
             )
+        finally:
+            resumed.close()
+
+    def test_sidecar_naming_buffered_disk_still_resumes(self, path5, tmp_path):
+        # Sidecars written while disk:// still had a buffered mode may embed
+        # ``mmap=false``.  The store file has one layout either way and
+        # resume reopens it by path, so such a sidecar keeps loading.
+        store_path, ck = tmp_path / "bd.bin", tmp_path / "ck.bin"
+        config = BetweennessConfig(
+            backend="arrays",
+            store=f"disk://{store_path}?mmap=false",
+            checkpoint_path=str(ck),
+        )
+        framework = IncrementalBetweenness(
+            path5.copy(),
+            store=DiskBDStore(path5.vertex_list(), path=store_path),
+            backend="arrays",
+        )
+        with BetweennessSession.from_framework(framework, config) as session:
+            session.apply(EdgeUpdate.addition(0, 3))
+            session.checkpoint()
+        oracle = IncrementalBetweenness(path5.copy(), backend="dicts")
+        oracle.add_edge(0, 3)
+        resumed = resume_session(ck)
+        try:
+            assert resumed.config.store.endswith("?mmap=false")
+            assert resumed.vertex_betweenness() == oracle.vertex_betweenness()
+            resumed.apply(EdgeUpdate.addition(0, 4))
+            oracle.add_edge(0, 4)
+            assert resumed.vertex_betweenness() == oracle.vertex_betweenness()
+            assert resumed.edge_betweenness() == oracle.edge_betweenness()
         finally:
             resumed.close()

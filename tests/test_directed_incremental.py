@@ -154,9 +154,10 @@ class TestDirectedStreams:
         graph, script = case
         ram = IncrementalBetweenness(graph, backend="arrays")
         variants = [ram]
-        for use_mmap in (True, False):
+        # Default headroom, and none at all: births then grow the file.
+        for capacity in (None, graph.num_vertices):
             store = DiskBDStore(
-                graph.vertex_list(), use_mmap=use_mmap, directed=True
+                graph.vertex_list(), capacity=capacity, directed=True
             )
             variants.append(
                 IncrementalBetweenness(graph, store=store, backend="arrays")

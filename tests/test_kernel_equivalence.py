@@ -4,9 +4,9 @@ The ``arrays`` backend of :class:`IncrementalBetweenness` promises *exact*
 (bit-for-bit) equality with the classic ``dicts`` backend — not approximate
 agreement.  These tests exercise that promise with hypothesis-generated
 random graphs and random valid update scripts (including vertex births and
-disconnecting removals), on both the in-RAM column store and the mmap /
-buffered disk stores, plus the standalone vectorized Brandes and the CSR
-mirror's ordering contract.
+disconnecting removals), on both the in-RAM column store and the mmap
+disk store (including one that must grow mid-batch), plus the standalone
+vectorized Brandes and the CSR mirror's ordering contract.
 
 Equality below is always ``==`` on floats, never ``pytest.approx``.
 """
@@ -145,8 +145,10 @@ class TestBackendBitIdentity:
             assert flat.sigma == record.sigma
             assert flat.delta == record.delta
 
-    @pytest.mark.parametrize("use_mmap", [True, False])
-    def test_disk_store_backed_kernel(self, use_mmap, tmp_path):
+    @pytest.mark.parametrize(
+        "capacity", [None, 12], ids=["default-capacity", "tight-capacity"]
+    )
+    def test_disk_store_backed_kernel(self, capacity, tmp_path):
         rng = random.Random(42)
         graph = Graph()
         for v in range(12):
@@ -157,8 +159,8 @@ class TestBackendBitIdentity:
                     graph.add_edge(u, v)
         store = DiskBDStore(
             graph.vertex_list(),
-            path=tmp_path / f"bd-{use_mmap}.bin",
-            use_mmap=use_mmap,
+            path=tmp_path / "bd.bin",
+            capacity=capacity,
         )
         arrays = IncrementalBetweenness(graph, store=store, backend="arrays")
         dicts = IncrementalBetweenness(graph, backend="dicts")

@@ -16,13 +16,16 @@ that historically broke incremental repair implementations:
 
 Every deterministic case and every hypothesis-generated stream is checked
 after EVERY batch on {undirected, directed} x {in-RAM columns, mmap disk,
-buffered disk}, comparing vertex scores, edge scores, and all stored
-records; the deterministic cases additionally run with the cohort cut into
-slabs of one and two jobs, and compare every update's work statistics.
+mmap disk sized to the initial vertex count, so births grow, rebuild and
+remap the file mid-stream}, comparing vertex scores, edge scores, and all
+stored records; the deterministic cases additionally run with the cohort
+cut into slabs of one and two jobs, and compare every update's work
+statistics.
 
 Alongside: the kernel's incrementally patched CSR against a from-scratch
-compile, an int64 sigma overflow inside a repair (refused whole), and the
-merge the accumulation uses in place of a sort.
+compile, an int64 sigma overflow inside a repair (refused whole), the disk
+store's in-place cohort sweep against an in-RAM column store (and across a
+reopen), and the merge the accumulation uses in place of a sort.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from repro.core import ArrayKernel, EdgeUpdate, IncrementalBetweenness
 from repro.core.flat import merge_order
 from repro.exceptions import StoreCorruptedError
 from repro.graph import CSRGraph, Graph
-from repro.storage import DiskBDStore
+from repro.storage import ArrayBDStore, DiskBDStore
 from repro.storage.buffers import active_segments, shm_available
 
 settings.register_profile(
@@ -53,7 +56,7 @@ settings.register_profile(
 )
 settings.load_profile("repro-repair-vectorized")
 
-STORE_KINDS = ("memory", "disk-mmap", "disk-buffered")
+STORE_KINDS = ("memory", "disk-mmap", "disk-tight")
 
 
 def build_graph(n, edges, directed):
@@ -66,13 +69,17 @@ def build_graph(n, edges, directed):
 
 
 def make_arrays_framework(graph, store_kind, tmp_path):
-    """An ``arrays``-backend framework over the requested store kind."""
+    """An ``arrays``-backend framework over the requested store kind.
+
+    ``disk-tight`` leaves the file no spare slot, so the first birth grows
+    it (stream into a sibling, replace, remap) while a batch is in flight.
+    """
     if store_kind == "memory":
         return IncrementalBetweenness(graph, backend="arrays")
     store = DiskBDStore(
         graph.vertex_list(),
         path=tmp_path / f"bd-{store_kind}.bin",
-        use_mmap=(store_kind == "disk-mmap"),
+        capacity=graph.num_vertices if store_kind == "disk-tight" else None,
         directed=graph.directed,
     )
     return IncrementalBetweenness(graph, store=store, backend="arrays")
@@ -111,6 +118,9 @@ def run_differential(graph, batches, store_kind):
             assert_streams_bit_identical(
                 arrays, dicts, f"after batch {i} ({batch})"
             )
+        if store_kind == "disk-tight" and len(arrays.graph) > len(graph):
+            # Witness that the births really outgrew the file.
+            assert arrays.store.capacity > len(graph)
         arrays.store.close()
     return results
 
@@ -298,7 +308,7 @@ class TestHypothesisStreams:
         graph, batches = data.draw(batched_stream(directed))
         run_differential(graph, batches, "memory")
 
-    @pytest.mark.parametrize("store_kind", ["disk-mmap", "disk-buffered"])
+    @pytest.mark.parametrize("store_kind", ["disk-mmap", "disk-tight"])
     @settings(max_examples=10)
     @given(data=st.data())
     def test_disk_stores(self, store_kind, data):
@@ -388,79 +398,77 @@ class TestRepairSigmaOverflow:
             assert session.edge_betweenness() == oracle.edge_betweenness()
 
 
-@pytest.mark.parametrize("sweep_allocator", ["heap", "shm"])
+@pytest.mark.parametrize("column_allocator", ["heap", "shm"])
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
 @pytest.mark.parametrize("case", sorted(ADVERSARIAL_CASES))
-class TestBufferedCohortSweep:
-    """The buffered (non-mmap) disk path's per-batch column-sweep window.
+class TestDiskCohortSweep:
+    """The disk store's cohort sweep runs in place on the mapped file.
 
-    Without mmap there are no zero-copy column views, so the framework
-    opens a *sweep window* per batch: the record area is materialized once
-    into allocator buffers (heap or shared-memory), the cohort sweep runs
-    in place against them, and dirty slots are written back as whole
-    records when the window closes.  Scores and records must stay ``==``
-    the mmap path's, and shm windows must release every segment.
+    The record area is mapped once and served as three strided column
+    matrices, so the sweep repairs records where they lie: no batch writes
+    a whole record back.  Scores and records must stay ``==`` an in-RAM
+    column store's (heap or shared-memory columns), must survive a close
+    and reopen of the file, and shm columns must release every segment.
     """
 
-    def test_buffered_window_equals_mmap(
-        self, case, directed, sweep_allocator, tmp_path
+    def test_mmap_sweep_equals_array_store(
+        self, case, directed, column_allocator, tmp_path
     ):
-        if sweep_allocator == "shm" and not shm_available():
+        if column_allocator == "shm" and not shm_available():
             pytest.skip("shared memory unavailable")
         n, edges, batches = ADVERSARIAL_CASES[case]
-        mmap_fw = IncrementalBetweenness(
-            build_graph(n, edges, directed),
-            store=DiskBDStore(
-                list(range(n)),
-                path=tmp_path / "mmap.bin",
-                use_mmap=True,
-                directed=directed,
-            ),
-            backend="arrays",
+        ram_store = ArrayBDStore(
+            list(range(n)), directed=directed, allocator=column_allocator
         )
-        buffered_store = DiskBDStore(
-            list(range(n)),
-            path=tmp_path / "buffered.bin",
-            use_mmap=False,
-            directed=directed,
-            sweep_allocator=sweep_allocator,
+        ram = IncrementalBetweenness(
+            build_graph(n, edges, directed), store=ram_store, backend="arrays"
         )
-        buffered = IncrementalBetweenness(
-            build_graph(n, edges, directed), store=buffered_store, backend="arrays"
+        path = tmp_path / "mmap.bin"
+        disk_store = DiskBDStore(list(range(n)), path=path, directed=directed)
+        disk = IncrementalBetweenness(
+            build_graph(n, edges, directed), store=disk_store, backend="arrays"
         )
-        # Witness that the window really opens (and closes) every batch —
-        # without it the buffered leg silently degrades to per-record I/O.
-        windows = {"opened": 0}
-        original = buffered_store.begin_column_sweep
+        # Witness that the sweep writes through the mapped views — a
+        # whole-record put during a batch would be a write-back copy.
+        puts = {"count": 0}
+        for name in ("put", "put_columns"):
+            original = getattr(disk_store, name)
 
-        def spy():
-            opened = original()
-            windows["opened"] += int(opened)
-            return opened
+            def spy(*args, _original=original, **kwargs):
+                puts["count"] += 1
+                return _original(*args, **kwargs)
 
-        buffered_store.begin_column_sweep = spy
+            setattr(disk_store, name, spy)
         try:
             for i, batch in enumerate(batches):
-                mmap_fw.apply_updates(list(batch))
-                buffered.apply_updates(list(batch))
+                ram.apply_updates(list(batch))
+                disk.apply_updates(list(batch))
                 context = f"{case} batch {i}"
-                assert (
-                    buffered.vertex_betweenness() == mmap_fw.vertex_betweenness()
-                ), context
-                assert (
-                    buffered.edge_betweenness() == mmap_fw.edge_betweenness()
-                ), context
-                for source in mmap_fw.store.sources():
-                    ours = buffered_store.get(source)
-                    theirs = mmap_fw.store.get(source)
+                assert disk.vertex_betweenness() == ram.vertex_betweenness(), context
+                assert disk.edge_betweenness() == ram.edge_betweenness(), context
+                for source in ram_store.sources():
+                    ours = disk_store.get(source)
+                    theirs = ram_store.get(source)
                     assert ours.distance == theirs.distance, context
                     assert ours.sigma == theirs.sigma, context
                     assert ours.delta == theirs.delta, context
-            assert windows["opened"] == len(batches)
+            assert puts["count"] == 0
+            disk_store.close()
+            reopened = DiskBDStore.open(path)
+            try:
+                assert set(reopened.sources()) == set(ram_store.sources())
+                for source in ram_store.sources():
+                    ours = reopened.get(source)
+                    theirs = ram_store.get(source)
+                    assert ours.distance == theirs.distance, source
+                    assert ours.sigma == theirs.sigma, source
+                    assert ours.delta == theirs.delta, source
+            finally:
+                reopened.close()
         finally:
-            buffered_store.close()
-            mmap_fw.store.close()
-        if sweep_allocator == "shm":
+            disk_store.close()
+            ram_store.close()
+        if column_allocator == "shm":
             assert active_segments() == []
 
 

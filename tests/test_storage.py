@@ -1,16 +1,27 @@
 """Tests for the betweenness-data stores (memory, disk, codec, index, partition)."""
 
+import numpy as np
 import pytest
 
 from repro.algorithms import brandes_betweenness
 from repro.algorithms.brandes import SourceData
 from repro.exceptions import PartitionError, StoreClosedError, StoreCorruptedError, VertexNotFoundError
-from repro.storage import DiskBDStore, InMemoryBDStore, VertexIndex, partition_sources
+from repro.storage import (
+    ArrayBDStore,
+    DiskBDStore,
+    InMemoryBDStore,
+    VertexIndex,
+    partition_sources,
+)
 from repro.storage.codec import (
     BYTES_PER_VERTEX,
-    decode_record,
+    DELTA_DTYPE,
+    DISTANCE_DTYPE,
+    SIGMA_DTYPE,
+    column_offsets,
+    decode_record_arrays,
     empty_record,
-    encode_record,
+    encode_record_arrays,
     record_size,
 )
 
@@ -47,13 +58,23 @@ class TestVertexIndex:
         assert index.vertices() == [3, 1, 2]
 
 
+def columns_of(payload, capacity):
+    """The three column views of a record laid out as ``payload`` bytes."""
+    return tuple(
+        np.frombuffer(payload, dtype=dtype, count=capacity, offset=offset)
+        for offset, dtype in zip(
+            column_offsets(capacity), (DISTANCE_DTYPE, SIGMA_DTYPE, DELTA_DTYPE)
+        )
+    )
+
+
 class TestCodec:
     def test_round_trip(self):
         index = VertexIndex([0, 1, 2, 3])
         data = make_data(1, {0: (1, 2, 0.5), 1: (0, 1, 0.0), 3: (2, 4, 1.25)})
-        payload = encode_record(data, index, capacity=6)
-        assert len(payload) == record_size(6) == 6 * BYTES_PER_VERTEX
-        decoded = decode_record(payload, 1, index, capacity=6)
+        columns = encode_record_arrays(data, index, capacity=6)
+        assert sum(c.nbytes for c in columns) == record_size(6) == 6 * BYTES_PER_VERTEX
+        decoded = decode_record_arrays(*columns, 1, index)
         assert decoded.distance == data.distance
         assert decoded.sigma == data.sigma
         assert decoded.delta == data.delta
@@ -61,24 +82,19 @@ class TestCodec:
     def test_unreachable_vertices_omitted(self):
         index = VertexIndex([0, 1])
         data = make_data(0, {0: (0, 1, 0.0)})
-        decoded = decode_record(encode_record(data, index, 4), 0, index, 4)
+        decoded = decode_record_arrays(*encode_record_arrays(data, index, 4), 0, index)
         assert 1 not in decoded.distance
 
     def test_empty_record_decodes_to_nothing(self):
         index = VertexIndex([0, 1])
-        decoded = decode_record(empty_record(4), 0, index, 4)
+        decoded = decode_record_arrays(*columns_of(empty_record(4), 4), 0, index)
         assert decoded.distance == {}
 
     def test_capacity_too_small_raises(self):
         index = VertexIndex([0, 1, 2])
         data = make_data(0, {0: (0, 1, 0.0)})
         with pytest.raises(StoreCorruptedError):
-            encode_record(data, index, capacity=2)
-
-    def test_wrong_payload_size_raises(self):
-        index = VertexIndex([0])
-        with pytest.raises(StoreCorruptedError):
-            decode_record(b"\x00" * 5, 0, index, capacity=4)
+            encode_record_arrays(data, index, capacity=2)
 
 
 class TestInMemoryStore:
@@ -182,6 +198,70 @@ class TestDiskStore:
         assert store.bytes_written > written_after_init
         store.get(0)
         assert store.bytes_read > 0
+        store.close()
+
+
+def column_store(kind, grown, path):
+    """A column store over sources ``0..2`` with no spare slot; ``grown``
+    then registers source 3, which forces a reallocation (RAM) or a file
+    rebuild and remap (disk)."""
+    if kind == "arrays":
+        store = ArrayBDStore([0, 1, 2], capacity=3, sources=None)
+    else:
+        store = DiskBDStore([0, 1, 2], path=path, capacity=3)
+    if grown:
+        store.add_source(3)
+        assert store.capacity > 3
+    return store
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
+@pytest.mark.parametrize("kind", ["arrays", "disk"])
+class TestColumnProtocol:
+    """What the arrays kernel repairs through: every column store hands out
+    record views and matrices that alias the store itself, so a repair
+    needs no write-back step — before and after the store grows."""
+
+    def test_writable_record_views_alias_the_matrices(self, kind, grown, tmp_path):
+        store = column_store(kind, grown, tmp_path / "bd.bin")
+        distance, sigma, delta = store.record_columns(0, writable=True)
+        distance[1], sigma[1], delta[1] = 1, 3, 0.5
+        store.record_written(0)
+        dist_m, sigma_m, delta_m = store.column_matrices()
+        row = store.row_of_source_slot(store.vertex_index.slot(0))
+        assert (dist_m[row, 1], sigma_m[row, 1], delta_m[row, 1]) == (1, 3, 0.5)
+        record = store.get(0)
+        assert (record.distance, record.sigma, record.delta) == (
+            {0: 0, 1: 1}, {0: 1, 1: 3}, {0: 0.0, 1: 0.5}
+        )
+        store.close()
+
+    def test_peek_block_is_a_gather_of_the_distance_matrix(
+        self, kind, grown, tmp_path
+    ):
+        store = column_store(kind, grown, tmp_path / "bd.bin")
+        store.put(make_data(1, {1: (0, 1, 0.0), 0: (1, 1, 0.0), 2: (2, 1, 0.0)}))
+        slots = [store.vertex_index.slot(v) for v in (0, 1)]
+        rows = [store.row_of_source_slot(s) for s in slots]
+        block = store.peek_distance_block(slots, [0, 1, 2])
+        expected = store.column_matrices()[0][np.ix_(rows, [0, 1, 2])]
+        assert block.tolist() == expected.tolist() == [[0, -1, -1], [1, 0, 2]]
+        store.close()
+
+    def test_short_put_columns_keeps_the_unreachable_tail(
+        self, kind, grown, tmp_path
+    ):
+        store = column_store(kind, grown, tmp_path / "bd.bin")
+        store.register_vertex(4)  # a slot the record below predates
+        store.put_columns(
+            2,
+            np.array([1, 1, 0], dtype=DISTANCE_DTYPE),
+            np.array([1, 2, 1], dtype=SIGMA_DTYPE),
+            np.array([0.0, 0.25, 0.0], dtype=DELTA_DTYPE),
+        )
+        record = store.get(2)
+        assert record.distance == {0: 1, 1: 1, 2: 0}
+        assert record.sigma == {0: 1, 1: 2, 2: 1}
         store.close()
 
 

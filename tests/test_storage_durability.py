@@ -106,22 +106,17 @@ class TestCreateRefusesClobber:
 
 
 class TestReopenRoundTrip:
-    @pytest.mark.parametrize("use_mmap", [True, False])
-    def test_records_survive_close_and_reopen(
-        self, two_triangles_bridge, tmp_path, use_mmap
-    ):
+    def test_records_survive_close_and_reopen(self, two_triangles_bridge, tmp_path):
         result = brandes_betweenness(two_triangles_bridge, collect_source_data=True)
         store = DiskBDStore(
-            two_triangles_bridge.vertex_list(),
-            path=tmp_path / "bd.bin",
-            use_mmap=use_mmap,
+            two_triangles_bridge.vertex_list(), path=tmp_path / "bd.bin"
         )
         for data in result.source_data.values():
             store.put(data)
         capacity = store.capacity
         store.close()
 
-        reopened = DiskBDStore.open(tmp_path / "bd.bin", use_mmap=use_mmap)
+        reopened = DiskBDStore.open(tmp_path / "bd.bin")
         assert reopened.capacity == capacity
         assert sorted(reopened.sources()) == sorted(result.source_data)
         for source, expected in result.source_data.items():
@@ -129,6 +124,27 @@ class TestReopenRoundTrip:
             assert loaded.distance == expected.distance
             assert loaded.sigma == expected.sigma
             assert loaded.delta == expected.delta
+        reopened.close()
+
+    @pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
+    def test_in_place_repair_survives_reopen(self, tmp_path, grown):
+        # The kernel repairs records only through the mapped views; those
+        # bytes must be what close() leaves in the file, also after growth
+        # replaced the file and its mapping.
+        store = DiskBDStore([0, 1, 2], path=tmp_path / "bd.bin", capacity=3)
+        if grown:
+            store.add_source(3)
+        distance, sigma, delta = store.record_columns(0, writable=True)
+        distance[1], sigma[1], delta[1] = 1, 3, 0.5
+        store.record_written(0)
+        generation = store.generation
+        store.close()
+        reopened = DiskBDStore.open(tmp_path / "bd.bin")
+        record = reopened.get(0)
+        assert (record.distance, record.sigma, record.delta) == (
+            {0: 0, 1: 1}, {0: 1, 1: 3}, {0: 0.0, 1: 0.5}
+        )
+        assert reopened.generation == generation
         reopened.close()
 
     def test_reopened_store_resumes_into_exact_framework(
@@ -290,24 +306,6 @@ class TestAccountingAndModes:
         store = DiskBDStore(list(range(20)), path=tmp_path / "bd.bin")
         assert store.bytes_written <= store.path.stat().st_size
         store.close()
-
-    def test_mmap_and_buffered_serve_identical_records(self, path5, tmp_path):
-        result = brandes_betweenness(path5, collect_source_data=True)
-        store = DiskBDStore(path5.vertex_list(), path=tmp_path / "bd.bin")
-        for data in result.source_data.values():
-            store.put(data)
-        store.close()
-        via_mmap = DiskBDStore.open(tmp_path / "bd.bin", use_mmap=True)
-        via_buffered = DiskBDStore.open(tmp_path / "bd.bin", use_mmap=False)
-        assert via_mmap.uses_mmap and not via_buffered.uses_mmap
-        for source in result.source_data:
-            a, b = via_mmap.get(source), via_buffered.get(source)
-            assert (a.distance, a.sigma, a.delta) == (b.distance, b.sigma, b.delta)
-            assert via_mmap.endpoint_distances(
-                source, 0, 4
-            ) == via_buffered.endpoint_distances(source, 0, 4)
-        via_mmap.close()
-        via_buffered.close()
 
     def test_generation_bumps_once_per_dirty_session(self, tmp_path):
         store = DiskBDStore([0, 1], path=tmp_path / "bd.bin")
