@@ -5,13 +5,22 @@ what the store cannot express is the *global* state of the framework: the
 current graph, the maintained vertex/edge betweenness scores and whether the
 instance is restricted to a source partition.  A checkpoint is a small
 sidecar file holding exactly that, framed with the same magic/version/CRC
-scheme as the store header (:mod:`repro.storage.header`).
+scheme as the store header (:mod:`repro.storage.header`) and written
+atomically (temp file, fsync, rename, directory fsync).
+
+When the records are not in a durable store file, the sidecar embeds them
+as a column payload (:class:`~repro.storage.columns.ColumnBlock`): the
+vertex order, the source order and the raw ``(distance, sigma, delta)``
+matrices, whichever backend wrote them.  Sidecars from before the column
+payload embedded a ``{source: SourceData}`` snapshot instead;
+:func:`load_checkpoint` still reads those, converting them to a column
+block on load.
 
 Two resume paths exist, both exposed on the framework:
 
 * **fast** — ``IncrementalBetweenness.resume(checkpoint)``: scores come from
-  the sidecar, records from the reopened store (or an embedded snapshot when
-  the store had no durable file); nothing is recomputed.
+  the sidecar, records from the reopened store (or the embedded column
+  payload when the store had no durable file); nothing is recomputed.
 * **reconstructive** — ``IncrementalBetweenness.from_store(graph, store)``:
   no sidecar needed; the global scores are rebuilt by scanning the store's
   records (``score[v] = Σ_s δ_s[v]`` and the DAG-edge contributions), which
@@ -24,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.algorithms.brandes import SourceData
+from repro.storage.columns import ColumnBlock
 from repro.storage.header import read_sidecar, write_sidecar
 from repro.types import Edge, EdgeScores, Vertex, VertexScores
 
@@ -39,7 +48,7 @@ class FrameworkCheckpoint:
     """Picklable global state of one framework instance.
 
     Exactly one of ``store_path`` (the durable store to reopen) and
-    ``snapshot`` (embedded ``BD[.]`` records, used when the instance ran on
+    ``columns`` (embedded ``BD[.]`` records, used when the instance ran on
     an in-memory or temporary store) is set.
     """
 
@@ -49,7 +58,7 @@ class FrameworkCheckpoint:
     edge_scores: EdgeScores
     restricted: bool
     store_path: Optional[str] = None
-    snapshot: Optional[Dict[Vertex, SourceData]] = field(default=None, repr=False)
+    columns: Optional[ColumnBlock] = field(default=None, repr=False)
     #: Generation of the durable store at checkpoint time; resume refuses a
     #: store whose generation has moved on (the sidecar would be stale).
     store_generation: Optional[int] = None
@@ -93,7 +102,9 @@ def save_checkpoint(path: PathLike, checkpoint: FrameworkCheckpoint) -> Path:
             "edge_scores": checkpoint.edge_scores,
             "restricted": checkpoint.restricted,
             "store_path": checkpoint.store_path,
-            "snapshot": checkpoint.snapshot,
+            "columns": (
+                None if checkpoint.columns is None else checkpoint.columns.to_payload()
+            ),
             "store_generation": checkpoint.store_generation,
             "directed": checkpoint.directed,
             "config": checkpoint.config,
@@ -108,6 +119,15 @@ def save_checkpoint(path: PathLike, checkpoint: FrameworkCheckpoint) -> Path:
 def load_checkpoint(path: PathLike) -> FrameworkCheckpoint:
     """Read a checkpoint written by :func:`save_checkpoint` (CRC-validated)."""
     payload = read_sidecar(path, CHECKPOINT_MAGIC)
+    columns = payload.get("columns")
+    if columns is not None:
+        columns = ColumnBlock.from_payload(columns)
+    elif payload.get("snapshot") is not None:
+        # Read-only branch for sidecars written before the column payload:
+        # their records arrive as a {source: SourceData} snapshot.
+        columns = ColumnBlock.from_records(
+            payload["vertices"], payload["snapshot"].values()
+        )
     return FrameworkCheckpoint(
         vertices=payload["vertices"],
         edges=payload["edges"],
@@ -115,7 +135,7 @@ def load_checkpoint(path: PathLike) -> FrameworkCheckpoint:
         edge_scores=payload["edge_scores"],
         restricted=payload["restricted"],
         store_path=payload["store_path"],
-        snapshot=payload["snapshot"],
+        columns=columns,
         store_generation=payload.get("store_generation"),
         directed=bool(payload.get("directed", False)),
         config=payload.get("config"),

@@ -40,6 +40,7 @@ from repro.exceptions import ConfigurationError, UpdateError
 from repro.graph.graph import Graph
 from repro.storage.arrays import ArrayBDStore
 from repro.storage.base import BDStore
+from repro.storage.columns import ColumnBlock, export_columns, import_columns
 from repro.storage.disk import DiskBDStore
 from repro.storage.memory import InMemoryBDStore
 from repro.types import (
@@ -369,8 +370,9 @@ class IncrementalBetweenness:
         restriction flag.  When the backing store is a durable
         :class:`~repro.storage.disk.DiskBDStore` (caller-named path) only
         its *path* is recorded — the records stay in the store file, which
-        is flushed here; otherwise (in-memory or temporary store) a full
-        ``BD[.]`` snapshot is embedded in the sidecar.
+        is flushed here; otherwise (in-memory or temporary store) the
+        ``BD[.]`` records are embedded as a column payload
+        (:class:`~repro.storage.columns.ColumnBlock`).
 
         ``config`` optionally embeds a session configuration dict
         (``BetweennessConfig.to_dict()``) into the sidecar, which is what
@@ -394,14 +396,14 @@ class IncrementalBetweenness:
 
         By default the record location is derived from the backing store
         exactly as :meth:`checkpoint` does (durable disk store → path +
-        generation, anything else → embedded snapshot).  The shard
+        generation, anything else → embedded column payload).  The shard
         coordinator's workers instead pass ``store_path``/``store_generation``
         explicitly: their live store is in RAM and the records were just
         written to a cursor-stamped per-shard store file, which is what the
         sidecar must reference.  ``batch_cursor`` and ``shard_meta`` are
         recorded verbatim (see :class:`FrameworkCheckpoint`).
         """
-        snapshot: Optional[Dict[Vertex, SourceData]] = None
+        columns: Optional[ColumnBlock] = None
         if store_path is None:
             if isinstance(self._store, DiskBDStore) and self._store.persistent:
                 self._store.flush()
@@ -410,7 +412,7 @@ class IncrementalBetweenness:
                 store_path = str(Path(self._store.path).resolve())
                 store_generation = self._store.generation
             else:
-                snapshot = self._store.snapshot()
+                columns = export_columns(self._store, self._graph.vertex_list())
         return FrameworkCheckpoint(
             vertices=self._graph.vertex_list(),
             edges=self._graph.edge_list(),
@@ -418,7 +420,7 @@ class IncrementalBetweenness:
             edge_scores=dict(self._edge_scores),
             restricted=self._restricted,
             store_path=store_path,
-            snapshot=snapshot,
+            columns=columns,
             store_generation=store_generation,
             directed=self._graph.directed,
             config=config,
@@ -441,12 +443,13 @@ class IncrementalBetweenness:
         the ``BD[.]`` records come from (in order of precedence) the
         explicitly passed ``store``, the durable store file recorded in the
         checkpoint (reopened via :meth:`DiskBDStore.open
-        <repro.storage.disk.DiskBDStore.open>`), or the snapshot embedded in
-        the sidecar (loaded into a fresh in-memory store).
+        <repro.storage.disk.DiskBDStore.open>`), or the column payload
+        embedded in the sidecar (imported into the fresh in-RAM store
+        ``backend`` runs on, in the checkpointed slot and row order).
 
         A caller that already parsed the sidecar (the session layer reads
         the embedded config first) passes it as ``checkpoint`` so the file
-        — which may embed a full ``BD[.]`` snapshot — is not deserialized a
+        — which may embed every ``BD[.]`` record — is not deserialized a
         second time; ``checkpoint_path`` is then only used in messages.
         """
         ckpt = checkpoint if checkpoint is not None else load_checkpoint(checkpoint_path)
@@ -482,18 +485,12 @@ class IncrementalBetweenness:
                         "scores no longer describe it — re-checkpoint after "
                         "every session that writes to the store"
                     )
-            elif ckpt.snapshot is not None:
-                if backend == "arrays":
-                    store = ArrayBDStore(
-                        graph.vertex_list(), directed=graph.directed
-                    )
-                else:
-                    store = InMemoryBDStore()
-                store.load_snapshot(ckpt.snapshot.values())
+            elif ckpt.columns is not None:
+                store = import_columns(ckpt.columns, backend, graph.directed)
             else:
                 raise ConfigurationError(
                     f"checkpoint {checkpoint_path} records neither a store "
-                    "path nor an embedded snapshot; pass a store explicitly"
+                    "path nor embedded records; pass a store explicitly"
                 )
         self = cls._bare(
             graph, store, ckpt.restricted, backend, copy_graph=not exact_graph

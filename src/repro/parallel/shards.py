@@ -44,9 +44,10 @@ have.  The chaos suite (``tests/test_shard_chaos.py``) asserts ``==``
 equality of final scores after seeded mid-stream kills.
 
 Workers compute in RAM and touch disk only at checkpoint rounds: the round
-writes a fresh cursor-stamped store file, then atomically replaces the
-sidecar (the commit point), then prunes stores of older rounds — a crash at
-any instant leaves the previous round fully intact.
+copies the live store's column block into a fresh cursor-stamped store
+file, then atomically replaces the sidecar (the commit point), then prunes
+stores of older rounds — a crash at any instant leaves the previous round
+fully intact.
 
 With ``shared_memory=True`` the data plane changes shape (segments from
 :mod:`repro.storage.buffers`, the update ring of
@@ -95,6 +96,7 @@ from repro.storage.buffers import (
     reclaim_process_segments,
     shm_available,
 )
+from repro.storage.columns import export_columns, import_columns
 from repro.storage.disk import DiskBDStore
 from repro.storage.index import VertexIndex
 from repro.storage.memory import InMemoryBDStore
@@ -105,6 +107,7 @@ from repro.storage.shard import (
     load_manifest,
     pick_shard,
     prune_stale_stores,
+    store_filename,
 )
 from repro.types import EdgeScores, Vertex, VertexScores, validate_backend
 from repro.utils.timing import Timer
@@ -220,28 +223,26 @@ def _write_shard_checkpoint(
     """Persist one shard's state for batch ``cursor`` (crash-consistent).
 
     Write order is what makes a kill at any point recoverable: the stamped
-    store file is written and renamed into place first, the sidecar rename
+    store file is written (one column block, in the live store's slot and
+    row order) and renamed into place first, the atomic sidecar write
     commits the round, and only then are older store files pruned.
     """
-    source_order = list(framework.store.sources())
     graph = framework.graph
-    store_path = shard_dir / f"store-{cursor:08d}.bin"
+    block = export_columns(framework.store, graph.vertex_list())
+    store_path = shard_dir / store_filename(cursor)
     store_tmp = Path(str(store_path) + ".tmp")
-    if store_tmp.exists():
-        store_tmp.unlink()
-    durable = DiskBDStore(
-        graph.vertex_list(),
-        path=str(store_tmp),
-        sources=source_order,
+    store_tmp.unlink(missing_ok=True)
+    with DiskBDStore.from_columns(
+        store_tmp,
+        block.vertices,
+        block.sources,
+        block.distance,
+        block.sigma,
+        block.delta,
         directed=graph.directed,
-    )
-    try:
-        for source in source_order:
-            durable.put(framework.store.get(source))
+    ) as durable:
         durable.flush()
         generation = durable.generation
-    finally:
-        durable.close()
     os.replace(store_tmp, store_path)
 
     checkpoint = framework.build_checkpoint(
@@ -249,15 +250,12 @@ def _write_shard_checkpoint(
         shard_meta={
             "shard_id": shard_id,
             "num_shards": num_shards,
-            "source_order": source_order,
+            "source_order": block.sources,
         },
         store_path=str(store_path.resolve()),
         store_generation=generation,
     )
-    sidecar = shard_dir / "checkpoint.bin"
-    sidecar_tmp = Path(str(sidecar) + ".tmp")
-    save_checkpoint(sidecar_tmp, checkpoint)
-    os.replace(sidecar_tmp, sidecar)  # the commit point
+    save_checkpoint(shard_dir / "checkpoint.bin", checkpoint)  # the commit point
     prune_stale_stores(shard_dir, cursor)
 
 
@@ -266,10 +264,13 @@ def _resume_shard_framework(
 ) -> IncrementalBetweenness:
     """Rebuild a shard's framework from its sidecar + stamped store.
 
-    The records are loaded from the durable store into a fresh RAM store in
-    the sidecar's recorded ``source_order``, and the graph comes from the
-    order-exact adjacency payload — together they make the replacement's
-    float accumulation order identical to the dead worker's.
+    The stamped store is found by file name beside the sidecar — the
+    absolute path the sidecar records is where it was *written*, and a
+    shard root may since have been moved or restored elsewhere.  Its
+    records come back as one column block in the sidecar's recorded
+    ``source_order``, and the graph comes from the order-exact adjacency
+    payload — together they make the replacement's float accumulation order
+    identical to the dead worker's.
     """
     ckpt = load_checkpoint(checkpoint_path)
     meta = ckpt.shard_meta
@@ -279,13 +280,14 @@ def _resume_shard_framework(
         )
     graph = Graph.from_adjacency_payload(ckpt.adjacency, directed=ckpt.directed)
     source_order = meta["source_order"]
-    with DiskBDStore.open(ckpt.store_path) as durable:
+    store_file = Path(checkpoint_path).parent / Path(ckpt.store_path).name
+    with DiskBDStore.open(store_file) as durable:
         if (
             ckpt.store_generation is not None
             and durable.generation != ckpt.store_generation
         ):
             raise ConfigurationError(
-                f"shard store {ckpt.store_path} is at generation "
+                f"shard store {store_file} is at generation "
                 f"{durable.generation} but its sidecar was written at "
                 f"generation {ckpt.store_generation}; the shard directory "
                 "holds mixed state"
@@ -293,19 +295,11 @@ def _resume_shard_framework(
         missing = [s for s in source_order if s not in durable]
         if missing:
             raise StoreCorruptedError(
-                f"shard store {ckpt.store_path} lacks records for sources "
+                f"shard store {store_file} lacks records for sources "
                 f"{sorted(map(repr, missing))}"
             )
-        records = [durable.get(source) for source in source_order]
-    if backend == "arrays":
-        store = ArrayBDStore(
-            graph.vertex_list(),
-            row_capacity=max(1, len(source_order)),
-            directed=graph.directed,
-        )
-    else:
-        store = InMemoryBDStore()
-    store.load_snapshot(records)
+        block = export_columns(durable, sources=source_order)
+    store = import_columns(block, backend, graph.directed)
     return IncrementalBetweenness.resume(
         checkpoint_path, store=store, backend=backend, checkpoint=ckpt
     )

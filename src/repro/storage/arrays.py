@@ -149,6 +149,32 @@ class ArrayBDStore(BDStore):
         self._sigma = sigma.array
         self._delta = delta.array
 
+    @classmethod
+    def from_columns(
+        cls,
+        vertices: Sequence[Vertex],
+        sources: Sequence[Vertex],
+        distance: np.ndarray,
+        sigma: np.ndarray,
+        delta: np.ndarray,
+        directed: Optional[bool] = None,
+    ) -> "ArrayBDStore":
+        """A store whose rows are ``sources`` and whose slots are ``vertices``.
+
+        ``distance``/``sigma``/``delta`` are ``[len(sources), k]`` matrices
+        (``k <= len(vertices)``; later slots stay unreachable), copied in
+        with one bulk write per column — the import half of
+        :mod:`repro.storage.columns`.
+        """
+        self = cls(vertices, row_capacity=len(sources), directed=directed)
+        for source in sources:
+            self._new_row(source)
+        rows, k = distance.shape
+        self._dist[:rows, :k] = distance
+        self._sigma[:rows, :k] = sigma
+        self._delta[:rows, :k] = delta
+        return self
+
     # ------------------------------------------------------------------ #
     # Properties
     # ------------------------------------------------------------------ #

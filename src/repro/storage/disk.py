@@ -42,7 +42,7 @@ import mmap
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -202,6 +202,44 @@ class DiskBDStore(BDStore):
         )
         self._generation = layout.generation
         self._setup_maps()
+        return self
+
+    @classmethod
+    def from_columns(
+        cls,
+        path: PathLike,
+        vertices: Sequence[Vertex],
+        sources: Sequence[Vertex],
+        distance: np.ndarray,
+        sigma: np.ndarray,
+        delta: np.ndarray,
+        directed: bool = False,
+    ) -> "DiskBDStore":
+        """Create a store file at ``path`` holding exactly these records.
+
+        Row ``i`` of the ``[len(sources), k]`` matrices is written, in one
+        bulk column write each, to the record of ``sources[i]``.  The file
+        is sized to ``vertices`` with no growth headroom: this is how a
+        shard round writes its stamped store, which is only ever read back.
+        """
+        self = cls(
+            vertices,
+            path=path,
+            capacity=len(vertices),
+            sources=sources,
+            directed=directed,
+        )
+        self._mark_dirty()
+        slots = np.fromiter(
+            (self._index.slot(source) for source in sources),
+            dtype=np.int64,
+            count=len(sources),
+        )
+        k = distance.shape[1]
+        self._dist_view[slots, :k] = distance
+        self._sigma_view[slots, :k] = sigma
+        self._delta_view[slots, :k] = delta
+        self._bytes_written += len(slots) * self._record_bytes
         return self
 
     @classmethod

@@ -15,13 +15,17 @@ only when vertices or sources are registered — lives after them and can be
 rewritten without shifting any record.
 
 The same magic/version/CRC framing is reused for sidecar files (framework
-checkpoints) through :func:`write_sidecar` / :func:`read_sidecar`.
+checkpoints, shard manifests) through :func:`write_sidecar` /
+:func:`read_sidecar`; every sidecar write is atomic (temp file, fsync,
+rename, directory fsync).
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import struct
+import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -194,10 +198,34 @@ def read_layout(fileobj, file_size: int, record_size_of) -> StoreLayout:
 # Sidecar files (framework checkpoints)
 # --------------------------------------------------------------------------- #
 def write_sidecar(path: Union[str, Path], magic: bytes, payload: Any) -> None:
-    """Write ``payload`` to ``path`` with the store's magic/version/CRC framing."""
+    """Write ``payload`` to ``path`` with the store's magic/version/CRC framing.
+
+    The write is atomic: the bytes go to a temporary file in the same
+    directory, which is fsynced, renamed over ``path`` and made durable by
+    an fsync of the directory.  A crash at any instant leaves either the
+    previous sidecar or the new one, never a torn file.
+    """
     raw = pickle.dumps(payload, protocol=4)
     header = struct.pack("<4sHHQI", magic, STORE_VERSION, 0, len(raw), metadata_crc(raw))
-    Path(path).write_bytes(header + raw)
+    path = Path(path)
+    handle, tmp_name = tempfile.mkstemp(
+        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(handle, "wb") as tmp:
+            tmp.write(header)
+            tmp.write(raw)
+            tmp.flush()
+            os.fsync(tmp.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        Path(tmp_name).unlink(missing_ok=True)
+        raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def read_sidecar(path: Union[str, Path], magic: bytes) -> Any:

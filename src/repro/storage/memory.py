@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.algorithms.brandes import SourceData
 from repro.exceptions import StoreClosedError
@@ -18,10 +18,14 @@ class InMemoryBDStore(BDStore):
     :meth:`get` hands out the stored object and the caller's in-place repairs
     are immediately visible, so :meth:`put` after an update is effectively a
     no-op kept for interface symmetry with the disk store.
+
+    ``records`` optionally seeds the store (in that order) without copying.
     """
 
-    def __init__(self) -> None:
-        self._records: Dict[Vertex, SourceData] = {}
+    def __init__(self, records: Iterable[SourceData] = ()) -> None:
+        self._records: Dict[Vertex, SourceData] = {
+            data.source: data for data in records
+        }
         self._closed = False
 
     # ------------------------------------------------------------------ #

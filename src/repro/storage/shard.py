@@ -33,7 +33,6 @@ lives in :mod:`repro.parallel.shards`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -166,7 +165,7 @@ class ShardLayout:
     # Manifest IO
     # ------------------------------------------------------------------ #
     def write_manifest(self, manifest: ShardManifest) -> Path:
-        """Atomically persist the coordinator state (write-temp + rename)."""
+        """Atomically persist the coordinator state (see :func:`write_sidecar`)."""
         payload = {
             "num_shards": manifest.num_shards,
             "checkpoint_every": manifest.checkpoint_every,
@@ -178,9 +177,7 @@ class ShardLayout:
             "config": manifest.config,
         }
         path = self.manifest_path
-        tmp = path.with_name(path.name + ".tmp")
-        write_sidecar(tmp, MANIFEST_MAGIC, payload)
-        os.replace(tmp, path)
+        write_sidecar(path, MANIFEST_MAGIC, payload)
         return path
 
     def read_manifest(self) -> ShardManifest:

@@ -1,0 +1,147 @@
+"""Write the golden checkpoint artifacts that ``tests/test_golden_checkpoints.py``
+resumes.
+
+The artifacts pin the on-disk formats a release must keep reading:
+
+* ``serial-arrays.ck`` — a serial ``arrays``-backend sidecar whose records
+  are embedded (the session ran on an in-RAM store);
+* ``serial-dicts.ck`` — the same for the ``dicts`` backend;
+* ``shard-root/`` — a two-shard root (manifest, per-shard sidecars and
+  cursor-stamped store files);
+* ``expected.json`` — the scores each artifact must reach after
+  :data:`STREAM` is applied to it, with floats written by ``repr`` so they
+  round-trip exactly.
+
+The committed artifacts were written by the code of the commit *before*
+checkpoints switched to the column payload; they are what proves that
+sidecars and shard roots from that format still resume.  Re-running this
+script with later code writes the current format instead, so regenerate
+only on purpose::
+
+    PYTHONPATH=src python tests/data/golden/generate.py --output <dir>
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+from repro.api import BetweennessConfig, BetweennessSession, resume_session
+from repro.core import EdgeUpdate
+from repro.graph import Graph
+
+#: A 12-vertex connected graph: a ring with three chords.
+EDGES = [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (2, 9), (4, 10)]
+
+#: Applied before the checkpoint: additions, a removal and one birth (12).
+PREFIX = [
+    EdgeUpdate.addition(1, 7),
+    EdgeUpdate.removal(5, 6),
+    EdgeUpdate.addition(3, 12),
+    EdgeUpdate.addition(12, 8),
+]
+
+#: The fixed 5-update stream applied after resuming: another birth (13),
+#: a remove-then-readd and a removal of a chord.
+STREAM = [
+    EdgeUpdate.addition(12, 13),
+    EdgeUpdate.removal(0, 6),
+    EdgeUpdate.addition(13, 5),
+    EdgeUpdate.addition(0, 6),
+    EdgeUpdate.removal(2, 9),
+]
+
+SHARDS = 2
+
+
+def build_graph() -> Graph:
+    return Graph.from_edges(EDGES)
+
+
+def serial_config(backend: str) -> BetweennessConfig:
+    return BetweennessConfig(backend=backend, store="memory://")
+
+
+def shard_config(root: Path) -> BetweennessConfig:
+    return BetweennessConfig(
+        backend="arrays",
+        executor="shard",
+        workers=SHARDS,
+        store=f"shard://{root}?shards={SHARDS}&checkpoint_every=2",
+    )
+
+
+def scores_of(session) -> dict:
+    return {
+        "vertex": [[v, s] for v, s in sorted(session.vertex_betweenness().items())],
+        "edge": [
+            [u, v, s] for (u, v), s in sorted(session.edge_betweenness().items())
+        ],
+    }
+
+
+def finish(session) -> dict:
+    """Apply :data:`STREAM` one update per batch and return the scores."""
+    for update in STREAM:
+        session.apply_batch([update])
+    scores = scores_of(session)
+    session.close()
+    return scores
+
+
+def unbroken(config: BetweennessConfig) -> dict:
+    with BetweennessSession(build_graph(), config) as session:
+        for update in PREFIX:
+            session.apply_batch([update])
+        for update in STREAM:
+            session.apply_batch([update])
+        return scores_of(session)
+
+
+def generate(output: Path) -> None:
+    output.mkdir(parents=True, exist_ok=True)
+    expected = {}
+    with tempfile.TemporaryDirectory(prefix="golden-") as scratch:
+        scratch = Path(scratch)
+        for backend in ("arrays", "dicts"):
+            name = f"serial-{backend}.ck"
+            with BetweennessSession(build_graph(), serial_config(backend)) as session:
+                for update in PREFIX:
+                    session.apply_batch([update])
+                session.checkpoint(output / name)
+            expected[name] = finish(resume_session(output / name))
+            assert expected[name] == unbroken(serial_config(backend)), name
+
+        # The root is written outside ``output`` and copied in, so the
+        # absolute store paths older sidecars pin point nowhere once the
+        # scratch directory is gone — resuming the copy must not need them.
+        work = scratch / "shard-root"
+        with BetweennessSession(build_graph(), shard_config(work)) as session:
+            for update in PREFIX:
+                session.apply_batch([update])
+        target = output / "shard-root"
+        if target.exists():
+            shutil.rmtree(target)
+        shutil.copytree(work, target)
+        expected["shard-root"] = finish(resume_session(work))
+        reference = unbroken(shard_config(scratch / "unbroken-root"))
+        assert expected["shard-root"] == reference, "shard-root"
+    (output / "expected.json").write_text(json.dumps(expected) + "\n")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--output",
+        type=Path,
+        default=Path(__file__).resolve().parent,
+        help="directory to write the artifacts into (default: beside this script)",
+    )
+    generate(parser.parse_args().output)
+
+
+if __name__ == "__main__":
+    main()

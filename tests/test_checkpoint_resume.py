@@ -115,6 +115,39 @@ class TestCheckpointResume:
             IncrementalBetweenness.resume(tmp_path / "ck.bin")
 
 
+class TestAtomicSidecarWrites:
+    def test_failed_write_keeps_the_previous_sidecar(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.storage.header as header
+
+        graph = random_connected_graph(10, 0.2, seed=3)
+        spare = absent_edges(graph)
+        framework = IncrementalBetweenness(graph, backend="arrays")
+        framework.add_edge(*spare[0])
+        framework.checkpoint(tmp_path / "ck.bin")
+        saved = framework.vertex_betweenness(), framework.edge_betweenness()
+        framework.add_edge(*spare[1])
+
+        def failing_fsync(fd):
+            raise OSError("simulated crash after the new bytes were written")
+
+        monkeypatch.setattr(header.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="simulated crash"):
+            framework.checkpoint(tmp_path / "ck.bin")
+        monkeypatch.undo()
+
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+        resumed = IncrementalBetweenness.resume(tmp_path / "ck.bin", backend="arrays")
+        assert (resumed.vertex_betweenness(), resumed.edge_betweenness()) == saved
+
+    def test_successful_write_leaves_no_temp_file(self, tmp_path):
+        framework = IncrementalBetweenness(random_connected_graph(8, 0.2, seed=1))
+        framework.checkpoint(tmp_path / "ck.bin")
+        framework.checkpoint(tmp_path / "ck.bin")  # replaces an existing file
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+
 class TestFromStore:
     def test_partition_store_is_detected_as_restricted(self, tmp_path):
         graph = random_connected_graph(8, 0.2, seed=5)
@@ -275,6 +308,25 @@ class TestShardCheckpointStaleness:
         layout.write_manifest(replace(manifest, batch_cursor=manifest.batch_cursor - 2))
         with pytest.raises(ConfigurationError, match="refusing to mix"):
             ShardCoordinator.resume(layout.root)
+
+    def test_moved_root_resumes_exactly(self, tmp_path):
+        """Sidecars record where their stamped store was written; a root
+        moved (or restored) elsewhere must still find it, by name."""
+        import shutil
+
+        from repro.parallel import ShardCoordinator
+
+        coordinator, layout, spare = self._run_rounds(tmp_path)
+        coordinator.add_edge(*spare[0])
+        scores = coordinator.betweenness()
+        coordinator.close()  # final round at the current cursor
+        moved = tmp_path / "elsewhere" / "shards"
+        shutil.move(str(layout.root), str(moved))
+        resumed = ShardCoordinator.resume(moved)
+        try:
+            assert resumed.betweenness() == scores
+        finally:
+            resumed.close(checkpoint=False)
 
     def test_mutated_store_generation_is_refused_on_restart(self, tmp_path):
         """A shard store touched behind its sidecar's back (generation moved

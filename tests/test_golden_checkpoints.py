@@ -1,0 +1,58 @@
+"""Checkpoints written by an earlier format must keep resuming exactly.
+
+``tests/data/golden/`` holds two serial sidecars (``arrays`` and ``dicts``,
+records embedded as a ``{source: SourceData}`` snapshot) and a two-shard
+root, all written before checkpoints switched to the column payload, plus
+the scores each reaches after a fixed 5-update stream.  ``generate.py``
+beside them documents how they were made.
+"""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from repro.api import resume_session
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def _generator():
+    spec = importlib.util.spec_from_file_location(
+        "golden_generate", GOLDEN / "generate.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+generate = _generator()
+EXPECTED = json.loads((GOLDEN / "expected.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("serial-arrays.ck", {}),
+        ("serial-dicts.ck", {}),
+        ("shard-root", {}),
+        # The dicts and arrays kernels are bit-identical, so a sidecar
+        # resumed on the other backend reaches the same recorded scores.
+        ("serial-arrays.ck", {"backend": "dicts"}),
+        ("serial-dicts.ck", {"backend": "arrays"}),
+    ],
+)
+def test_golden_artifact_resumes_exactly(tmp_path, name, overrides):
+    # Resuming writes (shard rounds, store files), so work on a copy — at a
+    # different path than the one the artifact was written at.
+    source = GOLDEN / name
+    target = tmp_path / "moved" / name
+    if source.is_dir():
+        shutil.copytree(source, target)
+    else:
+        target.parent.mkdir()
+        shutil.copy2(source, target)
+    session = resume_session(target, **overrides)
+    assert generate.finish(session) == EXPECTED[name]
