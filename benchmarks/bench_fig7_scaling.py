@@ -26,7 +26,6 @@ from repro.parallel import (
     strong_scaling,
     weak_scaling,
 )
-from repro.storage.buffers import shm_available
 
 from .conftest import stream_length
 
@@ -111,53 +110,44 @@ def bench_fig7_strong_and_weak_scaling(benchmark, datasets, report):
 def bench_fig7_executor_measured(benchmark, datasets, report):
     """Strong scaling measured on real worker processes (no capacity model)."""
 
-    planes = ("heap", "shm") if shm_available() else ("heap",)
-
     def run():
         graph = datasets.graph("synthetic-10k")
         updates = addition_stream(graph, min(stream_length(), 10), rng=61)
         measurements = {}
-        scores = {}
         for workers in EXECUTOR_WORKER_COUNTS:
-            for plane in planes:
-                with ShardCoordinator(
-                    graph, num_workers=workers, shared_memory=plane == "shm"
-                ) as cluster:
-                    reports = [cluster.apply(update) for update in updates]
-                    payload = [r.payload_bytes for r in reports]
-                    if workers == EXECUTOR_WORKER_COUNTS[-1]:
-                        scores[plane] = cluster.vertex_betweenness()
-                    measurements[workers, plane] = {
-                        "init_wall": cluster.init_wall_clock_seconds,
-                        "cpu_per_update": sum(
-                            r.max_cpu_seconds for r in reports
-                        ) / len(reports),
-                        "wall_per_update": sum(
-                            r.wall_clock_seconds for r in reports
-                        ) / len(reports),
-                        "driver_per_update": sum(
-                            r.elapsed_seconds for r in reports
-                        ) / len(reports),
-                        "payload_per_update": sum(payload) / len(payload),
-                    }
-        return measurements, scores
+            with ShardCoordinator(graph, num_workers=workers) as cluster:
+                reports = [cluster.apply(update) for update in updates]
+                payload = [r.payload_bytes for r in reports]
+                measurements[workers] = {
+                    "init_wall": cluster.init_wall_clock_seconds,
+                    "cpu_per_update": sum(
+                        r.max_cpu_seconds for r in reports
+                    ) / len(reports),
+                    "wall_per_update": sum(
+                        r.wall_clock_seconds for r in reports
+                    ) / len(reports),
+                    "driver_per_update": sum(
+                        r.elapsed_seconds for r in reports
+                    ) / len(reports),
+                    "payload_per_update": sum(payload) / len(payload),
+                }
+        return measurements
 
-    measurements, scores = benchmark.pedantic(run, rounds=1, iterations=1)
+    measurements = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = [
         [
             workers,
-            plane,
             f"{m['init_wall']:.3f}",
             f"{m['cpu_per_update'] * 1000:.2f}",
             f"{m['wall_per_update'] * 1000:.2f}",
             f"{m['driver_per_update'] * 1000:.2f}",
             f"{m['payload_per_update']:.0f}",
         ]
-        for (workers, plane), m in measurements.items()
+        for workers, m in measurements.items()
     ]
     table = format_table(
-        ["workers", "plane", "init wall s", "max CPU ms / update",
+        ["workers", "init wall s", "max CPU ms / update",
          "max wall ms / update", "driver ms / update", "payload B / update"],
         rows,
     )
@@ -165,14 +155,6 @@ def bench_fig7_executor_measured(benchmark, datasets, report):
 
     # The slowest worker's CPU time per update must shrink with the source
     # partition — this is measured tS * n/p, independent of host core count.
-    cpu_1 = measurements[1, "heap"]["cpu_per_update"]
-    cpu_4 = measurements[4, "heap"]["cpu_per_update"]
+    cpu_1 = measurements[1]["cpu_per_update"]
+    cpu_4 = measurements[4]["cpu_per_update"]
     assert cpu_4 < cpu_1, (cpu_1, cpu_4)
-
-    if "shm" in planes:
-        # The descriptor plane must dispatch fewer bytes than pickled
-        # update lists and change nothing about the result.
-        heap_payload = measurements[4, "heap"]["payload_per_update"]
-        shm_payload = measurements[4, "shm"]["payload_per_update"]
-        assert shm_payload < heap_payload, (heap_payload, shm_payload)
-        assert scores["shm"] == scores["heap"]

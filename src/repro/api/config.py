@@ -26,21 +26,6 @@ from repro.types import BACKENDS, validate_backend
 PathLike = Union[str, Path]
 
 
-def _shm_uri_param(uri, store: str) -> Optional[bool]:
-    """The URI's ``shm`` query parameter as a bool (``None`` when absent)."""
-    value = uri.params.get("shm")
-    if value is None:
-        return None
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigurationError(
-        f"query parameter shm={value!r} of store URI {store!r} is not a "
-        "boolean (use true/false)"
-    )
-
 #: Execution strategies a session can run under.
 #:
 #: * ``serial`` — one :class:`~repro.core.framework.IncrementalBetweenness`
@@ -108,17 +93,6 @@ class BetweennessConfig:
         a live worker's reply (worker *death* is detected within ~50ms
         regardless).  Must be positive; ``None`` (default) waits as long as
         the worker stays alive.
-    shared_memory:
-        Run the zero-copy data plane.  Under ``process``/``shard`` the
-        workers attach the initial graph and their seed records from shared
-        segments and per-batch dispatch ships ``(offset, length)``
-        descriptors into a shared update ring; under ``serial`` the store's
-        columns live in shared segments (``arrays://``-style columnar
-        stores; ``disk://`` is refused, its columns are the mapped file).
-        Scores are bit-identical either way.  Equivalent to the
-        ``?shm=1`` query parameter on ``arrays://`` / ``shard://`` URIs —
-        setting the field to ``True`` while the URI says ``shm=0`` (or vice
-        versa) is a contradiction and is refused.
 
     Examples
     --------
@@ -138,7 +112,6 @@ class BetweennessConfig:
     checkpoint_every: Optional[int] = None
     seed_store_path: Optional[str] = None
     recv_timeout: Optional[float] = None
-    shared_memory: bool = False
 
     def __post_init__(self) -> None:
         validate_backend(self.backend)
@@ -245,48 +218,10 @@ class BetweennessConfig:
                     "recv_timeout only applies to the process and shard "
                     f"executors (got executor={self.executor!r})"
                 )
-        if not isinstance(self.shared_memory, bool):
-            raise ConfigurationError(
-                f"shared_memory must be a bool, got {self.shared_memory!r}"
-            )
-        shm_param = _shm_uri_param(uri, self.store)
-        if self.shared_memory and shm_param is False:
-            raise ConfigurationError(
-                f"shared_memory=True contradicts the store URI "
-                f"{self.store!r} (which says shm=0); drop one of the two"
-            )
-        if self.shared_memory or shm_param:
-            if self.executor == "mapreduce":
-                raise ConfigurationError(
-                    "shared_memory does not apply to the in-process "
-                    "mapreduce executor (its simulated mappers already share "
-                    "this process's memory)"
-                )
-            if self.executor == "serial":
-                if uri.scheme == "memory" and self.backend != "arrays":
-                    raise ConfigurationError(
-                        "shared_memory under the serial executor needs a "
-                        "columnar store; memory:// resolves to the "
-                        "dict-of-records store under the dicts backend — use "
-                        "store='arrays://' or backend='arrays'"
-                    )
-                if uri.scheme == "disk":
-                    raise ConfigurationError(
-                        "shared_memory under the serial executor does not "
-                        "apply to disk:// (the store's columns are the "
-                        "memory-mapped file, repaired in place); use "
-                        "store='arrays://' for shared-memory columns"
-                    )
 
     # ------------------------------------------------------------------ #
     # Derivation
     # ------------------------------------------------------------------ #
-    @property
-    def effective_shared_memory(self) -> bool:
-        """Whether the zero-copy data plane is on (the field or ``?shm=1``)."""
-        uri = parse_store_uri(self.store)
-        return self.shared_memory or bool(_shm_uri_param(uri, self.store))
-
     def replace(self, **changes: Any) -> "BetweennessConfig":
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
@@ -311,12 +246,16 @@ class BetweennessConfig:
         Rejecting unknown keys (instead of ignoring them) catches typos in
         hand-written config files — ``bach_size`` silently meaning "default
         batch size" is exactly the class of bug the declarative surface
-        exists to remove.
+        exists to remove.  The one exception is ``shared_memory``, which
+        configs written by earlier releases (embedded in their sidecars and
+        manifests) carry: it chose between two worker data planes, the
+        shared-memory plane is now the only one, and the key is dropped.
         """
         if not isinstance(payload, dict):
             raise ConfigurationError(
                 f"config payload must be a dict, got {type(payload).__name__}"
             )
+        payload = {k: v for k, v in payload.items() if k != "shared_memory"}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known
         if unknown:

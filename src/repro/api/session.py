@@ -142,7 +142,6 @@ class BetweennessSession:
                     graph.vertex_list(),
                     directed=graph.directed,
                     backend=config.backend,
-                    shared_memory=config.effective_shared_memory,
                 )
             self._framework = IncrementalBetweenness(
                 graph,
@@ -167,7 +166,6 @@ class BetweennessSession:
                 layout,
                 backend=config.backend,
                 recv_timeout=config.recv_timeout,
-                shared_memory=config.effective_shared_memory,
                 config=config.to_dict(),
                 num_workers=config.workers,
                 store=self._worker_store_kind(config.store),
@@ -679,14 +677,13 @@ def resume_session(
     if config.executor != "serial":
         # Checkpoints are only ever written by serial sessions; a restored
         # parallel config would re-bootstrap rather than resume.  The
-        # executor-only knobs (worker timeouts, the zero-copy dispatch
-        # plane) are dropped with the executor they belong to.
+        # executor-only knobs (seed file, worker timeouts) are dropped with
+        # the executor they belong to.
         config = config.replace(
             executor="serial",
             workers=1,
             seed_store_path=None,
             recv_timeout=None,
-            shared_memory=False,
         )
     framework = IncrementalBetweenness.resume(
         checkpoint_path, store=store, backend=config.backend, checkpoint=ckpt
@@ -766,7 +763,6 @@ def _resume_shard_session(
         root,
         backend=config.backend,
         recv_timeout=config.recv_timeout,
-        shared_memory=config.effective_shared_memory,
         config=config.to_dict(),
     )
     return BetweennessSession._from_shard_coordinator(coordinator, config)

@@ -16,8 +16,6 @@ explored without writing Python::
     repro resume --checkpoint /var/data/bc --edges 10   # shard roots work too
     repro online --dataset facebook --mappers 1,10,50
     repro online --dataset facebook --workers 4 --store disk://
-    repro online --dataset facebook --workers 4 --store arrays:// \
-        --shared-memory                          # zero-copy data plane
     repro communities --dataset synthetic-1k --removals 25
     repro proxies --dataset wikielections        # degree/closeness vs betweenness
     repro --version
@@ -309,14 +307,6 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--shared-memory", action="store_true", default=None,
-        help="zero-copy data plane: workers attach to shared-memory "
-             "segments instead of receiving pickled snapshots, and batches "
-             "are dispatched as (offset, length) descriptors into a shared "
-             "update ring (arrays backend; equivalent to ?shm=1 on the "
-             "store URI)" + _PRECEDENCE,
-    )
-    parser.add_argument(
         "--recv-timeout", type=float, default=None, metavar="SECONDS",
         help="per-reply worker timeout; a worker that stays silent this "
              "long is declared dead (must be positive; default: wait "
@@ -552,8 +542,6 @@ def _run_shard(args) -> tuple:
     )
     events: list = []
     parallel_overrides = {}
-    if args.shared_memory is not None:
-        parallel_overrides["shared_memory"] = args.shared_memory
     if args.recv_timeout is not None:
         parallel_overrides["recv_timeout"] = args.recv_timeout
     if ShardLayout.is_shard_root(root):
@@ -652,9 +640,6 @@ def _run_online(args) -> str:
     if workers is None and base.executor == "process":
         workers = base.workers
     store = args.store if args.store is not None else base.store
-    shared_memory = (
-        args.shared_memory if args.shared_memory is not None else base.shared_memory
-    )
     recv_timeout = (
         args.recv_timeout if args.recv_timeout is not None else base.recv_timeout
     )
@@ -684,7 +669,6 @@ def _run_online(args) -> str:
             store=store,
             source_store_path=args.store_path,
             backend=backend,
-            shared_memory=shared_memory,
             recv_timeout=recv_timeout,
         )
         rows.append(_online_row(args.dataset, f"{workers} (real)", result))

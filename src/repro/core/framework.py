@@ -180,10 +180,9 @@ class IncrementalBetweenness:
         (``score[v] = sum_s delta_s[v]``) and the edge scores from the
         shortest-path DAG each record encodes, so the result is exactly the
         instance that running Brandes over ``source_data``'s sources would
-        produce.  This is how a parallel worker is seeded from a picklable
-        snapshot of an existing store
-        (:meth:`~repro.storage.base.BDStore.snapshot`) instead of
-        re-running the bootstrap.
+        produce.  This is how an instance is cloned from a snapshot of an
+        existing store (:meth:`~repro.storage.base.BDStore.snapshot`)
+        instead of re-running the bootstrap.
         """
         self = cls._bare(graph, store, restricted, backend)
         self._store.load_snapshot(source_data.values())

@@ -1,14 +1,14 @@
-"""Descriptor-passing dispatch plane shared by the parallel executors.
+"""Descriptor-passing dispatch plane of the worker runtime.
 
-With shared memory on, the executors stop pickling update lists across
-pipes.  The driver owns an **append-only update ring** — a shared
-``(capacity, 3)`` int64 segment of ``(kind, u_id, v_id)`` rows — and a
-**label table** interning vertex labels to dense ids.  Per batch the driver
-appends the encoded rows once and broadcasts only ``(start, length)`` plus
-whatever labels the batch minted; each worker re-reads its slice straight
-out of the segment and rebuilds the exact same
-:class:`~repro.core.updates.EdgeUpdate` objects, so scores stay
-bit-identical to the pickled path by construction.
+The shard coordinator does not pickle update lists across pipes.  The
+driver owns an **append-only update ring** — a shared ``(capacity, 3)``
+int64 segment of ``(kind, u_id, v_id)`` rows — and a **label table**
+interning vertex labels to dense ids.  Per batch the driver appends the
+encoded rows once and broadcasts only ``(start, length)`` plus whatever
+labels the batch minted; each worker re-reads its slice straight out of the
+segment and rebuilds the exact same :class:`~repro.core.updates.EdgeUpdate`
+objects the driver encoded, so scores do not depend on how a batch
+travelled (replay after a recovery sends the pickled list instead).
 
 The table is replicated incrementally: driver and workers start from the
 same label list and append new labels in the same order (the driver's
@@ -29,12 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.updates import EdgeUpdate, UpdateKind
-from repro.storage.buffers import (
-    Buffer,
-    ShmDescriptor,
-    attach,
-    get_allocator,
-)
+from repro.storage.buffers import Buffer, ShmAllocator, ShmDescriptor, attach
 
 #: Row encoding of one update in the ring.
 KIND_ADDITION = 0
@@ -141,13 +136,9 @@ class UpdateRing:
     """Driver-owned append-only update log in a shared segment."""
 
     def __init__(
-        self,
-        allocator=None,
-        capacity: int = DEFAULT_RING_CAPACITY,
-        hint: str = "ring",
+        self, capacity: int = DEFAULT_RING_CAPACITY, hint: str = "ring"
     ) -> None:
-        self._allocator = get_allocator(allocator or "shm", hint=hint)
-        self._hint = hint
+        self._allocator = ShmAllocator(hint=hint)
         self._generation = 0
         self._length = 0
         self._buffer = self._allocator.zeros((max(capacity, 16), 3), RING_DTYPE)

@@ -270,7 +270,6 @@ def replay_online_updates_parallel(
     use_cpu_time: bool = True,
     source_store_path=None,
     backend: str = "dicts",
-    shared_memory: bool = False,
     recv_timeout=None,
 ) -> OnlineReplayResult:
     """Measured online replay on the real process-parallel executor.
@@ -303,9 +302,6 @@ def replay_online_updates_parallel(
     backend:
         Compute backend every worker runs its partition on (``"dicts"`` or
         ``"arrays"``).
-    shared_memory:
-        Seed workers from shared-memory segments and dispatch batches as
-        ring descriptors instead of pickled snapshots (arrays backend).
     recv_timeout:
         Per-reply worker timeout in seconds (``None`` waits forever).
     """
@@ -324,7 +320,6 @@ def replay_online_updates_parallel(
         seed_store_path=(
             str(source_store_path) if source_store_path is not None else None
         ),
-        shared_memory=shared_memory,
         recv_timeout=recv_timeout,
     )
 

@@ -49,11 +49,15 @@ file, then atomically replaces the sidecar (the commit point), then prunes
 stores of older rounds — a crash at any instant leaves the previous round
 fully intact.
 
-With ``shared_memory=True`` the data plane changes shape (segments from
-:mod:`repro.storage.buffers`, the update ring of
-:mod:`repro.parallel.dataplane`) but not one bit of a score: the workers
-decode the exact same update objects and replay them through the exact same
-framework.  Everything else crossing the pipe is plain picklable data, so
+State crosses the driver→worker boundary one way.  A worker rebuilds its
+graph from the driver's compiled CSR arrays in shared segments
+(:mod:`repro.storage.buffers`) and reads each batch as ``(start, length)``
+rows of the update ring (:mod:`repro.parallel.dataplane`); only replay
+after a recovery sends pickled update lists, because the ring may have
+rotated past the logged slice.  A worker seeded from a durable store file
+reads its partition's records out of the file as one
+:class:`~repro.storage.columns.ColumnBlock` — the same reader a shard
+resume uses.  Everything else crossing the pipe is plain picklable data, so
 both the ``fork`` and ``spawn`` start methods work.
 """
 
@@ -69,7 +73,6 @@ from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.algorithms.brandes import SourceData
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.framework import IncrementalBetweenness
 from repro.core.result import BatchResult
@@ -90,13 +93,12 @@ from repro.parallel.dataplane import (
     encode_batch,
 )
 from repro.parallel.mapreduce import merge_partial_scores
-from repro.storage.arrays import ArrayBDStore
 from repro.storage.buffers import (
-    get_allocator,
+    ShmAllocator,
     reclaim_process_segments,
     shm_available,
 )
-from repro.storage.columns import export_columns, import_columns
+from repro.storage.columns import ColumnBlock, export_columns, import_columns
 from repro.storage.disk import DiskBDStore
 from repro.storage.index import VertexIndex
 from repro.storage.memory import InMemoryBDStore
@@ -143,73 +145,74 @@ def _attach_worker_graph(shm: dict) -> Graph:
             buffer.release()
 
 
+def _read_partition_block(
+    store_file: PathLike,
+    sources: Sequence,
+    generation: Optional[int] = None,
+) -> ColumnBlock:
+    """One partition's records out of a durable store file, as one block.
+
+    The one reader behind both ways a worker starts from records on disk:
+    seeding a fresh partition from a store file covering every source, and
+    resuming a shard from its stamped store (which also passes the
+    ``generation`` its sidecar recorded).  Rows come back in ``sources``
+    order; nothing is decoded into per-source records.
+    """
+    with DiskBDStore.open(store_file) as durable:
+        if generation is not None and durable.generation != generation:
+            raise ConfigurationError(
+                f"store file {store_file} is at generation "
+                f"{durable.generation} but its sidecar was written at "
+                f"generation {generation}; the shard directory holds mixed "
+                "state"
+            )
+        missing = [s for s in sources if s not in durable]
+        if missing:
+            raise ConfigurationError(
+                f"store file {store_file} lacks records for sources "
+                f"{sorted(map(repr, missing))}"
+            )
+        return export_columns(durable, sources=sources)
+
+
 def _build_worker_framework(payload: dict) -> IncrementalBetweenness:
     """Seed a fresh worker: its graph, store and restricted framework."""
-    shm = payload["shm"]
-    if shm is not None:
-        graph = _attach_worker_graph(shm)
-    else:
-        graph = Graph(directed=payload["directed"])
-        for vertex in payload["vertices"]:
-            graph.add_vertex(vertex)
-        for u, v in payload["edges"]:
-            graph.add_edge(u, v)
-
+    graph = _attach_worker_graph(payload["shm"])
     sources = payload["sources"]
     store_kind = payload["store"]
     backend = payload["backend"]
-    seed = shm["seed"] if shm is not None else None
-    if seed is not None and store_kind == "memory" and backend == "arrays":
-        # The zero-copy fast path: the driver packed this partition's
-        # records into shared column segments, and the columnar RAM store
-        # the arrays kernel wants is exactly that layout — so the attached
-        # matrices simply *are* the worker's live store.  Scores are
-        # rebuilt by scanning the records in source order, the same
-        # accumulation a snapshot-seeded bootstrap performs.
-        store = ArrayBDStore.attach(seed, writable=True)
-        return IncrementalBetweenness.from_store(
-            graph, store, restricted=True, backend=backend
-        )
-
-    if store_kind == "memory":
-        # The arrays backend defaults to its own columnar RAM store; the
-        # dicts backend keeps the classic dict-of-records store.
-        store = None if backend == "arrays" else InMemoryBDStore()
-    else:  # "disk" — validated by the driver
-        store = DiskBDStore(
-            graph.vertex_list(), sources=sources, directed=graph.directed
-        )
-
-    snapshot = payload["snapshot"]
-    if seed is not None:
-        # Other store/backend combinations decode their records out of the
-        # shared seed segments in-process — same decode the pickled path
-        # performs, minus the pipe transfer and the driver-side pickling.
-        seed_store = ArrayBDStore.attach(seed, writable=False)
-        try:
-            snapshot = {s: seed_store.get(s) for s in sources}
-        finally:
-            seed_store.close()
     store_path = payload["store_path"]
-    if store_path is not None:
-        # File-seeded bootstrap: every worker reopens the shared durable
-        # store read-only-in-practice (records are only loaded, never
-        # written) and pulls just its own partition's records, so nothing
-        # crosses the driver→worker pipe but the path string.
-        with DiskBDStore.open(store_path) as durable:
-            missing = [s for s in sources if s not in durable]
-            if missing:
-                raise ConfigurationError(
-                    f"store file {store_path} lacks records for sources "
-                    f"{sorted(map(repr, missing))}"
-                )
-            snapshot = {s: durable.get(s) for s in sources}
-    if snapshot is not None:
-        return IncrementalBetweenness.from_source_data(
-            graph, snapshot, store=store, restricted=True, backend=backend
+    if store_path is None:
+        if store_kind == "memory":
+            # The arrays backend defaults to its own columnar RAM store; the
+            # dicts backend keeps the classic dict-of-records store.
+            store = None if backend == "arrays" else InMemoryBDStore()
+        else:  # "disk" — validated by the driver
+            store = DiskBDStore(
+                graph.vertex_list(), sources=sources, directed=graph.directed
+            )
+        return IncrementalBetweenness(
+            graph, store=store, sources=sources, backend=backend
         )
-    return IncrementalBetweenness(
-        graph, store=store, sources=sources, backend=backend
+
+    # File-seeded bootstrap: every worker reopens the shared durable store
+    # and reads just its own partition's records, so nothing crosses the
+    # driver→worker pipe but the path string.
+    block = _read_partition_block(store_path, sources)
+    if store_kind == "disk":
+        store = DiskBDStore.from_columns(
+            None,
+            block.vertices,
+            block.sources,
+            block.distance,
+            block.sigma,
+            block.delta,
+            directed=graph.directed,
+        )
+    else:
+        store = import_columns(block, backend, graph.directed)
+    return IncrementalBetweenness.from_store(
+        graph, store, restricted=True, backend=backend
     )
 
 
@@ -279,26 +282,11 @@ def _resume_shard_framework(
             f"{checkpoint_path} is not a shard checkpoint sidecar"
         )
     graph = Graph.from_adjacency_payload(ckpt.adjacency, directed=ckpt.directed)
-    source_order = meta["source_order"]
-    store_file = Path(checkpoint_path).parent / Path(ckpt.store_path).name
-    with DiskBDStore.open(store_file) as durable:
-        if (
-            ckpt.store_generation is not None
-            and durable.generation != ckpt.store_generation
-        ):
-            raise ConfigurationError(
-                f"shard store {store_file} is at generation "
-                f"{durable.generation} but its sidecar was written at "
-                f"generation {ckpt.store_generation}; the shard directory "
-                "holds mixed state"
-            )
-        missing = [s for s in source_order if s not in durable]
-        if missing:
-            raise StoreCorruptedError(
-                f"shard store {store_file} lacks records for sources "
-                f"{sorted(map(repr, missing))}"
-            )
-        block = export_columns(durable, sources=source_order)
+    block = _read_partition_block(
+        Path(checkpoint_path).parent / Path(ckpt.store_path).name,
+        meta["source_order"],
+        ckpt.store_generation,
+    )
     store = import_columns(block, backend, graph.directed)
     return IncrementalBetweenness.resume(
         checkpoint_path, store=store, backend=backend, checkpoint=ckpt
@@ -309,19 +297,20 @@ def _worker_main(connection, payload: dict) -> None:
     """Entry point of every worker process (one mapper of Figure 4).
 
     The payload either seeds a fresh partition (``checkpoint_path`` is
-    ``None``: graph, sources, store kind and an optional snapshot, store
-    file or shared seed segments) or names the shard sidecar to resume from.
+    ``None``: the graph's segments, sources, store kind and an optional
+    store file to read the partition's records from) or names the shard
+    sidecar to resume from.  Either way it carries the update ring and the
+    label table the batches are read through.
 
     Protocol (all tuples over the pipe):
 
-    * ``("apply", cursor, batch, adopt)`` → ``("applied", cursor, result,
-      cpu_seconds)`` — replay a batch (batched pipeline) against this
-      worker's partition; ``adopt`` lists the new vertices it takes
-      ownership of
     * ``("apply_ring", cursor, start, length, new_labels, adopt_ids,
-      rotated)`` → ``("applied", cursor, result, cpu_seconds)`` — the
-      shared-memory variant: the batch is read back out of the
-      coordinator's update ring instead of crossing the pipe
+      rotated)`` → ``("applied", cursor, result, cpu_seconds)`` — apply a
+      batch (batched pipeline) against this worker's partition, read back
+      out of the coordinator's update ring; ``adopt_ids`` name the new
+      vertices it takes ownership of
+    * ``("apply", cursor, batch, adopt)`` → the same reply — the pickled
+      form, used only to replay logged batches onto a replacement
     * ``("checkpoint", cursor)`` → ``("checkpointed", cursor, seconds)``
       (durable shards only)
     * ``("collect",)`` → ``("scores", vertex_partial, edge_partial)``
@@ -347,9 +336,8 @@ def _worker_main(connection, payload: dict) -> None:
                 )
             else:
                 framework = _build_worker_framework(payload)
-            if shm is not None:
-                ring_reader = RingReader(shm["ring"])
-                label_table = LabelTable(shm["labels"])
+            ring_reader = RingReader(shm["ring"])
+            label_table = LabelTable(shm["labels"])
         connection.send(("ready", timer.total))
         while True:
             # Sleep until a command arrives or the driver dies.  The pipe
@@ -516,17 +504,6 @@ class ShardCoordinator:
         process death is detected within ~50ms regardless.  ``None``
         (default) waits as long as the worker stays alive — a big batch is
         not a failure.  A worker that exceeds it is killed like a dead one.
-    shared_memory:
-        When true the coordinator runs the zero-copy data plane: workers
-        attach the initial graph (and any seed records) from shared
-        segments instead of unpickling them, and per-batch dispatch sends
-        ``(offset, length)`` descriptors into a shared update ring instead
-        of pickled update lists.  Scores are bit-identical either way.  The
-        coordinator owns every segment and reclaims them on :meth:`close`,
-        including segments of workers that died.  Replacement workers
-        seeded from a sidecar keep using the ring for new batches (replay
-        itself stays on the classic pickled path, since replayed slices may
-        predate a ring rotation).
     notify:
         Optional :data:`NotifyHook` receiving ``worker_failed`` /
         ``shard_recovered`` / ``checkpoint`` notifications.
@@ -544,17 +521,16 @@ class ShardCoordinator:
         ``"memory"`` (default) or ``"disk"`` — the store kind a freshly
         seeded worker computes on, i.e. the MO or DO configuration inside
         each mapper.
-    source_data:
-        Optional precomputed ``{source: BD[s]}`` records (for example
-        ``framework.store.snapshot()`` of an existing serial instance).
-        When given, workers are seeded from their slice of the snapshot
-        instead of re-running the Brandes bootstrap.
     source_store_path:
         Path to a durable :class:`~repro.storage.disk.DiskBDStore` file
         covering every source.  Each worker reopens the file itself and
-        loads only its partition's records, so — unlike ``source_data`` —
-        no pickled snapshot crosses the process boundary.  Mutually
-        exclusive with ``source_data``.
+        reads only its partition's records, as one column block, instead
+        of running the Brandes bootstrap; nothing but the path crosses the
+        process boundary.
+
+    The workers always run the shared-memory data plane (see the module
+    docstring).  The coordinator owns every segment and reclaims them on
+    :meth:`close`, including segments of workers that died.
 
     Examples
     --------
@@ -579,13 +555,11 @@ class ShardCoordinator:
         layout: Optional[ShardLayout] = None,
         backend: str = "dicts",
         recv_timeout: Optional[float] = None,
-        shared_memory: bool = False,
         notify: Optional[NotifyHook] = None,
         config: Optional[Dict] = None,
         chaos: Optional[Dict[int, Dict]] = None,
         num_workers: Optional[int] = None,
         store: str = "memory",
-        source_data: Optional[Dict[Vertex, SourceData]] = None,
         source_store_path: Optional[PathLike] = None,
         _manifest: Optional[ShardManifest] = None,
     ) -> None:
@@ -601,14 +575,9 @@ class ShardCoordinator:
             raise ConfigurationError(
                 f"store must be one of {WORKER_STORES}, got {store!r}"
             )
-        if source_data is not None and source_store_path is not None:
+        if not shm_available():
             raise ConfigurationError(
-                "source_data and source_store_path are mutually exclusive "
-                "seeding mechanisms"
-            )
-        if shared_memory and not shm_available():
-            raise ConfigurationError(
-                "shared_memory=True requires multiprocessing.shared_memory, "
+                "the worker runtime requires multiprocessing.shared_memory, "
                 "which this platform does not provide"
             )
         try:
@@ -619,7 +588,6 @@ class ShardCoordinator:
         self._num_shards = num_workers
         self._backend = backend
         self._recv_timeout = recv_timeout
-        self._shared_memory = bool(shared_memory)
         self.notify = notify
         self._config = config
         self._chaos = dict(chaos or {})
@@ -628,11 +596,10 @@ class ShardCoordinator:
         self._partitions: Tuple = ()
         self._bytes_sent = 0
         self._closed = False
-        # Zero-copy data plane (populated only when shared_memory is on).
+        # The data plane: built before the first spawn, released on close.
         self._label_table: Optional[LabelTable] = None
         self._ring: Optional[UpdateRing] = None
-        self._graph_seed_buffers: List = []
-        self._seed_stores: List[ArrayBDStore] = []
+        self._graph_buffers: List = []
 
         try:
             if _manifest is not None:
@@ -643,7 +610,7 @@ class ShardCoordinator:
                         "ShardCoordinator needs an initial graph (or use "
                         "ShardCoordinator.resume to restore one from disk)"
                     )
-                self._init_fresh(graph, store, source_data, source_store_path)
+                self._init_fresh(graph, store, source_store_path)
         except BaseException:
             self.close(checkpoint=False)
             raise
@@ -652,7 +619,6 @@ class ShardCoordinator:
         self,
         graph: Graph,
         store: str,
-        source_data: Optional[Dict[Vertex, SourceData]],
         source_store_path: Optional[PathLike],
     ) -> None:
         layout = self._layout
@@ -673,41 +639,22 @@ class ShardCoordinator:
         self._assignment: List[Tuple[Vertex, int]] = []
         self._cursor = 0
         self._last_round = -1
-        edges = None
-        graph_payload = None
-        if self._shared_memory:
-            self._build_data_plane(vertices)
-            csr = CSRGraph.from_graph(self._graph, VertexIndex(vertices))
-            self._graph_seed_buffers, graph_payload = csr.export_compiled(
-                get_allocator("shm", hint="csrg")
-            )
-        else:
-            edges = self._graph.edge_list()
+        self._build_data_plane(vertices)
+        csr = CSRGraph.from_graph(self._graph, VertexIndex(vertices))
+        self._graph_buffers, graph_payload = csr.export_compiled(
+            ShmAllocator(hint="csrg")
+        )
         for partition in self._partitions:
             shard_id = partition.worker_id
-            sources = list(partition.sources)
-            snapshot = seed = None
-            if source_data is not None:
-                if self._shared_memory:
-                    seed = self._pack_seed_columns(
-                        shard_id, vertices, sources, source_data
-                    )
-                else:
-                    snapshot = {s: source_data[s] for s in sources}
             payload = self._payload(
                 shard_id,
-                vertices=None if self._shared_memory else vertices,
-                edges=edges,
-                directed=self._graph.directed,
-                sources=sources,
+                sources=list(partition.sources),
                 store=store,
-                snapshot=snapshot,
                 store_path=(
                     None if source_store_path is None else str(source_store_path)
                 ),
             )
-            if self._shared_memory:
-                payload["shm"].update(graph=graph_payload, seed=seed)
+            payload["shm"]["graph"] = graph_payload
             self._spawn(shard_id, payload)
         self._init_seconds = [
             self._expect(i, "ready")[1] for i in range(self.num_shards)
@@ -717,36 +664,6 @@ class ShardCoordinator:
             # that dies before the first periodic round still has a seed to
             # recover from (and `resume` works from the very first moment).
             self._checkpoint_round()
-
-    def _pack_seed_columns(
-        self,
-        shard_id: int,
-        vertices: List[Vertex],
-        sources: List[Vertex],
-        source_data: Dict[Vertex, SourceData],
-    ) -> dict:
-        """Pack one partition's seed records into owned shared segments.
-
-        The packing reuses :class:`~repro.storage.arrays.ArrayBDStore`
-        wholesale: an shm-allocated store filled in partition source order
-        is, by construction, the exact bundle
-        :meth:`~repro.storage.arrays.ArrayBDStore.attach` rebuilds on the
-        worker side.  The coordinator keeps the store (it owns the
-        segments) until :meth:`close` reclaims them; the descriptors are
-        what crosses the pipe.
-        """
-        seed_store = ArrayBDStore(
-            vertices,
-            capacity=len(vertices),
-            sources=(),
-            row_capacity=max(1, len(sources)),
-            directed=self._graph.directed,
-            allocator=get_allocator("shm", hint=f"seed{shard_id}"),
-        )
-        self._seed_stores.append(seed_store)
-        for source in sources:
-            seed_store.put(source_data[source])
-        return seed_store.export_column_descriptors()
 
     def _init_from_manifest(self, manifest: ShardManifest) -> None:
         layout = self._layout
@@ -788,12 +705,11 @@ class ShardCoordinator:
                 graph = Graph.from_adjacency_payload(
                     ckpt.adjacency, directed=ckpt.directed
                 )
-                if self._shared_memory:
-                    # The resume path re-seeds state from the sidecars, so
-                    # only the dispatch half of the plane (ring + labels) is
-                    # shared; labels start from the restored graph's vertex
-                    # order, which every sidecar recorded identically.
-                    self._build_data_plane(graph.vertex_list())
+                # The resume path re-seeds state from the sidecars, so only
+                # the dispatch half of the plane (ring + labels) is shared;
+                # labels start from the restored graph's vertex order, which
+                # every sidecar recorded identically.
+                self._build_data_plane(graph.vertex_list())
             self._spawn(
                 shard_id, self._payload(shard_id, checkpoint_path=str(sidecar))
             )
@@ -808,7 +724,6 @@ class ShardCoordinator:
         root: PathLike,
         backend: Optional[str] = None,
         recv_timeout: Optional[float] = None,
-        shared_memory: bool = False,
         notify: Optional[NotifyHook] = None,
         config: Optional[Dict] = None,
     ) -> "ShardCoordinator":
@@ -834,7 +749,6 @@ class ShardCoordinator:
             layout=layout,
             backend=backend if backend is not None else manifest.backend,
             recv_timeout=recv_timeout,
-            shared_memory=shared_memory,
             notify=notify,
             config=config if config is not None else manifest.config,
             _manifest=manifest,
@@ -862,11 +776,6 @@ class ShardCoordinator:
     def graph(self) -> Graph:
         """The coordinator's view of the current graph (do not mutate)."""
         return self._graph
-
-    @property
-    def shared_memory(self) -> bool:
-        """Whether the zero-copy data plane is active."""
-        return self._shared_memory
 
     @property
     def batch_cursor(self) -> int:
@@ -958,35 +867,29 @@ class ShardCoordinator:
 
         timer = Timer()
         with timer.measure():
-            if self._shared_memory:
-                # Descriptor-passing dispatch: the rows go into the shared
-                # ring once, and each shard receives only (start, length)
-                # plus this batch's newly minted labels.  The replay log
-                # keeps the classic pickled form — recovery must work even
-                # after the ring rotated past the logged slice.
-                rows, new_labels = encode_batch(self._label_table, batch)
-                start, length, rotated = self._ring.append(rows)
-                adopt_ids = [
-                    [self._label_table.id_of(v) for v in adopt]
-                    for adopt in adopt_per_shard
-                ]
-                replies = self._broadcast(
-                    lambda i: (
-                        "apply_ring",
-                        cursor,
-                        start,
-                        length,
-                        new_labels,
-                        adopt_ids[i],
-                        rotated,
-                    ),
-                    "applied",
-                )
-            else:
-                replies = self._broadcast(
-                    lambda i: ("apply", cursor, batch, adopt_per_shard[i]),
-                    "applied",
-                )
+            # Descriptor-passing dispatch: the rows go into the shared ring
+            # once, and each shard receives only (start, length) plus this
+            # batch's newly minted labels.  The replay log keeps the pickled
+            # form — recovery must work even after the ring rotated past
+            # the logged slice.
+            rows, new_labels = encode_batch(self._label_table, batch)
+            start, length, rotated = self._ring.append(rows)
+            adopt_ids = [
+                [self._label_table.id_of(v) for v in adopt]
+                for adopt in adopt_per_shard
+            ]
+            replies = self._broadcast(
+                lambda i: (
+                    "apply_ring",
+                    cursor,
+                    start,
+                    length,
+                    new_labels,
+                    adopt_ids[i],
+                    rotated,
+                ),
+                "applied",
+            )
         payload_bytes = self._bytes_sent - bytes_before
 
         for update in batch:  # keep the coordinator's graph in sync
@@ -1095,12 +998,9 @@ class ShardCoordinator:
     def _release_data_plane(self) -> None:
         """Unlink every plane segment the coordinator owns (idempotent);
         runs after the workers are down, however they went down."""
-        for store in self._seed_stores:
-            store.close()
-        self._seed_stores = []
-        for buffer in self._graph_seed_buffers:
+        for buffer in self._graph_buffers:
             buffer.release()
-        self._graph_seed_buffers = []
+        self._graph_buffers = []
         if self._ring is not None:
             self._ring.release()
             self._ring = None
@@ -1140,15 +1040,12 @@ class ShardCoordinator:
             "backend": self._backend,
             "chaos": self._chaos.get(shard_id),
             "checkpoint_path": None,
-            "shm": None,
-        }
-        if self._shared_memory:
-            payload["shm"] = {
+            "shm": {
                 "labels": self._label_table.labels(),
                 "ring": self._ring.payload(),
                 "graph": None,
-                "seed": None,
-            }
+            },
+        }
         payload.update(fields)
         return payload
 
@@ -1187,7 +1084,7 @@ class ShardCoordinator:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=5.0)
-        if self._shared_memory and process.pid is not None:
+        if process.pid is not None:
             # A killed worker never ran its atexit hooks; any segments it
             # owned are reclaimed here so /dev/shm cannot leak.
             reclaim_process_segments(process.pid)

@@ -32,18 +32,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms.brandes import SourceData
-from repro.exceptions import (
-    ConfigurationError,
-    StoreClosedError,
-    StoreCorruptedError,
-)
+from repro.exceptions import StoreClosedError, StoreCorruptedError
 from repro.storage.base import BDStore
-from repro.storage.buffers import (
-    GenerationStamp,
-    ShmDescriptor,
-    attach_bundle,
-    get_allocator,
-)
 from repro.storage.codec import (
     DELTA_DTYPE,
     DISTANCE_DTYPE,
@@ -86,15 +76,6 @@ class ArrayBDStore(BDStore):
         the flag only lets the framework refuse pairing the store with a
         graph of the other orientation, mirroring the disk store's header
         bit.
-    allocator:
-        ``"heap"`` (default — plain numpy, exactly the pre-seam behavior)
-        or ``"shm"`` — the column matrices then live in named
-        shared-memory segments this store owns, exportable to other
-        processes via :meth:`export_column_descriptors`.  Growth
-        re-allocates a *new generation* of segments, bumps the store's
-        generation stamp and unlinks the old ones, so descriptors exported
-        earlier are refused at attach time instead of silently pointing at
-        dead or resized memory.
     """
 
     def __init__(
@@ -104,17 +85,8 @@ class ArrayBDStore(BDStore):
         sources: Optional[Iterable[Vertex]] = (),
         row_capacity: Optional[int] = None,
         directed: Optional[bool] = None,
-        allocator=None,
     ) -> None:
         self.directed = directed
-        self._allocator = get_allocator(allocator, hint="arrays")
-        self._generation = 0
-        self._stamp = (
-            GenerationStamp.create("arrays")
-            if self._allocator.kind == "shm"
-            else None
-        )
-        self._column_buffers: List = []
         self._index = VertexIndex(vertices)
         initial = len(self._index)
         if capacity is None:
@@ -140,14 +112,9 @@ class ArrayBDStore(BDStore):
             self.add_source(source)
 
     def _allocate(self, rows: int, columns: int) -> None:
-        alloc = self._allocator
-        dist = alloc.full((rows, columns), DISTANCE_DTYPE, UNREACHABLE)
-        sigma = alloc.zeros((rows, columns), SIGMA_DTYPE)
-        delta = alloc.zeros((rows, columns), DELTA_DTYPE)
-        self._column_buffers = [dist, sigma, delta]
-        self._dist = dist.array
-        self._sigma = sigma.array
-        self._delta = delta.array
+        self._dist = np.full((rows, columns), UNREACHABLE, DISTANCE_DTYPE)
+        self._sigma = np.zeros((rows, columns), SIGMA_DTYPE)
+        self._delta = np.zeros((rows, columns), DELTA_DTYPE)
 
     @classmethod
     def from_columns(
@@ -187,16 +154,6 @@ class ArrayBDStore(BDStore):
     def capacity(self) -> int:
         """Number of allocated vertex (column) slots per record."""
         return self._capacity
-
-    @property
-    def shared(self) -> bool:
-        """Whether the column matrices live in shared-memory segments."""
-        return bool(self._column_buffers) and self._column_buffers[0].shared
-
-    @property
-    def generation(self) -> int:
-        """Segment generation; bumps whenever growth re-allocates columns."""
-        return self._generation
 
     # ------------------------------------------------------------------ #
     # BDStore interface
@@ -265,84 +222,9 @@ class ArrayBDStore(BDStore):
     def close(self) -> None:
         self._closed = True
         self._dist = self._sigma = self._delta = None  # type: ignore[assignment]
-        for buffer in self._column_buffers:
-            buffer.release()
-        self._column_buffers = []
-        if self._stamp is not None:
-            self._stamp.release()
-            self._stamp = None
         self._source_list = []
         self._row_of = {}
         self._row_of_slot = np.empty(0, dtype=np.int64)
-
-    # ------------------------------------------------------------------ #
-    # Shared-memory export / attach
-    # ------------------------------------------------------------------ #
-    def export_column_descriptors(self) -> dict:
-        """Descriptor bundle another process can :meth:`attach` to.
-
-        Only shm-allocated stores export; the bundle carries the segment
-        descriptors (stamped with the current generation), the stamp
-        segment's name, and the label-side metadata (vertex order, source
-        order, capacities) needed to rebuild the row/column mappings
-        exactly.  Everything is plain picklable data a few hundred bytes
-        long — the whole point is that the matrices themselves stay put.
-        """
-        self._ensure_open()
-        if not self.shared:
-            raise ConfigurationError(
-                "only shm-allocated array stores can export descriptors "
-                "(construct with allocator='shm')"
-            )
-        return {
-            "stamp": self._stamp.name,
-            "generation": self._generation,
-            "columns": [
-                buffer.descriptor(self._generation).to_payload()
-                for buffer in self._column_buffers
-            ],
-            "vertices": list(self._index.vertices()),
-            "sources": list(self._source_list),
-            "capacity": self._capacity,
-            "row_capacity": self._row_capacity,
-            "directed": self.directed,
-        }
-
-    @classmethod
-    def attach(cls, payload: dict, writable: bool = True) -> "ArrayBDStore":
-        """Map another process's exported column matrices as a live store.
-
-        Refuses stale bundles (the owner's stamp no longer matches the
-        descriptors' generation).  The attached store never unlinks the
-        segments — that is the owner's job; :meth:`close` here only drops
-        the local mappings.  If the attached store itself grows, growth
-        re-allocates into private heap arrays, detaching naturally.
-        """
-        descriptors = [
-            ShmDescriptor.from_payload(entry) for entry in payload["columns"]
-        ]
-        buffers = attach_bundle(
-            descriptors, stamp_name=payload.get("stamp"), writable=writable
-        )
-        self = cls.__new__(cls)
-        self.directed = payload.get("directed")
-        self._allocator = get_allocator("heap")
-        self._generation = int(payload.get("generation", 0))
-        self._stamp = None
-        self._column_buffers = list(buffers)
-        self._dist, self._sigma, self._delta = (b.array for b in buffers)
-        self._index = VertexIndex(payload["vertices"])
-        self._capacity = int(payload["capacity"])
-        self._row_capacity = int(payload["row_capacity"])
-        self._row_of = {}
-        self._row_of_slot = np.full(self._capacity, -1, dtype=np.int64)
-        self._source_list = []
-        self._closed = False
-        for row, source in enumerate(payload["sources"]):
-            self._row_of[source] = row
-            self._row_of_slot[self._index.slot(source)] = row
-            self._source_list.append(source)
-        return self
 
     # ------------------------------------------------------------------ #
     # Column protocol (array kernel)
@@ -447,45 +329,25 @@ class ArrayBDStore(BDStore):
     def _grow_rows(self) -> None:
         old_rows = self._row_capacity
         new_rows = max(int(old_rows * GROWTH_FACTOR) + 1, old_rows + 1)
-        old_buffers = self._column_buffers
         dist, sigma, delta = self._dist, self._sigma, self._delta
         self._allocate(new_rows, self._capacity)
         self._dist[:old_rows] = dist
         self._sigma[:old_rows] = sigma
         self._delta[:old_rows] = delta
-        del dist, sigma, delta
         self._row_capacity = new_rows
-        self._republish(old_buffers)
 
     def _grow_columns(self) -> None:
         old = self._capacity
         new_capacity = max(int(old * GROWTH_FACTOR) + 1, len(self._index))
-        old_buffers = self._column_buffers
         dist, sigma, delta = self._dist, self._sigma, self._delta
         self._allocate(self._row_capacity, new_capacity)
         self._dist[:, :old] = dist
         self._sigma[:, :old] = sigma
         self._delta[:, :old] = delta
-        del dist, sigma, delta
         grown = np.full(new_capacity, -1, dtype=np.int64)
         grown[:old] = self._row_of_slot
         self._row_of_slot = grown
         self._capacity = new_capacity
-        self._republish(old_buffers)
-
-    def _republish(self, old_buffers: List) -> None:
-        """Retire a superseded allocation generation.
-
-        The old buffers are released (owned segments unlinked) and the
-        generation advances — both in the picklable counter that lands in
-        future descriptors and, for shm stores, in the live stamp segment
-        that invalidates descriptors exported before the growth.
-        """
-        for buffer in old_buffers:
-            buffer.release()
-        self._generation += 1
-        if self._stamp is not None:
-            self._stamp.bump()
 
     def _ensure_open(self) -> None:
         if self._closed:

@@ -60,9 +60,9 @@ class BDStore(abc.ABC):
     def snapshot(self) -> Dict[Vertex, SourceData]:
         """Materialise every record as a picklable ``{source: BD[s]}`` dict.
 
-        Used to ship a partition of the store to a worker process (the
-        distributed-cache step of the parallel embodiment) and to clone
-        framework instances without re-running Brandes.  The returned
+        Used to clone framework instances without re-running Brandes
+        (:meth:`~repro.core.framework.IncrementalBetweenness.from_source_data`).
+        The returned
         records are independent copies: in-memory stores hand out live
         references from :meth:`get`, and a snapshot that aliased them would
         couple the clone's repairs to the original's.

@@ -1,26 +1,19 @@
-"""Buffer allocation seam: heap arrays or named shared-memory segments.
+"""Named shared-memory segments: the worker runtime's data plane.
 
-Every columnar layer in the stack (:class:`~repro.storage.arrays.ArrayBDStore`
-column matrices, :class:`~repro.graph.csr.CSRGraph` compiled arrays, the
-executors' update rings) allocates its flat numpy buffers through this
-module instead of calling ``np.empty`` directly.  Two allocators implement
-the seam:
-
-* :class:`HeapAllocator` — plain process-private ``np.empty``; the default
-  and exactly what the code did before the seam existed.
-* :class:`ShmAllocator` — ``multiprocessing.shared_memory`` segments with
-  an explicit create/attach/close/unlink lifecycle.  A buffer created here
-  is *owned* by the creating process (which must eventually
-  :meth:`~Buffer.release` it, unlinking the segment); any other process
-  *attaches* via the buffer's :class:`ShmDescriptor` and only ever closes
-  its mapping — attachers never unlink.
+The two arrays that cross the driver→worker boundary without a pipe — the
+:class:`~repro.graph.csr.CSRGraph` compiled arrays a worker's graph is
+rebuilt from, and the update ring of :mod:`repro.parallel.dataplane` —
+live in ``multiprocessing.shared_memory`` segments allocated here, with an
+explicit create/attach/close/unlink lifecycle.  A buffer created by
+:class:`ShmAllocator` is *owned* by the creating process (which must
+eventually :meth:`~Buffer.release` it, unlinking the segment); any other
+process *attaches* via the buffer's :class:`ShmDescriptor` and only ever
+closes its mapping — attachers never unlink.
 
 Descriptors are tiny picklable records ``(segment name, dtype, shape,
-generation)``.  The generation stamp lets a publisher that re-allocates a
-segment (store growth) refuse stale attaches: the publisher keeps a
-one-``int64`` *stamp segment* whose live value must equal the descriptor's
-generation at attach time, exactly like the checkpoint stamps of the shard
-manifests.
+generation)``; the generation numbers the segments of a publisher that
+re-allocates (the ring's rotation), so a reader can tell a new segment
+from the one it already maps.
 
 Leak guard: every segment created through :class:`ShmAllocator` is entered
 into a per-process registry and unlinked at interpreter exit if the owner
@@ -35,7 +28,7 @@ import os
 import secrets
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -53,9 +46,6 @@ except ImportError:  # pragma: no cover - exotic platforms only
 #: Every segment this package creates is named ``repro_<hex>`` so the leak
 #: guard (and a human inspecting /dev/shm) can recognise ours.
 SEGMENT_PREFIX = "repro_"
-
-#: dtype of the one-value generation stamp segments.
-STAMP_DTYPE = np.dtype(np.int64)
 
 
 def shm_available() -> bool:
@@ -178,9 +168,8 @@ def reclaim_process_segments(pid: int) -> List[str]:
 class ShmDescriptor:
     """Picklable handle to one shared-memory array segment.
 
-    ``generation`` is the publisher's segment generation at export time;
-    :func:`attach` compares it against the live stamp (when the publisher
-    registered one) and refuses stale handles.
+    ``generation`` is the publisher's segment generation at export time
+    (see :class:`~repro.parallel.dataplane.RingReader`).
     """
 
     name: str
@@ -217,26 +206,20 @@ class ShmDescriptor:
 
 
 class Buffer:
-    """One allocated array plus its lifecycle handle.
+    """One shared-memory array plus its lifecycle handle.
 
-    ``array`` is the numpy view to compute on.  Heap buffers have a no-op
-    lifecycle; shm buffers close their mapping on :meth:`close` and
-    additionally unlink the segment on :meth:`release` when this process
-    owns it.
+    ``array`` is the numpy view to compute on.  :meth:`close` drops this
+    process's mapping; :meth:`release` additionally unlinks the segment
+    when this process owns it.
     """
 
     __slots__ = ("array", "_segment", "_owner", "_released")
 
-    def __init__(self, array: np.ndarray, segment=None, owner: bool = False):
+    def __init__(self, array: np.ndarray, segment, owner: bool = False):
         self.array = array
         self._segment = segment
         self._owner = owner
         self._released = False
-
-    @property
-    def shared(self) -> bool:
-        """Whether the buffer lives in a named shared-memory segment."""
-        return self._segment is not None
 
     @property
     def owner(self) -> bool:
@@ -244,14 +227,12 @@ class Buffer:
         return self._owner
 
     @property
-    def segment_name(self) -> Optional[str]:
-        """The segment name, or ``None`` for heap buffers."""
-        return self._segment.name if self._segment is not None else None
+    def segment_name(self) -> str:
+        """The segment's name (what a descriptor carries)."""
+        return self._segment.name
 
     def descriptor(self, generation: int = 0) -> ShmDescriptor:
-        """Export the buffer as a :class:`ShmDescriptor` (shm buffers only)."""
-        if self._segment is None:
-            raise StorageError("heap buffers have no shared-memory descriptor")
+        """Export the buffer as a :class:`ShmDescriptor`."""
         return ShmDescriptor(
             name=self._segment.name,
             dtype=self.array.dtype.str,
@@ -261,7 +242,7 @@ class Buffer:
 
     def close(self) -> None:
         """Drop this process's mapping (keeps the segment alive for others)."""
-        if self._released or self._segment is None:
+        if self._released:
             return
         self._released = True
         self.array = None  # the mapping dies with the segment handle
@@ -275,10 +256,6 @@ class Buffer:
     def release(self) -> None:
         """Close and, when owner, unlink the segment (idempotent)."""
         if self._released:
-            return
-        if self._segment is None:
-            self._released = True
-            self.array = None
             return
         self._released = True
         self.array = None
@@ -296,34 +273,14 @@ class Buffer:
 
 
 # --------------------------------------------------------------------------- #
-# Allocators
+# Allocator
 # --------------------------------------------------------------------------- #
-class HeapAllocator:
-    """Process-private numpy buffers — the pre-seam behavior, the default."""
-
-    kind = "heap"
-
-    def empty(self, shape, dtype) -> Buffer:
-        """Uninitialised buffer (caller fills every element)."""
-        return Buffer(np.empty(shape, dtype=dtype))
-
-    def full(self, shape, dtype, fill_value) -> Buffer:
-        """Buffer pre-filled with ``fill_value``."""
-        return Buffer(np.full(shape, fill_value, dtype=dtype))
-
-    def zeros(self, shape, dtype) -> Buffer:
-        """Zero-filled buffer."""
-        return Buffer(np.zeros(shape, dtype=dtype))
-
-
 class ShmAllocator:
     """Named shared-memory buffers this process owns.
 
     ``hint`` is folded into segment names for debuggability (segments of
-    one store/ring family sort together in ``/dev/shm``).
+    one graph/ring family sort together in ``/dev/shm``).
     """
-
-    kind = "shm"
 
     def __init__(self, hint: str = "") -> None:
         if not shm_available():  # pragma: no cover - import-guarded
@@ -350,28 +307,11 @@ class ShmAllocator:
         """Uninitialised owned segment (caller fills every element)."""
         return self._create(shape, dtype)
 
-    def full(self, shape, dtype, fill_value) -> Buffer:
-        """Owned segment pre-filled with ``fill_value``."""
-        buffer = self._create(shape, dtype)
-        buffer.array.fill(fill_value)
-        return buffer
-
     def zeros(self, shape, dtype) -> Buffer:
         """Zero-filled owned segment."""
         buffer = self._create(shape, dtype)
         buffer.array.fill(0)
         return buffer
-
-
-def get_allocator(kind, hint: str = ""):
-    """Resolve ``"heap"``/``"shm"`` (or an allocator instance) to an allocator."""
-    if isinstance(kind, (HeapAllocator, ShmAllocator)):
-        return kind
-    if kind in (None, "heap"):
-        return HeapAllocator()
-    if kind == "shm":
-        return ShmAllocator(hint=hint)
-    raise ConfigurationError(f"unknown buffer allocator {kind!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -413,102 +353,3 @@ def attach(descriptor: ShmDescriptor, writable: bool = False) -> Buffer:
     if not writable:
         array.flags.writeable = False
     return Buffer(array, segment=segment, owner=False)
-
-
-# --------------------------------------------------------------------------- #
-# Generation stamps
-# --------------------------------------------------------------------------- #
-class GenerationStamp:
-    """A one-``int64`` segment publishing a store's live segment generation.
-
-    The owner creates it once, bumps it on every re-allocation, and puts
-    its name in every exported descriptor bundle.  Attachers read it and
-    refuse descriptors whose recorded generation no longer matches — the
-    shared-memory analogue of PR 7's checkpoint stamp refusal.
-    """
-
-    def __init__(self, buffer: Buffer) -> None:
-        self._buffer = buffer
-
-    @classmethod
-    def create(cls, hint: str = "") -> "GenerationStamp":
-        """Allocate an owned stamp segment starting at generation 0."""
-        buffer = ShmAllocator(hint=f"{hint}_gen" if hint else "gen").zeros(
-            (1,), STAMP_DTYPE
-        )
-        return cls(buffer)
-
-    @property
-    def name(self) -> str:
-        """The stamp's segment name (goes into descriptor bundles)."""
-        return self._buffer.segment_name
-
-    @property
-    def value(self) -> int:
-        """The live generation."""
-        return int(self._buffer.array[0])
-
-    def bump(self) -> int:
-        """Advance the live generation; returns the new value."""
-        self._buffer.array[0] += 1
-        return self.value
-
-    def release(self) -> None:
-        """Owner teardown: close and unlink the stamp segment."""
-        self._buffer.release()
-
-    @staticmethod
-    def check(name: str, expected_generation: int) -> None:
-        """Refuse a stale descriptor bundle.
-
-        Attaches the stamp segment named ``name``, compares its live value
-        to ``expected_generation`` and raises
-        :class:`~repro.exceptions.ConfigurationError` on mismatch (or when
-        the stamp — hence the publisher — is gone).
-        """
-        descriptor = ShmDescriptor(name=name, dtype=STAMP_DTYPE.str, shape=(1,))
-        try:
-            stamp = attach(descriptor)
-        except StorageError as exc:
-            raise ConfigurationError(
-                f"cannot verify segment generation: stamp {name!r} is gone"
-            ) from exc
-        try:
-            live = int(stamp.array[0])
-        finally:
-            stamp.release()
-        if live != expected_generation:
-            raise ConfigurationError(
-                f"stale shared-memory descriptors: publisher is at "
-                f"generation {live}, descriptor bundle was exported at "
-                f"generation {expected_generation}"
-            )
-
-
-def attach_bundle(
-    descriptors: Sequence[ShmDescriptor],
-    stamp_name: Optional[str] = None,
-    writable: bool = False,
-) -> List[Buffer]:
-    """Attach several segments atomically-ish, with one generation check.
-
-    All descriptors must carry the same generation; when ``stamp_name`` is
-    given the live stamp is checked first.  On any failure every mapping
-    opened so far is closed before the error propagates.
-    """
-    generations = {d.generation for d in descriptors}
-    if len(generations) > 1:
-        raise ConfigurationError(
-            f"descriptor bundle mixes generations {sorted(generations)}"
-        )
-    if stamp_name is not None and descriptors:
-        GenerationStamp.check(stamp_name, descriptors[0].generation)
-    buffers: List[Buffer] = []
-    try:
-        for descriptor in descriptors:
-            buffers.append(attach(descriptor, writable=writable))
-    except Exception:
-        for buffer in buffers:
-            buffer.release()
-        raise
-    return buffers

@@ -21,9 +21,8 @@ Built-in schemes
 ``arrays://``
     Always the columnar :class:`~repro.storage.arrays.ArrayBDStore`,
     whichever backend computes over it (it implements the full record
-    interface, so the ``dicts`` backend can run on it too).  Query
-    parameter: ``shm=true|false`` — place the columns in shared-memory
-    segments (the zero-copy data plane) instead of process-private arrays.
+    interface, so the ``dicts`` backend can run on it too).  No query
+    parameters.
 
 ``disk://`` / ``disk:///abs/path`` / ``disk:relative/path``
     The durable out-of-core :class:`~repro.storage.disk.DiskBDStore`.
@@ -40,9 +39,9 @@ Built-in schemes
     :mod:`repro.storage.shard`).  The scheme parses and validates here like
     any other, but it cannot be opened as a single store — it is resolved
     by the shard coordinator under ``executor="shard"`` into per-shard
-    ``disk://``-style stores, one per checkpoint round.  The extra
-    ``shm=true|false`` parameter turns the coordinator's zero-copy data
-    plane on, like ``BetweennessConfig(shared_memory=True)``.
+    ``disk://``-style stores, one per checkpoint round.  The workers
+    always run the shared-memory data plane; ``shm=true`` is still
+    accepted, ``shm=false`` is refused.
 
 Unknown schemes and unknown/invalid query parameters are rejected with
 :class:`~repro.exceptions.ConfigurationError` at parse time, so a typo in a
@@ -58,7 +57,6 @@ from urllib.parse import parse_qsl, urlsplit
 from repro.exceptions import ConfigurationError
 from repro.storage.arrays import ArrayBDStore
 from repro.storage.base import BDStore
-from repro.storage.buffers import shm_available
 from repro.storage.disk import DiskBDStore
 from repro.storage.memory import InMemoryBDStore
 from repro.types import Vertex, validate_backend
@@ -104,9 +102,6 @@ class StoreRequest:
     sources: Optional[Tuple[Vertex, ...]] = None
     directed: bool = False
     backend: str = "dicts"
-    #: Caller-side shared-memory intent (``BetweennessConfig.shared_memory``);
-    #: combined with the URI's own ``shm`` parameter by the factories.
-    shared_memory: bool = False
 
 
 #: A factory turns a :class:`StoreRequest` into a live store.
@@ -232,7 +227,6 @@ def create_store(
     sources: Optional[Sequence[Vertex]] = None,
     directed: bool = False,
     backend: str = "dicts",
-    shared_memory: bool = False,
 ) -> BDStore:
     """Resolve a store URI into a live :class:`~repro.storage.base.BDStore`.
 
@@ -248,7 +242,6 @@ def create_store(
         sources=tuple(sources) if sources is not None else None,
         directed=bool(directed),
         backend=validate_backend(backend),
-        shared_memory=bool(shared_memory),
     )
     return _REGISTRY[parsed.scheme].factory(request)
 
@@ -278,28 +271,6 @@ def _parse_int(value: str, key: str, uri: StoreURI) -> int:
         ) from None
 
 
-def _effective_shm(request: StoreRequest) -> bool:
-    """Combine the request's shared-memory intent with the URI's ``shm``."""
-    params = request.uri.params
-    param = (
-        _parse_bool(params["shm"], "shm", request.uri)
-        if "shm" in params
-        else None
-    )
-    if request.shared_memory and param is False:
-        raise ConfigurationError(
-            f"shared_memory=True contradicts store URI {request.uri} "
-            "(which says shm=0); drop one of the two"
-        )
-    effective = request.shared_memory or bool(param)
-    if effective and not shm_available():
-        raise ConfigurationError(
-            "shared-memory stores need multiprocessing.shared_memory, which "
-            "this platform does not provide"
-        )
-    return effective
-
-
 def _build_array_store(request: StoreRequest) -> ArrayBDStore:
     row_capacity = len(request.sources if request.sources is not None
                        else request.vertices)
@@ -307,7 +278,6 @@ def _build_array_store(request: StoreRequest) -> ArrayBDStore:
         request.vertices,
         row_capacity=row_capacity,
         directed=request.directed,
-        allocator="shm" if _effective_shm(request) else None,
     )
 
 
@@ -317,13 +287,6 @@ def _build_memory_store(request: StoreRequest) -> BDStore:
     # columnar one.
     if request.backend == "arrays":
         return _build_array_store(request)
-    if request.shared_memory:
-        raise ConfigurationError(
-            "memory:// resolves to the dict-of-records store under the "
-            "dicts backend, which has no columns to place in shared "
-            "segments; use store='arrays://' or backend='arrays' with "
-            "shared_memory"
-        )
     return InMemoryBDStore()
 
 
@@ -339,12 +302,6 @@ def _build_disk_store(request: StoreRequest) -> DiskBDStore:
         if "capacity" in params
         else None
     )
-    if request.shared_memory:
-        raise ConfigurationError(
-            "shared_memory does not apply to the disk store: its columns "
-            "are the memory-mapped file, repaired in place; use "
-            f"'arrays://' for shared-memory columns (got {request.uri})"
-        )
     return DiskBDStore(
         request.vertices,
         path=request.uri.path or None,
@@ -367,9 +324,7 @@ def _build_shard_store(request: StoreRequest) -> BDStore:
 
 
 register_store_scheme("memory", _build_memory_store, accepts_path=False)
-register_store_scheme(
-    "arrays", _build_array_store, allowed_params=("shm",), accepts_path=False
-)
+register_store_scheme("arrays", _build_array_store, accepts_path=False)
 register_store_scheme(
     "disk", _build_disk_store, allowed_params=("mmap", "capacity")
 )

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError, StoreCorruptedError
-from repro.storage.factory import parse_store_uri
+from repro.storage.factory import _parse_bool, parse_store_uri
 from repro.storage.header import read_sidecar, write_sidecar
 from repro.types import Vertex
 
@@ -107,7 +107,9 @@ class ShardLayout:
 
         The ``shards`` query parameter is authoritative when present; a
         ``workers`` count other than 1 must agree with it.  Without the
-        parameter the shard count is ``workers`` (default 1).
+        parameter the shard count is ``workers`` (default 1).  ``shm=true``
+        names the one data plane the workers run and may be omitted;
+        ``shm=false`` is refused.
         """
         parsed = parse_store_uri(uri)
         if parsed.scheme != "shard":
@@ -131,6 +133,11 @@ class ShardLayout:
         checkpoint_every = _positive_int(
             parsed.params, "checkpoint_every", uri, default=DEFAULT_CHECKPOINT_EVERY
         )
+        if not _parse_bool(parsed.params.get("shm", "true"), "shm", parsed):
+            raise ConfigurationError(
+                f"shard URI {uri!r}: the workers always run the shared-memory "
+                "data plane (there is no pickled plane); drop shm=0"
+            )
         return cls(
             root=Path(parsed.path),
             num_shards=num_shards,

@@ -240,78 +240,44 @@ class TestRecvTimeoutConfig:
         assert BetweennessConfig.from_json(config.to_json()) == config
 
 
-class TestSharedMemoryConfig:
-    """The zero-copy data plane's config surface: field, URI param, refusals."""
+class TestOneDataPlane:
+    """The worker runtime has one data plane, so there is nothing to choose;
+    what earlier releases wrote to choose one still reads."""
 
-    def test_field_and_uri_param_both_enable(self):
-        config = BetweennessConfig(
-            executor="process", workers=2, store="arrays://",
-            shared_memory=True,
-        )
-        assert config.effective_shared_memory
-        config = BetweennessConfig(
-            executor="process", workers=2, store="arrays://?shm=1"
-        )
-        assert not config.shared_memory
-        assert config.effective_shared_memory
-        assert not BetweennessConfig().effective_shared_memory
+    @pytest.mark.parametrize("legacy", [True, False])
+    def test_legacy_shared_memory_key_is_read_and_dropped(self, legacy):
+        current = BetweennessConfig(executor="process", workers=2)
+        payload = dict(current.to_dict(), shared_memory=legacy)
+        assert BetweennessConfig.from_dict(payload) == current
+        assert "shared_memory" not in current.to_dict()
 
-    def test_shard_uri_takes_the_param_too(self):
-        config = BetweennessConfig(
-            executor="shard", workers=2, store="shard:///var/bc?shards=2&shm=1"
-        )
-        assert config.effective_shared_memory
+    def test_constructor_takes_no_shared_memory(self):
+        with pytest.raises(TypeError):
+            BetweennessConfig(shared_memory=True)
 
-    def test_contradiction_refused(self):
-        with pytest.raises(ConfigurationError, match="contradicts"):
-            BetweennessConfig(
-                executor="process", workers=2, store="arrays://?shm=0",
-                shared_memory=True,
-            )
-
-    def test_non_boolean_values_refused(self):
-        with pytest.raises(ConfigurationError, match="shared_memory"):
-            BetweennessConfig(shared_memory="yes")
-        with pytest.raises(ConfigurationError, match="shm"):
-            BetweennessConfig(
-                executor="process", workers=2, store="arrays://?shm=maybe"
-            )
-
-    def test_mapreduce_refused(self):
-        with pytest.raises(ConfigurationError, match="mapreduce"):
-            BetweennessConfig(
-                executor="mapreduce", workers=2, shared_memory=True,
-                store="arrays://",
-            )
-
-    def test_serial_needs_a_columnar_store(self):
-        with pytest.raises(ConfigurationError, match="columnar"):
-            BetweennessConfig(shared_memory=True)  # memory:// + dicts
-        assert BetweennessConfig(
-            shared_memory=True, backend="arrays"
-        ).effective_shared_memory
-        assert BetweennessConfig(
-            shared_memory=True, store="arrays://"
-        ).effective_shared_memory
-
-    @pytest.mark.parametrize("store", ["disk://", "disk://?mmap=true"])
-    def test_serial_disk_store_is_refused(self, store):
-        # The disk store's columns are the mapped file: there is nothing
-        # to place in shared segments, so the request is refused, not
-        # silently ignored.
-        with pytest.raises(ConfigurationError, match="memory-mapped"):
-            BetweennessConfig(shared_memory=True, store=store, backend="arrays")
-
-    def test_round_trips(self):
-        config = BetweennessConfig(
-            executor="process", workers=2, store="arrays://?shm=1"
-        )
-        assert BetweennessConfig.from_dict(config.to_dict()) == config
-        config = BetweennessConfig(
-            executor="shard", workers=2, store="shard:///var/bc?shards=2",
-            shared_memory=True, recv_timeout=2.0,
-        )
+    @pytest.mark.parametrize("value", ["1", "true"])
+    def test_shard_uri_accepts_shm_true(self, value):
+        store = f"shard:///var/bc?shards=2&shm={value}"
+        config = BetweennessConfig(executor="shard", workers=2, store=store)
         assert BetweennessConfig.from_json(config.to_json()) == config
+
+    @pytest.mark.parametrize("value", ["0", "false", "no"])
+    def test_shard_uri_refuses_shm_false(self, value):
+        with pytest.raises(ConfigurationError, match="shared-memory data plane"):
+            BetweennessConfig(
+                executor="shard", workers=2,
+                store=f"shard:///var/bc?shards=2&shm={value}",
+            )
+
+    def test_shard_uri_refuses_non_boolean_shm(self):
+        with pytest.raises(ConfigurationError, match="not a boolean"):
+            BetweennessConfig(
+                executor="shard", workers=2, store="shard:///var/bc?shm=maybe"
+            )
+
+    def test_arrays_uri_takes_no_shm(self):
+        with pytest.raises(ConfigurationError, match="unknown query parameter"):
+            parse_store_uri("arrays://?shm=1")
 
 
 class TestStoreURIs:
@@ -382,12 +348,6 @@ class TestStoreURIs:
         with pytest.raises(ConfigurationError, match="memory-mapped"):
             create_store(f"disk:{path}?mmap={value}", small_graph.vertex_list())
         assert not path.exists()
-
-    def test_disk_uri_refuses_shared_memory(self, small_graph):
-        with pytest.raises(ConfigurationError, match="memory-mapped"):
-            create_store(
-                "disk://", small_graph.vertex_list(), shared_memory=True
-            )
 
     def test_str_round_trips_through_parse(self):
         for uri in (

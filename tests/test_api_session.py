@@ -176,16 +176,15 @@ class TestEquivalenceMatrix:
 
 
 @pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
-class TestSharedMemoryMatrix:
-    """{process, shard} × {directed, undirected} × {shm on, off}.
+class TestWorkerRuntimeMatrix:
+    """{process, shard} × {directed, undirected} on the one worker runtime.
 
-    The zero-copy data plane is a *wire-format* change only: with
-    ``shared_memory=True`` the same executor must produce scores ``==``
-    its own pickled-dispatch run — not merely close — and must leave
-    ``/dev/shm`` empty afterwards.
+    Both executors run the shared-memory data plane; each must match the
+    serial reference within merge tolerance, and they must match each
+    other ``==``, leaving ``/dev/shm`` empty afterwards.
     """
 
-    def _config(self, executor, directed, shared_memory, tmp_path, workers=2):
+    def _config(self, executor, directed, tmp_path, workers=2):
         if executor == "process":
             return BetweennessConfig(
                 backend="arrays",
@@ -194,16 +193,13 @@ class TestSharedMemoryMatrix:
                 directed=directed,
                 executor="process",
                 workers=workers,
-                shared_memory=shared_memory,
             )
-        root = tmp_path / f"root-{'shm' if shared_memory else 'heap'}"
         return BetweennessConfig(
             directed=directed,
             batch_size=2,
             executor="shard",
             workers=workers,
-            store=f"shard://{root}?shards={workers}",
-            shared_memory=shared_memory,
+            store=f"shard://{tmp_path / 'root'}?shards={workers}",
         )
 
     def _run(self, graph, config, stream=None):
@@ -216,27 +212,24 @@ class TestSharedMemoryMatrix:
         "directed", [False, True], ids=["undirected", "directed"]
     )
     @pytest.mark.parametrize("executor", ["process", "shard"])
-    def test_shm_run_equals_heap_run_bit_identically(
+    def test_run_matches_serial_and_leaves_no_segment(
         self, tmp_path, executor, directed, references
     ):
         graph = build_graph(directed)
-        heap = self._run(graph, self._config(executor, directed, False, tmp_path))
-        shm = self._run(graph, self._config(executor, directed, True, tmp_path))
-        assert shm[0] == heap[0]
-        assert shm[1] == heap[1]
+        vertex, edge = self._run(
+            graph, self._config(executor, directed, tmp_path)
+        )
         assert active_segments() == []
-        # And both agree with the serial reference within merge tolerance.
         expected_vertex, expected_edge = references[(directed, 2)]
-        assert_scores_equal(shm[0], expected_vertex, MERGE_TOLERANCE, "vertex")
-        assert_scores_equal(shm[1], expected_edge, MERGE_TOLERANCE, "edge")
+        assert_scores_equal(vertex, expected_vertex, MERGE_TOLERANCE, "vertex")
+        assert_scores_equal(edge, expected_edge, MERGE_TOLERANCE, "edge")
 
     @pytest.mark.parametrize(
         "directed", [False, True], ids=["undirected", "directed"]
     )
-    @pytest.mark.parametrize("shared_memory", [False, True], ids=["heap", "shm"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_process_run_equals_shard_run_bit_identically(
-        self, tmp_path, workers, shared_memory, directed
+        self, tmp_path, workers, directed
     ):
         """One runtime: the same partitions, the same adoption of births and
         the same reduce order, so a shard root changes durability only —
@@ -246,33 +239,13 @@ class TestSharedMemoryMatrix:
         graph = build_graph(directed, vertices=23)
         stream = mixed_stream(graph, length=30)  # additions, removals, births
         process = self._run(
-            graph,
-            self._config("process", directed, shared_memory, tmp_path, workers),
-            stream,
+            graph, self._config("process", directed, tmp_path, workers), stream
         )
         shard = self._run(
-            graph,
-            self._config("shard", directed, shared_memory, tmp_path, workers),
-            stream,
+            graph, self._config("shard", directed, tmp_path, workers), stream
         )
         assert process[0] == shard[0]
         assert process[1] == shard[1]
-        assert active_segments() == []
-
-    def test_uri_param_is_the_same_switch(self, tmp_path):
-        graph = build_graph(False)
-        flagged = self._run(graph, self._config("process", False, True, tmp_path))
-        via_uri = self._run(
-            graph,
-            BetweennessConfig(
-                backend="arrays",
-                store="arrays://?shm=1",
-                batch_size=2,
-                executor="process",
-                workers=2,
-            ),
-        )
-        assert via_uri == flagged
         assert active_segments() == []
 
 

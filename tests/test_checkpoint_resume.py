@@ -1,15 +1,20 @@
 """Checkpoint/resume of the framework and file-seeded parallel workers."""
 
+import random
+
 import pytest
 
 from repro.algorithms import brandes_betweenness
 from repro.core import EdgeUpdate, IncrementalBetweenness
-from repro.exceptions import ConfigurationError, StoreCorruptedError
+from repro.exceptions import ConfigurationError, StoreCorruptedError, UpdateError
+from repro.generators import erdos_renyi_digraph
 from repro.graph import Graph
 from repro.parallel import ShardCoordinator
+from repro.parallel.mapreduce import merge_partial_scores
 from repro.storage import DiskBDStore
 
 from tests.helpers import assert_scores_equal, random_connected_graph
+from tests.test_batched_updates import random_update_sequence
 
 
 def absent_edges(graph):
@@ -194,15 +199,67 @@ class TestFileSeededExecutor:
         assert_scores_equal(serial.edge_betweenness(), parallel_edge)
         store.close()
 
-    def test_snapshot_and_store_path_are_mutually_exclusive(self, tmp_path):
-        graph = Graph.from_edges([(0, 1), (1, 2)])
-        with pytest.raises(ConfigurationError):
-            ShardCoordinator(
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    @pytest.mark.parametrize("backend", ["arrays", "dicts"])
+    def test_store_file_seeding_equals_per_source_records(
+        self, tmp_path, backend, store, directed
+    ):
+        """Workers seeded from a store file score ``==`` partitions rebuilt
+        from that file's per-source records and streamed the same batches,
+        folded in partition order."""
+        if directed:
+            graph = erdos_renyi_digraph(40, 0.08, rng=random.Random(13))
+        else:
+            graph = random_connected_graph(40, 0.08, seed=13)
+        path = tmp_path / "bd.bin"
+        durable = DiskBDStore(graph.vertex_list(), path=path, directed=directed)
+        IncrementalBetweenness(graph, store=durable)
+        durable.flush()
+        updates = random_update_sequence(
+            graph, 8, seed=14, new_vertex_probability=0.0
+        )
+        batches = [updates[i : i + 2] for i in range(0, len(updates), 2)]
+        try:
+            with ShardCoordinator(
                 graph,
-                num_workers=1,
-                source_data={},
-                source_store_path=tmp_path / "bd.bin",
-            )
+                num_workers=2,
+                backend=backend,
+                store=store,
+                source_store_path=path,
+            ) as coordinator:
+                for batch in batches:
+                    coordinator.apply_batch(batch)
+                scores = coordinator.betweenness()
+                partitions = coordinator.partitions
+            references = []
+            for partition in partitions:
+                sources = list(partition.sources)
+                reference = IncrementalBetweenness.from_source_data(
+                    graph,
+                    {s: durable.get(s) for s in sources},
+                    store=(
+                        None
+                        if store == "memory"
+                        else DiskBDStore(
+                            graph.vertex_list(), sources=sources, directed=directed
+                        )
+                    ),
+                    restricted=True,
+                    backend=backend,
+                )
+                for batch in batches:
+                    reference.apply_updates(batch)
+                references.append(reference)
+        finally:
+            durable.close()
+        expected = (
+            merge_partial_scores([r.vertex_betweenness() for r in references]),
+            merge_partial_scores([r.edge_betweenness() for r in references]),
+        )
+        for reference in references:
+            reference.store.close()
+        assert scores == expected
 
     def test_store_file_missing_sources_fails_loudly(self, tmp_path):
         graph = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
@@ -210,7 +267,7 @@ class TestFileSeededExecutor:
             graph.vertex_list(), path=tmp_path / "bd.bin", sources=[0, 1]
         )
         partial.close()
-        with pytest.raises(Exception):
+        with pytest.raises(UpdateError, match="lacks records for sources"):
             with ShardCoordinator(
                 graph, num_workers=2, source_store_path=tmp_path / "bd.bin"
             ):

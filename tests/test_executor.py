@@ -8,6 +8,7 @@ from repro.algorithms import brandes_betweenness
 from repro.core import EdgeUpdate, IncrementalBetweenness
 from repro.exceptions import ConfigurationError, UpdateError
 from repro.parallel import ShardCoordinator
+from repro.storage import DiskBDStore
 
 from tests.helpers import assert_scores_equal, random_connected_graph
 from tests.test_batched_updates import random_update_sequence
@@ -56,13 +57,15 @@ class TestExecutorEquivalence:
             vertex_scores, _ = cluster.betweenness()
         assert_scores_equal(vertex_scores, serial.vertex_betweenness(), TOLERANCE)
 
-    def test_snapshot_seeded_workers(self):
+    def test_store_file_seeded_workers(self, tmp_path):
         graph = random_connected_graph(12, 0.15, seed=61)
-        base = IncrementalBetweenness(graph)
+        durable = DiskBDStore(graph.vertex_list(), path=tmp_path / "bd.bin")
+        IncrementalBetweenness(graph, store=durable)
+        durable.close()
         updates = random_update_sequence(graph, 6, seed=62)
         serial = serial_reference(graph, updates)
         with ShardCoordinator(
-            graph, num_workers=2, source_data=base.store.snapshot()
+            graph, num_workers=2, source_store_path=tmp_path / "bd.bin"
         ) as cluster:
             cluster.process_stream(updates, batch_size=3)
             vertex_scores, edge_scores = cluster.betweenness()

@@ -46,7 +46,6 @@ from repro.core.flat import merge_order
 from repro.exceptions import StoreCorruptedError
 from repro.graph import CSRGraph, Graph
 from repro.storage import ArrayBDStore, DiskBDStore
-from repro.storage.buffers import active_segments, shm_available
 
 settings.register_profile(
     "repro-repair-vectorized",
@@ -398,7 +397,6 @@ class TestRepairSigmaOverflow:
             assert session.edge_betweenness() == oracle.edge_betweenness()
 
 
-@pytest.mark.parametrize("column_allocator", ["heap", "shm"])
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
 @pytest.mark.parametrize("case", sorted(ADVERSARIAL_CASES))
 class TestDiskCohortSweep:
@@ -407,19 +405,12 @@ class TestDiskCohortSweep:
     The record area is mapped once and served as three strided column
     matrices, so the sweep repairs records where they lie: no batch writes
     a whole record back.  Scores and records must stay ``==`` an in-RAM
-    column store's (heap or shared-memory columns), must survive a close
-    and reopen of the file, and shm columns must release every segment.
+    column store's and must survive a close and reopen of the file.
     """
 
-    def test_mmap_sweep_equals_array_store(
-        self, case, directed, column_allocator, tmp_path
-    ):
-        if column_allocator == "shm" and not shm_available():
-            pytest.skip("shared memory unavailable")
+    def test_mmap_sweep_equals_array_store(self, case, directed, tmp_path):
         n, edges, batches = ADVERSARIAL_CASES[case]
-        ram_store = ArrayBDStore(
-            list(range(n)), directed=directed, allocator=column_allocator
-        )
+        ram_store = ArrayBDStore(list(range(n)), directed=directed)
         ram = IncrementalBetweenness(
             build_graph(n, edges, directed), store=ram_store, backend="arrays"
         )
@@ -468,8 +459,6 @@ class TestDiskCohortSweep:
         finally:
             disk_store.close()
             ram_store.close()
-        if column_allocator == "shm":
-            assert active_segments() == []
 
 
 class TestScatterOrder:

@@ -116,7 +116,7 @@ def update_stream(graph: Graph, length: int = STREAM_LENGTH, seed: int = 32):
     return updates
 
 
-def shard_run(graph, root, updates, chaos=None, events=None, shared_memory=False):
+def shard_run(graph, root, updates, chaos=None, events=None):
     """One full coordinator run (batch size 1); returns both score dicts."""
     layout = ShardLayout(
         root=root, num_shards=NUM_SHARDS, checkpoint_every=CHECKPOINT_EVERY
@@ -125,7 +125,7 @@ def shard_run(graph, root, updates, chaos=None, events=None, shared_memory=False
     if events is not None:
         notify = lambda kind, **fields: events.append((kind, fields))
     with ShardCoordinator(
-        graph, layout, notify=notify, chaos=chaos, shared_memory=shared_memory
+        graph, layout, notify=notify, chaos=chaos
     ) as coordinator:
         for update in updates:
             coordinator.apply_batch([update])
@@ -275,47 +275,9 @@ class TestHarderKillSchedules:
 
 @pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
 class TestShmChaos:
-    """The zero-copy data plane under fire: workers die *while attached* to
-    the driver's shared segments (graph seed, update ring); recovery must
-    stay bit-identical and the namespace must come back empty."""
-
-    def test_clean_shm_run_matches_heap_run_exactly(self, tmp_path):
-        graph = build_graph(directed=False)
-        updates = update_stream(graph)
-        heap = shard_run(graph, tmp_path / "heap", updates)
-        shm = shard_run(graph, tmp_path / "shm", updates, shared_memory=True)
-        assert shm[0] == heap[0]
-        assert shm[1] == heap[1]
-        assert active_segments() == []
-
-    @pytest.mark.parametrize("when", ["before", "after"])
-    def test_kill_while_attached_is_bit_identical(self, tmp_path, when):
-        """Chaos-kill a worker mid-batch with shared memory on: the dead
-        worker's mappings die with it, the replacement re-attaches to the
-        live ring/label state, and scores still ``==`` the heap run's."""
-        graph = build_graph(directed=False)
-        updates = update_stream(graph)
-        rng = random.Random(KILL_SEED)
-        kill_cursor = rng.randrange(len(updates))
-        kill_shard = rng.randrange(NUM_SHARDS)
-
-        clean = shard_run(graph, tmp_path / "clean", updates)
-        events = []
-        chaotic = shard_run(
-            graph,
-            tmp_path / "chaos",
-            updates,
-            chaos={kill_shard: {"cursor": kill_cursor, "when": when}},
-            events=events,
-            shared_memory=True,
-        )
-        assert chaotic[0] == clean[0]
-        assert chaotic[1] == clean[1]
-        recovered = [f["shard"] for kind, f in events if kind == "shard_recovered"]
-        assert recovered == [kill_shard]
-        # No segment survives the run — neither the driver's (released at
-        # close) nor any the dead worker held mappings into.
-        assert active_segments() == []
+    """The data plane under fire: a worker dies *while attached* to the
+    driver's shared segments (graph, update ring); recovery must stay
+    bit-identical and the namespace must come back empty."""
 
     def test_external_sigkill_while_attached_reclaims_segments(self, tmp_path):
         """SIGKILL from outside (no chaos cooperation) while the worker is
@@ -330,7 +292,7 @@ class TestShmChaos:
             num_shards=NUM_SHARDS,
             checkpoint_every=CHECKPOINT_EVERY,
         )
-        with ShardCoordinator(graph, layout, shared_memory=True) as coordinator:
+        with ShardCoordinator(graph, layout) as coordinator:
             for update in updates[:3]:
                 coordinator.apply_batch([update])
             victim = coordinator._handles[2]
@@ -341,33 +303,6 @@ class TestShmChaos:
             chaotic = coordinator.betweenness()
         assert chaotic[0] == clean[0]
         assert chaotic[1] == clean[1]
-        assert active_segments() == []
-
-    def test_resume_with_shared_memory(self, tmp_path):
-        """A heap-written root resumes onto the shm data plane (and the
-        other way round): the wire format is a session choice, not a
-        property of the durable state."""
-        graph = build_graph(directed=False)
-        updates = update_stream(graph)
-        root = tmp_path / "shards"
-        layout = ShardLayout(
-            root=root, num_shards=NUM_SHARDS, checkpoint_every=CHECKPOINT_EVERY
-        )
-        with ShardCoordinator(graph, layout) as coordinator:
-            for update in updates[:5]:
-                coordinator.apply_batch([update])
-
-        resumed = ShardCoordinator.resume(root, shared_memory=True)
-        try:
-            assert resumed.shared_memory
-            for update in updates[5:]:
-                resumed.apply_batch([update])
-            vertex, edge = resumed.betweenness()
-        finally:
-            resumed.close()
-        ref_vertex, ref_edge = per_shard_serial_reference(graph, updates)
-        assert vertex == ref_vertex
-        assert edge == ref_edge
         assert active_segments() == []
 
 
@@ -381,14 +316,12 @@ from repro.storage.buffers import active_segments
 from repro.storage.shard import ShardLayout
 from tests.test_shard_chaos import build_graph, update_stream
 
-root, plane = sys.argv[1:]
+root = sys.argv[1]
 layout = (
     ShardLayout(root=Path(root), num_shards=2, checkpoint_every=2) if root else None
 )
 graph = build_graph(False)
-coordinator = ShardCoordinator(
-    graph, layout, shared_memory=plane == "shm", num_workers=2
-)
+coordinator = ShardCoordinator(graph, layout, num_workers=2)
 for update in update_stream(graph)[:3]:
     coordinator.apply_batch([update])
 print(json.dumps({
@@ -403,13 +336,11 @@ class TestDriverDeathAndWedgedWorkers:
     """Neither a dead driver nor a wedged worker may leave a process (or a
     ``/dev/shm`` segment) behind — with or without a shard root."""
 
-    @pytest.mark.parametrize("plane", ["heap", "shm"])
+    @pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
     @pytest.mark.parametrize("durable", [False, True], ids=["no-layout", "layout"])
     def test_sigkilled_driver_takes_its_workers_and_segments_along(
-        self, tmp_path, durable, plane
+        self, tmp_path, durable
     ):
-        if plane == "shm" and not shm_available():
-            pytest.skip("shared memory unavailable")
         repo_root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([str(repo_root / "src"), str(repo_root)])
@@ -419,7 +350,6 @@ class TestDriverDeathAndWedgedWorkers:
                 "-c",
                 _DRIVER_SCRIPT,
                 str(tmp_path / "root") if durable else "",
-                plane,
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -429,7 +359,7 @@ class TestDriverDeathAndWedgedWorkers:
             report = json.loads(driver.stdout.readline())
             workers = report["workers"]
             assert len(workers) == 2 and all(map(process_alive, workers))
-            assert bool(report["segments"]) == (plane == "shm")
+            assert report["segments"]
             driver.kill()  # SIGKILL: no close(), no atexit, no finalizers
             driver.wait(timeout=10)
             assert wait_until(

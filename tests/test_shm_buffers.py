@@ -1,13 +1,10 @@
-"""Unit tests for the zero-copy data plane's lowest layers.
+"""Unit tests for the worker data plane's lowest layers.
 
-Covers the buffer seam (:mod:`repro.storage.buffers`), the dispatch plane
-(:mod:`repro.parallel.dataplane`) and the shared-memory export/attach
-surface of :class:`~repro.storage.arrays.ArrayBDStore`:
+Covers the shared-memory segments (:mod:`repro.storage.buffers`) and the
+dispatch plane (:mod:`repro.parallel.dataplane`):
 
 * descriptor round-trips and size accounting,
 * ownership (creators unlink, attachers only close),
-* generation stamps refusing stale descriptor bundles,
-* growth republishing a new segment generation,
 * the crash-reclaim sweep for segments owned by a SIGKILLed process,
 * ring append/rotate/read and label-table replication.
 """
@@ -22,9 +19,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.algorithms.brandes import SourceData
 from repro.core import EdgeUpdate
-from repro.exceptions import ConfigurationError, StorageError
+from repro.exceptions import StorageError
 from repro.parallel.dataplane import (
     DEFAULT_RING_CAPACITY,
     LabelTable,
@@ -33,16 +29,11 @@ from repro.parallel.dataplane import (
     decode_rows,
     encode_batch,
 )
-from repro.storage.arrays import ArrayBDStore
 from repro.storage.buffers import (
-    GenerationStamp,
-    HeapAllocator,
     ShmAllocator,
     ShmDescriptor,
     active_segments,
     attach,
-    attach_bundle,
-    get_allocator,
     owned_segment_names,
     reclaim_process_segments,
     shm_available,
@@ -70,23 +61,6 @@ class TestShmDescriptor:
         assert payload == {
             "name": "x", "dtype": "<i4", "shape": [2], "generation": 0
         }
-
-
-class TestHeapAllocator:
-    def test_not_shared_and_no_descriptor(self):
-        buffer = HeapAllocator().zeros((4,), np.int64)
-        assert not buffer.shared
-        assert buffer.segment_name is None
-        with pytest.raises(StorageError):
-            buffer.descriptor()
-        buffer.release()  # no-op, must not raise
-        buffer.release()  # idempotent
-
-    def test_get_allocator_defaults_to_heap(self):
-        assert get_allocator(None).kind == "heap"
-        assert get_allocator("heap").kind == "heap"
-        with pytest.raises(ConfigurationError):
-            get_allocator("mystery")
 
 
 class TestShmOwnership:
@@ -151,95 +125,6 @@ class TestShmOwnership:
         buffer.release()
         assert name not in owned_segment_names()
         assert name not in active_segments()
-
-
-class TestGenerationStamp:
-    def test_check_passes_then_refuses_after_bump(self):
-        stamp = GenerationStamp.create("t")
-        try:
-            GenerationStamp.check(stamp.name, 0)
-            stamp.bump()
-            assert stamp.value == 1
-            GenerationStamp.check(stamp.name, 1)
-            with pytest.raises(ConfigurationError):
-                GenerationStamp.check(stamp.name, 0)
-        finally:
-            stamp.release()
-
-    def test_check_refuses_when_publisher_gone(self):
-        stamp = GenerationStamp.create("t")
-        name = stamp.name
-        stamp.release()
-        with pytest.raises(ConfigurationError):
-            GenerationStamp.check(name, 0)
-
-
-class TestAttachBundle:
-    def test_mixed_generations_refused(self):
-        descriptors = [
-            ShmDescriptor(name="a", dtype="<i8", shape=(1,), generation=0),
-            ShmDescriptor(name="b", dtype="<i8", shape=(1,), generation=1),
-        ]
-        with pytest.raises(ConfigurationError):
-            attach_bundle(descriptors)
-
-    def test_partial_failure_closes_everything(self):
-        owner = ShmAllocator(hint="t").zeros((4,), np.int64)
-        try:
-            good = owner.descriptor()
-            gone = ShmDescriptor(name="repro_never_existed", dtype="<i8", shape=(1,))
-            with pytest.raises(StorageError):
-                attach_bundle([good, gone])
-        finally:
-            owner.release()
-
-
-class TestArrayStoreExport:
-    def _store(self):
-        return ArrayBDStore(["a", "b", "c"], capacity=4, allocator="shm")
-
-    def test_heap_store_refuses_export(self):
-        store = ArrayBDStore(["a", "b"], capacity=2)
-        with pytest.raises(ConfigurationError):
-            store.export_column_descriptors()
-        store.close()
-
-    def test_attach_round_trip(self):
-        store = self._store()
-        try:
-            store.put(SourceData(
-                source="a",
-                distance={"a": 0, "b": 1, "c": 2},
-                sigma={"a": 1, "b": 1, "c": 1},
-                delta={"a": 0.0, "b": 0.5, "c": 0.0},
-            ))
-            attached = ArrayBDStore.attach(store.export_column_descriptors())
-            try:
-                theirs, ours = attached.get("a"), store.get("a")
-                assert theirs.distance == ours.distance
-                assert theirs.sigma == ours.sigma
-                assert theirs.delta == ours.delta
-            finally:
-                attached.close()
-        finally:
-            store.close()
-
-    def test_growth_republishes_and_refuses_stale(self):
-        store = self._store()
-        try:
-            before = store.generation
-            stale = store.export_column_descriptors()
-            # Register enough vertices to outgrow capacity=4 and force a
-            # re-allocation (hence a generation bump + stamp bump).
-            for extra in "defgh":
-                store.register_vertex(extra)
-            assert store.generation > before
-            with pytest.raises(ConfigurationError):
-                ArrayBDStore.attach(stale)
-            fresh = ArrayBDStore.attach(store.export_column_descriptors())
-            fresh.close()
-        finally:
-            store.close()
 
 
 class TestCrashReclaim:
