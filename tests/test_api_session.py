@@ -248,6 +248,43 @@ class TestWorkerRuntimeMatrix:
         assert process[1] == shard[1]
         assert active_segments() == []
 
+    @pytest.mark.parametrize(
+        "directed", [False, True], ids=["undirected", "directed"]
+    )
+    @pytest.mark.parametrize("executor", ["process", "shard"])
+    @pytest.mark.parametrize(
+        "relabel",
+        [lambda v: v * 7 + 3, lambda v: f"v{v}", lambda v: (v, "x")],
+        ids=["int", "str", "tuple"],
+    )
+    def test_any_hashable_label_crosses_the_update_ring(
+        self, tmp_path, relabel, executor, directed
+    ):
+        """Every batch reaches the workers as label-table ids in the ring,
+        and births mint new labels mid-stream: whatever the label type, the
+        workers must rebuild the driver's exact updates."""
+        base = build_graph(directed)
+        graph = Graph(directed=directed)
+        for vertex in base.vertex_list():
+            graph.add_vertex(relabel(vertex))
+        for u, v in base.edges():
+            graph.add_edge(relabel(u), relabel(v))
+        stream = [
+            (EdgeUpdate.addition if update.is_addition else EdgeUpdate.removal)(
+                *map(relabel, update.endpoints)
+            )
+            for update in update_stream(base)
+        ]
+        serial = self._run(
+            graph, BetweennessConfig(directed=directed, batch_size=2), stream
+        )
+        vertex, edge = self._run(
+            graph, self._config(executor, directed, tmp_path), stream
+        )
+        assert active_segments() == []
+        assert_scores_equal(vertex, serial[0], MERGE_TOLERANCE, "vertex")
+        assert_scores_equal(edge, serial[1], MERGE_TOLERANCE, "edge")
+
 
 class TestRecvTimeoutThreading:
     """config.recv_timeout must reach the executor that enforces it."""

@@ -20,6 +20,7 @@ from repro.api import open_session
 from repro.core import EdgeUpdate
 from repro.graph import Graph
 from repro.service import ServiceClient
+from repro.storage.buffers import active_segments
 
 from tests.helpers import live_processes_matching, wait_until
 
@@ -123,6 +124,7 @@ def _oracle(edges, batches):
 
 def test_sigkill_and_restart_restores_every_session(tmp_path):
     root = tmp_path / "service-root"
+    segments_before = set(active_segments())
     port = _free_port()
     server = _spawn_server(root, port)
 
@@ -195,3 +197,9 @@ def test_sigkill_and_restart_restores_every_session(tmp_path):
     assert wait_until(lambda: not live_processes_matching(str(root)), timeout=5.0), (
         f"orphaned processes: {live_processes_matching(str(root))}"
     )
+    # ...and its shard sessions' /dev/shm segments: no owner survives to
+    # release them, so the multiprocessing resource tracker unlinks them
+    # once the last process holding them is gone — shortly, not at once.
+    assert wait_until(
+        lambda: not set(active_segments()) - segments_before, timeout=10.0
+    ), f"the dead servers' segments were never reaped: {active_segments()}"

@@ -36,6 +36,7 @@ from repro.storage.buffers import (
     attach,
     owned_segment_names,
     reclaim_process_segments,
+    release_all_owned,
     shm_available,
 )
 
@@ -61,6 +62,12 @@ class TestShmDescriptor:
         assert payload == {
             "name": "x", "dtype": "<i4", "shape": [2], "generation": 0
         }
+
+    def test_payload_without_generation_is_generation_zero(self):
+        rebuilt = ShmDescriptor.from_payload(
+            {"name": "x", "dtype": "<i8", "shape": [3, 2]}
+        )
+        assert rebuilt == ShmDescriptor(name="x", dtype="<i8", shape=(3, 2))
 
 
 class TestShmOwnership:
@@ -116,6 +123,69 @@ class TestShmOwnership:
                 attach(descriptor)
         finally:
             owner.release()
+
+    @pytest.mark.parametrize("dtype", ["<i1", "<i4", "<i8", "<f4", "<f8", "|b1"])
+    def test_every_dtype_crosses_intact(self, dtype):
+        owner = ShmAllocator(hint="t").empty((3, 5), dtype)
+        try:
+            owner.array[...] = np.arange(15).reshape(3, 5).astype(dtype)
+            descriptor = owner.descriptor()
+            assert descriptor.dtype == np.dtype(dtype).str
+            attached = attach(ShmDescriptor.from_payload(descriptor.to_payload()))
+            assert attached.array.dtype == np.dtype(dtype)
+            assert attached.array.shape == (3, 5)
+            assert np.array_equal(attached.array, owner.array)
+            attached.release()
+        finally:
+            owner.release()
+
+    def test_scalar_shape_is_one_dimensional(self):
+        buffer = ShmAllocator(hint="t").zeros(5, np.int64)
+        try:
+            assert buffer.array.shape == (5,)
+            assert buffer.descriptor().shape == (5,)
+        finally:
+            buffer.release()
+
+    def test_empty_array_still_gets_an_attachable_segment(self):
+        owner = ShmAllocator(hint="t").zeros((0, 3), np.int64)
+        try:
+            descriptor = owner.descriptor()
+            assert descriptor.nbytes == 0
+            attached = attach(descriptor)
+            assert attached.array.shape == (0, 3)
+            attached.release()
+        finally:
+            owner.release()
+
+    def test_release_is_idempotent_on_both_sides(self):
+        owner = ShmAllocator(hint="t").zeros((4,), np.int64)
+        attached = attach(owner.descriptor())
+        attached.release()
+        attached.release()
+        assert owner.segment_name in active_segments()
+        owner.release()
+        owner.release()
+        assert owner.array is None and attached.array is None
+
+    def test_segment_name_carries_hint_and_creator_pid(self):
+        """The reclaim sweep parses ``-p<pid>-``; a dash inside the hint
+        must not be able to forge or break that marker."""
+        buffer = ShmAllocator(hint="csr-graph").zeros((1,), np.int64)
+        try:
+            name = buffer.segment_name
+            assert name.startswith(f"repro_csr_graph-p{os.getpid():x}-")
+            assert name.count("-") == 2
+        finally:
+            buffer.release()
+
+    def test_atexit_backstop_unlinks_forgotten_segments(self):
+        buffer = ShmAllocator(hint="t").zeros((4,), np.int64)
+        name = buffer.segment_name
+        release_all_owned()
+        assert name not in owned_segment_names()
+        assert name not in active_segments()
+        buffer.release()  # the owner's late release finds nothing to do
 
     def test_leak_registry_tracks_ownership(self):
         buffer = ShmAllocator(hint="t").zeros((4,), np.int64)
@@ -177,6 +247,20 @@ class TestCrashReclaim:
             parent_end.close()
 
 
+    def test_sweep_spares_segments_of_other_processes(self):
+        """Reclaiming a dead pid must never touch a live owner's segments."""
+        context = multiprocessing.get_context("fork")
+        process = context.Process(target=int)
+        process.start()
+        process.join(10.0)
+        mine = ShmAllocator(hint="live").zeros((4,), np.int64)
+        try:
+            assert reclaim_process_segments(process.pid) == []
+            assert mine.segment_name in active_segments()
+        finally:
+            mine.release()
+
+
 class TestLabelTable:
     def test_intern_and_extend_replicate(self):
         driver = LabelTable(["a", "b"])
@@ -196,6 +280,15 @@ class TestLabelTable:
         table.extend(["b", "c", "d"])
         assert table.labels() == ["a", "b", "c", "d"]
 
+    def test_lookup_and_membership(self):
+        table = LabelTable([(0, "x"), 7, "a"])
+        assert len(table) == 3
+        assert (0, "x") in table and "b" not in table
+        assert table.id_of(7) == 1
+        assert table.label(2) == "a"
+        with pytest.raises(KeyError):
+            table.id_of("b")
+
 
 class TestUpdateRing:
     def _batch(self):
@@ -212,6 +305,28 @@ class TestUpdateRing:
         assert new_labels == ["d"]
         worker.extend(new_labels)
         assert decode_rows(rows, worker) == self._batch()
+
+    def test_batch_mints_each_label_once_in_first_encounter_order(self):
+        table = LabelTable()
+        batch = [
+            EdgeUpdate.addition("x", "y"),
+            EdgeUpdate.addition("y", "z"),
+            EdgeUpdate.removal("x", "z"),
+        ]
+        rows, new_labels = encode_batch(table, batch)
+        assert new_labels == ["x", "y", "z"]
+        assert rows.tolist() == [[0, 0, 1], [0, 1, 2], [1, 0, 2]]
+        assert encode_batch(table, batch)[1] == []
+
+    def test_empty_batch_appends_nothing(self):
+        ring = UpdateRing(capacity=16)
+        try:
+            rows, new_labels = encode_batch(LabelTable(), [])
+            assert rows.shape == (0, 3) and new_labels == []
+            assert ring.append(rows) == (0, 0, None)
+            assert ring.generation == 0 and ring.capacity == 16
+        finally:
+            ring.release()
 
     def test_dispatch_through_ring(self):
         table = LabelTable(["a", "b", "c", "d"])
@@ -245,6 +360,47 @@ class TestUpdateRing:
             reader.release()
         finally:
             ring.release()
+
+    def test_oversized_batch_rotates_to_fit(self):
+        """One batch larger than twice the ring still lands in one slice."""
+        ring = UpdateRing(capacity=16)
+        try:
+            reader = RingReader(ring.payload())
+            rows = np.arange(40 * 3, dtype=np.int64).reshape(40, 3)
+            start, length, rotated = ring.append(rows)
+            assert rotated is not None and (start, length) == (0, 40)
+            assert ring.capacity >= 80
+            reader.reattach(rotated)
+            assert np.array_equal(reader.read(start, length), rows)
+            reader.release()
+        finally:
+            ring.release()
+
+    def test_reader_follows_successive_rotations(self):
+        ring = UpdateRing(capacity=16)
+        try:
+            reader = RingReader(ring.payload())
+            for generation in range(1, 4):
+                rows = np.full((ring.capacity, 3), generation, dtype=np.int64)
+                ring.append(rows[:1])
+                start, length, rotated = ring.append(rows)
+                assert rotated is not None and ring.generation == generation
+                reader.reattach(rotated)
+                assert np.array_equal(reader.read(start, length), rows)
+            reader.release()
+        finally:
+            ring.release()
+
+    def test_release_unlinks_every_generation(self):
+        ring = UpdateRing(capacity=16)
+        names = [ring.payload()["name"]]
+        for _ in range(3):
+            ring.append(np.zeros((ring.capacity + 1, 3), dtype=np.int64))
+            names.append(ring.payload()["name"])
+        assert len(set(names)) == 4
+        assert set(names) <= set(active_segments())
+        ring.release()
+        assert not set(names) & set(active_segments())
 
     def test_reattach_same_generation_is_noop(self):
         ring = UpdateRing(capacity=16)
