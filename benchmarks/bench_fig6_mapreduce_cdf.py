@@ -1,16 +1,22 @@
-"""Figure 6 — CDF of speedup of the DO/partitioned execution on a (simulated)
-MapReduce cluster, for additions and removals, synthetic and real graphs.
+"""Figure 6 — CDF of speedup of the DO/partitioned execution on the worker
+runtime (one mapper per source partition), for additions and removals,
+synthetic and real graphs.
 
 As in the paper, the comparison is between Brandes' single-machine run time
-and the *cumulative* execution time across all mappers (sum of per-partition
-times plus the merge), so the curves show algorithmic savings rather than
-parallel wall-clock savings (those are Figure 7's subject).
+and the *cumulative* execution time across all mappers, so the curves show
+algorithmic savings rather than parallel wall-clock savings (those are
+Figure 7's subject).  Each update is one ``apply_batch`` on a
+:class:`~repro.parallel.shards.ShardCoordinator`, and its cost is the sum of
+the workers' CPU seconds for that batch: CPU rather than wall seconds,
+because with more workers than cores the workers timeshare and their
+wall-clocks stretch.  The workers run the ``dicts`` backend, the same
+kernel ``datasets.brandes_seconds`` times.
 """
 
 from repro.core.updates import additions, removals
 from repro.analysis import format_table
 from repro.generators import addition_stream, removal_stream
-from repro.parallel import MapReduceBetweenness
+from repro.parallel import ShardCoordinator
 from repro.utils.stats import empirical_cdf, median
 
 from .conftest import stream_length
@@ -24,11 +30,12 @@ SOURCES_PER_MAPPER = 100
 
 def _run_stream(graph, updates, baseline_seconds):
     num_mappers = max(1, graph.num_vertices // SOURCES_PER_MAPPER)
-    cluster = MapReduceBetweenness(graph, num_mappers=num_mappers)
     speedups = []
-    for update in updates:
-        report = cluster.apply(update)
-        speedups.append(baseline_seconds / max(report.cumulative_seconds, 1e-9))
+    with ShardCoordinator(graph, num_workers=num_mappers, backend="dicts") as cluster:
+        for update in updates:
+            report = cluster.apply_batch([update])
+            cumulative = sum(report.worker_cpu_seconds)
+            speedups.append(baseline_seconds / max(cumulative, 1e-9))
     return num_mappers, speedups
 
 

@@ -10,9 +10,9 @@ through the unified session API, where they are just different
   each source's record sequentially, peek at just two distances to skip
   unaffected sources (Proposition 3.1), and write repaired records back in
   place;
-* ``executor="mapreduce"`` partitions the source set across several
-  "mappers", each maintaining partial scores over its own slice; the
-  reducer sums the partials.
+* ``executor="process"`` partitions the source set across several worker
+  processes ("mappers"), each maintaining partial scores over its own
+  slice; the reducer sums the partials.
 
 Run with:  python examples/out_of_core_and_parallel.py
 """
@@ -73,9 +73,9 @@ def out_of_core_demo(graph) -> None:
 
 
 def mapreduce_demo(graph) -> None:
-    print("\n=== partitioned (MapReduce) execution ===")
+    print("\n=== partitioned (MapReduce) execution on worker processes ===")
     config = BetweennessConfig.for_graph(
-        graph, executor="mapreduce", workers=NUM_MAPPERS
+        graph, executor="process", workers=NUM_MAPPERS
     )
     with BetweennessSession(graph, config) as session:
         sizes = [len(p) for p in session.engine.partitions]
@@ -87,8 +87,9 @@ def mapreduce_demo(graph) -> None:
             print(
                 f"update {update.endpoints}: cluster wall-clock "
                 f"{1000 * report.wall_clock_seconds:.1f} ms "
-                f"(cumulative {1000 * report.cumulative_seconds:.1f} ms across "
-                f"mappers, merge {1000 * report.merge_seconds:.1f} ms)"
+                f"(cumulative {1000 * sum(report.worker_cpu_seconds):.1f} ms "
+                f"CPU across mappers, {1000 * report.elapsed_seconds:.1f} ms "
+                "round trip)"
             )
 
         reference = brandes_betweenness(session.graph)

@@ -27,7 +27,6 @@ from repro.algorithms.brute_force import brute_force_betweenness
 from repro.algorithms.approximate import approximate_betweenness
 from repro.algorithms.baseline import RecomputeBetweenness
 from repro.algorithms.other_centrality import closeness_centrality, degree_centrality
-from repro.algorithms.parallel_brandes import parallel_brandes_betweenness
 
 __all__ = [
     "BrandesResult",
@@ -40,5 +39,4 @@ __all__ = [
     "RecomputeBetweenness",
     "closeness_centrality",
     "degree_centrality",
-    "parallel_brandes_betweenness",
 ]

@@ -166,7 +166,7 @@ def brandes_betweenness(
     sources:
         Optional subset of sources to accumulate over; defaults to all
         vertices (the exact betweenness).  Restricting the sources yields the
-        partial scores used by the parallel/MapReduce embodiment.
+        partial scores one worker of the partitioned runtime contributes.
     keep_predecessors:
         Use the original predecessor lists (``True``) or the paper's
         predecessor-free backtracking (``False``, default).

@@ -7,8 +7,8 @@ This package is the supported public way to run the system (see
   every knob (backend, orientation, batching, executor, workers, store URI,
   checkpoint policy);
 * :class:`BetweennessSession` — one facade over the serial, batched,
-  out-of-core, process-parallel, simulated-MapReduce and fault-tolerant
-  sharded execution modes, with an event stream subscribers hook into;
+  out-of-core, process-parallel and fault-tolerant sharded execution
+  modes, with an event stream subscribers hook into;
 * :func:`open_session` / :func:`resume_session` — build a session from a
   graph + config, or from nothing but a checkpoint path (the config travels
   inside the sidecar).

@@ -33,13 +33,11 @@ PathLike = Union[str, Path]
 #: * ``process`` — the measured multiprocessing executor: the shard runtime
 #:   (:class:`~repro.parallel.shards.ShardCoordinator`) without a root, one
 #:   restricted framework per worker process and no disk state;
-#: * ``mapreduce`` — the in-process simulated cluster
-#:   (:class:`~repro.parallel.mapreduce.MapReduceBetweenness`);
 #: * ``shard`` — the same runtime made fault tolerant by a root
 #:   (:class:`~repro.parallel.shards.ShardCoordinator`): per-shard durable
 #:   stores and checkpoints under a ``shard://`` root, worker-death
 #:   recovery, and disk-only resume.
-EXECUTORS: Tuple[str, ...] = ("serial", "process", "mapreduce", "shard")
+EXECUTORS: Tuple[str, ...] = ("serial", "process", "shard")
 
 
 @dataclass(frozen=True)
@@ -60,15 +58,15 @@ class BetweennessConfig:
     executor:
         One of :data:`EXECUTORS`.
     workers:
-        Worker processes (``process``) or simulated mappers (``mapreduce``).
+        Worker processes (``process``); under ``shard`` the shard count.
         Must be 1 under the ``serial`` executor.
     store:
         Store URI resolved through :func:`repro.storage.create_store`
         (``memory://``, ``arrays://``, ``disk:///path``, or any
-        third-party registered scheme).  Under the ``process`` and
-        ``mapreduce`` executors the scheme selects the *per-worker* store
-        kind and must be path-less (each worker owns a private temporary
-        store).  The ``shard`` executor instead *requires* a ``shard://``
+        third-party registered scheme).  Under the ``process`` executor
+        the scheme selects the *per-worker* store kind and must be
+        path-less (each worker owns a private temporary store).  The
+        ``shard`` executor instead *requires* a ``shard://``
         URI naming the ensemble root, e.g.
         ``shard:///var/data/bc?shards=8&checkpoint_every=4`` (``shards``
         must agree with ``workers`` when both are given).
@@ -125,7 +123,9 @@ class BetweennessConfig:
             )
         if self.executor not in EXECUTORS:
             raise ConfigurationError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
+                f"executor must be one of {EXECUTORS}, got {self.executor!r} "
+                '(executor="process" partitions the sources across worker '
+                "processes)"
             )
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ConfigurationError(
@@ -134,8 +134,8 @@ class BetweennessConfig:
         if self.executor == "serial" and self.workers != 1:
             raise ConfigurationError(
                 f"the serial executor runs exactly one worker, got "
-                f"workers={self.workers} (choose executor='process' or "
-                "'mapreduce' to scale out)"
+                f"workers={self.workers} (choose executor='process' to "
+                "scale out)"
             )
         uri = parse_store_uri(self.store)  # rejects bad scheme/query early
         if self.executor == "shard" and uri.scheme != "shard":

@@ -52,9 +52,7 @@ class UpdateApplied(SessionEvent):
     ``result`` is the engine's result object — an
     :class:`~repro.core.result.UpdateResult` under the serial executor, a
     :class:`~repro.parallel.shards.ParallelBatchReport` under ``process``
-    and ``shard``, and a
-    :class:`~repro.parallel.mapreduce.MapReduceUpdateReport` under
-    ``mapreduce``.
+    and ``shard``.
     """
 
     update: EdgeUpdate = None  # type: ignore[assignment]

@@ -4,11 +4,11 @@
 takes an initial graph plus a declarative
 :class:`~repro.api.config.BetweennessConfig` and hides, behind one stable
 surface, everything PRs 1–4 grew underneath: the serial framework (in
-memory, columnar or out of core), the batched update pipeline, the
-simulated MapReduce cluster and the one multiprocessing runtime — bare
-under ``executor="process"``, fault tolerant under ``executor="shard"`` + a
-``shard://`` store URI.  Adding a new backend, store or executor is a
-registry/config change — no call site ever threads a new kwarg again.
+memory, columnar or out of core), the batched update pipeline and the one
+multiprocessing runtime — bare under ``executor="process"``, fault tolerant
+under ``executor="shard"`` + a ``shard://`` store URI.  Adding a new
+backend, store or executor is a registry/config change — no call site ever
+threads a new kwarg again.
 
 The session is also *event-driven*: every update, batch, checkpoint and
 shutdown is published to subscribers (:mod:`repro.api.events`), which is
@@ -54,10 +54,8 @@ from repro.core.framework import IncrementalBetweenness
 from repro.core.updates import EdgeUpdate, batches
 from repro.exceptions import ConfigurationError, StorageError, SubscriberError
 from repro.graph.graph import Graph
-from repro.parallel.mapreduce import MapReduceBetweenness
 from repro.parallel.shards import ShardCoordinator
 from repro.storage.base import BDStore
-from repro.storage.disk import DiskBDStore
 from repro.storage.factory import create_store, parse_store_uri
 from repro.storage.shard import ShardLayout, load_manifest
 from repro.types import Edge, EdgeScores, Vertex, VertexScores
@@ -154,8 +152,9 @@ class BetweennessSession:
                 "an explicit store object is only supported by the serial "
                 "executor (parallel executors build per-worker stores)"
             )
-        elif config.executor in ("process", "shard"):
-            # One runtime: a shard:// root is what makes it durable.
+        else:
+            # One runtime for process and shard: a shard:// root is what
+            # makes it durable.
             layout = (
                 ShardLayout.from_uri(config.store, workers=config.workers)
                 if config.executor == "shard"
@@ -175,13 +174,6 @@ class BetweennessSession:
             # checkpoint is not emitted ahead of BootstrapCompleted; every
             # later round, failure and recovery surfaces as a typed event.
             self._cluster.notify = self._shard_notify
-        else:  # mapreduce — validated by the config
-            self._cluster = MapReduceBetweenness(
-                graph,
-                num_mappers=config.workers,
-                store_factory=self._mapper_store_factory(config.store),
-                backend=config.backend,
-            )
         self._announce_bootstrap()
 
     def _reset(
@@ -381,10 +373,7 @@ class BetweennessSession:
         Under the serial executor this is the batched pipeline
         (:meth:`IncrementalBetweenness.apply_updates
         <repro.core.framework.IncrementalBetweenness.apply_updates>`); under
-        ``process`` the batch is broadcast to the workers; under
-        ``mapreduce`` (which models per-update cluster rounds) the batch is
-        applied update by update and the result is the tuple of per-update
-        reports.
+        ``process`` and ``shard`` the batch is broadcast to the workers.
         """
         return self._apply_batch(list(updates))[0]
 
@@ -399,10 +388,8 @@ class BetweennessSession:
             self._ensure_open()
             if self._framework is not None:
                 result = self._framework.apply_updates(batch)
-            elif isinstance(self._cluster, ShardCoordinator):
-                result = self._cluster.apply_batch(batch)
             else:
-                result = tuple(self._cluster.apply(update) for update in batch)
+                result = self._cluster.apply_batch(batch)
             batch_index = self._batch_index
             self._batch_index += 1
             event = self._emit(
@@ -502,15 +489,12 @@ class BetweennessSession:
         persists its state into the shard root and the coordinator manifest
         is rewritten; the return value is the manifest path (``path`` must
         be ``None`` — a sharded session's location is its store URI).  The
-        same runtime without a root (``process``) and the simulated cluster
-        have no durable state to checkpoint.
+        same runtime without a root (``process``) has no durable state to
+        checkpoint.
         """
         with self._state_lock:
             self._ensure_open()
-            if (
-                isinstance(self._cluster, ShardCoordinator)
-                and self._cluster.layout is not None
-            ):
+            if self._cluster is not None and self._cluster.layout is not None:
                 if path is not None:
                     raise ConfigurationError(
                         "a sharded session checkpoints into its shard root "
@@ -557,11 +541,8 @@ class BetweennessSession:
             self._closed = True
             if self._framework is not None:
                 self._framework.store.close()
-            elif isinstance(self._cluster, ShardCoordinator):
-                self._cluster.close()
             elif self._cluster is not None:
-                for mapper in self._cluster.mappers:
-                    mapper.store.close()
+                self._cluster.close()
             self._emit(SessionClosed)
 
     def __enter__(self) -> "BetweennessSession":
@@ -599,22 +580,6 @@ class BetweennessSession:
         """Map a (path-less) store URI onto the executor's per-worker kinds."""
         scheme = parse_store_uri(uri).scheme
         return "disk" if scheme == "disk" else "memory"
-
-    @staticmethod
-    def _mapper_store_factory(uri: str):
-        """Per-mapper store factory for the simulated cluster, from the URI."""
-        parsed = parse_store_uri(uri)
-        if parsed.scheme != "disk":
-            return None  # each mapper uses its backend's default RAM store
-
-        def factory(partition, graph):
-            return DiskBDStore(
-                graph.vertex_list(),
-                sources=list(partition.sources),
-                directed=graph.directed,
-            )
-
-        return factory
 
 
 def open_session(

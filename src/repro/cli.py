@@ -208,10 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_argument(online_parser)
     online_parser.add_argument("--edges", type=int, default=10, help="replayed arrivals")
     online_parser.add_argument(
-        "--mappers", default=None,
+        "--mappers", default="1,10",
         help="comma-separated mapper counts (simulated through the capacity "
-             "model); default 1,10, or the config file's workers under "
-             "executor=mapreduce" + _PRECEDENCE,
+             "model)",
     )
     online_parser.add_argument(
         "--time-scale", type=float, default=0.002,
@@ -643,13 +642,6 @@ def _run_online(args) -> str:
     recv_timeout = (
         args.recv_timeout if args.recv_timeout is not None else base.recv_timeout
     )
-    if args.mappers is not None:
-        mappers_spec = args.mappers
-    elif base.executor == "mapreduce":
-        mappers_spec = str(base.workers)
-    else:
-        mappers_spec = "1,10"
-
     evolving = load_dataset(
         args.dataset, num_vertices=args.vertices, rng=args.seed, as_evolving=True
     )
@@ -673,7 +665,7 @@ def _run_online(args) -> str:
         )
         rows.append(_online_row(args.dataset, f"{workers} (real)", result))
     else:
-        mapper_counts = [int(token) for token in mappers_spec.split(",") if token]
+        mapper_counts = [int(token) for token in args.mappers.split(",") if token]
         for mappers in mapper_counts:
             result = simulate_online_updates(
                 base_graph,

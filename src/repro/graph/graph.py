@@ -301,23 +301,6 @@ class Graph:
             clone.add_edge(u, v)
         return clone
 
-    def exact_copy(self) -> "Graph":
-        """An independent copy preserving the exact neighbor iteration order.
-
-        :meth:`copy` rebuilds through :meth:`edges`, which re-enumerates
-        edges in canonical first-seen order — fine for a fresh instance, but
-        it erases the incremental mutation history (a removed-and-re-added
-        neighbor moves back from the end of the dict).  Recovery paths that
-        must replay float accumulations bit-identically use this instead.
-        """
-        clone = Graph(directed=self._directed)
-        clone._succ = {v: dict(nbrs) for v, nbrs in self._succ.items()}
-        if self._directed:
-            clone._pred = {v: dict(nbrs) for v, nbrs in self._pred.items()}
-        else:
-            clone._pred = clone._succ
-        return clone
-
     def adjacency_payload(self) -> dict:
         """Picklable capture of the full adjacency in exact iteration order.
 

@@ -8,15 +8,12 @@ reducer (the MapReduce embodiment of Figure 4).  Section 5.3 derives the
 online-capacity model ``tU = tS * n / p + tM`` that predicts how many
 workers are needed to keep up with a given edge-arrival rate.
 
-Two embodiments are provided.  :class:`MapReduceBetweenness` is a faithful
-in-process simulation: the map phase really runs the per-source incremental
-updates partition by partition, per-partition times are measured, and
-cluster wall-clock is derived exactly as the paper's model prescribes.
-:class:`ShardCoordinator` replaces the simulation with real OS worker
-processes — the only multi-process runtime: each worker owns one partition's
-restricted framework, the initial Brandes phase and every update batch run
-concurrently, and the reduce step merges the measured partial scores (one
-:class:`ParallelBatchReport` per batch).
+One engine partitions sources: :class:`ShardCoordinator` runs each mapper
+as a real OS worker process that owns one partition's restricted framework;
+the initial Brandes phase and every update batch run concurrently, and the
+reduce step (:func:`merge_partial_scores`) sums the measured partial scores
+in partition order (one :class:`ParallelBatchReport` per batch, with every
+worker's wall and CPU seconds).
 
 Given a ``shard://`` root the coordinator's partitions are first-class
 **shards** with durable per-shard state: workers checkpoint at a configurable
@@ -26,12 +23,11 @@ from disk alone.  Without a root the same workers run with no disk state, and
 a failed worker is a terminal error.
 """
 
-from repro.parallel.mapreduce import (
-    MapReduceBetweenness,
-    MapReduceUpdateReport,
+from repro.parallel.shards import (
+    ParallelBatchReport,
+    ShardCoordinator,
     merge_partial_scores,
 )
-from repro.parallel.shards import ParallelBatchReport, ShardCoordinator
 from repro.parallel.scaling import (
     OnlineCapacityModel,
     ScalingMeasurement,
@@ -48,8 +44,6 @@ from repro.parallel.online import (
 )
 
 __all__ = [
-    "MapReduceBetweenness",
-    "MapReduceUpdateReport",
     "merge_partial_scores",
     "ParallelBatchReport",
     "ShardCoordinator",

@@ -1,14 +1,12 @@
 """The worker runtime: one driver, N partition workers (Section 5.4, measured).
 
-:mod:`repro.parallel.mapreduce` runs every "mapper" sequentially in one
-process and *simulates* a cluster through the capacity model of Section 5.3.
-This module replaces the simulation with measurement: the source set is
-partitioned across genuine OS processes, each owning a restricted
-:class:`~repro.core.framework.IncrementalBetweenness` instance (one mapper
-of Figure 4), and both the initial Brandes phase and every incremental
-repair run concurrently.  The reduce step sums the partial vertex/edge
-scores in partition order, so the merged result is the serial framework's —
-what changes is real wall-clock time.
+The source set is partitioned across genuine OS processes, each owning a
+restricted :class:`~repro.core.framework.IncrementalBetweenness` instance
+(one mapper of Figure 4), and both the initial Brandes phase and every
+incremental repair run concurrently.  The reduce step
+(:func:`merge_partial_scores`) sums the partial vertex/edge scores in
+partition order, so the merged result is the serial framework's — what
+the partitioning changes is real wall-clock time.
 
 :class:`ShardCoordinator` is the one driver.  It dispatches batches over
 pipes, monitors worker health (poll with liveness checks and an optional
@@ -92,7 +90,6 @@ from repro.parallel.dataplane import (
     decode_rows,
     encode_batch,
 )
-from repro.parallel.mapreduce import merge_partial_scores
 from repro.storage.buffers import (
     ShmAllocator,
     reclaim_process_segments,
@@ -417,6 +414,34 @@ def _worker_main(connection, payload: dict) -> None:
 
 
 # --------------------------------------------------------------------------- #
+# Reduce
+# --------------------------------------------------------------------------- #
+def merge_partial_scores(partials: Sequence[Dict]) -> Dict:
+    """Reduce step: sum partial score dictionaries key by key.
+
+    The summation order is part of the contract, because float addition is
+    not associative: partials are folded **in the order given**, which every
+    caller in this package makes the stable partition order (worker 0 first,
+    then worker 1, ...) — never completion order.  Two runs that produce the
+    same partials therefore produce bit-identical merged scores, which is
+    what lets the coordinator promise ``==`` equality after crash recovery.
+
+    Note the *grouping* still differs from an unpartitioned serial run (one
+    flat sum per key vs per-partition subtotals), so merged scores match the
+    serial framework only to float re-association error (~1e-14 relative),
+    not exactly.
+
+    Passing an unordered iterable would silently forfeit the guarantee, so
+    the signature asks for a sequence.
+    """
+    merged: Dict = {}
+    for partial in partials:
+        for key, value in partial.items():
+            merged[key] = merged.get(key, 0.0) + value
+    return merged
+
+
+# --------------------------------------------------------------------------- #
 # Reports
 # --------------------------------------------------------------------------- #
 @dataclass
@@ -425,9 +450,8 @@ class ParallelBatchReport:
 
     ``worker_seconds`` are the per-worker (per-mapper) compute times as the
     workers measured them; ``elapsed_seconds`` is the driver-side wall-clock
-    for the round trip, including IPC.  Cluster semantics mirror
-    :class:`~repro.parallel.mapreduce.MapReduceUpdateReport`: wall-clock is
-    the slowest mapper, cumulative cost is the sum.  ``payload_bytes`` is
+    for the round trip, including IPC.  Cluster semantics follow Section
+    5.4: wall-clock is the slowest mapper, cumulative cost is the sum.  ``payload_bytes`` is
     the exact pickled size of what the driver wrote to all worker pipes for
     the batch — what the shared-memory ring shrinks ~tenfold.
     """

@@ -521,10 +521,16 @@ class DiskBDStore(BDStore):
     # Lifecycle
     # ------------------------------------------------------------------ #
     def flush(self) -> None:
-        """Push mapped pages and metadata writes out to the file."""
+        """Make the records and the metadata block durable on disk.
+
+        ``msync`` covers only the mapped record area; the metadata block is
+        written past it through the file object, so the closing ``fsync``
+        is what forces it out before a checkpoint sidecar names this file.
+        """
         self._ensure_open()
         self._mm.flush()
         self._file.flush()
+        os.fsync(self._file.fileno())
         self._dirty = False
 
     def close(self) -> None:

@@ -220,10 +220,6 @@ class TestRecvTimeoutConfig:
     def test_only_for_process_and_shard(self):
         with pytest.raises(ConfigurationError, match="recv_timeout"):
             BetweennessConfig(recv_timeout=5.0)
-        with pytest.raises(ConfigurationError, match="recv_timeout"):
-            BetweennessConfig(
-                executor="mapreduce", workers=2, recv_timeout=5.0
-            )
         assert BetweennessConfig(
             executor="process", workers=2, recv_timeout=5.0
         ).recv_timeout == 5.0
@@ -238,6 +234,33 @@ class TestRecvTimeoutConfig:
         )
         assert BetweennessConfig.from_dict(config.to_dict()) == config
         assert BetweennessConfig.from_json(config.to_json()) == config
+
+
+class TestRetiredExecutor:
+    """The in-process MapReduce simulation is gone: a config naming it is
+    refused with a pointer to the worker runtime, never run as something
+    else."""
+
+    RETIRED = dict(BetweennessConfig().to_dict(), executor="mapreduce", workers=3)
+
+    def test_constructor_refuses_it(self):
+        with pytest.raises(ConfigurationError, match='executor="process"'):
+            BetweennessConfig(executor="mapreduce", workers=3)
+
+    def test_config_payloads_naming_it_are_refused(self, tmp_path):
+        with pytest.raises(ConfigurationError, match='executor="process"'):
+            BetweennessConfig.from_dict(self.RETIRED)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(self.RETIRED))
+        with pytest.raises(ConfigurationError, match='executor="process"'):
+            BetweennessConfig.load(path)
+
+    def test_a_sidecar_naming_it_is_refused_at_resume(self, small_graph, tmp_path):
+        IncrementalBetweenness(small_graph).checkpoint(
+            tmp_path / "ck.bin", config=self.RETIRED
+        )
+        with pytest.raises(ConfigurationError, match='executor="process"'):
+            resume_session(tmp_path / "ck.bin")
 
 
 class TestOneDataPlane:

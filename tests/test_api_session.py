@@ -20,6 +20,7 @@ from repro.algorithms import brandes_betweenness
 from repro.core import EdgeUpdate, IncrementalBetweenness
 from repro.exceptions import ConfigurationError
 from repro.graph import Graph
+from repro.parallel import ParallelBatchReport
 from repro.storage import DiskBDStore, InMemoryBDStore
 from repro.storage.buffers import active_segments, shm_available
 
@@ -153,17 +154,6 @@ class TestEquivalenceMatrix:
                 session.edge_betweenness(), expected_edge, MERGE_TOLERANCE, "edge"
             )
 
-    def test_mapreduce_executor_matches(self, references):
-        graph = build_graph(False)
-        config = BetweennessConfig(executor="mapreduce", workers=3)
-        expected_vertex, _ = references[(False, 1)]
-        with BetweennessSession(graph, config) as session:
-            for _ in session.stream(update_stream(graph)):
-                pass
-            assert_scores_equal(
-                session.vertex_betweenness(), expected_vertex, MERGE_TOLERANCE
-            )
-
     def test_matches_from_scratch_brandes(self):
         graph = build_graph(False)
         with open_session(graph, backend="arrays", batch_size=2) as session:
@@ -284,6 +274,31 @@ class TestWorkerRuntimeMatrix:
         assert active_segments() == []
         assert_scores_equal(vertex, serial[0], MERGE_TOLERANCE, "vertex")
         assert_scores_equal(edge, serial[1], MERGE_TOLERANCE, "edge")
+
+    @pytest.mark.parametrize("executor", ["process", "shard"])
+    def test_every_call_returns_the_runtime_report(self, tmp_path, executor):
+        """apply() and apply_batch() return the runtime's one report for the
+        whole call — one compute and one CPU time per worker — and the
+        events carry that same object."""
+        graph = build_graph(False)
+        stream = update_stream(graph)
+        events = []
+        config = self._config(executor, False, tmp_path, workers=3)
+        with BetweennessSession(graph, config, subscribers=[events.append]) as session:
+            single = session.apply(stream[0])
+            batch = session.apply_batch(stream[1:3])
+        for report, size in ((single, 1), (batch, 2)):
+            assert isinstance(report, ParallelBatchReport)
+            assert report.num_updates == size
+            assert len(report.worker_seconds) == 3
+            assert len(report.worker_cpu_seconds) == 3
+            assert min(report.worker_cpu_seconds) >= 0.0
+        results = [
+            event.result
+            for event in events
+            if isinstance(event, (UpdateApplied, BatchApplied))
+        ]
+        assert results[0] is single and results[1] is batch
 
 
 class TestRecvTimeoutThreading:

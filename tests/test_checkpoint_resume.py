@@ -10,7 +10,7 @@ from repro.exceptions import ConfigurationError, StoreCorruptedError, UpdateErro
 from repro.generators import erdos_renyi_digraph
 from repro.graph import Graph
 from repro.parallel import ShardCoordinator
-from repro.parallel.mapreduce import merge_partial_scores
+from repro.parallel.shards import merge_partial_scores
 from repro.storage import DiskBDStore
 
 from tests.helpers import assert_scores_equal, random_connected_graph

@@ -299,23 +299,55 @@ class TestVersionAndConfig:
             )
 
     def test_online_simulate_honours_config_store_and_mappers(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, monkeypatch
     ):
+        import repro.cli
         from repro.api import BetweennessConfig
 
         config_path = tmp_path / "run.json"
-        BetweennessConfig(executor="mapreduce", workers=3, store="disk://").save(
-            config_path
-        )
+        BetweennessConfig(store="disk://").save(config_path)
+        stores = []
+        simulate = repro.cli.simulate_online_updates
+
+        def recording_simulate(*args, **kwargs):
+            stores.append(kwargs["store"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "simulate_online_updates", recording_simulate)
         code, out = run_cli(
             capsys,
             "online", "--dataset", "synthetic-1k", "--vertices", "40",
-            "--edges", "2", "--config", str(config_path),
+            "--edges", "2", "--mappers", "3", "--config", str(config_path),
         )
         assert code == 0
-        # One simulated row, at the config's worker count.
+        # One simulated row, at the flag's mapper count, on the config's store.
         assert out.count("synthetic-1k") == 1
         assert "| 3 " in out
+        assert stores == ["disk://"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["speedup", "--dataset", "synthetic-1k", "--vertices", "40"],
+            ["resume", "--checkpoint", "missing.bin"],
+            ["shard", "--dataset", "synthetic-1k", "--vertices", "40", "--root", "r"],
+            ["online", "--dataset", "synthetic-1k", "--vertices", "40"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_config_naming_the_retired_executor_is_refused(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        import json
+
+        from repro.exceptions import ConfigurationError
+
+        monkeypatch.chdir(tmp_path)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"executor": "mapreduce", "workers": 3}))
+        with pytest.raises(ConfigurationError, match='executor="process"'):
+            run_cli(capsys, *command, "--edges", "1", "--config", str(config_path))
+        assert not (tmp_path / "r").exists()
 
     def test_online_accepts_store_uri(self, capsys):
         code, out = run_cli(

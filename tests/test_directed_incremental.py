@@ -33,7 +33,6 @@ from repro.exceptions import ConfigurationError
 from repro.generators import erdos_renyi_digraph
 from repro.graph import Graph
 from repro.parallel.shards import ShardCoordinator
-from repro.parallel.mapreduce import MapReduceBetweenness
 from repro.storage import ArrayBDStore, DiskBDStore
 
 from tests.helpers import assert_framework_matches_recompute, assert_scores_equal
@@ -219,15 +218,6 @@ class TestDirectedParallel:
                 reference = brandes_betweenness(cluster.graph)
             assert_scores_equal(vertex_scores, reference.vertex_scores)
             assert_scores_equal(edge_scores, reference.edge_scores)
-
-    def test_mapreduce_matches_brandes(self):
-        graph = erdos_renyi_digraph(7, 0.3, rng=random.Random(5))
-        cluster = MapReduceBetweenness(graph, num_mappers=3, backend="arrays")
-        cluster.add_edge(0, 50)
-        cluster.add_edge(50, 3)
-        reference = brandes_betweenness(cluster.mappers[0].graph)
-        assert_scores_equal(cluster.vertex_betweenness(), reference.vertex_scores)
-        assert_scores_equal(cluster.edge_betweenness(), reference.edge_scores)
 
 
 class TestOrientationPersistence:

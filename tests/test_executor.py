@@ -5,6 +5,7 @@ prompt, terminal, leak-free error."""
 import pytest
 
 from repro.algorithms import brandes_betweenness
+from repro.api.config import EXECUTORS
 from repro.core import EdgeUpdate, IncrementalBetweenness
 from repro.exceptions import ConfigurationError, UpdateError
 from repro.parallel import ShardCoordinator
@@ -178,16 +179,17 @@ def _absent_edge(graph):
 
 
 def test_there_is_exactly_one_worker_runtime():
-    """One ``Process`` target and one class that spawns it under
-    ``repro.parallel`` — a second multi-process driver cannot grow back
-    beside the coordinator without failing here."""
+    """One ``Process`` target and one class that spawns it in the whole
+    ``repro`` package, and no process pool anywhere — a second
+    multi-partition engine cannot grow back beside the coordinator without
+    failing here."""
     import ast
     from pathlib import Path
 
-    import repro.parallel
+    import repro
 
-    targets, spawners = set(), set()
-    for path in Path(repro.parallel.__file__).parent.glob("*.py"):
+    targets, spawners, pools = set(), set(), set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {
             id(node): scope.name
@@ -196,16 +198,27 @@ def test_there_is_exactly_one_worker_runtime():
             for node in ast.walk(scope)
         }
         for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "Process"
-            ):
-                spawners.add(owner.get(id(node), f"<module {path.name}>"))
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None
+            )
+            where = owner.get(id(node), f"<module {path.name}>")
+            if name in ("Pool", "ProcessPoolExecutor"):
+                pools.add(f"{path.name}: {where}")
+            elif name == "Process":
+                spawners.add(where)
                 targets.update(
                     ast.unparse(keyword.value)
                     for keyword in node.keywords
                     if keyword.arg == "target"
                 )
+    assert pools == set()
     assert targets == {"_worker_main"}
     assert spawners == {"ShardCoordinator"}
+
+
+def test_executors_are_serial_process_and_shard():
+    """Serial, or the worker runtime with or without a shard root."""
+    assert EXECUTORS == ("serial", "process", "shard")

@@ -20,10 +20,10 @@ from repro.generators import (
     synthetic_social_graph,
 )
 from repro.generators.streams import EvolvingGraph
-from repro.parallel import MapReduceBetweenness, simulate_online_updates
+from repro.parallel import simulate_online_updates
 from repro.storage import DiskBDStore
 
-from tests.helpers import assert_framework_matches_recompute, assert_scores_equal
+from tests.helpers import assert_framework_matches_recompute
 
 
 @pytest.fixture(scope="module")
@@ -48,16 +48,6 @@ class TestFullPipelines:
         framework.process_stream(stream)
         assert_framework_matches_recompute(framework)
         store.close()
-
-    def test_mapreduce_and_single_machine_agree(self, social_graph):
-        single = IncrementalBetweenness(social_graph)
-        cluster = MapReduceBetweenness(social_graph, num_mappers=3)
-        stream = addition_stream(social_graph, 3, rng=7)
-        for update in stream:
-            single.apply(update)
-            cluster.apply(update)
-        assert_scores_equal(single.vertex_betweenness(), cluster.vertex_betweenness())
-        assert_scores_equal(single.edge_betweenness(), cluster.edge_betweenness())
 
     def test_online_replay_then_community_detection(self, social_graph):
         evolving = EvolvingGraph.from_graph(social_graph, rng=8)

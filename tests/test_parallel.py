@@ -1,24 +1,19 @@
-"""Tests for the MapReduce simulation, scaling models and online replay."""
+"""Tests for the reduce step, scaling models and online replay."""
 
 import pytest
 
-from repro.algorithms import brandes_betweenness
 from repro.core import EdgeUpdate
 from repro.exceptions import ConfigurationError
 from repro.generators import synthetic_social_graph
 from repro.generators.streams import EvolvingGraph
 from repro.parallel import (
-    MapReduceBetweenness,
     OnlineCapacityModel,
-    merge_partial_scores,
     required_workers,
     simulate_online_updates,
     strong_scaling,
     weak_scaling,
 )
-
-from tests.helpers import random_connected_graph
-from tests.helpers import assert_scores_equal
+from repro.parallel.shards import merge_partial_scores
 
 
 class TestMergePartialScores:
@@ -29,55 +24,12 @@ class TestMergePartialScores:
     def test_empty(self):
         assert merge_partial_scores([]) == {}
 
-
-class TestMapReduce:
-    def test_reduced_scores_match_brandes_after_updates(self):
-        graph = random_connected_graph(15, 0.15, seed=4)
-        cluster = MapReduceBetweenness(graph, num_mappers=4)
-        cluster.add_edge(0, 14)
-        removal = graph.edge_list()[2]
-        cluster.remove_edge(*removal)
-        reference = brandes_betweenness(cluster.mappers[0].graph)
-        assert_scores_equal(cluster.vertex_betweenness(), reference.vertex_scores)
-        assert_scores_equal(cluster.edge_betweenness(), reference.edge_scores)
-
-    def test_partitions_cover_all_sources(self):
-        graph = random_connected_graph(11, 0.2, seed=6)
-        cluster = MapReduceBetweenness(graph, num_mappers=3)
-        covered = sorted(v for p in cluster.partitions for v in p)
-        assert covered == sorted(graph.vertices())
-
-    def test_report_timings(self, cycle6):
-        cluster = MapReduceBetweenness(cycle6, num_mappers=2)
-        report = cluster.add_edge(0, 3)
-        assert len(report.mapper_seconds) == 2
-        assert report.wall_clock_seconds <= report.cumulative_seconds + 1e-9
-        assert report.merge_seconds >= 0.0
-
-    def test_new_vertex_assigned_to_exactly_one_mapper(self, cycle6):
-        cluster = MapReduceBetweenness(cycle6, num_mappers=3)
-        cluster.add_edge(0, 99)
-        owners = [m for m in cluster.mappers if 99 in list(m.store.sources())]
-        assert len(owners) == 1
-        reference = brandes_betweenness(cluster.mappers[0].graph)
-        assert_scores_equal(cluster.vertex_betweenness(), reference.vertex_scores)
-
-    def test_single_mapper_equals_sequential(self, two_triangles_bridge):
-        cluster = MapReduceBetweenness(two_triangles_bridge, num_mappers=1)
-        cluster.remove_edge(2, 3)
-        reference = brandes_betweenness(cluster.mappers[0].graph)
-        assert_scores_equal(cluster.vertex_betweenness(), reference.vertex_scores)
-
-    def test_invalid_mapper_count(self, cycle6):
-        with pytest.raises(ConfigurationError):
-            MapReduceBetweenness(cycle6, num_mappers=0)
-
-    def test_process_stream(self, cycle6):
-        cluster = MapReduceBetweenness(cycle6, num_mappers=2)
-        reports = cluster.process_stream(
-            [EdgeUpdate.addition(0, 2), EdgeUpdate.removal(3, 4)]
-        )
-        assert len(reports) == 2
+    def test_folds_left_in_the_order_given(self):
+        # Float addition is not associative; the reduce is a left fold in
+        # partition order, which is what makes two merges bit-identical.
+        big, small = {"a": 1e16}, {"a": 1.0}
+        assert merge_partial_scores([big, {"a": -1e16}, small]) == {"a": 1.0}
+        assert merge_partial_scores([small, big, {"a": -1e16}]) == {"a": 0.0}
 
 
 class TestCapacityModel:

@@ -39,7 +39,7 @@ from repro.core.updates import UpdateKind, validate_batch
 from repro.exceptions import WorkerFailedError
 from repro.graph import Graph
 from repro.parallel import ShardCoordinator
-from repro.parallel.mapreduce import merge_partial_scores
+from repro.parallel.shards import merge_partial_scores
 from repro.storage.buffers import active_segments, shm_available
 from repro.storage.partition import partition_sources
 from repro.storage.shard import ShardLayout, pick_shard

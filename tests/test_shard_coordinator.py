@@ -6,6 +6,7 @@ resolution, the on-disk layout and manifest codec, the ``pick_shard``
 rebalancing rule, and the coordinator's refusal paths.
 """
 
+import os
 import random
 
 import pytest
@@ -213,6 +214,36 @@ class TestCoordinatorLifecycle:
                 assert layout.checkpoint_path(shard_id).exists()
                 assert layout.store_path(shard_id, 0).exists()
             assert layout.manifest_path.exists()
+
+    def test_round_fsyncs_each_stamped_store_before_its_sidecar(
+        self, tmp_path, monkeypatch
+    ):
+        """A sidecar commits a round by naming its stamped store file, so the
+        worker must fsync that file before the sidecar's atomic write.  The
+        workers are forked, so the recorder appends to a log file."""
+        log = tmp_path / "fsync.log"
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            stat = os.fstat(fd)
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{stat.st_dev}:{stat.st_ino}\n")
+            real_fsync(fd)
+
+        def identity(path):
+            stat = os.stat(path)
+            return f"{stat.st_dev}:{stat.st_ino}"
+
+        monkeypatch.setattr("repro.storage.disk.os.fsync", recording_fsync)
+        graph = random_connected_graph(8, 0.2, seed=5)
+        layout = self._layout(tmp_path)
+        with ShardCoordinator(graph, layout):
+            synced = log.read_text(encoding="utf-8").split()
+            for shard_id in range(layout.num_shards):
+                store = identity(layout.store_path(shard_id, 0))
+                sidecar = identity(layout.checkpoint_path(shard_id))
+                assert store in synced
+                assert synced.index(store) < synced.index(sidecar)
 
     def test_rounds_follow_the_cadence_and_prune(self, tmp_path):
         graph = random_connected_graph(8, 0.2, seed=5)

@@ -7,6 +7,7 @@ including after capacity growth — while corrupted or truncated files are
 rejected loudly instead of being misread.
 """
 
+import os
 import pickle
 import struct
 
@@ -319,3 +320,52 @@ class TestAccountingAndModes:
         reopened.put(make_data(0, {0: (0, 1, 0.0), 1: (1, 1, 0.0)}))
         assert reopened.generation == created + 2
         reopened.close()
+
+
+class TestFlushIsDurable:
+    """``flush()`` must fsync the file: msync covers only the mapped record
+    area, and the metadata block is written past it through the file."""
+
+    @staticmethod
+    def _record_fsyncs(monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            stat = os.fstat(fd)
+            synced.append((stat.st_dev, stat.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr("repro.storage.disk.os.fsync", recording_fsync)
+        return synced
+
+    @staticmethod
+    def _identity(path):
+        stat = os.stat(path)
+        return (stat.st_dev, stat.st_ino)
+
+    def test_flush_fsyncs_the_store_file(self, tmp_path, monkeypatch):
+        store = DiskBDStore([0, 1, 2], path=tmp_path / "bd.bin")
+        store.put(make_data(0, {0: (0, 1, 0.0), 2: (1, 1, 0.0)}))
+        store.add_source(3)  # rewrites the metadata block past the map
+        synced = self._record_fsyncs(monkeypatch)
+        store.flush()
+        assert self._identity(store.path) in synced
+        store.close()
+        reopened = DiskBDStore.open(tmp_path / "bd.bin")
+        assert sorted(reopened.sources()) == [0, 1, 2, 3]
+        reopened.close()
+
+    def test_serial_checkpoint_fsyncs_its_disk_store(
+        self, two_triangles_bridge, tmp_path, monkeypatch
+    ):
+        store = DiskBDStore(
+            two_triangles_bridge.vertex_list(), path=tmp_path / "bd.bin"
+        )
+        ibc = IncrementalBetweenness(two_triangles_bridge, store=store)
+        ibc.add_edge(0, 4)
+        synced = self._record_fsyncs(monkeypatch)
+        ibc.checkpoint(tmp_path / "ck.bin")
+        # The sidecar names the store file, so the store is synced too.
+        assert self._identity(store.path) in synced
+        store.close()
