@@ -261,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Betweenness-as-a-service: multi-tenant, checkpoint-backed "
             "sessions under --root, exposed over HTTP with live SSE event "
-            "streams. Uses FastAPI + uvicorn when the repro[service] extra "
-            "is installed, otherwise the built-in asyncio server."
+            "streams, served by the built-in asyncio HTTP server."
         ),
     )
     serve_parser.add_argument(
@@ -278,10 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
              "falls back to $REPRO_SERVICE_API_KEY; unset serves openly",
     )
     serve_parser.add_argument(
-        "--impl", choices=("auto", "fastapi", "asyncio"), default="auto",
-        help="transport: 'fastapi' needs the repro[service] extra, "
-             "'asyncio' is the dependency-free built-in, 'auto' picks "
-             "fastapi when importable (default: auto)",
+        "--impl", choices=("asyncio",), default="asyncio",
+        help="transport; 'asyncio' is the only one and is accepted for "
+             "existing command lines",
     )
     serve_parser.add_argument(
         "--max-sessions", type=int, default=64,
@@ -728,8 +726,7 @@ def _run_serve(args) -> int:
     import asyncio
     import os
 
-    from repro.service import HAVE_FASTAPI, ServiceServer, ServiceSettings
-    from repro.service.app import create_app, require_fastapi
+    from repro.service import ServiceServer, ServiceSettings
 
     api_key = args.api_key or os.environ.get("REPRO_SERVICE_API_KEY") or None
     settings = ServiceSettings(
@@ -738,15 +735,6 @@ def _run_serve(args) -> int:
         max_sessions=args.max_sessions,
         default_checkpoint_every=args.checkpoint_every,
     )
-    impl = args.impl
-    if impl == "auto":
-        impl = "fastapi" if HAVE_FASTAPI and _have_uvicorn() else "asyncio"
-    if impl == "fastapi":
-        require_fastapi()
-        import uvicorn
-
-        uvicorn.run(create_app(settings), host=args.host, port=args.port)
-        return 0
     server = ServiceServer(settings)
     print(
         f"serving {settings.root} on http://{args.host}:{args.port} "
@@ -757,12 +745,6 @@ def _run_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     return 0
-
-
-def _have_uvicorn() -> bool:
-    import importlib.util
-
-    return importlib.util.find_spec("uvicorn") is not None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,7 +4,7 @@ The serving subsystem ROADMAP item 2 asked for: multi-tenant, named,
 checkpoint-backed :class:`~repro.api.session.BetweennessSession`\\ s behind
 an HTTP API with live server-sent-event streams of centrality changes.
 
-Layers (each importable on a bare install; FastAPI is optional):
+Layers (standard library only):
 
 * :mod:`repro.service.registry` — the transport-neutral core: session
   directories under a service root, per-session single-writer workers,
@@ -12,21 +12,22 @@ Layers (each importable on a bare install; FastAPI is optional):
 * :mod:`repro.service.routes` — handlers + the one routing table;
 * :mod:`repro.service.events` — session events → bounded per-client SSE
   queues (drop-oldest + ``lagged`` markers);
-* :mod:`repro.service.app` — FastAPI/ASGI transport
-  (``pip install repro-online-betweenness[service]``);
-* :mod:`repro.service.server` — dependency-free asyncio HTTP transport;
-* :mod:`repro.service.client` — dependency-free asyncio client (used by
-  the test suite and ``benchmarks/bench_service.py``).
+* :mod:`repro.service.server` — the asyncio HTTP/1.1 transport;
+* :mod:`repro.service.client` — asyncio client (used by the test suite
+  and the ``service-mixed`` workload of ``benchmarks/suite``).
 
-Start serving with ``repro serve --root /var/lib/repro`` (picks FastAPI +
-uvicorn when installed, the built-in server otherwise).
+Start serving with ``repro serve --root /var/lib/repro``.
 """
 
-from repro.service.app import HAVE_FASTAPI, create_app, require_fastapi
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.errors import (
     AuthenticationFailed,
+    HeaderTooLarge,
     InvalidJSONBody,
+    LengthRequired,
+    MalformedRequest,
+    PayloadTooLarge,
+    RouteNotFound,
     ServiceError,
     SessionClosed,
     SessionExists,
@@ -47,9 +48,13 @@ __all__ = [
     "AuthenticationFailed",
     "ClientStream",
     "EventBridge",
-    "HAVE_FASTAPI",
+    "HeaderTooLarge",
     "InvalidJSONBody",
+    "LengthRequired",
+    "MalformedRequest",
     "ManagedSession",
+    "PayloadTooLarge",
+    "RouteNotFound",
     "ServiceClient",
     "ServiceClientError",
     "ServiceError",
@@ -62,7 +67,5 @@ __all__ = [
     "SessionUnavailable",
     "UpdateRejected",
     "ValidationFailed",
-    "create_app",
     "encode_event",
-    "require_fastapi",
 ]

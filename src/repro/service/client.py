@@ -1,11 +1,11 @@
 """Dependency-free asyncio client for the betweenness service.
 
 A deliberately small HTTP/1.1 + SSE client over raw asyncio streams, so
-tests, the load generator in ``benchmarks/bench_service.py`` and bare-bones
-deployments need neither ``httpx`` nor ``requests``.  One
+tests, the ``service-mixed`` workload of ``benchmarks/suite`` and
+bare-bones deployments need neither ``httpx`` nor ``requests``.  One
 :class:`ServiceClient` holds one keep-alive connection and must be used
 sequentially (open several clients for concurrency — that is exactly what
-the load generator does); SSE subscriptions each open their own dedicated
+the workload does); SSE subscriptions each open their own dedicated
 connection.
 
 Example::

@@ -2,9 +2,9 @@
 
 Every error the service raises deliberately derives from
 :class:`ServiceError`, which carries an HTTP status code and a stable
-machine-readable ``code`` slug.  Both transports (the FastAPI app and the
-dependency-free asyncio server) translate a raised ``ServiceError`` into
-the same JSON envelope::
+machine-readable ``code`` slug.  The asyncio transport
+(:mod:`repro.service.server`) translates a raised ``ServiceError`` into
+one JSON envelope::
 
     {"error": {"code": "session_not_found", "message": "..."}}
 
@@ -55,6 +55,40 @@ class InvalidJSONBody(ServiceError):
         super().__init__("request body is not valid JSON")
 
 
+class MalformedRequest(ServiceError):
+    """The request framing is unusable (e.g. a non-numeric Content-Length)."""
+
+    status_code = 400
+    code = "bad_request"
+
+
+class LengthRequired(ServiceError):
+    """The request body is not delimited by a Content-Length header."""
+
+    status_code = 411
+    code = "length_required"
+
+    def __init__(self) -> None:
+        super().__init__(
+            "request bodies must carry a Content-Length; "
+            "Transfer-Encoding is not supported"
+        )
+
+
+class PayloadTooLarge(ServiceError):
+    """The declared request body exceeds the server's limit."""
+
+    status_code = 413
+    code = "payload_too_large"
+
+
+class HeaderTooLarge(ServiceError):
+    """The request line or header block exceeds the server's limit."""
+
+    status_code = 431
+    code = "header_too_large"
+
+
 class ValidationFailed(ServiceError):
     """The request body or query string does not describe a valid operation.
 
@@ -66,6 +100,16 @@ class ValidationFailed(ServiceError):
 
     status_code = 422
     code = "validation_failed"
+
+
+class RouteNotFound(ServiceError):
+    """No route serves the request's method and path."""
+
+    status_code = 404
+    code = "not_found"
+
+    def __init__(self, method: str, path: str):
+        super().__init__(f"no route for {method} {path}")
 
 
 class SessionNotFound(ServiceError):

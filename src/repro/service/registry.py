@@ -3,8 +3,8 @@
 The registry is the service's transport-neutral core: everything the HTTP
 layer can do — create a session from a posted config, apply update
 batches, read scores, stream events, delete — is a registry method, so the
-FastAPI app and the dependency-free fallback server are equally thin
-adapters over it (and unit tests need no sockets at all).
+HTTP server in :mod:`repro.service.server` is a thin adapter over it (and
+unit tests need no sockets at all).
 
 Durability model
 ----------------

@@ -2,11 +2,9 @@
 
 The handlers below speak plain data: a :class:`ServiceRequest` in, a
 :class:`JSONResult` (or :class:`EventStreamResult` for SSE) out, with
-:mod:`repro.service.errors` raised for every deliberate 4xx.  Both
-transports — the FastAPI app in :mod:`repro.service.app` and the
-dependency-free asyncio server in :mod:`repro.service.server` — wire the
-same :data:`ROUTES` table, so their wire behaviour cannot drift and unit
-tests can exercise the whole API without opening a socket.
+:mod:`repro.service.errors` raised for every deliberate 4xx.  The asyncio
+server in :mod:`repro.service.server` routes through :data:`ROUTES`, and
+unit tests can exercise the whole API without opening a socket.
 
 Endpoints (see ``docs/service.md`` for the full reference)::
 
@@ -252,7 +250,7 @@ async def open_events(registry: SessionRegistry, request: ServiceRequest):
     )
 
 
-#: The one routing table both transports install.
+#: The service's routing table, resolved by :func:`match_route`.
 ROUTES: List[Route] = [
     Route("GET", "/healthz", healthz, auth=False),
     Route("GET", "/sessions", list_sessions),

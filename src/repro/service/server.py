@@ -1,16 +1,16 @@
-"""Dependency-free asyncio HTTP/1.1 transport for the service.
+"""The service's HTTP/1.1 transport, on the standard library's asyncio.
 
-The preferred front end is the FastAPI app in :mod:`repro.service.app`
-(``pip install repro[service]``), but the service core must stay usable —
-and testable — on a bare Python install.  This module is a minimal,
-standard-library-only HTTP server speaking exactly the same wire API: it
-routes through the same :data:`~repro.service.routes.ROUTES` table, emits
-the same JSON envelopes and the same SSE frames.  It supports keep-alive,
-Content-Length bodies and streaming responses; it deliberately does *not*
-implement chunked request bodies, TLS or HTTP/2 — put a real ASGI server
-(or a reverse proxy) in front for production edges.
+A minimal server that routes every request through
+:data:`~repro.service.routes.ROUTES` and answers with the JSON envelopes
+and SSE frames the handlers produce.  It supports keep-alive,
+Content-Length bodies and streaming responses.  It does *not* implement
+chunked request bodies, TLS or HTTP/2: a ``Transfer-Encoding`` request is
+refused with a 411, and TLS belongs to a reverse proxy in front.  Framing
+it cannot use (a bad Content-Length, an over-long line, an undecodable
+body) is answered with a typed 4xx from :mod:`repro.service.errors`,
+never with a dropped connection.
 
-Run it via ``repro serve --impl asyncio`` or programmatically::
+Run it via ``repro serve`` or programmatically::
 
     service = ServiceServer(ServiceSettings(root="/var/lib/repro"))
     asyncio.run(service.serve("127.0.0.1", 8750))
@@ -21,10 +21,19 @@ from __future__ import annotations
 import asyncio
 import json
 import traceback
-from typing import Any, Dict, Optional, Set
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Optional, Set, Union
 from urllib.parse import unquote_plus
 
-from repro.service.errors import InvalidJSONBody, ServiceError
+from repro.service.errors import (
+    HeaderTooLarge,
+    InvalidJSONBody,
+    LengthRequired,
+    MalformedRequest,
+    PayloadTooLarge,
+    RouteNotFound,
+    ServiceError,
+)
 from repro.service.events import sse_frame
 from repro.service.registry import ServiceSettings, SessionRegistry
 from repro.service.routes import (
@@ -38,8 +47,21 @@ from repro.service.routes import (
 #: Largest accepted request body (16 MiB) — a graph of a few hundred
 #: thousand edges; beyond that, load from a dataset server-side.
 MAX_BODY_BYTES = 16 * 1024 * 1024
-#: Largest accepted request line + header block.
+#: Largest accepted request line + header block; also the stream limit, so
+#: one longer line fails ``readline`` with a ``ValueError``.
 MAX_HEADER_BYTES = 64 * 1024
+
+
+@dataclass(frozen=True)
+class _Rejection:
+    """A request refused before routing; ``_dispatch`` answers ``error``.
+
+    ``keep_alive`` holds only when the whole request was consumed, so the
+    next request starts at a known stream position.
+    """
+
+    error: ServiceError
+    keep_alive: bool = False
 
 
 def _json_bytes(payload: Any) -> bytes:
@@ -66,7 +88,7 @@ class ServiceServer:
         """Restore sessions, bind the socket; returns the bound port."""
         await self.registry.startup()
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port
+            self._handle_connection, host, port, limit=MAX_HEADER_BYTES
         )
         bound = self._server.sockets[0].getsockname()[1]
         return bound
@@ -123,7 +145,6 @@ class ServiceServer:
             ConnectionResetError,
             BrokenPipeError,
             asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
         ):
             pass
         except asyncio.CancelledError:
@@ -141,44 +162,53 @@ class ServiceServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[ServiceRequest]:
+    ) -> Union[ServiceRequest, _Rejection, None]:
+        """Parse one request; ``None`` once the peer has gone away."""
         try:
             request_line = await reader.readline()
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            return None
+        except ValueError:  # one line past the stream's limit
+            return _header_too_large()
         if not request_line or not request_line.strip():
             return None
-        try:
-            method, target, _version = (
-                request_line.decode("latin-1").strip().split(" ", 2)
-            )
-        except ValueError:
-            return None
+        parts = request_line.decode("latin-1").strip().split(" ", 2)
+        if len(parts) != 3:
+            return _Rejection(MalformedRequest("malformed request line"))
+        method, target, _version = parts
         headers: Dict[str, str] = {}
-        header_bytes = 0
+        header_bytes = len(request_line)
         while True:
-            line = await reader.readline()
-            header_bytes += len(line)
-            if header_bytes > MAX_HEADER_BYTES or not line:
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return _header_too_large()
+            if not line:
                 return None
+            header_bytes += len(line)
+            if header_bytes > MAX_HEADER_BYTES:
+                return _header_too_large()
             if line in (b"\r\n", b"\n"):
                 break
             key, _, value = line.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            return _Rejection(LengthRequired())
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            return _Rejection(
+                MalformedRequest(f"invalid Content-Length {declared[:32]!r}")
+            )
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            return _Rejection(
+                PayloadTooLarge(f"request body exceeds {MAX_BODY_BYTES} bytes")
+            )
         body: Any = None
-        length = int(headers.get("content-length", "0") or "0")
         if length:
-            if length > MAX_BODY_BYTES:
-                return ServiceRequest(
-                    method=method.upper(),
-                    path="\x00too-large",  # sentinel: dispatched as a 413
-                    headers=headers,
-                )
             raw = await reader.readexactly(length)
             try:
                 body = json.loads(raw)
-            except json.JSONDecodeError:
-                body = _INVALID_JSON
+            except (ValueError, RecursionError):  # bad JSON, UTF-8 or depth
+                return _Rejection(InvalidJSONBody(), keep_alive=True)
         path, _, query_string = target.partition("?")
         return ServiceRequest(
             method=method.upper(),
@@ -189,68 +219,30 @@ class ServiceServer:
         )
 
     async def _dispatch(
-        self, request: ServiceRequest, writer: asyncio.StreamWriter
+        self,
+        request: Union[ServiceRequest, _Rejection],
+        writer: asyncio.StreamWriter,
     ) -> bool:
         """Route one request; returns whether to keep the connection."""
-        if request.path == "\x00too-large":
-            await self._write_json(
-                writer,
-                413,
-                {
-                    "error": {
-                        "code": "payload_too_large",
-                        "message": f"request body exceeds {MAX_BODY_BYTES} bytes",
-                    }
-                },
-                keep_alive=False,
-            )
-            return False
-        if request.body is _INVALID_JSON:
-            exc = InvalidJSONBody()
-            await self._write_json(writer, exc.status_code, exc.payload())
-            return True
-        matched = match_route(request.method, request.path)
-        if matched is None:
-            await self._write_json(
-                writer,
-                404,
-                {
-                    "error": {
-                        "code": "not_found",
-                        "message": (
-                            f"no route for {request.method} {request.path}"
-                        ),
-                    }
-                },
-            )
-            return True
-        route, params = matched
-        request = ServiceRequest(
-            method=request.method,
-            path=request.path,
-            path_params=params,
-            query=request.query,
-            body=request.body,
-            headers=request.headers,
-        )
+        if isinstance(request, _Rejection):
+            await self._write_error(writer, request.error, request.keep_alive)
+            return request.keep_alive
         try:
+            matched = match_route(request.method, request.path)
+            if matched is None:
+                raise RouteNotFound(request.method, request.path)
+            route, params = matched
+            request = replace(request, path_params=params)
             if route.auth:
                 check_auth(self.registry, request)
             result = await route.handler(self.registry, request)
         except ServiceError as exc:
-            await self._write_json(writer, exc.status_code, exc.payload())
+            await self._write_error(writer, exc)
             return True
         except Exception:  # noqa: BLE001 - last-resort 500, never a hang
             traceback.print_exc()
-            await self._write_json(
-                writer,
-                500,
-                {
-                    "error": {
-                        "code": "internal_error",
-                        "message": "unexpected server error",
-                    }
-                },
+            await self._write_error(
+                writer, ServiceError("unexpected server error")
             )
             return True
         if isinstance(result, EventStreamResult):
@@ -261,6 +253,17 @@ class ServiceServer:
         return True
 
     # -- response writers ------------------------------------------------ #
+    @classmethod
+    async def _write_error(
+        cls,
+        writer: asyncio.StreamWriter,
+        error: ServiceError,
+        keep_alive: bool = True,
+    ) -> None:
+        await cls._write_json(
+            writer, error.status_code, error.payload(), keep_alive
+        )
+
     @staticmethod
     async def _write_json(
         writer: asyncio.StreamWriter,
@@ -303,7 +306,13 @@ class ServiceServer:
             result.release()
 
 
-_INVALID_JSON = object()
+def _header_too_large() -> _Rejection:
+    return _Rejection(
+        HeaderTooLarge(
+            f"request line or headers exceed {MAX_HEADER_BYTES} bytes"
+        )
+    )
+
 
 _REASONS = {
     200: "OK",
@@ -312,8 +321,10 @@ _REASONS = {
     401: "Unauthorized",
     404: "Not Found",
     409: "Conflict",
+    411: "Length Required",
     413: "Payload Too Large",
     422: "Unprocessable Entity",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 

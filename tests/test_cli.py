@@ -20,6 +20,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile", "--dataset", "nope"])
 
+    def test_serve_impl_accepts_only_asyncio(self):
+        args = build_parser().parse_args(["serve", "--impl", "asyncio"])
+        assert args.impl == "asyncio"
+        assert build_parser().parse_args(["serve"]).impl == "asyncio"
+
+    @pytest.mark.parametrize("impl", ["fastapi", "auto"])
+    def test_serve_impl_refuses_retired_transports(self, impl, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--impl", impl])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_service_package_has_no_asgi_app_factory(self):
+        import repro.service
+
+        assert not hasattr(repro.service, "create_app")
+
 
 class TestCommands:
     def test_datasets_lists_all_stand_ins(self, capsys):

@@ -1,14 +1,13 @@
-"""End-to-end HTTP/SSE tests over the dependency-free asyncio transport.
+"""End-to-end HTTP/SSE tests over the service's asyncio transport.
 
 Each test boots a real :class:`ServiceServer` on an ephemeral port and
-drives it with the stdlib :class:`ServiceClient` — the exact wire a
-FastAPI deployment serves, minus the ASGI layer (the routing table,
-validation, auth and SSE framing are shared; see test_service_fastapi.py
-for the transport-specific leg).
+drives it with the stdlib :class:`ServiceClient`, or with raw bytes where
+the test is about the wire framing itself.
 """
 
 import asyncio
 import json
+import logging
 
 import pytest
 
@@ -34,6 +33,39 @@ async def _boot(tmp_path, **overrides):
     port = await server.start(port=0)
     client = ServiceClient("127.0.0.1", port, api_key=overrides["api_key"])
     return server, client, port
+
+
+async def _raw_exchange(port, wire):
+    """Send ``wire`` on a fresh connection; return one parsed response."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(wire)
+        await writer.drain()
+        status_line = await reader.readline()
+        assert status_line, "the server dropped the connection"
+        headers = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b""):
+                break
+            key, _, value = line.decode().partition(":")
+            headers[key.strip().lower()] = value.strip()
+        raw = await reader.readexactly(int(headers["content-length"]))
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+    return int(status_line.split()[1]), headers, json.loads(raw)
+
+
+def _post(body):
+    return (
+        b"POST /sessions HTTP/1.1\r\nhost: t\r\nx-api-key: secret\r\n"
+        + f"content-length: {len(body)}\r\n\r\n".encode()
+        + body
+    )
 
 
 def oracle_scores(extra_edges=()):
@@ -160,38 +192,92 @@ class TestErrorSurface:
         async def scenario():
             server, client, port = await _boot(tmp_path)
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", port
+                status, _, payload = await _raw_exchange(
+                    port, _post(b"{not json")
                 )
-                body = b"{not json"
-                writer.write(
-                    b"POST /sessions HTTP/1.1\r\n"
-                    b"host: t\r\nx-api-key: secret\r\n"
-                    b"content-type: application/json\r\n"
-                    + f"content-length: {len(body)}\r\n\r\n".encode()
-                    + body
-                )
-                await writer.drain()
-                status_line = await reader.readline()
-                assert b" 400 " in status_line
-                headers = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b""):
-                        break
-                    k, _, v = line.decode().partition(":")
-                    headers[k.strip().lower()] = v.strip()
-                raw = await reader.readexactly(
-                    int(headers["content-length"])
-                )
-                assert json.loads(raw)["error"]["code"] == "invalid_json"
-                writer.close()
-                await writer.wait_closed()
+                assert status == 400
+                assert payload["error"]["code"] == "invalid_json"
             finally:
                 await client.close()
                 await server.stop()
 
         run(scenario())
+
+    @pytest.mark.parametrize(
+        "wire, want_status, want_code, want_connection",
+        [
+            pytest.param(
+                b"POST /sessions HTTP/1.1\r\ncontent-length: abc\r\n\r\n",
+                400, "bad_request", "close",
+                id="content-length-not-a-number",
+            ),
+            pytest.param(
+                b"POST /sessions HTTP/1.1\r\ncontent-length: -5\r\n\r\n",
+                400, "bad_request", "close",
+                id="content-length-negative",
+            ),
+            pytest.param(
+                b"GARBAGE\r\n\r\n", 400, "bad_request", "close",
+                id="request-line-malformed",
+            ),
+            pytest.param(
+                b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                431, "header_too_large", "close",
+                id="request-line-over-64k",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nx-pad: " + b"a" * 70_000
+                + b"\r\n\r\n",
+                431, "header_too_large", "close",
+                id="header-line-over-64k",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\n" + b"x-pad: aaaaaaaaaa\r\n" * 4000
+                + b"\r\n",
+                431, "header_too_large", "close",
+                id="header-block-over-64k",
+            ),
+            pytest.param(
+                b"POST /sessions HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n",
+                413, "payload_too_large", "close",
+                id="body-over-limit",
+            ),
+            pytest.param(
+                b"POST /sessions HTTP/1.1\r\ntransfer-encoding: chunked\r\n"
+                b"\r\n5\r\nhello\r\n0\r\n\r\n",
+                411, "length_required", "close",
+                id="transfer-encoding-chunked",
+            ),
+            pytest.param(
+                _post(b'{"name": "\xff"}'), 400, "invalid_json", "keep-alive",
+                id="body-not-utf8",
+            ),
+            pytest.param(
+                _post(b"[" * 200_000), 400, "invalid_json", "keep-alive",
+                id="body-nested-too-deep",
+            ),
+        ],
+    )
+    def test_malformed_wire_input_gets_a_typed_4xx(
+        self, tmp_path, caplog, wire, want_status, want_code, want_connection
+    ):
+        async def scenario():
+            server, client, port = await _boot(tmp_path)
+            try:
+                status, headers, payload = await _raw_exchange(port, wire)
+                assert status == want_status, payload
+                assert payload["error"]["code"] == want_code
+                assert headers["connection"] == want_connection
+                async with ServiceClient("127.0.0.1", port) as probe:
+                    status, _ = await probe.get("/healthz")
+                    assert status == 200
+            finally:
+                await client.close()
+                await server.stop()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            run(scenario())
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
     def test_duplicate_session_is_a_409(self, tmp_path):
         async def scenario():
@@ -376,6 +462,50 @@ class TestEventStream:
                 await server.stop()
 
         run(scenario())
+
+    def test_fan_out_is_complete_and_ordered(self, tmp_path):
+        subscribers, batches = 6, 8
+
+        async def scenario():
+            server, client, port = await _boot(tmp_path)
+            try:
+                # No checkpoint within the run: only batch_applied frames.
+                await client.create_session(
+                    "demo", edges=PATH_EDGES, checkpoint_every=10 ** 6
+                )
+
+                async def subscribe():
+                    listener = ServiceClient(
+                        "127.0.0.1", port, api_key="secret"
+                    )
+                    return [
+                        frame
+                        async for frame in listener.events(
+                            "demo", max_frames=batches
+                        )
+                    ]
+
+                tasks = [
+                    asyncio.create_task(subscribe())
+                    for _ in range(subscribers)
+                ]
+                while (await client.expect("GET", "/sessions/demo"))[
+                    "subscribers"
+                ] < subscribers:
+                    await asyncio.sleep(0.01)
+                for index in range(batches):
+                    kind = "add" if index % 2 == 0 else "remove"
+                    await client.post_updates("demo", [(kind, 0, 4)])
+                return await asyncio.wait_for(asyncio.gather(*tasks), 10)
+            finally:
+                await client.close()
+                await server.stop()
+
+        streams = run(scenario())
+        assert len(streams) == subscribers
+        for frames in streams:
+            assert [f["type"] for f in frames] == ["batch_applied"] * batches
+            assert [f["batch_index"] for f in frames] == list(range(batches))
 
     def test_sse_for_missing_session_is_a_404(self, tmp_path):
         async def scenario():

@@ -2,7 +2,7 @@
 the event bridge, the single-writer worker and restart recovery.
 
 No sockets anywhere in this file — the registry is driven directly, which
-is exactly why the service core is split from its HTTP transports.
+is exactly why the service core is split from its HTTP transport.
 """
 
 import asyncio
