@@ -33,9 +33,18 @@ Typical use::
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import (
+    Any,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.api.config import BetweennessConfig
 from repro.api.events import (
@@ -51,6 +60,7 @@ from repro.api.events import (
 )
 from repro.core.checkpoint import load_checkpoint
 from repro.core.framework import IncrementalBetweenness
+from repro.core.kernel import ScoreColumn
 from repro.core.updates import EdgeUpdate, batches
 from repro.exceptions import ConfigurationError, StorageError, SubscriberError
 from repro.graph.graph import Graph
@@ -59,28 +69,78 @@ from repro.storage.base import BDStore
 from repro.storage.factory import create_store, parse_store_uri
 from repro.storage.shard import ShardLayout, load_manifest
 from repro.types import Edge, EdgeScores, Vertex, VertexScores
-from repro.utils.stats import top_k_items
 
 PathLike = Union[str, Path]
 
 
-@dataclass(frozen=True)
+class Ranking(tuple):
+    """``(item, score)`` pairs, best first, ranked at one batch boundary.
+
+    A plain tuple to every caller; :attr:`batches_applied` names the
+    boundary, so a reply can report the batch its ranking comes from.
+    """
+
+    def __new__(cls, pairs: Iterable[Tuple[Any, float]], batches_applied: int):
+        ranking = super().__new__(cls, pairs)
+        ranking.batches_applied = batches_applied
+        return ranking
+
+    def __getnewargs__(self):
+        return tuple(self), self.batches_applied
+
+
 class SessionSnapshot:
-    """Immutable copy of a session's observable state at one moment."""
+    """Immutable view of a session's scores at one batch boundary.
 
-    sequence: int
-    num_vertices: int
-    num_edges: int
-    vertex_scores: VertexScores
-    edge_scores: EdgeScores
+    A serial session publishes one at every boundary (bootstrap, resume,
+    ``apply``, ``apply_batch``) and every read uses the current one, so
+    reads take no lock.  The score mappings are built from the published
+    arrays on first use; rankings are cached per side.
+    """
 
-    def top_vertices(self, k: int) -> Tuple[Tuple[Vertex, float], ...]:
+    __slots__ = (
+        "batches_applied", "num_vertices", "num_edges", "_columns", "_ranked"
+    )
+
+    def __init__(
+        self,
+        batches_applied: int,
+        num_vertices: int,
+        num_edges: int,
+        vertices: ScoreColumn,
+        edges: ScoreColumn,
+    ) -> None:
+        self.batches_applied = batches_applied
+        self.num_vertices = num_vertices
+        self.num_edges = num_edges
+        self._columns = (vertices, edges)
+        self._ranked: List[Optional[Tuple[int, Ranking]]] = [None, None]
+
+    @property
+    def vertex_scores(self) -> MappingProxyType[Vertex, float]:
+        """Read-only ``{vertex: score}`` of this boundary."""
+        return self._columns[0].mapping()
+
+    @property
+    def edge_scores(self) -> MappingProxyType[Edge, float]:
+        """Read-only ``{edge: score}`` of this boundary."""
+        return self._columns[1].mapping()
+
+    def top_vertices(self, k: int) -> Ranking:
         """The ``k`` highest-betweenness vertices of this snapshot."""
-        return tuple(top_k_items(self.vertex_scores.items(), k))
+        return self._rank(k, edges=False)
 
-    def top_edges(self, k: int) -> Tuple[Tuple[Edge, float], ...]:
+    def top_edges(self, k: int) -> Ranking:
         """The ``k`` highest-betweenness edges of this snapshot."""
-        return tuple(top_k_items(self.edge_scores.items(), k))
+        return self._rank(k, edges=True)
+
+    def _rank(self, k: int, edges: bool) -> Ranking:
+        cached = self._ranked[edges]
+        if cached is not None and cached[0] == k:
+            return cached[1]
+        ranking = Ranking(self._columns[edges].top_k(k), self.batches_applied)
+        self._ranked[edges] = (k, ranking)
+        return ranking
 
 
 class BetweennessSession:
@@ -100,18 +160,22 @@ class BetweennessSession:
         only.
 
     **Thread-safety contract.**  Every state transition (``apply``,
-    ``apply_batch``, ``checkpoint``, ``close``) and every read
-    (``vertex_betweenness``, ``edge_betweenness``, ``top_k``,
-    ``snapshot``) runs under one internal re-entrant lock.  Readers in
-    other threads therefore always observe a *batch-boundary* view: the
-    scores either from before or from after any concurrently applied
-    batch, never a half-repaired intermediate.  Writes are still expected
-    to come from one writer at a time (the service layer funnels them
-    through a single worker per session); the lock makes concurrent
-    *readers* safe against that writer, and makes ``close`` safe to call
-    from any thread — including concurrently with a pending checkpoint,
-    which it waits out.  The lock is re-entrant so subscribers may query
-    or checkpoint the session from inside an event handler.
+    ``apply_batch``, ``checkpoint``, ``close``) runs under one internal
+    re-entrant lock.  Reads (``vertex_betweenness``, ``edge_betweenness``,
+    ``top_k``, ``snapshot``, ``batches_applied``) of a serial session take
+    no lock: at every batch boundary the writer publishes an immutable
+    :class:`SessionSnapshot` (before the boundary's event is emitted), and
+    each read uses the current one — so a reader in another thread sees
+    the scores from before or after a concurrently applied batch, never a
+    half-repaired intermediate, and never waits for a batch or checkpoint.
+    ``batches_applied`` is the snapshot's.  Process and shard sessions
+    read under the lock (their scores are collected from the workers).
+    Writes are still expected to come from one writer at a time (the
+    service layer funnels them through a single worker per session); the
+    lock makes ``close`` safe to call from any thread — including
+    concurrently with a pending checkpoint, which it waits out.  The lock
+    is re-entrant so subscribers may query or checkpoint the session from
+    inside an event handler.
     """
 
     def __init__(
@@ -190,6 +254,7 @@ class BetweennessSession:
         self._batches_since_checkpoint = 0
         self._closed = False
         self._state_lock = threading.RLock()
+        self._published: Optional[SessionSnapshot] = None
         self._framework: Optional[IncrementalBetweenness] = None
         self._cluster = None
         # Registered before the bootstrap is announced, so constructor-passed
@@ -199,6 +264,7 @@ class BetweennessSession:
 
     def _announce_bootstrap(self) -> None:
         graph = self._engine().graph
+        self._publish()
         self._emit(
             BootstrapCompleted,
             num_vertices=graph.num_vertices,
@@ -282,7 +348,11 @@ class BetweennessSession:
     @property
     def batches_applied(self) -> int:
         """Batches applied through this session (shard resumes include the
-        restored ensemble's batch cursor, so the count is lifetime-wide)."""
+        restored ensemble's batch cursor, so the count is lifetime-wide).
+        A serial session reports its published snapshot's count."""
+        published = self._published
+        if published is not None:
+            return published.batches_applied
         return self._batch_index
 
     @property
@@ -364,6 +434,7 @@ class BetweennessSession:
         with self._state_lock:
             self._ensure_open()
             result = self._engine().apply(update)
+            self._publish()
             self._emit(UpdateApplied, update=update, result=result)
             return result
 
@@ -392,6 +463,7 @@ class BetweennessSession:
                 result = self._cluster.apply_batch(batch)
             batch_index = self._batch_index
             self._batch_index += 1
+            self._publish()
             event = self._emit(
                 BatchApplied,
                 updates=tuple(batch),
@@ -438,41 +510,55 @@ class BetweennessSession:
     # ------------------------------------------------------------------ #
     def vertex_betweenness(self) -> VertexScores:
         """Current (merged) vertex betweenness scores (batch-boundary view)."""
+        snapshot = self._current_snapshot()
+        if snapshot is not None:
+            return snapshot.vertex_scores.copy()
         with self._state_lock:
             return self._engine().vertex_betweenness()
 
     def edge_betweenness(self) -> EdgeScores:
         """Current (merged) edge betweenness scores (batch-boundary view)."""
+        snapshot = self._current_snapshot()
+        if snapshot is not None:
+            return snapshot.edge_scores.copy()
         with self._state_lock:
             return self._engine().edge_betweenness()
 
-    def top_k(
-        self, k: int = 10, edges: bool = False
-    ) -> Tuple[Tuple[Any, float], ...]:
-        """The ``k`` most central vertices (or edges) as ``(item, score)``."""
+    def top_k(self, k: int = 10, edges: bool = False) -> Ranking:
+        """The ``k`` most central vertices (or edges) as ``(item, score)``.
+
+        The result's ``batches_applied`` names the boundary it ranks.
+        """
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
+        snapshot = self._current_snapshot()
+        if snapshot is not None:
+            return snapshot.top_edges(k) if edges else snapshot.top_vertices(k)
         with self._state_lock:
-            scores = (
-                self.edge_betweenness() if edges else self.vertex_betweenness()
+            engine = self._engine()
+            scores = engine.edge_betweenness() if edges else engine.vertex_betweenness()
+            return Ranking(
+                ScoreColumn.from_mapping(scores).top_k(k), self._batch_index
             )
-        return tuple(top_k_items(scores.items(), k))
 
     def snapshot(self) -> SessionSnapshot:
-        """An immutable copy of graph size and both score dictionaries.
+        """Graph size and both score sides at one batch boundary.
 
-        Atomic with respect to concurrent batches: the graph counters and
-        both score dictionaries are captured under one lock acquisition, so
-        they always describe the same batch boundary.
+        A serial session returns its published snapshot; a process or
+        shard session collects both sides in one round under the lock.
         """
+        snapshot = self._current_snapshot()
+        if snapshot is not None:
+            return snapshot
         with self._state_lock:
             graph = self._engine().graph
+            vertex_scores, edge_scores = self._cluster.betweenness()
             return SessionSnapshot(
-                sequence=self._sequence,
-                num_vertices=graph.num_vertices,
-                num_edges=graph.num_edges,
-                vertex_scores=self.vertex_betweenness(),
-                edge_scores=self.edge_betweenness(),
+                self._batch_index,
+                graph.num_vertices,
+                graph.num_edges,
+                ScoreColumn.from_mapping(vertex_scores),
+                ScoreColumn.from_mapping(edge_scores),
             )
 
     # ------------------------------------------------------------------ #
@@ -539,6 +625,7 @@ class BetweennessSession:
             if self._closed:
                 return
             self._closed = True
+            self._published = None
             if self._framework is not None:
                 self._framework.store.close()
             elif self._cluster is not None:
@@ -557,6 +644,22 @@ class BetweennessSession:
     def _engine(self):
         self._ensure_open()
         return self._framework if self._framework is not None else self._cluster
+
+    def _publish(self) -> None:
+        """Publish the serial engine's current boundary for lock-free reads."""
+        if self._framework is None:
+            return
+        graph = self._framework.graph
+        vertices, edges = self._framework.score_columns()
+        self._published = SessionSnapshot(
+            self._batch_index, graph.num_vertices, graph.num_edges, vertices, edges
+        )
+
+    def _current_snapshot(self) -> Optional[SessionSnapshot]:
+        """A serial session's published snapshot (``None`` for process and
+        shard sessions); raises once the session is closed."""
+        self._ensure_open()
+        return self._published
 
     def _shard_notify(self, kind: str, **fields) -> None:
         """Adapt the coordinator's plain callback into typed session events.

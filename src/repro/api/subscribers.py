@@ -19,7 +19,6 @@ from repro.api.events import (
 from repro.core.updates import EdgeUpdate
 from repro.exceptions import ConfigurationError
 from repro.types import Edge, Vertex
-from repro.utils.stats import top_k_items
 
 
 @dataclass(frozen=True)
@@ -74,14 +73,12 @@ class TopKTracker(SessionSubscriber):
     ) -> Tuple[Tuple[Vertex, float], ...]:
         """Current top-k vertices as ``(vertex, score)`` pairs."""
         self._ensure_attached()
-        scores = self._session.vertex_betweenness()
-        return tuple(top_k_items(scores.items(), self.k if k is None else k))
+        return self._session.top_k(self.k if k is None else k)
 
     def top_edges(self, k: Optional[int] = None) -> Tuple[Tuple[Edge, float], ...]:
         """Current top-k edges as ``(edge, score)`` pairs."""
         self._ensure_attached()
-        scores = self._session.edge_betweenness()
-        return tuple(top_k_items(scores.items(), self.k if k is None else k))
+        return self._session.top_k(self.k if k is None else k, edges=True)
 
     def ranking_churn(self) -> List[int]:
         """Vertices entering/leaving the top-k between recorded snapshots."""

@@ -32,7 +32,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.classification import UpdateCase
-from repro.core.kernel import ArrayKernel
+from repro.core.kernel import ArrayKernel, ScoreColumn
 from repro.core.result import BatchResult, SourceUpdateStats, UpdateResult
 from repro.core.source_update import update_source
 from repro.core.updates import EdgeUpdate, UpdateKind, validate_batch
@@ -559,6 +559,19 @@ class IncrementalBetweenness:
     def edge_betweenness(self) -> EdgeScores:
         """Copy of the current edge betweenness scores."""
         return dict(self._edge_scores)
+
+    def score_columns(self) -> Tuple[ScoreColumn, ScoreColumn]:
+        """Private copies of both score sides, for a batch-boundary snapshot.
+
+        The arrays backend copies its score arrays (no per-entry Python);
+        the dicts backend copies its two dicts.
+        """
+        if self._kernel is not None:
+            return self._kernel.score_columns()
+        return (
+            ScoreColumn.from_mapping(dict(self._vertex_scores)),
+            ScoreColumn.from_mapping(dict(self._edge_scores)),
+        )
 
     def vertex_score(self, vertex: Vertex) -> float:
         """Current betweenness of ``vertex``."""

@@ -37,7 +37,10 @@ byte-for-byte equal scores.
 from __future__ import annotations
 
 from time import perf_counter
+from types import MappingProxyType
 from typing import (
+    Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -72,11 +75,13 @@ from repro.storage.codec import (
 )
 from repro.storage.index import VertexIndex
 from repro.types import UNREACHABLE, Vertex, canonical_edge
+from repro.utils.stats import top_k_ranked
 
 __all__ = [
     "ArrayKernel",
     "EdgeScoreRegistry",
     "FlatSourceData",
+    "ScoreColumn",
     "brandes_betweenness_arrays",
 ]
 
@@ -252,6 +257,12 @@ class EdgeScoreRegistry:
     def copy(self) -> Dict[Tuple[int, int], float]:
         return dict(self.items())
 
+    def export(self) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, int]]]:
+        """Copies of the active ids, their scores and the id -> pair list."""
+        pairs = list(self._pairs)
+        ids = np.flatnonzero(self.active[: len(pairs)])
+        return ids, self.values[ids], pairs
+
 
 # --------------------------------------------------------------------------- #
 # Flat (slot-indexed) BD records
@@ -410,6 +421,44 @@ class LabelEdgeScores:
 
     def copy(self) -> Dict[Tuple[Vertex, Vertex], float]:
         return dict(self.items())
+
+
+class ScoreColumn:
+    """One side (vertices or edges) of the scores at one batch boundary.
+
+    ``values`` is a private float64 copy that nothing mutates; ``label(i)``
+    names entry ``i`` and runs only for the entries a reader asks for, so
+    publishing a column costs array copies and no per-entry Python.
+    """
+
+    __slots__ = ("values", "label", "_mapping")
+
+    def __init__(self, values: np.ndarray, label: Callable[[int], Any]) -> None:
+        self.values = values
+        self.label = label
+        self._mapping: Optional[MappingProxyType] = None
+
+    @classmethod
+    def from_mapping(cls, scores: Dict) -> "ScoreColumn":
+        """Adopt a score dict the caller owns and no longer mutates."""
+        labels = list(scores)
+        column = cls(
+            np.fromiter(scores.values(), np.float64, len(labels)),
+            labels.__getitem__,
+        )
+        column._mapping = MappingProxyType(scores)
+        return column
+
+    def mapping(self) -> MappingProxyType:
+        """Read-only ``{label: score}`` view, built on first use."""
+        if self._mapping is None:
+            labels = map(self.label, range(self.values.shape[0]))
+            self._mapping = MappingProxyType(dict(zip(labels, self.values.tolist())))
+        return self._mapping
+
+    def top_k(self, k: int) -> List[Tuple[Any, float]]:
+        """The ``k`` best ``(label, score)`` pairs (see :func:`top_k_ranked`)."""
+        return top_k_ranked(self.values, k, self.label)
 
 
 # --------------------------------------------------------------------------- #
@@ -588,6 +637,19 @@ class ArrayKernel:
 
     def edge_score_view(self) -> LabelEdgeScores:
         return LabelEdgeScores(self)
+
+    def score_columns(self) -> Tuple[ScoreColumn, ScoreColumn]:
+        """Both score sides as private copies, for a batch-boundary snapshot."""
+        labels = self.index.vertices()
+        vertices = ScoreColumn(self._vscore[: len(labels)].copy(), labels.__getitem__)
+        ids, values, pairs = self._escore.export()
+        name = (lambda u, v: (u, v)) if self.directed else canonical_edge
+
+        def edge_label(i: int) -> Tuple[Vertex, Vertex]:
+            a, b = pairs[ids[i]]
+            return name(labels[a], labels[b])
+
+        return vertices, ScoreColumn(values, edge_label)
 
     # ------------------------------------------------------------------ #
     # Graph mirroring

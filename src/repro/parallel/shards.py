@@ -310,7 +310,8 @@ def _worker_main(connection, payload: dict) -> None:
       form, used only to replay logged batches onto a replacement
     * ``("checkpoint", cursor)`` → ``("checkpointed", cursor, seconds)``
       (durable shards only)
-    * ``("collect",)`` → ``("scores", vertex_partial, edge_partial)``
+    * ``("collect", vertex, edge)`` → ``("scores", vertex_partial,
+      edge_partial)``; a side whose flag is false is ``None``, never built
     * ``("stop",)`` → ``("stopped",)``
 
     ``payload["chaos"]`` is test-only fault injection: ``{"cursor": k,
@@ -386,11 +387,12 @@ def _worker_main(connection, payload: dict) -> None:
                     )
                 connection.send(("checkpointed", cursor, round_timer.total))
             elif command == "collect":
+                _, vertex, edge = message
                 connection.send(
                     (
                         "scores",
-                        framework.vertex_betweenness(),
-                        framework.edge_betweenness(),
+                        framework.vertex_betweenness() if vertex else None,
+                        framework.edge_betweenness() if edge else None,
                     )
                 )
             elif command == "stop":
@@ -830,17 +832,17 @@ class ShardCoordinator:
 
     def vertex_betweenness(self) -> VertexScores:
         """Reduced (global) vertex betweenness scores."""
-        vertex_partials, _ = self._collect()
+        vertex_partials, _ = self._collect(vertex=True, edge=False)
         return merge_partial_scores(vertex_partials)
 
     def edge_betweenness(self) -> EdgeScores:
         """Reduced (global) edge betweenness scores."""
-        _, edge_partials = self._collect()
+        _, edge_partials = self._collect(vertex=False, edge=True)
         return merge_partial_scores(edge_partials)
 
     def betweenness(self) -> Tuple[VertexScores, EdgeScores]:
         """Both reduced score dictionaries from a single collect round."""
-        vertex_partials, edge_partials = self._collect()
+        vertex_partials, edge_partials = self._collect(vertex=True, edge=True)
         return merge_partial_scores(vertex_partials), merge_partial_scores(
             edge_partials
         )
@@ -1304,9 +1306,12 @@ class ShardCoordinator:
             seconds=timer.total,
         )
 
-    def _collect(self) -> Tuple[List[VertexScores], List[EdgeScores]]:
+    def _collect(
+        self, vertex: bool, edge: bool
+    ) -> Tuple[List[Optional[VertexScores]], List[Optional[EdgeScores]]]:
+        """Every worker's partials of the sides asked for, in shard order."""
         self._ensure_open()
-        replies = self._broadcast(lambda i: ("collect",), "scores")
+        replies = self._broadcast(lambda i: ("collect", vertex, edge), "scores")
         vertex_partials = [reply[1] for reply in replies]
         edge_partials = [reply[2] for reply in replies]
         return vertex_partials, edge_partials

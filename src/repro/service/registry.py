@@ -30,8 +30,10 @@ All updates for a session flow through one **single-writer asyncio
 worker**: concurrent POSTs enqueue jobs and await their futures, the
 worker applies them strictly in arrival order on an executor thread, so
 ``apply_batch`` calls never interleave and the event stream stays gap
-free.  Reads run directly on executor threads — the session's internal
-lock guarantees they observe a consistent batch boundary.
+free.  A serial session's reads run inline on the event loop: they read
+the snapshot the writer published at the last batch boundary and never
+block.  Process and shard sessions collect scores from their workers
+under the session lock, so their reads run on executor threads.
 """
 
 from __future__ import annotations
@@ -304,9 +306,13 @@ class ManagedSession:
         return await future
 
     async def read(self, fn, *args, **kwargs):
-        """Run a blocking session read on an executor thread."""
+        """Run a session read: inline for a serial session (a lock-free
+        snapshot read), on an executor thread otherwise (a worker collect
+        under the session lock)."""
         if self._closing:
             raise SessionClosed(self.name)
+        if self.session.config.executor == "serial":
+            return fn(*args, **kwargs)
         return await self._loop.run_in_executor(
             None, lambda: fn(*args, **kwargs)
         )
@@ -391,26 +397,23 @@ class SessionRegistry:
             if meta.get("closed"):
                 skipped.append(name)
                 continue
+            target = directory / meta.get("resume_target", _CHECKPOINT_FILE)
             try:
-                await self._loop.run_in_executor(
-                    None, self._restore_one, directory, meta
+                session = await self._loop.run_in_executor(
+                    None, resume_session, target
                 )
-                restored.append(name)
             except ReproError as exc:
                 # A mangled session must not take the whole service down;
                 # it is reported per name (requests for it get a 409).
                 self._restore_failures[name] = str(exc)
+                continue
+            self._adopt(name, directory, session, meta.get("checkpoint_every"))
+            restored.append(name)
         return {
             "restored": restored,
             "closed_on_disk": skipped,
             "failed": dict(self._restore_failures),
         }
-
-    def _restore_one(self, directory: Path, meta: Dict[str, Any]) -> None:
-        name = meta.get("name", directory.name)
-        target = directory / meta.get("resume_target", _CHECKPOINT_FILE)
-        session = resume_session(target)
-        self._adopt(name, directory, session, meta.get("checkpoint_every"))
 
     def _adopt(
         self,
@@ -419,6 +422,8 @@ class SessionRegistry:
         session: BetweennessSession,
         checkpoint_every: Optional[int],
     ) -> ManagedSession:
+        """Wrap a built session; runs on the loop thread, because the
+        managed session starts its writer task there."""
         assert self._loop is not None
         bridge = EventBridge(self._loop, self.settings.event_queue_size)
         session.subscribe(bridge)
@@ -490,7 +495,7 @@ class SessionRegistry:
             )
             directory.mkdir(parents=True)
             try:
-                managed = await self._loop.run_in_executor(
+                session = await self._loop.run_in_executor(
                     None,
                     self._create_sync,
                     name,
@@ -504,6 +509,12 @@ class SessionRegistry:
                 if isinstance(exc, ServiceError):
                     raise
                 raise ValidationFailed(str(exc)) from exc
+            managed = self._adopt(
+                name,
+                directory,
+                session,
+                checkpoint_every if config.executor == "serial" else None,
+            )
             self._restore_failures.pop(name, None)
             return managed.info()
 
@@ -514,7 +525,9 @@ class SessionRegistry:
         graph: Graph,
         config: BetweennessConfig,
         checkpoint_every: int,
-    ) -> ManagedSession:
+    ) -> BetweennessSession:
+        """Build, first-checkpoint and describe a session on an executor
+        thread; the loop thread adopts it."""
         session = BetweennessSession(graph, config)
         try:
             if config.executor == "serial":
@@ -538,12 +551,7 @@ class SessionRegistry:
             "config": config.to_dict(),
         }
         self._write_meta(directory, meta)
-        return self._adopt(
-            name,
-            directory,
-            session,
-            checkpoint_every if config.executor == "serial" else None,
-        )
+        return session
 
     def _effective_config(
         self, posted: Any, graph: Graph, directory: Path

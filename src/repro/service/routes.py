@@ -190,7 +190,7 @@ async def get_top_k(registry: SessionRegistry, request: ServiceRequest):
         {
             "k": k,
             "edges": edges,
-            "batches_applied": managed.session.batches_applied,
+            "batches_applied": ranking.batches_applied,
             "top": top,
         },
     )
@@ -212,11 +212,11 @@ async def get_scores(registry: SessionRegistry, request: ServiceRequest):
         raise ValidationFailed(
             "the vertices filter only applies to vertex scores"
         )
+    snapshot = await managed.read(managed.session.snapshot)
     if edges:
-        scores = await managed.read(managed.session.edge_betweenness)
-        pairs = [[list(edge), score] for edge, score in scores.items()]
+        pairs = [[list(edge), score] for edge, score in snapshot.edge_scores.items()]
     else:
-        scores = await managed.read(managed.session.vertex_betweenness)
+        scores = snapshot.vertex_scores
         if wanted is not None:
             names = [v for v in wanted.split(",") if v != ""]
             missing = [v for v in names if v not in scores]
@@ -234,7 +234,7 @@ async def get_scores(registry: SessionRegistry, request: ServiceRequest):
         200,
         {
             "edges": edges,
-            "batches_applied": managed.session.batches_applied,
+            "batches_applied": snapshot.batches_applied,
             "scores": pairs,
         },
     )

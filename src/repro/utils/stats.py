@@ -7,25 +7,33 @@ exactly those artefacts from a list of per-edge measurements.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 
-def top_k_items(items: Iterable[Tuple[object, float]], k: int) -> List[Tuple[object, float]]:
-    """The ``k`` best-ranked ``(element, score)`` pairs.
+def top_k_ranked(
+    values: np.ndarray, k: int, label: Callable[[int], Any]
+) -> List[Tuple[Any, float]]:
+    """The ``k`` best-ranked ``(label(i), values[i])`` pairs.
 
     Ranking order is descending score with ties broken by ``repr`` of the
-    element (the historical full-sort order of the top-k monitor, kept so
-    rankings stay deterministic for any hashable element type).  Selection
-    runs through ``heapq``'s bounded-heap machinery — O(n log k) instead of
-    an O(n log n) full sort.  Shared by the session facade's ``top_k()``
-    and the top-k subscriber.
+    label, so rankings stay deterministic for any hashable label type.
+    ``np.argpartition`` finds the k-th largest score in O(n); every entry
+    at or above it is a candidate, so all entries tied with the k-th score
+    compete in the exact sort, and only candidates are ever labelled.
     """
-    # nsmallest under the (-score, repr) key IS nlargest under the ranking
-    # order; heapq has no key-inverted nlargest for the string tie-break.
-    return heapq.nsmallest(k, items, key=lambda item: (-item[1], repr(item[0])))
+    n = values.shape[0]
+    if k < n:
+        kth = values[np.argpartition(values, n - k)[n - k]]
+        candidates = np.flatnonzero(values >= kth).tolist()
+    else:
+        candidates = range(n)
+    ranked = [(label(i), float(values[i])) for i in candidates]
+    ranked.sort(key=lambda item: (-item[1], repr(item[0])))
+    return ranked[:k]
 
 
 def median(values: Sequence[float]) -> float:

@@ -417,6 +417,31 @@ class TestSessionSurface:
             with pytest.raises(ConfigurationError):
                 session.top_k(0)
 
+    @pytest.mark.parametrize("backend", ["dicts", "arrays"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_top_k_equals_the_full_sort(self, backend, directed):
+        graph = random_connected_graph(12, 0.3, seed=5)
+        if directed:
+            graph = Graph.from_edges(
+                [e for u, v in graph.edges() for e in ((u, v), (v, u))][::3],
+                directed=True,
+            )
+        config = BetweennessConfig(backend=backend, directed=directed)
+        with BetweennessSession(graph, config) as session:
+            session.apply_batch([EdgeUpdate.addition(0, 100)])
+            for edges, scores in (
+                (False, session.vertex_betweenness()),
+                (True, session.edge_betweenness()),
+            ):
+                full = sorted(
+                    scores.items(), key=lambda item: (-item[1], repr(item[0]))
+                )
+                n = len(full)
+                for k in (1, n - 1, n, n + 5):
+                    top = session.top_k(k, edges=edges)
+                    assert list(top) == full[:k]
+                    assert top.batches_applied == 1
+
     def test_checkpoint_policy_writes_periodically(self, path5, tmp_path):
         ck = tmp_path / "auto.bin"
         config = BetweennessConfig(

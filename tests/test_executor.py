@@ -83,6 +83,28 @@ class TestExecutorEquivalence:
         assert_scores_equal(vertex_scores, reference.vertex_scores, TOLERANCE)
 
 
+class TestOneSidedCollect:
+    def test_side_reads_equal_the_both_sides_merge(self, monkeypatch):
+        graph = random_connected_graph(12, 0.2, seed=81)
+        with ShardCoordinator(graph, num_workers=2) as cluster:
+            cluster.apply_batch([EdgeUpdate.addition(0, 99)])
+            both = cluster.betweenness()
+            replies = []
+            broadcast = cluster._broadcast
+
+            def spy(message_for, expected):
+                replies.append(broadcast(message_for, expected))
+                return replies[-1]
+
+            monkeypatch.setattr(cluster, "_broadcast", spy)
+            assert cluster.vertex_betweenness() == both[0]
+            assert cluster.edge_betweenness() == both[1]
+        vertex_round, edge_round = replies
+        assert len(vertex_round) == len(edge_round) == 2
+        assert all(r[1] is not None and r[2] is None for r in vertex_round)
+        assert all(r[1] is None and r[2] is not None for r in edge_round)
+
+
 class TestExecutorBehaviour:
     def test_reports_worker_timings(self, cycle6):
         with ShardCoordinator(cycle6, num_workers=2) as cluster:

@@ -12,6 +12,8 @@ import logging
 import pytest
 
 from repro.algorithms import brandes_betweenness
+from repro.api import BetweennessConfig, BetweennessSession
+from repro.core import EdgeUpdate
 from repro.graph import Graph
 from repro.service import (
     ServiceClient,
@@ -19,6 +21,8 @@ from repro.service import (
     ServiceServer,
     ServiceSettings,
 )
+
+from tests.helpers import random_connected_graph
 
 PATH_EDGES = [[0, 1], [1, 2], [2, 3], [3, 4]]
 
@@ -379,6 +383,57 @@ class TestLifecycle:
                 payload = await client.scores("demo", edges=True)
                 assert len(payload["scores"]) == 2
                 assert payload["edges"] is True
+            finally:
+                await client.close()
+                await server.stop()
+
+        run(scenario())
+
+    def test_reads_report_the_batch_of_their_scores(self, tmp_path):
+        """Under a concurrent writer, every /top_k and /scores reply equals
+        the oracle at the ``batches_applied`` it reports."""
+        edges = [list(e) for e in random_connected_graph(60, 0.1, seed=9).edge_list()]
+        births = [(i % 60, 100 + i) for i in range(40)]
+        rankings, scores = [], []
+        with BetweennessSession(
+            Graph.from_edges(edges), BetweennessConfig(backend="arrays")
+        ) as oracle:
+            for step in range(len(births) + 1):
+                if step:
+                    oracle.apply_batch([EdgeUpdate.addition(*births[step - 1])])
+                rankings.append([list(pair) for pair in oracle.top_k(5)])
+                scores.append(oracle.vertex_betweenness())
+
+        async def scenario():
+            server, client, port = await _boot(tmp_path)
+            try:
+                await client.create_session(
+                    "demo", edges=edges, config={"backend": "arrays"}
+                )
+                done = asyncio.Event()
+
+                async def writer():
+                    async with ServiceClient(
+                        "127.0.0.1", port, api_key="secret"
+                    ) as worker:
+                        for u, v in births:
+                            await worker.post_updates("demo", [("add", u, v)])
+                    done.set()
+
+                async def reader():
+                    reads = 0
+                    while not done.is_set():
+                        top = await client.top_k("demo", k=5)
+                        ranked = [[t["item"], t["score"]] for t in top["top"]]
+                        assert ranked == rankings[top["batches_applied"]]
+                        payload = await client.scores("demo")
+                        batch = payload["batches_applied"]
+                        assert dict(payload["scores"]) == scores[batch]
+                        reads += 1
+                    return reads
+
+                _, reads = await asyncio.gather(writer(), reader())
+                assert reads > 0
             finally:
                 await client.close()
                 await server.stop()

@@ -419,6 +419,31 @@ class TestRestartRecovery:
         assert after == before  # bit-identical across restart
         assert info["num_edges"] == 5
 
+    def test_create_and_restore_on_a_debug_loop(self, tmp_path):
+        """asyncio's debug mode refuses loop calls from other threads: the
+        registry must build sessions off the loop but adopt them on it."""
+
+        async def first_life():
+            registry = await _started(tmp_path)
+            await registry.create({"name": "demo", "graph": PATH_GRAPH})
+            managed = registry.get("demo")
+            await managed.apply_updates(
+                parse_updates_payload({"updates": [["add", 0, 4]]})
+            )
+            scores = await managed.read(managed.session.vertex_betweenness)
+            await registry.close_all()
+            return scores
+
+        async def second_life():
+            registry = await _started(tmp_path)
+            managed = registry.get("demo")
+            scores = await managed.read(managed.session.vertex_betweenness)
+            await registry.close_all()
+            return scores
+
+        before = asyncio.run(first_life(), debug=True)
+        assert asyncio.run(second_life(), debug=True) == before
+
     def test_closed_sessions_stay_closed_after_restart(self, tmp_path):
         async def first_life():
             registry = await _started(tmp_path)

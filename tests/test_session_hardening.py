@@ -6,6 +6,7 @@ bridge is an untrusted subscriber, SSE readers race the single writer,
 and a server restart resumes from whatever checkpoint survived.
 """
 
+import sys
 import threading
 
 import pytest
@@ -19,7 +20,7 @@ from repro.api import (
     resume_session,
 )
 from repro.core import EdgeUpdate
-from repro.exceptions import ConfigurationError, SubscriberError
+from repro.exceptions import ConfigurationError, ReproError, SubscriberError
 
 from tests.helpers import random_connected_graph
 
@@ -252,6 +253,145 @@ class TestConcurrentReaders:
         thread.join()
         assert failures == []
         session.close()
+
+
+class TestLockFreeReads:
+    @pytest.mark.parametrize("backend", ["dicts", "arrays"])
+    def test_reads_do_not_wait_for_the_state_lock(self, path5, backend):
+        """A long batch or checkpoint holds the lock; reads still return
+        the last published boundary, promptly."""
+        session = open_session(path5, backend=backend)
+        session.apply_batch([EdgeUpdate.addition(0, 4)])
+        expected = session.vertex_betweenness()
+        held, release = threading.Event(), threading.Event()
+
+        def writer():
+            with session._state_lock:
+                held.set()
+                release.wait(10)
+
+        reads = {}
+
+        def reader():
+            reads["top"] = session.top_k(2)
+            reads["snapshot"] = session.snapshot()
+            reads["scores"] = session.vertex_betweenness()
+            reads["batches"] = session.batches_applied
+
+        holder = threading.Thread(target=writer)
+        holder.start()
+        assert held.wait(5)
+        thread = threading.Thread(target=reader)
+        try:
+            thread.start()
+            thread.join(1.0)
+            assert not thread.is_alive(), "a read waited for the state lock"
+        finally:
+            release.set()
+            holder.join(5)
+            thread.join(5)
+        assert reads["scores"] == expected
+        assert reads["snapshot"].vertex_scores == expected
+        assert reads["snapshot"].batches_applied == reads["batches"] == 1
+        full = sorted(expected.items(), key=lambda item: (-item[1], repr(item[0])))
+        assert list(reads["top"]) == full[:2]
+        assert reads["top"].batches_applied == 1
+        session.close()
+
+    def test_every_read_matches_the_batch_it_reports(self):
+        """Stress: more reader threads than cores and a short switch
+        interval; each snapshot and ranking must equal the oracle at the
+        ``batches_applied`` it carries."""
+        graph = random_connected_graph(30, 0.15, seed=4)
+        births = [[EdgeUpdate.addition(i % 30, 100 + i)] for i in range(25)]
+        oracle = open_session(graph, backend="arrays")
+        scores, rankings = [oracle.vertex_betweenness()], [oracle.top_k(4)]
+        for batch in births:
+            oracle.apply_batch(batch)
+            scores.append(oracle.vertex_betweenness())
+            rankings.append(oracle.top_k(4))
+        oracle.close()
+
+        session = open_session(graph, backend="arrays")
+        stop = threading.Event()
+        mismatches, reads = [], []
+
+        def reader():
+            count = 0
+            while True:
+                snap = session.snapshot()
+                if snap.vertex_scores != scores[snap.batches_applied]:
+                    mismatches.append(("snapshot", snap.batches_applied))
+                top = session.top_k(4)
+                if top != rankings[top.batches_applied]:
+                    mismatches.append(("top_k", top.batches_applied))
+                count += 1
+                if stop.is_set():
+                    break
+            reads.append(count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for batch in births:
+                session.apply_batch(batch)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert len(reads) == 4 and min(reads) > 0
+        session.close()
+
+    def test_subscriber_reads_see_the_post_batch_state(self, path5):
+        oracle = open_session(path5)
+        after = []
+        for batch in _updates():
+            oracle.apply_batch(batch)
+            after.append((oracle.vertex_betweenness(), oracle.top_k(3, edges=True)))
+        oracle.close()
+
+        session = open_session(path5)
+        seen = []
+
+        def on_event(event):
+            if isinstance(event, BatchApplied):
+                seen.append(
+                    (session.vertex_betweenness(), session.top_k(3, edges=True))
+                )
+                assert session.batches_applied == event.batch_index + 1
+
+        session.subscribe(on_event)
+        for batch in _updates():
+            session.apply_batch(batch)
+        session.close()
+        assert seen == after
+
+    def test_rejected_batch_keeps_the_published_snapshot(self, path5):
+        session = open_session(path5)
+        session.apply_batch([EdgeUpdate.addition(0, 3)])
+        before = session.snapshot()
+        with pytest.raises(ReproError):
+            session.apply_batch(
+                [EdgeUpdate.addition(1, 4), EdgeUpdate.removal(0, 4)]
+            )
+        assert session.snapshot() is before
+        assert session.batches_applied == 1
+        assert session.vertex_betweenness() == before.vertex_scores
+        session.close()
+        for read in (
+            session.top_k,
+            session.snapshot,
+            session.vertex_betweenness,
+            session.edge_betweenness,
+        ):
+            with pytest.raises(ConfigurationError):
+                read()
 
 
 class TestResumeErrorSurface:

@@ -3,7 +3,10 @@
 import random
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.types import UNREACHABLE, canonical_edge
@@ -18,6 +21,7 @@ from repro.utils import (
     timed,
 )
 from repro.utils.rng import spawn
+from repro.utils.stats import top_k_ranked
 from repro.utils.validation import (
     require_in_range,
     require_non_negative,
@@ -71,6 +75,73 @@ class TestStats:
     def test_summarize_empty_raises(self):
         with pytest.raises(ValueError):
             summarize([])
+
+
+def _full_sort(items, k):
+    return sorted(items, key=lambda item: (-item[1], repr(item[0])))[:k]
+
+
+_LABELS = st.one_of(
+    st.lists(st.integers(-50, 50), unique=True, min_size=1, max_size=30),
+    st.lists(st.text(max_size=3), unique=True, min_size=1, max_size=30),
+    st.lists(
+        st.one_of(st.integers(0, 9), st.text(max_size=2)),
+        unique=True,
+        min_size=1,
+        max_size=30,
+    ),
+    # Directed edges: (u, v) and (v, u) are distinct items.
+    st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+            lambda edge: edge[0] != edge[1]
+        ),
+        unique=True,
+        min_size=1,
+        max_size=30,
+    ),
+)
+
+
+class TestTopKRanked:
+    @given(labels=_LABELS, data=st.data())
+    def test_equals_the_full_sort(self, labels, data):
+        # Few distinct scores, so ties at the k-th score are the rule.
+        scores = data.draw(
+            st.lists(
+                st.sampled_from([0.0, 0.25, 1.0, 3.5])
+                | st.floats(0.0, 100.0, allow_nan=False),
+                min_size=len(labels),
+                max_size=len(labels),
+            )
+        )
+        items = list(zip(labels, scores))
+        values = np.array(scores, dtype=np.float64)
+        n = len(items)
+        for k in {1, n - 1, n, n + 5} - {0}:
+            assert top_k_ranked(values, k, labels.__getitem__) == _full_sort(
+                items, k
+            )
+
+    def test_all_zero_ties_break_by_repr(self):
+        labels = [10, 2, "b", (1, 0), "a", 1]
+        values = np.zeros(len(labels))
+        items = [(label, 0.0) for label in labels]
+        for k in (1, 3, 5, 6, 11):
+            assert top_k_ranked(values, k, labels.__getitem__) == _full_sort(
+                items, k
+            )
+
+    def test_only_candidates_are_labelled(self):
+        values = np.arange(1000, dtype=np.float64)
+        labelled = []
+
+        def label(i):
+            labelled.append(i)
+            return i
+
+        top = top_k_ranked(values, 3, label)
+        assert top == [(999, 999.0), (998, 998.0), (997, 997.0)]
+        assert sorted(labelled) == [997, 998, 999]
 
 
 class TestTimer:
