@@ -104,15 +104,24 @@ def build_framework(
 
 
 def measure_brandes_seconds(
-    graph: Graph, repeats: int = 1, keep_predecessors: bool = False
+    graph: Graph,
+    repeats: int = 1,
+    keep_predecessors: bool = False,
+    backend: str = "dicts",
 ) -> float:
-    """Average wall-clock seconds of a full Brandes run on ``graph``."""
+    """Average wall-clock seconds of a full Brandes run on ``graph``.
+
+    ``backend`` picks the Brandes implementation timed (see
+    :func:`~repro.algorithms.brandes.brandes_betweenness`).
+    """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     timer = Timer()
     for _ in range(repeats):
         with timer.measure():
-            brandes_betweenness(graph, keep_predecessors=keep_predecessors)
+            brandes_betweenness(
+                graph, keep_predecessors=keep_predecessors, backend=backend
+            )
     return timer.mean
 
 
@@ -170,9 +179,10 @@ def measure_stream_speedups(
         Dataset label carried into the resulting series (used by reports).
     baseline_seconds:
         Pre-measured Brandes baseline time.  When omitted it is measured on
-        the *initial* graph; the paper likewise uses the cost of a from-
-        scratch recomputation as the denominator for every edge in the
-        stream (its variation across single-edge updates is negligible).
+        the *initial* graph, with the Brandes of the measured backend; the
+        paper likewise uses the cost of a from-scratch recomputation as the
+        denominator for every edge in the stream (its variation across
+        single-edge updates is negligible).
     baseline_repeats:
         Number of Brandes runs to average when measuring the baseline here.
     disk_path:
@@ -188,8 +198,9 @@ def measure_stream_speedups(
         later run can resume from the post-stream state.
     backend:
         Compute backend of the measured framework (``"dicts"`` or
-        ``"arrays"``); the Brandes baseline always runs the dicts path so
-        the denominator stays comparable across backends.
+        ``"arrays"``).  A baseline measured here times the from-scratch
+        Brandes of the same backend, so a speedup compares one engine with
+        itself.
     config:
         A fully resolved :class:`~repro.api.config.BetweennessConfig` to
         run under (the CLI passes one).  When given, it takes precedence
@@ -216,7 +227,9 @@ def measure_stream_speedups(
             f"for parallel measurements, got executor={config.executor!r}"
         )
     if baseline_seconds is None:
-        baseline_seconds = measure_brandes_seconds(graph, repeats=baseline_repeats)
+        baseline_seconds = measure_brandes_seconds(
+            graph, repeats=baseline_repeats, backend=config.backend
+        )
     series = SpeedupSeries(
         label=label, variant=variant, baseline_seconds=baseline_seconds
     )

@@ -83,9 +83,11 @@ class FrameworkCheckpoint:
     #: order the checkpointing process would have.
     adjacency: Optional[Dict] = field(default=None, repr=False)
     #: Shard bookkeeping written by the shard coordinator's workers:
-    #: ``{"shard_id", "num_shards", "source_order"}``.  ``source_order`` is
-    #: the live store's source insertion order, so a replacement worker
-    #: reloads its records in the exact order the dead worker held them.
+    #: ``{"shard_id", "num_shards"}``.  The embedded column block carries
+    #: the live store's row order, so a replacement worker reloads its
+    #: records in the exact order the dead worker held them.  Sidecars of
+    #: the previous shard format name a stamped store instead and add
+    #: ``"source_order"``, the row order to read it back in.
     shard_meta: Optional[Dict] = None
 
 

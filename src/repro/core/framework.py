@@ -388,30 +388,27 @@ class IncrementalBetweenness:
         config: Optional[Dict] = None,
         batch_cursor: Optional[int] = None,
         shard_meta: Optional[Dict] = None,
-        store_path: Optional[str] = None,
-        store_generation: Optional[int] = None,
     ) -> FrameworkCheckpoint:
         """Assemble the sidecar payload of :meth:`checkpoint` without writing it.
 
-        By default the record location is derived from the backing store
-        exactly as :meth:`checkpoint` does (durable disk store → path +
-        generation, anything else → embedded column payload).  The shard
-        coordinator's workers instead pass ``store_path``/``store_generation``
-        explicitly: their live store is in RAM and the records were just
-        written to a cursor-stamped per-shard store file, which is what the
-        sidecar must reference.  ``batch_cursor`` and ``shard_meta`` are
-        recorded verbatim (see :class:`FrameworkCheckpoint`).
+        The record location is derived from the backing store: a durable
+        disk store is flushed and referenced by path + generation, anything
+        else (RAM or a temporary file — every shard worker's store) is
+        embedded as a column payload of the owned sources' rows.
+        ``batch_cursor`` and ``shard_meta`` are recorded verbatim (see
+        :class:`FrameworkCheckpoint`).
         """
         columns: Optional[ColumnBlock] = None
-        if store_path is None:
-            if isinstance(self._store, DiskBDStore) and self._store.persistent:
-                self._store.flush()
-                # Resolve to an absolute path: the sidecar may be loaded from
-                # a different working directory than the one that wrote it.
-                store_path = str(Path(self._store.path).resolve())
-                store_generation = self._store.generation
-            else:
-                columns = export_columns(self._store, self._graph.vertex_list())
+        store_path: Optional[str] = None
+        store_generation: Optional[int] = None
+        if isinstance(self._store, DiskBDStore) and self._store.persistent:
+            self._store.flush()
+            # Resolve to an absolute path: the sidecar may be loaded from
+            # a different working directory than the one that wrote it.
+            store_path = str(Path(self._store.path).resolve())
+            store_generation = self._store.generation
+        else:
+            columns = export_columns(self._store, self._graph.vertex_list())
         return FrameworkCheckpoint(
             vertices=self._graph.vertex_list(),
             edges=self._graph.edge_list(),

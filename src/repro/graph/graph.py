@@ -59,7 +59,7 @@ class Graph:
     (3, 2)
     """
 
-    __slots__ = ("_directed", "_succ", "_pred")
+    __slots__ = ("_directed", "_succ", "_pred", "_num_edges")
 
     def __init__(self, directed: bool = False) -> None:
         self._directed = directed
@@ -70,6 +70,8 @@ class Graph:
         # For undirected graphs _pred is the same dict object as _succ, so a
         # single update keeps both views consistent.
         self._pred: Dict[Vertex, Dict[Vertex, None]] = {} if directed else self._succ
+        # Kept by every method that changes adjacency, so ``num_edges`` is O(1).
+        self._num_edges = 0
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -87,8 +89,7 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of edges currently in the graph."""
-        total = sum(len(nbrs) for nbrs in self._succ.values())
-        return total if self._directed else total // 2
+        return self._num_edges
 
     def __len__(self) -> int:
         return self.num_vertices
@@ -116,6 +117,9 @@ class Graph:
         """Remove ``vertex`` and all its incident edges."""
         if vertex not in self._succ:
             raise VertexNotFoundError(vertex)
+        self._num_edges -= len(self._succ[vertex])
+        if self._directed:
+            self._num_edges -= len(self._pred[vertex])
         for neighbor in list(self._succ[vertex]):
             self._pred[neighbor].pop(vertex, None)
         if self._directed:
@@ -158,6 +162,7 @@ class Graph:
         self._pred[v][u] = None
         if not self._directed:
             self._succ[v][u] = None
+        self._num_edges += 1
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove the edge ``(u, v)``; endpoints are kept even if isolated."""
@@ -171,6 +176,7 @@ class Graph:
         self._pred[v].pop(u, None)
         if not self._directed:
             self._succ[v].pop(u, None)
+        self._num_edges -= 1
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """Return ``True`` if the edge ``(u, v)`` is in the graph."""
@@ -207,16 +213,23 @@ class Graph:
         the snapshot must not have changed in between — batch replay always
         snapshots both endpoints of every rolled edge.
         """
+        # Only edges between snapshotted vertices change, so the out-degree
+        # change over the snapshot counts each of them once (directed) or
+        # twice (undirected).
+        degree_change = 0
         for vertex, entry in snapshot.items():
+            degree_change -= len(self._succ.get(vertex, ()))
             if entry is None:
                 self._succ.pop(vertex, None)
                 if self._directed:
                     self._pred.pop(vertex, None)
                 continue
             succ, pred = entry
+            degree_change += len(succ)
             self._succ[vertex] = dict(succ)
             if self._directed:
                 self._pred[vertex] = dict(pred)
+        self._num_edges += degree_change if self._directed else degree_change // 2
 
     def edges(self) -> Iterator[Tuple[Vertex, Vertex]]:
         """Iterate over edges.
@@ -332,6 +345,8 @@ class Graph:
             graph._pred = {v: {u: None for u in nbrs} for v, nbrs in pred.items()}
         else:
             graph._pred = graph._succ
+        total = sum(len(nbrs) for nbrs in graph._succ.values())
+        graph._num_edges = total if directed else total // 2
         return graph
 
     def subgraph(self, keep: Iterable[Vertex]) -> "Graph":

@@ -16,12 +16,12 @@ Whether the partitions are **durable shards** is the only thing a caller
 chooses, by passing a :class:`~repro.storage.shard.ShardLayout` or not:
 
 * **with a layout** each shard owns a directory under the ``shard://`` root
-  holding its durable record store and checkpoint sidecar; the coordinator
-  keeps an in-memory **replay log** of the batches applied since the last
-  checkpoint round, and when a worker dies (or stays silent past
-  ``recv_timeout``) it re-seeds a *replacement* from that shard's sidecar
-  and replays only the logged batches the sidecar predates — the other
-  shards never stop, and the world never restarts;
+  holding its checkpoint sidecar; the coordinator keeps an in-memory
+  **replay log** of the batches applied since the last checkpoint round,
+  and when a worker dies (or stays silent past ``recv_timeout``) it
+  re-seeds a *replacement* from that shard's sidecar and replays only the
+  logged batches the sidecar predates — the other shards never stop, and
+  the world never restarts;
 * **without one** nothing touches the disk (the ``process`` executor): no
   directory, no rounds, no log, and a failed worker is a terminal
   :class:`~repro.exceptions.WorkerFailedError` raised after the pool has
@@ -34,18 +34,17 @@ process sentinel next to its command pipe), so neither processes nor
 
 Recovery is **bit-identical** by construction: the sidecar carries the
 worker's graph adjacency in exact iteration order
-(:meth:`~repro.graph.Graph.adjacency_payload`) and the store's source
-insertion order (``shard_meta["source_order"]``), and the replayed batches
+(:meth:`~repro.graph.Graph.adjacency_payload`) and its records as one column
+block in the live store's slot and row order, and the replayed batches
 reuse the exact adoption decisions of the original dispatch, so the
 replacement accumulates every float in the same order the dead worker would
 have.  The chaos suite (``tests/test_shard_chaos.py``) asserts ``==``
 equality of final scores after seeded mid-stream kills.
 
-Workers compute in RAM and touch disk only at checkpoint rounds: the round
-copies the live store's column block into a fresh cursor-stamped store
-file, then atomically replaces the sidecar (the commit point), then prunes
-stores of older rounds — a crash at any instant leaves the previous round
-fully intact.
+Workers compute in RAM and touch disk only at checkpoint rounds: a round
+writes the same sidecar a serial in-RAM session writes, with the owned
+sources' records embedded, and its atomic replace is the one commit point —
+a crash at any instant leaves the previous round fully intact.
 
 State crosses the driver→worker boundary one way.  A worker rebuilds its
 graph from the driver's compiled CSR arrays in shared segments
@@ -54,9 +53,10 @@ rows of the update ring (:mod:`repro.parallel.dataplane`); only replay
 after a recovery sends pickled update lists, because the ring may have
 rotated past the logged slice.  A worker seeded from a durable store file
 reads its partition's records out of the file as one
-:class:`~repro.storage.columns.ColumnBlock` — the same reader a shard
-resume uses.  Everything else crossing the pipe is plain picklable data, so
-both the ``fork`` and ``spawn`` start methods work.
+:class:`~repro.storage.columns.ColumnBlock` — the same reader that resumes
+a shard whose sidecar (of the previous format) names a stamped store.
+Everything else crossing the pipe is plain picklable data, so both the
+``fork`` and ``spawn`` start methods work.
 """
 
 from __future__ import annotations
@@ -105,8 +105,6 @@ from repro.storage.shard import (
     ShardManifest,
     load_manifest,
     pick_shard,
-    prune_stale_stores,
-    store_filename,
 )
 from repro.types import EdgeScores, Vertex, VertexScores, validate_backend
 from repro.utils.timing import Timer
@@ -149,11 +147,12 @@ def _read_partition_block(
 ) -> ColumnBlock:
     """One partition's records out of a durable store file, as one block.
 
-    The one reader behind both ways a worker starts from records on disk:
-    seeding a fresh partition from a store file covering every source, and
-    resuming a shard from its stamped store (which also passes the
-    ``generation`` its sidecar recorded).  Rows come back in ``sources``
-    order; nothing is decoded into per-source records.
+    The one reader behind both ways a worker starts from records in a store
+    file: seeding a fresh partition from a store file covering every
+    source, and resuming a shard whose sidecar (of the previous format)
+    names a stamped store (which also passes the ``generation`` that
+    sidecar recorded).  Rows come back in ``sources`` order; nothing is
+    decoded into per-source records.
     """
     with DiskBDStore.open(store_file) as durable:
         if generation is not None and durable.generation != generation:
@@ -222,69 +221,50 @@ def _write_shard_checkpoint(
 ) -> None:
     """Persist one shard's state for batch ``cursor`` (crash-consistent).
 
-    Write order is what makes a kill at any point recoverable: the stamped
-    store file is written (one column block, in the live store's slot and
-    row order) and renamed into place first, the atomic sidecar write
-    commits the round, and only then are older store files pruned.
+    A round writes one file: the serial sidecar, embedding the worker's
+    records as one column block of its owned sources (in the live store's
+    slot and row order).  Its atomic write is the commit point, so a kill
+    at any instant leaves the previous round intact.  Store files stamped
+    by rounds of the previous format are deleted once the round committed.
     """
-    graph = framework.graph
-    block = export_columns(framework.store, graph.vertex_list())
-    store_path = shard_dir / store_filename(cursor)
-    store_tmp = Path(str(store_path) + ".tmp")
-    store_tmp.unlink(missing_ok=True)
-    with DiskBDStore.from_columns(
-        store_tmp,
-        block.vertices,
-        block.sources,
-        block.distance,
-        block.sigma,
-        block.delta,
-        directed=graph.directed,
-    ) as durable:
-        durable.flush()
-        generation = durable.generation
-    os.replace(store_tmp, store_path)
-
     checkpoint = framework.build_checkpoint(
         batch_cursor=cursor,
-        shard_meta={
-            "shard_id": shard_id,
-            "num_shards": num_shards,
-            "source_order": block.sources,
-        },
-        store_path=str(store_path.resolve()),
-        store_generation=generation,
+        shard_meta={"shard_id": shard_id, "num_shards": num_shards},
     )
     save_checkpoint(shard_dir / "checkpoint.bin", checkpoint)  # the commit point
-    prune_stale_stores(shard_dir, cursor)
+    for legacy in shard_dir.glob("store-*.bin"):
+        legacy.unlink(missing_ok=True)
 
 
 def _resume_shard_framework(
     checkpoint_path: PathLike, backend: str
 ) -> IncrementalBetweenness:
-    """Rebuild a shard's framework from its sidecar + stamped store.
+    """Rebuild a shard's framework from its sidecar, as a serial resume does.
 
-    The stamped store is found by file name beside the sidecar — the
-    absolute path the sidecar records is where it was *written*, and a
-    shard root may since have been moved or restored elsewhere.  Its
-    records come back as one column block in the sidecar's recorded
-    ``source_order``, and the graph comes from the order-exact adjacency
-    payload — together they make the replacement's float accumulation order
-    identical to the dead worker's.
+    The embedded block brings the records in the dead worker's slot and row
+    order and the graph comes from the order-exact adjacency payload —
+    together they make the replacement's float accumulation order identical
+    to the dead worker's.
+
+    A sidecar of the previous format names a cursor-stamped store file
+    instead; that file is read (read-only, generation-checked) by its name
+    beside the sidecar, since the absolute path it records is where it was
+    *written* and a shard root may since have been moved.
     """
     ckpt = load_checkpoint(checkpoint_path)
     meta = ckpt.shard_meta
-    if meta is None or ckpt.adjacency is None or ckpt.store_path is None:
+    if meta is None or ckpt.adjacency is None:
         raise StoreCorruptedError(
             f"{checkpoint_path} is not a shard checkpoint sidecar"
         )
-    graph = Graph.from_adjacency_payload(ckpt.adjacency, directed=ckpt.directed)
-    block = _read_partition_block(
-        Path(checkpoint_path).parent / Path(ckpt.store_path).name,
-        meta["source_order"],
-        ckpt.store_generation,
-    )
-    store = import_columns(block, backend, graph.directed)
+    store = None
+    if ckpt.store_path is not None:
+        block = _read_partition_block(
+            Path(checkpoint_path).parent / Path(ckpt.store_path).name,
+            meta["source_order"],
+            ckpt.store_generation,
+        )
+        store = import_columns(block, backend, ckpt.directed)
     return IncrementalBetweenness.resume(
         checkpoint_path, store=store, backend=backend, checkpoint=ckpt
     )

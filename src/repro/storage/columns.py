@@ -4,9 +4,10 @@ A :class:`ColumnBlock` is a store's records as three raw matrices —
 distance, sigma and delta, one row per source and one column per vertex,
 trimmed to ``[sources, vertices]`` — plus the two orders that give the
 matrices meaning: the vertex (slot) order of the columns and the source
-(row) order of the rows.  The serial sidecar embeds one, a shard round
-copies one into its stamped store file, and a shard resume reads one back,
-so no checkpoint path converts records into per-source label dicts.
+(row) order of the rows.  Every RAM-backed sidecar embeds one — a serial
+session's and each shard round's alike — and a seeded shard worker reads
+one out of a store file, so no checkpoint path converts records into
+per-source label dicts.
 
 :func:`export_columns` and :func:`import_columns` are the only way in and
 out.  Column stores (:class:`~repro.storage.arrays.ArrayBDStore`,

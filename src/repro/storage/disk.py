@@ -219,8 +219,9 @@ class DiskBDStore(BDStore):
 
         Row ``i`` of the ``[len(sources), k]`` matrices is written, in one
         bulk column write each, to the record of ``sources[i]``.  The file
-        is sized to ``vertices`` with no growth headroom: this is how a
-        shard round writes its stamped store, which is only ever read back.
+        is sized to ``vertices`` with no growth headroom; a ``store="disk"``
+        shard worker seeded from a store file starts on one (``path=None``:
+        a temporary file), and grows it as stream-born vertices arrive.
         """
         self = cls(
             vertices,

@@ -1,30 +1,32 @@
 """On-disk layout and manifest of a sharded betweenness deployment.
 
 A ``shard://`` store URI describes a fault-tolerant *ensemble* of per-shard
-durable stores rather than one store::
+checkpoints rather than one store::
 
     shard:///var/data/bc?shards=8&checkpoint_every=4
 
 The path is the **shard root** directory.  Inside it, each shard owns a
-deterministic per-shard directory with its durable record store and its
-checkpoint sidecar, and the coordinator owns one manifest:
+deterministic per-shard directory holding one checkpoint sidecar, and the
+coordinator owns one manifest:
 
 .. code-block:: text
 
     <root>/
         manifest.bin                # coordinator state (atomic replace)
         shard-0000/
-            checkpoint.bin          # FrameworkCheckpoint sidecar (commit point)
-            store-00000012.bin      # DiskBDStore stamped with the batch cursor
+            checkpoint.bin          # FrameworkCheckpoint sidecar, records embedded
         shard-0001/
             ...
 
-A checkpoint *round* writes, per shard, a fresh cursor-stamped store file
-first and then atomically replaces ``checkpoint.bin`` — the sidecar rename
-is the commit point, so a crash mid-round leaves the previous round intact.
-The manifest is updated (atomically, last) once every shard committed; its
-``batch_cursor`` is the coordinator's authority on how many batches the
-ensemble durably applied.
+A checkpoint *round* atomically replaces each shard's ``checkpoint.bin`` —
+the same sidecar a serial in-RAM session writes, embedding the shard's
+owned records as one column block — so a crash mid-round leaves the
+previous round intact.  The manifest is updated (atomically, last) once
+every shard committed; its ``batch_cursor`` is the coordinator's authority
+on how many batches the ensemble durably applied.  Roots written by the
+previous format also hold a cursor-stamped ``store-<cursor>.bin`` per shard,
+which its sidecar names; they still resume, and the first round of this
+format deletes the store files.
 
 This module is pure layout + bookkeeping: paths, the manifest codec, URI
 resolution and the deterministic rebalancing rule.  The process machinery
@@ -157,9 +159,6 @@ class ShardLayout:
     def checkpoint_path(self, shard_id: int) -> Path:
         return self.shard_dir(shard_id) / "checkpoint.bin"
 
-    def store_path(self, shard_id: int, batch_cursor: int) -> Path:
-        return self.shard_dir(shard_id) / store_filename(batch_cursor)
-
     @staticmethod
     def is_shard_root(path: PathLike) -> bool:
         """Whether ``path`` is (or directly names) a shard-root manifest."""
@@ -229,23 +228,6 @@ def load_manifest(root: PathLike) -> ShardManifest:
         shard_sizes=list(payload["shard_sizes"]),
         config=payload.get("config"),
     )
-
-
-def store_filename(batch_cursor: int) -> str:
-    """Name of a shard's durable store stamped with its batch cursor."""
-    return f"store-{batch_cursor:08d}.bin"
-
-
-def prune_stale_stores(shard_dir: PathLike, keep_cursor: int) -> None:
-    """Delete store files from rounds older than ``keep_cursor``.
-
-    Called by a worker only after its new sidecar has been committed (the
-    atomic rename), so the referenced store file is never the one removed.
-    """
-    keep = store_filename(keep_cursor)
-    for candidate in Path(shard_dir).glob("store-*.bin"):
-        if candidate.name != keep:
-            candidate.unlink(missing_ok=True)
 
 
 def _positive_int(

@@ -80,6 +80,28 @@ class TestMeasureStreamSpeedups:
             framework.apply(update)
         assert_framework_matches_recompute(framework)
 
+    def test_measured_baseline_times_the_measured_backend(
+        self, small_social_graph, monkeypatch
+    ):
+        """The denominator is the same engine's from-scratch Brandes: an
+        arrays run times the arrays Brandes, not the dicts one."""
+        from repro.analysis import speedup
+
+        timed_backends = []
+        real = speedup.brandes_betweenness
+
+        def spy(graph, **kwargs):
+            timed_backends.append(kwargs.get("backend", "dicts"))
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(speedup, "brandes_betweenness", spy)
+        updates = addition_stream(small_social_graph, 2, rng=6)
+        measure_stream_speedups(
+            small_social_graph, updates, Variant.MO, backend="arrays"
+        )
+        measure_stream_speedups(small_social_graph, updates, Variant.MO)
+        assert timed_backends == ["arrays", "dicts"]
+
     def test_explicit_baseline_used(self, small_social_graph):
         updates = addition_stream(small_social_graph, 2, rng=6)
         series = measure_stream_speedups(

@@ -302,7 +302,7 @@ class TestShardCheckpointStaleness:
         from repro.core.checkpoint import load_checkpoint, save_checkpoint
 
         framework, tmp_path, _ = evolving_case
-        meta = {"shard_id": 1, "num_shards": 4, "source_order": [3, 0, 7]}
+        meta = {"shard_id": 1, "num_shards": 4}
         checkpoint = framework.build_checkpoint(batch_cursor=7, shard_meta=meta)
         save_checkpoint(tmp_path / "shard.ck", checkpoint)
         loaded = load_checkpoint(tmp_path / "shard.ck")
@@ -367,8 +367,8 @@ class TestShardCheckpointStaleness:
             ShardCoordinator.resume(layout.root)
 
     def test_moved_root_resumes_exactly(self, tmp_path):
-        """Sidecars record where their stamped store was written; a root
-        moved (or restored) elsewhere must still find it, by name."""
+        """A root moved (or restored) elsewhere resumes to the same scores:
+        nothing in it depends on the path it was written at."""
         import shutil
 
         from repro.parallel import ShardCoordinator
@@ -386,19 +386,26 @@ class TestShardCheckpointStaleness:
             resumed.close(checkpoint=False)
 
     def test_mutated_store_generation_is_refused_on_restart(self, tmp_path):
-        """A shard store touched behind its sidecar's back (generation moved
-        on) must fail the resume instead of seeding a worker from it."""
+        """A previous-format root names a stamped store per shard; a store
+        touched behind its sidecar's back (generation moved on) must fail
+        the resume instead of seeding a worker from it."""
+        import shutil
+        from pathlib import Path
+
         from repro.core.checkpoint import load_checkpoint
         from repro.exceptions import UpdateError
         from repro.parallel import ShardCoordinator
 
-        coordinator, layout, _ = self._run_rounds(tmp_path)
-        coordinator.close()
-        sidecar = load_checkpoint(layout.checkpoint_path(0))
-        tampered = DiskBDStore.open(sidecar.store_path)
+        root = tmp_path / "shard-root"
+        shutil.copytree(
+            Path(__file__).parent / "data" / "golden" / "shard-root", root
+        )
+        sidecar = root / "shard-0000" / "checkpoint.bin"
+        stamped = Path(load_checkpoint(sidecar).store_path).name
+        tampered = DiskBDStore.open(sidecar.parent / stamped)
         source = next(iter(tampered.sources()))
         tampered.put(tampered.get(source))
         tampered.flush()  # bumps the generation past the sidecar's
         tampered.close()
         with pytest.raises(UpdateError, match="generation"):
-            ShardCoordinator.resume(layout.root)
+            ShardCoordinator.resume(root)

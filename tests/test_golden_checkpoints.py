@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import resume_session
+from repro.core.checkpoint import load_checkpoint
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -56,3 +57,26 @@ def test_golden_artifact_resumes_exactly(tmp_path, name, overrides):
         shutil.copy2(source, target)
     session = resume_session(target, **overrides)
     assert generate.finish(session) == EXPECTED[name]
+
+
+def test_golden_shard_root_is_rewritten_in_the_current_format(tmp_path):
+    """A resumed parent-format root reaches the recorded scores; its next
+    round leaves one sidecar per shard (no stamped store), and that root
+    resumes to the live session's scores."""
+    target = tmp_path / "moved" / "shard-root"
+    shutil.copytree(GOLDEN / "shard-root", target)
+    session = resume_session(target)
+    for update in generate.STREAM:
+        session.apply_batch([update])
+    live = generate.scores_of(session)
+    assert live == EXPECTED["shard-root"]
+    session.checkpoint()
+    for shard_dir in sorted(target.glob("shard-*")):
+        assert [p.name for p in shard_dir.iterdir()] == ["checkpoint.bin"]
+        assert load_checkpoint(shard_dir / "checkpoint.bin").store_path is None
+    session.close()
+    again = resume_session(target)
+    try:
+        assert generate.scores_of(again) == live
+    finally:
+        again.close()

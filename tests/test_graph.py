@@ -1,6 +1,8 @@
 """Unit tests for the dynamic graph substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import (
     EdgeExistsError,
@@ -162,3 +164,49 @@ class TestConstructorsAndCopies:
         g = Graph()
         with pytest.raises(VertexNotFoundError):
             g.neighbors(0)
+
+
+class TestEdgeCounter:
+    """``num_edges`` is a counter kept by every method that changes
+    adjacency; after any mix of them it must equal a recount."""
+
+    @given(
+        directed=st.booleans(),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["add", "remove", "remove_vertex", "roll", "copy", "payload"]
+                ),
+                st.integers(0, 7),
+                st.integers(0, 7),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_num_edges_equals_a_recount(self, directed, ops):
+        g = Graph(directed=directed)
+        for op, u, v in ops:
+            if op == "add" and u != v and not g.has_edge(u, v):
+                g.add_edge(u, v)
+            elif op == "remove" and g.has_edge(u, v):
+                g.remove_edge(u, v)
+            elif op == "remove_vertex" and g.has_vertex(u):
+                g.remove_vertex(u)
+            elif op == "roll" and u != v:
+                # Batch replay's use: snapshot both endpoints, toggle the
+                # edge (possibly creating a vertex), rewind.
+                snapshot = g.adjacency_snapshot([u, v])
+                if g.has_edge(u, v):
+                    g.remove_edge(u, v)
+                else:
+                    g.add_edge(u, v)
+                assert g.num_edges == len(g.edge_list())
+                g.restore_adjacency(snapshot)
+            elif op == "copy":
+                g = g.copy()
+            elif op == "payload":
+                g = Graph.from_adjacency_payload(
+                    g.adjacency_payload(), directed=directed
+                )
+            assert g.num_edges == len(g.edge_list())

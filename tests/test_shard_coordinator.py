@@ -11,13 +11,15 @@ import random
 
 import pytest
 
-from repro.core import EdgeUpdate
+from repro.core import EdgeUpdate, IncrementalBetweenness
+from repro.core.checkpoint import load_checkpoint
 from repro.exceptions import (
     ConfigurationError,
     StoreCorruptedError,
     WorkerFailedError,
 )
 from repro.parallel import ShardCoordinator
+from repro.parallel.shards import _write_shard_checkpoint
 from repro.storage import create_store, parse_store_uri
 from repro.storage.shard import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -25,8 +27,6 @@ from repro.storage.shard import (
     ShardManifest,
     load_manifest,
     pick_shard,
-    prune_stale_stores,
-    store_filename,
 )
 
 from tests.helpers import random_connected_graph
@@ -90,8 +90,6 @@ class TestLayoutPaths:
         assert layout.manifest_path == tmp_path / "manifest.bin"
         assert layout.shard_dir(2) == tmp_path / "shard-0002"
         assert layout.checkpoint_path(2) == tmp_path / "shard-0002" / "checkpoint.bin"
-        assert layout.store_path(1, 12) == tmp_path / "shard-0001" / "store-00000012.bin"
-        assert store_filename(7) == "store-00000007.bin"
 
     def test_is_shard_root(self, tmp_path):
         layout = ShardLayout(root=tmp_path, num_shards=1, checkpoint_every=4)
@@ -110,13 +108,18 @@ class TestLayoutPaths:
         assert ShardLayout.is_shard_root(tmp_path / "manifest.bin")
         assert not ShardLayout.is_shard_root(tmp_path / "absent" / "manifest.bin")
 
-    def test_prune_keeps_only_the_named_cursor(self, tmp_path):
+    def test_round_deletes_leftover_stamped_stores(self, tmp_path):
+        """A round commits one file; store files stamped by rounds of the
+        previous format are deleted once its sidecar is in place."""
+        graph = random_connected_graph(8, 0.2, seed=5)
+        framework = IncrementalBetweenness(
+            graph, sources=[0, 1, 2], backend="arrays"
+        )
         for cursor in (2, 4, 6):
-            (tmp_path / store_filename(cursor)).write_bytes(b"x")
-        (tmp_path / "checkpoint.bin").write_bytes(b"x")
-        prune_stale_stores(tmp_path, 6)
-        remaining = sorted(p.name for p in tmp_path.iterdir())
-        assert remaining == ["checkpoint.bin", store_filename(6)]
+            (tmp_path / f"store-{cursor:08d}.bin").write_bytes(b"x")
+        _write_shard_checkpoint(framework, tmp_path, 0, 2, 8)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+        assert load_checkpoint(tmp_path / "checkpoint.bin").batch_cursor == 8
 
 
 class TestManifest:
@@ -211,16 +214,18 @@ class TestCoordinatorLifecycle:
         with ShardCoordinator(graph, layout) as coordinator:
             assert coordinator.last_checkpoint_cursor == 0
             for shard_id in range(layout.num_shards):
-                assert layout.checkpoint_path(shard_id).exists()
-                assert layout.store_path(shard_id, 0).exists()
+                shard_dir = layout.shard_dir(shard_id)
+                assert [p.name for p in shard_dir.iterdir()] == ["checkpoint.bin"]
+                assert load_checkpoint(shard_dir / "checkpoint.bin").batch_cursor == 0
             assert layout.manifest_path.exists()
 
-    def test_round_fsyncs_each_stamped_store_before_its_sidecar(
+    def test_round_fsyncs_each_sidecar_before_the_manifest(
         self, tmp_path, monkeypatch
     ):
-        """A sidecar commits a round by naming its stamped store file, so the
-        worker must fsync that file before the sidecar's atomic write.  The
-        workers are forked, so the recorder appends to a log file."""
+        """The manifest's cursor is the ensemble's authority, so every shard
+        sidecar of a round must be durable before the manifest names that
+        round.  The workers are forked, so the recorder appends to a log
+        file."""
         log = tmp_path / "fsync.log"
         real_fsync = os.fsync
 
@@ -234,18 +239,18 @@ class TestCoordinatorLifecycle:
             stat = os.stat(path)
             return f"{stat.st_dev}:{stat.st_ino}"
 
-        monkeypatch.setattr("repro.storage.disk.os.fsync", recording_fsync)
+        monkeypatch.setattr("repro.storage.header.os.fsync", recording_fsync)
         graph = random_connected_graph(8, 0.2, seed=5)
         layout = self._layout(tmp_path)
         with ShardCoordinator(graph, layout):
             synced = log.read_text(encoding="utf-8").split()
+            manifest = identity(layout.manifest_path)
             for shard_id in range(layout.num_shards):
-                store = identity(layout.store_path(shard_id, 0))
                 sidecar = identity(layout.checkpoint_path(shard_id))
-                assert store in synced
-                assert synced.index(store) < synced.index(sidecar)
+                assert sidecar in synced
+                assert synced.index(sidecar) < synced.index(manifest)
 
-    def test_rounds_follow_the_cadence_and_prune(self, tmp_path):
+    def test_rounds_follow_the_cadence(self, tmp_path):
         graph = random_connected_graph(8, 0.2, seed=5)
         layout = self._layout(tmp_path, every=2)
         with ShardCoordinator(graph, layout) as coordinator:
@@ -253,11 +258,35 @@ class TestCoordinatorLifecycle:
             assert coordinator.last_checkpoint_cursor == 0
             coordinator.add_edge(1, 101)
             assert coordinator.last_checkpoint_cursor == 2
-            stores = sorted(
-                p.name for p in layout.shard_dir(0).glob("store-*.bin")
-            )
-            assert stores == [store_filename(2)]
+            for shard_id in range(layout.num_shards):
+                sidecar = load_checkpoint(layout.checkpoint_path(shard_id))
+                assert sidecar.batch_cursor == 2
             assert load_manifest(layout.root).batch_cursor == 2
+
+    def test_each_round_commits_one_sidecar_of_the_owned_rows(self, tmp_path):
+        """After several rounds (with stream-born vertices adopted on the
+        way) each shard directory holds only its sidecar, and the sidecar
+        embeds a block of exactly the shard's sources by every vertex."""
+        graph = random_connected_graph(9, 0.2, seed=6)
+        layout = self._layout(tmp_path, shards=2, every=1)
+        with ShardCoordinator(graph, layout, backend="arrays") as coordinator:
+            for offset in range(3):
+                coordinator.add_edge(offset, 100 + offset)
+            owned = {
+                p.worker_id: set(p.sources) for p in coordinator.partitions
+            }
+            for vertex in (100, 101, 102):
+                owned[coordinator.shard_of(vertex)].add(vertex)
+            vertices = set(coordinator.graph.vertices())
+            for shard_id in range(layout.num_shards):
+                shard_dir = layout.shard_dir(shard_id)
+                assert [p.name for p in shard_dir.iterdir()] == ["checkpoint.bin"]
+                sidecar = load_checkpoint(shard_dir / "checkpoint.bin")
+                assert sidecar.batch_cursor == 3 and sidecar.store_path is None
+                block = sidecar.columns
+                assert set(block.sources) == owned[shard_id]
+                assert set(block.vertices) == vertices
+                assert block.delta.shape == (len(owned[shard_id]), len(vertices))
 
     def test_close_makes_the_tail_durable(self, tmp_path):
         graph = random_connected_graph(8, 0.2, seed=5)
