@@ -68,8 +68,6 @@ from repro.storage import (
     StoreURI,
     create_store,
     parse_store_uri,
-    register_store_scheme,
-    registered_store_schemes,
 )
 
 __version__ = "1.1.0"
@@ -117,8 +115,6 @@ __all__ = [
     "StoreURI",
     "create_store",
     "parse_store_uri",
-    "register_store_scheme",
-    "registered_store_schemes",
     # errors
     "ReproError",
     "ConfigurationError",

@@ -35,7 +35,7 @@ PathLike = Union[str, Path]
 #:   restricted framework per worker process and no disk state;
 #: * ``shard`` — the same runtime made fault tolerant by a root
 #:   (:class:`~repro.parallel.shards.ShardCoordinator`): per-shard durable
-#:   stores and checkpoints under a ``shard://`` root, worker-death
+#:   checkpoints under a ``shard://`` root, worker-death
 #:   recovery, and disk-only resume.
 EXECUTORS: Tuple[str, ...] = ("serial", "process", "shard")
 

@@ -71,12 +71,17 @@ from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.checkpoint import (
+    FrameworkCheckpoint,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.core.framework import IncrementalBetweenness
 from repro.core.result import BatchResult
 from repro.core.updates import EdgeUpdate, UpdateKind, batches, validate_batch
 from repro.exceptions import (
     ConfigurationError,
+    ReproError,
     StoreCorruptedError,
     UpdateError,
     WorkerFailedError,
@@ -183,7 +188,7 @@ def _build_worker_framework(payload: dict) -> IncrementalBetweenness:
             # The arrays backend defaults to its own columnar RAM store; the
             # dicts backend keeps the classic dict-of-records store.
             store = None if backend == "arrays" else InMemoryBDStore()
-        else:  # "disk" — validated by the driver
+        else:  # "disk" — validated by the driver; rows in slot order
             store = DiskBDStore(
                 graph.vertex_list(), sources=sources, directed=graph.directed
             )
@@ -196,15 +201,15 @@ def _build_worker_framework(payload: dict) -> IncrementalBetweenness:
     # driver→worker pipe but the path string.
     block = _read_partition_block(store_path, sources)
     if store_kind == "disk":
-        store = DiskBDStore.from_columns(
-            None,
-            block.vertices,
-            block.sources,
-            block.distance,
-            block.sigma,
-            block.delta,
-            directed=graph.directed,
+        # Built like a fresh disk worker's store (rows in slot order), then
+        # filled with the partition's records.
+        store = DiskBDStore(
+            block.vertices, sources=block.sources, directed=graph.directed
         )
+        for row, source in enumerate(block.sources):
+            store.put_columns(
+                source, block.distance[row], block.sigma[row], block.delta[row]
+            )
     else:
         store = import_columns(block, backend, graph.directed)
     return IncrementalBetweenness.from_store(
@@ -236,8 +241,45 @@ def _write_shard_checkpoint(
         legacy.unlink(missing_ok=True)
 
 
+def _check_shard_sidecar(ckpt: FrameworkCheckpoint, payload: dict) -> None:
+    """Refuse a sidecar that is not this shard's, or not at a usable batch.
+
+    ``payload["batch_cursor"]`` is the coordinator's cursor.  A restarted
+    ensemble (``replay`` false) has no replay log, so the sidecar must be
+    exactly at it; a replacement worker (``replay`` true) may lag, since
+    the coordinator replays the gap, but never lead.
+    """
+    path = payload["checkpoint_path"]
+    shard_id = payload["shard_id"]
+    meta = ckpt.shard_meta
+    if meta is None or ckpt.adjacency is None:
+        raise StoreCorruptedError(f"{path} is not a shard checkpoint sidecar")
+    if meta.get("shard_id") != shard_id:
+        raise StoreCorruptedError(
+            f"{path} belongs to shard {meta.get('shard_id')!r}, not {shard_id}"
+        )
+    cursor, at = ckpt.batch_cursor, payload["batch_cursor"]
+    if payload["replay"]:
+        if cursor is None or cursor > at:
+            raise ConfigurationError(
+                f"shard {shard_id} checkpoint is at batch {cursor} but the "
+                f"coordinator is at batch {at}: the shard directory holds "
+                "state from a different run — refusing to mix"
+            )
+    elif cursor != at:
+        # Never silently mix shard states from different rounds: a
+        # restarted coordinator has no replay log, so a lagging (or
+        # leading) sidecar cannot be replayed forward here.
+        raise ConfigurationError(
+            f"shard {shard_id} checkpoint is at batch {cursor} but the "
+            f"coordinator manifest is at batch {at}: the ensemble's shards "
+            "disagree and a restart cannot replay the gap — refusing to mix "
+            "stale and fresh shard state"
+        )
+
+
 def _resume_shard_framework(
-    checkpoint_path: PathLike, backend: str
+    checkpoint_path: PathLike, ckpt: FrameworkCheckpoint, backend: str
 ) -> IncrementalBetweenness:
     """Rebuild a shard's framework from its sidecar, as a serial resume does.
 
@@ -251,17 +293,11 @@ def _resume_shard_framework(
     beside the sidecar, since the absolute path it records is where it was
     *written* and a shard root may since have been moved.
     """
-    ckpt = load_checkpoint(checkpoint_path)
-    meta = ckpt.shard_meta
-    if meta is None or ckpt.adjacency is None:
-        raise StoreCorruptedError(
-            f"{checkpoint_path} is not a shard checkpoint sidecar"
-        )
     store = None
     if ckpt.store_path is not None:
         block = _read_partition_block(
             Path(checkpoint_path).parent / Path(ckpt.store_path).name,
-            meta["source_order"],
+            ckpt.shard_meta["source_order"],
             ckpt.store_generation,
         )
         store = import_columns(block, backend, ckpt.directed)
@@ -276,8 +312,12 @@ def _worker_main(connection, payload: dict) -> None:
     The payload either seeds a fresh partition (``checkpoint_path`` is
     ``None``: the graph's segments, sources, store kind and an optional
     store file to read the partition's records from) or names the shard
-    sidecar to resume from.  Either way it carries the update ring and the
-    label table the batches are read through.
+    sidecar to resume from, with the coordinator's cursor to check it
+    against (:func:`_check_shard_sidecar`; a refusal is answered
+    ``("refused", exception)``).  Either way it carries the update ring and
+    the label table the batches are read through.  The worker answers
+    ``("ready", seconds, sidecar_cursor)`` once seeded (``None`` when
+    fresh), so the coordinator never reads the sidecar itself.
 
     Protocol (all tuples over the pipe):
 
@@ -307,16 +347,24 @@ def _worker_main(connection, payload: dict) -> None:
     label_table = None
     try:
         timer = Timer()
+        cursor = None
         with timer.measure():
             if payload["checkpoint_path"] is not None:
+                try:
+                    ckpt = load_checkpoint(payload["checkpoint_path"])
+                    _check_shard_sidecar(ckpt, payload)
+                except ReproError as exc:
+                    connection.send(("refused", exc))
+                    return
+                cursor = ckpt.batch_cursor
                 framework = _resume_shard_framework(
-                    payload["checkpoint_path"], payload["backend"]
+                    payload["checkpoint_path"], ckpt, payload["backend"]
                 )
             else:
                 framework = _build_worker_framework(payload)
             ring_reader = RingReader(shm["ring"])
             label_table = LabelTable(shm["labels"])
-        connection.send(("ready", timer.total))
+        connection.send(("ready", timer.total, cursor))
         while True:
             # Sleep until a command arrives or the driver dies.  The pipe
             # alone cannot tell: under ``fork`` every sibling inherits the
@@ -677,47 +725,34 @@ class ShardCoordinator:
         self._assignment = [tuple(entry) for entry in manifest.assignment]
         self._cursor = manifest.batch_cursor
         self._last_round = manifest.batch_cursor
-        graph: Optional[Graph] = None
-        for shard_id in range(layout.num_shards):
-            sidecar = layout.checkpoint_path(shard_id)
+        sidecars = [layout.checkpoint_path(i) for i in range(layout.num_shards)]
+        for shard_id, sidecar in enumerate(sidecars):
             if not sidecar.exists():
                 raise ConfigurationError(
                     f"shard root {layout.root} has no checkpoint for shard "
                     f"{shard_id} ({sidecar})"
                 )
-            ckpt = load_checkpoint(sidecar)
-            meta = ckpt.shard_meta or {}
-            if meta.get("shard_id") != shard_id:
-                raise StoreCorruptedError(
-                    f"{sidecar} belongs to shard {meta.get('shard_id')!r}, "
-                    f"not {shard_id}"
-                )
-            if ckpt.batch_cursor != manifest.batch_cursor:
-                # Never silently mix shard states from different rounds: a
-                # restarted coordinator has no replay log, so a lagging (or
-                # leading) sidecar cannot be replayed forward here.
-                raise ConfigurationError(
-                    f"shard {shard_id} checkpoint is at batch "
-                    f"{ckpt.batch_cursor} but the coordinator manifest is at "
-                    f"batch {manifest.batch_cursor}: the ensemble's shards "
-                    "disagree and a restart cannot replay the gap — refusing "
-                    "to mix stale and fresh shard state"
-                )
-            if graph is None:
-                if ckpt.adjacency is None:
-                    raise StoreCorruptedError(
-                        f"{sidecar} lacks the adjacency payload"
-                    )
-                graph = Graph.from_adjacency_payload(
-                    ckpt.adjacency, directed=ckpt.directed
-                )
-                # The resume path re-seeds state from the sidecars, so only
-                # the dispatch half of the plane (ring + labels) is shared;
-                # labels start from the restored graph's vertex order, which
-                # every sidecar recorded identically.
-                self._build_data_plane(graph.vertex_list())
+        # The coordinator reads one sidecar, for the graph; each worker
+        # checks its own sidecar's shard id and cursor as it resumes.
+        first = load_checkpoint(sidecars[0])
+        if first.adjacency is None:
+            raise StoreCorruptedError(f"{sidecars[0]} lacks the adjacency payload")
+        graph = Graph.from_adjacency_payload(first.adjacency, directed=first.directed)
+        del first
+        # The resume path re-seeds state from the sidecars, so only the
+        # dispatch half of the plane (ring + labels) is shared; labels start
+        # from the restored graph's vertex order, which every sidecar
+        # recorded identically.
+        self._build_data_plane(graph.vertex_list())
+        for shard_id, sidecar in enumerate(sidecars):
             self._spawn(
-                shard_id, self._payload(shard_id, checkpoint_path=str(sidecar))
+                shard_id,
+                self._payload(
+                    shard_id,
+                    checkpoint_path=str(sidecar),
+                    batch_cursor=manifest.batch_cursor,
+                    replay=False,
+                ),
             )
         self._graph = graph
         self._init_seconds = [
@@ -1161,6 +1196,11 @@ class ShardCoordinator:
 
     def _expect(self, shard_id: int, expected: str):
         message = self._recv(shard_id)
+        if message[0] == "refused":
+            # The worker refused its sidecar (wrong shard, unusable batch):
+            # the coordinator's own error, typed as the check raised it.
+            self._teardown_handle(shard_id)
+            raise message[1]
         if message[0] == "error":
             # A worker-side exception is deterministic application state
             # (both sides validated the same batch), not a process failure:
@@ -1246,31 +1286,30 @@ class ShardCoordinator:
                     f"shard {shard_id} has no checkpoint sidecar to recover "
                     f"from ({sidecar})"
                 )
-            ckpt = load_checkpoint(sidecar)
-            start = ckpt.batch_cursor
-            if start is None or start > self._cursor:
-                raise ConfigurationError(
-                    f"shard {shard_id} checkpoint is at batch {start} but "
-                    f"the coordinator is at batch {self._cursor}: the shard "
-                    "directory holds state from a different run — refusing "
-                    "to mix"
-                )
+            # The replacement is seeded with the *current* label table and
+            # ring so it can serve ring dispatch from the next batch on; the
+            # table already contains any in-flight batch's labels, so the
+            # coming announcement is an idempotent no-op.  It checks its
+            # sidecar against the cursor and reports the sidecar's batch.
+            self._spawn(
+                shard_id,
+                self._payload(
+                    shard_id,
+                    checkpoint_path=str(sidecar),
+                    chaos=None,
+                    batch_cursor=self._cursor,
+                    replay=True,
+                ),
+            )
+            start = self._expect(shard_id, "ready")[2]
             missing = [c for c in range(start, self._cursor) if c not in self._log]
             if missing:
+                self._teardown_handle(shard_id)
                 raise ConfigurationError(
                     f"shard {shard_id} checkpoint at batch {start} predates "
                     f"the coordinator's retained replay log (missing batches "
                     f"{missing}); the shard cannot be replayed forward"
                 )
-            # The replacement is seeded with the *current* label table and
-            # ring so it can serve ring dispatch from the next batch on; the
-            # table already contains any in-flight batch's labels, so the
-            # coming announcement is an idempotent no-op.
-            self._spawn(
-                shard_id,
-                self._payload(shard_id, checkpoint_path=str(sidecar), chaos=None),
-            )
-            self._expect(shard_id, "ready")
             # Replay only what the sidecar predates, with the original
             # adoption decisions — the other shards are untouched.
             for cursor in range(start, self._cursor):

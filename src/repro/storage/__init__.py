@@ -15,11 +15,10 @@ interface:
 * :class:`ArrayBDStore` — the columnar in-RAM store backing the array
   kernel (also a full :class:`BDStore`);
 * :class:`DiskBDStore` — the "DO" configuration (on disk, no predecessor
-  lists), using the columnar layout of Section 5.1.
+  lists): the same columnar rows of Section 5.1, mapped from a file.
 
 Stores are addressed declaratively by **URI** (``memory://``, ``arrays://``,
-``disk:///path``) through :func:`create_store`; third-party
-backends plug in with :func:`register_store_scheme` (see
+``disk:///path``, ``shard:///root``) through :func:`create_store` (see
 :mod:`repro.storage.factory` and ``docs/api.md``).
 """
 
@@ -32,8 +31,6 @@ from repro.storage.factory import (
     StoreURI,
     create_store,
     parse_store_uri,
-    register_store_scheme,
-    registered_store_schemes,
 )
 from repro.storage.header import STORE_MAGIC, STORE_VERSION, StoreLayout
 from repro.storage.index import VertexIndex
@@ -49,8 +46,6 @@ __all__ = [
     "StoreRequest",
     "create_store",
     "parse_store_uri",
-    "register_store_scheme",
-    "registered_store_schemes",
     "VertexIndex",
     "SourcePartition",
     "partition_sources",

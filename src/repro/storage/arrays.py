@@ -1,9 +1,8 @@
-"""In-RAM columnar betweenness-data store backing the array kernel.
+"""The column store: ``BD[.]`` records as rows of three dense matrices.
 
-:class:`ArrayBDStore` keeps the per-source records in three dense 2-D numpy
-matrices — one row per *owned source*, one column per vertex slot (the
-column layout :class:`repro.storage.disk.DiskBDStore` maps from its record
-file, minus the file).  It implements the full
+:class:`ArrayBDStore` keeps the per-source records in three 2-D numpy
+matrices — distance, sigma and delta — with one row per *owned source* and
+one column per vertex slot.  It implements the full
 :class:`repro.storage.base.BDStore` interface, so everything that works
 against the in-memory dict store (snapshots, checkpoints, the parallel
 drivers) works against it, *plus* the column protocol the array-native
@@ -14,15 +13,28 @@ kernel uses:
   zero dictionary materialisation;
 * :meth:`put_columns` bulk-writes a freshly computed record (the vectorized
   Brandes bootstrap path);
-* :meth:`peek_distance_block` serves the Proposition 3.1 skip test for a
-  whole batch and every source in one fancy-indexed gather.
+* :meth:`column_matrices` + :meth:`row_of_source_slot` serve the cohort
+  sweep's slab gathers and :meth:`peek_distance_block` the Proposition 3.1
+  skip test for a whole batch in one fancy-indexed gather.
 
-Rows are indexed through a source → row mapping rather than by global
-vertex slot, so a *restricted* instance (one mapper's partition) allocates
-``owned_sources × capacity`` cells, not ``capacity × capacity`` — memory
-stays proportional to the partition, exactly like the dict store.  Both
-dimensions grow geometrically as stream-born vertices and adopted sources
-arrive, mirroring the disk store's growth policy.
+Rows are indexed through a source → row map rather than by vertex slot, so
+a *restricted* instance (one mapper's partition) allocates ``owned_sources
+× capacity`` cells, not ``capacity × capacity``.  Both dimensions grow
+geometrically as stream-born vertices and adopted sources arrive
+(:meth:`_resize`).
+
+Row order is iteration order: :meth:`sources` yields the sources in the
+order their rows were added, and that order fixes the float order of every
+fold over the store (score rebuilds, exported checkpoint rows, the
+kernel's load order).  The sources passed to the constructor get their
+rows in *slot* order, whatever order they are listed in; every later
+source is appended.
+
+The durable :class:`~repro.storage.disk.DiskBDStore` is this class with the
+three matrices mapped from a file; it overrides only the allocation and the
+no-op durability hooks (:meth:`_mark_dirty`, :meth:`_sync_metadata`,
+:meth:`_resized`).  Both count the bytes their record paths move
+(``_bytes_read`` / ``_bytes_written``); the disk store reports them.
 """
 
 from __future__ import annotations
@@ -38,8 +50,10 @@ from repro.storage.codec import (
     DELTA_DTYPE,
     DISTANCE_DTYPE,
     SIGMA_DTYPE,
+    check_ranges,
     decode_record_arrays,
     encode_record_arrays,
+    record_size,
 )
 from repro.storage.index import VertexIndex
 from repro.types import UNREACHABLE, Vertex
@@ -59,12 +73,11 @@ class ArrayBDStore(BDStore):
         Column slots to pre-allocate; defaults to the vertex count with
         headroom.
     sources:
-        Vertices that start as sources (identity records).  Defaults to
-        *none* — the framework's bootstrap fills records in source order,
-        which keeps :meth:`sources` iteration order identical to the dict
-        backend's put order.  Pass an iterable (or ``None`` for "all
-        vertices") to mirror :class:`~repro.storage.disk.DiskBDStore`'s
-        construction.
+        Vertices that start as sources (identity records, rows in slot
+        order); ``None`` means all of ``vertices``.  Defaults to *none* —
+        the framework's bootstrap fills records in source order, which
+        keeps :meth:`sources` iteration order identical to the dict
+        backend's put order.
     row_capacity:
         Source rows to pre-allocate.  A caller that knows how many sources
         it will own (the framework does) passes it to avoid incremental
@@ -74,8 +87,7 @@ class ArrayBDStore(BDStore):
         Declared orientation of the graph the records describe, or ``None``
         (default) for orientation-agnostic.  No layout changes either way —
         the flag only lets the framework refuse pairing the store with a
-        graph of the other orientation, mirroring the disk store's header
-        bit.
+        graph of the other orientation.
     """
 
     def __init__(
@@ -86,32 +98,70 @@ class ArrayBDStore(BDStore):
         row_capacity: Optional[int] = None,
         directed: Optional[bool] = None,
     ) -> None:
-        self.directed = directed
-        self._index = VertexIndex(vertices)
-        initial = len(self._index)
+        index = VertexIndex(vertices)
+        initial = len(index)
         if capacity is None:
             capacity = max(initial, int(initial * GROWTH_FACTOR), 16)
         if capacity < initial:
             raise StoreCorruptedError(
                 f"capacity {capacity} is smaller than the vertex count {initial}"
             )
-        self._capacity = capacity
-        if sources is None:
-            sources = self._index.vertices()
-        source_list = list(sources)
-        self._row_capacity = max(row_capacity or 0, len(source_list), 16)
+        wanted = set(index.vertices() if sources is None else sources)
+        unknown = wanted.difference(index.vertices())
+        if unknown:
+            raise StoreCorruptedError(
+                f"sources {sorted(map(repr, unknown))} are not among the "
+                "store's vertices"
+            )
+        owned = [vertex for vertex in index.vertices() if vertex in wanted]
+        self._attach(
+            index, capacity, max(row_capacity or 0, len(owned), 16), directed
+        )
         self._allocate(self._row_capacity, capacity)
-        self._row_of: Dict[Vertex, int] = {}
-        # Slot -> matrix row (-1 when the slot's vertex has no record yet);
-        # the vectorized peek path indexes this directly instead of going
-        # label dict -> row dict per source.
-        self._row_of_slot = np.full(capacity, -1, dtype=np.int64)
-        self._source_list: List[Vertex] = []
+        self._attach_rows(owned, range(len(owned)))
+        rows = np.arange(len(owned))
+        slots = self._row_slots(owned)
+        self._dist[rows, slots] = 0
+        self._sigma[rows, slots] = 1
+        self._delta[rows, slots] = 0.0
+
+    def _attach(
+        self,
+        index: VertexIndex,
+        capacity: int,
+        row_capacity: int,
+        directed: Optional[bool],
+    ) -> None:
+        """Instance state shared by every constructor (matrices excluded)."""
+        self.directed = directed
+        self._index = index
+        self._capacity = capacity
+        self._row_capacity = row_capacity
+        self._record_bytes = record_size(capacity)
         self._closed = False
-        for source in source_list:
-            self.add_source(source)
+        self._bytes_read = 0
+        self._bytes_written = 0
+
+    def _attach_rows(self, sources: Sequence[Vertex], rows: Iterable[int]) -> None:
+        """Install the source → row map (``sources`` in row order)."""
+        rows = list(rows)
+        self._source_list: List[Vertex] = list(sources)
+        self._row_of: Dict[Vertex, int] = dict(zip(sources, rows))
+        # Slot -> matrix row (-1 when the slot's vertex has no record); the
+        # vectorized peek path indexes this directly.
+        self._row_of_slot = np.full(self._capacity, -1, dtype=np.int64)
+        self._row_of_slot[self._row_slots(sources)] = rows
+        self._row_count = max(rows, default=-1) + 1
+
+    def _row_slots(self, sources: Sequence[Vertex]) -> np.ndarray:
+        return np.fromiter(
+            (self._index.slot(source) for source in sources),
+            dtype=np.int64,
+            count=len(sources),
+        )
 
     def _allocate(self, rows: int, columns: int) -> None:
+        """Fresh ``rows x columns`` matrices of empty records."""
         self._dist = np.full((rows, columns), UNREACHABLE, DISTANCE_DTYPE)
         self._sigma = np.zeros((rows, columns), SIGMA_DTYPE)
         self._delta = np.zeros((rows, columns), DELTA_DTYPE)
@@ -131,15 +181,18 @@ class ArrayBDStore(BDStore):
         ``distance``/``sigma``/``delta`` are ``[len(sources), k]`` matrices
         (``k <= len(vertices)``; later slots stay unreachable), copied in
         with one bulk write per column — the import half of
-        :mod:`repro.storage.columns`.
+        :mod:`repro.storage.columns`.  Rows keep the given order.
         """
-        self = cls(vertices, row_capacity=len(sources), directed=directed)
+        self = cls(vertices, sources=(), row_capacity=len(sources), directed=directed)
+        self._mark_dirty()
         for source in sources:
             self._new_row(source)
+        self._sync_metadata()
         rows, k = distance.shape
         self._dist[:rows, :k] = distance
         self._sigma[:rows, :k] = sigma
         self._delta[:rows, :k] = delta
+        self._bytes_written += rows * self._record_bytes
         return self
 
     # ------------------------------------------------------------------ #
@@ -155,29 +208,34 @@ class ArrayBDStore(BDStore):
         """Number of allocated vertex (column) slots per record."""
         return self._capacity
 
+    @property
+    def row_capacity(self) -> int:
+        """Number of allocated source rows."""
+        return self._row_capacity
+
     # ------------------------------------------------------------------ #
     # BDStore interface
     # ------------------------------------------------------------------ #
     def put(self, data: SourceData) -> None:
         self._ensure_open()
-        if data.source not in self._index:
-            self.register_vertex(data.source)
-        distance, sigma, delta = encode_record_arrays(
+        # Validate before touching any state: a rejected record must not
+        # register vertices, bump the generation or move the file.
+        check_ranges(data)
+        self._mark_dirty()
+        row = self._source_row(data.source)
+        self._dist[row], self._sigma[row], self._delta[row] = encode_record_arrays(
             data, self._index, self._capacity
         )
-        self.put_columns(data.source, distance, sigma, delta)
+        self._bytes_written += self._record_bytes
 
     def get(self, source: Vertex) -> SourceData:
-        self._ensure_open()
-        row = self._row(source)
-        return decode_record_arrays(
-            self._dist[row], self._sigma[row], self._delta[row],
-            source, self._index,
-        )
+        distance, sigma, delta = self.record_columns(source)
+        return decode_record_arrays(distance, sigma, delta, source, self._index)
 
     def endpoint_distances(
         self, source: Vertex, u: Vertex, v: Vertex
     ) -> Tuple[Optional[int], Optional[int]]:
+        """Read only the two distance entries needed for the ``dd == 0`` skip."""
         self._ensure_open()
         distances = self._dist[self._row(source)]
         result: List[Optional[int]] = []
@@ -185,6 +243,7 @@ class ArrayBDStore(BDStore):
             if vertex not in self._index:
                 result.append(None)
                 continue
+            self._bytes_read += DISTANCE_DTYPE.itemsize
             value = int(distances[self._index.slot(vertex)])
             result.append(None if value == UNREACHABLE else value)
         return result[0], result[1]
@@ -193,21 +252,28 @@ class ArrayBDStore(BDStore):
         self._ensure_open()
         if source in self._row_of:
             return
-        if source not in self._index:
-            self.register_vertex(source)
-        row = self._new_row(source)
+        self._mark_dirty()
+        row = self._source_row(source)
         slot = self._index.slot(source)
         self._dist[row, slot] = 0
         self._sigma[row, slot] = 1
         self._delta[row, slot] = 0.0
+        self._bytes_written += (
+            DISTANCE_DTYPE.itemsize + SIGMA_DTYPE.itemsize + DELTA_DTYPE.itemsize
+        )
 
     def register_vertex(self, vertex: Vertex) -> None:
+        """Allocate a column slot for ``vertex`` without making it a source."""
         self._ensure_open()
         if vertex in self._index:
             return
-        self._index.add(vertex)
-        if len(self._index) > self._capacity:
-            self._grow_columns()
+        self._mark_dirty()
+        self._add_vertex(vertex)
+
+    def snapshot(self) -> Dict[Vertex, SourceData]:
+        """Every record; decoding already yields fresh objects, so no
+        defensive copy is needed (unlike the in-memory store)."""
+        return {source: self.get(source) for source in self.sources()}
 
     def sources(self) -> Iterator[Vertex]:
         self._ensure_open()
@@ -220,11 +286,9 @@ class ArrayBDStore(BDStore):
         return source in self._row_of
 
     def close(self) -> None:
+        """Release the matrices; the source list stays countable."""
         self._closed = True
         self._dist = self._sigma = self._delta = None  # type: ignore[assignment]
-        self._source_list = []
-        self._row_of = {}
-        self._row_of_slot = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Column protocol (array kernel)
@@ -234,11 +298,17 @@ class ArrayBDStore(BDStore):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live ``(distance, sigma, delta)`` row views of one record.
 
-        The views alias the store, so with ``writable=True`` the caller's
-        in-place repairs *are* the persisted record.
+        The views alias the store.  With ``writable=False`` (default) treat
+        them as read-only — writing through them would bypass :meth:`put`
+        and its range checks.  ``writable=True`` is the array kernel's
+        update-sweep path: the caller repairs the record in place (and
+        finishes with :meth:`record_written`).
         """
         self._ensure_open()
         row = self._row(source)
+        self._bytes_read += self._record_bytes
+        if writable:
+            self._mark_dirty()
         return self._dist[row], self._sigma[row], self._delta[row]
 
     def put_columns(
@@ -255,27 +325,27 @@ class ArrayBDStore(BDStore):
         vertices were registered should contain.
         """
         self._ensure_open()
-        if source not in self._index:
-            self.register_vertex(source)
-        row = self._row_of.get(source)
-        if row is None:
-            row = self._new_row(source)
+        self._mark_dirty()
+        row = self._source_row(source)
         k = len(distance)
         self._dist[row, :k] = distance
         self._sigma[row, :k] = sigma
         self._delta[row, :k] = delta
+        self._bytes_written += self._record_bytes
 
     def record_written(self, source: Vertex) -> None:
-        """Accounting hook after an in-place repair (no-op in RAM)."""
+        """Account for an in-place record repair."""
         self._ensure_open()
+        self._bytes_written += self._record_bytes
 
     def column_matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live ``(distance, sigma, delta)`` matrices, rows = sources.
 
         The arrays alias the store (capacity-padded columns included) and
-        are *replaced* on row growth — callers must re-fetch after any
-        :meth:`add_source` that may grow the matrices.  This is the bulk
-        form of :meth:`record_columns` behind the kernel's cohort repair.
+        are *replaced* on growth — callers must re-fetch after any
+        :meth:`add_source` or :meth:`register_vertex` that may grow them.
+        This is the bulk form of :meth:`record_columns` behind the kernel's
+        cohort repair.
         """
         self._ensure_open()
         return self._dist, self._sigma, self._delta
@@ -306,10 +376,11 @@ class ArrayBDStore(BDStore):
             missing = int(src[int(np.argmin(rows))])
             raise KeyError(self._index.vertex(missing))
         cols = np.asarray(vertex_slots, dtype=np.int64)
+        self._bytes_read += rows.size * cols.size * DISTANCE_DTYPE.itemsize
         return self._dist[rows[:, None], cols[None, :]]
 
     # ------------------------------------------------------------------ #
-    # Growth
+    # Rows, slots and growth
     # ------------------------------------------------------------------ #
     def _row(self, source: Vertex) -> int:
         try:
@@ -317,38 +388,69 @@ class ArrayBDStore(BDStore):
         except KeyError:
             raise KeyError(source) from None
 
+    def _source_row(self, source: Vertex) -> int:
+        """The row of ``source``, registering it (and its slot) if new."""
+        row = self._row_of.get(source)
+        if row is None:
+            if source not in self._index:
+                self._add_vertex(source)
+            row = self._new_row(source)
+            self._sync_metadata()
+        return row
+
     def _new_row(self, source: Vertex) -> int:
-        row = len(self._source_list)
+        row = self._row_count
         if row >= self._row_capacity:
-            self._grow_rows()
+            self._resize(
+                max(int(self._row_capacity * GROWTH_FACTOR) + 1, row + 1),
+                self._capacity,
+            )
+        self._row_count = row + 1
         self._row_of[source] = row
         self._row_of_slot[self._index.slot(source)] = row
         self._source_list.append(source)
         return row
 
-    def _grow_rows(self) -> None:
-        old_rows = self._row_capacity
-        new_rows = max(int(old_rows * GROWTH_FACTOR) + 1, old_rows + 1)
-        dist, sigma, delta = self._dist, self._sigma, self._delta
-        self._allocate(new_rows, self._capacity)
-        self._dist[:old_rows] = dist
-        self._sigma[:old_rows] = sigma
-        self._delta[:old_rows] = delta
-        self._row_capacity = new_rows
+    def _add_vertex(self, vertex: Vertex) -> None:
+        self._index.add(vertex)
+        if len(self._index) > self._capacity:
+            self._resize(
+                self._row_capacity,
+                max(int(self._capacity * GROWTH_FACTOR) + 1, len(self._index)),
+            )
+        else:
+            self._sync_metadata()
 
-    def _grow_columns(self) -> None:
-        old = self._capacity
-        new_capacity = max(int(old * GROWTH_FACTOR) + 1, len(self._index))
-        dist, sigma, delta = self._dist, self._sigma, self._delta
-        self._allocate(self._row_capacity, new_capacity)
-        self._dist[:, :old] = dist
-        self._sigma[:, :old] = sigma
-        self._delta[:, :old] = delta
-        grown = np.full(new_capacity, -1, dtype=np.int64)
-        grown[:old] = self._row_of_slot
-        self._row_of_slot = grown
-        self._capacity = new_capacity
+    def _resize(self, rows: int, columns: int) -> None:
+        """Reallocate the matrices as ``rows x columns``, keeping every record."""
+        used, old_columns = self._row_count, self._capacity
+        old = (self._dist, self._sigma, self._delta)
+        self._allocate(rows, columns)
+        self._dist[:used, :old_columns] = old[0][:used]
+        self._sigma[:used, :old_columns] = old[1][:used]
+        self._delta[:used, :old_columns] = old[2][:used]
+        del old
+        if columns > old_columns:
+            grown = np.full(columns, -1, dtype=np.int64)
+            grown[:old_columns] = self._row_of_slot
+            self._row_of_slot = grown
+        self._bytes_read += used * self._record_bytes
+        self._row_capacity, self._capacity = rows, columns
+        self._record_bytes = record_size(columns)
+        self._resized()
+
+    # ------------------------------------------------------------------ #
+    # Durability hooks (no-ops in RAM)
+    # ------------------------------------------------------------------ #
+    def _mark_dirty(self) -> None:
+        """Called before any record or index mutation."""
+
+    def _sync_metadata(self) -> None:
+        """Called after the vertex index or the row map changed."""
+
+    def _resized(self) -> None:
+        """Called once :meth:`_resize` copied every record over."""
 
     def _ensure_open(self) -> None:
         if self._closed:
-            raise StoreClosedError("the array store has been closed")
+            raise StoreClosedError(f"the {type(self).__name__} has been closed")

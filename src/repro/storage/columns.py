@@ -22,6 +22,7 @@ same whichever backend wrote it.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -62,10 +63,17 @@ class ColumnBlock:
     delta: np.ndarray
 
     def to_payload(self) -> dict:
-        """Plain picklable form: the two orders and raw little-endian bytes."""
+        """Picklable form: the two orders and each matrix's raw bytes.
+
+        The matrices are handed over as read-only ``pickle.PickleBuffer``
+        views, not copied: pickled with protocol 5 they are written from
+        the block's own memory and load back as ``bytes``, the form
+        :meth:`from_payload` (and every earlier sidecar) reads.
+        """
         payload = {"vertices": list(self.vertices), "sources": list(self.sources)}
         for name, dtype in zip(_NAMES, _DTYPES):
-            payload[name] = np.ascontiguousarray(getattr(self, name), dtype).tobytes()
+            matrix = np.ascontiguousarray(getattr(self, name), dtype)
+            payload[name] = pickle.PickleBuffer(memoryview(matrix).toreadonly())
         return payload
 
     @classmethod

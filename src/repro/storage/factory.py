@@ -1,15 +1,12 @@
-"""Store URIs and the store factory/registry.
+"""Store URIs and the store factory.
 
-Before the service layer existed, every entry point threaded its own
-``store=`` / ``store_path=`` / storage-option kwargs down to whichever
-:class:`~repro.storage.base.BDStore` it happened to build — and every new
-backend meant another cross-cutting kwarg sweep.  This module replaces that
-with one declarative surface: a **store URI** names the backend and its
-options, and a **registry** maps URI schemes to factories, so third-party
-stores plug in without touching any call site.
+A **store URI** names the backend and its options, so a config file or a
+command line selects a :class:`~repro.storage.base.BDStore` declaratively.
+The four schemes below are a fixed table (:data:`_SCHEMES`): each maps to
+its builder and the query parameters it accepts.
 
-Built-in schemes
-----------------
+Schemes
+-------
 
 ``memory://``
     The compute backend's natural in-RAM store: the classic dict-of-records
@@ -25,7 +22,8 @@ Built-in schemes
     parameters.
 
 ``disk://`` / ``disk:///abs/path`` / ``disk:relative/path``
-    The durable out-of-core :class:`~repro.storage.disk.DiskBDStore`.
+    The durable out-of-core :class:`~repro.storage.disk.DiskBDStore`: the
+    columnar store's rows (one per owned source) on a mapped file.
     Without a path a temporary file is used and deleted on close; with a
     path the store is created there (an existing non-empty file is refused,
     exactly like constructing :class:`DiskBDStore` directly).  Query
@@ -34,12 +32,12 @@ Built-in schemes
     is refused.
 
 ``shard:///root/dir?shards=8&checkpoint_every=4``
-    A fault-tolerant *ensemble* of per-shard durable stores plus a
-    coordinator manifest under the root directory (see
-    :mod:`repro.storage.shard`).  The scheme parses and validates here like
-    any other, but it cannot be opened as a single store — it is resolved
-    by the shard coordinator under ``executor="shard"`` into per-shard
-    ``disk://``-style stores, one per checkpoint round.  The workers
+    A fault-tolerant *ensemble* of shard workers plus a coordinator
+    manifest under the root directory (see :mod:`repro.storage.shard`).
+    The scheme parses and validates here like any other, but it cannot be
+    opened as a single store — it is resolved by the shard coordinator
+    under ``executor="shard"``, whose every checkpoint round writes one
+    sidecar per shard embedding that shard's owned rows.  The workers
     always run the shared-memory data plane; ``shm=true`` is still
     accepted, ``shm=false`` is refused.
 
@@ -66,7 +64,7 @@ from repro.types import Vertex, validate_backend
 class StoreURI:
     """A parsed, validated store URI.
 
-    ``scheme`` is always lower-case and registered; ``path`` is the
+    ``scheme`` is always lower-case and one of :data:`_SCHEMES`; ``path`` is the
     file-system path carried by the URI (empty for path-less stores);
     ``params`` are the validated query parameters.
     """
@@ -104,64 +102,8 @@ class StoreRequest:
     backend: str = "dicts"
 
 
-#: A factory turns a :class:`StoreRequest` into a live store.
-StoreFactory = Callable[[StoreRequest], BDStore]
-
-
-@dataclass(frozen=True)
-class _SchemeEntry:
-    factory: StoreFactory
-    allowed_params: Tuple[str, ...] = ()
-    accepts_path: bool = True
-
-
-_REGISTRY: Dict[str, _SchemeEntry] = {}
-
-
-def register_store_scheme(
-    scheme: str,
-    factory: StoreFactory,
-    allowed_params: Sequence[str] = (),
-    accepts_path: bool = True,
-    replace: bool = False,
-) -> None:
-    """Register ``factory`` to serve store URIs with the given ``scheme``.
-
-    Third-party stores use this to become addressable from
-    :class:`~repro.api.BetweennessConfig` (and therefore from config files
-    and the CLI) without any changes to the library:
-
-    >>> register_store_scheme("redis", build_redis_store,
-    ...                       allowed_params=("db",))   # doctest: +SKIP
-
-    ``allowed_params`` whitelists the query parameters
-    :func:`parse_store_uri` accepts for the scheme; anything else is
-    rejected with :class:`~repro.exceptions.ConfigurationError`.  Schemes
-    are case-insensitive.  Re-registering an existing scheme requires
-    ``replace=True`` (guarding against accidental shadowing of built-ins).
-    """
-    key = scheme.lower()
-    if not key or not key.isidentifier():
-        raise ConfigurationError(f"invalid store scheme {scheme!r}")
-    if key in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"store scheme {key!r} is already registered; pass replace=True "
-            "to override it"
-        )
-    _REGISTRY[key] = _SchemeEntry(
-        factory=factory,
-        allowed_params=tuple(allowed_params),
-        accepts_path=accepts_path,
-    )
-
-
-def registered_store_schemes() -> Tuple[str, ...]:
-    """The registered URI schemes, sorted (for error messages and docs)."""
-    return tuple(sorted(_REGISTRY))
-
-
 def parse_store_uri(uri: str) -> StoreURI:
-    """Parse and validate a store URI against the registry.
+    """Parse and validate a store URI against the scheme table.
 
     Raises :class:`~repro.exceptions.ConfigurationError` for an unknown
     scheme, an unknown query parameter, a malformed query string, or a path
@@ -174,14 +116,14 @@ def parse_store_uri(uri: str) -> StoreURI:
     if not scheme:
         raise ConfigurationError(
             f"store URI {uri!r} has no scheme; expected one of "
-            f"{registered_store_schemes()} (e.g. 'memory://' or "
+            f"{tuple(sorted(_SCHEMES))} (e.g. 'memory://' or "
             "'disk:///path/to/bd.bin')"
         )
-    entry = _REGISTRY.get(scheme)
+    entry = _SCHEMES.get(scheme)
     if entry is None:
         raise ConfigurationError(
-            f"unknown store scheme {scheme!r} in {uri!r}; registered schemes: "
-            f"{registered_store_schemes()}"
+            f"unknown store scheme {scheme!r} in {uri!r}; known schemes: "
+            f"{tuple(sorted(_SCHEMES))}"
         )
     if split.fragment:
         raise ConfigurationError(f"store URI {uri!r} must not carry a fragment")
@@ -243,11 +185,11 @@ def create_store(
         directed=bool(directed),
         backend=validate_backend(backend),
     )
-    return _REGISTRY[parsed.scheme].factory(request)
+    return _SCHEMES[parsed.scheme].build(request)
 
 
 # --------------------------------------------------------------------------- #
-# Built-in factories
+# Builders
 # --------------------------------------------------------------------------- #
 def _parse_bool(value: str, key: str, uri: StoreURI) -> bool:
     lowered = value.lower()
@@ -312,10 +254,9 @@ def _build_disk_store(request: StoreRequest) -> DiskBDStore:
 
 
 def _build_shard_store(request: StoreRequest) -> BDStore:
-    # A shard URI denotes an *ensemble* of per-shard disk stores plus a
-    # coordinator manifest, not one store object — it is resolved by the
-    # shard coordinator (executor="shard"), which creates one per-shard
-    # durable store per checkpoint round under the root directory.
+    # A shard URI denotes an *ensemble* of shard workers plus a coordinator
+    # manifest, not one store object — it is resolved by the shard
+    # coordinator (executor="shard").
     raise ConfigurationError(
         f"store URI {request.uri} describes a shard ensemble and cannot be "
         "opened as a single store; run it under executor='shard' "
@@ -323,13 +264,19 @@ def _build_shard_store(request: StoreRequest) -> BDStore:
     )
 
 
-register_store_scheme("memory", _build_memory_store, accepts_path=False)
-register_store_scheme("arrays", _build_array_store, accepts_path=False)
-register_store_scheme(
-    "disk", _build_disk_store, allowed_params=("mmap", "capacity")
-)
-register_store_scheme(
-    "shard",
-    _build_shard_store,
-    allowed_params=("shards", "checkpoint_every", "shm"),
-)
+@dataclass(frozen=True)
+class _Scheme:
+    build: Callable[[StoreRequest], BDStore]
+    allowed_params: Tuple[str, ...] = ()
+    accepts_path: bool = True
+
+
+#: Every store URI scheme: its builder and the query parameters it accepts.
+_SCHEMES: Dict[str, _Scheme] = {
+    "memory": _Scheme(_build_memory_store, accepts_path=False),
+    "arrays": _Scheme(_build_array_store, accepts_path=False),
+    "disk": _Scheme(_build_disk_store, allowed_params=("mmap", "capacity")),
+    "shard": _Scheme(
+        _build_shard_store, allowed_params=("shards", "checkpoint_every", "shm")
+    ),
+}

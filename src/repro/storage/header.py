@@ -1,23 +1,34 @@
 """On-disk file header and metadata block of the durable ``DO`` store.
 
-A :class:`~repro.storage.disk.DiskBDStore` file is laid out as::
+A :class:`~repro.storage.disk.DiskBDStore` file (format version 2) is laid
+out as::
 
-    [ fixed header | capacity x record | metadata block ]
-      64 bytes       capacity * record_size(capacity)     meta_size bytes
+    [ fixed header | row_capacity x record      | metadata block ]
+      64 bytes       row_capacity * record_size(capacity)   meta_size bytes
 
-The fixed header is a little-endian struct holding a magic number, a format
-version, the record capacity and the size + CRC32 of the metadata block.
-The metadata block (a pickled mapping guarded by the CRC) persists what the
-record area cannot express positionally: the vertex index (slot order) and
-the source set.  Records therefore remain at stable byte offsets
-(``HEADER_SIZE + slot * record_size``) while the metadata — which changes
-only when vertices or sources are registered — lives after them and can be
-rewritten without shifting any record.
+The fixed header is a little-endian struct holding a magic number, the
+format version, flag bits, the column capacity (vertex slots per record),
+the size + CRC32 of the metadata block and the row capacity (records
+allocated).  Row ``r`` holds the record of one *owned source*; the
+metadata block (a pickled mapping guarded by the CRC) persists what the
+record area cannot express positionally: the vertex index (slot order),
+the source list in row order with each source's row, and the generation.
+Records therefore remain at stable byte offsets
+(``HEADER_SIZE + row * record_size(capacity)``) while the metadata —
+which changes only when vertices or sources are registered — lives after
+them and can be rewritten without shifting any record.
+
+**Version 1** files hold one record per vertex *slot* (``capacity``
+records) and no row map.  They are read by one rule: a source's row is its
+slot, and the row capacity is the capacity.  So a version-1 file is a
+valid version-2 layout whose header and metadata say so implicitly; the
+store rewrites both at its first metadata write and moves no record.
 
 The same magic/version/CRC framing is reused for sidecar files (framework
 checkpoints, shard manifests) through :func:`write_sidecar` /
-:func:`read_sidecar`; every sidecar write is atomic (temp file, fsync,
-rename, directory fsync).
+:func:`read_sidecar`, which carry their own :data:`SIDECAR_VERSION`; every
+sidecar write is atomic (temp file, fsync, rename, directory fsync) and
+streamed, so the pickled payload is never held in memory as one string.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.exceptions import StoreCorruptedError, StoreVersionError
 from repro.types import Vertex
@@ -39,11 +50,21 @@ STORE_MAGIC = b"RBDS"
 
 #: Current on-disk format version.  Bump on any incompatible layout change;
 #: :func:`unpack_header` rejects versions it does not understand.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
-#: ``magic, version, flags, capacity, meta_size, meta_crc`` — packed at the
-#: start of the fixed header, zero-padded to :data:`HEADER_SIZE`.
-_HEADER_STRUCT = struct.Struct("<4sHHQQI")
+#: The one earlier store version still read (row = slot, see above).
+_SLOT_ROWS_VERSION = 1
+
+#: Version of the sidecar framing; independent of the store layout.
+SIDECAR_VERSION = 1
+
+#: ``magic, version, flags, capacity, meta_size, meta_crc, row_capacity`` —
+#: packed at the start of the fixed header, zero-padded to
+#: :data:`HEADER_SIZE` (a version-1 header ends before ``row_capacity``).
+_HEADER_STRUCT = struct.Struct("<4sHHQQIQ")
+
+#: ``magic, version, flags, payload size, payload CRC`` of a sidecar.
+_SIDECAR_STRUCT = struct.Struct("<4sHHQI")
 
 #: Size in bytes of the fixed header; records start at this offset.
 HEADER_SIZE = 64
@@ -64,7 +85,10 @@ class StoreLayout:
 
     capacity: int
     vertices: List[Vertex]
+    #: Owned sources in row order, and the row of each.
     sources: List[Vertex]
+    rows: List[int]
+    row_capacity: int
     #: Bumped on the first record mutation of each store session, so
     #: checkpoints can detect that a store changed after they were written.
     generation: int = 0
@@ -73,59 +97,83 @@ class StoreLayout:
 
 
 def pack_header(
-    capacity: int, meta_size: int, meta_crc: int, flags: int = 0
+    capacity: int,
+    meta_size: int,
+    meta_crc: int,
+    flags: int = 0,
+    row_capacity: Optional[int] = None,
 ) -> bytes:
-    """Pack the fixed header (padded to :data:`HEADER_SIZE` bytes)."""
+    """Pack the fixed header (padded to :data:`HEADER_SIZE` bytes).
+
+    ``row_capacity`` defaults to ``capacity``: a square record area.
+    """
     packed = _HEADER_STRUCT.pack(
-        STORE_MAGIC, STORE_VERSION, flags, capacity, meta_size, meta_crc
+        STORE_MAGIC,
+        STORE_VERSION,
+        flags,
+        capacity,
+        meta_size,
+        meta_crc,
+        capacity if row_capacity is None else row_capacity,
     )
     return packed.ljust(HEADER_SIZE, b"\x00")
 
 
 def unpack_header(raw: bytes) -> Tuple[int, int, int, int]:
     """Decode the fixed header; return ``(capacity, meta_size, meta_crc, flags)``."""
+    return _decode_header(raw)[1:5]
+
+
+def _decode_header(raw: bytes) -> Tuple[int, int, int, int, int, int]:
+    """``(version, capacity, meta_size, meta_crc, flags, row_capacity)``."""
     if len(raw) < HEADER_SIZE:
         raise StoreCorruptedError(
             f"file too short for a store header: {len(raw)} of {HEADER_SIZE} bytes"
         )
-    magic, version, flags, capacity, meta_size, meta_crc = _HEADER_STRUCT.unpack(
-        raw[: _HEADER_STRUCT.size]
-    )
+    (
+        magic, version, flags, capacity, meta_size, meta_crc, row_capacity
+    ) = _HEADER_STRUCT.unpack(raw[: _HEADER_STRUCT.size])
     if magic != STORE_MAGIC:
         raise StoreCorruptedError(
             f"bad magic {magic!r}: not a betweenness-data store file"
         )
-    if version != STORE_VERSION:
+    if version == _SLOT_ROWS_VERSION:
+        row_capacity = capacity
+    elif version != STORE_VERSION:
         raise StoreVersionError(
             f"store format version {version} is not supported "
-            f"(this build reads version {STORE_VERSION})"
+            f"(this build reads versions {_SLOT_ROWS_VERSION} and {STORE_VERSION})"
         )
     if flags & ~KNOWN_FLAGS:
         raise StoreVersionError(
             f"store header carries unknown flag bits {flags:#06x} "
             f"(this build understands {KNOWN_FLAGS:#06x})"
         )
-    return capacity, meta_size, meta_crc, flags
+    return version, capacity, meta_size, meta_crc, flags, row_capacity
 
 
 def encode_metadata(
-    vertices: List[Vertex], sources: List[Vertex], generation: int = 0
+    vertices: List[Vertex],
+    sources: List[Vertex],
+    generation: int = 0,
+    rows: Optional[List[int]] = None,
 ) -> bytes:
-    """Serialise the vertex index (in slot order), source set and generation."""
-    return pickle.dumps(
-        {
-            "vertices": list(vertices),
-            "sources": list(sources),
-            "generation": generation,
-        },
-        protocol=4,
-    )
+    """Serialise the vertex index (in slot order), the sources, their rows
+    (``None``: a version-1 block, no row map) and the generation."""
+    payload = {
+        "vertices": list(vertices),
+        "sources": list(sources),
+        "generation": generation,
+    }
+    if rows is not None:
+        payload["rows"] = list(rows)
+    return pickle.dumps(payload, protocol=4)
 
 
 def decode_metadata(
     raw: bytes, expected_crc: int
-) -> Tuple[List[Vertex], List[Vertex], int]:
-    """Deserialise and CRC-check the metadata block."""
+) -> Tuple[List[Vertex], List[Vertex], int, Optional[List[int]]]:
+    """Deserialise and CRC-check the metadata block (``rows`` may be None)."""
     actual_crc = zlib.crc32(raw) & 0xFFFFFFFF
     if actual_crc != expected_crc:
         raise StoreCorruptedError(
@@ -137,9 +185,11 @@ def decode_metadata(
         vertices = list(payload["vertices"])
         sources = list(payload["sources"])
         generation = int(payload.get("generation", 0))
+        rows = payload.get("rows")
+        rows = None if rows is None else [int(row) for row in rows]
     except Exception as exc:
         raise StoreCorruptedError(f"undecodable metadata block: {exc!r}") from exc
-    return vertices, sources, generation
+    return vertices, sources, generation, rows
 
 
 def metadata_crc(raw: bytes) -> int:
@@ -149,6 +199,8 @@ def metadata_crc(raw: bytes) -> int:
 
 def read_layout(fileobj, file_size: int, record_size_of) -> StoreLayout:
     """Read and validate the full layout of an existing store file.
+
+    The sources come back in row order (for a version-1 file: slot order).
 
     Parameters
     ----------
@@ -161,8 +213,10 @@ def read_layout(fileobj, file_size: int, record_size_of) -> StoreLayout:
         keep this module independent of the codec).
     """
     fileobj.seek(0)
-    capacity, meta_size, meta_crc, flags = unpack_header(fileobj.read(HEADER_SIZE))
-    meta_offset = HEADER_SIZE + capacity * record_size_of(capacity)
+    version, capacity, meta_size, meta_crc, flags, row_capacity = _decode_header(
+        fileobj.read(HEADER_SIZE)
+    )
+    meta_offset = HEADER_SIZE + row_capacity * record_size_of(capacity)
     if file_size < meta_offset + meta_size:
         raise StoreCorruptedError(
             f"truncated store file: {file_size} bytes, but the header "
@@ -175,7 +229,7 @@ def read_layout(fileobj, file_size: int, record_size_of) -> StoreLayout:
         raise StoreCorruptedError(
             f"short metadata read: got {len(raw)} of {meta_size} bytes"
         )
-    vertices, sources, generation = decode_metadata(raw, meta_crc)
+    vertices, sources, generation, rows = decode_metadata(raw, meta_crc)
     if len(vertices) > capacity:
         raise StoreCorruptedError(
             f"metadata lists {len(vertices)} vertices but capacity is {capacity}"
@@ -185,10 +239,27 @@ def read_layout(fileobj, file_size: int, record_size_of) -> StoreLayout:
         raise StoreCorruptedError(
             f"metadata lists sources outside the vertex index: {sorted(map(repr, unknown))}"
         )
+    if version == _SLOT_ROWS_VERSION:
+        slot = {vertex: position for position, vertex in enumerate(vertices)}
+        rows = [slot[source] for source in sources]
+    elif (
+        rows is None
+        or len(rows) != len(sources)
+        or len(set(rows)) != len(rows)
+        or len(set(sources)) != len(sources)
+        or any(not 0 <= row < row_capacity for row in rows)
+    ):
+        raise StoreCorruptedError(
+            f"metadata row map does not place {len(sources)} sources in "
+            f"distinct rows below the row capacity {row_capacity}"
+        )
+    order = sorted(range(len(sources)), key=rows.__getitem__)
     return StoreLayout(
         capacity=capacity,
         vertices=vertices,
-        sources=sources,
+        sources=[sources[i] for i in order],
+        rows=[rows[i] for i in order],
+        row_capacity=row_capacity,
         generation=generation,
         directed=bool(flags & FLAG_DIRECTED),
     )
@@ -197,24 +268,47 @@ def read_layout(fileobj, file_size: int, record_size_of) -> StoreLayout:
 # --------------------------------------------------------------------------- #
 # Sidecar files (framework checkpoints)
 # --------------------------------------------------------------------------- #
+class _ChecksummedWriter:
+    """File writer that keeps the CRC32 and length of what went through it."""
+
+    def __init__(self, file) -> None:
+        self._file = file
+        self.crc = 0
+        self.size = 0
+
+    def write(self, data) -> int:
+        view = memoryview(data)
+        self.crc = zlib.crc32(view, self.crc)
+        self.size += view.nbytes
+        return self._file.write(view)
+
+
 def write_sidecar(path: Union[str, Path], magic: bytes, payload: Any) -> None:
     """Write ``payload`` to ``path`` with the store's magic/version/CRC framing.
 
-    The write is atomic: the bytes go to a temporary file in the same
-    directory, which is fsynced, renamed over ``path`` and made durable by
-    an fsync of the directory.  A crash at any instant leaves either the
-    previous sidecar or the new one, never a torn file.
+    The payload is pickled straight into a temporary file in the same
+    directory (protocol 5, so ``pickle.PickleBuffer`` parts are written
+    from their own memory without a copy); the header, whose size and CRC
+    are known only then, goes in at offset 0 last.  The temporary file is
+    fsynced, renamed over ``path`` and made durable by an fsync of the
+    directory.  A crash at any instant leaves either the previous sidecar
+    or the new one, never a torn file.
     """
-    raw = pickle.dumps(payload, protocol=4)
-    header = struct.pack("<4sHHQI", magic, STORE_VERSION, 0, len(raw), metadata_crc(raw))
     path = Path(path)
     handle, tmp_name = tempfile.mkstemp(
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
     )
     try:
         with os.fdopen(handle, "wb") as tmp:
-            tmp.write(header)
-            tmp.write(raw)
+            tmp.seek(_SIDECAR_STRUCT.size)
+            writer = _ChecksummedWriter(tmp)
+            pickle.dump(payload, writer, protocol=5)
+            tmp.seek(0)
+            tmp.write(
+                _SIDECAR_STRUCT.pack(
+                    magic, SIDECAR_VERSION, 0, writer.size, writer.crc & 0xFFFFFFFF
+                )
+            )
             tmp.flush()
             os.fsync(tmp.fileno())
         os.replace(tmp_name, path)
@@ -231,21 +325,21 @@ def write_sidecar(path: Union[str, Path], magic: bytes, payload: Any) -> None:
 def read_sidecar(path: Union[str, Path], magic: bytes) -> Any:
     """Read a sidecar previously written by :func:`write_sidecar`."""
     raw = Path(path).read_bytes()
-    header_size = struct.calcsize("<4sHHQI")
+    header_size = _SIDECAR_STRUCT.size
     if len(raw) < header_size:
         raise StoreCorruptedError(f"file {path} is too short to be a sidecar")
-    file_magic, version, _flags, size, crc = struct.unpack(
-        "<4sHHQI", raw[:header_size]
+    file_magic, version, _flags, size, crc = _SIDECAR_STRUCT.unpack(
+        raw[:header_size]
     )
     if file_magic != magic:
         raise StoreCorruptedError(
             f"bad magic {file_magic!r} in {path} (expected {magic!r})"
         )
-    if version != STORE_VERSION:
+    if version != SIDECAR_VERSION:
         raise StoreVersionError(
-            f"sidecar {path} has version {version}, expected {STORE_VERSION}"
+            f"sidecar {path} has version {version}, expected {SIDECAR_VERSION}"
         )
-    body = raw[header_size : header_size + size]
+    body = memoryview(raw)[header_size : header_size + size]
     if len(body) != size or metadata_crc(body) != crc:
         raise StoreCorruptedError(f"sidecar {path} is truncated or corrupted")
     return pickle.loads(body)

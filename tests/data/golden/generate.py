@@ -10,10 +10,16 @@ The artifacts pin the on-disk formats a release must keep reading:
   cursor-stamped store files);
 * ``expected.json`` — the scores each artifact must reach after
   :data:`STREAM` is applied to it, with floats written by ``repr`` so they
-  round-trip exactly.
+  round-trip exactly;
+* ``disk-v1.bin`` + ``disk-v1.json`` — a version-1 ``DiskBDStore`` file
+  (one record per vertex slot) restricted to :data:`DISK_SOURCES`, after
+  :data:`PREFIX` with the born vertex 12 adopted, and its vertex order,
+  source order and records (floats by ``repr``).
 
-The committed artifacts were written by the code of the commit *before*
-checkpoints switched to the column payload; they are what proves that
+The committed sidecars and shard root were written by the code of the
+commit *before* checkpoints switched to the column payload, and
+``disk-v1.*`` by the commit before disk records became rows of owned
+sources; they are what proves that
 sidecars and shard roots from that format still resume.  Re-running this
 script with later code writes the current format instead, so regenerate
 only on purpose::
@@ -30,8 +36,9 @@ import tempfile
 from pathlib import Path
 
 from repro.api import BetweennessConfig, BetweennessSession, resume_session
-from repro.core import EdgeUpdate
+from repro.core import EdgeUpdate, IncrementalBetweenness
 from repro.graph import Graph
+from repro.storage import DiskBDStore
 
 #: A 12-vertex connected graph: a ring with three chords.
 EDGES = [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (2, 9), (4, 10)]
@@ -55,6 +62,13 @@ STREAM = [
 ]
 
 SHARDS = 2
+
+#: The partition the disk-store artifact owns, deliberately not in slot
+#: order: a store iterates its sources in slot order whatever it was given.
+DISK_SOURCES = [8, 2, 10, 0, 6, 4]
+
+#: The vertex born in :data:`PREFIX`, adopted by the disk-store artifact.
+BORN = 12
 
 
 def build_graph() -> Graph:
@@ -101,6 +115,39 @@ def unbroken(config: BetweennessConfig) -> dict:
         return scores_of(session)
 
 
+def records_of(store) -> dict:
+    """A store's vertex order, source order and records, JSON-ready."""
+    records = {}
+    for source in store.sources():
+        data = store.get(source)
+        records[str(source)] = {
+            name: [[v, x] for v, x in sorted(getattr(data, name).items())]
+            for name in ("distance", "sigma", "delta")
+        }
+    return {
+        "vertices": store.vertex_index.vertices(),
+        "sources": list(store.sources()),
+        "records": records,
+    }
+
+
+def write_disk_store(output: Path) -> dict:
+    """Write ``disk-v1.bin``: a restricted arrays instance on a disk store."""
+    path = output / "disk-v1.bin"
+    path.unlink(missing_ok=True)
+    graph = build_graph()
+    store = DiskBDStore(graph.vertex_list(), path=path, sources=DISK_SOURCES)
+    ibc = IncrementalBetweenness(
+        graph, store=store, sources=DISK_SOURCES, backend="arrays"
+    )
+    for update in PREFIX:
+        born = BORN in (update.u, update.v) and not ibc.graph.has_vertex(BORN)
+        ibc.apply_updates([update], adopt=[BORN] if born else None)
+    expected = records_of(store)
+    store.close()
+    return expected
+
+
 def generate(output: Path) -> None:
     output.mkdir(parents=True, exist_ok=True)
     expected = {}
@@ -130,6 +177,8 @@ def generate(output: Path) -> None:
         reference = unbroken(shard_config(scratch / "unbroken-root"))
         assert expected["shard-root"] == reference, "shard-root"
     (output / "expected.json").write_text(json.dumps(expected) + "\n")
+    disk = write_disk_store(output)
+    (output / "disk-v1.json").write_text(json.dumps(disk) + "\n")
 
 
 def main() -> None:

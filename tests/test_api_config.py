@@ -15,8 +15,6 @@ from repro.storage import (
     InMemoryBDStore,
     create_store,
     parse_store_uri,
-    register_store_scheme,
-    registered_store_schemes,
 )
 from repro.graph import Graph
 
@@ -383,25 +381,6 @@ class TestStoreURIs:
         ):
             parsed = parse_store_uri(uri)
             assert parse_store_uri(str(parsed)) == parsed
-
-    def test_third_party_scheme_registers(self, small_graph):
-        sentinel = InMemoryBDStore()
-
-        def factory(request):
-            assert request.uri.scheme == "teststore"
-            return sentinel
-
-        register_store_scheme("teststore", factory, replace=True)
-        assert "teststore" in registered_store_schemes()
-        assert create_store("teststore://", small_graph.vertex_list()) is sentinel
-
-    def test_duplicate_registration_requires_replace(self):
-        with pytest.raises(ConfigurationError):
-            register_store_scheme("memory", lambda request: None)
-
-    def test_invalid_scheme_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_store_scheme("not a scheme", lambda request: None)
 
 
 class TestCheckpointEmbeddedConfig:

@@ -5,8 +5,9 @@ Every case checkpoints a framework mid-stream, resumes it from the sidecar
 ``==`` with an unbroken instance after every batch.  The store shapes cover
 what the column export has to get right: a full store, a restricted
 partition, births that grow the columns past their initial capacity, and a
-temporary :class:`~repro.storage.disk.DiskBDStore` (slot-indexed rows, not
-packed ones).
+temporary :class:`~repro.storage.disk.DiskBDStore` (the same rows, mapped
+from a file).  A sidecar write streams the block: it never holds a pickled
+copy of the matrices.
 """
 
 import random
@@ -134,3 +135,45 @@ def test_flipped_byte_in_column_section_is_refused(tmp_path, column):
     path.write_bytes(bytes(blob))
     with pytest.raises(StoreCorruptedError):
         IncrementalBetweenness.resume(path, backend="arrays")
+
+
+def test_sidecar_write_streams_the_block(tmp_path):
+    """``save_checkpoint`` pickles the matrices straight into the file: the
+    traced peak stays far below the block (a bytes copy per matrix plus one
+    pickled string held about 2.5x it)."""
+    import tracemalloc
+
+    import numpy as np
+
+    from repro.core.checkpoint import FrameworkCheckpoint, save_checkpoint
+    from repro.storage.columns import ColumnBlock
+
+    rng = np.random.default_rng(7)
+    shape = (300, 600)
+    block = ColumnBlock(
+        list(range(shape[1])),
+        list(range(shape[0])),
+        rng.integers(0, 50, shape).astype(np.int16),
+        rng.integers(1, 1 << 40, shape).astype(np.int64),
+        rng.random(shape),
+    )
+    checkpoint = FrameworkCheckpoint(
+        vertices=block.vertices,
+        edges=[],
+        vertex_scores={},
+        edge_scores={},
+        restricted=True,
+        columns=block,
+    )
+    size = block.distance.nbytes + block.sigma.nbytes + block.delta.nbytes
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        save_checkpoint(tmp_path / "ck.bin", checkpoint)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * size, (peak, size)
+    loaded = load_checkpoint(tmp_path / "ck.bin").columns
+    for name in ("distance", "sigma", "delta"):
+        assert (getattr(loaded, name) == getattr(block, name)).all()

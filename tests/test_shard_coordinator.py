@@ -361,3 +361,69 @@ class TestCoordinatorLifecycle:
                 coordinator.add_edge(0, 100)
         finally:
             coordinator.close(checkpoint=False)
+
+
+class TestCoordinatorReadsEachSidecarOnce:
+    """The workers check their own sidecars (shard id, batch cursor) as they
+    resume; the coordinator process loads a sidecar only for the graph."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        import repro.parallel.shards as shards
+
+        calls = []
+        real = shards.load_checkpoint
+
+        def counting(path):
+            calls.append(os.getpid())
+            return real(path)
+
+        # Forked workers inherit the spy, but they count in their own copy
+        # of ``calls``: only the coordinator process's loads land here.
+        monkeypatch.setattr(shards, "load_checkpoint", counting)
+        return calls
+
+    def test_resume_loads_one_sidecar(self, tmp_path, monkeypatch):
+        graph = random_connected_graph(10, 0.25, seed=4)
+        layout = ShardLayout(root=tmp_path / "shards", num_shards=3, checkpoint_every=2)
+        with ShardCoordinator(graph, layout) as coordinator:
+            coordinator.add_edge(0, 100)
+            scores = coordinator.betweenness()
+        calls = self._spy(monkeypatch)
+        resumed = ShardCoordinator.resume(layout.root)
+        try:
+            assert calls == [os.getpid()]
+            assert resumed.betweenness() == scores
+        finally:
+            resumed.close(checkpoint=False)
+
+    def test_recovery_loads_no_sidecar(self, tmp_path, monkeypatch):
+        import signal
+
+        graph = random_connected_graph(10, 0.25, seed=4)
+        layout = ShardLayout(root=tmp_path / "shards", num_shards=2, checkpoint_every=4)
+        coordinator = ShardCoordinator(graph, layout)
+        try:
+            coordinator.add_edge(0, 100)
+            calls = self._spy(monkeypatch)
+            events = []
+            coordinator.notify = lambda kind, **fields: events.append((kind, fields))
+            os.kill(coordinator._handles[1].process.pid, signal.SIGKILL)
+            coordinator._handles[1].process.join(timeout=10.0)
+            coordinator.add_edge(1, 101)
+            recovered = [f for kind, f in events if kind == "shard_recovered"]
+            assert [r["replayed_batches"] for r in recovered] == [1]
+            assert calls == []
+        finally:
+            coordinator.close(checkpoint=False)
+
+    def test_foreign_sidecar_is_refused_by_its_worker(self, tmp_path):
+        import shutil
+
+        graph = random_connected_graph(10, 0.25, seed=4)
+        layout = ShardLayout(root=tmp_path / "shards", num_shards=2, checkpoint_every=2)
+        with ShardCoordinator(graph, layout):
+            pass
+        shutil.copy(layout.checkpoint_path(0), layout.checkpoint_path(1))
+        with pytest.raises(StoreCorruptedError, match="belongs to shard 0, not 1"):
+            ShardCoordinator.resume(layout.root)
