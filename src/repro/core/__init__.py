@@ -13,11 +13,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.classification import SourceClassification, UpdateCase, classify
 from repro.core.framework import BACKENDS, IncrementalBetweenness
-from repro.core.kernel import (
-    ArrayKernel,
-    FlatSourceData,
-    brandes_betweenness_arrays,
-)
+from repro.core.kernel import ArrayKernel, brandes_betweenness_arrays
 from repro.core.repair import RepairPlan
 from repro.core.result import BatchResult, SourceUpdateStats, UpdateResult
 from repro.core.source_update import update_source
@@ -27,7 +23,6 @@ __all__ = [
     "IncrementalBetweenness",
     "BACKENDS",
     "ArrayKernel",
-    "FlatSourceData",
     "brandes_betweenness_arrays",
     "FrameworkCheckpoint",
     "save_checkpoint",

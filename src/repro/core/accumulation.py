@@ -37,8 +37,12 @@ import numpy as np
 
 from repro.algorithms.brandes import SourceData
 from repro.core.flat import (
+    AFFECTED,
+    PROCESSED,
+    REGION,
+    TRACKED,
     FlatBatchState,
-    first_occurrence,
+    PairSpace,
     group_by_level,
     merge_order,
     slice_positions,
@@ -452,7 +456,8 @@ class CohortScoreStreams:
         es_id: List[np.ndarray],
         es_val: List[np.ndarray],
     ) -> None:
-        """Adopt one sweep's local-``k`` streams, remapped to ordinals."""
+        """Adopt one sweep's row-keyed streams, remapped to ordinals
+        (``ordinals[row]``)."""
         for part in vs_k:
             self.vs_g.append(ordinals[part])
         self.vs_slot.extend(vs_slot)
@@ -484,36 +489,29 @@ class CohortScoreStreams:
 
 def accumulate_cohort(
     state: FlatBatchState,
-    work_distance: np.ndarray,
-    work_sigma: np.ndarray,
-    old_distance: np.ndarray,
-    old_sigma: np.ndarray,
-    new_delta: np.ndarray,
-    old_delta: np.ndarray,
-    affected_rows: Optional[np.ndarray],
-    sources: np.ndarray,
-    highs: np.ndarray,
-    lows: np.ndarray,
-    ordinals: np.ndarray,
-    chunk_k: np.ndarray,
-    chunk_s: np.ndarray,
+    pairs: PairSpace,
+    source_of_row: np.ndarray,
+    ordinal_of_row: np.ndarray,
+    chunk_pid: np.ndarray,
     chunk_l: np.ndarray,
-    rem_k: np.ndarray,
+    rem_rows: np.ndarray,
+    rem_highs: np.ndarray,
     rem_red: np.ndarray,
     rem_rid: np.ndarray,
-    disc_k: np.ndarray,
-    disc_s: np.ndarray,
+    disc_pid: np.ndarray,
     streams: CohortScoreStreams,
     exclude_new_edge: bool,
-    pair_first: np.ndarray,
-) -> np.ndarray:
+) -> int:
     """Dependency accumulation for a whole cohort of sources at once.
 
     All jobs repair the *same* update, so they share one compiled
-    snapshot; the sweep runs in (job ordinal ``k``, vertex slot) pair
-    space, which multiplies chunk widths by the cohort size and amortises
-    the per-chunk numpy dispatch cost that would dominate on small
-    per-source regions.
+    snapshot; the sweep runs in pair space (flat ids ``row * width +
+    slot`` of the store's matrices, see :class:`~repro.core.flat.\
+PairSpace`), which multiplies chunk widths by the cohort size and
+    amortises the per-chunk numpy dispatch cost that would dominate on
+    small per-source regions.  New values (distance, path count, the
+    dependency being rebuilt) are the live store; pre-update values come
+    from the undo log at every pair the update wrote.
 
     Bit-identity with :func:`accumulate_dependencies` run source by source
     in batch order holds per float accumulator:
@@ -524,13 +522,15 @@ def accumulate_cohort(
       by the undirected rigidity sit at the same or a lower new level and
       are never chunk-mates (plan chunks are all-affected, fringe chunks
       all-fringe);
-    * per-source ``nd`` cells live in disjoint rows of ``new_delta``, and
+    * per-source dependency cells live in disjoint rows of the store, and
       within a row the scatter order is the scalar visitation order: each
-      ``k``'s subsequence of the merged chunk deque is its own FIFO level
+      row's subsequence of the merged chunk deque is its own FIFO level
       queue, flattened edges follow adjacency order, fringe admission
       order is emission order, and each edge's new contribution precedes
       its old one (:func:`~repro.core.flat.merge_order` puts the selected
-      new-DAG entries before old-DAG entries of the same position);
+      new-DAG entries before old-DAG entries of the same position); an
+      edge-score accumulator takes at most one entry's contributions per
+      chunk, so the edge stream needs only new before old;
     * the shared ``vscore`` / edge-score arrays are never *read* during the
       batch sweep, so their writes are recorded into ``streams`` (see
       :class:`CohortScoreStreams`) and applied source-major after the whole
@@ -546,79 +546,59 @@ def accumulate_cohort(
     equal ``level - 1 >= 0``) and an old-DAG parent exactly ``d[p] + 1 ==
     d[w]`` (an unreachable ``d[w] = -1`` would need ``d[p] = -2``, and an
     unreachable ``d[p] = -1`` would need ``d[w] = 0``, the source).  The
-    new-edge exclusion, edge-id gathers and job lookups then run on the
+    new-edge exclusion, edge-id gathers and member lookups then run on the
     selected entries only.
 
-    Inputs describe the slab's jobs in stacked form: ``(m, n)`` work
-    columns plus pristine pre-update stacks (``old_*``; ``new_delta``
-    starts as a copy of ``old_delta`` and is turned into the post-update
-    delta rows in place), ``(m,)`` job vectors, the merged plan chunks as
-    ``(k, slot, level)`` triples, removal seeds as ``(k, dependency,
-    registry id)`` columns, and structural-removal disconnected sets as
-    ``(k, slot)`` pair columns in per-job discovery order.  Returns the
-    flat pair ids (``k * n + slot``, each once) of every pair whose
-    dependency the sweep tracked — the touched set, which contains every
-    plan pair; the repaired delta is left in ``new_delta``.
+    Inputs: the row-indexed source slots and batch ordinals of the cohort,
+    the merged plan chunks as ``(pair, level)`` columns, removal seeds as
+    ``(row, high, dependency, registry id)`` columns, and the
+    structural-removal disconnected pairs in per-job discovery order.
+    Returns the number of pairs whose dependency the sweep tracked — the
+    touched set, which contains every plan pair; the repaired dependencies
+    are left in the store.
     """
     if state.directed:
         return _accumulate_directed_cohort(
             state,
-            work_distance,
-            work_sigma,
-            old_distance,
-            old_sigma,
-            new_delta,
-            old_delta,
-            sources,
-            highs,
-            lows,
-            ordinals,
-            chunk_k,
-            chunk_s,
-            rem_k,
+            pairs,
+            source_of_row,
+            ordinal_of_row,
+            chunk_pid,
+            rem_rows,
+            rem_highs,
             rem_red,
             rem_rid,
-            disc_k,
-            disc_s,
+            disc_pid,
             streams,
             exclude_new_edge,
-            pair_first,
         )
-    n = state.n
-    m = len(sources)
+    width = pairs.width
     in_indptr = state.in_indptr
     in_indices = state.in_indices
     in_edge_ids = state.in_edge_ids
-    wd_flat = work_distance.reshape(-1)
-    ws_flat = work_sigma.reshape(-1)
-    od_flat = old_distance.reshape(-1)
-    os_flat = old_sigma.reshape(-1)
-    nd_flat = new_delta.reshape(-1)
-    odel_flat = old_delta.reshape(-1)
-    aff_flat = affected_rows.reshape(-1)
-
-    tracked = np.zeros(m * n, dtype=np.bool_)
-    processed = np.zeros(m * n, dtype=np.bool_)
+    distance, sigma, delta = pairs.distance, pairs.sigma, pairs.delta
     # Every pair the moment it turns tracked, each exactly once.
-    touched: List[np.ndarray] = []
+    touched = 0
 
-    # Plan chunks, merged per level: each k's members arrive in its own
+    # Plan chunks, merged per level: each row's members arrive in its own
     # enqueue order, so its subsequence of every bucket equals the level
     # queue the scalar loop would hold for that source.
     buckets: Dict[int, Deque[Tuple[np.ndarray, np.ndarray]]] = {}
-    if chunk_k.size:
-        chunk_pid = chunk_k * n + chunk_s
-        nd_flat[chunk_pid] = 0.0
-        tracked[chunk_pid] = True
-        touched.append(chunk_pid)
+    flags = pairs.flags
+    if chunk_pid.size:
+        pairs.touch(chunk_pid, bits=TRACKED)
+        delta[chunk_pid] = 0.0
+        touched += chunk_pid.size
+        chunk_k = chunk_pid // width
+        chunk_s = chunk_pid - chunk_k * width
         for level, sel in group_by_level(
-            np.arange(chunk_k.size, dtype=np.int64), chunk_l
+            np.arange(chunk_pid.size, dtype=np.int64), chunk_l
         ):
             buckets.setdefault(level, deque()).append(
                 (chunk_k[sel], chunk_s[sel])
             )
 
-    # Deferred shared-score streams: (k, target, value).
+    # Deferred shared-score streams: (row, target, value).
     es_k: List[np.ndarray] = []
     es_id: List[np.ndarray] = []
     es_val: List[np.ndarray] = []
@@ -628,24 +608,24 @@ def accumulate_cohort(
 
     # Removal seeding, merged across the cohort (Alg. 2 lines 11-13): one
     # seed chunk per level, appended after the plan chunks like each
-    # source's own seed follows its own plan chunks.  Seed pairs are per-job distinct,
-    # so the fancy-indexed subtraction has no duplicate targets.
-    if rem_k.size:
-        rh = highs[rem_k]
-        rem_pid = rem_k * n + rh
-        fresh_sel = ~tracked[rem_pid]
-        tracked[rem_pid[fresh_sel]] = True
-        touched.append(rem_pid[fresh_sel])
-        seed_sel = fresh_sel & (wd_flat[rem_pid] != -1)
-        sk = rem_k[seed_sel]
-        sh = rh[seed_sel]
+    # source's own seed follows its own plan chunks.  Seed pairs are
+    # per-job distinct, so the fancy-indexed subtraction has no duplicate
+    # targets.
+    if rem_rows.size:
+        rem_pid = rem_rows * width + rem_highs
+        fresh_sel = ~pairs.has(rem_pid, TRACKED)
+        touched += int(np.count_nonzero(fresh_sel))
+        seed_sel = fresh_sel & (distance[rem_pid] != -1)
+        sk = rem_rows[seed_sel]
+        sh = rem_highs[seed_sel]
         for lvl, sel in group_by_level(
             np.arange(sk.size, dtype=np.int64),
-            wd_flat[rem_pid[seed_sel]].astype(np.int64),
+            distance[rem_pid[seed_sel]].astype(np.int64),
         ):
             buckets.setdefault(lvl, deque()).append((sk[sel], sh[sel]))
-        nd_flat[rem_pid] -= rem_red
-        es_k.append(rem_k)
+        pairs.touch(rem_pid, bits=TRACKED)
+        delta[rem_pid] -= rem_red
+        es_k.append(rem_rows)
         es_id.append(rem_rid)
         es_val.append(-rem_red)
 
@@ -656,29 +636,39 @@ def accumulate_cohort(
             continue
         while queue:
             kc, chunk = queue.popleft()
-            mpid = kc * n + chunk
-            alive = ~processed[mpid]
+            mpid = kc * width + chunk
+            mflags = flags[mpid]
+            alive = (mflags & PROCESSED) == 0
             if not alive.all():
                 kc = kc[alive]
                 chunk = chunk[alive]
                 mpid = mpid[alive]
+                mflags = mflags[alive]
             if chunk.size == 0:
                 continue
-            processed[mpid] = True
+            flags[mpid] = mflags | PROCESSED
 
-            wdo = od_flat[mpid]
-            deln = nd_flat[mpid]
-            delo = np.where(wdo != -1, odel_flat[mpid], 0.0)
+            # Members are tracked, hence logged: their old values are the
+            # log's.
+            mpos = pairs.position[mpid]
+            wdo = pairs.log_distance[mpos]
+            deln = delta[mpid]
+            delo = np.where(wdo != -1, pairs.log_delta[mpos], 0.0)
 
             positions, counts = slice_positions(in_indptr, chunk)
             if positions.size:
                 # Exact parent tests (see the docstring): one gather and one
                 # comparison per entry and DAG; everything else runs on the
-                # selected entries, whose member is found by rank.
-                ppid = np.repeat(kc * n, counts) + in_indices[positions]
-                i_new = np.flatnonzero(wd_flat[ppid] == level - 1)
+                # selected entries, whose member the entry -> member index
+                # names.
+                member = np.repeat(np.arange(chunk.size), counts)
+                ppid = np.repeat(kc * width, counts) + in_indices[positions]
+                pdist = distance[ppid]
+                pflags = flags[ppid]
+                i_new = np.flatnonzero(pdist == level - 1)
                 i_old = np.flatnonzero(
-                    od_flat[ppid] == np.repeat(wdo - 1, counts)
+                    pairs.old_distance(ppid, pdist, pflags)
+                    == np.repeat(wdo - 1, counts)
                 )
                 eid_old = in_edge_ids[positions[i_old]]
                 if exclude_new_edge:
@@ -688,39 +678,53 @@ def accumulate_cohort(
                     kept = eid_old != state.edge_id
                     i_old = i_old[kept]
                     eid_old = eid_old[kept]
-                ends = np.cumsum(counts)
-                rn = np.searchsorted(ends, i_new, side="right")
-                ro = np.searchsorted(ends, i_old, side="right")
+                rn = member[i_new]
+                ro = member[i_old]
                 po = ppid[i_old]
-                c_new = ws_flat[ppid[i_new]] / ws_flat[mpid[rn]] * (1.0 + deln[rn])
-                c_old = os_flat[po] / os_flat[mpid[ro]] * (1.0 + delo[ro])
-
-                # One merge orders both streams as the scalar loop emits
-                # them: entries ascending, an entry's new contribution
-                # before its old one.  Edge scores take every contribution;
-                # a parent's dependency all but the old ones of affected
-                # parents, which rebuild theirs from scratch.
-                order = merge_order(i_new, i_old)
-                target = np.concatenate((ppid[i_new], po))[order]
-                values = np.concatenate((c_new, -c_old))[order]
-                es_k.append(target // n)
-                es_id.append(
-                    np.concatenate((in_edge_ids[positions[i_new]], eid_old))[order]
+                oflags = pflags[i_old]
+                # Member terms once per member, then one gather per entry.
+                c_new = (
+                    sigma[ppid[i_new]] / sigma[mpid][rn] * (1.0 + deln)[rn]
                 )
-                es_val.append(values)
-                nd_keep = np.concatenate(
-                    (np.ones(i_new.size, dtype=np.bool_), ~aff_flat[po])
-                )[order]
-                nd_pid = target[nd_keep]
-                nd_values = values[nd_keep]
+                c_old = (
+                    pairs.old_sigma(po, oflags)
+                    / pairs.log_sigma[mpos][ro]
+                    * (1.0 + delo)[ro]
+                )
 
-                fresh = first_occurrence(nd_pid[~tracked[nd_pid]], pair_first)
+                # Edge scores take every contribution.  An edge gets at most
+                # one new and one old contribution in a chunk, both from one
+                # entry (a new-DAG edge joins two levels, and an edge between
+                # two members is an old-DAG edge from one side only), so
+                # news-then-olds keeps every edge accumulator's scalar order.
+                es_k.append(np.concatenate((kc[rn], kc[ro])))
+                es_id.append(
+                    np.concatenate((in_edge_ids[positions[i_new]], eid_old))
+                )
+                es_val.append(np.concatenate((c_new, -c_old)))
+                # A parent's dependency takes all but the old contributions
+                # of affected parents, which rebuild theirs from scratch, in
+                # the scalar visitation order: one merge puts entries
+                # ascending, an entry's new contribution before its old one.
+                keep_old = (oflags & AFFECTED) == 0
+                order = merge_order(i_new, i_old[keep_old])
+                nd_pid = np.concatenate((ppid[i_new], po[keep_old]))[order]
+                nd_values = np.concatenate((c_new, -c_old[keep_old]))[order]
+                # The chunk's own marks land after this point, so the flags
+                # gathered with the entries are still every target's.
+                nd_flags = np.concatenate((pflags[i_new], oflags[keep_old]))[order]
+
+                # Untracked targets are never logged: in an undirected graph
+                # a dropped pair next to a reachable member is reachable.
+                fresh = pairs.first_occurrence(
+                    nd_pid[(nd_flags & TRACKED) == 0], unlogged=True
+                )
                 if fresh.size:
-                    tracked[fresh] = True
-                    touched.append(fresh)
-                    fk = fresh // n
-                    fs = fresh - fk * n
-                    flvl = wd_flat[fresh].astype(np.int64)
+                    pairs.touch(fresh, bits=TRACKED)
+                    touched += fresh.size
+                    fk = fresh // width
+                    fs = fresh - fk * width
+                    flvl = distance[fresh].astype(np.int64)
                     for lvl, sel in group_by_level(
                         np.arange(fk.size, dtype=np.int64), flvl
                     ):
@@ -729,11 +733,11 @@ def accumulate_cohort(
                             queue.append(pair_chunk)
                         else:
                             buckets.setdefault(lvl, deque()).append(pair_chunk)
-                np.add.at(nd_flat, nd_pid, nd_values)
+                np.add.at(delta, nd_pid, nd_values)
 
             # Two deferred single adds per member — +new then -old — replay
             # the scalar (score + new) - old association exactly.
-            keep = chunk != sources[kc]
+            keep = chunk != source_of_row[kc]
             tk = kc[keep]
             ts = chunk[keep]
             vs_k.append(np.repeat(tk, 2))
@@ -744,13 +748,16 @@ def accumulate_cohort(
             vs_val.append(vals)
 
     # Disconnected tails, merged across the cohort (Algorithm 10): each
-    # k's entries keep their discovery order, and the ordinal-stable flush
-    # puts them after that k's sweep entries like the scalar epilogue.
-    if disc_k.size:
-        dpid = disc_k * n + disc_s
-        wdo = od_flat[dpid]
-        delo = np.where(wdo != -1, odel_flat[dpid], 0.0)
-        keep = disc_s != sources[disc_k]
+    # row's entries keep their discovery order, and the ordinal-stable
+    # flush puts them after that row's sweep entries like the scalar
+    # epilogue.  Disconnected pairs were dropped, hence logged.
+    if disc_pid.size:
+        disc_k = disc_pid // width
+        disc_s = disc_pid - disc_k * width
+        dpos = pairs.position[disc_pid]
+        wdo = pairs.log_distance[dpos]
+        delo = np.where(wdo != -1, pairs.log_delta[dpos], 0.0)
+        keep = disc_s != source_of_row[disc_k]
         vs_k.append(disc_k[keep])
         vs_slot.append(disc_s[keep])
         vs_val.append(-delo[keep])
@@ -758,48 +765,37 @@ def accumulate_cohort(
         if positions.size:
             par = in_indices[positions]
             rep = np.repeat(np.arange(disc_s.size, dtype=np.int64), counts)
-            ppid = disc_k[rep] * n + par
-            pdo = od_flat[ppid]
+            ppid = disc_k[rep] * width + par
+            pdo = pairs.old_distance(ppid)
             old_e = (wdo[rep] != -1) & (pdo != -1) & (pdo + 1 == wdo[rep])
             i_old = np.flatnonzero(old_e)
             c_old = (
-                os_flat[ppid[i_old]]
-                / os_flat[dpid][rep[i_old]]
+                pairs.old_sigma(ppid[i_old])
+                / pairs.log_sigma[dpos][rep[i_old]]
                 * (1.0 + delo[rep[i_old]])
             )
             es_k.append(disc_k[rep[i_old]])
             es_id.append(in_edge_ids[positions[i_old]])
             es_val.append(-c_old)
 
-    streams.extend(ordinals, vs_k, vs_slot, vs_val, es_k, es_id, es_val)
-    if not touched:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(touched)
+    streams.extend(ordinal_of_row, vs_k, vs_slot, vs_val, es_k, es_id, es_val)
+    return touched
 
 
 def _accumulate_directed_cohort(
     state: FlatBatchState,
-    work_distance: np.ndarray,
-    work_sigma: np.ndarray,
-    old_distance: np.ndarray,
-    old_sigma: np.ndarray,
-    new_delta: np.ndarray,
-    old_delta: np.ndarray,
-    sources: np.ndarray,
-    highs: np.ndarray,
-    lows: np.ndarray,
-    ordinals: np.ndarray,
-    chunk_k: np.ndarray,
-    chunk_s: np.ndarray,
-    rem_k: np.ndarray,
+    pairs: PairSpace,
+    source_of_row: np.ndarray,
+    ordinal_of_row: np.ndarray,
+    chunk_pid: np.ndarray,
+    rem_rows: np.ndarray,
+    rem_highs: np.ndarray,
     rem_red: np.ndarray,
     rem_rid: np.ndarray,
-    disc_k: np.ndarray,
-    disc_s: np.ndarray,
+    disc_pid: np.ndarray,
     streams: CohortScoreStreams,
     exclude_new_edge: bool,
-    pair_first: np.ndarray,
-) -> np.ndarray:
+) -> int:
     """Cohort variant of :func:`_accumulate_directed` (three order-free phases).
 
     Region membership, not order, determines every result here: phase 2 is
@@ -809,45 +805,38 @@ def _accumulate_directed_cohort(
     the scalar's set-iteration seed order need not be reproduced.  The
     pair-space lift therefore only has to preserve *per-accumulator*
     sequences: the phase-2 level loop runs over global absolute levels (a
-    per-k no-op on levels a region lacks), and phase 3 emits all new
+    per-row no-op on levels a region lacks), and phase 3 emits all new
     contributions before all old ones so the ordinal-stable flush yields
     the scalar new-before-old order per edge id within each source.
-    Returns the region's pair ids — the touched set, seeded with every
-    plan pair.
+    Returns the region's size — the touched set, seeded with every plan
+    pair.
     """
-    n = state.n
-    m = len(sources)
+    width = pairs.width
     indptr, indices = state.indptr, state.indices
     in_indptr = state.in_indptr
     in_indices = state.in_indices
     in_edge_ids = state.in_edge_ids
-    wd_flat = work_distance.reshape(-1)
-    ws_flat = work_sigma.reshape(-1)
-    od_flat = old_distance.reshape(-1)
-    os_flat = old_sigma.reshape(-1)
-    nd_flat = new_delta.reshape(-1)
-    odel_flat = old_delta.reshape(-1)
+    distance, sigma, delta = pairs.distance, pairs.sigma, pairs.delta
 
     # ------------------------------------------------------------------ #
     # Phase 1: upward closure of every job's changed region.
     # ------------------------------------------------------------------ #
-    region_mask = np.zeros(m * n, dtype=np.bool_)
     region_chunks: List[np.ndarray] = []
     frontier: Deque[Tuple[np.ndarray, np.ndarray]] = deque()
 
     def join(cpid: np.ndarray) -> None:
-        fresh = first_occurrence(cpid[~region_mask[cpid]], pair_first)
+        fresh = pairs.first_occurrence(cpid[~pairs.has(cpid, REGION)])
         if fresh.size:
-            region_mask[fresh] = True
+            pairs.mark(fresh, REGION)
             region_chunks.append(fresh)
-            fk = fresh // n
-            frontier.append((fk, fresh - fk * n))
+            fk = fresh // width
+            frontier.append((fk, fresh - fk * width))
 
-    seed_pids: List[np.ndarray] = [chunk_k * n + chunk_s]
-    if disc_k.size:
-        seed_pids.append(disc_k * n + disc_s)
-    if rem_k.size:
-        seed_pids.append(rem_k * n + highs[rem_k])
+    seed_pids: List[np.ndarray] = [chunk_pid]
+    if disc_pid.size:
+        seed_pids.append(disc_pid)
+    if rem_rows.size:
+        seed_pids.append(rem_rows * width + rem_highs)
     join(np.concatenate(seed_pids))
     while frontier:
         fk, fs = frontier.popleft()
@@ -855,12 +844,12 @@ def _accumulate_directed_cohort(
         if positions.size == 0:
             continue
         rep = np.repeat(np.arange(fs.size, dtype=np.int64), counts)
-        fpid = fk * n + fs
-        ppid = fk[rep] * n + in_indices[positions]
-        wdn = wd_flat[fpid][rep]
-        wdo = od_flat[fpid][rep]
-        pdn = wd_flat[ppid]
-        pdo = od_flat[ppid]
+        fpid = fk * width + fs
+        ppid = fk[rep] * width + in_indices[positions]
+        wdn = distance[fpid][rep]
+        wdo = pairs.old_distance(fpid)[rep]
+        pdn = distance[ppid]
+        pdo = pairs.old_distance(ppid)
         joins = ((wdn != -1) & (pdn != -1) & (pdn + 1 == wdn)) | (
             (wdo != -1) & (pdo != -1) & (pdo + 1 == wdo)
         )
@@ -873,13 +862,14 @@ def _accumulate_directed_cohort(
         )
     else:
         region_pid = np.empty(0, dtype=np.int64)
-    region_k = region_pid // n
-    region_s = region_pid - region_k * n
+    region_k = region_pid // width
+    region_s = region_pid - region_k * width
 
     # ------------------------------------------------------------------ #
     # Phase 2: new dependencies by descending (global) new distance.
     # ------------------------------------------------------------------ #
-    rwd = wd_flat[region_pid]
+    pairs.touch(region_pid)
+    rwd = distance[region_pid]
     sel = rwd != -1
     reach_pid = region_pid[sel]
     reach_levels = rwd[sel].astype(np.int64)
@@ -887,22 +877,22 @@ def _accumulate_directed_cohort(
         for level in np.unique(reach_levels)[::-1]:
             msel = reach_levels == level
             mpid = reach_pid[msel]
-            mk = mpid // n
-            ms = mpid - mk * n
+            mk = mpid // width
+            ms = mpid - mk * width
             segments = np.zeros(mpid.size, dtype=np.float64)
             positions, counts = slice_positions(indptr, ms)
             if positions.size:
                 rep = np.repeat(np.arange(ms.size, dtype=np.int64), counts)
-                kpid = mk[rep] * n + indices[positions]
-                child_mask = wd_flat[kpid] == level + 1
+                kpid = mk[rep] * width + indices[positions]
+                child_mask = distance[kpid] == level + 1
                 if child_mask.any():
                     terms = (
-                        ws_flat[mpid][rep[child_mask]]
-                        / ws_flat[kpid[child_mask]]
-                        * (1.0 + nd_flat[kpid[child_mask]])
+                        sigma[mpid][rep[child_mask]]
+                        / sigma[kpid[child_mask]]
+                        * (1.0 + delta[kpid[child_mask]])
                     )
                     np.add.at(segments, rep[child_mask], terms)
-            nd_flat[mpid] = segments
+            delta[mpid] = segments
 
     # ------------------------------------------------------------------ #
     # Phase 3: fold the corrections into the global scores (deferred).
@@ -914,17 +904,18 @@ def _accumulate_directed_cohort(
     vs_slot: List[np.ndarray] = []
     vs_val: List[np.ndarray] = []
 
-    if rem_k.size:
-        es_k.append(rem_k)
+    if rem_rows.size:
+        es_k.append(rem_rows)
         es_id.append(rem_rid)
         es_val.append(-rem_red)
 
     if region_pid.size:
-        wdn_v = wd_flat[region_pid]
-        wdo_v = od_flat[region_pid]
-        wdeln = np.where(wdn_v != -1, nd_flat[region_pid], 0.0)
-        wdelo = np.where(wdo_v != -1, odel_flat[region_pid], 0.0)
-        keep = region_s != sources[region_k]
+        rpos = pairs.position[region_pid]
+        wdn_v = distance[region_pid]
+        wdo_v = pairs.log_distance[rpos]
+        wdeln = np.where(wdn_v != -1, delta[region_pid], 0.0)
+        wdelo = np.where(wdo_v != -1, pairs.log_delta[rpos], 0.0)
+        keep = region_s != source_of_row[region_k]
         tk = region_k[keep]
         ts = region_s[keep]
         vs_k.append(np.repeat(tk, 2))
@@ -940,27 +931,26 @@ def _accumulate_directed_cohort(
             eid = in_edge_ids[positions]
             rep = np.repeat(np.arange(region_s.size, dtype=np.int64), counts)
             krep = region_k[rep]
-            ppid = krep * n + par
-            pdn = wd_flat[ppid]
-            pdo = od_flat[ppid]
+            ppid = krep * width + par
+            pdn = distance[ppid]
+            pdo = pairs.old_distance(ppid)
             wdn_r = wdn_v[rep]
             wdo_r = wdo_v[rep]
             new_p = (wdn_r != -1) & (pdn != -1) & (pdn + 1 == wdn_r)
             old_p = (wdo_r != -1) & (pdo != -1) & (pdo + 1 == wdo_r)
             if exclude_new_edge:
-                old_p &= ~(
-                    (par == highs[krep]) & (region_s[rep] == lows[krep])
-                )
+                # Every directed job's edge runs ``us -> vs``.
+                old_p &= ~((par == state.us) & (region_s[rep] == state.vs))
             i_new = np.flatnonzero(new_p)
             i_old = np.flatnonzero(old_p)
             c_new = (
-                ws_flat[ppid[i_new]]
-                / ws_flat[region_pid][rep[i_new]]
+                sigma[ppid[i_new]]
+                / sigma[region_pid][rep[i_new]]
                 * (1.0 + wdeln[rep[i_new]])
             )
             c_old = (
-                os_flat[ppid[i_old]]
-                / os_flat[region_pid][rep[i_old]]
+                pairs.old_sigma(ppid[i_old])
+                / pairs.log_sigma[rpos][rep[i_old]]
                 * (1.0 + wdelo[rep[i_old]])
             )
             # All news before all olds: after the ordinal-stable flush each
@@ -975,5 +965,5 @@ def _accumulate_directed_cohort(
             es_id.append(eid[i_old])
             es_val.append(-c_old)
 
-    streams.extend(ordinals, vs_k, vs_slot, vs_val, es_k, es_id, es_val)
-    return region_pid
+    streams.extend(ordinal_of_row, vs_k, vs_slot, vs_val, es_k, es_id, es_val)
+    return region_pid.size

@@ -11,14 +11,16 @@ The graph passed in must already contain the newly added edge.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.algorithms.brandes import SourceData
 from repro.core.flat import (
+    AFFECTED,
+    SCHEDULED,
     FlatBatchState,
-    first_occurrence,
+    PairSpace,
     group_by_level,
     slice_positions,
 )
@@ -155,16 +157,12 @@ def repair_addition_structural(
 # --------------------------------------------------------------------------- #
 def repair_same_level_cohort(
     state: FlatBatchState,
-    ks: np.ndarray,
+    pairs: PairSpace,
+    rows: np.ndarray,
     highs: np.ndarray,
     lows: np.ndarray,
     sign: int,
-    old_distance: np.ndarray,
-    old_sigma: np.ndarray,
-    work_sigma: np.ndarray,
-    affected: np.ndarray,
-    pair_first: np.ndarray,
-) -> tuple:
+) -> Tuple[np.ndarray, np.ndarray]:
     """The two ``dd == 1`` repairs (Algorithm 2) for a whole cohort in pair space.
 
     Shared by addition (``sign=+1``) and removal (``sign=-1``): no distance
@@ -176,75 +174,67 @@ def repair_same_level_cohort(
 
     All jobs repair the same update against the same compiled snapshot, so
     their per-source sub-DAG walks share frontier expansions: the frontier
-    holds ``(job ordinal k, vertex slot)`` pairs and one hop advances every
+    holds pairs (flat ids ``row * width + slot``) and one hop advances every
     job by one (job-relative) level at once.  All updates are integer sigma
-    arithmetic on per-job rows of ``work_sigma``, every job's pair
+    arithmetic in place on each job's row of the store, every job's pair
     subsequence of each frontier is its own scalar frontier
-    (first-occurrence order is preserved because frontiers stay k-grouped),
-    and jobs whose scalar loop would have exited simply stop contributing
-    pairs.
+    (first-occurrence order is preserved because frontiers stay
+    row-grouped), and jobs whose scalar loop would have exited simply stop
+    contributing pairs.
 
-    ``ks`` holds the jobs' slab ordinals; ``highs``/``lows`` are the jobs'
-    edge endpoints *aligned with ks* (already sliced).  ``old_distance`` /
-    ``old_sigma`` are the slab's pristine pre-update column stacks;
-    ``work_sigma`` (int64) and ``affected`` (bool) are the ``(m, n)``
-    stacked work columns, mutated in place.  Returns the merged plan
-    chunks as ``(k, slot, level)`` triples in discovery order.
+    ``rows`` are the jobs' store rows; ``highs``/``lows`` their edge
+    endpoints, aligned with ``rows``.  Distances do not move here, so the
+    live distance plane is the pre-update one.  Returns the plan chunks as
+    ``(pair, level)`` columns in discovery order.
     """
-    n = state.n
+    width = pairs.width
     indptr, indices = state.indptr, state.indices
-    od_flat = old_distance.reshape(-1)
-    os_flat = old_sigma.reshape(-1)
-    ws_flat = work_sigma.reshape(-1)
-    aff_flat = affected.reshape(-1)
+    distance, sigma = pairs.distance, pairs.sigma
 
-    low_pids = ks * n + lows
-    aff_flat[low_pids] = True
-    ws_flat[low_pids] = ws_flat[low_pids] + sign * os_flat[ks * n + highs]
-    tri_k: List[np.ndarray] = [ks]
-    tri_s: List[np.ndarray] = [lows]
-    tri_l: List[np.ndarray] = [od_flat[low_pids].astype(np.int64)]
-    kc, fc, fpid = ks, lows, low_pids
+    low_pids = rows * width + lows
+    pairs.touch(low_pids)
+    pairs.mark(low_pids, AFFECTED)
+    sigma[low_pids] = sigma[low_pids] + sign * sigma[rows * width + highs]
+    tri_p: List[np.ndarray] = [low_pids]
+    tri_l: List[np.ndarray] = [distance[low_pids].astype(np.int64)]
+    kc, fc, fpid = rows, lows, low_pids
     while fc.size:
         positions, counts = slice_positions(indptr, fc)
         if positions.size == 0:
             break
         rep = np.repeat(np.arange(fc.size, dtype=np.int64), counts)
-        tpid = kc[rep] * n + indices[positions]
-        in_subdag = od_flat[tpid] == od_flat[fpid][rep] + 1
+        tpid = kc[rep] * width + indices[positions]
+        in_subdag = distance[tpid] == distance[fpid][rep] + 1
         if not in_subdag.any():
             break
         t_pid = tpid[in_subdag]
         # delta_sigma of the whole frontier is final here: all increments a
         # frontier pair receives were scattered while expanding the
-        # previous hop — exactly when the scalar loop pops it.
-        delta_sigma = ws_flat[fpid] - os_flat[fpid]
+        # previous hop — exactly when the scalar loop pops it.  Frontier
+        # pairs are affected, hence logged.
+        delta_sigma = sigma[fpid] - pairs.log_sigma[pairs.position[fpid]]
         increments = np.repeat(delta_sigma, counts)[in_subdag]
-        fresh = first_occurrence(t_pid[~aff_flat[t_pid]], pair_first)
-        np.add.at(ws_flat, t_pid, increments)
+        fresh = pairs.first_occurrence(t_pid[~pairs.has(t_pid, AFFECTED)])
+        pairs.touch(fresh)
+        np.add.at(sigma, t_pid, increments)
         if fresh.size == 0:
             break
-        fk = fresh // n
-        fs = fresh - fk * n
-        aff_flat[fresh] = True
-        tri_k.append(fk)
-        tri_s.append(fs)
-        tri_l.append(od_flat[fresh].astype(np.int64))
+        fk = fresh // width
+        fs = fresh - fk * width
+        pairs.mark(fresh, AFFECTED)
+        tri_p.append(fresh)
+        tri_l.append(distance[fresh].astype(np.int64))
         kc, fc, fpid = fk, fs, fresh
-    return np.concatenate(tri_k), np.concatenate(tri_s), np.concatenate(tri_l)
+    return np.concatenate(tri_p), np.concatenate(tri_l)
 
 
 def repair_addition_structural_cohort(
     state: FlatBatchState,
-    ks: np.ndarray,
+    pairs: PairSpace,
+    rows: np.ndarray,
     highs: np.ndarray,
     lows: np.ndarray,
-    old_distance: np.ndarray,
-    work_distance: np.ndarray,
-    work_sigma: np.ndarray,
-    affected: np.ndarray,
-    pair_first: np.ndarray,
-) -> tuple:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm 4 for a cohort in pair space: bucketed settle of the shrinking sub-DAG.
 
     Levels are processed in ascending order as in the scalar routine; within
@@ -261,31 +251,27 @@ def repair_addition_structural_cohort(
     levels a job lacks simply contribute none of its pairs, and every
     per-pair decision (stale test, sigma recount, relax) reads only that
     pair's row — so the merged level loop replays each job's own ascending
-    settle exactly.  All arithmetic is integer.
+    settle exactly.  All arithmetic is integer, in place on the store's
+    rows (the settle reads new distances and path counts only).
 
-    Arguments follow :func:`repair_same_level_cohort`, plus the stacked
-    ``work_distance`` (mutated by the settle).  Returns merged plan chunks
-    as ``(k, slot, level)`` triples.
+    Arguments follow :func:`repair_same_level_cohort`.  Returns the plan
+    chunks as ``(pair, level)`` columns.
     """
-    n = state.n
+    width = pairs.width
     indptr, indices = state.indptr, state.indices
     in_indptr, in_indices = state.in_indptr, state.in_indices
-    od_flat = old_distance.reshape(-1)
-    wd_flat = work_distance.reshape(-1)
-    ws_flat = work_sigma.reshape(-1)
-    aff_flat = affected.reshape(-1)
-    scheduled = np.zeros(work_distance.size, dtype=np.bool_)
+    distance, sigma = pairs.distance, pairs.sigma
 
-    start_levels = od_flat[ks * n + highs].astype(np.int64) + 1
-    low_pids = ks * n + lows
-    wd_flat[low_pids] = start_levels
-    scheduled[low_pids] = True
+    start_levels = distance[rows * width + highs].astype(np.int64) + 1
+    low_pids = rows * width + lows
+    pairs.touch(low_pids, distance=True)
+    distance[low_pids] = start_levels
+    pairs.mark(low_pids, SCHEDULED)
     buckets: Dict[int, List[np.ndarray]] = {}
     for lvl, members in group_by_level(low_pids, start_levels):
         buckets.setdefault(lvl, []).append(members)
 
-    tri_k: List[np.ndarray] = []
-    tri_s: List[np.ndarray] = []
+    tri_p: List[np.ndarray] = []
     tri_l: List[np.ndarray] = []
     level = min(buckets)
     max_level = max(buckets)
@@ -293,14 +279,13 @@ def repair_addition_structural_cohort(
         chunks = buckets.get(level)
         if chunks:
             cand = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            keep = (~aff_flat[cand]) & (wd_flat[cand] == level)
-            members = first_occurrence(cand[keep], pair_first)
+            keep = ~pairs.has(cand, AFFECTED) & (distance[cand] == level)
+            members = pairs.first_occurrence(cand[keep])
             if members.size:
-                aff_flat[members] = True
-                mk = members // n
-                ms = members - mk * n
-                tri_k.append(mk)
-                tri_s.append(ms)
+                pairs.mark(members, AFFECTED)
+                mk = members // width
+                ms = members - mk * width
+                tri_p.append(members)
                 tri_l.append(np.full(members.size, level, dtype=np.int64))
 
                 # Sigma recount from parents one level above (all final).
@@ -310,8 +295,8 @@ def repair_addition_structural_cohort(
                     rep = np.repeat(
                         np.arange(members.size, dtype=np.int64), counts
                     )
-                    ppid = mk[rep] * n + in_indices[positions]
-                    parent_distance = wd_flat[ppid]
+                    ppid = mk[rep] * width + in_indices[positions]
+                    parent_distance = distance[ppid]
                     parent_mask = (parent_distance != -1) & (
                         parent_distance + 1 == level
                     )
@@ -319,9 +304,10 @@ def repair_addition_structural_cohort(
                         np.add.at(
                             totals,
                             rep[parent_mask],
-                            ws_flat[ppid[parent_mask]],
+                            sigma[ppid[parent_mask]],
                         )
-                ws_flat[members] = totals
+                pairs.touch(members)
+                sigma[members] = totals
 
                 # Relax out-neighbors: distance shrinks to level + 1, or the
                 # neighbor sits exactly one level below and its sigma must be
@@ -334,27 +320,24 @@ def repair_addition_structural_cohort(
                     rep = np.repeat(
                         np.arange(members.size, dtype=np.int64), counts
                     )
-                    kpid = mk[rep] * n + indices[positions]
-                    kids = first_occurrence(kpid, pair_first)
-                    kid_distance = wd_flat[kids]
+                    kpid = mk[rep] * width + indices[positions]
+                    kids = pairs.first_occurrence(kpid)
+                    kid_distance = distance[kids]
                     shrink = (kid_distance == -1) | (kid_distance > level + 1)
-                    requeue = (
-                        (kid_distance == level + 1)
-                        & ~aff_flat[kids]
-                        & ~scheduled[kids]
+                    requeue = (kid_distance == level + 1) & ~pairs.has(
+                        kids, AFFECTED | SCHEDULED
                     )
                     appended = kids[shrink | requeue]
                     if appended.size:
-                        wd_flat[kids[shrink]] = level + 1
-                        scheduled[appended] = True
+                        shrunk = kids[shrink]
+                        pairs.touch(shrunk, distance=True)
+                        distance[shrunk] = level + 1
+                        pairs.mark(appended, SCHEDULED)
                         buckets.setdefault(level + 1, []).append(appended)
                         max_level = max(max_level, level + 1)
         level += 1
     empty = np.empty(0, dtype=np.int64)
     return (
-        np.concatenate(tri_k) if tri_k else empty,
-        np.concatenate(tri_s) if tri_s else empty,
+        np.concatenate(tri_p) if tri_p else empty,
         np.concatenate(tri_l) if tri_l else empty,
     )
-
-

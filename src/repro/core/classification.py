@@ -25,6 +25,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.algorithms.brandes import SourceData
 from repro.core.updates import EdgeUpdate
 from repro.graph.graph import Graph
@@ -171,72 +173,74 @@ def _has_other_predecessor(graph: Graph, data: SourceData, low: Vertex) -> bool:
     return False
 
 
-def classify_flat(state, distance) -> Tuple[UpdateCase, int, int]:
-    """Slot-space :func:`classify` over a record's raw distance column.
+#: Integer codes of :func:`classify_cohort`: ``CASE_ORDER[code]``.
+CASE_ORDER = (
+    UpdateCase.SKIP,
+    UpdateCase.ADD_NO_STRUCTURE,
+    UpdateCase.ADD_STRUCTURAL,
+    UpdateCase.REMOVE_NO_STRUCTURE,
+    UpdateCase.REMOVE_STRUCTURAL,
+)
+SKIP_CODE, ADD_SAME_CODE, ADD_STRUCT_CODE, REMOVE_SAME_CODE, REMOVE_STRUCT_CODE = (
+    range(len(CASE_ORDER))
+)
+
+
+def classify_cohort(
+    state, distance: np.ndarray, width: int, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`classify` for every source row of a cohort in one pass.
 
     ``state`` is the :class:`~repro.core.flat.FlatBatchState` of the update
-    (graph already reflecting it, endpoints as slots) and ``distance`` the
-    length-``n`` int16 column (``-1`` = unreachable).  Returns
-    ``(case, high, low)`` with slot endpoints (``-1`` when skipped); the
-    decision tree is a literal transcription of :func:`classify` /
-    :func:`_classify_directed` with ``-1`` standing in for ``None``.
+    (graph already reflecting it, endpoints as slots), ``distance`` the
+    store's flat distance plane (``-1`` = unreachable, pair ``row * width +
+    slot``) and ``rows`` the cohort's store rows.  Returns ``(codes, highs,
+    lows)`` aligned with ``rows``: :data:`CASE_ORDER` codes and slot
+    endpoints.  The decision tree is a literal transcription of
+    :func:`classify` / :func:`_classify_directed` with ``-1`` standing in
+    for ``None``, evaluated on one ``rows x 2`` endpoint gather; a removal's
+    "other predecessor" test is one block gather over the low endpoint's
+    in-neighbours.
     """
     us, vs = state.us, state.vs
-    du = int(distance[us])
-    dv = int(distance[vs])
+    base = rows * width
+    du = distance[base + us].astype(np.int64)
+    dv = distance[base + vs].astype(np.int64)
     if state.directed:
-        if du == -1:
-            return UpdateCase.SKIP, -1, -1
-        if state.is_addition:
-            if dv == -1:
-                return UpdateCase.ADD_STRUCTURAL, us, vs
-            dd = dv - du
-            if dd <= 0:
-                return UpdateCase.SKIP, -1, -1
-            if dd == 1:
-                return UpdateCase.ADD_NO_STRUCTURE, us, vs
-            return UpdateCase.ADD_STRUCTURAL, us, vs
-        if dv == -1:
-            return UpdateCase.SKIP, -1, -1
-        if dv - du != 1:
-            return UpdateCase.SKIP, -1, -1
-        if _has_other_predecessor_flat(state, distance, vs):
-            return UpdateCase.REMOVE_NO_STRUCTURE, us, vs
-        return UpdateCase.REMOVE_STRUCTURAL, us, vs
-
-    if du == -1 and dv == -1:
-        return UpdateCase.SKIP, -1, -1
-    # Order the endpoints: uH is closer to the source (unreachable counts
-    # as infinitely far; ties keep u as uH, like the dict classifier).
-    if dv == -1 or (du != -1 and du <= dv):
-        high, low, d_high, d_low = us, vs, du, dv
+        highs = np.full(rows.size, us, dtype=np.int64)
+        lows = np.full(rows.size, vs, dtype=np.int64)
+        d_high, d_low = du, dv
+        dead = du == -1
     else:
-        high, low, d_high, d_low = vs, us, dv, du
-
+        # Order the endpoints: uH is closer to the source (unreachable
+        # counts as infinitely far; ties keep u as uH, like classify).
+        u_high = (dv == -1) | ((du != -1) & (du <= dv))
+        highs = np.where(u_high, us, vs)
+        lows = np.where(u_high, vs, us)
+        d_high = np.where(u_high, du, dv)
+        d_low = np.where(u_high, dv, du)
+        dead = (du == -1) & (dv == -1)
+    dd = d_low - d_high
     if state.is_addition:
-        if d_low == -1:
-            return UpdateCase.ADD_STRUCTURAL, high, low
-        dd = d_low - d_high
-        if dd == 0:
-            return UpdateCase.SKIP, -1, -1
-        if dd == 1:
-            return UpdateCase.ADD_NO_STRUCTURE, high, low
-        return UpdateCase.ADD_STRUCTURAL, high, low
-
-    if d_low == -1 or d_high == -1:
-        return UpdateCase.SKIP, -1, -1
-    if d_low - d_high == 0:
-        return UpdateCase.SKIP, -1, -1
-    if _has_other_predecessor_flat(state, distance, low):
-        return UpdateCase.REMOVE_NO_STRUCTURE, high, low
-    return UpdateCase.REMOVE_STRUCTURAL, high, low
-
-
-def _has_other_predecessor_flat(state, distance, low: int) -> bool:
-    """Flat form of :func:`_has_other_predecessor` over the in-CSR."""
-    target_level = int(distance[low]) - 1
-    start = state.in_indptr[low]
-    stop = state.in_indptr[low + 1]
-    if start == stop:
-        return False
-    return bool((distance[state.in_indices[start:stop]] == target_level).any())
+        same = dd == 1 if state.directed else (dd == 1) & (d_low != -1)
+        skip = dd <= 0 if state.directed else dd == 0
+        codes = np.where(same, ADD_SAME_CODE, ADD_STRUCT_CODE)
+        codes[(d_low != -1) & skip] = SKIP_CODE
+    else:
+        if state.directed:
+            candidate = (d_low != -1) & (dd == 1)
+        else:
+            candidate = (d_low != -1) & (d_high != -1) & (dd != 0)
+        codes = np.where(candidate, REMOVE_STRUCT_CODE, SKIP_CODE)
+        for low in (vs, us):
+            sel = np.flatnonzero(candidate & (lows == low))
+            parents = state.in_indices[state.in_indptr[low] : state.in_indptr[low + 1]]
+            if sel.size == 0 or parents.size == 0:
+                continue
+            block = distance[base[sel][:, None] + parents[None, :]]
+            other = (block == (d_low[sel] - 1)[:, None]).any(axis=1)
+            codes[sel[other]] = REMOVE_SAME_CODE
+            if state.directed:
+                break
+    codes[dead] = SKIP_CODE
+    return codes.astype(np.int8), highs, lows

@@ -3,39 +3,70 @@
 The vectorized repair phases in :mod:`repro.core.addition`,
 :mod:`repro.core.removal` and :mod:`repro.core.accumulation` all work on the
 same raw material: a compiled CSR snapshot of the graph *as of one update of
-the batch* (:class:`FlatBatchState`), the record's column arrays, and a
-few order-preserving array tricks.  This module holds that common ground.
+the batch* (:class:`FlatBatchState`), the store's own column matrices seen
+as flat pair arrays (:class:`PairSpace`), and a few order-preserving array
+tricks.  This module holds that common ground.
+
+**Pair space.**  A store's three matrices are C-contiguous ``(rows,
+capacity)`` arrays, so the pair ``(row, slot)`` — one source's record at
+one vertex — has the flat id ``row * capacity + slot`` in all three.  The
+cohort sweep classifies, repairs and accumulates every affected source of
+an update at once by gathering and scattering at flat ids, *in place* on
+the store: memory and work scale with the pairs an update touches, not
+with the cohort size times ``n``.  The first time an update writes a
+pair, the pair's pre-update triple goes into a compact undo log; reads of
+pre-update values come from the live matrices except at logged pairs.  The
+same log rolls a failed batch back.  Per-pair bookkeeping (the repair
+walks' visited sets) is bits in one persistent store-shaped byte array,
+cleared only where it was set.
 
 The tricks carry the bit-identity burden:
 
 * :func:`slice_positions` flattens the adjacency slices of a vertex array in
   *vertex order* — the exact sequence a scalar ``for v: for nbr in adj[v]``
   double loop visits;
-* :func:`first_occurrence` deduplicates such a flattened sequence keeping the
-  first copy of every slot in encounter order — the exact sequence in which
-  a scalar loop guarded by a "seen" set admits them;
+* :meth:`PairSpace.first_occurrence` deduplicates such a flattened sequence
+  keeping the first copy of every pair in encounter order — the exact
+  sequence in which a scalar loop guarded by a "seen" set admits them;
 * :func:`merge_order` interleaves two selections of one flattened sequence
   back into visitation order — the order in which a scalar loop testing
   both conditions per element emits them.
 
 Everything else in the vectorized phases is arithmetic on arrays arranged by
-these two orders, applied through ``np.add.at``, which applies duplicate
+these orders, applied through ``np.add.at``, which applies duplicate
 indices sequentially in operand order.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "FlatBatchState",
+    "PairSpace",
     "slice_positions",
-    "first_occurrence",
     "merge_order",
     "group_by_level",
 ]
+
+#: Bits of :attr:`PairSpace.flags`.  ``LOGGED`` marks pairs in the current
+#: update's undo log; the others are the repair walks' per-pair sets.
+#: ``REGION`` (directed accumulation) shares its bit with ``TRACKED``
+#: (undirected accumulation): one sweep never runs both.
+LOGGED = 1
+AFFECTED = 2
+TRACKED = REGION = 4
+PROCESSED = 8
+SCHEDULED = 16
+DROPPED = 32
+DECIDED = 64
+
+#: Pairs whose distance an update may have moved: repaired (``AFFECTED``)
+#: or dropped (``DROPPED``, which covers the disconnected ones).  Every
+#: pair whose path count moved is ``AFFECTED``.
+_MOVABLE = AFFECTED | DROPPED
 
 
 class FlatBatchState(NamedTuple):
@@ -52,7 +83,6 @@ class FlatBatchState(NamedTuple):
     ``edge_id`` is the registry id of this update's own edge.
     """
 
-    n: int
     directed: bool
     indptr: np.ndarray
     indices: np.ndarray
@@ -86,20 +116,220 @@ def slice_positions(
     return positions, counts
 
 
-def first_occurrence(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """First copy of every slot in ``values``, in encounter order.
+class PairSpace:
+    """The store's column matrices as flat pair arrays, plus an undo log.
 
-    ``scratch`` is a length-``n`` int64 array (slots index into it); its
-    contents are overwritten before every read.  Reversed assignment makes
-    the *first* occurrence win, so comparing each element's recorded first
-    position with its own position keeps exactly the first copy of every
-    slot — no sort, no hashing.
+    :meth:`bind` adopts the store's live ``(distance, sigma, delta)``
+    matrices as flat views (:attr:`distance`, :attr:`sigma`,
+    :attr:`delta`); repairs write them in place.  Before a pair is first
+    written in an update, :meth:`touch` appends its pre-update triple to
+    the log and records the log position in :attr:`position`, so
+    :meth:`old_distance` / :meth:`old_sigma` read pre-update values for
+    any pair, and ``log_*[position[pid]]`` for pairs known to be logged.
+
+    :attr:`flags` (one byte per pair) and :attr:`position` (an int32 per
+    pair) are store-shaped and persist across updates and batches: five
+    bytes per pair, cleared only where they were set.  Every bit but
+    ``DECIDED`` is set only on pairs the update logs, so clearing the
+    logged pairs' flags when the update ends clears them;
+    :meth:`mark_unlogged` records the others.  A position is read only
+    where ``LOGGED`` is set; :meth:`first_occurrence` borrows
+    :attr:`position` as its scratch and restores what it overwrote.  The
+    logs of a batch's earlier updates are kept so :meth:`rollback` can
+    restore every record the batch wrote.
     """
-    if values.size <= 1:
+
+    def __init__(self) -> None:
+        self.flags = np.zeros(0, dtype=np.uint8)
+        self.position = np.empty(0, dtype=np.int32)
+        self.width = 0
+        self.distance = self.sigma = self.delta = None
+        self.size = 0
+        self.log_pid = np.empty(0, dtype=np.int64)
+        self.log_distance = np.empty(0, dtype=np.int16)
+        self.log_sigma = np.empty(0, dtype=np.int64)
+        self.log_delta = np.empty(0, dtype=np.float64)
+        #: True once the current update wrote a distance: until then old
+        #: and live distances agree everywhere.
+        self.distance_moved = False
+        self._unlogged: List[np.ndarray] = []
+        self._history: List[Tuple[np.ndarray, ...]] = []
+
+    # -- binding ---------------------------------------------------------- #
+    def bind(self, matrices: Sequence[np.ndarray]) -> None:
+        """Adopt the store's matrices (C-contiguous ``(rows, capacity)``)."""
+        distance = matrices[0]
+        if not all(matrix.flags.c_contiguous for matrix in matrices):
+            raise ValueError("pair space needs C-contiguous column matrices")
+        # Reshaping a C-contiguous matrix is a view: writes reach the store.
+        self.distance, self.sigma, self.delta = (
+            matrix.reshape(-1) for matrix in matrices
+        )
+        self.width = distance.shape[1]
+        if self.flags.size != distance.size:
+            self.flags = np.zeros(distance.size, dtype=np.uint8)
+            self.position = np.empty(distance.size, dtype=np.int32)
+
+    def unbind(self) -> None:
+        """Forget the batch: clear every bit, drop the logs and the views."""
+        self._clear()
+        self._history = []
+        self.distance = self.sigma = self.delta = None
+
+    # -- per-pair bits ---------------------------------------------------- #
+    def has(self, pids: np.ndarray, bit: int) -> np.ndarray:
+        """Boolean mask: which of ``pids`` carry ``bit``."""
+        return (self.flags[pids] & bit) != 0
+
+    def mark(self, pids: np.ndarray, bit: int) -> None:
+        """Set ``bit`` on ``pids``, pairs this update logs."""
+        self.flags[pids] |= bit
+
+    def mark_unlogged(self, pids: np.ndarray, bit: int) -> None:
+        """Set ``bit`` on ``pids``, which the update may never log."""
+        if pids.size:
+            self.flags[pids] |= bit
+            self._unlogged.append(pids)
+
+    def first_occurrence(
+        self, values: np.ndarray, unlogged: bool = False
+    ) -> np.ndarray:
+        """First copy of every pair in ``values``, in encounter order.
+
+        Reversed assignment makes the *first* occurrence win, so comparing
+        each element's recorded first position with its own position keeps
+        exactly the first copy of every pair — no sort, no hashing.  The
+        scratch is :attr:`position`, whose overwritten entries are put back
+        unless the caller knows no pair of ``values`` is logged.
+        """
+        if values.size <= 1:
+            return values
+        position = self.position
+        if not unlogged:
+            saved = position[values]
+        flat = np.arange(values.size, dtype=np.int32)
+        position[values[::-1]] = flat[::-1]
+        first = values[position[values] == flat]
+        if not unlogged:
+            position[values] = saved
+        return first
+
+    # -- the undo log ----------------------------------------------------- #
+    def touch(self, pids: np.ndarray, distance: bool = False, bits: int = 0) -> None:
+        """Log the pre-update triple of every pair of ``pids`` not yet logged.
+
+        Call before writing ``pids`` (distinct pair ids); ``distance=True``
+        announces a distance write, and ``bits`` are set on all of
+        ``pids`` on the way.  Fresh pairs take consecutive log positions in
+        ``pids`` order.
+        """
+        if distance:
+            self.distance_moved = True
+        flags = self.flags[pids]
+        self.flags[pids] = flags | (bits | LOGGED)
+        fresh_sel = (flags & LOGGED) == 0
+        fresh = pids if fresh_sel.all() else pids[fresh_sel]
+        start = self.size
+        stop = start + fresh.size
+        if stop == start:
+            return
+        if stop > self.log_pid.size:
+            self._grow_log(stop)
+        self.log_pid[start:stop] = fresh
+        self.log_distance[start:stop] = self.distance[fresh]
+        self.log_sigma[start:stop] = self.sigma[fresh]
+        self.log_delta[start:stop] = self.delta[fresh]
+        self.position[fresh] = np.arange(start, stop, dtype=np.int32)
+        self.size = stop
+
+    def _grow_log(self, needed: int) -> None:
+        grown = max(needed, 2 * self.log_pid.size, 1024)
+        for name in ("log_pid", "log_distance", "log_sigma", "log_delta"):
+            old = getattr(self, name)
+            new = np.empty(grown, dtype=old.dtype)
+            new[: self.size] = old[: self.size]
+            setattr(self, name, new)
+
+    def old_distance(
+        self,
+        pids: np.ndarray,
+        live: Optional[np.ndarray] = None,
+        flags: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Pre-update distances of ``pids``.
+
+        ``live`` and ``flags`` are the pairs' live distances and flags when
+        the caller already gathered them (``live`` is then patched in
+        place and returned).
+        """
+        values = self.distance[pids] if live is None else live
+        if self.distance_moved:
+            if flags is None:
+                flags = self.flags[pids]
+            hit = np.flatnonzero(flags & _MOVABLE)
+            if hit.size:
+                values[hit] = self.log_distance[self.position[pids[hit]]]
         return values
-    flat = np.arange(values.size, dtype=np.int64)
-    scratch[values[::-1]] = flat[::-1]
-    return values[scratch[values] == flat]
+
+    def old_sigma(
+        self, pids: np.ndarray, flags: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Pre-update path counts of ``pids`` (``flags``: theirs, if at hand)."""
+        values = self.sigma[pids]
+        if flags is None:
+            flags = self.flags[pids]
+        hit = np.flatnonzero(flags & AFFECTED)
+        if hit.size:
+            values[hit] = self.log_sigma[self.position[pids[hit]]]
+        return values
+
+    # -- update and batch boundaries -------------------------------------- #
+    def begin_update(self) -> None:
+        """Start the next update of the batch: keep the last update's log
+        for :meth:`rollback`, clear its bits."""
+        if self.size:
+            stop = self.size
+            self._history.append(
+                (
+                    self.log_pid[:stop].copy(),
+                    self.log_distance[:stop].copy(),
+                    self.log_sigma[:stop].copy(),
+                    self.log_delta[:stop].copy(),
+                )
+            )
+        self._clear()
+
+    def rollback(self) -> None:
+        """Restore every pair the batch wrote to its pre-batch value."""
+        stop = self.size
+        logs = self._history + [
+            (
+                self.log_pid[:stop],
+                self.log_distance[:stop],
+                self.log_sigma[:stop],
+                self.log_delta[:stop],
+            )
+        ]
+        # Latest first, so a pair logged by several updates ends at the
+        # value the batch's first write of it saw.
+        for pids, distance, sigma, delta in reversed(logs):
+            self.distance[pids] = distance
+            self.sigma[pids] = sigma
+            self.delta[pids] = delta
+        # A walk cut short may have left bits on pairs it had yet to log.
+        self.flags.fill(0)
+        self._unlogged = []
+        self.size = 0
+        self.unbind()
+
+    def _clear(self) -> None:
+        if self._unlogged:
+            self.flags[np.concatenate(self._unlogged)] = 0
+            self._unlogged = []
+        if self.size:
+            self.flags[self.log_pid[: self.size]] = 0
+            self.size = 0
+        self.distance_moved = False
 
 
 def merge_order(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -107,21 +337,11 @@ def merge_order(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
     ``np.concatenate((first, second))[merge_order(first, second)]`` is the
     merged ascending sequence, with an element of ``first`` placed before
-    an equal element of ``second`` — exactly
-    ``np.argsort(np.concatenate((2 * first, 2 * second + 1)))``.  An
-    element of ``first`` lands at its own index plus the number of smaller
-    elements of ``second`` (one binary-search pass over sorted operands);
-    ``second`` fills the remaining slots in its own order.  No sort runs.
+    an equal element of ``second``.  The parity keys ``2 * first`` and
+    ``2 * second + 1`` are two ascending runs, which the stable sort
+    (timsort) detects and merges in one linear pass.
     """
-    size = first.size
-    total = size + second.size
-    at_first = np.arange(size) + np.searchsorted(second, first, side="left")
-    from_second = np.ones(total, dtype=np.bool_)
-    from_second[at_first] = False
-    order = np.empty(total, dtype=np.int64)
-    order[at_first] = np.arange(size)
-    order[from_second] = np.arange(size, total)
-    return order
+    return np.argsort(np.concatenate((2 * first, 2 * second + 1)), kind="stable")
 
 
 def group_by_level(

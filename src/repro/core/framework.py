@@ -780,7 +780,10 @@ class IncrementalBetweenness:
         sources in a single pair-space sweep
         (:meth:`ArrayKernel.repair_update_cohort`).  Peek semantics,
         per-update stats and the final record/score state are identical to
-        the source-outer loop.
+        the source-outer loop.  The sweep writes the store's rows in place;
+        if any update fails, the kernel restores every record the batch
+        wrote before the error propagates, so a failed batch leaves the
+        records and scores as they were.
         """
         try:
             sources = list(self._store.sources())
@@ -800,34 +803,24 @@ class IncrementalBetweenness:
             for result, skipped in zip(results, proven):
                 result.fold({UpdateCase.SKIP: skipped})
             # Row growth reallocates the store's matrices, so every born
-            # source gets its row before any record view is opened.
+            # source gets its row before the rows are opened.
             for vertex, birth in sorted(adopted.items(), key=lambda item: item[1]):
                 self._store.add_source(vertex)
                 active.append((vertex, birth))
-            loaded = [
-                (source, self._kernel.load(source), first)
-                for source, first in active
-            ]
+            loaded = [source for source, _first in active]
+            self._kernel.open_sources(loaded, [first for _source, first in active])
             batch_result.sources_loaded += len(loaded)
-            for index in range(len(batch)):
-                cohort = [
-                    (ordinal, data)
-                    for ordinal, (_source, data, first) in enumerate(loaded)
-                    if first <= index
-                ]
-                if not cohort:
-                    continue
-                self._kernel.repair_update_cohort(
-                    [data for _ordinal, data in cohort],
-                    [ordinal for ordinal, _data in cohort],
-                    index,
-                    results[index],
-                )
+            first_update = min((first for _source, first in active), default=len(batch))
+            for index in range(first_update, len(batch)):
+                self._kernel.repair_update_cohort(index, results[index])
             self._kernel.flush_cohort_scores()
-            # The repairs went through the store's own views; all that is
+            # The repairs went through the store's own matrices; all that is
             # left is the store's write accounting.
-            for source, _data, _first in loaded:
+            for source in loaded:
                 self._store.record_written(source)
+        except BaseException:
+            self._kernel.rollback_batch()
+            raise
         finally:
             self._kernel.end_batch()
 

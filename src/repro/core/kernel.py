@@ -13,10 +13,13 @@ float64 delta), indexed by dense integer *slots*:
   contributions folded into a flat per-edge array via ``np.add.at``;
 * the **update sweep** (Step 2) is a *cohort* sweep: per update of the
   batch, every source the update can affect is classified, repaired and
-  accumulated at once in (source, vertex) pair space over the store's own
-  column matrices (the ``*_cohort`` routines of :mod:`repro.core.addition`,
+  accumulated at once, in place on the store's own column matrices at
+  flat pair ids ``row * capacity + slot`` (:class:`~repro.core.flat.\
+PairSpace`; the ``*_cohort`` routines of :mod:`repro.core.addition`,
   :mod:`repro.core.removal` and :mod:`repro.core.accumulation`) — no
-  dictionary is ever materialised, the graph is a patched snapshot of the
+  record is copied and no dictionary is ever materialised, an undo log
+  of the written pairs serves pre-update reads and rolls a failed batch
+  back, the graph is a patched snapshot of the
   :class:`~repro.graph.csr.CSRGraph` mirror per update, and the global
   scores are a flat float64 array plus a slot-pair edge registry.  A solo
   source is a cohort of one; there is no other update path;
@@ -58,8 +61,15 @@ from repro.core.addition import (
     repair_addition_structural_cohort,
     repair_same_level_cohort,
 )
-from repro.core.classification import UpdateCase, classify_flat
-from repro.core.flat import FlatBatchState, slice_positions
+from repro.core.classification import (
+    ADD_SAME_CODE,
+    ADD_STRUCT_CODE,
+    CASE_ORDER,
+    REMOVE_SAME_CODE,
+    REMOVE_STRUCT_CODE,
+    classify_cohort,
+)
+from repro.core.flat import FlatBatchState, PairSpace, slice_positions
 from repro.core.removal import repair_removal_structural_cohort
 from repro.core.result import UpdateResult
 from repro.core.updates import EdgeUpdate
@@ -80,24 +90,22 @@ from repro.utils.stats import top_k_ranked
 __all__ = [
     "ArrayKernel",
     "EdgeScoreRegistry",
-    "FlatSourceData",
     "ScoreColumn",
     "brandes_betweenness_arrays",
 ]
 
 #: What a store must offer for ``backend="arrays"`` to run on it: the slot
-#: index, record and source registration, and bulk access to the column
-#: matrices the cohort sweep gathers from and writes back to — live views
-#: that alias the store, so the repair lands in place.
+#: index, record and source registration, and the column matrices the
+#: cohort sweep repairs in place — live C-contiguous views that alias the
+#: store, addressed through flat pair ids.
 _COLUMN_PROTOCOL = (
     "vertex_index",
     "register_vertex",
     "add_source",
     "put_columns",
-    "record_columns",
+    "sweep_rows",
     "record_written",
     "column_matrices",
-    "row_of_source_slot",
     "peek_distance_block",
 )
 
@@ -262,32 +270,6 @@ class EdgeScoreRegistry:
         pairs = list(self._pairs)
         ids = np.flatnonzero(self.active[: len(pairs)])
         return ids, self.values[ids], pairs
-
-
-# --------------------------------------------------------------------------- #
-# Flat (slot-indexed) BD records
-# --------------------------------------------------------------------------- #
-class FlatSourceData:
-    """Slot-indexed ``BD[s]`` record over three column arrays.
-
-    ``source`` is the source *slot*; the arrays are the store's own views
-    of the record (``-1`` distance = unreachable), so mutating them *is*
-    persisting the record.
-    """
-
-    __slots__ = ("source", "distance_array", "sigma_array", "delta_array")
-
-    def __init__(
-        self,
-        source_slot: int,
-        distance: np.ndarray,
-        sigma: np.ndarray,
-        delta: np.ndarray,
-    ) -> None:
-        self.source = source_slot
-        self.distance_array = distance
-        self.sigma_array = sigma
-        self.delta_array = delta
 
 
 # --------------------------------------------------------------------------- #
@@ -624,6 +606,14 @@ class ArrayKernel:
         self._escore.reset(edge_pairs, np.zeros(len(edge_pairs)))
         self._batch_states: Optional[List[FlatBatchState]] = None
         self._cohort_streams: Optional[CohortScoreStreams] = None
+        self._pairs = PairSpace()
+        # The batch's loaded sources: store rows in load order, the first
+        # update each must be repaired for, and row-indexed source slots
+        # and load ordinals (set by :meth:`open_sources`).
+        self._rows = np.empty(0, dtype=np.int64)
+        self._firsts = np.empty(0, dtype=np.int64)
+        self._source_of_row = np.empty(0, dtype=np.int64)
+        self._ordinal_of_row = np.empty(0, dtype=np.int64)
         #: When set to a dict, the cohort sweep accumulates per-phase
         #: wall-clock seconds into the keys "classify" / "repair" /
         #: "accumulate" (benchmark instrumentation, off by default).
@@ -684,14 +674,6 @@ class ArrayKernel:
         self.csr.remove_edge(self.index.slot(u), self.index.slot(v))
 
     # ------------------------------------------------------------------ #
-    # Records
-    # ------------------------------------------------------------------ #
-    def load(self, source: Vertex) -> FlatSourceData:
-        """Open ``source``'s record for repair as zero-copy store views."""
-        distance, sigma, delta = self._store.record_columns(source, writable=True)
-        return FlatSourceData(self.index.slot(source), distance, sigma, delta)
-
-    # ------------------------------------------------------------------ #
     # Step 2: the cohort sweep — one update, every affected source at once
     # ------------------------------------------------------------------ #
     def begin_batch(self, batch: Sequence[EdgeUpdate]) -> None:
@@ -709,7 +691,6 @@ without_edge` patch per update, stashing the out-/in-CSR families after
         :meth:`remove_edge`), so a failed batch leaves it as it was.
         """
         self._sync_capacity()
-        n = len(self.index)
         out = self.csr.compiled()[:3]
         inn = self.csr.compiled_in()
         states: List[FlatBatchState] = []
@@ -723,7 +704,6 @@ without_edge` patch per update, stashing the out-/in-CSR families after
                 out, inn = without_edge(out, inn, self.directed, us, vs)
             states.append(
                 FlatBatchState(
-                    n,
                     self.directed,
                     out[0],
                     out[1],
@@ -740,243 +720,171 @@ without_edge` patch per update, stashing the out-/in-CSR families after
         """Drop the compiled batch snapshots (the batch sweep is over)."""
         self._batch_states = None
         self._cohort_streams = None
+        self._pairs.unbind()
 
-    #: Upper bound on (cohort size × n) pairs swept at once; larger
-    #: cohorts run in source-ordered slabs, which keeps the deferred score
-    #: streams' source-major application order.
-    COHORT_PAIR_BUDGET = 8_000_000
-
-    def repair_update_cohort(
-        self,
-        records: Sequence[FlatSourceData],
-        ordinals: Sequence[int],
-        update_index: int,
-        result: UpdateResult,
+    def open_sources(
+        self, sources: Sequence[Vertex], firsts: Sequence[int]
     ) -> None:
-        """Repair one update for a whole cohort of loaded records at once.
+        """Open the batch's loaded sources for repair in place.
 
-        Classification runs per source (:func:`classify_flat`); the repair
-        and accumulation phases — the sweep's hot path — run over the
-        entire cohort in (source, vertex) pair space (the ``*_cohort``
-        routines and :func:`accumulate_cohort`).  ``ordinals`` are the
-        records' positions in the batch sweep's source order: shared-score
-        writes are deferred into a batch-wide stream keyed on them, and
+        ``sources`` are in load order (the order of the framework's
+        source-outer reference loop) and ``firsts[i]`` is the first update
+        of the batch that may affect ``sources[i]``.  Their store rows are
+        swept in place through the store's column matrices, which must not
+        be regrown until the batch ends.
+        """
+        store = self._store
+        rows = store.sweep_rows(sources)
+        matrices = store.column_matrices()
+        self._pairs.bind(matrices)
+        row_capacity = matrices[0].shape[0]
+        self._rows = rows
+        self._firsts = np.asarray(firsts, dtype=np.int64)
+        self._source_of_row = np.full(row_capacity, -1, dtype=np.int64)
+        self._source_of_row[rows] = np.fromiter(
+            (self.index.slot(source) for source in sources),
+            dtype=np.int64,
+            count=len(sources),
+        )
+        self._ordinal_of_row = np.zeros(row_capacity, dtype=np.int64)
+        self._ordinal_of_row[rows] = np.arange(rows.size, dtype=np.int64)
+
+    def rollback_batch(self) -> None:
+        """Restore every record the failed batch wrote (scores were never
+        written: their streams are dropped with the batch)."""
+        if self._pairs.distance is not None:
+            self._pairs.rollback()
+
+    def repair_update_cohort(self, update_index: int, result: UpdateResult) -> None:
+        """Repair one update for every loaded source it may affect, at once.
+
+        The cohort is every opened source whose first possibly-affecting
+        update is at or before ``update_index``.  Classification is one
+        vectorised pass over the cohort's rows (:func:`classify_cohort`);
+        every repair class then runs as one cohort walk over pairs — same-
+        level jobs via :func:`repair_same_level_cohort`, structural ones via
+        :func:`repair_addition_structural_cohort` /
+        :func:`repair_removal_structural_cohort` — writing the new distances
+        and path counts in place on the store's rows, with each written
+        pair's pre-update values in the pair space's undo log.  All classes
+        feed merged ``(pair, level)`` plan chunks into one
+        :func:`accumulate_cohort` sweep, which rebuilds dependencies in
+        place.  Shared-score writes are deferred into a batch-wide stream
+        keyed on the sources' load ordinals, and
         :meth:`flush_cohort_scores` replays the dict backend's source-outer
-        float order once the whole batch has swept.  The cohort's per-case
-        counts and summed work are folded into ``result`` in one call.
+        float order once the whole batch has swept.
+
+        The σ-overflow check runs on every affected pair before the update
+        returns; it raises :class:`~repro.exceptions.StoreCorruptedError`,
+        and the caller rolls the batch back (:meth:`rollback_batch`).  The
+        cohort's per-case counts and summed work are folded into ``result``.
         """
         state = self._batch_states[update_index]
         timings = self.phase_timings
         if timings is not None:
             tick = perf_counter()
-        n = state.n
+        pairs = self._pairs
+        pairs.begin_update()
         if self._cohort_streams is None:
             self._cohort_streams = CohortScoreStreams()
+        width = pairs.width
+        distance, sigma, delta = pairs.distance, pairs.sigma, pairs.delta
 
-        case_counts: Dict[UpdateCase, int] = {}
-        job_meta: List[Tuple[int, FlatSourceData, UpdateCase, int, int]] = []
-        for ordinal, data in zip(ordinals, records):
-            case, high, low = classify_flat(state, data.distance_array[:n])
-            case_counts[case] = case_counts.get(case, 0) + 1
-            if case is not UpdateCase.SKIP:
-                job_meta.append((int(ordinal), data, case, high, low))
+        rows = self._rows[self._firsts <= update_index]
+        codes, highs, lows = classify_cohort(state, distance, width, rows)
+        counts = np.bincount(codes, minlength=len(CASE_ORDER)).tolist()
+        case_counts = {case: count for case, count in zip(CASE_ORDER, counts) if count}
+        repair_order = (
+            ADD_SAME_CODE, REMOVE_SAME_CODE, ADD_STRUCT_CODE, REMOVE_STRUCT_CODE
+        )
+        jobs = {
+            code: np.flatnonzero(codes == code)
+            for code in repair_order
+            if counts[code]
+        }
+
+        # Every removal seeds the sweep with the removed edge's pre-update
+        # dependency, read before any repair writes, in the operand order of
+        # the dict backend's _removed_edge_dependency.
+        removals = [
+            jobs[code]
+            for code in (REMOVE_SAME_CODE, REMOVE_STRUCT_CODE)
+            if code in jobs
+        ]
+        rem_k = np.concatenate(removals) if removals else np.empty(0, np.int64)
+        rem_rows = rows[rem_k]
+        rem_highs = highs[rem_k]
+        rem_base = rem_rows * width
+        sigma_high = sigma[rem_base + rem_highs]
+        sigma_low = sigma[rem_base + lows[rem_k]]
+        delta_low = delta[rem_base + lows[rem_k]]
+        rem_red = sigma_high / sigma_low * (1.0 + delta_low)
+        # Counts up to 2**53 are exact doubles, so that quotient is the
+        # correctly rounded one; python's int division is correctly rounded
+        # past 2**53 too, numpy's is not.
+        inexact = np.flatnonzero((sigma_high > 2**53) | (sigma_low > 2**53))
+        for i in inexact.tolist():
+            rem_red[i] = (
+                int(sigma_high[i]) / int(sigma_low[i]) * (1.0 + float(delta_low[i]))
+            )
         if timings is not None:
             now = perf_counter()
             timings["classify"] = timings.get("classify", 0.0) + (now - tick)
+            tick = now
 
-        affected = touched = disconnected = 0
-        slab = max(1, self.COHORT_PAIR_BUDGET // max(n, 1))
-        for start in range(0, len(job_meta), slab):
-            work = self._repair_cohort_slab(state, job_meta[start : start + slab])
-            affected += work[0]
-            touched += work[1]
-            disconnected += work[2]
-        result.fold(case_counts, affected, touched, disconnected)
-
-    def _repair_cohort_slab(
-        self,
-        state: FlatBatchState,
-        metas: List[Tuple[int, FlatSourceData, UpdateCase, int, int]],
-    ) -> Tuple[int, int, int]:
-        """Repair and accumulate one source-ordered slab of cohort jobs.
-
-        Every repair class runs as one cohort walk over (job, slot) pairs —
-        same-level jobs via :func:`repair_same_level_cohort`, structural
-        ones via :func:`repair_addition_structural_cohort` /
-        :func:`repair_removal_structural_cohort` — mutating the slab's
-        stacked work columns while pristine ``old_*`` gathers keep the
-        pre-update rows.  All classes feed merged ``(k, slot, level)`` plan
-        chunks into one :func:`accumulate_cohort` sweep.
-
-        Only the touched pairs are written back.  Distances and path counts
-        change only on affected pairs (every pair a repair walk writes is
-        marked affected) and on disconnected pairs; dependencies change only
-        on the pairs the accumulation tracks — a superset of the affected
-        pairs, which seed it — and on disconnected pairs.  So writing all
-        three columns over tracked ∪ disconnected pairs leaves every record
-        exactly as a whole-row write would, and the σ-overflow check, which
-        must run before anything reaches the store, only has affected pairs
-        to inspect.  Returns the slab's ``(affected, touched,
-        disconnected)`` pair counts.
-        """
-        timings = self.phase_timings
-        if timings is not None:
-            tick = perf_counter()
-        n = state.n
-        m = len(metas)
-        dist2d, sig2d, delta2d = self._store.column_matrices()
-        rows = np.array(
-            [self._store.row_of_source_slot(meta[1].source) for meta in metas],
-            dtype=np.int64,
-        )
-        sources = np.array([meta[1].source for meta in metas], dtype=np.int64)
-        highs = np.array([meta[3] for meta in metas], dtype=np.int64)
-        lows = np.array([meta[4] for meta in metas], dtype=np.int64)
-        ordinals = np.array([meta[0] for meta in metas], dtype=np.int64)
-        pair_first = np.empty(m * n, dtype=np.int64)
-        pair_pos = np.empty(m * n, dtype=np.int64)
-
-        # Fancy row gathers = fresh work copies of every job's columns; the
-        # ``old_*`` stacks stay pristine for the accumulate sweep to read.
-        work_distance = dist2d[rows, :n]
-        work_sigma = sig2d[rows, :n]
-        new_delta = delta2d[rows, :n]
-        old_distance = work_distance.copy()
-        old_sigma = work_sigma.copy()
-        old_delta = new_delta.copy()
-        affected_rows = np.zeros((m, n), dtype=np.bool_)
-
-        tri_k: List[np.ndarray] = []
-        tri_s: List[np.ndarray] = []
+        tri_p: List[np.ndarray] = []
         tri_l: List[np.ndarray] = []
-        rem_k: List[int] = []
-        rem_red: List[float] = []
-        same_add: List[int] = []
-        add_struct: List[int] = []
-        same_rem: List[int] = []
-        rem_struct: List[int] = []
-        for k, (_ordinal, _data, case, _high, _low) in enumerate(metas):
-            if case is UpdateCase.ADD_NO_STRUCTURE:
-                same_add.append(k)
-            elif case is UpdateCase.ADD_STRUCTURAL:
-                add_struct.append(k)
-            elif case is UpdateCase.REMOVE_NO_STRUCTURE:
-                same_rem.append(k)
-            else:  # UpdateCase.REMOVE_STRUCTURAL
-                rem_struct.append(k)
-
-        # Every removal seeds the sweep with the removed edge's pre-update
-        # dependency — python-scalar operand order of the dict backend's
-        # _removed_edge_dependency (int division is correctly rounded past
-        # 2**53).
-        for k in same_rem + rem_struct:
-            high = int(highs[k])
-            low = int(lows[k])
-            rem_k.append(k)
-            rem_red.append(
-                int(old_sigma[k, high]) / int(old_sigma[k, low])
-                * (1.0 + float(old_delta[k, low]))
-            )
-
         disc_pid = np.empty(0, dtype=np.int64)
-        if same_add:
-            ks = np.array(same_add, dtype=np.int64)
-            ck, cs, cl = repair_same_level_cohort(
-                state, ks, highs[ks], lows[ks], 1,
-                old_distance, old_sigma, work_sigma, affected_rows,
-                pair_first,
-            )
-            tri_k.append(ck)
-            tri_s.append(cs)
-            tri_l.append(cl)
-        if same_rem:
-            ks = np.array(same_rem, dtype=np.int64)
-            ck, cs, cl = repair_same_level_cohort(
-                state, ks, highs[ks], lows[ks], -1,
-                old_distance, old_sigma, work_sigma, affected_rows,
-                pair_first,
-            )
-            tri_k.append(ck)
-            tri_s.append(cs)
-            tri_l.append(cl)
-        if add_struct:
-            ks = np.array(add_struct, dtype=np.int64)
-            ck, cs, cl = repair_addition_structural_cohort(
-                state, ks, highs[ks], lows[ks],
-                old_distance, work_distance, work_sigma, affected_rows,
-                pair_first,
-            )
-            tri_k.append(ck)
-            tri_s.append(cs)
-            tri_l.append(cl)
-        if rem_struct:
-            ks = np.array(rem_struct, dtype=np.int64)
-            ck, cs, cl, disc_pid = repair_removal_structural_cohort(
-                state, ks, highs[ks], lows[ks],
-                old_distance, work_distance, work_sigma, affected_rows,
-                pair_first, pair_pos,
-            )
-            tri_k.append(ck)
-            tri_s.append(cs)
+        for code in repair_order:
+            ks = jobs.get(code)
+            if ks is None:
+                continue
+            job = (state, pairs, rows[ks], highs[ks], lows[ks])
+            if code == ADD_STRUCT_CODE:
+                cp, cl = repair_addition_structural_cohort(*job)
+            elif code == REMOVE_STRUCT_CODE:
+                cp, cl, disc_pid = repair_removal_structural_cohort(*job)
+            else:
+                sign = 1 if code == ADD_SAME_CODE else -1
+                cp, cl = repair_same_level_cohort(*job, sign)
+            tri_p.append(cp)
             tri_l.append(cl)
         empty = np.empty(0, dtype=np.int64)
-        chunk_k = np.concatenate(tri_k) if tri_k else empty
-        chunk_s = np.concatenate(tri_s) if tri_s else empty
-        disc_k = disc_pid // n
+        chunk_pid = np.concatenate(tri_p) if tri_p else empty
         if timings is not None:
             now = perf_counter()
             timings["repair"] = timings.get("repair", 0.0) + (now - tick)
             tick = now
 
-        touched_pid = accumulate_cohort(
+        touched = accumulate_cohort(
             state,
-            work_distance,
-            work_sigma,
-            old_distance,
-            old_sigma,
-            new_delta,
-            old_delta,
-            None if state.directed else affected_rows,
-            sources,
-            highs,
-            lows,
-            ordinals,
-            chunk_k,
-            chunk_s,
+            pairs,
+            self._source_of_row,
+            self._ordinal_of_row,
+            chunk_pid,
             np.concatenate(tri_l) if tri_l else empty,
-            np.array(rem_k, dtype=np.int64),
-            np.array(rem_red, dtype=np.float64),
-            np.full(len(rem_k), state.edge_id, dtype=np.int64),
-            disc_k,
-            disc_pid - disc_k * n,
+            rem_rows,
+            rem_highs,
+            rem_red,
+            np.full(rem_k.size, state.edge_id, dtype=np.int64),
+            disc_pid,
             self._cohort_streams,
             state.is_addition,
-            pair_first,
         )
-        wd_flat = work_distance.reshape(-1)
-        ws_flat = work_sigma.reshape(-1)
-        nd_flat = new_delta.reshape(-1)
         if disc_pid.size:
-            ws_flat[disc_pid] = 0
-            nd_flat[disc_pid] = 0.0
-        affected_sigma = ws_flat[chunk_k * n + chunk_s]
+            sigma[disc_pid] = 0
+            delta[disc_pid] = 0.0
+        affected_sigma = sigma[chunk_pid]
         if affected_sigma.size and int(affected_sigma.min()) < 0:
-            bad = int(chunk_k[np.argmin(affected_sigma)])
+            bad = int(chunk_pid[np.argmin(affected_sigma)]) // width
             raise StoreCorruptedError(
-                f"shortest-path count from slot {int(sources[bad])} overflowed "
-                "the int64 sigma column during an incremental repair"
+                f"shortest-path count from slot {int(self._source_of_row[bad])} "
+                "overflowed the int64 sigma column during an incremental repair"
             )
-        written = np.concatenate((touched_pid, disc_pid))
-        written_k = written // n
-        written_rows = rows[written_k]
-        written_slots = written - written_k * n
-        dist2d[written_rows, written_slots] = wd_flat[written]
-        sig2d[written_rows, written_slots] = ws_flat[written]
-        delta2d[written_rows, written_slots] = nd_flat[written]
         if timings is not None:
             now = perf_counter()
             timings["accumulate"] = timings.get("accumulate", 0.0) + (now - tick)
-        return chunk_k.size, touched_pid.size, disc_pid.size
+        result.fold(case_counts, chunk_pid.size, touched, disc_pid.size)
 
     def flush_cohort_scores(self) -> None:
         """Apply the batch's deferred shared-score streams (sweep is over)."""

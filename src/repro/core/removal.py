@@ -21,8 +21,12 @@ import numpy as np
 
 from repro.algorithms.brandes import SourceData
 from repro.core.flat import (
+    AFFECTED,
+    DECIDED,
+    DROPPED,
+    SCHEDULED,
     FlatBatchState,
-    first_occurrence,
+    PairSpace,
     group_by_level,
     slice_positions,
 )
@@ -278,52 +282,49 @@ _INF = np.iinfo(np.int64).max
 
 def find_drop_set_cohort(
     state: FlatBatchState,
-    ks: np.ndarray,
+    pairs: PairSpace,
+    rows: np.ndarray,
     lows: np.ndarray,
-    old_distance: np.ndarray,
-    pair_first: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`find_drop_set` for a cohort, in (job, slot) pair space.
+) -> np.ndarray:
+    """:func:`find_drop_set` for a cohort, in pair space.
 
-    Returns ``(drop, drop_mask)`` where ``drop`` lists pair ids (``k * n +
-    slot``) in discovery order — each job's subsequence is its scalar drop
-    order — and ``drop_mask`` is the flat pair-space membership mask.  Per
-    level the batch decision is exact: a candidate's fate depends only on
-    the drop status of its parents one level up (all decided in earlier
-    levels), and candidate dedup combines the decided mask with
-    first-occurrence order — exactly the pop-time ``decided`` guard of the
-    scalar loop.  Levels are absolute per pair (a job's candidates appear
-    only at its own ``d[low] + 1 + hop`` levels), and every drop/survive
-    decision reads only the candidate's own row, so the merged level loop
-    is exact.
+    Returns the drop set as pair ids in discovery order — each job's
+    subsequence is its scalar drop order — and leaves them marked
+    ``DROPPED``.  Per level the batch decision is exact: a candidate's fate
+    depends only on the drop status of its parents one level up (all
+    decided in earlier levels), and candidate dedup combines the decided
+    mark with first-occurrence order — exactly the pop-time ``decided``
+    guard of the scalar loop.  Levels are absolute per pair (a job's
+    candidates appear only at its own ``d[low] + 1 + hop`` levels), and
+    every drop/survive decision reads only the candidate's own row, so the
+    merged level loop is exact.  Nothing is written yet, so the live
+    distances are the pre-update ones.
     """
-    n = state.n
+    width = pairs.width
     indptr, indices = state.indptr, state.indices
     in_indptr, in_indices = state.in_indptr, state.in_indices
-    od_flat = old_distance.reshape(-1)
+    distance = pairs.distance
 
-    drop_mask = np.zeros(old_distance.size, dtype=np.bool_)
-    decided = np.zeros(old_distance.size, dtype=np.bool_)
-    low_pids = ks * n + lows
-    drop_mask[low_pids] = True
-    decided[low_pids] = True
+    low_pids = rows * width + lows
+    pairs.mark(low_pids, DROPPED | DECIDED)
     drop_chunks: List[np.ndarray] = [low_pids]
 
     # Initial schedule: children of each low one level below (duplicates
     # kept, as the scalar schedule_children appends them).
     positions, counts = slice_positions(indptr, lows)
     if positions.size == 0:
-        return low_pids, drop_mask
+        return low_pids
     rep = np.repeat(np.arange(lows.size, dtype=np.int64), counts)
-    cpid = ks[rep] * n + indices[positions]
+    cpid = rows[rep] * width + indices[positions]
     seed = cpid[
-        (od_flat[cpid] == od_flat[low_pids][rep] + 1) & ~decided[cpid]
+        (distance[cpid] == distance[low_pids][rep] + 1)
+        & ~pairs.has(cpid, DECIDED)
     ]
     if seed.size == 0:
-        return low_pids, drop_mask
+        return low_pids
 
     buckets: Dict[int, List[np.ndarray]] = {}
-    for lvl, members in group_by_level(seed, od_flat[seed].astype(np.int64)):
+    for lvl, members in group_by_level(seed, distance[seed].astype(np.int64)):
         buckets.setdefault(lvl, []).append(members)
     level = min(buckets)
     max_level = max(buckets)
@@ -331,11 +332,11 @@ def find_drop_set_cohort(
         chunks = buckets.get(level)
         if chunks:
             cand = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            members = first_occurrence(cand[~decided[cand]], pair_first)
+            members = pairs.first_occurrence(cand[~pairs.has(cand, DECIDED)])
             if members.size:
-                decided[members] = True
-                mk = members // n
-                ms = members - mk * n
+                pairs.mark_unlogged(members, DECIDED)
+                mk = members // width
+                ms = members - mk * width
                 # A member drops iff no parent one level up survives.
                 positions, counts = slice_positions(in_indptr, ms)
                 has_survivor = np.zeros(members.size, dtype=np.bool_)
@@ -343,47 +344,42 @@ def find_drop_set_cohort(
                     rep = np.repeat(
                         np.arange(members.size, dtype=np.int64), counts
                     )
-                    ppid = mk[rep] * n + in_indices[positions]
-                    survivors = (od_flat[ppid] == level - 1) & ~drop_mask[ppid]
+                    ppid = mk[rep] * width + in_indices[positions]
+                    survivors = (distance[ppid] == level - 1) & ~pairs.has(
+                        ppid, DROPPED
+                    )
                     if survivors.any():
                         has_survivor[rep[survivors]] = True
                 dropped = members[~has_survivor]
                 if dropped.size:
-                    drop_mask[dropped] = True
+                    pairs.mark(dropped, DROPPED)
                     drop_chunks.append(dropped)
-                    dk = dropped // n
-                    ds = dropped - dk * n
+                    dk = dropped // width
+                    ds = dropped - dk * width
                     positions, counts = slice_positions(indptr, ds)
                     if positions.size:
                         rep = np.repeat(
                             np.arange(ds.size, dtype=np.int64), counts
                         )
-                        kpid = dk[rep] * n + indices[positions]
+                        kpid = dk[rep] * width + indices[positions]
                         scheduled = kpid[
-                            (od_flat[kpid] == level + 1) & ~decided[kpid]
+                            (distance[kpid] == level + 1)
+                            & ~pairs.has(kpid, DECIDED)
                         ]
                         if scheduled.size:
                             buckets.setdefault(level + 1, []).append(scheduled)
                     max_level = max(max_level, level + 1)
         level += 1
-    drop = (
-        drop_chunks[0] if len(drop_chunks) == 1 else np.concatenate(drop_chunks)
-    )
-    return drop, drop_mask
+    return drop_chunks[0] if len(drop_chunks) == 1 else np.concatenate(drop_chunks)
 
 
 def repair_removal_structural_cohort(
     state: FlatBatchState,
-    ks: np.ndarray,
+    pairs: PairSpace,
+    rows: np.ndarray,
     highs: np.ndarray,
     lows: np.ndarray,
-    old_distance: np.ndarray,
-    work_distance: np.ndarray,
-    work_sigma: np.ndarray,
-    affected: np.ndarray,
-    pair_first: np.ndarray,
-    pair_pos: np.ndarray,
-) -> tuple:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Algorithms 6-10 for a cohort in pair space: drop set, pivot settle, sigma recount.
 
     Each stage mirrors its scalar counterpart's bucket order; see the
@@ -392,29 +388,24 @@ def repair_removal_structural_cohort(
     are level-synchronous integer walks whose per-pair decisions read only
     that pair's row, so the merged absolute-level loops replay each job's
     own stages exactly (each job's pair subsequence of every chunk is its
-    scalar bucket).  Stage-2 bookkeeping (``tentative`` /
-    ``settled``) is kept compact over the drop list via the ``pair_pos``
-    scratch — pair id → drop position — so no dense per-pair integer
-    columns are allocated.
+    scalar bucket).  Stage-2 bookkeeping (``tentative`` / ``settled``) is
+    kept compact over the drop list: the drop pairs are logged first, in
+    drop order, so a drop pair's log position minus the first one is its
+    drop position.
 
-    Arguments follow :func:`repair_addition_structural_cohort` plus the
-    second pair-space scratch ``pair_pos``.  Returns ``(tri_k, tri_s,
-    tri_l, disc)``: merged plan-chunk triples and the disconnected pair
-    ids in per-job discovery order.
+    Arguments follow :func:`~repro.core.addition.repair_same_level_cohort`.
+    Returns ``(pairs, levels, disconnected)``: the plan chunks and the
+    disconnected pair ids in per-job discovery order.
     """
-    n = state.n
+    width = pairs.width
     indptr, indices = state.indptr, state.indices
     in_indptr, in_indices = state.in_indptr, state.in_indices
-    od_flat = old_distance.reshape(-1)
-    wd_flat = work_distance.reshape(-1)
-    ws_flat = work_sigma.reshape(-1)
-    aff_flat = affected.reshape(-1)
+    distance, sigma = pairs.distance, pairs.sigma
 
-    drop, drop_mask = find_drop_set_cohort(
-        state, ks, lows, old_distance, pair_first
-    )
-    dk = drop // n
-    ds = drop - dk * n
+    drop = find_drop_set_cohort(state, pairs, rows, lows)
+    dk = drop // width
+    ds = drop - dk * width
+    old_drop_distance = distance[drop]
 
     # ------------------------------------------------------------------ #
     # Stage 2: settle new distances of dropped pairs from the pivots.
@@ -425,13 +416,17 @@ def repair_removal_structural_cohort(
     positions, counts = slice_positions(in_indptr, ds)
     if positions.size:
         rep = np.repeat(np.arange(drop.size, dtype=np.int64), counts)
-        ppid = dk[rep] * n + in_indices[positions]
-        ok = ~drop_mask[ppid] & (od_flat[ppid] != -1)
+        ppid = dk[rep] * width + in_indices[positions]
+        ok = ~pairs.has(ppid, DROPPED) & (distance[ppid] != -1)
         if ok.any():
             np.minimum.at(
-                tentative, rep[ok], od_flat[ppid[ok]].astype(np.int64) + 1
+                tentative, rep[ok], distance[ppid[ok]].astype(np.int64) + 1
             )
-    pair_pos[drop] = np.arange(drop.size, dtype=np.int64)
+    # Every drop pair gets a new distance below, and no pair of these rows
+    # was written before, so the drop list is logged whole and in order.
+    base = pairs.size
+    pairs.touch(drop, distance=True)
+    position = pairs.position
     settled = np.zeros(drop.size, dtype=np.bool_)
 
     reachable = tentative != _INF
@@ -446,76 +441,75 @@ def repair_removal_structural_cohort(
             chunks = buckets.get(level)
             if chunks:
                 cand = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-                cpos = pair_pos[cand]
+                cpos = position[cand] - base
                 # Stale entries (tentative since lowered) and relax-time
                 # duplicates are rejected exactly as at scalar pop time:
                 # relaxation never writes a tentative <= level, so the keep
                 # mask is static across the level.
                 keep = ~settled[cpos] & (tentative[cpos] == level)
-                members = first_occurrence(cand[keep], pair_first)
+                members = pairs.first_occurrence(cand[keep])
                 if members.size:
-                    settled[pair_pos[members]] = True
-                    wd_flat[members] = level
-                    mk = members // n
-                    ms = members - mk * n
+                    settled[position[members] - base] = True
+                    distance[members] = level
+                    mk = members // width
+                    ms = members - mk * width
                     positions, counts = slice_positions(indptr, ms)
                     if positions.size:
                         rep = np.repeat(
                             np.arange(ms.size, dtype=np.int64), counts
                         )
-                        kpid = mk[rep] * n + indices[positions]
+                        kpid = mk[rep] * width + indices[positions]
                         # Restrict to drop pairs before touching the compact
-                        # stage-2 state (pair_pos is defined only on drop).
-                        in_drop = drop_mask[kpid]
-                        sub = kpid[in_drop]
-                        spos = pair_pos[sub]
+                        # stage-2 state (positions are drop positions only
+                        # on drop pairs).
+                        sub = kpid[pairs.has(kpid, DROPPED)]
+                        spos = position[sub] - base
                         relax = ~settled[spos] & (level + 1 < tentative[spos])
-                        kids = first_occurrence(sub[relax], pair_first)
+                        kids = pairs.first_occurrence(sub[relax])
                         if kids.size:
-                            tentative[pair_pos[kids]] = level + 1
+                            tentative[position[kids] - base] = level + 1
                             buckets.setdefault(level + 1, []).append(kids)
                             max_level = max(max_level, level + 1)
             level += 1
 
     disconnected = drop[~settled]
-    wd_flat[disconnected] = -1
+    distance[disconnected] = -1
 
     # ------------------------------------------------------------------ #
     # Stage 3: sigma recount over the affected region, by new distance.
     # ------------------------------------------------------------------ #
-    scheduled = np.zeros(old_distance.size, dtype=np.bool_)
     sigma_buckets: Dict[int, List[np.ndarray]] = {}
 
     # Seeds, phase A: every still-reachable dropped pair, in drop order.
-    seeds_a = drop[wd_flat[drop] != -1]
-    scheduled[seeds_a] = True
+    seeds_a = drop[distance[drop] != -1]
+    pairs.mark(seeds_a, SCHEDULED)
     for lvl, members in group_by_level(
-        seeds_a, wd_flat[seeds_a].astype(np.int64)
+        seeds_a, distance[seeds_a].astype(np.int64)
     ):
         sigma_buckets.setdefault(lvl, []).append(members)
 
     # Seeds, phase B: surviving children that lost a dropped predecessor.
     # The scalar loop runs phase A to completion first, so phase-B chunks
-    # append after phase-A chunks at every level.
+    # append after phase-A chunks at every level.  A surviving pair's
+    # distance was not written, so the live plane holds its old one.
     positions, counts = slice_positions(indptr, ds)
     if positions.size:
         rep = np.repeat(np.arange(drop.size, dtype=np.int64), counts)
-        kpid = dk[rep] * n + indices[positions]
-        lost = ~drop_mask[kpid] & (
-            od_flat[kpid] == od_flat[drop][rep] + 1
+        kpid = dk[rep] * width + indices[positions]
+        lost = ~pairs.has(kpid, DROPPED) & (
+            distance[kpid] == old_drop_distance[rep] + 1
         )
         candidates = kpid[lost]
-        candidates = candidates[~scheduled[candidates]]
-        seeds_b = first_occurrence(candidates, pair_first)
+        candidates = candidates[~pairs.has(candidates, SCHEDULED)]
+        seeds_b = pairs.first_occurrence(candidates)
         if seeds_b.size:
-            scheduled[seeds_b] = True
+            pairs.mark(seeds_b, SCHEDULED)
             for lvl, members in group_by_level(
-                seeds_b, wd_flat[seeds_b].astype(np.int64)
+                seeds_b, distance[seeds_b].astype(np.int64)
             ):
                 sigma_buckets.setdefault(lvl, []).append(members)
 
-    tri_k: List[np.ndarray] = []
-    tri_s: List[np.ndarray] = []
+    tri_p: List[np.ndarray] = []
     tri_l: List[np.ndarray] = []
     if sigma_buckets:
         level = min(sigma_buckets)
@@ -524,13 +518,14 @@ def repair_removal_structural_cohort(
             chunks = sigma_buckets.get(level)
             if chunks:
                 cand = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-                members = first_occurrence(cand[~aff_flat[cand]], pair_first)
+                members = pairs.first_occurrence(
+                    cand[~pairs.has(cand, AFFECTED)]
+                )
                 if members.size:
-                    aff_flat[members] = True
-                    mk = members // n
-                    ms = members - mk * n
-                    tri_k.append(mk)
-                    tri_s.append(ms)
+                    pairs.mark(members, AFFECTED)
+                    mk = members // width
+                    ms = members - mk * width
+                    tri_p.append(members)
                     tri_l.append(
                         np.full(members.size, level, dtype=np.int64)
                     )
@@ -542,8 +537,8 @@ def repair_removal_structural_cohort(
                         rep = np.repeat(
                             np.arange(members.size, dtype=np.int64), counts
                         )
-                        ppid = mk[rep] * n + in_indices[positions]
-                        parent_distance = wd_flat[ppid]
+                        ppid = mk[rep] * width + in_indices[positions]
+                        parent_distance = distance[ppid]
                         parent_mask = (parent_distance != -1) & (
                             parent_distance + 1 == level
                         )
@@ -551,9 +546,10 @@ def repair_removal_structural_cohort(
                             np.add.at(
                                 totals,
                                 rep[parent_mask],
-                                ws_flat[ppid[parent_mask]],
+                                sigma[ppid[parent_mask]],
                             )
-                    ws_flat[members] = totals
+                    pairs.touch(members)
+                    sigma[members] = totals
 
                     # Children one level down inherit the recount.
                     positions, counts = slice_positions(indptr, ms)
@@ -561,16 +557,16 @@ def repair_removal_structural_cohort(
                         rep = np.repeat(
                             np.arange(ms.size, dtype=np.int64), counts
                         )
-                        kpid = mk[rep] * n + indices[positions]
-                        child_distance = wd_flat[kpid]
+                        kpid = mk[rep] * width + indices[positions]
+                        child_distance = distance[kpid]
                         grow = (
                             (child_distance != -1)
                             & (child_distance == level + 1)
-                            & ~scheduled[kpid]
+                            & ~pairs.has(kpid, SCHEDULED)
                         )
-                        kids = first_occurrence(kpid[grow], pair_first)
+                        kids = pairs.first_occurrence(kpid[grow])
                         if kids.size:
-                            scheduled[kids] = True
+                            pairs.mark(kids, SCHEDULED)
                             sigma_buckets.setdefault(level + 1, []).append(
                                 kids
                             )
@@ -579,8 +575,7 @@ def repair_removal_structural_cohort(
 
     empty = np.empty(0, dtype=np.int64)
     return (
-        np.concatenate(tri_k) if tri_k else empty,
-        np.concatenate(tri_s) if tri_s else empty,
+        np.concatenate(tri_p) if tri_p else empty,
         np.concatenate(tri_l) if tri_l else empty,
         disconnected,
     )

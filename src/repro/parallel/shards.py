@@ -350,16 +350,19 @@ def _worker_main(connection, payload: dict) -> None:
         cursor = None
         with timer.measure():
             if payload["checkpoint_path"] is not None:
+                # Every refusal of the state on disk — a foreign or stale
+                # sidecar, a store file that moved on behind it — reaches
+                # the coordinator with its own type.
                 try:
                     ckpt = load_checkpoint(payload["checkpoint_path"])
                     _check_shard_sidecar(ckpt, payload)
+                    framework = _resume_shard_framework(
+                        payload["checkpoint_path"], ckpt, payload["backend"]
+                    )
                 except ReproError as exc:
                     connection.send(("refused", exc))
                     return
                 cursor = ckpt.batch_cursor
-                framework = _resume_shard_framework(
-                    payload["checkpoint_path"], ckpt, payload["backend"]
-                )
             else:
                 framework = _build_worker_framework(payload)
             ring_reader = RingReader(shm["ring"])

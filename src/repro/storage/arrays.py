@@ -8,14 +8,17 @@ against the in-memory dict store (snapshots, checkpoints, the parallel
 drivers) works against it, *plus* the column protocol the array-native
 kernel uses:
 
-* :meth:`record_columns` with ``writable=True`` hands out the live row
-  views, so an update sweep repairs records in place with zero copies and
-  zero dictionary materialisation;
+* :meth:`column_matrices` hands out the live matrices, C-contiguous
+  ``(row_capacity, capacity)`` arrays in which the pair ``(row, slot)``
+  has the flat id ``row * capacity + slot``; the kernel's cohort sweep
+  classifies, repairs and accumulates in place at those ids, with zero
+  record copies and zero dictionary materialisation, after
+  :meth:`sweep_rows` has opened the rows it sweeps;
 * :meth:`put_columns` bulk-writes a freshly computed record (the vectorized
   Brandes bootstrap path);
-* :meth:`column_matrices` + :meth:`row_of_source_slot` serve the cohort
-  sweep's slab gathers and :meth:`peek_distance_block` the Proposition 3.1
-  skip test for a whole batch in one fancy-indexed gather.
+* :meth:`peek_distance_block` serves the Proposition 3.1 skip test for a
+  whole batch in one fancy-indexed gather, and :meth:`record_columns` one
+  record's row views.
 
 Rows are indexed through a source → row map rather than by vertex slot, so
 a *restricted* instance (one mapper's partition) allocates ``owned_sources
@@ -34,7 +37,8 @@ The durable :class:`~repro.storage.disk.DiskBDStore` is this class with the
 three matrices mapped from a file; it overrides only the allocation and the
 no-op durability hooks (:meth:`_mark_dirty`, :meth:`_sync_metadata`,
 :meth:`_resized`).  Both count the bytes their record paths move
-(``_bytes_read`` / ``_bytes_written``); the disk store reports them.
+(``_bytes_read`` / ``_bytes_written``, a whole record per record opened
+or repaired); the disk store reports them.
 """
 
 from __future__ import annotations
@@ -333,6 +337,25 @@ class ArrayBDStore(BDStore):
         self._delta[row, :k] = delta
         self._bytes_written += self._record_bytes
 
+    def sweep_rows(self, sources: Sequence[Vertex]) -> np.ndarray:
+        """Open the records of ``sources`` for an in-place repair.
+
+        Returns their rows (in ``sources`` order) of the
+        :meth:`column_matrices`, which the caller then writes directly;
+        each record counts as read, and the caller finishes each with
+        :meth:`record_written`.
+        """
+        self._ensure_open()
+        rows = np.fromiter(
+            (self._row(source) for source in sources),
+            dtype=np.int64,
+            count=len(sources),
+        )
+        if rows.size:
+            self._mark_dirty()
+        self._bytes_read += rows.size * self._record_bytes
+        return rows
+
     def record_written(self, source: Vertex) -> None:
         """Account for an in-place record repair."""
         self._ensure_open()
@@ -341,11 +364,11 @@ class ArrayBDStore(BDStore):
     def column_matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live ``(distance, sigma, delta)`` matrices, rows = sources.
 
-        The arrays alias the store (capacity-padded columns included) and
-        are *replaced* on growth — callers must re-fetch after any
-        :meth:`add_source` or :meth:`register_vertex` that may grow them.
-        This is the bulk form of :meth:`record_columns` behind the kernel's
-        cohort repair.
+        The arrays are C-contiguous, alias the store (capacity-padded
+        columns included) and are *replaced* on growth — callers must
+        re-fetch after any :meth:`add_source` or :meth:`register_vertex`
+        that may grow them.  The kernel's cohort sweep repairs records in
+        place through them.
         """
         self._ensure_open()
         return self._dist, self._sigma, self._delta

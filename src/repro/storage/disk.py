@@ -2,15 +2,16 @@
 
 :class:`DiskBDStore` is the column store of
 :class:`~repro.storage.arrays.ArrayBDStore` — one row per owned source, one
-column per vertex slot, each record laid out columnarly: distances, then
-shortest-path counts, then dependencies (Section 5.1) — with its three
-matrices mapped from one binary file instead of held in RAM.  The file
-holds a versioned header, ``row_capacity`` fixed-size records and a
-metadata block persisting the vertex index, the owned sources with their
-rows, and a generation counter (see :mod:`repro.storage.header` for the
-exact layout).  Everything about records — reads, in-place repairs,
-peeks, the row map and the growth policy — is the column store's; this
-module adds only what a file needs:
+column per vertex slot, in three matrices of distances, shortest-path
+counts and dependencies (Section 5.1) — with its three matrices mapped from
+one binary file instead of held in RAM.  The file holds a versioned
+header, the three matrices as contiguous planes and a metadata block
+persisting the vertex index, the owned sources with their rows, and a
+generation counter (see :mod:`repro.storage.header` for the exact
+layout).  A source's record is therefore three row segments, one per
+plane, not one contiguous region.  Everything about records — reads,
+in-place repairs, peeks, the row map and the growth policy — is the
+column store's; this module adds only what a file needs:
 
 * **creation and reopening**: a new store formats its file (a temporary
   one, deleted on :meth:`close`, when no path is given); a named path that
@@ -18,22 +19,24 @@ module adds only what a file needs:
   :class:`~repro.exceptions.StoreExistsError`, and :meth:`DiskBDStore.open`
   reopens it instead — no truncation, no re-running Brandes — which is
   what the framework's checkpoint/resume path builds on;
-* **the mapping**: header + record area are mapped once and exposed as
-  three strided ``(row_capacity, capacity)`` numpy views, so a record load
-  is a zero-copy slice and the cohort sweep repairs records in place;
+* **the mapping**: header + planes are mapped once and exposed as three
+  C-contiguous ``(row_capacity, capacity)`` numpy views — the same shape
+  and flat pair ids ``row * capacity + slot`` as the RAM store's — so the
+  cohort sweep repairs records in place on the file;
 * **metadata and generation**: every index or row-map change rewrites the
-  CRC-guarded metadata block after the record area (never moving a
-  record), and the first mutation of a session bumps the persisted
-  generation, so a checkpoint can tell that the store changed after it;
+  CRC-guarded metadata block after the planes (never moving a record),
+  and the first mutation of a session bumps the persisted generation, so
+  a checkpoint can tell that the store changed after it;
 * **durability**: :meth:`flush` msyncs the mapping and fsyncs the file;
 * **growth**: when rows or columns run out, the column store's policy
   picks the new shape and this class writes it to a sibling file, fsyncs
   it and atomically replaces the old file (``os.replace``).
 
-A **version-1** file (one record per vertex slot) opens through the same
-class: its source rows are its slots and its row capacity is its
-capacity, so it is served in place and takes a version-2 header at its
-first metadata write, with no record moved.
+A **version-1 or version-2** file (interleaved records; version 1 with one
+record per vertex slot) is migrated when it is opened, through the growth
+path: its records are copied into a version-3 sibling of the same shape,
+which is fsynced and replaces the file.  Every record, the ``sources()``
+order, the row map and the generation are kept.
 
 Standard mmap semantics apply: the mapping assumes no other process
 resizes the file while the store is open — an externally *truncated* file
@@ -63,9 +66,11 @@ from repro.storage.codec import (
 from repro.storage.header import (
     FLAG_DIRECTED,
     HEADER_SIZE,
+    STORE_VERSION,
     encode_metadata,
     metadata_crc,
     pack_header,
+    plane_offsets,
     read_layout,
 )
 from repro.storage.index import VertexIndex
@@ -147,8 +152,10 @@ class DiskBDStore(ArrayBDStore):
 
         The capacities, vertex index (slot order) and source rows are
         restored from the file; records are served in place without any
-        rewriting.  Raises :class:`~repro.exceptions.StoreCorruptedError`
-        (or :class:`~repro.exceptions.StoreVersionError`) when the file is
+        rewriting, except that a file of an earlier format version is first
+        migrated to the current one (see the module docstring).  Raises
+        :class:`~repro.exceptions.StoreCorruptedError` (or
+        :class:`~repro.exceptions.StoreVersionError`) when the file is
         not a store, is truncated, fails its checksum, or was written by an
         unsupported format version.
         """
@@ -174,8 +181,15 @@ class DiskBDStore(ArrayBDStore):
             layout.row_capacity,
             layout.directed,
         )
-        self._map(layout.row_capacity, layout.capacity)
         self._attach_rows(layout.sources, layout.rows)
+        if layout.version == STORE_VERSION:
+            self._map(layout.row_capacity, layout.capacity)
+        else:
+            try:
+                self._migrate(layout.row_capacity, layout.capacity)
+            except BaseException:
+                self._release()
+                raise
         return self
 
     @classmethod
@@ -252,11 +266,22 @@ class DiskBDStore(ArrayBDStore):
             return
         super().close()  # drops the views, so the mapping can be closed
         self._mm.flush()
-        self._mm.close()
-        self._mm = None
-        self._file.close()
+        self._release()
         if self._owns_file and self._path.exists():
             self._path.unlink()
+
+    def _release(self) -> None:
+        """Close the mapping(s) and file(s) this store holds open."""
+        self._dist = self._sigma = self._delta = None  # type: ignore[assignment]
+        if self._retired is not None:
+            for handle in self._retired:
+                handle.close()
+            self._retired = None
+        if self._mm is not None:
+            self._mm.close()
+            self._mm = None
+        if self._file is not None:
+            self._file.close()
 
     # ------------------------------------------------------------------ #
     # The file behind the column store
@@ -283,12 +308,32 @@ class DiskBDStore(ArrayBDStore):
         self._bytes_written += rows * record_size(columns)
 
     def _map(self, rows: int, columns: int) -> None:
-        """Map header + record area and expose the three column views."""
-        record_bytes = record_size(columns)
-        # Map only header + record area: its length is fixed per shape, so
-        # metadata rewrites after it never invalidate the mapping.
-        self._mm = mmap.mmap(self._file.fileno(), HEADER_SIZE + rows * record_bytes)
+        """Map header + planes and expose the three column matrices."""
+        # Map only header + planes: their length is fixed per shape, so
+        # metadata rewrites after them never invalidate the mapping.
+        self._mm = mmap.mmap(
+            self._file.fileno(), HEADER_SIZE + rows * record_size(columns)
+        )
         self._dist, self._sigma, self._delta = (
+            np.ndarray((rows, columns), dtype, buffer=self._mm, offset=offset)
+            for offset, dtype in zip(
+                plane_offsets(rows, columns),
+                (DISTANCE_DTYPE, SIGMA_DTYPE, DELTA_DTYPE),
+            )
+        )
+
+    def _migrate(self, rows: int, columns: int) -> None:
+        """Rewrite an interleaved (version 1 or 2) file as version 3.
+
+        The legacy records are mapped as strided views and copied into a
+        freshly formatted sibling of the same shape, which :meth:`_resized`
+        commits exactly as it commits a growth: metadata, fsync, replace.
+        Nothing about the store changes but the layout — not even the
+        generation, so a checkpoint that names the file still matches it.
+        """
+        record_bytes = record_size(columns)
+        self._mm = mmap.mmap(self._file.fileno(), HEADER_SIZE + rows * record_bytes)
+        legacy = [
             np.ndarray(
                 (rows, columns),
                 dtype,
@@ -299,7 +344,15 @@ class DiskBDStore(ArrayBDStore):
             for offset, dtype in zip(
                 column_offsets(columns), (DISTANCE_DTYPE, SIGMA_DTYPE, DELTA_DTYPE)
             )
-        )
+        ]
+        try:
+            self._allocate(rows, columns)
+            self._dist[...] = legacy[0]
+            self._sigma[...] = legacy[1]
+            self._delta[...] = legacy[2]
+        finally:
+            legacy.clear()  # the old mapping can close only without views
+        self._resized()
 
     def _resized(self) -> None:
         """Commit a grown layout: the synced sibling replaces the store file."""

@@ -1,34 +1,44 @@
 """On-disk file header and metadata block of the durable ``DO`` store.
 
-A :class:`~repro.storage.disk.DiskBDStore` file (format version 2) is laid
+A :class:`~repro.storage.disk.DiskBDStore` file (format version 3) is laid
 out as::
 
-    [ fixed header | row_capacity x record      | metadata block ]
-      64 bytes       row_capacity * record_size(capacity)   meta_size bytes
+    [ fixed header | sigma plane | delta plane | distance plane | metadata block ]
+      64 bytes       R*C int64     R*C float64   R*C int16        meta_size bytes
+
+with ``R`` the row capacity (records allocated) and ``C`` the column
+capacity (vertex slots per record).  Each plane is one C-contiguous
+``(R, C)`` matrix, so the three planes are the store's column matrices
+byte for byte and a pair ``(row, slot)`` has the flat id ``row * C +
+slot`` in all three.  The 8-byte planes come first so that every plane
+starts 8-byte aligned without padding: the record area is exactly
+``R * record_size(C)`` bytes, as in the earlier versions.  A source's
+record is three row segments, one per plane, not one contiguous region.
 
 The fixed header is a little-endian struct holding a magic number, the
-format version, flag bits, the column capacity (vertex slots per record),
-the size + CRC32 of the metadata block and the row capacity (records
-allocated).  Row ``r`` holds the record of one *owned source*; the
-metadata block (a pickled mapping guarded by the CRC) persists what the
-record area cannot express positionally: the vertex index (slot order),
-the source list in row order with each source's row, and the generation.
-Records therefore remain at stable byte offsets
-(``HEADER_SIZE + row * record_size(capacity)``) while the metadata —
-which changes only when vertices or sources are registered — lives after
-them and can be rewritten without shifting any record.
+format version, flag bits, the column capacity, the size + CRC32 of the
+metadata block and the row capacity.  Row ``r`` holds the record of one
+*owned source*; the metadata block (a pickled mapping guarded by the CRC)
+persists what the record area cannot express positionally: the vertex
+index (slot order), the source list in row order with each source's row,
+and the generation.  The metadata — which changes only when vertices or
+sources are registered — lives after the record area and can be rewritten
+without shifting any record.
 
-**Version 1** files hold one record per vertex *slot* (``capacity``
-records) and no row map.  They are read by one rule: a source's row is its
-slot, and the row capacity is the capacity.  So a version-1 file is a
-valid version-2 layout whose header and metadata say so implicitly; the
-store rewrites both at its first metadata write and moves no record.
+**Versions 1 and 2** laid each record out as one interleaved region
+(distances, then sigmas, then dependencies) at ``HEADER_SIZE + row *
+record_size(C)``.  Version 2 carried the row map; a version-1 file holds
+one record per vertex *slot* (``C`` records, row = slot) and no row map.
+Both are still read: :func:`read_layout` reports the version (and the
+implied row map of a version-1 file), and the store migrates such a file
+into a version-3 sibling that replaces it.
 
 The same magic/version/CRC framing is reused for sidecar files (framework
 checkpoints, shard manifests) through :func:`write_sidecar` /
 :func:`read_sidecar`, which carry their own :data:`SIDECAR_VERSION`; every
 sidecar write is atomic (temp file, fsync, rename, directory fsync) and
-streamed, so the pickled payload is never held in memory as one string.
+both directions stream, so the pickled payload is never held in memory
+as one string.
 """
 
 from __future__ import annotations
@@ -50,9 +60,11 @@ STORE_MAGIC = b"RBDS"
 
 #: Current on-disk format version.  Bump on any incompatible layout change;
 #: :func:`unpack_header` rejects versions it does not understand.
-STORE_VERSION = 2
+STORE_VERSION = 3
 
-#: The one earlier store version still read (row = slot, see above).
+#: The earlier store versions still read (interleaved records, see above);
+#: version 1 also has no row map (row = slot).
+LEGACY_VERSIONS = (1, 2)
 _SLOT_ROWS_VERSION = 1
 
 #: Version of the sidecar framing; independent of the store layout.
@@ -94,6 +106,8 @@ class StoreLayout:
     generation: int = 0
     #: Orientation of the graph the records describe (header flag bit).
     directed: bool = False
+    #: Format version the file was written in (see the module docstring).
+    version: int = STORE_VERSION
 
 
 def pack_header(
@@ -139,10 +153,10 @@ def _decode_header(raw: bytes) -> Tuple[int, int, int, int, int, int]:
         )
     if version == _SLOT_ROWS_VERSION:
         row_capacity = capacity
-    elif version != STORE_VERSION:
+    elif version != STORE_VERSION and version not in LEGACY_VERSIONS:
         raise StoreVersionError(
             f"store format version {version} is not supported "
-            f"(this build reads versions {_SLOT_ROWS_VERSION} and {STORE_VERSION})"
+            f"(this build reads versions {_SLOT_ROWS_VERSION} to {STORE_VERSION})"
         )
     if flags & ~KNOWN_FLAGS:
         raise StoreVersionError(
@@ -262,7 +276,17 @@ def read_layout(fileobj, file_size: int, record_size_of) -> StoreLayout:
         row_capacity=row_capacity,
         generation=generation,
         directed=bool(flags & FLAG_DIRECTED),
+        version=version,
     )
+
+
+def plane_offsets(rows: int, columns: int) -> Tuple[int, int, int]:
+    """File offsets of the distance, sigma and delta planes (version 3)."""
+    plane = rows * columns
+    sigma = HEADER_SIZE
+    delta = sigma + plane * 8
+    distance = delta + plane * 8
+    return distance, sigma, delta
 
 
 # --------------------------------------------------------------------------- #
@@ -322,15 +346,31 @@ def write_sidecar(path: Union[str, Path], magic: bytes, payload: Any) -> None:
         os.close(directory)
 
 
+#: Bytes per read of the streaming CRC pass over a sidecar.
+_CRC_CHUNK = 1 << 20
+
+
 def read_sidecar(path: Union[str, Path], magic: bytes) -> Any:
-    """Read a sidecar previously written by :func:`write_sidecar`."""
-    raw = Path(path).read_bytes()
+    """Read a sidecar previously written by :func:`write_sidecar`.
+
+    The payload is checked in a streaming CRC pass before anything is
+    unpickled, then unpickled straight from the file, so a large byte
+    string (a column matrix) is read once into its own object and the
+    file is never held in memory whole.
+    """
+    with open(path, "rb") as file:
+        _check_sidecar(file, path, magic)
+        return pickle.load(file)
+
+
+def _check_sidecar(file, path, magic: bytes) -> None:
+    """Validate a sidecar's framing and payload CRC; leave ``file`` at the
+    payload's first byte."""
     header_size = _SIDECAR_STRUCT.size
+    raw = file.read(header_size)
     if len(raw) < header_size:
         raise StoreCorruptedError(f"file {path} is too short to be a sidecar")
-    file_magic, version, _flags, size, crc = _SIDECAR_STRUCT.unpack(
-        raw[:header_size]
-    )
+    file_magic, version, _flags, size, crc = _SIDECAR_STRUCT.unpack(raw)
     if file_magic != magic:
         raise StoreCorruptedError(
             f"bad magic {file_magic!r} in {path} (expected {magic!r})"
@@ -339,7 +379,15 @@ def read_sidecar(path: Union[str, Path], magic: bytes) -> Any:
         raise StoreVersionError(
             f"sidecar {path} has version {version}, expected {SIDECAR_VERSION}"
         )
-    body = memoryview(raw)[header_size : header_size + size]
-    if len(body) != size or metadata_crc(body) != crc:
+    running, left = 0, size
+    chunk = bytearray(min(size, _CRC_CHUNK))
+    view = memoryview(chunk)
+    while left:
+        got = file.readinto(view[: min(left, len(chunk))])
+        if not got:
+            break
+        running = zlib.crc32(view[:got], running)
+        left -= got
+    if left or running & 0xFFFFFFFF != crc:
         raise StoreCorruptedError(f"sidecar {path} is truncated or corrupted")
-    return pickle.loads(body)
+    file.seek(header_size)

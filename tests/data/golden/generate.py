@@ -14,13 +14,17 @@ The artifacts pin the on-disk formats a release must keep reading:
 * ``disk-v1.bin`` + ``disk-v1.json`` — a version-1 ``DiskBDStore`` file
   (one record per vertex slot) restricted to :data:`DISK_SOURCES`, after
   :data:`PREFIX` with the born vertex 12 adopted, and its vertex order,
-  source order and records (floats by ``repr``).
+  source order and records (floats by ``repr``);
+* ``disk-v2.bin`` + ``disk-v2.json`` — the same store as a version-2 file
+  (interleaved records in rows of owned sources), written by
+  :func:`write_disk_store` and renamed.
 
 The committed sidecars and shard root were written by the code of the
 commit *before* checkpoints switched to the column payload, and
 ``disk-v1.*`` by the commit before disk records became rows of owned
-sources; they are what proves that
-sidecars and shard roots from that format still resume.  Re-running this
+sources, ``disk-v2.*`` by the commit before the store file became three
+planes; they are what proves that sidecars, shard roots and store files
+from those formats still resume.  Re-running this
 script with later code writes the current format instead, so regenerate
 only on purpose::
 

@@ -393,7 +393,7 @@ class TestShardCheckpointStaleness:
         from pathlib import Path
 
         from repro.core.checkpoint import load_checkpoint
-        from repro.exceptions import UpdateError
+        from repro.exceptions import ConfigurationError
         from repro.parallel import ShardCoordinator
 
         root = tmp_path / "shard-root"
@@ -407,5 +407,5 @@ class TestShardCheckpointStaleness:
         tampered.put(tampered.get(source))
         tampered.flush()  # bumps the generation past the sidecar's
         tampered.close()
-        with pytest.raises(UpdateError, match="generation"):
+        with pytest.raises(ConfigurationError, match="generation"):
             ShardCoordinator.resume(root)

@@ -177,3 +177,48 @@ def test_sidecar_write_streams_the_block(tmp_path):
     loaded = load_checkpoint(tmp_path / "ck.bin").columns
     for name in ("distance", "sigma", "delta"):
         assert (getattr(loaded, name) == getattr(block, name)).all()
+
+
+def test_sidecar_read_streams_the_block(tmp_path):
+    """``load_checkpoint`` checks the CRC in a streaming pass, then unpickles
+    from the file: each matrix is read once, into the object the block keeps.
+    The traced peak stays near the block itself (reading the whole file and
+    unpickling a copy of every matrix out of it held about twice the block)."""
+    import tracemalloc
+
+    import numpy as np
+
+    from repro.core.checkpoint import FrameworkCheckpoint, save_checkpoint
+    from repro.storage.columns import ColumnBlock
+
+    rng = np.random.default_rng(11)
+    shape = (300, 600)
+    block = ColumnBlock(
+        list(range(shape[1])),
+        list(range(shape[0])),
+        rng.integers(0, 50, shape).astype(np.int16),
+        rng.integers(1, 1 << 40, shape).astype(np.int64),
+        rng.random(shape),
+    )
+    save_checkpoint(
+        tmp_path / "ck.bin",
+        FrameworkCheckpoint(
+            vertices=block.vertices,
+            edges=[],
+            vertex_scores={},
+            edge_scores={},
+            restricted=True,
+            columns=block,
+        ),
+    )
+    size = block.distance.nbytes + block.sigma.nbytes + block.delta.nbytes
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_checkpoint(tmp_path / "ck.bin").columns
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * size, (peak, size)
+    for name in ("distance", "sigma", "delta"):
+        assert (getattr(loaded, name) == getattr(block, name)).all()

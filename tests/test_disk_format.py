@@ -1,10 +1,12 @@
-"""The disk store's file format: rows of owned sources (version 2), and the
-version-1 files (one record per vertex slot) that still open in place.
+"""The disk store's file format: rows of owned sources in three planes
+(version 3), and the interleaved files of versions 1 and 2, which open by
+migrating into a version-3 file.
 
-``tests/data/golden/disk-v1.bin`` was written by the version-1 code
-(``generate.py`` beside it): a store restricted to a partition listed out of
-slot order, with a stream-born vertex adopted; ``disk-v1.json`` holds its
-vertex order, source order and records.
+``tests/data/golden/disk-v1.bin`` was written by the version-1 code and
+``disk-v2.bin`` by the version-2 code (``generate.py`` beside them): a store
+restricted to a partition listed out of slot order, with a stream-born
+vertex adopted; ``disk-v1.json`` / ``disk-v2.json`` hold its vertex order,
+source order and records.
 """
 
 import json
@@ -18,14 +20,24 @@ import pytest
 
 from repro.storage import ArrayBDStore, DiskBDStore
 from repro.storage.codec import record_size
-from repro.storage.header import HEADER_SIZE, STORE_VERSION, encode_metadata
+from repro.storage.header import (
+    HEADER_SIZE,
+    STORE_VERSION,
+    encode_metadata,
+    read_layout,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-EXPECTED = json.loads((GOLDEN / "disk-v1.json").read_text())
+LEGACY = {1: "disk-v1", 2: "disk-v2"}
 
 
 def _version(path):
     return struct.unpack_from("<H", path.read_bytes(), 4)[0]
+
+
+def _layout(path):
+    with open(path, "rb") as file:
+        return read_layout(file, path.stat().st_size, record_size)
 
 
 def _records(store):
@@ -38,59 +50,78 @@ def _records(store):
     }
 
 
-@pytest.fixture
-def v1_copy(tmp_path):
-    target = tmp_path / "disk-v1.bin"
-    shutil.copy2(GOLDEN / "disk-v1.bin", target)
-    return target
+def _rows(store):
+    index = store.vertex_index
+    return [store.row_of_source_slot(index.slot(s)) for s in store.sources()]
 
 
-class TestVersionOneFiles:
-    def test_golden_is_a_version_one_file(self):
-        assert _version(GOLDEN / "disk-v1.bin") == 1
+@pytest.fixture(params=sorted(LEGACY), ids=lambda v: f"v{v}")
+def legacy(request, tmp_path):
+    """``(version, copy of the golden file, its expected orders and records)``."""
+    name = LEGACY[request.param]
+    target = tmp_path / f"{name}.bin"
+    shutil.copy2(GOLDEN / f"{name}.bin", target)
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    return request.param, target, expected
 
-    def test_opens_with_the_same_order_and_records(self, v1_copy):
-        before = v1_copy.read_bytes()
-        store = DiskBDStore.open(v1_copy)
+
+class TestLegacyFiles:
+    def test_goldens_carry_their_versions(self):
+        for version, name in LEGACY.items():
+            assert _version(GOLDEN / f"{name}.bin") == version
+
+    def test_opens_with_the_same_order_records_rows_and_generation(self, legacy):
+        version, path, expected = legacy
+        before = _layout(path)
+        store = DiskBDStore.open(path)
         try:
-            assert store.vertex_index.vertices() == EXPECTED["vertices"]
-            assert list(store.sources()) == EXPECTED["sources"]
-            assert _records(store) == EXPECTED["records"]
-            # Rows are the slots: the sparse partition spans the whole area.
-            assert store.row_capacity == store.capacity
+            assert store.vertex_index.vertices() == expected["vertices"]
+            assert list(store.sources()) == expected["sources"]
+            assert _records(store) == expected["records"]
+            assert _rows(store) == before.rows
+            assert store.generation == before.generation
+            if version == 1:
+                # Rows are the slots: the sparse partition spans the area.
+                assert store.row_capacity == store.capacity
         finally:
             store.close()
-        assert v1_copy.read_bytes() == before  # reading writes nothing
 
-    def test_first_write_leaves_a_version_two_header_in_place(self, v1_copy):
-        size = v1_copy.stat().st_size
-        store = DiskBDStore.open(v1_copy)
-        source = EXPECTED["sources"][0]
-        store.put(store.get(source))
-        store.close()
-        assert _version(v1_copy) == STORE_VERSION == 2
-        reopened = DiskBDStore.open(v1_copy)
+    def test_open_migrates_into_a_version_three_file(self, legacy):
+        _version_before, path, expected = legacy
+        size = path.stat().st_size
+        before = _layout(path)
+        DiskBDStore.open(path).close()
+        assert _version(path) == STORE_VERSION == 3
+        assert not path.with_name(path.name + ".grow").exists()
+        after = _layout(path)
+        assert (after.sources, after.rows, after.generation) == (
+            before.sources, before.rows, before.generation
+        )
+        assert (after.capacity, after.row_capacity) == (
+            before.capacity, before.row_capacity
+        )
+        reopened = DiskBDStore.open(path)
         try:
-            assert list(reopened.sources()) == EXPECTED["sources"]
-            assert _records(reopened) == EXPECTED["records"]
+            assert list(reopened.sources()) == expected["sources"]
+            assert _records(reopened) == expected["records"]
         finally:
             reopened.close()
-        # No record moved: only the metadata block (now with its row map)
-        # was rewritten after the unchanged record area.
-        assert v1_copy.stat().st_size > size
+        # Same record area; a version-1 file gains its row map's metadata.
+        assert path.stat().st_size >= size
 
-    def test_a_source_added_to_a_version_one_file_takes_a_free_row(self, v1_copy):
-        store = DiskBDStore.open(v1_copy)
+    def test_a_source_added_to_a_legacy_file_takes_a_free_row(self, legacy):
+        _version_before, path, expected = legacy
+        store = DiskBDStore.open(path)
         store.add_source(1)
-        assert list(store.sources()) == EXPECTED["sources"] + [1]
+        assert list(store.sources()) == expected["sources"] + [1]
         store.close()
-        reopened = DiskBDStore.open(v1_copy)
+        reopened = DiskBDStore.open(path)
         try:
-            assert list(reopened.sources()) == EXPECTED["sources"] + [1]
+            assert list(reopened.sources()) == expected["sources"] + [1]
             assert reopened.get(1).distance == {1: 0}
             records = _records(reopened)
             del records["1"]
-            assert records == EXPECTED["records"]
+            assert records == expected["records"]
         finally:
             reopened.close()
 
@@ -171,3 +202,24 @@ class TestOwnedRows:
         assert list(stores[0].sources()) == list(stores[1].sources()) == [0, 3, 5, 9]
         for store in stores:
             store.close()
+
+
+def test_matrices_are_the_files_contiguous_planes(tmp_path):
+    """Version 3: each matrix is one C-contiguous plane of the file, so a
+    pair ``(row, slot)`` has the flat id ``row * capacity + slot`` in all
+    three, on disk as in RAM."""
+    from repro.storage.header import plane_offsets
+
+    store = DiskBDStore(range(5), path=tmp_path / "bd.bin", sources=[1, 3])
+    store.put_columns(3, np.array([2, 1, 3, 0], np.int16), np.array([1, 2, 3, 1]),
+                      np.array([0.5, 1.5, 0.0, 0.0]))
+    matrices = store.column_matrices()
+    shape = (store.row_capacity, store.capacity)
+    for matrix in matrices:
+        assert matrix.shape == shape and matrix.flags.c_contiguous
+    store.flush()
+    raw = store.path.read_bytes()
+    for matrix, offset in zip(matrices, plane_offsets(*shape)):
+        on_disk = np.frombuffer(raw, matrix.dtype, matrix.size, offset)
+        np.testing.assert_array_equal(on_disk, matrix.reshape(-1))
+    store.close()

@@ -18,12 +18,12 @@ Every deterministic case and every hypothesis-generated stream is checked
 after EVERY batch on {undirected, directed} x {in-RAM columns, mmap disk,
 mmap disk sized to the initial vertex count, so births grow, rebuild and
 remap the file mid-stream}, comparing vertex scores, edge scores, and all
-stored records; the deterministic cases additionally run with the cohort
-cut into slabs of one and two jobs, and compare every update's work
-statistics.
+stored records; the deterministic cases additionally compare every
+update's work statistics.
 
 Alongside: the kernel's incrementally patched CSR against a from-scratch
-compile, an int64 sigma overflow inside a repair (refused whole), the disk
+compile, an int64 sigma overflow inside a repair (refused whole, and a
+batch whose later update overflows rolled back whole), the disk
 store's in-place cohort sweep against an in-RAM column store (and across a
 reopen), and the merge the accumulation uses in place of a sort.
 """
@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 
 import repro.core
 from repro.api import BetweennessConfig, BetweennessSession
-from repro.core import ArrayKernel, EdgeUpdate, IncrementalBetweenness
+from repro.core import EdgeUpdate, IncrementalBetweenness
 from repro.core.flat import merge_order
 from repro.exceptions import StoreCorruptedError
 from repro.graph import CSRGraph, Graph
@@ -117,6 +117,8 @@ def run_differential(graph, batches, store_kind):
             assert_streams_bit_identical(
                 arrays, dicts, f"after batch {i} ({batch})"
             )
+            # Every per-pair bit the sweep set was cleared where it was set.
+            assert not arrays._kernel._pairs.flags.any(), f"batch {i}"
         if store_kind == "disk-tight" and len(arrays.graph) > len(graph):
             # Witness that the births really outgrew the file.
             assert arrays.store.capacity > len(graph)
@@ -194,45 +196,18 @@ ADVERSARIAL_CASES = {
 }
 
 
-@pytest.mark.parametrize(
-    "slab_jobs", [None, 1, 2], ids=["whole-cohort", "slab-1", "slab-2"]
-)
 @pytest.mark.parametrize("store_kind", STORE_KINDS)
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
 @pytest.mark.parametrize("case", sorted(ADVERSARIAL_CASES))
 class TestAdversarialStreams:
-    def test_bit_identical_after_every_batch(
-        self, case, directed, store_kind, slab_jobs, monkeypatch
-    ):
+    def test_bit_identical_after_every_batch(self, case, directed, store_kind):
         n, edges, batches = ADVERSARIAL_CASES[case]
         graph = build_graph(n, edges, directed)
-        slab_sizes = []
-        if slab_jobs is not None:
-            # A slab holds COHORT_PAIR_BUDGET // n jobs, and n grows with
-            # the stream's births: budget for the final vertex count.
-            # Source-ordered slabs must keep the deferred score streams'
-            # source-major order, so scores stay == dicts.
-            widest = max(
-                n, 1 + max(w for batch in batches for u in batch for w in u.endpoints)
-            )
-            monkeypatch.setattr(
-                ArrayKernel, "COHORT_PAIR_BUDGET", slab_jobs * widest
-            )
-            original = ArrayKernel._repair_cohort_slab
-
-            def spy(kernel, state, metas, *args):
-                slab_sizes.append(len(metas))
-                return original(kernel, state, metas, *args)
-
-            monkeypatch.setattr(ArrayKernel, "_repair_cohort_slab", spy)
         results = run_differential(graph, batches, store_kind)
         # The bulk-folded statistics equal the dict backend's per-source ones.
         assert [work_counts(a) for a, _ in results] == [
             work_counts(d) for _, d in results
         ]
-        if slab_jobs is not None:
-            # Witness that cohorts really were cut at the requested size.
-            assert max(slab_sizes) == slab_jobs
 
 
 @st.composite
@@ -393,6 +368,40 @@ class TestRepairSigmaOverflow:
             session.apply_batch([remove(63, 126)])
             oracle = IncrementalBetweenness(graph, backend="dicts")
             oracle.remove_edge(63, 126)
+            assert session.vertex_betweenness() == oracle.vertex_betweenness()
+            assert session.edge_betweenness() == oracle.edge_betweenness()
+
+    @pytest.mark.parametrize("store", ["arrays", "disk-mmap"])
+    def test_failed_batch_rolls_back_every_update(self, store, tmp_path):
+        """The batch's first update repairs cleanly and in place; its second
+        overflows.  Both are undone: every record and both score maps are
+        back at their pre-batch values, and the next update is exact."""
+        uri = (
+            "arrays://"
+            if store == "arrays"
+            else f"disk://{tmp_path / 'bd.bin'}?mmap=true"
+        )
+        graph = diamond_chain()
+        config = BetweennessConfig(backend="arrays", store=uri)
+        with BetweennessSession(graph, config) as session:
+            bd = session.framework.store
+            records = {source: bd.get(source) for source in bd.sources()}
+            vertex_before = session.vertex_betweenness()
+            edge_before = session.edge_betweenness()
+            with pytest.raises(StoreCorruptedError):
+                session.apply_batch([add(64, 127), add(189, 63)])
+            assert session.vertex_betweenness() == vertex_before
+            assert session.edge_betweenness() == edge_before
+            assert not session.graph.has_edge(64, 127)
+            assert bd.get(64).distance[127] == 2  # update 1 had made it 1
+            for source, record in records.items():
+                now = bd.get(source)
+                assert (now.distance, now.sigma, now.delta) == (
+                    record.distance, record.sigma, record.delta
+                ), source
+            session.apply_batch([add(64, 128)])
+            oracle = IncrementalBetweenness(graph, backend="dicts")
+            oracle.add_edge(64, 128)
             assert session.vertex_betweenness() == oracle.vertex_betweenness()
             assert session.edge_betweenness() == oracle.edge_betweenness()
 
