@@ -720,14 +720,10 @@ class IncrementalBetweenness:
         results = [UpdateResult(update=update) for update in batch]
         batch_result = BatchResult(updates=list(batch), results=results)
 
-        # Existing sources may start reaching the batch's new vertices, so
-        # the store needs slots for all of them before any record is saved.
-        for vertex in births:
-            self._register_vertex(vertex)
-
         if self._kernel is not None:
-            self._sweep_batch_cohort(adopted, batch, results, batch_result)
+            self._sweep_batch_cohort(births, adopted, batch, results, batch_result)
         else:
+            self._register_births(births)
             self._sweep_batch_sources(adopted, batch, results, batch_result)
         self._finalize_batch(batch, births)
         return batch_result
@@ -766,8 +762,15 @@ class IncrementalBetweenness:
             self._store.put(data)
             batch_result.sources_loaded += 1
 
+    def _register_births(self, births: Dict[Vertex, int]) -> None:
+        """Give the batch's new vertices slots before any record is saved
+        (existing sources may start reaching them)."""
+        for vertex in births:
+            self._register_vertex(vertex)
+
     def _sweep_batch_cohort(
         self,
+        births: Dict[Vertex, int],
         adopted: Dict[Vertex, int],
         batch: List[EdgeUpdate],
         results: List[UpdateResult],
@@ -782,10 +785,13 @@ class IncrementalBetweenness:
         per-update stats and the final record/score state are identical to
         the source-outer loop.  The sweep writes the store's rows in place;
         if any update fails, the kernel restores every record the batch
-        wrote before the error propagates, so a failed batch leaves the
-        records and scores as they were.
+        wrote and forgets the vertices and sources its births added before
+        the error propagates, so a failed batch leaves the store and scores
+        as they were.
         """
+        marks = (len(self._kernel.index), len(self._store))
         try:
+            self._register_births(births)
             sources = list(self._store.sources())
             to_load = self._kernel.sources_to_load(sources, batch)
             self._kernel.begin_batch(batch)
@@ -819,7 +825,7 @@ class IncrementalBetweenness:
             for source in loaded:
                 self._store.record_written(source)
         except BaseException:
-            self._kernel.rollback_batch()
+            self._kernel.rollback_batch(*marks)
             raise
         finally:
             self._kernel.end_batch()

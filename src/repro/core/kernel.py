@@ -749,11 +749,15 @@ without_edge` patch per update, stashing the out-/in-CSR families after
         self._ordinal_of_row = np.zeros(row_capacity, dtype=np.int64)
         self._ordinal_of_row[rows] = np.arange(rows.size, dtype=np.int64)
 
-    def rollback_batch(self) -> None:
-        """Restore every record the failed batch wrote (scores were never
-        written: their streams are dropped with the batch)."""
+    def rollback_batch(self, vertex_count: int, source_count: int) -> None:
+        """Restore every record the failed batch wrote and forget the
+        vertices and sources it added after ``vertex_count`` slots and
+        ``source_count`` sources (scores were never written: their streams
+        are dropped with the batch)."""
         if self._pairs.distance is not None:
             self._pairs.rollback()
+        self._store.forget_since(vertex_count, source_count)
+        self._vscore[vertex_count:] = 0.0
 
     def repair_update_cohort(self, update_index: int, result: UpdateResult) -> None:
         """Repair one update for every loaded source it may affect, at once.

@@ -274,6 +274,31 @@ class ArrayBDStore(BDStore):
         self._mark_dirty()
         self._add_vertex(vertex)
 
+    def forget_since(self, vertex_count: int, source_count: int) -> None:
+        """Drop every vertex slot and source added after the given counts.
+
+        The undo of a failed batch's births: their rows and column slots
+        go back to empty records, and the index and row map to their
+        pre-batch contents.
+        """
+        self._ensure_open()
+        born = self._source_list[source_count:]
+        if not born and len(self._index) <= vertex_count:
+            return
+        self._mark_dirty()
+        rows = [self._row_of.pop(source) for source in born]
+        columns = slice(vertex_count, len(self._index))
+        for matrix, empty in (
+            (self._dist, UNREACHABLE), (self._sigma, 0), (self._delta, 0.0)
+        ):
+            matrix[rows] = empty
+            matrix[: self._row_count, columns] = empty
+        self._row_of_slot[self._row_slots(born)] = -1
+        del self._source_list[source_count:]
+        self._row_count = max(self._row_of.values(), default=-1) + 1
+        self._index.truncate(vertex_count)
+        self._sync_metadata()
+
     def snapshot(self) -> Dict[Vertex, SourceData]:
         """Every record; decoding already yields fresh objects, so no
         defensive copy is needed (unlike the in-memory store)."""

@@ -33,6 +33,11 @@ class VertexIndex:
         self._vertex_of.append(vertex)
         return slot
 
+    def truncate(self, size: int) -> None:
+        """Forget every vertex at slot ``size`` or later."""
+        while len(self._vertex_of) > size:
+            del self._slot_of[self._vertex_of.pop()]
+
     def slot(self, vertex: Vertex) -> int:
         """Return the slot of ``vertex`` (raises if unknown)."""
         try:

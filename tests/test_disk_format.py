@@ -203,6 +203,45 @@ class TestOwnedRows:
         for store in stores:
             store.close()
 
+    @pytest.mark.parametrize("kind", ["ram", "disk"])
+    def test_forget_since_drops_a_failed_batchs_births(self, kind, tmp_path):
+        """The undo of a failed batch's births: the born slots and sources
+        go, their rows and columns are empty again, and (on disk) the file
+        reopens with the pre-batch index and row map."""
+        store = (
+            ArrayBDStore(range(4), sources=[2, 0])
+            if kind == "ram"
+            else DiskBDStore(range(4), path=tmp_path / "bd.bin", sources=[2, 0])
+        )
+        store.put_columns(0, np.array([0, 1], np.int16), np.array([1, 1]), np.array([0.0, 2.5]))
+        before = _records(store)
+        store.add_source(3)  # a pre-existing vertex adopted by the batch
+        for vertex in (7, 8):
+            store.register_vertex(vertex)
+            store.add_source(vertex)
+        distance, sigma, delta = store.record_columns(0, writable=True)
+        distance[5], sigma[5], delta[5] = 2, 1, 0.5  # a repair reached 7
+        store.forget_since(4, 2)
+        assert store.vertex_index.vertices() == [0, 1, 2, 3]
+        assert list(store.sources()) == [0, 2] and 3 not in store
+        assert _records(store) == before
+        matrices = [m[:, 4:] for m in store.column_matrices()]
+        assert not (matrices[0] != -1).any()
+        assert not matrices[1].any() and not matrices[2].any()
+        with pytest.raises(KeyError):
+            store.row_of_source_slot(3)
+        store.register_vertex(9)  # the freed slot is taken again
+        store.add_source(9)
+        assert store.vertex_index.slot(9) == 4
+        assert store.get(9).distance == {9: 0}
+        if kind == "disk":
+            store.close()
+            store = DiskBDStore.open(tmp_path / "bd.bin")
+            assert store.vertex_index.vertices() == [0, 1, 2, 3, 9]
+            assert list(store.sources()) == [0, 2, 9]
+            assert _rows(store) == [0, 1, 2]
+        store.close()
+
 
 def test_matrices_are_the_files_contiguous_planes(tmp_path):
     """Version 3: each matrix is one C-contiguous plane of the file, so a

@@ -19,7 +19,9 @@ after EVERY batch on {undirected, directed} x {in-RAM columns, mmap disk,
 mmap disk sized to the initial vertex count, so births grow, rebuild and
 remap the file mid-stream}, comparing vertex scores, edge scores, and all
 stored records; the deterministic cases additionally compare every
-update's work statistics.
+update's work statistics, and run once more with every batch failing
+after its first (or last) swept update before it is retried: the failure
+must leave the pre-batch state whole, births included.
 
 Alongside: the kernel's incrementally patched CSR against a from-scratch
 compile, an int64 sigma overflow inside a repair (refused whole, and a
@@ -41,7 +43,7 @@ from hypothesis import strategies as st
 
 import repro.core
 from repro.api import BetweennessConfig, BetweennessSession
-from repro.core import EdgeUpdate, IncrementalBetweenness
+from repro.core import ArrayKernel, EdgeUpdate, IncrementalBetweenness
 from repro.core.flat import merge_order
 from repro.exceptions import StoreCorruptedError
 from repro.graph import CSRGraph, Graph
@@ -208,6 +210,77 @@ class TestAdversarialStreams:
         assert [work_counts(a) for a, _ in results] == [
             work_counts(d) for _, d in results
         ]
+
+
+class InjectedFault(Exception):
+    """Raised inside a batch's sweep, right after an update's repair."""
+
+
+def framework_state(framework):
+    """Everything a failed batch must leave as it was, as comparable data."""
+    store = framework.store
+    return (
+        framework.vertex_betweenness(),
+        framework.edge_betweenness(),
+        sorted(framework.graph.vertices()),
+        sorted(framework.graph.edges()),
+        {
+            source: (record.distance, record.sigma, record.delta)
+            for source in store.sources()
+            for record in [store.get(source)]
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "fail_at", ["first-update", "last-update"], ids=["fail-first", "fail-last"]
+)
+@pytest.mark.parametrize("store_kind", STORE_KINDS)
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("case", sorted(ADVERSARIAL_CASES))
+class TestAdversarialRollback:
+    """Every batch first fails once, after the in-place repair of its first
+    (or last) swept update, then is applied for real.  The failure must
+    restore the pre-batch state whole and clear every per-pair bit; the
+    retry must match the dict backend bit for bit, statistics included."""
+
+    def test_failed_batch_restores_then_retry_is_exact(
+        self, case, directed, store_kind, fail_at, monkeypatch
+    ):
+        n, edges, batches = ADVERSARIAL_CASES[case]
+        graph = build_graph(n, edges, directed)
+        original = ArrayKernel.repair_update_cohort
+        armed = []  # the length of the batch that is to fail
+
+        def faulty(kernel, update_index, result):
+            original(kernel, update_index, result)
+            if armed and (fail_at == "first-update" or update_index == armed[0] - 1):
+                raise InjectedFault(update_index)
+
+        monkeypatch.setattr(ArrayKernel, "repair_update_cohort", faulty)
+        faults = 0
+        with tempfile.TemporaryDirectory() as tmp:
+            arrays = make_arrays_framework(graph.copy(), store_kind, Path(tmp))
+            dicts = IncrementalBetweenness(graph.copy(), backend="dicts")
+            for i, batch in enumerate(batches):
+                before = framework_state(arrays)
+                armed[:] = [len(batch)]
+                try:
+                    committed = arrays.apply_updates(list(batch))
+                except InjectedFault:
+                    faults += 1
+                    assert framework_state(arrays) == before, f"batch {i}"
+                    assert not arrays._kernel._pairs.flags.any(), f"batch {i}"
+                    armed.clear()
+                    committed = arrays.apply_updates(list(batch))
+                armed.clear()
+                expected = dicts.apply_updates(list(batch))
+                assert_streams_bit_identical(arrays, dicts, f"retried batch {i}")
+                assert work_counts(committed) == work_counts(expected), f"batch {i}"
+            arrays.store.close()
+        # Witness that the faults really fired (a batch that every source
+        # peek-skips repairs nothing and so cannot fail).
+        assert faults > 0
 
 
 @st.composite
