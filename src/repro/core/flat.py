@@ -135,8 +135,9 @@ class PairSpace:
     :meth:`mark_unlogged` records the others.  A position is read only
     where ``LOGGED`` is set; :meth:`first_occurrence` borrows
     :attr:`position` as its scratch and restores what it overwrote.  The
-    logs of a batch's earlier updates are kept so :meth:`rollback` can
-    restore every record the batch wrote.
+    log spans the whole batch, one segment per update (``LOGGED`` marks
+    only the current segment's pairs), so :meth:`rollback` can restore
+    every record the batch wrote.
     """
 
     def __init__(self) -> None:
@@ -153,7 +154,8 @@ class PairSpace:
         #: and live distances agree everywhere.
         self.distance_moved = False
         self._unlogged: List[np.ndarray] = []
-        self._history: List[Tuple[np.ndarray, ...]] = []
+        #: Log position where each update of the batch starts its segment.
+        self._starts: List[int] = []
 
     # -- binding ---------------------------------------------------------- #
     def bind(self, matrices: Sequence[np.ndarray]) -> None:
@@ -171,9 +173,10 @@ class PairSpace:
             self.position = np.empty(distance.size, dtype=np.int32)
 
     def unbind(self) -> None:
-        """Forget the batch: clear every bit, drop the logs and the views."""
+        """Forget the batch: clear every bit, drop the log and the views."""
         self._clear()
-        self._history = []
+        self.size = 0
+        self._starts = []
         self.distance = self.sigma = self.delta = None
 
     # -- per-pair bits ---------------------------------------------------- #
@@ -285,50 +288,34 @@ class PairSpace:
 
     # -- update and batch boundaries -------------------------------------- #
     def begin_update(self) -> None:
-        """Start the next update of the batch: keep the last update's log
-        for :meth:`rollback`, clear its bits."""
-        if self.size:
-            stop = self.size
-            self._history.append(
-                (
-                    self.log_pid[:stop].copy(),
-                    self.log_distance[:stop].copy(),
-                    self.log_sigma[:stop].copy(),
-                    self.log_delta[:stop].copy(),
-                )
-            )
+        """Start the next update of the batch: clear the last update's bits
+        and open a new log segment (the old ones stay for :meth:`rollback`)."""
         self._clear()
+        self._starts.append(self.size)
 
     def rollback(self) -> None:
         """Restore every pair the batch wrote to its pre-batch value."""
-        stop = self.size
-        logs = self._history + [
-            (
-                self.log_pid[:stop],
-                self.log_distance[:stop],
-                self.log_sigma[:stop],
-                self.log_delta[:stop],
-            )
-        ]
-        # Latest first, so a pair logged by several updates ends at the
-        # value the batch's first write of it saw.
-        for pids, distance, sigma, delta in reversed(logs):
-            self.distance[pids] = distance
-            self.sigma[pids] = sigma
-            self.delta[pids] = delta
+        stops = self._starts[1:] + [self.size]
+        # Latest segment first, so a pair logged by several updates ends at
+        # the value the batch's first write of it saw.
+        for start, stop in zip(reversed(self._starts), reversed(stops)):
+            pids = self.log_pid[start:stop]
+            self.distance[pids] = self.log_distance[start:stop]
+            self.sigma[pids] = self.log_sigma[start:stop]
+            self.delta[pids] = self.log_delta[start:stop]
         # A walk cut short may have left bits on pairs it had yet to log.
         self.flags.fill(0)
         self._unlogged = []
-        self.size = 0
+        self._starts = []
         self.unbind()
 
     def _clear(self) -> None:
+        """Clear the bits of the current update's segment."""
         if self._unlogged:
             self.flags[np.concatenate(self._unlogged)] = 0
             self._unlogged = []
-        if self.size:
-            self.flags[self.log_pid[: self.size]] = 0
-            self.size = 0
+        if self._starts:
+            self.flags[self.log_pid[self._starts[-1] : self.size]] = 0
         self.distance_moved = False
 
 

@@ -323,21 +323,18 @@ class ArrayBDStore(BDStore):
     # Column protocol (array kernel)
     # ------------------------------------------------------------------ #
     def record_columns(
-        self, source: Vertex, writable: bool = False
+        self, source: Vertex
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live ``(distance, sigma, delta)`` row views of one record.
 
-        The views alias the store.  With ``writable=False`` (default) treat
-        them as read-only — writing through them would bypass :meth:`put`
-        and its range checks.  ``writable=True`` is the array kernel's
-        update-sweep path: the caller repairs the record in place (and
-        finishes with :meth:`record_written`).
+        The views alias the store: treat them as read-only — writing
+        through them would bypass :meth:`put` and its range checks.  An
+        in-place repair opens its rows with :meth:`sweep_rows` and writes
+        the :meth:`column_matrices`.
         """
         self._ensure_open()
         row = self._row(source)
         self._bytes_read += self._record_bytes
-        if writable:
-            self._mark_dirty()
         return self._dist[row], self._sigma[row], self._delta[row]
 
     def put_columns(

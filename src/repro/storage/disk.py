@@ -36,7 +36,12 @@ A **version-1 or version-2** file (interleaved records; version 1 with one
 record per vertex slot) is migrated when it is opened, through the growth
 path: its records are copied into a version-3 sibling of the same shape,
 which is fsynced and replaces the file.  Every record, the ``sources()``
-order, the row map and the generation are kept.
+order, the row map and the generation are kept.  Processes that open one
+legacy file at once (every shard worker seeding from a shared store file
+does) migrate it once: the migrator holds an exclusive ``flock`` on the
+legacy file until its replacement is in place, and a process that waited
+for the lock reopens the replacement instead.  Siblings are named per
+process, so no two processes ever write the same one.
 
 Standard mmap semantics apply: the mapping assumes no other process
 resizes the file while the store is open — an externally *truncated* file
@@ -46,6 +51,7 @@ cleanly with :class:`~repro.exceptions.StoreCorruptedError`).
 
 from __future__ import annotations
 
+import fcntl
 import mmap
 import os
 import tempfile
@@ -160,14 +166,20 @@ class DiskBDStore(ArrayBDStore):
         unsupported format version.
         """
         path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"no store file at {path}")
-        file = open(path, "r+b")
-        try:
-            layout = read_layout(file, os.fstat(file.fileno()).st_size, record_size)
-        except Exception:
-            file.close()
-            raise
+        while True:
+            if not path.exists():
+                raise FileNotFoundError(f"no store file at {path}")
+            file = open(path, "r+b")
+            try:
+                layout = read_layout(
+                    file, os.fstat(file.fileno()).st_size, record_size
+                )
+                if layout.version == STORE_VERSION or _claim_migration(file, path):
+                    break
+            except Exception:
+                file.close()
+                raise
+            file.close()  # migrated by another process meanwhile: reopen
         self = cls.__new__(cls)
         self._path = path
         self._owns_file = False
@@ -298,7 +310,7 @@ class DiskBDStore(ArrayBDStore):
             target = self._path
         else:
             self._retired = (self._mm, self._file)
-            target = self._path.with_name(self._path.name + ".grow")
+            target = self._path.with_name(f"{self._path.name}.{os.getpid()}.grow")
         self._file = open(target, "w+b")
         self._file.truncate(HEADER_SIZE + rows * record_size(columns))
         self._map(rows, columns)
@@ -355,15 +367,19 @@ class DiskBDStore(ArrayBDStore):
         self._resized()
 
     def _resized(self) -> None:
-        """Commit a grown layout: the synced sibling replaces the store file."""
+        """Commit a grown layout: the synced sibling replaces the store file.
+
+        The old file is closed only after the replace, so a migration's
+        lock on it (see :meth:`open`) lasts until the new file is in place.
+        """
         self._sync_metadata()
         self._mm.flush()
         os.fsync(self._file.fileno())
+        os.replace(self._file.name, self._path)
         retired_map, retired_file = self._retired
         self._retired = None
         retired_map.close()
         retired_file.close()
-        os.replace(self._file.name, self._path)
 
     def _sync_metadata(self) -> None:
         """Persist the vertex index, the source rows and the generation.
@@ -403,3 +419,15 @@ class DiskBDStore(ArrayBDStore):
         self._dirty = True
         self._generation += 1
         self._sync_metadata()
+
+
+def _claim_migration(file, path: Path) -> bool:
+    """Lock the legacy store ``file`` (opened from ``path``) for migration.
+
+    Blocks while another process migrates it.  True when ``path`` still
+    names ``file`` under the lock, so this process migrates it (the lock
+    holds until ``file`` is closed); False when another process replaced
+    it meanwhile, so the caller reopens ``path``.
+    """
+    fcntl.flock(file.fileno(), fcntl.LOCK_EX)
+    return os.path.samestat(os.stat(path), os.fstat(file.fileno()))

@@ -10,6 +10,7 @@ source order and records.
 """
 
 import json
+import multiprocessing
 import os
 import shutil
 import struct
@@ -18,14 +19,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import IncrementalBetweenness
+from repro.parallel import ShardCoordinator
 from repro.storage import ArrayBDStore, DiskBDStore
-from repro.storage.codec import record_size
+from repro.storage.codec import (
+    DELTA_DTYPE,
+    DISTANCE_DTYPE,
+    SIGMA_DTYPE,
+    record_size,
+)
 from repro.storage.header import (
     HEADER_SIZE,
     STORE_VERSION,
     encode_metadata,
+    plane_offsets,
     read_layout,
 )
+
+from tests.helpers import assert_scores_equal, random_connected_graph
+from tests.test_batched_updates import random_update_sequence
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 LEGACY = {1: "disk-v1", 2: "disk-v2"}
@@ -53,6 +65,36 @@ def _records(store):
 def _rows(store):
     index = store.vertex_index
     return [store.row_of_source_slot(index.slot(s)) for s in store.sources()]
+
+
+def _write_version_two(path):
+    """Rewrite a version-3 store file as the version-2 file of the same
+    store: each row's three plane segments interleaved into one record
+    (distance, sigma, delta), under a version-2 header."""
+    layout = _layout(path)
+    rows, columns = layout.row_capacity, layout.capacity
+    raw = bytearray(path.read_bytes())
+    planes = {
+        dtype: np.frombuffer(raw, dtype, rows * columns, offset)
+        .reshape(rows, columns)
+        .view(np.uint8)
+        for offset, dtype in zip(
+            plane_offsets(rows, columns), (DISTANCE_DTYPE, SIGMA_DTYPE, DELTA_DTYPE)
+        )
+    }
+    records = np.concatenate(
+        [planes[dtype] for dtype in (DISTANCE_DTYPE, SIGMA_DTYPE, DELTA_DTYPE)],
+        axis=1,
+    ).tobytes()
+    raw[HEADER_SIZE : HEADER_SIZE + len(records)] = records
+    struct.pack_into("<H", raw, 4, 2)
+    path.write_bytes(bytes(raw))
+
+
+def _open_and_report(path, barrier, results):
+    barrier.wait()  # every process opens the legacy file at once
+    with DiskBDStore.open(path) as store:
+        results.put((list(store.sources()), _records(store), store.generation))
 
 
 @pytest.fixture(params=sorted(LEGACY), ids=lambda v: f"v{v}")
@@ -92,7 +134,7 @@ class TestLegacyFiles:
         before = _layout(path)
         DiskBDStore.open(path).close()
         assert _version(path) == STORE_VERSION == 3
-        assert not path.with_name(path.name + ".grow").exists()
+        assert not list(path.parent.glob("*.grow"))
         after = _layout(path)
         assert (after.sources, after.rows, after.generation) == (
             before.sources, before.rows, before.generation
@@ -126,6 +168,72 @@ class TestLegacyFiles:
             reopened.close()
 
 
+class TestConcurrentMigration:
+    """Processes that open one legacy file at once migrate it once, and
+    each of them reads every record of it."""
+
+    def test_migration_is_the_inverse_of_the_version_two_layout(self, tmp_path):
+        # Validates the test's own writer: migrating the golden and writing
+        # it back as version 2 gives back the golden's bytes.
+        path = tmp_path / "disk-v2.bin"
+        shutil.copy2(GOLDEN / "disk-v2.bin", path)
+        DiskBDStore.open(path).close()
+        _write_version_two(path)
+        assert path.read_bytes() == (GOLDEN / "disk-v2.bin").read_bytes()
+
+    def test_concurrent_opens_migrate_once(self, legacy):
+        _version_before, path, expected = legacy
+        generation = _layout(path).generation
+        context = multiprocessing.get_context("fork")
+        count = 4
+        barrier, results = context.Barrier(count), context.Queue()
+        processes = [
+            context.Process(target=_open_and_report, args=(path, barrier, results))
+            for _ in range(count)
+        ]
+        for process in processes:
+            process.start()
+        reports = [results.get(timeout=30) for _ in processes]
+        for process in processes:
+            process.join(timeout=60)
+        assert [process.exitcode for process in processes] == [0] * count
+        assert reports == [
+            (expected["sources"], expected["records"], generation)
+        ] * count
+        assert _version(path) == STORE_VERSION
+        assert not list(path.parent.glob("*.grow"))
+
+    @pytest.mark.parametrize("backend", ["arrays", "dicts"])
+    def test_shard_workers_seed_from_a_version_two_file(self, tmp_path, backend):
+        """Every worker of a file-seeded coordinator reopens the one store
+        file; from a version-2 file they score ``==`` workers seeded from
+        the same store as a version-3 file, and match the unsharded run."""
+        graph = random_connected_graph(30, 0.1, seed=21)
+        current, legacy_path = tmp_path / "v3.bin", tmp_path / "v2.bin"
+        durable = DiskBDStore(graph.vertex_list(), path=current)
+        serial = IncrementalBetweenness(graph, store=durable, backend=backend)
+        durable.flush()
+        shutil.copy2(current, legacy_path)
+        _write_version_two(legacy_path)
+        updates = random_update_sequence(graph, 6, seed=22, new_vertex_probability=0.0)
+        batches = [updates[i : i + 2] for i in range(0, len(updates), 2)]
+        scores = []
+        for path in (current, legacy_path):
+            with ShardCoordinator(
+                graph, num_workers=2, backend=backend, source_store_path=path
+            ) as coordinator:
+                for batch in batches:
+                    coordinator.apply_batch(batch)
+                scores.append(coordinator.betweenness())
+        assert scores[1] == scores[0]
+        assert _version(legacy_path) == STORE_VERSION
+        for batch in batches:
+            serial.apply_updates(batch)
+        assert_scores_equal(serial.vertex_betweenness(), scores[1][0])
+        assert_scores_equal(serial.edge_betweenness(), scores[1][1])
+        durable.close()
+
+
 class TestOwnedRows:
     def test_restricted_file_holds_only_the_owned_rows(self, tmp_path):
         """750 owned sources over 1,500 vertices: 750 rows of the 1,875
@@ -156,12 +264,13 @@ class TestOwnedRows:
     def test_row_growth_replaces_the_file_and_keeps_records(self, tmp_path):
         store = DiskBDStore(range(4), path=tmp_path / "bd.bin", sources=[0])
         rows = store.row_capacity
-        distance, sigma, delta = store.record_columns(0, writable=True)
+        (row,) = store.sweep_rows([0])
+        distance, sigma, delta = (m[row] for m in store.column_matrices())
         distance[1], sigma[1], delta[1] = 1, 2, 0.5
         for vertex in range(4, 4 + rows):  # past the row and column capacity
             store.add_source(vertex)
         assert store.row_capacity > rows and store.capacity > 4
-        assert not (tmp_path / "bd.bin.grow").exists()
+        assert not list(tmp_path.glob("*.grow"))
         store.close()
         reopened = DiskBDStore.open(tmp_path / "bd.bin")
         try:
@@ -219,7 +328,8 @@ class TestOwnedRows:
         for vertex in (7, 8):
             store.register_vertex(vertex)
             store.add_source(vertex)
-        distance, sigma, delta = store.record_columns(0, writable=True)
+        (row,) = store.sweep_rows([0])
+        distance, sigma, delta = (m[row] for m in store.column_matrices())
         distance[5], sigma[5], delta[5] = 2, 1, 0.5  # a repair reached 7
         store.forget_since(4, 2)
         assert store.vertex_index.vertices() == [0, 1, 2, 3]

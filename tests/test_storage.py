@@ -224,7 +224,8 @@ class TestColumnProtocol:
 
     def test_writable_record_views_alias_the_matrices(self, kind, grown, tmp_path):
         store = column_store(kind, grown, tmp_path / "bd.bin")
-        distance, sigma, delta = store.record_columns(0, writable=True)
+        (row,) = store.sweep_rows([0])
+        distance, sigma, delta = (m[row] for m in store.column_matrices())
         distance[1], sigma[1], delta[1] = 1, 3, 0.5
         store.record_written(0)
         dist_m, sigma_m, delta_m = store.column_matrices()

@@ -135,7 +135,8 @@ class TestReopenRoundTrip:
         store = DiskBDStore([0, 1, 2], path=tmp_path / "bd.bin", capacity=3)
         if grown:
             store.add_source(3)
-        distance, sigma, delta = store.record_columns(0, writable=True)
+        (row,) = store.sweep_rows([0])
+        distance, sigma, delta = (m[row] for m in store.column_matrices())
         distance[1], sigma[1], delta[1] = 1, 3, 0.5
         store.record_written(0)
         generation = store.generation
