@@ -246,16 +246,12 @@ class BetweennessConfig:
         Rejecting unknown keys (instead of ignoring them) catches typos in
         hand-written config files — ``bach_size`` silently meaning "default
         batch size" is exactly the class of bug the declarative surface
-        exists to remove.  The one exception is ``shared_memory``, which
-        configs written by earlier releases (embedded in their sidecars and
-        manifests) carry: it chose between two worker data planes, the
-        shared-memory plane is now the only one, and the key is dropped.
+        exists to remove.
         """
         if not isinstance(payload, dict):
             raise ConfigurationError(
                 f"config payload must be a dict, got {type(payload).__name__}"
             )
-        payload = {k: v for k, v in payload.items() if k != "shared_memory"}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known
         if unknown:

@@ -62,7 +62,12 @@ from repro.core.checkpoint import load_checkpoint
 from repro.core.framework import IncrementalBetweenness
 from repro.core.kernel import ScoreColumn
 from repro.core.updates import EdgeUpdate, batches
-from repro.exceptions import ConfigurationError, StorageError, SubscriberError
+from repro.exceptions import (
+    ConfigurationError,
+    StorageError,
+    StoreVersionError,
+    SubscriberError,
+)
 from repro.graph.graph import Graph
 from repro.parallel.shards import ShardCoordinator
 from repro.storage.base import BDStore
@@ -769,10 +774,14 @@ def _load_checkpoint_for_resume(path: PathLike):
     mangled checkpoint is a configuration problem.  Mapping everything to
     :class:`~repro.exceptions.ConfigurationError` (with the path in the
     message) lets callers like the service layer translate it to a clean
-    404/409 instead of leaking a stack trace.
+    404/409 instead of leaking a stack trace.  A sidecar of an earlier
+    format keeps its :class:`~repro.exceptions.StoreVersionError`, whose
+    message names the ``repro migrate`` command that converts it.
     """
     try:
         return load_checkpoint(path)
+    except StoreVersionError:
+        raise
     except FileNotFoundError as exc:
         raise ConfigurationError(
             f"cannot resume: checkpoint {path} does not exist"
@@ -799,6 +808,8 @@ def _resume_shard_session(
         root = root.parent
     try:
         manifest = load_manifest(root)
+    except StoreVersionError:
+        raise
     except StorageError as exc:
         raise ConfigurationError(
             f"cannot resume: shard root {root} has an unreadable manifest "

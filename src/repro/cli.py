@@ -18,6 +18,7 @@ explored without writing Python::
     repro online --dataset facebook --workers 4 --store disk://
     repro communities --dataset synthetic-1k --removals 25
     repro proxies --dataset wikielections        # degree/closeness vs betweenness
+    repro migrate /var/data/bc                   # convert an earlier-format artefact
     repro --version
 
 Every experiment subcommand runs on the unified session API
@@ -59,6 +60,7 @@ from repro.api import (
     resume_session,
 )
 from repro.applications import girvan_newman, modularity
+from repro.exceptions import ReproError
 from repro.generators import (
     addition_stream,
     available_datasets,
@@ -68,6 +70,7 @@ from repro.generators import (
 from repro.graph import profile
 from repro.parallel import replay_online_updates_parallel, simulate_online_updates
 from repro.storage import ShardLayout
+from repro.storage.migrate import migrate
 from repro.types import BACKENDS
 from repro.utils.timing import Timer
 
@@ -230,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None,
         help="per-worker BD store used with --workers, as a store URI "
              "(memory:// or disk://; path-less — workers own private "
-             "temporary stores) or the legacy kinds memory/disk"
-             + _PRECEDENCE,
+             "temporary stores)" + _PRECEDENCE,
     )
     online_parser.add_argument(
         "--store-path", type=Path, default=None,
@@ -254,6 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dataset_arguments(proxies_parser)
     proxies_parser.add_argument("--top-k", type=int, default=10)
+
+    migrate_parser = subparsers.add_parser(
+        "migrate",
+        help="rewrite a store file, checkpoint sidecar or shard root of an "
+             "earlier format in the current one (opening refuses them)",
+    )
+    migrate_parser.add_argument("path", type=Path, metavar="PATH")
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -366,6 +375,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_run_communities(args))
     elif command == "proxies":
         print(_run_proxies(args))
+    elif command == "migrate":
+        print(_run_migrate(args.path))
     elif command == "serve":
         return _run_serve(args)
     else:  # pragma: no cover - argparse enforces the choices
@@ -719,6 +730,18 @@ def _run_proxies(args) -> str:
         rows.append([name, spearman, kendall, overlap])
     return format_table(
         ["proxy", "spearman", "kendall tau", f"top-{args.top_k} overlap"], rows
+    )
+
+
+def _run_migrate(path: Path) -> str:
+    try:
+        changed = migrate(path)
+    except (ReproError, OSError) as exc:
+        raise SystemExit(f"repro migrate: cannot convert {path}: {exc}") from exc
+    if not changed:
+        return f"{path} is already in the current format"
+    return "\n".join(
+        f"{'rewrote' if file.exists() else 'removed'} {file}" for file in changed
     )
 
 

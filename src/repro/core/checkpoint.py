@@ -11,10 +11,10 @@ atomically (temp file, fsync, rename, directory fsync).
 When the records are not in a durable store file, the sidecar embeds them
 as a column payload (:class:`~repro.storage.columns.ColumnBlock`): the
 vertex order, the source order and the raw ``(distance, sigma, delta)``
-matrices, whichever backend wrote them.  Sidecars from before the column
-payload embedded a ``{source: SourceData}`` snapshot instead;
-:func:`load_checkpoint` still reads those, converting them to a column
-block on load.
+matrices, whichever backend wrote them.  :func:`load_checkpoint` reads
+the current payload version only and refuses an earlier one with
+:class:`~repro.exceptions.StoreVersionError` naming ``repro migrate
+<path>``, which converts it once (:mod:`repro.storage.migrate`).
 
 Two resume paths exist, both exposed on the framework:
 
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.storage.columns import ColumnBlock
 from repro.storage.header import read_sidecar, write_sidecar
-from repro.types import Edge, EdgeScores, Vertex, VertexScores
+from repro.types import EdgeScores, VertexScores
 
 #: Magic number of a framework checkpoint sidecar ("Repro Betweenness ChecKpoint").
 CHECKPOINT_MAGIC = b"RBCK"
@@ -52,18 +52,20 @@ class FrameworkCheckpoint:
     an in-memory or temporary store) is set.
     """
 
-    vertices: List[Vertex]
-    edges: List[Edge]
     vertex_scores: VertexScores
     edge_scores: EdgeScores
     restricted: bool
+    #: Order-exact adjacency capture (:meth:`repro.graph.Graph
+    #: .adjacency_payload`): resume rebuilds the graph from it, so
+    #: post-resume repair sweeps accumulate floats in the exact order the
+    #: checkpointing process would have.
+    adjacency: Dict = field(repr=False)
     store_path: Optional[str] = None
     columns: Optional[ColumnBlock] = field(default=None, repr=False)
     #: Generation of the durable store at checkpoint time; resume refuses a
     #: store whose generation has moved on (the sidecar would be stale).
     store_generation: Optional[int] = None
-    #: Whether the checkpointed graph is directed (sidecars written before
-    #: directed support decode as ``False``, their only possibility).
+    #: Whether the checkpointed graph is directed.
     directed: bool = False
     #: The session configuration (``BetweennessConfig.to_dict()``) that
     #: produced this checkpoint, when one was in play.  It is stored as a
@@ -76,18 +78,10 @@ class FrameworkCheckpoint:
     #: cursor: an older sidecar is replayed forward from the batch log, a
     #: newer one (state from a future run) is refused — never silently mixed.
     batch_cursor: Optional[int] = None
-    #: Order-exact adjacency capture (:meth:`repro.graph.Graph
-    #: .adjacency_payload`).  ``vertices``/``edges`` rebuild the same graph
-    #: but canonicalize neighbor order; resume prefers this payload when
-    #: present so post-resume repair sweeps accumulate floats in the exact
-    #: order the checkpointing process would have.
-    adjacency: Optional[Dict] = field(default=None, repr=False)
     #: Shard bookkeeping written by the shard coordinator's workers:
     #: ``{"shard_id", "num_shards"}``.  The embedded column block carries
     #: the live store's row order, so a replacement worker reloads its
-    #: records in the exact order the dead worker held them.  Sidecars of
-    #: the previous shard format name a stamped store instead and add
-    #: ``"source_order"``, the row order to read it back in.
+    #: records in the exact order the dead worker held them.
     shard_meta: Optional[Dict] = None
 
 
@@ -98,8 +92,6 @@ def save_checkpoint(path: PathLike, checkpoint: FrameworkCheckpoint) -> Path:
         path,
         CHECKPOINT_MAGIC,
         {
-            "vertices": checkpoint.vertices,
-            "edges": checkpoint.edges,
             "vertex_scores": checkpoint.vertex_scores,
             "edge_scores": checkpoint.edge_scores,
             "restricted": checkpoint.restricted,
@@ -121,27 +113,17 @@ def save_checkpoint(path: PathLike, checkpoint: FrameworkCheckpoint) -> Path:
 def load_checkpoint(path: PathLike) -> FrameworkCheckpoint:
     """Read a checkpoint written by :func:`save_checkpoint` (CRC-validated)."""
     payload = read_sidecar(path, CHECKPOINT_MAGIC)
-    columns = payload.get("columns")
-    if columns is not None:
-        columns = ColumnBlock.from_payload(columns)
-    elif payload.get("snapshot") is not None:
-        # Read-only branch for sidecars written before the column payload:
-        # their records arrive as a {source: SourceData} snapshot.
-        columns = ColumnBlock.from_records(
-            payload["vertices"], payload["snapshot"].values()
-        )
+    columns = payload["columns"]
     return FrameworkCheckpoint(
-        vertices=payload["vertices"],
-        edges=payload["edges"],
         vertex_scores=payload["vertex_scores"],
         edge_scores=payload["edge_scores"],
         restricted=payload["restricted"],
         store_path=payload["store_path"],
-        columns=columns,
-        store_generation=payload.get("store_generation"),
-        directed=bool(payload.get("directed", False)),
-        config=payload.get("config"),
-        batch_cursor=payload.get("batch_cursor"),
-        adjacency=payload.get("adjacency"),
-        shard_meta=payload.get("shard_meta"),
+        columns=None if columns is None else ColumnBlock.from_payload(columns),
+        store_generation=payload["store_generation"],
+        directed=payload["directed"],
+        config=payload["config"],
+        batch_cursor=payload["batch_cursor"],
+        adjacency=payload["adjacency"],
+        shard_meta=payload["shard_meta"],
     )

@@ -410,8 +410,6 @@ class IncrementalBetweenness:
         else:
             columns = export_columns(self._store, self._graph.vertex_list())
         return FrameworkCheckpoint(
-            vertices=self._graph.vertex_list(),
-            edges=self._graph.edge_list(),
             vertex_scores=dict(self._vertex_scores),
             edge_scores=dict(self._edge_scores),
             restricted=self._restricted,
@@ -449,21 +447,10 @@ class IncrementalBetweenness:
         second time; ``checkpoint_path`` is then only used in messages.
         """
         ckpt = checkpoint if checkpoint is not None else load_checkpoint(checkpoint_path)
-        if ckpt.adjacency is not None:
-            # Order-exact rebuild: post-resume repair sweeps accumulate
-            # floats in the same neighbor order the checkpointing process
-            # would have, so a resumed run is bit-identical to an unbroken
-            # one.  Older sidecars fall back to the canonical edge-list
-            # rebuild below (same scores at rest, neighbor order not exact).
-            graph = Graph.from_adjacency_payload(ckpt.adjacency, directed=ckpt.directed)
-            exact_graph = True
-        else:
-            graph = Graph(directed=ckpt.directed)
-            for vertex in ckpt.vertices:
-                graph.add_vertex(vertex)
-            for u, v in ckpt.edges:
-                graph.add_edge(u, v)
-            exact_graph = False
+        # Order-exact rebuild: post-resume repair sweeps accumulate floats
+        # in the same neighbor order the checkpointing process would have,
+        # so a resumed run is bit-identical to an unbroken one.
+        graph = Graph.from_adjacency_payload(ckpt.adjacency, directed=ckpt.directed)
         if store is None:
             if ckpt.store_path is not None:
                 store = DiskBDStore.open(ckpt.store_path)
@@ -488,9 +475,7 @@ class IncrementalBetweenness:
                     f"checkpoint {checkpoint_path} records neither a store "
                     "path nor embedded records; pass a store explicitly"
                 )
-        self = cls._bare(
-            graph, store, ckpt.restricted, backend, copy_graph=not exact_graph
-        )
+        self = cls._bare(graph, store, ckpt.restricted, backend, copy_graph=False)
         if self._backend == "arrays":
             # The facades stay in place; the checkpointed values are loaded
             # into the kernel's flat score structures verbatim.

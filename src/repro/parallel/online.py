@@ -207,8 +207,7 @@ def simulate_online_updates(
         here; ignored when an existing ``framework`` is passed in.
     store:
         Store URI for the session's ``BD[.]`` records (the single machine
-        that really processes each update); also accepts the legacy
-        ``"memory"`` / ``"disk"`` kinds.  Ignored when ``framework`` is
+        that really processes each update).  Ignored when ``framework`` is
         passed in.
 
     Notes
@@ -238,7 +237,7 @@ def simulate_online_updates(
                 graph,
                 backend=backend,
                 batch_size=batch_size,
-                store=_store_uri(store),
+                store=store,
             ),
         )
 
@@ -266,7 +265,7 @@ def replay_online_updates_parallel(
     num_workers: int = 1,
     batch_size: int = 1,
     time_scale: float = 1.0,
-    store: str = "memory",
+    store: str = "memory://",
     use_cpu_time: bool = True,
     source_store_path=None,
     backend: str = "dicts",
@@ -287,8 +286,7 @@ def replay_online_updates_parallel(
         Updates per executor round; see :func:`simulate_online_updates`.
     store:
         Per-worker ``BD`` store: a store URI (``memory://``, ``disk://``;
-        path-less, since each worker owns a private temporary store) or one
-        of the legacy kinds ``"memory"`` / ``"disk"``.
+        path-less, since each worker owns a private temporary store).
     use_cpu_time:
         Account the slowest worker's *CPU* time as the processing time
         (default), which models every mapper owning a dedicated core — the
@@ -316,7 +314,7 @@ def replay_online_updates_parallel(
         batch_size=batch_size,
         executor="process",
         workers=num_workers,
-        store=_store_uri(store),
+        store=store,
         seed_store_path=(
             str(source_store_path) if source_store_path is not None else None
         ),
@@ -336,13 +334,6 @@ def replay_online_updates_parallel(
         for _ in session.stream(updates):
             pass
         return ledger.result
-
-
-def _store_uri(store: str) -> str:
-    """Accept a store URI or one of the legacy ``memory``/``disk`` kinds."""
-    if ":" in store:
-        return store
-    return f"{store}://"
 
 
 def _check_batch_size(batch_size: int) -> None:

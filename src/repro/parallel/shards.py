@@ -53,10 +53,12 @@ rows of the update ring (:mod:`repro.parallel.dataplane`); only replay
 after a recovery sends pickled update lists, because the ring may have
 rotated past the logged slice.  A worker seeded from a durable store file
 reads its partition's records out of the file as one
-:class:`~repro.storage.columns.ColumnBlock` — the same reader that resumes
-a shard whose sidecar (of the previous format) names a stamped store.
-Everything else crossing the pipe is plain picklable data, so both the
-``fork`` and ``spawn`` start methods work.
+:class:`~repro.storage.columns.ColumnBlock`; opening the file never writes
+it, so every worker reads the one file at once.  A seed file, sidecar or
+shard root of an earlier format is refused with its own
+:class:`~repro.exceptions.StoreVersionError` (``repro migrate`` converts
+it).  Everything else crossing the pipe is plain picklable data, so both
+the ``fork`` and ``spawn`` start methods work.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ from repro.storage.buffers import (
     reclaim_process_segments,
     shm_available,
 )
-from repro.storage.columns import ColumnBlock, export_columns, import_columns
+from repro.storage.columns import export_columns, import_columns
 from repro.storage.disk import DiskBDStore
 from repro.storage.index import VertexIndex
 from repro.storage.memory import InMemoryBDStore
@@ -145,37 +147,6 @@ def _attach_worker_graph(shm: dict) -> Graph:
             buffer.release()
 
 
-def _read_partition_block(
-    store_file: PathLike,
-    sources: Sequence,
-    generation: Optional[int] = None,
-) -> ColumnBlock:
-    """One partition's records out of a durable store file, as one block.
-
-    The one reader behind both ways a worker starts from records in a store
-    file: seeding a fresh partition from a store file covering every
-    source, and resuming a shard whose sidecar (of the previous format)
-    names a stamped store (which also passes the ``generation`` that
-    sidecar recorded).  Rows come back in ``sources`` order; nothing is
-    decoded into per-source records.
-    """
-    with DiskBDStore.open(store_file) as durable:
-        if generation is not None and durable.generation != generation:
-            raise ConfigurationError(
-                f"store file {store_file} is at generation "
-                f"{durable.generation} but its sidecar was written at "
-                f"generation {generation}; the shard directory holds mixed "
-                "state"
-            )
-        missing = [s for s in sources if s not in durable]
-        if missing:
-            raise ConfigurationError(
-                f"store file {store_file} lacks records for sources "
-                f"{sorted(map(repr, missing))}"
-            )
-        return export_columns(durable, sources=sources)
-
-
 def _build_worker_framework(payload: dict) -> IncrementalBetweenness:
     """Seed a fresh worker: its graph, store and restricted framework."""
     graph = _attach_worker_graph(payload["shm"])
@@ -197,9 +168,17 @@ def _build_worker_framework(payload: dict) -> IncrementalBetweenness:
         )
 
     # File-seeded bootstrap: every worker reopens the shared durable store
-    # and reads just its own partition's records, so nothing crosses the
-    # driver→worker pipe but the path string.
-    block = _read_partition_block(store_path, sources)
+    # and reads just its own partition's records, as one block in
+    # ``sources`` order, so nothing crosses the driver→worker pipe but the
+    # path string.
+    with DiskBDStore.open(store_path) as durable:
+        missing = [s for s in sources if s not in durable]
+        if missing:
+            raise ConfigurationError(
+                f"store file {store_path} lacks records for sources "
+                f"{sorted(map(repr, missing))}"
+            )
+        block = export_columns(durable, sources=sources)
     if store_kind == "disk":
         # Built like a fresh disk worker's store (rows in slot order), then
         # filled with the partition's records.
@@ -229,16 +208,13 @@ def _write_shard_checkpoint(
     A round writes one file: the serial sidecar, embedding the worker's
     records as one column block of its owned sources (in the live store's
     slot and row order).  Its atomic write is the commit point, so a kill
-    at any instant leaves the previous round intact.  Store files stamped
-    by rounds of the previous format are deleted once the round committed.
+    at any instant leaves the previous round intact.
     """
     checkpoint = framework.build_checkpoint(
         batch_cursor=cursor,
         shard_meta={"shard_id": shard_id, "num_shards": num_shards},
     )
     save_checkpoint(shard_dir / "checkpoint.bin", checkpoint)  # the commit point
-    for legacy in shard_dir.glob("store-*.bin"):
-        legacy.unlink(missing_ok=True)
 
 
 def _check_shard_sidecar(ckpt: FrameworkCheckpoint, payload: dict) -> None:
@@ -252,7 +228,7 @@ def _check_shard_sidecar(ckpt: FrameworkCheckpoint, payload: dict) -> None:
     path = payload["checkpoint_path"]
     shard_id = payload["shard_id"]
     meta = ckpt.shard_meta
-    if meta is None or ckpt.adjacency is None:
+    if meta is None:
         raise StoreCorruptedError(f"{path} is not a shard checkpoint sidecar")
     if meta.get("shard_id") != shard_id:
         raise StoreCorruptedError(
@@ -278,34 +254,6 @@ def _check_shard_sidecar(ckpt: FrameworkCheckpoint, payload: dict) -> None:
         )
 
 
-def _resume_shard_framework(
-    checkpoint_path: PathLike, ckpt: FrameworkCheckpoint, backend: str
-) -> IncrementalBetweenness:
-    """Rebuild a shard's framework from its sidecar, as a serial resume does.
-
-    The embedded block brings the records in the dead worker's slot and row
-    order and the graph comes from the order-exact adjacency payload —
-    together they make the replacement's float accumulation order identical
-    to the dead worker's.
-
-    A sidecar of the previous format names a cursor-stamped store file
-    instead; that file is read (read-only, generation-checked) by its name
-    beside the sidecar, since the absolute path it records is where it was
-    *written* and a shard root may since have been moved.
-    """
-    store = None
-    if ckpt.store_path is not None:
-        block = _read_partition_block(
-            Path(checkpoint_path).parent / Path(ckpt.store_path).name,
-            ckpt.shard_meta["source_order"],
-            ckpt.store_generation,
-        )
-        store = import_columns(block, backend, ckpt.directed)
-    return IncrementalBetweenness.resume(
-        checkpoint_path, store=store, backend=backend, checkpoint=ckpt
-    )
-
-
 def _worker_main(connection, payload: dict) -> None:
     """Entry point of every worker process (one mapper of Figure 4).
 
@@ -313,11 +261,12 @@ def _worker_main(connection, payload: dict) -> None:
     ``None``: the graph's segments, sources, store kind and an optional
     store file to read the partition's records from) or names the shard
     sidecar to resume from, with the coordinator's cursor to check it
-    against (:func:`_check_shard_sidecar`; a refusal is answered
-    ``("refused", exception)``).  Either way it carries the update ring and
-    the label table the batches are read through.  The worker answers
-    ``("ready", seconds, sidecar_cursor)`` once seeded (``None`` when
-    fresh), so the coordinator never reads the sidecar itself.
+    against (:func:`_check_shard_sidecar`).  A refusal of the state on
+    disk is answered ``("refused", exception)``.  Either way the payload
+    carries the update ring and the label table the batches are read
+    through.  The worker answers ``("ready", seconds, sidecar_cursor)``
+    once seeded (``None`` when fresh), so the coordinator never reads the
+    sidecar itself.
 
     Protocol (all tuples over the pipe):
 
@@ -349,22 +298,25 @@ def _worker_main(connection, payload: dict) -> None:
         timer = Timer()
         cursor = None
         with timer.measure():
-            if payload["checkpoint_path"] is not None:
-                # Every refusal of the state on disk — a foreign or stale
-                # sidecar, a store file that moved on behind it — reaches
-                # the coordinator with its own type.
-                try:
+            # Every refusal of the state on disk — a foreign or stale
+            # sidecar, a seed file that is truncated, of an earlier format
+            # or short of sources — reaches the coordinator with its own
+            # type.
+            try:
+                if payload["checkpoint_path"] is not None:
                     ckpt = load_checkpoint(payload["checkpoint_path"])
                     _check_shard_sidecar(ckpt, payload)
-                    framework = _resume_shard_framework(
-                        payload["checkpoint_path"], ckpt, payload["backend"]
+                    framework = IncrementalBetweenness.resume(
+                        payload["checkpoint_path"],
+                        backend=payload["backend"],
+                        checkpoint=ckpt,
                     )
-                except ReproError as exc:
-                    connection.send(("refused", exc))
-                    return
-                cursor = ckpt.batch_cursor
-            else:
-                framework = _build_worker_framework(payload)
+                    cursor = ckpt.batch_cursor
+                else:
+                    framework = _build_worker_framework(payload)
+            except ReproError as exc:
+                connection.send(("refused", exc))
+                return
             ring_reader = RingReader(shm["ring"])
             label_table = LabelTable(shm["labels"])
         connection.send(("ready", timer.total, cursor))
@@ -738,8 +690,6 @@ class ShardCoordinator:
         # The coordinator reads one sidecar, for the graph; each worker
         # checks its own sidecar's shard id and cursor as it resumes.
         first = load_checkpoint(sidecars[0])
-        if first.adjacency is None:
-            raise StoreCorruptedError(f"{sidecars[0]} lacks the adjacency payload")
         graph = Graph.from_adjacency_payload(first.adjacency, directed=first.directed)
         del first
         # The resume path re-seeds state from the sidecars, so only the
@@ -1200,8 +1150,9 @@ class ShardCoordinator:
     def _expect(self, shard_id: int, expected: str):
         message = self._recv(shard_id)
         if message[0] == "refused":
-            # The worker refused its sidecar (wrong shard, unusable batch):
-            # the coordinator's own error, typed as the check raised it.
+            # The worker refused its state on disk (a foreign or stale
+            # sidecar, an unusable seed file): the coordinator's own error,
+            # typed as the check raised it.
             self._teardown_handle(shard_id)
             raise message[1]
         if message[0] == "error":

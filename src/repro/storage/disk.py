@@ -32,16 +32,9 @@ column store's; this module adds only what a file needs:
   picks the new shape and this class writes it to a sibling file, fsyncs
   it and atomically replaces the old file (``os.replace``).
 
-A **version-1 or version-2** file (interleaved records; version 1 with one
-record per vertex slot) is migrated when it is opened, through the growth
-path: its records are copied into a version-3 sibling of the same shape,
-which is fsynced and replaces the file.  Every record, the ``sources()``
-order, the row map and the generation are kept.  Processes that open one
-legacy file at once (every shard worker seeding from a shared store file
-does) migrate it once: the migrator holds an exclusive ``flock`` on the
-legacy file until its replacement is in place, and a process that waited
-for the lock reopens the replacement instead.  Siblings are named per
-process, so no two processes ever write the same one.
+Opening never writes.  A file of an earlier format version is refused
+with :class:`~repro.exceptions.StoreVersionError`, whose message names
+``repro migrate <path>`` (:mod:`repro.storage.migrate` converts it once).
 
 Standard mmap semantics apply: the mapping assumes no other process
 resizes the file while the store is open — an externally *truncated* file
@@ -51,7 +44,6 @@ cleanly with :class:`~repro.exceptions.StoreCorruptedError`).
 
 from __future__ import annotations
 
-import fcntl
 import mmap
 import os
 import tempfile
@@ -66,13 +58,11 @@ from repro.storage.codec import (
     DELTA_DTYPE,
     DISTANCE_DTYPE,
     SIGMA_DTYPE,
-    column_offsets,
     record_size,
 )
 from repro.storage.header import (
     FLAG_DIRECTED,
     HEADER_SIZE,
-    STORE_VERSION,
     encode_metadata,
     metadata_crc,
     pack_header,
@@ -158,28 +148,20 @@ class DiskBDStore(ArrayBDStore):
 
         The capacities, vertex index (slot order) and source rows are
         restored from the file; records are served in place without any
-        rewriting, except that a file of an earlier format version is first
-        migrated to the current one (see the module docstring).  Raises
-        :class:`~repro.exceptions.StoreCorruptedError` (or
-        :class:`~repro.exceptions.StoreVersionError`) when the file is
-        not a store, is truncated, fails its checksum, or was written by an
-        unsupported format version.
+        rewriting.  Raises :class:`~repro.exceptions.StoreCorruptedError`
+        (or :class:`~repro.exceptions.StoreVersionError`) when the file is
+        not a store, is truncated, fails its checksum, or was written in
+        another format version.
         """
         path = Path(path)
-        while True:
-            if not path.exists():
-                raise FileNotFoundError(f"no store file at {path}")
-            file = open(path, "r+b")
-            try:
-                layout = read_layout(
-                    file, os.fstat(file.fileno()).st_size, record_size
-                )
-                if layout.version == STORE_VERSION or _claim_migration(file, path):
-                    break
-            except Exception:
-                file.close()
-                raise
-            file.close()  # migrated by another process meanwhile: reopen
+        if not path.exists():
+            raise FileNotFoundError(f"no store file at {path}")
+        file = open(path, "r+b")
+        try:
+            layout = read_layout(file, os.fstat(file.fileno()).st_size, record_size)
+        except BaseException:
+            file.close()
+            raise
         self = cls.__new__(cls)
         self._path = path
         self._owns_file = False
@@ -194,14 +176,7 @@ class DiskBDStore(ArrayBDStore):
             layout.directed,
         )
         self._attach_rows(layout.sources, layout.rows)
-        if layout.version == STORE_VERSION:
-            self._map(layout.row_capacity, layout.capacity)
-        else:
-            try:
-                self._migrate(layout.row_capacity, layout.capacity)
-            except BaseException:
-                self._release()
-                raise
+        self._map(layout.row_capacity, layout.capacity)
         return self
 
     @classmethod
@@ -310,7 +285,7 @@ class DiskBDStore(ArrayBDStore):
             target = self._path
         else:
             self._retired = (self._mm, self._file)
-            target = self._path.with_name(f"{self._path.name}.{os.getpid()}.grow")
+            target = self._path.with_name(f"{self._path.name}.grow")
         self._file = open(target, "w+b")
         self._file.truncate(HEADER_SIZE + rows * record_size(columns))
         self._map(rows, columns)
@@ -334,44 +309,8 @@ class DiskBDStore(ArrayBDStore):
             )
         )
 
-    def _migrate(self, rows: int, columns: int) -> None:
-        """Rewrite an interleaved (version 1 or 2) file as version 3.
-
-        The legacy records are mapped as strided views and copied into a
-        freshly formatted sibling of the same shape, which :meth:`_resized`
-        commits exactly as it commits a growth: metadata, fsync, replace.
-        Nothing about the store changes but the layout — not even the
-        generation, so a checkpoint that names the file still matches it.
-        """
-        record_bytes = record_size(columns)
-        self._mm = mmap.mmap(self._file.fileno(), HEADER_SIZE + rows * record_bytes)
-        legacy = [
-            np.ndarray(
-                (rows, columns),
-                dtype,
-                buffer=self._mm,
-                offset=HEADER_SIZE + offset,
-                strides=(record_bytes, dtype.itemsize),
-            )
-            for offset, dtype in zip(
-                column_offsets(columns), (DISTANCE_DTYPE, SIGMA_DTYPE, DELTA_DTYPE)
-            )
-        ]
-        try:
-            self._allocate(rows, columns)
-            self._dist[...] = legacy[0]
-            self._sigma[...] = legacy[1]
-            self._delta[...] = legacy[2]
-        finally:
-            legacy.clear()  # the old mapping can close only without views
-        self._resized()
-
     def _resized(self) -> None:
-        """Commit a grown layout: the synced sibling replaces the store file.
-
-        The old file is closed only after the replace, so a migration's
-        lock on it (see :meth:`open`) lasts until the new file is in place.
-        """
+        """Commit a grown layout: the synced sibling replaces the store file."""
         self._sync_metadata()
         self._mm.flush()
         os.fsync(self._file.fileno())
@@ -420,14 +359,3 @@ class DiskBDStore(ArrayBDStore):
         self._generation += 1
         self._sync_metadata()
 
-
-def _claim_migration(file, path: Path) -> bool:
-    """Lock the legacy store ``file`` (opened from ``path``) for migration.
-
-    Blocks while another process migrates it.  True when ``path`` still
-    names ``file`` under the lock, so this process migrates it (the lock
-    holds until ``file`` is closed); False when another process replaced
-    it meanwhile, so the caller reopens ``path``.
-    """
-    fcntl.flock(file.fileno(), fcntl.LOCK_EX)
-    return os.path.samestat(os.stat(path), os.fstat(file.fileno()))

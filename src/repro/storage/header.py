@@ -12,8 +12,8 @@ capacity (vertex slots per record).  Each plane is one C-contiguous
 byte for byte and a pair ``(row, slot)`` has the flat id ``row * C +
 slot`` in all three.  The 8-byte planes come first so that every plane
 starts 8-byte aligned without padding: the record area is exactly
-``R * record_size(C)`` bytes, as in the earlier versions.  A source's
-record is three row segments, one per plane, not one contiguous region.
+``R * record_size(C)`` bytes.  A source's record is three row segments,
+one per plane, not one contiguous region.
 
 The fixed header is a little-endian struct holding a magic number, the
 format version, flag bits, the column capacity, the size + CRC32 of the
@@ -25,20 +25,18 @@ and the generation.  The metadata — which changes only when vertices or
 sources are registered — lives after the record area and can be rewritten
 without shifting any record.
 
-**Versions 1 and 2** laid each record out as one interleaved region
-(distances, then sigmas, then dependencies) at ``HEADER_SIZE + row *
-record_size(C)``.  Version 2 carried the row map; a version-1 file holds
-one record per vertex *slot* (``C`` records, row = slot) and no row map.
-Both are still read: :func:`read_layout` reports the version (and the
-implied row map of a version-1 file), and the store migrates such a file
-into a version-3 sibling that replaces it.
+This module reads version 3 only.  A file of an earlier version is
+refused with :class:`~repro.exceptions.StoreVersionError`, whose message
+names ``repro migrate <path>``: :mod:`repro.storage.migrate` is the one
+place that knows the earlier layouts and rewrites such a file.
 
 The same magic/version/CRC framing is reused for sidecar files (framework
 checkpoints, shard manifests) through :func:`write_sidecar` /
-:func:`read_sidecar`, which carry their own :data:`SIDECAR_VERSION`; every
-sidecar write is atomic (temp file, fsync, rename, directory fsync) and
-both directions stream, so the pickled payload is never held in memory
-as one string.
+:func:`read_sidecar`, which carry their own :data:`SIDECAR_VERSION` (an
+earlier one is refused the same way); every sidecar write is atomic
+(:func:`replace_atomically`: temp file, fsync, rename, directory fsync)
+and both directions stream, so the pickled payload is never held in
+memory as one string.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.exceptions import StoreCorruptedError, StoreVersionError
 from repro.types import Vertex
@@ -62,17 +60,15 @@ STORE_MAGIC = b"RBDS"
 #: :func:`unpack_header` rejects versions it does not understand.
 STORE_VERSION = 3
 
-#: The earlier store versions still read (interleaved records, see above);
-#: version 1 also has no row map (row = slot).
-LEGACY_VERSIONS = (1, 2)
-_SLOT_ROWS_VERSION = 1
-
-#: Version of the sidecar framing; independent of the store layout.
-SIDECAR_VERSION = 1
+#: Version of the sidecar payloads (checkpoints and shard manifests);
+#: independent of the store layout.  Version 2: a checkpoint embeds its
+#: records as a column block and always carries the order-exact adjacency,
+#: and no embedded config carries a ``shared_memory`` key.
+SIDECAR_VERSION = 2
 
 #: ``magic, version, flags, capacity, meta_size, meta_crc, row_capacity`` —
 #: packed at the start of the fixed header, zero-padded to
-#: :data:`HEADER_SIZE` (a version-1 header ends before ``row_capacity``).
+#: :data:`HEADER_SIZE`.
 _HEADER_STRUCT = struct.Struct("<4sHHQQIQ")
 
 #: ``magic, version, flags, payload size, payload CRC`` of a sidecar.
@@ -106,8 +102,6 @@ class StoreLayout:
     generation: int = 0
     #: Orientation of the graph the records describe (header flag bit).
     directed: bool = False
-    #: Format version the file was written in (see the module docstring).
-    version: int = STORE_VERSION
 
 
 def pack_header(
@@ -135,11 +129,14 @@ def pack_header(
 
 def unpack_header(raw: bytes) -> Tuple[int, int, int, int]:
     """Decode the fixed header; return ``(capacity, meta_size, meta_crc, flags)``."""
-    return _decode_header(raw)[1:5]
+    return _decode_header(raw)[:4]
 
 
-def _decode_header(raw: bytes) -> Tuple[int, int, int, int, int, int]:
-    """``(version, capacity, meta_size, meta_crc, flags, row_capacity)``."""
+def _decode_header(
+    raw: bytes, name: str = "store file"
+) -> Tuple[int, int, int, int, int]:
+    """``(capacity, meta_size, meta_crc, flags, row_capacity)`` of a
+    version-3 header; ``name`` (the file's path) goes into the errors."""
     if len(raw) < HEADER_SIZE:
         raise StoreCorruptedError(
             f"file too short for a store header: {len(raw)} of {HEADER_SIZE} bytes"
@@ -151,43 +148,47 @@ def _decode_header(raw: bytes) -> Tuple[int, int, int, int, int, int]:
         raise StoreCorruptedError(
             f"bad magic {magic!r}: not a betweenness-data store file"
         )
-    if version == _SLOT_ROWS_VERSION:
-        row_capacity = capacity
-    elif version != STORE_VERSION and version not in LEGACY_VERSIONS:
+    if version != STORE_VERSION:
         raise StoreVersionError(
-            f"store format version {version} is not supported "
-            f"(this build reads versions {_SLOT_ROWS_VERSION} to {STORE_VERSION})"
+            _version_message(name, "store format", version, STORE_VERSION)
         )
     if flags & ~KNOWN_FLAGS:
         raise StoreVersionError(
             f"store header carries unknown flag bits {flags:#06x} "
             f"(this build understands {KNOWN_FLAGS:#06x})"
         )
-    return version, capacity, meta_size, meta_crc, flags, row_capacity
+    return capacity, meta_size, meta_crc, flags, row_capacity
+
+
+def _version_message(name, what: str, version: int, current: int) -> str:
+    """Why a file of another format ``version`` is refused."""
+    advice = f": convert it with `repro migrate {name}`" if version < current else ""
+    return f"{name} is {what} version {version}, this build reads {current}{advice}"
 
 
 def encode_metadata(
     vertices: List[Vertex],
     sources: List[Vertex],
-    generation: int = 0,
-    rows: Optional[List[int]] = None,
+    generation: int,
+    rows: List[int],
 ) -> bytes:
     """Serialise the vertex index (in slot order), the sources, their rows
-    (``None``: a version-1 block, no row map) and the generation."""
-    payload = {
-        "vertices": list(vertices),
-        "sources": list(sources),
-        "generation": generation,
-    }
-    if rows is not None:
-        payload["rows"] = list(rows)
-    return pickle.dumps(payload, protocol=4)
+    and the generation."""
+    return pickle.dumps(
+        {
+            "vertices": list(vertices),
+            "sources": list(sources),
+            "generation": generation,
+            "rows": list(rows),
+        },
+        protocol=4,
+    )
 
 
 def decode_metadata(
     raw: bytes, expected_crc: int
-) -> Tuple[List[Vertex], List[Vertex], int, Optional[List[int]]]:
-    """Deserialise and CRC-check the metadata block (``rows`` may be None)."""
+) -> Tuple[List[Vertex], List[Vertex], int, List[int]]:
+    """Deserialise and CRC-check the metadata block."""
     actual_crc = zlib.crc32(raw) & 0xFFFFFFFF
     if actual_crc != expected_crc:
         raise StoreCorruptedError(
@@ -198,9 +199,8 @@ def decode_metadata(
         payload = pickle.loads(raw)
         vertices = list(payload["vertices"])
         sources = list(payload["sources"])
-        generation = int(payload.get("generation", 0))
-        rows = payload.get("rows")
-        rows = None if rows is None else [int(row) for row in rows]
+        generation = int(payload["generation"])
+        rows = [int(row) for row in payload["rows"]]
     except Exception as exc:
         raise StoreCorruptedError(f"undecodable metadata block: {exc!r}") from exc
     return vertices, sources, generation, rows
@@ -214,12 +214,13 @@ def metadata_crc(raw: bytes) -> int:
 def read_layout(fileobj, file_size: int, record_size_of) -> StoreLayout:
     """Read and validate the full layout of an existing store file.
 
-    The sources come back in row order (for a version-1 file: slot order).
+    The sources come back in row order.
 
     Parameters
     ----------
     fileobj:
-        Seekable binary file positioned anywhere.
+        Seekable binary file positioned anywhere; its ``name`` (the path)
+        goes into the errors.
     file_size:
         Total size of the file in bytes (validated against the header).
     record_size_of:
@@ -227,8 +228,8 @@ def read_layout(fileobj, file_size: int, record_size_of) -> StoreLayout:
         keep this module independent of the codec).
     """
     fileobj.seek(0)
-    version, capacity, meta_size, meta_crc, flags, row_capacity = _decode_header(
-        fileobj.read(HEADER_SIZE)
+    capacity, meta_size, meta_crc, flags, row_capacity = _decode_header(
+        fileobj.read(HEADER_SIZE), getattr(fileobj, "name", "store file")
     )
     meta_offset = HEADER_SIZE + row_capacity * record_size_of(capacity)
     if file_size < meta_offset + meta_size:
@@ -253,12 +254,8 @@ def read_layout(fileobj, file_size: int, record_size_of) -> StoreLayout:
         raise StoreCorruptedError(
             f"metadata lists sources outside the vertex index: {sorted(map(repr, unknown))}"
         )
-    if version == _SLOT_ROWS_VERSION:
-        slot = {vertex: position for position, vertex in enumerate(vertices)}
-        rows = [slot[source] for source in sources]
-    elif (
-        rows is None
-        or len(rows) != len(sources)
+    if (
+        len(rows) != len(sources)
         or len(set(rows)) != len(rows)
         or len(set(sources)) != len(sources)
         or any(not 0 <= row < row_capacity for row in rows)
@@ -276,7 +273,6 @@ def read_layout(fileobj, file_size: int, record_size_of) -> StoreLayout:
         row_capacity=row_capacity,
         generation=generation,
         directed=bool(flags & FLAG_DIRECTED),
-        version=version,
     )
 
 
@@ -310,13 +306,34 @@ class _ChecksummedWriter:
 def write_sidecar(path: Union[str, Path], magic: bytes, payload: Any) -> None:
     """Write ``payload`` to ``path`` with the store's magic/version/CRC framing.
 
-    The payload is pickled straight into a temporary file in the same
-    directory (protocol 5, so ``pickle.PickleBuffer`` parts are written
-    from their own memory without a copy); the header, whose size and CRC
-    are known only then, goes in at offset 0 last.  The temporary file is
+    The payload is pickled straight into the temporary file of
+    :func:`replace_atomically` (protocol 5, so ``pickle.PickleBuffer``
+    parts are written from their own memory without a copy); the header,
+    whose size and CRC are known only then, goes in at offset 0 last.
+    """
+
+    def fill(tmp) -> None:
+        tmp.seek(_SIDECAR_STRUCT.size)
+        writer = _ChecksummedWriter(tmp)
+        pickle.dump(payload, writer, protocol=5)
+        tmp.seek(0)
+        tmp.write(
+            _SIDECAR_STRUCT.pack(
+                magic, SIDECAR_VERSION, 0, writer.size, writer.crc & 0xFFFFFFFF
+            )
+        )
+
+    replace_atomically(path, fill)
+
+
+def replace_atomically(path: Union[str, Path], fill: Callable[[Any], None]) -> None:
+    """Replace ``path`` by a file that ``fill(binary_file)`` writes.
+
+    ``fill`` writes a temporary file in the same directory, which is
     fsynced, renamed over ``path`` and made durable by an fsync of the
-    directory.  A crash at any instant leaves either the previous sidecar
-    or the new one, never a torn file.
+    directory.  A crash at any instant leaves either the previous file or
+    the new one, never a torn file, and two processes replacing one path
+    at once never share a temporary file.
     """
     path = Path(path)
     handle, tmp_name = tempfile.mkstemp(
@@ -324,15 +341,7 @@ def write_sidecar(path: Union[str, Path], magic: bytes, payload: Any) -> None:
     )
     try:
         with os.fdopen(handle, "wb") as tmp:
-            tmp.seek(_SIDECAR_STRUCT.size)
-            writer = _ChecksummedWriter(tmp)
-            pickle.dump(payload, writer, protocol=5)
-            tmp.seek(0)
-            tmp.write(
-                _SIDECAR_STRUCT.pack(
-                    magic, SIDECAR_VERSION, 0, writer.size, writer.crc & 0xFFFFFFFF
-                )
-            )
+            fill(tmp)
             tmp.flush()
             os.fsync(tmp.fileno())
         os.replace(tmp_name, path)
@@ -350,20 +359,25 @@ def write_sidecar(path: Union[str, Path], magic: bytes, payload: Any) -> None:
 _CRC_CHUNK = 1 << 20
 
 
-def read_sidecar(path: Union[str, Path], magic: bytes) -> Any:
+def read_sidecar(
+    path: Union[str, Path], magic: bytes, version: int = SIDECAR_VERSION
+) -> Any:
     """Read a sidecar previously written by :func:`write_sidecar`.
 
     The payload is checked in a streaming CRC pass before anything is
     unpickled, then unpickled straight from the file, so a large byte
     string (a column matrix) is read once into its own object and the
-    file is never held in memory whole.
+    file is never held in memory whole.  A sidecar of another payload
+    ``version`` than the one asked for (the current one, except for the
+    converter of earlier payloads) is refused with
+    :class:`~repro.exceptions.StoreVersionError`.
     """
     with open(path, "rb") as file:
-        _check_sidecar(file, path, magic)
+        _check_sidecar(file, path, magic, version)
         return pickle.load(file)
 
 
-def _check_sidecar(file, path, magic: bytes) -> None:
+def _check_sidecar(file, path, magic: bytes, expected_version: int) -> None:
     """Validate a sidecar's framing and payload CRC; leave ``file`` at the
     payload's first byte."""
     header_size = _SIDECAR_STRUCT.size
@@ -375,9 +389,9 @@ def _check_sidecar(file, path, magic: bytes) -> None:
         raise StoreCorruptedError(
             f"bad magic {file_magic!r} in {path} (expected {magic!r})"
         )
-    if version != SIDECAR_VERSION:
+    if version != expected_version:
         raise StoreVersionError(
-            f"sidecar {path} has version {version}, expected {SIDECAR_VERSION}"
+            _version_message(path, "sidecar payload", version, expected_version)
         )
     running, left = 0, size
     chunk = bytearray(min(size, _CRC_CHUNK))

@@ -23,10 +23,11 @@ the same sidecar a serial in-RAM session writes, embedding the shard's
 owned records as one column block — so a crash mid-round leaves the
 previous round intact.  The manifest is updated (atomically, last) once
 every shard committed; its ``batch_cursor`` is the coordinator's authority
-on how many batches the ensemble durably applied.  Roots written by the
-previous format also hold a cursor-stamped ``store-<cursor>.bin`` per shard,
-which its sidecar names; they still resume, and the first round of this
-format deletes the store files.
+on how many batches the ensemble durably applied.  A root of an earlier
+format (a manifest or sidecar of an earlier payload version, or a
+cursor-stamped store file per shard) is refused on resume with
+:class:`~repro.exceptions.StoreVersionError`; ``repro migrate <root>``
+rewrites it in this layout once.
 
 This module is pure layout + bookkeeping: paths, the manifest codec, URI
 resolution and the deterministic rebalancing rule.  The process machinery
@@ -226,7 +227,7 @@ def load_manifest(root: PathLike) -> ShardManifest:
         batch_cursor=int(payload["batch_cursor"]),
         assignment=list(payload["assignment"]),
         shard_sizes=list(payload["shard_sizes"]),
-        config=payload.get("config"),
+        config=payload["config"],
     )
 
 

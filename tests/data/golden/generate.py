@@ -1,7 +1,7 @@
 """Write the golden checkpoint artifacts that ``tests/test_golden_checkpoints.py``
 resumes.
 
-The artifacts pin the on-disk formats a release must keep reading:
+The artifacts pin the earlier on-disk formats ``repro migrate`` converts:
 
 * ``serial-arrays.ck`` — a serial ``arrays``-backend sidecar whose records
   are embedded (the session ran on an in-RAM store);
@@ -24,7 +24,8 @@ commit *before* checkpoints switched to the column payload, and
 ``disk-v1.*`` by the commit before disk records became rows of owned
 sources, ``disk-v2.*`` by the commit before the store file became three
 planes; they are what proves that sidecars, shard roots and store files
-from those formats still resume.  Re-running this
+from those formats are refused when opened and, once ``repro migrate``
+converted them, resume exactly.  Re-running this
 script with later code writes the current format instead, so regenerate
 only on purpose::
 

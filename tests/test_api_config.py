@@ -263,14 +263,17 @@ class TestRetiredExecutor:
 
 class TestOneDataPlane:
     """The worker runtime has one data plane, so there is nothing to choose;
-    what earlier releases wrote to choose one still reads."""
+    the key earlier releases wrote to choose one is an unknown field (``repro
+    migrate`` drops it from the configs embedded in sidecars and manifests)."""
 
-    @pytest.mark.parametrize("legacy", [True, False])
-    def test_legacy_shared_memory_key_is_read_and_dropped(self, legacy):
-        current = BetweennessConfig(executor="process", workers=2)
-        payload = dict(current.to_dict(), shared_memory=legacy)
-        assert BetweennessConfig.from_dict(payload) == current
-        assert "shared_memory" not in current.to_dict()
+    @pytest.mark.parametrize("value", [True, False])
+    def test_shared_memory_key_is_an_unknown_field(self, value):
+        payload = dict(
+            BetweennessConfig(executor="process", workers=2).to_dict(),
+            shared_memory=value,
+        )
+        with pytest.raises(ConfigurationError, match="unknown config fields"):
+            BetweennessConfig.from_dict(payload)
 
     def test_constructor_takes_no_shared_memory(self):
         with pytest.raises(TypeError):

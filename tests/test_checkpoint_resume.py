@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms import brandes_betweenness
 from repro.core import EdgeUpdate, IncrementalBetweenness
-from repro.exceptions import ConfigurationError, StoreCorruptedError, UpdateError
+from repro.exceptions import ConfigurationError, StoreCorruptedError
 from repro.generators import erdos_renyi_digraph
 from repro.graph import Graph
 from repro.parallel import ShardCoordinator
@@ -261,17 +261,42 @@ class TestFileSeededExecutor:
             reference.store.close()
         assert scores == expected
 
-    def test_store_file_missing_sources_fails_loudly(self, tmp_path):
+    @pytest.mark.parametrize(
+        "defect", ["missing-sources", "truncated", "version-two"]
+    )
+    def test_seed_file_refusal_keeps_its_type(self, tmp_path, defect):
+        """A seed file the workers cannot use is refused with the type the
+        store raised, not a generic worker failure; the file stays as it
+        was, and no worker process or shared-memory segment is left."""
+        import multiprocessing
+
+        from repro.exceptions import StoreVersionError
+        from repro.storage.buffers import active_segments
+
+        from tests.test_disk_format import _write_version_two
+
         graph = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-        partial = DiskBDStore(
-            graph.vertex_list(), path=tmp_path / "bd.bin", sources=[0, 1]
-        )
-        partial.close()
-        with pytest.raises(UpdateError, match="lacks records for sources"):
-            with ShardCoordinator(
-                graph, num_workers=2, source_store_path=tmp_path / "bd.bin"
-            ):
+        path = tmp_path / "bd.bin"
+        sources = [0, 1] if defect == "missing-sources" else None
+        DiskBDStore(graph.vertex_list(), path=path, sources=sources).close()
+        if defect == "truncated":
+            path.write_bytes(path.read_bytes()[:200])
+        elif defect == "version-two":
+            _write_version_two(path)
+        expected = {
+            "missing-sources": (ConfigurationError, "lacks records for sources"),
+            "truncated": (StoreCorruptedError, "truncated"),
+            "version-two": (StoreVersionError, f"repro migrate {path}"),
+        }[defect]
+        before = path.read_bytes()
+        segments = set(active_segments())
+        with pytest.raises(expected[0], match=expected[1]):
+            with ShardCoordinator(graph, num_workers=2, source_store_path=path):
                 pass
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bd.bin"]
+        assert multiprocessing.active_children() == []
+        assert set(active_segments()) <= segments
 
 
 class TestShardCheckpointStaleness:
@@ -384,28 +409,3 @@ class TestShardCheckpointStaleness:
             assert resumed.betweenness() == scores
         finally:
             resumed.close(checkpoint=False)
-
-    def test_mutated_store_generation_is_refused_on_restart(self, tmp_path):
-        """A previous-format root names a stamped store per shard; a store
-        touched behind its sidecar's back (generation moved on) must fail
-        the resume instead of seeding a worker from it."""
-        import shutil
-        from pathlib import Path
-
-        from repro.core.checkpoint import load_checkpoint
-        from repro.exceptions import ConfigurationError
-        from repro.parallel import ShardCoordinator
-
-        root = tmp_path / "shard-root"
-        shutil.copytree(
-            Path(__file__).parent / "data" / "golden" / "shard-root", root
-        )
-        sidecar = root / "shard-0000" / "checkpoint.bin"
-        stamped = Path(load_checkpoint(sidecar).store_path).name
-        tampered = DiskBDStore.open(sidecar.parent / stamped)
-        source = next(iter(tampered.sources()))
-        tampered.put(tampered.get(source))
-        tampered.flush()  # bumps the generation past the sidecar's
-        tampered.close()
-        with pytest.raises(ConfigurationError, match="generation"):
-            ShardCoordinator.resume(root)

@@ -158,11 +158,10 @@ def test_sidecar_write_streams_the_block(tmp_path):
         rng.random(shape),
     )
     checkpoint = FrameworkCheckpoint(
-        vertices=block.vertices,
-        edges=[],
         vertex_scores={},
         edge_scores={},
         restricted=True,
+        adjacency={},
         columns=block,
     )
     size = block.distance.nbytes + block.sigma.nbytes + block.delta.nbytes
@@ -203,11 +202,10 @@ def test_sidecar_read_streams_the_block(tmp_path):
     save_checkpoint(
         tmp_path / "ck.bin",
         FrameworkCheckpoint(
-            vertices=block.vertices,
-            edges=[],
             vertex_scores={},
             edge_scores={},
             restricted=True,
+            adjacency={},
             columns=block,
         ),
     )

@@ -1,6 +1,6 @@
 """The disk store's file format: rows of owned sources in three planes
-(version 3), and the interleaved files of versions 1 and 2, which open by
-migrating into a version-3 file.
+(version 3), and the interleaved files of versions 1 and 2, which opening
+refuses and ``repro migrate`` converts into a version-3 file.
 
 ``tests/data/golden/disk-v1.bin`` was written by the version-1 code and
 ``disk-v2.bin`` by the version-2 code (``generate.py`` beside them): a store
@@ -12,6 +12,7 @@ source order and records.
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import struct
 from pathlib import Path
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import IncrementalBetweenness
-from repro.parallel import ShardCoordinator
+from repro import cli
+from repro.exceptions import StoreVersionError
 from repro.storage import ArrayBDStore, DiskBDStore
 from repro.storage.codec import (
     DELTA_DTYPE,
@@ -36,8 +37,6 @@ from repro.storage.header import (
     read_layout,
 )
 
-from tests.helpers import assert_scores_equal, random_connected_graph
-from tests.test_batched_updates import random_update_sequence
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 LEGACY = {1: "disk-v1", 2: "disk-v2"}
@@ -50,6 +49,30 @@ def _version(path):
 def _layout(path):
     with open(path, "rb") as file:
         return read_layout(file, path.stat().st_size, record_size)
+
+
+def _legacy_layout(path):
+    """``(capacity, row_capacity, sources in row order, rows, generation)``
+    of a version-1 or version-2 file, read straight from its bytes (in
+    version 1 the row capacity is the capacity and a source's row its slot)."""
+    raw = path.read_bytes()
+    _magic, version, _flags, capacity, meta_size, _crc, row_capacity = (
+        struct.unpack_from("<4sHHQQIQ", raw)
+    )
+    if version == 1:
+        row_capacity = capacity
+    start = HEADER_SIZE + row_capacity * record_size(capacity)
+    meta = pickle.loads(raw[start : start + meta_size])
+    slot = {vertex: i for i, vertex in enumerate(meta["vertices"])}
+    rows = meta.get("rows") or [slot[s] for s in meta["sources"]]
+    placed = sorted(zip(rows, meta["sources"]))
+    return (
+        capacity,
+        row_capacity,
+        [source for _, source in placed],
+        [row for row, _ in placed],
+        meta["generation"],
+    )
 
 
 def _records(store):
@@ -93,8 +116,11 @@ def _write_version_two(path):
 
 def _open_and_report(path, barrier, results):
     barrier.wait()  # every process opens the legacy file at once
-    with DiskBDStore.open(path) as store:
-        results.put((list(store.sources()), _records(store), store.generation))
+    try:
+        DiskBDStore.open(path).close()
+        results.put("opened")
+    except StoreVersionError as exc:
+        results.put(str(exc))
 
 
 @pytest.fixture(params=sorted(LEGACY), ids=lambda v: f"v{v}")
@@ -108,40 +134,41 @@ def legacy(request, tmp_path):
 
 
 class TestLegacyFiles:
+    """A legacy file opens after ``repro migrate`` converted it."""
+
     def test_goldens_carry_their_versions(self):
         for version, name in LEGACY.items():
             assert _version(GOLDEN / f"{name}.bin") == version
 
     def test_opens_with_the_same_order_records_rows_and_generation(self, legacy):
         version, path, expected = legacy
-        before = _layout(path)
+        _capacity, _row_capacity, _sources, rows, generation = _legacy_layout(path)
+        assert cli.main(["migrate", str(path)]) == 0
         store = DiskBDStore.open(path)
         try:
             assert store.vertex_index.vertices() == expected["vertices"]
             assert list(store.sources()) == expected["sources"]
             assert _records(store) == expected["records"]
-            assert _rows(store) == before.rows
-            assert store.generation == before.generation
+            assert _rows(store) == rows
+            assert store.generation == generation
             if version == 1:
                 # Rows are the slots: the sparse partition spans the area.
                 assert store.row_capacity == store.capacity
         finally:
             store.close()
 
-    def test_open_migrates_into_a_version_three_file(self, legacy):
+    def test_migrate_writes_a_version_three_file(self, legacy):
         _version_before, path, expected = legacy
         size = path.stat().st_size
-        before = _layout(path)
-        DiskBDStore.open(path).close()
+        capacity, row_capacity, sources, rows, generation = _legacy_layout(path)
+        assert cli.main(["migrate", str(path)]) == 0
         assert _version(path) == STORE_VERSION == 3
-        assert not list(path.parent.glob("*.grow"))
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
         after = _layout(path)
         assert (after.sources, after.rows, after.generation) == (
-            before.sources, before.rows, before.generation
+            sources, rows, generation
         )
-        assert (after.capacity, after.row_capacity) == (
-            before.capacity, before.row_capacity
-        )
+        assert (after.capacity, after.row_capacity) == (capacity, row_capacity)
         reopened = DiskBDStore.open(path)
         try:
             assert list(reopened.sources()) == expected["sources"]
@@ -153,6 +180,7 @@ class TestLegacyFiles:
 
     def test_a_source_added_to_a_legacy_file_takes_a_free_row(self, legacy):
         _version_before, path, expected = legacy
+        assert cli.main(["migrate", str(path)]) == 0
         store = DiskBDStore.open(path)
         store.add_source(1)
         assert list(store.sources()) == expected["sources"] + [1]
@@ -168,22 +196,22 @@ class TestLegacyFiles:
             reopened.close()
 
 
-class TestConcurrentMigration:
-    """Processes that open one legacy file at once migrate it once, and
-    each of them reads every record of it."""
+class TestOpeningNeverWrites:
+    """Opening a legacy file refuses it and writes nothing, however many
+    processes open it at once."""
 
     def test_migration_is_the_inverse_of_the_version_two_layout(self, tmp_path):
         # Validates the test's own writer: migrating the golden and writing
         # it back as version 2 gives back the golden's bytes.
         path = tmp_path / "disk-v2.bin"
         shutil.copy2(GOLDEN / "disk-v2.bin", path)
-        DiskBDStore.open(path).close()
+        assert cli.main(["migrate", str(path)]) == 0
         _write_version_two(path)
         assert path.read_bytes() == (GOLDEN / "disk-v2.bin").read_bytes()
 
-    def test_concurrent_opens_migrate_once(self, legacy):
-        _version_before, path, expected = legacy
-        generation = _layout(path).generation
+    def test_concurrent_opens_are_all_refused(self, legacy):
+        _version_before, path, _expected = legacy
+        before = path.read_bytes()
         context = multiprocessing.get_context("fork")
         count = 4
         barrier, results = context.Barrier(count), context.Queue()
@@ -197,41 +225,10 @@ class TestConcurrentMigration:
         for process in processes:
             process.join(timeout=60)
         assert [process.exitcode for process in processes] == [0] * count
-        assert reports == [
-            (expected["sources"], expected["records"], generation)
-        ] * count
-        assert _version(path) == STORE_VERSION
-        assert not list(path.parent.glob("*.grow"))
-
-    @pytest.mark.parametrize("backend", ["arrays", "dicts"])
-    def test_shard_workers_seed_from_a_version_two_file(self, tmp_path, backend):
-        """Every worker of a file-seeded coordinator reopens the one store
-        file; from a version-2 file they score ``==`` workers seeded from
-        the same store as a version-3 file, and match the unsharded run."""
-        graph = random_connected_graph(30, 0.1, seed=21)
-        current, legacy_path = tmp_path / "v3.bin", tmp_path / "v2.bin"
-        durable = DiskBDStore(graph.vertex_list(), path=current)
-        serial = IncrementalBetweenness(graph, store=durable, backend=backend)
-        durable.flush()
-        shutil.copy2(current, legacy_path)
-        _write_version_two(legacy_path)
-        updates = random_update_sequence(graph, 6, seed=22, new_vertex_probability=0.0)
-        batches = [updates[i : i + 2] for i in range(0, len(updates), 2)]
-        scores = []
-        for path in (current, legacy_path):
-            with ShardCoordinator(
-                graph, num_workers=2, backend=backend, source_store_path=path
-            ) as coordinator:
-                for batch in batches:
-                    coordinator.apply_batch(batch)
-                scores.append(coordinator.betweenness())
-        assert scores[1] == scores[0]
-        assert _version(legacy_path) == STORE_VERSION
-        for batch in batches:
-            serial.apply_updates(batch)
-        assert_scores_equal(serial.vertex_betweenness(), scores[1][0])
-        assert_scores_equal(serial.edge_betweenness(), scores[1][1])
-        durable.close()
+        for report in reports:
+            assert f"repro migrate {path}" in report
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
 
 
 class TestOwnedRows:
@@ -293,6 +290,21 @@ class TestOwnedRows:
             )
         finally:
             reopened.close()
+
+    def test_row_growth_replaces_a_stale_grow_sibling(self, tmp_path):
+        """The file's one writer grows it through ``<file>.grow``: a sibling
+        left by a growth that was killed is reused, and nothing remains."""
+        store = DiskBDStore(range(4), path=tmp_path / "bd.bin", sources=[0])
+        (tmp_path / "bd.bin.grow").write_bytes(b"left by a killed growth")
+        added = list(range(4, 4 + store.row_capacity))  # past the row capacity
+        for vertex in added:
+            store.add_source(vertex)
+        try:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["bd.bin"]
+        finally:
+            store.close()
+        with DiskBDStore.open(tmp_path / "bd.bin") as reopened:
+            assert list(reopened.sources()) == [0] + added
 
     def test_same_matrices_as_the_ram_store(self, tmp_path):
         """One layout: the disk store's rows equal the RAM store's for the

@@ -1,10 +1,12 @@
-"""Checkpoints written by an earlier format must keep resuming exactly.
+"""Checkpoints written by an earlier format must resume exactly once
+``repro migrate`` has converted them.
 
 ``tests/data/golden/`` holds two serial sidecars (``arrays`` and ``dicts``,
 records embedded as a ``{source: SourceData}`` snapshot) and a two-shard
 root, all written before checkpoints switched to the column payload, plus
 the scores each reaches after a fixed 5-update stream.  ``generate.py``
-beside them documents how they were made.
+beside them documents how they were made.  Resuming them unconverted is
+refused (``tests/test_migrate.py``).
 """
 
 import importlib.util
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.api import resume_session
 from repro.core.checkpoint import load_checkpoint
 
@@ -46,8 +49,9 @@ EXPECTED = json.loads((GOLDEN / "expected.json").read_text())
     ],
 )
 def test_golden_artifact_resumes_exactly(tmp_path, name, overrides):
-    # Resuming writes (shard rounds, store files), so work on a copy — at a
-    # different path than the one the artifact was written at.
+    # Migrating and resuming write (the converted files, shard rounds), so
+    # work on a copy — at a different path than the one the artifact was
+    # written at.
     source = GOLDEN / name
     target = tmp_path / "moved" / name
     if source.is_dir():
@@ -55,16 +59,20 @@ def test_golden_artifact_resumes_exactly(tmp_path, name, overrides):
     else:
         target.parent.mkdir()
         shutil.copy2(source, target)
+    assert cli.main(["migrate", str(target)]) == 0
     session = resume_session(target, **overrides)
     assert generate.finish(session) == EXPECTED[name]
 
 
 def test_golden_shard_root_is_rewritten_in_the_current_format(tmp_path):
-    """A resumed parent-format root reaches the recorded scores; its next
-    round leaves one sidecar per shard (no stamped store), and that root
-    resumes to the live session's scores."""
+    """A migrated parent-format root holds one sidecar per shard (no stamped
+    store) and reaches the recorded scores; its next round keeps that
+    layout, and that root resumes to the live session's scores."""
     target = tmp_path / "moved" / "shard-root"
     shutil.copytree(GOLDEN / "shard-root", target)
+    assert cli.main(["migrate", str(target)]) == 0
+    for shard_dir in sorted(target.glob("shard-*")):
+        assert [p.name for p in shard_dir.iterdir()] == ["checkpoint.bin"]
     session = resume_session(target)
     for update in generate.STREAM:
         session.apply_batch([update])

@@ -8,6 +8,8 @@ from repro.generators import synthetic_social_graph
 from repro.generators.streams import EvolvingGraph
 from repro.parallel import (
     OnlineCapacityModel,
+    ShardCoordinator,
+    replay_online_updates_parallel,
     required_workers,
     simulate_online_updates,
     strong_scaling,
@@ -123,3 +125,22 @@ class TestOnlineReplay:
         )
         assert result.num_missed == 0
         assert result.average_delay == 0.0
+
+    @pytest.mark.parametrize("kind", ["memory", "disk"])
+    def test_a_bare_store_kind_is_refused_before_any_worker(self, monkeypatch, kind):
+        """Stores are named by URI only: a bare kind gets the store-URI
+        parser's typed refusal before a worker process exists."""
+
+        def spawn(*_args, **_kwargs):
+            raise AssertionError("a worker was spawned")
+
+        monkeypatch.setattr(ShardCoordinator, "_spawn", spawn)
+        evolving = self._evolving()
+        prefix = evolving.num_edges - 3
+        with pytest.raises(ConfigurationError, match="has no scheme"):
+            replay_online_updates_parallel(
+                evolving.base_graph(prefix),
+                evolving.future_updates(prefix),
+                num_workers=2,
+                store=kind,
+            )

@@ -192,6 +192,29 @@ class TestErrorSurface:
 
         run(scenario())
 
+    def test_retired_shared_memory_config_key_is_refused(self, tmp_path):
+        async def scenario():
+            server, client, _ = await _boot(tmp_path)
+            try:
+                status, payload = await client.request(
+                    "POST",
+                    "/sessions",
+                    body={
+                        "name": "x",
+                        "graph": {"edges": [[0, 1], [1, 2]]},
+                        "config": {"shared_memory": True},
+                    },
+                )
+                assert status == 422, payload
+                assert payload["error"]["code"] == "validation_failed"
+                assert "unknown config fields" in payload["error"]["message"]
+                assert "shared_memory" in payload["error"]["message"]
+            finally:
+                await client.close()
+                await server.stop()
+
+        run(scenario())
+
     def test_invalid_json_body_is_a_400(self, tmp_path):
         async def scenario():
             server, client, port = await _boot(tmp_path)

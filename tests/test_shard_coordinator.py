@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core import EdgeUpdate, IncrementalBetweenness
+from repro.core import EdgeUpdate
 from repro.core.checkpoint import load_checkpoint
 from repro.exceptions import (
     ConfigurationError,
@@ -19,7 +19,6 @@ from repro.exceptions import (
     WorkerFailedError,
 )
 from repro.parallel import ShardCoordinator
-from repro.parallel.shards import _write_shard_checkpoint
 from repro.storage import create_store, parse_store_uri
 from repro.storage.shard import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -107,19 +106,6 @@ class TestLayoutPaths:
         assert ShardLayout.is_shard_root(tmp_path)
         assert ShardLayout.is_shard_root(tmp_path / "manifest.bin")
         assert not ShardLayout.is_shard_root(tmp_path / "absent" / "manifest.bin")
-
-    def test_round_deletes_leftover_stamped_stores(self, tmp_path):
-        """A round commits one file; store files stamped by rounds of the
-        previous format are deleted once its sidecar is in place."""
-        graph = random_connected_graph(8, 0.2, seed=5)
-        framework = IncrementalBetweenness(
-            graph, sources=[0, 1, 2], backend="arrays"
-        )
-        for cursor in (2, 4, 6):
-            (tmp_path / f"store-{cursor:08d}.bin").write_bytes(b"x")
-        _write_shard_checkpoint(framework, tmp_path, 0, 2, 8)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
-        assert load_checkpoint(tmp_path / "checkpoint.bin").batch_cursor == 8
 
 
 class TestManifest:

@@ -247,7 +247,7 @@ class TestCorruptionRejection:
     def test_metadata_inconsistent_with_capacity(self, tmp_path):
         target = tmp_path / "bd.bin"
         # Hand-craft a file whose metadata lists more vertices than capacity.
-        meta = encode_metadata([0, 1, 2, 3], [0])
+        meta = encode_metadata([0, 1, 2, 3], [0], 0, [0])
         from repro.storage.codec import empty_record
 
         body = empty_record(2) * 2
