@@ -53,8 +53,8 @@ def bench_fig5_variant_cdfs(benchmark, datasets, report):
         # pays an I/O penalty relative to MO.  Both still beat recomputation.
         # At the scaled-down sizes used here the MP/MO gap is only ~10-15 %,
         # which is within run-to-run wall-clock noise for 10-edge streams, so
-        # the assertion only flags gross inversions; the representative
-        # numbers are recorded in EXPERIMENTS.md.
+        # the assertion only flags gross inversions; "Interpreting the
+        # speedup tables" in docs/reproduction.md says what to read instead.
         assert mo >= mp * 0.7, f"{name}: MO ({mo}) unexpectedly slower than MP ({mp})"
         assert do <= mo * 1.1, f"{name}: DO ({do}) unexpectedly faster than MO ({mo})"
         assert do > 1.0

@@ -1,7 +1,8 @@
 """Figure 8 — inter-arrival time of new edges vs. betweenness update time.
 
 Replays the tail of an evolving graph's edge history (synthetic exponential
-timestamps stand in for the real KONECT arrival times, see DESIGN.md) and
+timestamps stand in for the real KONECT arrival times, see the introduction
+of docs/reproduction.md) and
 compares, edge by edge, the arrival gap against the time the framework needs
 to refresh the scores with 1 and with many mappers.  Expected shape: with a
 single mapper many updates finish after the next arrival; adding mappers

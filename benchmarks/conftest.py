@@ -1,10 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures on the
-scaled-down dataset stand-ins (see DESIGN.md for the substitution rationale)
-and writes its output — the same rows / series the paper reports — both to
-stdout and to ``benchmarks/results/<name>.txt`` so that EXPERIMENTS.md can be
-refreshed from a run.
+scaled-down dataset stand-ins (see the introduction of ``docs/reproduction.md``
+for the substitution rationale) and writes its output — the same rows /
+series the paper reports — both to stdout and to
+``benchmarks/results/<name>.txt``, to read against the shapes that
+``docs/reproduction.md`` lists per figure and table.
 
 Scaling knobs (environment variables):
 

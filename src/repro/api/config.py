@@ -78,9 +78,11 @@ class BetweennessConfig:
         <repro.api.session.BetweennessSession.checkpoint>` and the
         checkpoint policy below.
     checkpoint_every:
-        Automatic checkpoint policy: while streaming, write a checkpoint to
-        ``checkpoint_path`` every this many batches (``None`` = only on
-        demand).
+        Checkpoint policy (``None`` = only on demand): the session writes
+        a checkpoint to ``checkpoint_path`` when it is built, after every
+        batch (``apply``, ``apply_batch`` or ``stream``) that brings it
+        this many batches past its newest checkpoint, and at ``close``
+        when batches were applied since.
     seed_store_path:
         ``process`` executor only: durable
         :class:`~repro.storage.disk.DiskBDStore` file each worker reopens

@@ -181,6 +181,11 @@ class BetweennessSession:
     concurrently with a pending checkpoint, which it waits out.  The lock
     is re-entrant so subscribers may query or checkpoint the session from
     inside an event handler.
+
+    **Checkpoint policy.**  A session checkpoints itself at birth, after
+    every batch on its cadence (``config.checkpoint_every``, or a shard
+    root's) and at ``close`` when behind; :attr:`durable_batches` reports
+    what the newest checkpoint covers.
     """
 
     def __init__(
@@ -239,11 +244,17 @@ class BetweennessSession:
                 store=self._worker_store_kind(config.store),
                 source_store_path=config.seed_store_path,
             )
-            # Hooked up only after construction so the ensemble's round-0
-            # checkpoint is not emitted ahead of BootstrapCompleted; every
-            # later round, failure and recovery surfaces as a typed event.
+            # Worker failures and recoveries surface as typed events; the
+            # session announces checkpoint rounds itself, after the batch
+            # each one covers.
             self._cluster.notify = self._shard_notify
         self._announce_bootstrap()
+        if config.checkpoint_every is not None:
+            try:  # durable from birth
+                self.checkpoint()
+            except BaseException:
+                self.close()
+                raise
 
     def _reset(
         self,
@@ -256,7 +267,7 @@ class BetweennessSession:
         self._subscribers: List[Subscriber] = []
         self._sequence = 0
         self._batch_index = batch_index
-        self._batches_since_checkpoint = 0
+        self._durable_batches = batch_index
         self._closed = False
         self._state_lock = threading.RLock()
         self._published: Optional[SessionSnapshot] = None
@@ -361,6 +372,16 @@ class BetweennessSession:
         return self._batch_index
 
     @property
+    def durable_batches(self) -> int:
+        """Batches the newest checkpoint covers; a kill loses nothing while
+        it equals :attr:`batches_applied`.  A shard session reports its
+        coordinator's last round; a ``process`` session has no durable
+        state (0)."""
+        if self._cluster is not None:
+            return max(self._cluster.last_checkpoint_cursor, 0)
+        return self._durable_batches
+
+    @property
     def closed(self) -> bool:
         """Whether :meth:`close` has run."""
         return self._closed
@@ -435,12 +456,15 @@ class BetweennessSession:
         return self.apply(EdgeUpdate.removal(u, v))
 
     def apply(self, update: EdgeUpdate):
-        """Apply a single update; returns the engine's result object."""
+        """Apply a single update; returns the engine's result object.
+
+        It counts as a batch of one, as the shard coordinator counts it.
+        """
         with self._state_lock:
             self._ensure_open()
             result = self._engine().apply(update)
-            self._publish()
-            self._emit(UpdateApplied, update=update, result=result)
+            self._batch_index += 1
+            self._commit(UpdateApplied, update=update, result=result)
             return result
 
     def apply_batch(self, updates: Iterable[EdgeUpdate]):
@@ -468,14 +492,30 @@ class BetweennessSession:
                 result = self._cluster.apply_batch(batch)
             batch_index = self._batch_index
             self._batch_index += 1
-            self._publish()
-            event = self._emit(
+            event = self._commit(
                 BatchApplied,
                 updates=tuple(batch),
                 result=result,
                 batch_index=batch_index,
             )
             return result, event
+
+    def _commit(self, event_type, **fields) -> SessionEvent:
+        """End a batch: publish the boundary and announce it, then the
+        checkpoint that covers it, even if a subscriber failed — the round
+        a shard coordinator ran inside the batch, or the policy's."""
+        self._publish()
+        ran_round = self._cluster is not None and (
+            self.durable_batches == self._batch_index
+        )
+        try:
+            return self._emit(event_type, **fields)
+        finally:
+            every = self._config.checkpoint_every
+            if ran_round:
+                self._announce_round()
+            elif every and self._batch_index >= self._durable_batches + every:
+                self.checkpoint()
 
     def stream(
         self,
@@ -486,9 +526,8 @@ class BetweennessSession:
 
         This is the only batching loop in the system: the stream is chunked
         into batches of ``batch_size`` (default: the config's) and each
-        chunk goes through :meth:`apply_batch`.  When the config sets a
-        checkpoint policy (``checkpoint_every`` + ``checkpoint_path``), a
-        checkpoint is written automatically every that many batches.
+        chunk goes through :meth:`apply_batch`, so the checkpoint policy
+        (``checkpoint_every``) applies as it does to any batch.
 
         The generator is lazy — iterate it to drive the stream::
 
@@ -500,15 +539,7 @@ class BetweennessSession:
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         for chunk in batches(updates, batch_size):
-            _, event = self._apply_batch(list(chunk))
-            self._batches_since_checkpoint += 1
-            if (
-                self._config.checkpoint_every is not None
-                and self._batches_since_checkpoint >= self._config.checkpoint_every
-            ):
-                self.checkpoint()
-                self._batches_since_checkpoint = 0
-            yield event
+            yield self._apply_batch(list(chunk))[1]
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -591,8 +622,8 @@ class BetweennessSession:
                         "a sharded session checkpoints into its shard root "
                         f"({self._cluster.layout.root}); drop the path argument"
                     )
-                # The coordinator's notify hook emits CheckpointWritten.
-                return self._cluster.checkpoint()
+                self._cluster.checkpoint()
+                return self._announce_round()
             if self._framework is None:
                 raise ConfigurationError(
                     "checkpoint() requires the serial or shard executor; "
@@ -609,6 +640,7 @@ class BetweennessSession:
             written = self._framework.checkpoint(
                 path, config=self._config.to_dict()
             )
+            self._durable_batches = self._batch_index
             self._emit(CheckpointWritten, path=str(written))
             return written
 
@@ -617,6 +649,10 @@ class BetweennessSession:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Release the engine (stores, worker processes); idempotent.
+
+        Batches past the newest checkpoint are checkpointed first: under a
+        policy (released even if that fails, which then raises), or by a
+        shard coordinator's best-effort final round.
 
         Safe to call from any thread, any number of times, including
         concurrently with a pending :meth:`checkpoint` or batch: the state
@@ -629,13 +665,22 @@ class BetweennessSession:
         with self._state_lock:
             if self._closed:
                 return
-            self._closed = True
-            self._published = None
-            if self._framework is not None:
-                self._framework.store.close()
-            elif self._cluster is not None:
-                self._cluster.close()
-            self._emit(SessionClosed)
+            durable = self.durable_batches
+            try:
+                if self._config.checkpoint_every is not None and (
+                    durable < self._batch_index
+                ):
+                    self.checkpoint()
+            finally:
+                self._closed = True
+                self._published = None
+                if self._framework is not None:
+                    self._framework.store.close()
+                elif self._cluster is not None:
+                    self._cluster.close()
+                    if self.durable_batches > durable:
+                        self._announce_round()
+                self._emit(SessionClosed)
 
     def __enter__(self) -> "BetweennessSession":
         return self
@@ -666,6 +711,12 @@ class BetweennessSession:
         self._ensure_open()
         return self._published
 
+    def _announce_round(self) -> Path:
+        """Announce the coordinator's newest round; returns its manifest."""
+        path = self._cluster.layout.manifest_path
+        self._emit(CheckpointWritten, path=str(path))
+        return path
+
     def _shard_notify(self, kind: str, **fields) -> None:
         """Adapt the coordinator's plain callback into typed session events.
 
@@ -676,8 +727,6 @@ class BetweennessSession:
             self._emit(WorkerFailed, **fields)
         elif kind == "shard_recovered":
             self._emit(ShardRecovered, **fields)
-        elif kind == "checkpoint":
-            self._emit(CheckpointWritten, path=fields["path"])
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -818,6 +867,12 @@ def _resume_shard_session(
     if config is None:
         if manifest.config is not None:
             config = BetweennessConfig.from_dict(manifest.config)
+            # The root may have moved since the manifest was written: name
+            # the root being resumed, keeping the recorded query.
+            _, _, query = config.store.partition("?")
+            config = config.replace(
+                store=f"shard://{root.resolve()}" + (f"?{query}" if query else "")
+            )
         else:
             # The ensemble was driven by a bare coordinator, not a session;
             # reconstruct the equivalent declarative description.

@@ -12,7 +12,7 @@ CC), scaled down by a constant factor, with synthetic arrival timestamps.
 This substitution preserves the property the evaluation reasons about —
 Section 6.1 explains speedup differences through clustering coefficient and
 diameter, not through the identity of the vertices — and is documented in
-DESIGN.md.
+the introduction of ``docs/reproduction.md``.
 """
 
 from __future__ import annotations

@@ -122,7 +122,7 @@ PathLike = Union[str, Path]
 WORKER_STORES = ("memory", "disk")
 
 #: A coordinator event hook: ``notify(kind, **fields)`` with kinds
-#: ``"worker_failed"``, ``"shard_recovered"`` and ``"checkpoint"``.  Plain
+#: ``"worker_failed"`` and ``"shard_recovered"``.  Plain
 #: callables keep this layer free of any dependency on :mod:`repro.api`;
 #: the session adapts them into typed events.
 NotifyHook = Callable[..., None]
@@ -515,7 +515,7 @@ class ShardCoordinator:
         not a failure.  A worker that exceeds it is killed like a dead one.
     notify:
         Optional :data:`NotifyHook` receiving ``worker_failed`` /
-        ``shard_recovered`` / ``checkpoint`` notifications.
+        ``shard_recovered`` notifications.
     config:
         Optional session-config dict persisted in the manifest so
         ``resume_session`` can restore the owning session from disk alone.
@@ -946,7 +946,6 @@ class ShardCoordinator:
         # Everything up to the round is durable on every shard; the log only
         # needs to cover batches a recovering worker could be behind by.
         self._log = {c: entry for c, entry in self._log.items() if c >= cursor}
-        self._notify("checkpoint", path=str(path), batch_cursor=cursor)
         return path
 
     # ------------------------------------------------------------------ #

@@ -19,10 +19,10 @@ Each named session owns one directory under ``<root>/sessions/<name>/``::
 Clients never name server filesystem paths: a posted config may choose a
 store *scheme* (``memory://``, ``arrays://``, ``disk://``, ``shard://``)
 and knobs like ``?capacity=`` or ``shards=``, but the registry owns where the
-bytes live.  Sessions are always checkpoint-backed (an initial checkpoint
-is written at create time and a final one at close), so a SIGKILLed
-server restores every session — scores bit-identical — from the service
-root alone via :meth:`SessionRegistry.restore_all`.
+bytes live.  Each session gets a ``checkpoint_every`` cadence (in its config,
+or its ``shard://`` URI) and checkpoints itself at birth, on the cadence and
+at close; an update is ``durable`` once a checkpoint covers it, and a
+SIGKILLed server restores every session from its last checkpoint.
 
 Write path
 ----------
@@ -227,15 +227,12 @@ class ManagedSession:
         session: BetweennessSession,
         bridge: EventBridge,
         loop: asyncio.AbstractEventLoop,
-        checkpoint_every: Optional[int],
     ) -> None:
         self.name = name
         self.directory = directory
         self.session = session
         self.bridge = bridge
         self._loop = loop
-        self._checkpoint_every = checkpoint_every
-        self._batches_since_checkpoint = 0
         self._queue: asyncio.Queue = asyncio.Queue()
         self._closing = False
         self._close_task: Optional[asyncio.Task] = None
@@ -266,25 +263,15 @@ class ManagedSession:
 
     def _apply_sync(self, updates: List[EdgeUpdate]) -> Dict[str, Any]:
         """Runs on an executor thread; the only writer of this session."""
-        self.session.apply_batch(updates)
-        batch_index = self.session.batches_applied - 1
-        durable = False
-        if self.session.config.executor == "shard":
-            # The coordinator runs its own rounds at the URI's cadence and
-            # persists its batch cursor, so the batch is replay-durable.
-            durable = True
-        elif self._checkpoint_every is not None:
-            self._batches_since_checkpoint += 1
-            if self._batches_since_checkpoint >= self._checkpoint_every:
-                self.session.checkpoint()
-                self._batches_since_checkpoint = 0
-                durable = True
+        session = self.session
+        session.apply_batch(updates)
+        batches = session.batches_applied
         return {
             "applied": len(updates),
-            "batch_index": batch_index,
-            "num_vertices": self.session.graph.num_vertices,
-            "num_edges": self.session.graph.num_edges,
-            "durable": durable,
+            "batch_index": batches - 1,
+            "num_vertices": session.graph.num_vertices,
+            "num_edges": session.graph.num_edges,
+            "durable": session.durable_batches == batches,
         }
 
     @staticmethod
@@ -317,8 +304,8 @@ class ManagedSession:
             None, lambda: fn(*args, **kwargs)
         )
 
-    async def close(self, checkpoint: bool = True) -> None:
-        """Drain the worker, optionally checkpoint, release the engine.
+    async def close(self) -> None:
+        """Drain the worker, close the session (tail checkpoint included).
 
         Idempotent; concurrent callers all await the one shutdown task, so
         the final checkpoint can never race the engine teardown.
@@ -326,27 +313,14 @@ class ManagedSession:
         if self._close_task is None:
             self._closing = True
             await self._queue.put(None)
-            self._close_task = self._loop.create_task(
-                self._do_close(checkpoint)
-            )
+            self._close_task = self._loop.create_task(self._do_close())
         await asyncio.shield(self._close_task)
 
-    async def _do_close(self, checkpoint: bool) -> None:
+    async def _do_close(self) -> None:
         await self._worker
-        await self._loop.run_in_executor(None, self._close_sync, checkpoint)
-
-    def _close_sync(self, checkpoint: bool) -> None:
         try:
-            if (
-                checkpoint
-                and not self.session.closed
-                and self.session.config.executor == "serial"
-            ):
-                # A fresh final sidecar even off-cadence; the shard
-                # executor's close() below runs its own final round.
-                self.session.checkpoint()
+            await self._loop.run_in_executor(None, self.session.close)
         finally:
-            self.session.close()
             self.bridge.close()
 
     # -- info ----------------------------------------------------------- #
@@ -399,15 +373,19 @@ class SessionRegistry:
                 continue
             target = directory / meta.get("resume_target", _CHECKPOINT_FILE)
             try:
-                session = await self._loop.run_in_executor(
-                    None, resume_session, target
+                # service.json's cadence also restores the sidecars of roots
+                # whose embedded config predates the session-owned cadence.
+                session = await self._run_blocking(
+                    resume_session,
+                    target,
+                    checkpoint_every=meta.get("checkpoint_every"),
                 )
             except ReproError as exc:
                 # A mangled session must not take the whole service down;
                 # it is reported per name (requests for it get a 409).
                 self._restore_failures[name] = str(exc)
                 continue
-            self._adopt(name, directory, session, meta.get("checkpoint_every"))
+            self._adopt(name, directory, session)
             restored.append(name)
         return {
             "restored": restored,
@@ -416,29 +394,23 @@ class SessionRegistry:
         }
 
     def _adopt(
-        self,
-        name: str,
-        directory: Path,
-        session: BetweennessSession,
-        checkpoint_every: Optional[int],
+        self, name: str, directory: Path, session: BetweennessSession
     ) -> ManagedSession:
         """Wrap a built session; runs on the loop thread, because the
         managed session starts its writer task there."""
         assert self._loop is not None
         bridge = EventBridge(self._loop, self.settings.event_queue_size)
         session.subscribe(bridge)
-        managed = ManagedSession(
-            name, directory, session, bridge, self._loop, checkpoint_every
-        )
+        managed = ManagedSession(name, directory, session, bridge, self._loop)
         self._sessions[name] = managed
         return managed
 
-    async def close_all(self, checkpoint: bool = True) -> None:
-        """Shut every session down (final checkpoints included)."""
+    async def close_all(self) -> None:
+        """Shut every session down (tail checkpoints included)."""
         sessions = list(self._sessions.values())
         self._sessions.clear()
         for managed in sessions:
-            await managed.close(checkpoint=checkpoint)
+            await managed.close()
 
     # -- create / delete ------------------------------------------------ #
     async def create(self, payload: Any) -> Dict[str, Any]:
@@ -491,73 +463,42 @@ class SessionRegistry:
             if directory.exists():
                 raise SessionExists(name)
             config = self._effective_config(
-                payload.get("config", {}), graph, directory
+                payload.get("config", {}), graph, directory, checkpoint_every
             )
             directory.mkdir(parents=True)
             try:
-                session = await self._loop.run_in_executor(
-                    None,
-                    self._create_sync,
-                    name,
-                    directory,
-                    graph,
-                    config,
-                    checkpoint_every,
+                # Built (birth checkpoint included) off the loop thread.
+                session = await self._run_blocking(
+                    BetweennessSession, graph, config
                 )
             except ReproError as exc:
                 shutil.rmtree(directory, ignore_errors=True)
                 if isinstance(exc, ServiceError):
                     raise
                 raise ValidationFailed(str(exc)) from exc
-            managed = self._adopt(
-                name,
+            self._write_meta(
                 directory,
-                session,
-                checkpoint_every if config.executor == "serial" else None,
+                {
+                    "name": name,
+                    "executor": config.executor,
+                    "resume_target": (
+                        _SHARD_DIR if config.executor == "shard" else _CHECKPOINT_FILE
+                    ),
+                    "checkpoint_every": config.checkpoint_every,
+                    "closed": False,
+                    "config": config.to_dict(),
+                },
             )
+            managed = self._adopt(name, directory, session)
             self._restore_failures.pop(name, None)
             return managed.info()
 
-    def _create_sync(
-        self,
-        name: str,
-        directory: Path,
-        graph: Graph,
-        config: BetweennessConfig,
-        checkpoint_every: int,
-    ) -> BetweennessSession:
-        """Build, first-checkpoint and describe a session on an executor
-        thread; the loop thread adopts it."""
-        session = BetweennessSession(graph, config)
-        try:
-            if config.executor == "serial":
-                # Durable from birth: SIGKILL before the first batch must
-                # still restore the session.  (A shard ensemble writes its
-                # round-0 state when the coordinator boots.)
-                session.checkpoint()
-        except BaseException:
-            session.close()
-            raise
-        meta = {
-            "name": name,
-            "executor": config.executor,
-            "resume_target": (
-                _SHARD_DIR if config.executor == "shard" else _CHECKPOINT_FILE
-            ),
-            "checkpoint_every": (
-                checkpoint_every if config.executor == "serial" else None
-            ),
-            "closed": False,
-            "config": config.to_dict(),
-        }
-        self._write_meta(directory, meta)
-        return session
-
     def _effective_config(
-        self, posted: Any, graph: Graph, directory: Path
+        self, posted: Any, graph: Graph, directory: Path, checkpoint_every: int
     ) -> BetweennessConfig:
         """The posted config with every path rewritten to server-owned
-        locations under the session directory.
+        locations under the session directory, and a serial session's
+        cadence set to ``checkpoint_every``.
 
         Clients choose schemes and knobs; the server owns the filesystem.
         A posted path (or a client-set ``checkpoint_path`` /
@@ -618,6 +559,7 @@ class SessionRegistry:
         posted.setdefault("directed", graph.directed)
         if executor == "serial":
             posted["checkpoint_path"] = str(directory / _CHECKPOINT_FILE)
+            posted["checkpoint_every"] = checkpoint_every
         try:
             config = BetweennessConfig.from_dict(posted)
         except ConfigurationError as exc:
@@ -644,7 +586,7 @@ class SessionRegistry:
                 self._restore_failures.pop(name, None)
                 return {"name": name, "closed": True, "purged": True}
             raise SessionClosed(name)
-        await managed.close(checkpoint=True)
+        await managed.close()
         if purge:
             await self._run_blocking(
                 shutil.rmtree, managed.directory, ignore_errors=True

@@ -4,7 +4,8 @@ Following Section 5.1 of the paper, each source's record is stored as three
 consecutive fixed-width columns — distances, shortest-path counts and
 dependencies — so a record can be read sequentially, loaded straight into
 arrays and written back in place.  Two departures from the paper's byte
-budget are deliberate (documented in DESIGN.md): distances use 2 bytes
+budget are deliberate (see "The on-disk format" in
+``docs/architecture.md``): distances use 2 bytes
 (int16, ``-1`` meaning unreachable) and shortest-path counts use 8 bytes
 (int64) to avoid overflow on dense graphs.
 

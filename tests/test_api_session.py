@@ -18,11 +18,12 @@ from repro.api import (
 )
 from repro.algorithms import brandes_betweenness
 from repro.core import EdgeUpdate, IncrementalBetweenness
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SubscriberError
 from repro.graph import Graph
 from repro.parallel import ParallelBatchReport
 from repro.storage import DiskBDStore, InMemoryBDStore
 from repro.storage.buffers import active_segments, shm_available
+from repro.storage.shard import load_manifest
 
 from tests.helpers import assert_scores_equal, random_connected_graph
 from tests.test_shard_chaos import update_stream as mixed_stream
@@ -351,7 +352,7 @@ class TestEventsAndSubscribers:
         assert [type(e) for e in events] == [UpdateApplied, BatchApplied, SessionClosed]
         sequences = [e.sequence for e in events]
         assert sequences == sorted(sequences)
-        assert events[1].batch_index == 0
+        assert events[1].batch_index == 1  # apply() was batch 0
         assert events[1].updates[0].is_removal
 
     def test_subscriber_object_receives_attach(self, path5):
@@ -549,5 +550,206 @@ class TestSessionSurface:
             oracle.add_edge(0, 4)
             assert resumed.vertex_betweenness() == oracle.vertex_betweenness()
             assert resumed.edge_betweenness() == oracle.edge_betweenness()
+        finally:
+            resumed.close()
+
+
+class TestCheckpointPolicy:
+    """One cadence owner: a session with ``checkpoint_every`` checkpoints
+    at birth, after every batch on the cadence, and at close when behind."""
+
+    UPDATES = [
+        EdgeUpdate.addition(0, 2),
+        EdgeUpdate.addition(0, 3),
+        EdgeUpdate.addition(0, 4),
+        EdgeUpdate.addition(1, 3),
+    ]
+
+    @staticmethod
+    def _policy(tmp_path, every=2):
+        return BetweennessConfig(
+            checkpoint_path=str(tmp_path / "ck.bin"), checkpoint_every=every
+        )
+
+    def test_a_session_with_a_policy_writes_its_birth_checkpoint(
+        self, path5, tmp_path
+    ):
+        subscriber = RecordingSubscriber()
+        config = self._policy(tmp_path)
+        with BetweennessSession(path5, config, subscribers=[subscriber]) as session:
+            assert (tmp_path / "ck.bin").exists()
+            assert [type(e) for e in subscriber.events] == [
+                BootstrapCompleted,
+                CheckpointWritten,
+            ]
+            assert session.durable_batches == session.batches_applied == 0
+        # Resumed from a checkpoint, a session writes no birth checkpoint.
+        before = (tmp_path / "ck.bin").stat().st_mtime_ns
+        resumed = resume_session(tmp_path / "ck.bin")
+        try:
+            assert resumed.config.checkpoint_every == 2
+            assert (tmp_path / "ck.bin").stat().st_mtime_ns == before
+        finally:
+            resumed.close()
+
+    def test_apply_batch_checkpoints_on_the_cadence(self, path5, tmp_path):
+        written, durable = [], []
+        with BetweennessSession(path5, self._policy(tmp_path)) as session:
+            session.subscribe(
+                lambda e: written.append(session.batches_applied)
+                if isinstance(e, CheckpointWritten)
+                else None
+            )
+            for update in self.UPDATES:
+                session.apply_batch([update])
+                durable.append(session.durable_batches)
+        assert written == [2, 4]
+        assert durable == [0, 2, 2, 4]
+
+    def test_apply_counts_toward_the_cadence(self, path5, tmp_path):
+        with BetweennessSession(path5, self._policy(tmp_path)) as session:
+            session.apply(self.UPDATES[0])
+            assert (session.batches_applied, session.durable_batches) == (1, 0)
+            session.apply(self.UPDATES[1])
+            assert (session.batches_applied, session.durable_batches) == (2, 2)
+
+    def test_close_writes_nothing_when_the_checkpoint_is_current(
+        self, path5, tmp_path
+    ):
+        events = []
+        session = BetweennessSession(path5, self._policy(tmp_path))
+        session.subscribe(events.append)
+        session.apply_batch(self.UPDATES[:1])
+        session.apply_batch(self.UPDATES[1:2])
+        sidecar = (tmp_path / "ck.bin").read_bytes()
+        session.close()
+        assert [type(e) for e in events] == [
+            BatchApplied,
+            BatchApplied,
+            CheckpointWritten,
+            SessionClosed,
+        ]
+        assert (tmp_path / "ck.bin").read_bytes() == sidecar
+
+    def test_close_writes_the_tail_checkpoint(self, path5, tmp_path):
+        events = []
+        session = BetweennessSession(path5, self._policy(tmp_path, every=3))
+        session.subscribe(events.append)
+        session.apply_batch(self.UPDATES[:1])
+        scores = session.vertex_betweenness()
+        session.close()
+        assert [type(e) for e in events] == [
+            BatchApplied,
+            CheckpointWritten,
+            SessionClosed,
+        ]
+        resumed = resume_session(tmp_path / "ck.bin")
+        try:
+            assert resumed.vertex_betweenness() == scores
+        finally:
+            resumed.close()
+
+    def test_a_failed_tail_checkpoint_raises_after_the_release(
+        self, path5, tmp_path
+    ):
+        home = tmp_path / "home"
+        home.mkdir()
+        config = BetweennessConfig(
+            checkpoint_path=str(home / "ck.bin"), checkpoint_every=3
+        )
+        session = BetweennessSession(path5, config)
+        session.apply_batch(self.UPDATES[:1])
+        (home / "ck.bin").unlink()
+        home.rmdir()
+        with pytest.raises(OSError):
+            session.close()
+        assert session.closed
+        session.close()  # idempotent: nothing left to release or raise
+
+    def test_a_subscriber_error_does_not_skip_a_due_checkpoint(
+        self, path5, tmp_path
+    ):
+        def failing(event):
+            if isinstance(event, BatchApplied):
+                raise RuntimeError("subscriber bug")
+
+        with BetweennessSession(path5, self._policy(tmp_path, every=1)) as session:
+            session.subscribe(failing)
+            with pytest.raises(SubscriberError):
+                session.apply_batch(self.UPDATES[:1])
+            assert session.durable_batches == session.batches_applied == 1
+            scores = session.vertex_betweenness()
+        resumed = resume_session(tmp_path / "ck.bin")
+        try:
+            assert resumed.graph.has_edge(0, 2)
+            assert resumed.vertex_betweenness() == scores
+        finally:
+            resumed.close()
+
+    def test_process_sessions_have_nothing_durable(self, path5):
+        config = BetweennessConfig(executor="process", workers=2)
+        with BetweennessSession(path5, config) as session:
+            session.apply_batch(self.UPDATES[:1])
+            assert (session.batches_applied, session.durable_batches) == (1, 0)
+
+
+class TestBatchCounting:
+    """``apply`` is a batch of one for every counter, serial and shard."""
+
+    UPDATES = TestCheckpointPolicy.UPDATES[:3]
+
+    def test_serial_apply_counts_as_a_batch(self, path5, tmp_path):
+        ck = tmp_path / "ck.bin"
+        with open_session(path5, checkpoint_path=str(ck)) as session:
+            for update in self.UPDATES:
+                session.apply(update)
+            assert session.batches_applied == 3
+            assert session.top_k(1).batches_applied == 3
+            session.checkpoint()
+            assert session.durable_batches == 3
+
+    def test_shard_apply_counts_like_the_coordinator(self, path5, tmp_path):
+        root = tmp_path / "root"
+        config = BetweennessConfig(
+            executor="shard",
+            workers=2,
+            store=f"shard://{root}?shards=2&checkpoint_every=2",
+        )
+        with BetweennessSession(path5, config) as session:
+            for update in self.UPDATES:
+                session.apply(update)
+            cursor = session.engine.batch_cursor
+            assert session.batches_applied == cursor == 3
+            # The round after the second apply is the newest checkpoint.
+            assert session.durable_batches == 2
+        resumed = resume_session(root)
+        try:
+            # close() ran the final round at the cursor.
+            assert resumed.batches_applied == resumed.engine.batch_cursor == 3
+            assert resumed.durable_batches == 3
+            resumed.apply(EdgeUpdate.addition(1, 3))
+            assert resumed.batches_applied == resumed.engine.batch_cursor == 4
+        finally:
+            resumed.close()
+
+
+class TestMovedShardRoot:
+    def test_a_moved_root_resumes_under_its_own_path(self, path5, tmp_path):
+        first, moved = tmp_path / "a", tmp_path / "b"
+        config = BetweennessConfig(
+            executor="shard",
+            workers=2,
+            store=f"shard://{first}?shards=2&checkpoint_every=3",
+        )
+        with BetweennessSession(path5, config) as session:
+            session.apply_batch([EdgeUpdate.addition(0, 2)])
+        first.rename(moved)
+        resumed = resume_session(moved)
+        try:
+            expected = f"shard://{moved.resolve()}?shards=2&checkpoint_every=3"
+            assert resumed.config.store == expected
+            resumed.apply_batch([EdgeUpdate.addition(0, 3)])
+            resumed.checkpoint()
+            assert load_manifest(moved).config["store"] == expected
         finally:
             resumed.close()

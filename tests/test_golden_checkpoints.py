@@ -19,6 +19,7 @@ import pytest
 from repro import cli
 from repro.api import resume_session
 from repro.core.checkpoint import load_checkpoint
+from repro.storage.shard import load_manifest
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -88,3 +89,23 @@ def test_golden_shard_root_is_rewritten_in_the_current_format(tmp_path):
         assert generate.scores_of(again) == live
     finally:
         again.close()
+
+
+def test_golden_shard_root_resumes_under_its_own_path(tmp_path):
+    """The golden root was written elsewhere; once copied and migrated, the
+    resumed session's store URI and the next manifest name the copy."""
+    target = tmp_path / "moved" / "shard-root"
+    shutil.copytree(GOLDEN / "shard-root", target)
+    assert cli.main(["migrate", str(target)]) == 0
+    recorded = load_manifest(target).config["store"]
+    assert not recorded.startswith(f"shard://{target.resolve()}")
+    session = resume_session(target)
+    try:
+        _, _, query = recorded.partition("?")
+        expected = f"shard://{target.resolve()}?{query}"
+        assert session.config.store == expected
+        session.apply_batch([generate.STREAM[0]])
+        session.checkpoint()
+        assert load_manifest(target).config["store"] == expected
+    finally:
+        session.close()

@@ -607,7 +607,10 @@ class TestEventStream:
         async def scenario():
             server, client, port = await _boot(tmp_path)
             try:
-                await client.create_session("demo", edges=PATH_EDGES)
+                # One batch off a cadence of 2 leaves the tail to close.
+                await client.create_session(
+                    "demo", edges=PATH_EDGES, checkpoint_every=2
+                )
                 subscriber = ServiceClient(
                     "127.0.0.1", port, api_key="secret"
                 )
@@ -619,12 +622,16 @@ class TestEventStream:
 
                 task = asyncio.create_task(consume())
                 await asyncio.sleep(0.05)
+                await client.post_updates("demo", [("add", 0, 4)])
                 await client.delete_session("demo")
                 await asyncio.wait_for(task, 10)
                 await subscriber.close()
-                assert frames[-1]["type"] == "session_closed"
                 # The final close checkpoint precedes it.
-                assert "checkpoint_written" in [f["type"] for f in frames]
+                assert [f["type"] for f in frames] == [
+                    "batch_applied",
+                    "checkpoint_written",
+                    "session_closed",
+                ]
             finally:
                 await client.close()
                 await server.stop()

@@ -6,6 +6,7 @@ is exactly why the service core is split from its HTTP transport.
 """
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro.algorithms import brandes_betweenness
 from repro.api import open_session
 from repro.core import EdgeUpdate
+from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.graph import Graph
 from repro.service import (
     ClientStream,
@@ -108,12 +110,14 @@ class TestEffectiveConfig:
         graph = Graph(directed=directed)
         graph.add_edge(0, 1)
         directory = registry.settings.sessions_root / "s"
-        return registry._effective_config(config, graph, directory), directory
+        every = registry.settings.default_checkpoint_every
+        return registry._effective_config(config, graph, directory, every), directory
 
     def test_serial_default_gets_a_checkpoint_path(self, tmp_path):
         config, directory = self._effective(tmp_path, {})
         assert config.executor == "serial"
         assert config.checkpoint_path == str(directory / "checkpoint.bin")
+        assert config.checkpoint_every == 1  # the session owns the cadence
 
     def test_disk_scheme_rewritten_under_session_dir(self, tmp_path):
         config, directory = self._effective(
@@ -391,6 +395,48 @@ class TestSingleWriter:
         run(scenario())
 
 
+class TestDurability:
+    """``durable`` answers whether a checkpoint already covers the batch:
+    at cadence 3 exactly batches 3 and 6 are, and the event stream shows
+    ``checkpoint_written`` after those two, then the close's tail one."""
+
+    SESSIONS = {
+        "serial": {"config": {"store": "disk://"}, "checkpoint_every": 3},
+        "shard": {
+            "config": {
+                "executor": "shard",
+                "store": "shard://?shards=2&checkpoint_every=3",
+            }
+        },
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SESSIONS))
+    def test_durable_exactly_on_the_cadence(self, tmp_path, kind):
+        async def scenario():
+            registry = await _started(tmp_path)
+            await registry.create(
+                {"name": "demo", "graph": PATH_GRAPH, **self.SESSIONS[kind]}
+            )
+            managed = registry.get("demo")
+            stream = managed.bridge.open_stream()
+            durable = []
+            for index in range(7):
+                summary = await managed.apply_updates(
+                    parse_updates_payload(
+                        {"updates": [["add", index % 5, 100 + index]]}
+                    )
+                )
+                durable.append(summary["durable"])
+            await registry.close_all()
+            return durable, [frame["type"] async for frame in stream.frames()]
+
+        durable, frames = run(scenario())
+        assert durable == [False, False, True, False, False, True, False]
+        cadence = ["batch_applied"] * 3 + ["checkpoint_written"]
+        tail = ["batch_applied", "checkpoint_written", "session_closed"]
+        assert frames == cadence * 2 + tail
+
+
 class TestRestartRecovery:
     def test_restore_after_orderly_shutdown(self, tmp_path):
         async def first_life():
@@ -418,6 +464,44 @@ class TestRestartRecovery:
         after, info = run(second_life())
         assert after == before  # bit-identical across restart
         assert info["num_edges"] == 5
+
+    def test_a_sidecar_without_a_cadence_restores_with_service_json_s(
+        self, tmp_path
+    ):
+        """Sidecars written while the service kept the cadence itself embed
+        no ``checkpoint_every``; the one in ``service.json`` restores it."""
+
+        async def first_life():
+            registry = await _started(tmp_path)
+            await registry.create(
+                {"name": "demo", "graph": PATH_GRAPH, "checkpoint_every": 3}
+            )
+            await registry.close_all()
+
+        async def second_life():
+            registry = await _started(tmp_path)
+            managed = registry.get("demo")
+            durable = [
+                (
+                    await managed.apply_updates(
+                        parse_updates_payload({"updates": [["add", 0, 10 + i]]})
+                    )
+                )["durable"]
+                for i in range(3)
+            ]
+            await registry.close_all()
+            return managed.session.config.checkpoint_every, durable
+
+        run(first_life())
+        sidecar = tmp_path / "svc" / "sessions" / "demo" / "checkpoint.bin"
+        ckpt = load_checkpoint(sidecar)
+        save_checkpoint(
+            sidecar,
+            dataclasses.replace(
+                ckpt, config={**ckpt.config, "checkpoint_every": None}
+            ),
+        )
+        assert run(second_life()) == (3, [False, False, True])
 
     def test_create_and_restore_on_a_debug_loop(self, tmp_path):
         """asyncio's debug mode refuses loop calls from other threads: the

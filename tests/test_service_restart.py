@@ -103,11 +103,11 @@ def _kill(process: subprocess.Popen) -> None:
         process.stdout.close()
 
 
-def _oracle(edges, batches):
+def _oracle(edges, batches, **config):
     graph = Graph()
     for u, v in edges:
         graph.add_edge(u, v)
-    session = open_session(graph)
+    session = open_session(graph, **config)
     for batch in batches:
         session.apply_batch(
             [
@@ -120,6 +120,91 @@ def _oracle(edges, batches):
     scores = session.vertex_betweenness()
     session.close()
     return scores
+
+
+#: Eight valid batches on ALPHA_EDGES; the kill comes after the fifth.
+CADENCE_BATCHES = ALPHA_BATCHES + [
+    [("add", 0, 2)],
+    [("remove", 1, 2)],
+    [("add", 3, 6)],
+    [("add", 1, 4)],
+    [("remove", 4, 5)],
+]
+
+
+def test_sigkill_loses_nothing_reported_durable(tmp_path):
+    """At cadence 3, batches 3 and 6 are reported durable and nothing else
+    is.  A SIGKILL after batch 5 brings each session back at batch 3,
+    equal to a replay of that prefix, still on cadence 3.  The shard
+    session's replay runs on two worker processes, the reduction order of
+    two shards."""
+    root = tmp_path / "service-root"
+    # The serial session embeds its records in the sidecar.  A disk://
+    # store is updated in place, so a kill between checkpoints leaves a
+    # store file the last sidecar no longer describes, and that session
+    # does not restore at all; only a write-ahead log would cover it.
+    sessions = {
+        "serial": {"config": {"store": "arrays://"}, "checkpoint_every": 3},
+        "sharded": {
+            "config": {
+                "executor": "shard",
+                "store": "shard://?shards=2&checkpoint_every=3",
+            }
+        },
+    }
+    port = _free_port()
+    server = _spawn_server(root, port)
+
+    async def first_life():
+        await _wait_healthy(port, server)
+        async with ServiceClient("127.0.0.1", port, api_key=API_KEY) as client:
+            durable = {}
+            for name, options in sessions.items():
+                await client.create_session(name, edges=ALPHA_EDGES, **options)
+                durable[name] = [
+                    (await client.post_updates(name, batch))["durable"]
+                    for batch in CADENCE_BATCHES[:5]
+                ]
+            return durable
+
+    try:
+        durable = asyncio.run(first_life())
+    finally:
+        _kill(server)
+    for name in sessions:
+        assert durable[name] == [False, False, True, False, False], name
+
+    port2 = _free_port()
+    server2 = _spawn_server(root, port2)
+
+    async def second_life():
+        health = await _wait_healthy(port2, server2)
+        assert health["restore_failures"] == {}
+        async with ServiceClient("127.0.0.1", port2, api_key=API_KEY) as client:
+            restored, replayed, durable = {}, {}, {}
+            for name in sessions:
+                scores = (await client.scores(name))["scores"]
+                restored[name] = dict(map(tuple, scores))
+                durable[name] = [
+                    (await client.post_updates(name, batch))["durable"]
+                    for batch in CADENCE_BATCHES[3:8]
+                ]
+                scores = (await client.scores(name))["scores"]
+                replayed[name] = dict(map(tuple, scores))
+            return restored, replayed, durable
+
+    try:
+        restored, replayed, durable = asyncio.run(second_life())
+    finally:
+        _kill(server2)
+    replay = {"serial": {}, "sharded": {"executor": "process", "workers": 2}}
+    for name in sessions:
+        prefix = _oracle(ALPHA_EDGES, CADENCE_BATCHES[:3], **replay[name])
+        assert restored[name] == prefix, name
+        # Batches 4-8 again: the cadence carries on from the restored batch.
+        assert durable[name] == [False, False, True, False, False], name
+        whole = _oracle(ALPHA_EDGES, CADENCE_BATCHES, **replay[name])
+        assert replayed[name] == whole, name
 
 
 def test_sigkill_and_restart_restores_every_session(tmp_path):
