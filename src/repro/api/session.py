@@ -301,19 +301,23 @@ class BetweennessSession:
         framework: IncrementalBetweenness,
         config: Optional[BetweennessConfig] = None,
         subscribers: Sequence[Subscriber] = (),
+        batch_index: int = 0,
     ) -> "BetweennessSession":
         """Wrap an existing serial engine instance in a session.
 
         Used by the resume path; the framework is
         adopted as-is (no copy, no re-bootstrap), so the caller must not
-        keep driving it directly.
+        keep driving it directly.  ``batch_index`` is the number of batches
+        the framework's state already covers (a resumed checkpoint's
+        cursor): the session counts on from there, and treats them as
+        durable.
         """
         if config is None:
             config = BetweennessConfig(
                 backend=framework.backend, directed=framework.graph.directed
             )
         self = cls.__new__(cls)
-        self._reset(config, subscribers)
+        self._reset(config, subscribers, batch_index=batch_index)
         self._framework = framework
         self._announce_bootstrap()
         return self
@@ -363,9 +367,10 @@ class BetweennessSession:
 
     @property
     def batches_applied(self) -> int:
-        """Batches applied through this session (shard resumes include the
-        restored ensemble's batch cursor, so the count is lifetime-wide).
-        A serial session reports its published snapshot's count."""
+        """Batches applied through this session.  A resumed session includes
+        the batches its checkpoint covers (a serial sidecar's cursor, a
+        shard root's manifest cursor), so the count is lifetime-wide.  A
+        serial session reports its published snapshot's count."""
         published = self._published
         if published is not None:
             return published.batches_applied
@@ -638,7 +643,7 @@ class BetweennessSession:
                     "BetweennessConfig.checkpoint_path"
                 )
             written = self._framework.checkpoint(
-                path, config=self._config.to_dict()
+                path, config=self._config.to_dict(), batch_cursor=self._batch_index
             )
             self._durable_batches = self._batch_index
             self._emit(CheckpointWritten, path=str(written))
@@ -810,7 +815,11 @@ def resume_session(
     framework = IncrementalBetweenness.resume(
         checkpoint_path, store=store, backend=config.backend, checkpoint=ckpt
     )
-    return BetweennessSession.from_framework(framework, config=config)
+    # Sidecars written before serial sessions recorded their count carry no
+    # cursor; those resume counting from zero.
+    return BetweennessSession.from_framework(
+        framework, config=config, batch_index=ckpt.batch_cursor or 0
+    )
 
 
 def _load_checkpoint_for_resume(path: PathLike):

@@ -362,7 +362,12 @@ class IncrementalBetweenness:
     # ------------------------------------------------------------------ #
     # Checkpoint / resume
     # ------------------------------------------------------------------ #
-    def checkpoint(self, path: PathLike, config: Optional[Dict] = None) -> Path:
+    def checkpoint(
+        self,
+        path: PathLike,
+        config: Optional[Dict] = None,
+        batch_cursor: Optional[int] = None,
+    ) -> Path:
         """Write a sidecar checkpoint so a later process can :meth:`resume`.
 
         The sidecar holds the graph, the global vertex/edge scores and the
@@ -376,12 +381,16 @@ class IncrementalBetweenness:
         ``config`` optionally embeds a session configuration dict
         (``BetweennessConfig.to_dict()``) into the sidecar, which is what
         lets ``repro.api.resume_session`` restore a session from nothing
-        but the checkpoint path.
+        but the checkpoint path; ``batch_cursor`` records how many batches
+        the checkpoint covers, which a resumed session continues counting
+        from.
 
         Predecessor lists (the MP configuration) are not checkpointed; a
         resumed instance runs without them, which never changes scores.
         """
-        return save_checkpoint(path, self.build_checkpoint(config=config))
+        return save_checkpoint(
+            path, self.build_checkpoint(config=config, batch_cursor=batch_cursor)
+        )
 
     def build_checkpoint(
         self,

@@ -32,7 +32,7 @@ objects, same orders, same bits).
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
@@ -285,112 +285,6 @@ class CSRGraph:
         identical objects.
         """
         return self._in
-
-    # ------------------------------------------------------------------ #
-    # Shared-memory export / attach
-    # ------------------------------------------------------------------ #
-    def export_compiled(self, allocator) -> Tuple[list, dict]:
-        """Materialize the compiled CSR into allocator buffers.
-
-        Returns ``(buffers, payload)``: the buffers are owned by the caller
-        (release them when every attacher is done) and the payload is a
-        compact picklable bundle of :class:`~repro.storage.buffers.ShmDescriptor`
-        entries plus the counts needed to re-materialize the mirror —
-        what crosses a pipe instead of an edge list.  Undirected graphs
-        export only the out-family (the in-mirror aliases it by
-        construction); directed graphs export both.
-        """
-        indptr, indices, edge_ids, edge_pairs = self.compiled()
-        pairs = np.asarray(edge_pairs, dtype=INDEX_DTYPE).reshape(
-            len(edge_pairs), 2
-        )
-        named = {
-            "indptr": indptr,
-            "indices": indices,
-            "edge_ids": edge_ids,
-            "edge_pairs": pairs,
-        }
-        if self._directed:
-            in_indptr, in_indices, in_edge_ids = self.compiled_in()
-            named["in_indptr"] = in_indptr
-            named["in_indices"] = in_indices
-            named["in_edge_ids"] = in_edge_ids
-        buffers = []
-        descriptors = {}
-        for key, array in named.items():
-            buffer = allocator.empty(array.shape, array.dtype)
-            if array.size:
-                buffer.array[:] = array
-            buffers.append(buffer)
-            descriptors[key] = buffer.descriptor().to_payload()
-        payload = {
-            "directed": self._directed,
-            "num_vertices": self.num_vertices,
-            "num_edges": self._num_edges,
-            "arrays": descriptors,
-        }
-        return buffers, payload
-
-    @classmethod
-    def attach_compiled(cls, payload: dict) -> Tuple["CSRGraph", list]:
-        """Re-materialize an exported mirror from its segment descriptors.
-
-        The compiled arrays are attached **read-only** and used as they are
-        (no compile).  Returns ``(csr, buffers)``; the caller closes the
-        attachment buffers when done.  A mutation patches into private
-        arrays (patches never write their inputs), but the mirror must not
-        be read after its buffers are closed.
-        """
-        from repro.storage.buffers import ShmDescriptor, attach as attach_buffer
-
-        buffers = []
-        arrays = {}
-        try:
-            for key, entry in payload["arrays"].items():
-                buffer = attach_buffer(ShmDescriptor.from_payload(entry))
-                buffers.append(buffer)
-                arrays[key] = buffer.array
-        except Exception:
-            for buffer in buffers:
-                buffer.release()
-            raise
-        directed = bool(payload["directed"])
-        csr = cls(0, directed=directed)
-        csr._out = (arrays["indptr"], arrays["indices"], arrays["edge_ids"])
-        csr._in = (
-            (arrays["in_indptr"], arrays["in_indices"], arrays["in_edge_ids"])
-            if directed
-            else csr._out
-        )
-        csr._num_edges = int(payload["num_edges"])
-        csr._edge_pairs = [(int(a), int(b)) for a, b in arrays["edge_pairs"]]
-        return csr, buffers
-
-    def to_label_graph(self, labels: Sequence) -> Graph:
-        """Order-exact label :class:`Graph` over ``labels[slot]`` naming.
-
-        The inverse of :meth:`from_graph` for fully populated mirrors:
-        adjacency (and, when directed, predecessor) iteration order is the
-        rows' order, which :meth:`from_graph` took from the label graph —
-        so a round trip reproduces the original graph's traversal order
-        bit-for-bit.
-        """
-
-        def rows(family: Family) -> dict:
-            bounds = family[0].tolist()
-            flat = family[1].tolist()
-            return {
-                labels[i]: [labels[j] for j in flat[bounds[i] : bounds[i + 1]]]
-                for i in range(len(bounds) - 1)
-            }
-
-        return Graph.from_adjacency_payload(
-            {
-                "succ": rows(self._out),
-                "pred": rows(self._in) if self._directed else None,
-            },
-            directed=self._directed,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "directed" if self._directed else "undirected"

@@ -29,8 +29,8 @@ chooses, by passing a :class:`~repro.storage.shard.ShardLayout` or not:
 
 Either way a worker declared failed is killed, never abandoned, and every
 worker exits on its own when its driver dies (it waits on the driver's
-process sentinel next to its command pipe), so neither processes nor
-``/dev/shm`` segments outlive a SIGKILLed driver.
+process sentinel next to its command pipe), so no process outlives a
+SIGKILLed driver.
 
 Recovery is **bit-identical** by construction: the sidecar carries the
 worker's graph adjacency in exact iteration order
@@ -46,19 +46,22 @@ writes the same sidecar a serial in-RAM session writes, with the owned
 sources' records embedded, and its atomic replace is the one commit point —
 a crash at any instant leaves the previous round fully intact.
 
-State crosses the driver→worker boundary one way.  A worker rebuilds its
-graph from the driver's compiled CSR arrays in shared segments
-(:mod:`repro.storage.buffers`) and reads each batch as ``(start, length)``
-rows of the update ring (:mod:`repro.parallel.dataplane`); only replay
-after a recovery sends pickled update lists, because the ring may have
-rotated past the logged slice.  A worker seeded from a durable store file
+The driver→worker boundary is shared-nothing, as between the paper's
+mappers.  A fresh worker is born with everything it needs in its start
+payload: the driver graph's :meth:`~repro.graph.Graph.adjacency_payload`
+and orientation (the order-exact form a shard sidecar carries), from which
+it rebuilds its graph with :meth:`~repro.graph.Graph.from_adjacency_payload`
+exactly as a resumed worker does.  Under ``fork`` the worker inherits the
+payload; under ``spawn`` it is pickled.  Every batch then crosses the pipe
+as one pickled ``("apply", cursor, batch, adopt)`` message, the same one
+replay sends after a recovery.  A worker seeded from a durable store file
 reads its partition's records out of the file as one
 :class:`~repro.storage.columns.ColumnBlock`; opening the file never writes
 it, so every worker reads the one file at once.  A seed file, sidecar or
 shard root of an earlier format is refused with its own
 :class:`~repro.exceptions.StoreVersionError` (``repro migrate`` converts
-it).  Everything else crossing the pipe is plain picklable data, so both
-the ``fork`` and ``spawn`` start methods work.
+it).  No shared-memory segment is created and no resource tracker is
+started.
 """
 
 from __future__ import annotations
@@ -88,23 +91,9 @@ from repro.exceptions import (
     UpdateError,
     WorkerFailedError,
 )
-from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.parallel.dataplane import (
-    LabelTable,
-    RingReader,
-    UpdateRing,
-    decode_rows,
-    encode_batch,
-)
-from repro.storage.buffers import (
-    ShmAllocator,
-    reclaim_process_segments,
-    shm_available,
-)
 from repro.storage.columns import export_columns, import_columns
 from repro.storage.disk import DiskBDStore
-from repro.storage.index import VertexIndex
 from repro.storage.memory import InMemoryBDStore
 from repro.storage.partition import partition_sources
 from repro.storage.shard import (
@@ -131,25 +120,15 @@ NotifyHook = Callable[..., None]
 # --------------------------------------------------------------------------- #
 # Worker process
 # --------------------------------------------------------------------------- #
-def _attach_worker_graph(shm: dict) -> Graph:
-    """Rebuild the label graph from the driver's exported CSR segments.
-
-    Nothing but segment descriptors crossed the pipe; the adjacency is
-    decoded straight out of the shared compiled arrays (read-only attach)
-    in CSR order — which is insertion order, so the rebuilt graph replays
-    the driver graph's traversals exactly.
-    """
-    csr, buffers = CSRGraph.attach_compiled(shm["graph"])
-    try:
-        return csr.to_label_graph(shm["labels"])
-    finally:
-        for buffer in buffers:
-            buffer.release()
-
-
 def _build_worker_framework(payload: dict) -> IncrementalBetweenness:
-    """Seed a fresh worker: its graph, store and restricted framework."""
-    graph = _attach_worker_graph(payload["shm"])
+    """Seed a fresh worker: its graph, store and restricted framework.
+
+    The graph is rebuilt order-exactly from the driver's adjacency payload,
+    so the worker's traversals replay the driver graph's exactly.
+    """
+    graph = Graph.from_adjacency_payload(
+        payload["adjacency"], directed=payload["directed"]
+    )
     sources = payload["sources"]
     store_kind = payload["store"]
     backend = payload["backend"]
@@ -258,25 +237,21 @@ def _worker_main(connection, payload: dict) -> None:
     """Entry point of every worker process (one mapper of Figure 4).
 
     The payload either seeds a fresh partition (``checkpoint_path`` is
-    ``None``: the graph's segments, sources, store kind and an optional
-    store file to read the partition's records from) or names the shard
-    sidecar to resume from, with the coordinator's cursor to check it
-    against (:func:`_check_shard_sidecar`).  A refusal of the state on
-    disk is answered ``("refused", exception)``.  Either way the payload
-    carries the update ring and the label table the batches are read
-    through.  The worker answers ``("ready", seconds, sidecar_cursor)``
-    once seeded (``None`` when fresh), so the coordinator never reads the
-    sidecar itself.
+    ``None``: the graph's adjacency payload and orientation, sources, store
+    kind and an optional store file to read the partition's records from)
+    or names the shard sidecar to resume from, with the coordinator's
+    cursor to check it against (:func:`_check_shard_sidecar`).  A refusal
+    of the state on disk is answered ``("refused", exception)``.  The
+    worker answers ``("ready", seconds, sidecar_cursor)`` once seeded
+    (``None`` when fresh), so the coordinator never reads the sidecar
+    itself.
 
     Protocol (all tuples over the pipe):
 
-    * ``("apply_ring", cursor, start, length, new_labels, adopt_ids,
-      rotated)`` → ``("applied", cursor, result, cpu_seconds)`` — apply a
-      batch (batched pipeline) against this worker's partition, read back
-      out of the coordinator's update ring; ``adopt_ids`` name the new
-      vertices it takes ownership of
-    * ``("apply", cursor, batch, adopt)`` → the same reply — the pickled
-      form, used only to replay logged batches onto a replacement
+    * ``("apply", cursor, batch, adopt)`` → ``("applied", cursor, result,
+      cpu_seconds)`` — apply a batch (batched pipeline) against this
+      worker's partition; ``adopt`` names the stream-born vertices it
+      takes ownership of.  Dispatch and replay send the same message.
     * ``("checkpoint", cursor)`` → ``("checkpointed", cursor, seconds)``
       (durable shards only)
     * ``("collect", vertex, edge)`` → ``("scores", vertex_partial,
@@ -289,11 +264,8 @@ def _worker_main(connection, payload: dict) -> None:
     lost — the worst case recovery must cover).
     """
     chaos = payload["chaos"]
-    shm = payload["shm"]
     driver = multiprocessing.parent_process().sentinel
     framework = None
-    ring_reader = None
-    label_table = None
     try:
         timer = Timer()
         cursor = None
@@ -317,34 +289,19 @@ def _worker_main(connection, payload: dict) -> None:
             except ReproError as exc:
                 connection.send(("refused", exc))
                 return
-            ring_reader = RingReader(shm["ring"])
-            label_table = LabelTable(shm["labels"])
         connection.send(("ready", timer.total, cursor))
         while True:
             # Sleep until a command arrives or the driver dies.  The pipe
             # alone cannot tell: under ``fork`` every sibling inherits the
             # driver-side end, so a dead driver never shows as EOF — its
             # process sentinel does, and an orphan would otherwise pin its
-            # processes and /dev/shm segments forever.
+            # memory forever.
             if connection not in wait([connection, driver]):
                 return
             message = connection.recv()
             command = message[0]
-            if command in ("apply", "apply_ring"):
-                if command == "apply":
-                    _, cursor, batch, adopt = message
-                else:
-                    _, cursor, start, length, new_labels, adopt_ids, rotated = (
-                        message
-                    )
-                    if rotated is not None:
-                        ring_reader.reattach(rotated)
-                    if new_labels:
-                        label_table.extend(new_labels)
-                    batch = decode_rows(
-                        ring_reader.read(start, length), label_table
-                    )
-                    adopt = [label_table.label(i) for i in adopt_ids or ()]
+            if command == "apply":
+                _, cursor, batch, adopt = message
                 if chaos and cursor == chaos["cursor"]:
                     if chaos.get("when", "after") == "before":
                         os.kill(os.getpid(), signal.SIGKILL)
@@ -391,8 +348,6 @@ def _worker_main(connection, payload: dict) -> None:
         except (BrokenPipeError, OSError):
             pass
     finally:
-        if ring_reader is not None:
-            ring_reader.release()
         if framework is not None:
             framework.store.close()  # unlinks a disk store's temp file
         connection.close()
@@ -436,9 +391,9 @@ class ParallelBatchReport:
     ``worker_seconds`` are the per-worker (per-mapper) compute times as the
     workers measured them; ``elapsed_seconds`` is the driver-side wall-clock
     for the round trip, including IPC.  Cluster semantics follow Section
-    5.4: wall-clock is the slowest mapper, cumulative cost is the sum.  ``payload_bytes`` is
-    the exact pickled size of what the driver wrote to all worker pipes for
-    the batch — what the shared-memory ring shrinks ~tenfold.
+    5.4: wall-clock is the slowest mapper, cumulative cost is the sum.
+    ``payload_bytes`` is the exact pickled size of what the driver wrote to
+    all worker pipes for the batch.
     """
 
     updates: List[EdgeUpdate] = field(default_factory=list)
@@ -537,9 +492,8 @@ class ShardCoordinator:
         of running the Brandes bootstrap; nothing but the path crosses the
         process boundary.
 
-    The workers always run the shared-memory data plane (see the module
-    docstring).  The coordinator owns every segment and reclaims them on
-    :meth:`close`, including segments of workers that died.
+    The workers share nothing with the driver but their pipes (see the
+    module docstring).
 
     Examples
     --------
@@ -584,11 +538,6 @@ class ShardCoordinator:
             raise ConfigurationError(
                 f"store must be one of {WORKER_STORES}, got {store!r}"
             )
-        if not shm_available():
-            raise ConfigurationError(
-                "the worker runtime requires multiprocessing.shared_memory, "
-                "which this platform does not provide"
-            )
         try:
             self._context = multiprocessing.get_context("fork")
         except ValueError:  # this platform cannot fork
@@ -605,10 +554,6 @@ class ShardCoordinator:
         self._partitions: Tuple = ()
         self._bytes_sent = 0
         self._closed = False
-        # The data plane: built before the first spawn, released on close.
-        self._label_table: Optional[LabelTable] = None
-        self._ring: Optional[UpdateRing] = None
-        self._graph_buffers: List = []
 
         try:
             if _manifest is not None:
@@ -648,23 +593,26 @@ class ShardCoordinator:
         self._assignment: List[Tuple[Vertex, int]] = []
         self._cursor = 0
         self._last_round = -1
-        self._build_data_plane(vertices)
-        csr = CSRGraph.from_graph(self._graph, VertexIndex(vertices))
-        self._graph_buffers, graph_payload = csr.export_compiled(
-            ShmAllocator(hint="csrg")
-        )
+        # One capture shared by every start payload: inherited under fork,
+        # pickled per worker under spawn.
+        adjacency = self._graph.adjacency_payload()
         for partition in self._partitions:
             shard_id = partition.worker_id
-            payload = self._payload(
+            self._spawn(
                 shard_id,
-                sources=list(partition.sources),
-                store=store,
-                store_path=(
-                    None if source_store_path is None else str(source_store_path)
+                self._payload(
+                    shard_id,
+                    adjacency=adjacency,
+                    directed=self._graph.directed,
+                    sources=list(partition.sources),
+                    store=store,
+                    store_path=(
+                        None
+                        if source_store_path is None
+                        else str(source_store_path)
+                    ),
                 ),
             )
-            payload["shm"]["graph"] = graph_payload
-            self._spawn(shard_id, payload)
         self._init_seconds = [
             self._expect(i, "ready")[1] for i in range(self.num_shards)
         ]
@@ -692,11 +640,6 @@ class ShardCoordinator:
         first = load_checkpoint(sidecars[0])
         graph = Graph.from_adjacency_payload(first.adjacency, directed=first.directed)
         del first
-        # The resume path re-seeds state from the sidecars, so only the
-        # dispatch half of the plane (ring + labels) is shared; labels start
-        # from the restored graph's vertex order, which every sidecar
-        # recorded identically.
-        self._build_data_plane(graph.vertex_list())
         for shard_id, sidecar in enumerate(sidecars):
             self._spawn(
                 shard_id,
@@ -861,28 +804,8 @@ class ShardCoordinator:
 
         timer = Timer()
         with timer.measure():
-            # Descriptor-passing dispatch: the rows go into the shared ring
-            # once, and each shard receives only (start, length) plus this
-            # batch's newly minted labels.  The replay log keeps the pickled
-            # form — recovery must work even after the ring rotated past
-            # the logged slice.
-            rows, new_labels = encode_batch(self._label_table, batch)
-            start, length, rotated = self._ring.append(rows)
-            adopt_ids = [
-                [self._label_table.id_of(v) for v in adopt]
-                for adopt in adopt_per_shard
-            ]
             replies = self._broadcast(
-                lambda i: (
-                    "apply_ring",
-                    cursor,
-                    start,
-                    length,
-                    new_labels,
-                    adopt_ids[i],
-                    rotated,
-                ),
-                "applied",
+                lambda i: ("apply", cursor, batch, adopt_per_shard[i]), "applied"
             )
         payload_bytes = self._bytes_sent - bytes_before
 
@@ -986,22 +909,6 @@ class ShardCoordinator:
             except (EOFError, OSError):
                 pass
             self._teardown_handle(handle.shard_id, grace=5.0)
-        self._release_data_plane()
-
-    def _release_data_plane(self) -> None:
-        """Unlink every plane segment the coordinator owns (idempotent);
-        runs after the workers are down, however they went down."""
-        for buffer in self._graph_buffers:
-            buffer.release()
-        self._graph_buffers = []
-        if self._ring is not None:
-            self._ring.release()
-            self._ring = None
-        self._label_table = None
-
-    def _build_data_plane(self, vertices) -> None:
-        self._label_table = LabelTable(vertices)
-        self._ring = UpdateRing(hint="ring")
 
     def __enter__(self) -> "ShardCoordinator":
         return self
@@ -1033,11 +940,6 @@ class ShardCoordinator:
             "backend": self._backend,
             "chaos": self._chaos.get(shard_id),
             "checkpoint_path": None,
-            "shm": {
-                "labels": self._label_table.labels(),
-                "ring": self._ring.payload(),
-                "graph": None,
-            },
         }
         payload.update(fields)
         return payload
@@ -1077,10 +979,6 @@ class ShardCoordinator:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=5.0)
-        if process.pid is not None:
-            # A killed worker never ran its atexit hooks; any segments it
-            # owned are reclaimed here so /dev/shm cannot leak.
-            reclaim_process_segments(process.pid)
 
     def _send(self, shard_id: int, message) -> None:
         """Send one command, counting its exact pickled size.
@@ -1239,11 +1137,8 @@ class ShardCoordinator:
                     f"shard {shard_id} has no checkpoint sidecar to recover "
                     f"from ({sidecar})"
                 )
-            # The replacement is seeded with the *current* label table and
-            # ring so it can serve ring dispatch from the next batch on; the
-            # table already contains any in-flight batch's labels, so the
-            # coming announcement is an idempotent no-op.  It checks its
-            # sidecar against the cursor and reports the sidecar's batch.
+            # The replacement checks its sidecar against the cursor and
+            # reports the sidecar's batch.
             self._spawn(
                 shard_id,
                 self._payload(

@@ -463,7 +463,11 @@ class SessionRegistry:
             if directory.exists():
                 raise SessionExists(name)
             config = self._effective_config(
-                payload.get("config", {}), graph, directory, checkpoint_every
+                payload.get("config", {}),
+                graph,
+                directory,
+                checkpoint_every,
+                cadence_posted="checkpoint_every" in payload,
             )
             directory.mkdir(parents=True)
             try:
@@ -494,11 +498,19 @@ class SessionRegistry:
             return managed.info()
 
     def _effective_config(
-        self, posted: Any, graph: Graph, directory: Path, checkpoint_every: int
+        self,
+        posted: Any,
+        graph: Graph,
+        directory: Path,
+        checkpoint_every: int,
+        cadence_posted: bool = False,
     ) -> BetweennessConfig:
         """The posted config with every path rewritten to server-owned
-        locations under the session directory, and a serial session's
-        cadence set to ``checkpoint_every``.
+        locations under the session directory, and the cadence set to
+        ``checkpoint_every``: a serial session's config field, or a
+        ``shard://`` URI's ``checkpoint_every`` when the query names none.
+        A query cadence that contradicts a posted (``cadence_posted``)
+        top-level field is refused.
 
         Clients choose schemes and knobs; the server owns the filesystem.
         A posted path (or a client-set ``checkpoint_path`` /
@@ -545,14 +557,19 @@ class SessionRegistry:
         elif scheme == "shard":
             shard_root = directory / _SHARD_DIR
             params = [] if not query else query.split("&")
-            keys = {p.partition("=")[0] for p in params}
-            if "shards" not in keys:
+            named = dict(p.partition("=")[::2] for p in params)
+            if "shards" not in named:
                 params.append(f"shards={posted.get('workers', 1)}")
-            if "checkpoint_every" not in keys:
-                # Default the ensemble cadence to the service-wide policy
-                # so shard sessions are as replay-durable as serial ones.
-                params.append(
-                    f"checkpoint_every={self.settings.default_checkpoint_every}"
+            if "checkpoint_every" not in named:
+                params.append(f"checkpoint_every={checkpoint_every}")
+            elif cadence_posted and named["checkpoint_every"] != str(
+                checkpoint_every
+            ):
+                raise ValidationFailed(
+                    "'config.store' names checkpoint_every="
+                    f"{named['checkpoint_every']} but the top-level "
+                    f"'checkpoint_every' is {checkpoint_every}; name the "
+                    "cadence once"
                 )
             store = f"shard://{shard_root}?" + "&".join(params)
         posted["store"] = store

@@ -37,9 +37,9 @@ Schemes
     The scheme parses and validates here like any other, but it cannot be
     opened as a single store — it is resolved by the shard coordinator
     under ``executor="shard"``, whose every checkpoint round writes one
-    sidecar per shard embedding that shard's owned rows.  The workers
-    always run the shared-memory data plane; ``shm=true`` is still
-    accepted, ``shm=false`` is refused.
+    sidecar per shard embedding that shard's owned rows.  ``shm`` is
+    still accepted with any boolean value and selects nothing (workers
+    share nothing with the driver but their pipes).
 
 Unknown schemes and unknown/invalid query parameters are rejected with
 :class:`~repro.exceptions.ConfigurationError` at parse time, so a typo in a

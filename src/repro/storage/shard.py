@@ -110,9 +110,9 @@ class ShardLayout:
 
         The ``shards`` query parameter is authoritative when present; a
         ``workers`` count other than 1 must agree with it.  Without the
-        parameter the shard count is ``workers`` (default 1).  ``shm=true``
-        names the one data plane the workers run and may be omitted;
-        ``shm=false`` is refused.
+        parameter the shard count is ``workers`` (default 1).  ``shm`` is
+        accepted with any boolean value and selects nothing: workers share
+        nothing with the driver but their pipes.
         """
         parsed = parse_store_uri(uri)
         if parsed.scheme != "shard":
@@ -136,11 +136,9 @@ class ShardLayout:
         checkpoint_every = _positive_int(
             parsed.params, "checkpoint_every", uri, default=DEFAULT_CHECKPOINT_EVERY
         )
-        if not _parse_bool(parsed.params.get("shm", "true"), "shm", parsed):
-            raise ConfigurationError(
-                f"shard URI {uri!r}: the workers always run the shared-memory "
-                "data plane (there is no pickled plane); drop shm=0"
-            )
+        # ``shm`` selects nothing; it is parsed only so that a value that is
+        # not a boolean is still refused.
+        _parse_bool(parsed.params.get("shm", "true"), "shm", parsed)
         return cls(
             root=Path(parsed.path),
             num_shards=num_shards,

@@ -16,9 +16,9 @@ from repro.storage.buffers import active_segments
 def shm_leak_guard():
     """Suite-wide guard: no test may leak a ``repro_*`` /dev/shm segment.
 
-    Every shared-memory segment the data plane creates carries the
-    ``repro_`` prefix, so a post-test scan catching a new name means an
-    owner forgot to release (or a crash-reclaim path failed).  Segments
+    The package creates no shared-memory segment, and a segment in the
+    ``repro_`` namespace (a crash-sweep test's) must be gone when its test
+    ends, so a post-test scan catching a new name is a leak.  Segments
     that predate the test (e.g. owned by an outer process) are tolerated.
     """
     before = set(active_segments())

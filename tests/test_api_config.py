@@ -17,6 +17,7 @@ from repro.storage import (
     parse_store_uri,
 )
 from repro.graph import Graph
+from repro.storage.shard import ShardLayout
 
 from tests.helpers import assert_scores_equal, random_connected_graph
 
@@ -262,9 +263,10 @@ class TestRetiredExecutor:
 
 
 class TestOneDataPlane:
-    """The worker runtime has one data plane, so there is nothing to choose;
-    the key earlier releases wrote to choose one is an unknown field (``repro
-    migrate`` drops it from the configs embedded in sidecars and manifests)."""
+    """The worker runtime has one way across its boundary, so there is
+    nothing to choose; the key earlier releases wrote to choose a data plane
+    is an unknown field (``repro migrate`` drops it from the configs
+    embedded in sidecars and manifests)."""
 
     @pytest.mark.parametrize("value", [True, False])
     def test_shared_memory_key_is_an_unknown_field(self, value):
@@ -286,12 +288,14 @@ class TestOneDataPlane:
         assert BetweennessConfig.from_json(config.to_json()) == config
 
     @pytest.mark.parametrize("value", ["0", "false", "no"])
-    def test_shard_uri_refuses_shm_false(self, value):
-        with pytest.raises(ConfigurationError, match="shared-memory data plane"):
-            BetweennessConfig(
-                executor="shard", workers=2,
-                store=f"shard:///var/bc?shards=2&shm={value}",
-            )
+    def test_shard_uri_accepts_and_ignores_shm_false(self, value):
+        """``shm`` selects nothing: any boolean resolves to the same layout."""
+        store = f"shard:///var/bc?shards=2&shm={value}"
+        config = BetweennessConfig(executor="shard", workers=2, store=store)
+        assert BetweennessConfig.from_json(config.to_json()) == config
+        assert ShardLayout.from_uri(store) == ShardLayout.from_uri(
+            "shard:///var/bc?shards=2&shm=1"
+        )
 
     def test_shard_uri_refuses_non_boolean_shm(self):
         with pytest.raises(ConfigurationError, match="not a boolean"):

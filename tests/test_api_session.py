@@ -1,5 +1,6 @@
 """The session facade: equivalence matrix, events, subscribers, lifecycle."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -18,11 +19,12 @@ from repro.api import (
 )
 from repro.algorithms import brandes_betweenness
 from repro.core import EdgeUpdate, IncrementalBetweenness
+from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.exceptions import ConfigurationError, SubscriberError
 from repro.graph import Graph
 from repro.parallel import ParallelBatchReport
 from repro.storage import DiskBDStore, InMemoryBDStore
-from repro.storage.buffers import active_segments, shm_available
+from repro.storage.buffers import active_segments
 from repro.storage.shard import load_manifest
 
 from tests.helpers import assert_scores_equal, random_connected_graph
@@ -166,12 +168,11 @@ class TestEquivalenceMatrix:
             )
 
 
-@pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
 class TestWorkerRuntimeMatrix:
     """{process, shard} × {directed, undirected} on the one worker runtime.
 
-    Both executors run the shared-memory data plane; each must match the
-    serial reference within merge tolerance, and they must match each
+    Both executors send every batch as one pickled message; each must match
+    the serial reference within merge tolerance, and they must match each
     other ``==``, leaving ``/dev/shm`` empty afterwards.
     """
 
@@ -248,12 +249,13 @@ class TestWorkerRuntimeMatrix:
         [lambda v: v * 7 + 3, lambda v: f"v{v}", lambda v: (v, "x")],
         ids=["int", "str", "tuple"],
     )
-    def test_any_hashable_label_crosses_the_update_ring(
+    def test_any_hashable_label_crosses_the_worker_boundary(
         self, tmp_path, relabel, executor, directed
     ):
-        """Every batch reaches the workers as label-table ids in the ring,
-        and births mint new labels mid-stream: whatever the label type, the
-        workers must rebuild the driver's exact updates."""
+        """The graph reaches the workers as an adjacency payload and every
+        batch as a pickled update list, and births add labels mid-stream:
+        whatever the label type, the workers must hold the driver's exact
+        graph and updates."""
         base = build_graph(directed)
         graph = Graph(directed=directed)
         for vertex in base.vertex_list():
@@ -729,6 +731,44 @@ class TestBatchCounting:
             assert resumed.durable_batches == 3
             resumed.apply(EdgeUpdate.addition(1, 3))
             assert resumed.batches_applied == resumed.engine.batch_cursor == 4
+        finally:
+            resumed.close()
+
+
+class TestResumedSerialCount:
+    """A serial sidecar records the session's batch count, and a resumed
+    session counts on from it, as a shard root's manifest cursor does."""
+
+    UPDATES = [EdgeUpdate.addition(u, v) for u, v in [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4)]]
+
+    def _write_five(self, graph, ck):
+        with open_session(graph, checkpoint_path=str(ck), checkpoint_every=2) as session:
+            for update in self.UPDATES:
+                session.apply_batch([update])
+        # close() checkpointed batch 5, past the cadence's batch 4.
+        assert load_checkpoint(ck).batch_cursor == 5
+
+    def test_resume_continues_the_batch_count(self, path5, tmp_path):
+        ck = tmp_path / "ck.bin"
+        self._write_five(path5, ck)
+        resumed = resume_session(ck)
+        try:
+            assert resumed.batches_applied == resumed.durable_batches == 5
+            assert resumed.top_k(1).batches_applied == 5
+            event = next(resumed.stream([EdgeUpdate.addition(2, 4)]))
+            assert event.batch_index == 5
+            assert resumed.batches_applied == 6
+        finally:
+            resumed.close()
+
+    def test_a_sidecar_without_a_cursor_resumes_at_zero(self, path5, tmp_path):
+        ck = tmp_path / "ck.bin"
+        self._write_five(path5, ck)
+        save_checkpoint(ck, dataclasses.replace(load_checkpoint(ck), batch_cursor=None))
+        resumed = resume_session(ck)
+        try:
+            assert resumed.batches_applied == resumed.durable_batches == 0
+            assert next(resumed.stream([EdgeUpdate.addition(2, 4)])).batch_index == 0
         finally:
             resumed.close()
 

@@ -408,6 +408,10 @@ class TestDurability:
                 "store": "shard://?shards=2&checkpoint_every=3",
             }
         },
+        "shard-top-level-cadence": {
+            "config": {"executor": "shard", "store": "shard://"},
+            "checkpoint_every": 3,
+        },
     }
 
     @pytest.mark.parametrize("kind", sorted(SESSIONS))
@@ -437,7 +441,85 @@ class TestDurability:
         assert frames == cadence * 2 + tail
 
 
+class TestShardCadence:
+    """A shard session's cadence is the top-level ``checkpoint_every`` when
+    its URI names none; a URI naming a different one is refused."""
+
+    def _create(self, tmp_path, store, **payload):
+        async def scenario():
+            registry = await _started(tmp_path)
+            try:
+                await registry.create(
+                    {
+                        "name": "demo",
+                        "graph": PATH_GRAPH,
+                        "config": {"executor": "shard", "store": store},
+                        **payload,
+                    }
+                )
+                return registry.get("demo").session.config.store
+            finally:
+                await registry.close_all()
+
+        return run(scenario())
+
+    def test_top_level_cadence_fills_the_uri(self, tmp_path):
+        store = self._create(tmp_path, "shard://", checkpoint_every=3)
+        assert "checkpoint_every=3" in store.split("?")[1].split("&")
+
+    def test_service_default_fills_a_silent_payload(self, tmp_path):
+        store = self._create(tmp_path, "shard://")
+        assert "checkpoint_every=1" in store.split("?")[1].split("&")
+
+    def test_the_same_cadence_twice_is_accepted(self, tmp_path):
+        store = self._create(
+            tmp_path, "shard://?checkpoint_every=3", checkpoint_every=3
+        )
+        assert store.split("?")[1].split("&").count("checkpoint_every=3") == 1
+
+    def test_a_contradicting_uri_cadence_is_refused(self, tmp_path):
+        with pytest.raises(ValidationFailed, match="name the cadence once"):
+            self._create(
+                tmp_path, "shard://?checkpoint_every=2", checkpoint_every=3
+            )
+        assert not (tmp_path / "svc" / "sessions" / "demo").exists()
+
+
 class TestRestartRecovery:
+    def test_a_serial_session_counts_on_across_a_restart(self, tmp_path):
+        """The resumed session answers ``batch_index`` 5 after five batches,
+        not 0 again."""
+
+        async def first_life():
+            registry = await _started(tmp_path)
+            await registry.create(
+                {"name": "demo", "graph": PATH_GRAPH, "checkpoint_every": 2}
+            )
+            managed = registry.get("demo")
+            indices = [
+                (
+                    await managed.apply_updates(
+                        parse_updates_payload({"updates": [["add", 0, 10 + i]]})
+                    )
+                )["batch_index"]
+                for i in range(5)
+            ]
+            await registry.close_all()
+            return indices
+
+        async def second_life():
+            registry = await _started(tmp_path)
+            managed = registry.get("demo")
+            applied = managed.session.batches_applied
+            summary = await managed.apply_updates(
+                parse_updates_payload({"updates": [["add", 0, 20]]})
+            )
+            await registry.close_all()
+            return applied, summary["batch_index"], summary["durable"]
+
+        assert run(first_life()) == [0, 1, 2, 3, 4]
+        assert run(second_life()) == (5, 5, False)
+
     def test_restore_after_orderly_shutdown(self, tmp_path):
         async def first_life():
             registry = await _started(tmp_path)

@@ -17,6 +17,7 @@ be reconstructed.
 """
 
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -40,7 +41,7 @@ from repro.exceptions import WorkerFailedError
 from repro.graph import Graph
 from repro.parallel import ShardCoordinator
 from repro.parallel.shards import merge_partial_scores
-from repro.storage.buffers import active_segments, shm_available
+from repro.storage.buffers import active_segments
 from repro.storage.partition import partition_sources
 from repro.storage.shard import ShardLayout, pick_shard
 
@@ -273,22 +274,20 @@ class TestHarderKillSchedules:
         assert recovered == [1, 2]
 
 
-@pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
-class TestShmChaos:
-    """The data plane under fire: a worker dies *while attached* to the
-    driver's shared segments (graph, update ring); recovery must stay
-    bit-identical and the namespace must come back empty."""
+class TestExternalKill:
+    """A worker killed from outside, between batches: recovery must stay
+    bit-identical and leave no segment behind."""
 
-    def test_external_sigkill_while_attached_reclaims_segments(self, tmp_path):
-        """SIGKILL from outside (no chaos cooperation) while the worker is
-        attached; the coordinator must reclaim whatever the dead process
-        owned and finish with exact scores."""
+    def test_external_sigkill_between_batches_recovers_exactly(self, tmp_path):
+        """SIGKILL from outside (no chaos cooperation) while the worker
+        idles on its pipe; the coordinator must replace it and finish with
+        exact scores."""
         graph = build_graph(directed=False)
         updates = update_stream(graph)
         clean = shard_run(graph, tmp_path / "clean", updates)
 
         layout = ShardLayout(
-            root=tmp_path / "shm",
+            root=tmp_path / "killed",
             num_shards=NUM_SHARDS,
             checkpoint_every=CHECKPOINT_EVERY,
         )
@@ -306,10 +305,48 @@ class TestShmChaos:
         assert active_segments() == []
 
 
+class TestSpawnStartMethod:
+    """Where ``fork`` is missing the coordinator falls back to ``spawn``,
+    which pickles each worker's start payload (the adjacency payload and
+    orientation) instead of inheriting it; the scores must not move."""
+
+    @staticmethod
+    def _run(graph, updates):
+        with ShardCoordinator(graph, num_workers=2) as coordinator:
+            for update in updates:
+                coordinator.apply_batch([update])
+            method = coordinator._context.get_start_method()
+            return method, coordinator.betweenness()
+
+    @pytest.mark.parametrize(
+        "directed", [False, True], ids=["undirected", "directed"]
+    )
+    def test_spawn_run_equals_fork_run(self, directed, monkeypatch):
+        graph = build_graph(directed)
+        updates = update_stream(graph)
+        assert validate_batch(graph, updates), "the stream must carry a birth"
+        forked = self._run(graph, updates)
+
+        real_get_context = multiprocessing.get_context
+
+        def without_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return real_get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", without_fork)
+        spawned = self._run(graph, updates)
+        assert (forked[0], spawned[0]) == ("fork", "spawn")
+        assert spawned[1][0] == forked[1][0]
+        assert spawned[1][1] == forked[1][1]
+
+
 #: A driver that builds a two-worker pool, applies three batches, reports
-#: its workers and segments, and then idles until it is SIGKILLed.
+#: its workers, its segments and whether it started a resource tracker, and
+#: then idles until it is SIGKILLed.
 _DRIVER_SCRIPT = """
 import json, sys, time
+from multiprocessing import resource_tracker
 from pathlib import Path
 from repro.parallel import ShardCoordinator
 from repro.storage.buffers import active_segments
@@ -327,16 +364,16 @@ for update in update_stream(graph)[:3]:
 print(json.dumps({
     "workers": [handle.process.pid for handle in coordinator._handles],
     "segments": active_segments(),
+    "resource_tracker": resource_tracker._resource_tracker._pid,
 }), flush=True)
 time.sleep(120)
 """
 
 
 class TestDriverDeathAndWedgedWorkers:
-    """Neither a dead driver nor a wedged worker may leave a process (or a
-    ``/dev/shm`` segment) behind — with or without a shard root."""
+    """Neither a dead driver nor a wedged worker may leave a process behind
+    — with or without a shard root."""
 
-    @pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
     @pytest.mark.parametrize("durable", [False, True], ids=["no-layout", "layout"])
     def test_sigkilled_driver_takes_its_workers_and_segments_along(
         self, tmp_path, durable
@@ -359,16 +396,15 @@ class TestDriverDeathAndWedgedWorkers:
             report = json.loads(driver.stdout.readline())
             workers = report["workers"]
             assert len(workers) == 2 and all(map(process_alive, workers))
-            assert report["segments"]
+            # Workers share nothing with the driver but their pipes: no
+            # segment, so no resource tracker to outlive the driver either.
+            assert report["segments"] == []
+            assert report["resource_tracker"] is None
             driver.kill()  # SIGKILL: no close(), no atexit, no finalizers
             driver.wait(timeout=10)
             assert wait_until(
                 lambda: not any(map(process_alive, workers)), timeout=5.0
             ), "workers outlived their SIGKILLed driver"
-            assert wait_until(
-                lambda: not set(report["segments"]) & set(active_segments()),
-                timeout=5.0,
-            ), "the dead driver's segments were never reaped"
         finally:
             driver.kill()
             driver.wait(timeout=10)
