@@ -773,6 +773,40 @@ class TestResumedSerialCount:
             resumed.close()
 
 
+    @pytest.mark.parametrize("disk", [False, True], ids=["ram", "disk"])
+    @pytest.mark.parametrize("backend", ["dicts", "arrays"])
+    def test_the_cadence_counts_on_from_the_resumed_batch(
+        self, path5, tmp_path, backend, disk
+    ):
+        """Resumed at batch 5 with cadence 2, batch 6 is not durable and
+        batch 7 is, as in the run that was never interrupted."""
+        ck = tmp_path / "ck.bin"
+        store = f"disk://{tmp_path / 'bd.bin'}" if disk else None
+        tail = [EdgeUpdate.addition(2, 4), EdgeUpdate.removal(0, 1)]
+        fields = dict(backend=backend, checkpoint_path=str(ck), checkpoint_every=2)
+        if store is not None:
+            fields["store"] = store
+        with open_session(path5, **fields) as session:
+            for update in self.UPDATES:
+                session.apply_batch([update])
+        with open_session(path5, backend=backend) as uninterrupted:
+            for update in self.UPDATES + tail:
+                uninterrupted.apply_batch([update])
+            expected = uninterrupted.vertex_betweenness()
+        resumed = resume_session(ck)
+        try:
+            assert resumed.config.backend == backend
+            assert resumed.batches_applied == resumed.durable_batches == 5
+            resumed.apply_batch([tail[0]])
+            assert (resumed.batches_applied, resumed.durable_batches) == (6, 5)
+            resumed.apply_batch([tail[1]])
+            assert (resumed.batches_applied, resumed.durable_batches) == (7, 7)
+            assert load_checkpoint(ck).batch_cursor == 7
+            assert_scores_equal(resumed.vertex_betweenness(), expected)
+        finally:
+            resumed.close()
+
+
 class TestMovedShardRoot:
     def test_a_moved_root_resumes_under_its_own_path(self, path5, tmp_path):
         first, moved = tmp_path / "a", tmp_path / "b"

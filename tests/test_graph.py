@@ -1,5 +1,7 @@
 """Unit tests for the dynamic graph substrate."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,3 +212,74 @@ class TestEdgeCounter:
                     g.adjacency_payload(), directed=directed
                 )
             assert g.num_edges == len(g.edge_list())
+
+
+def _label(kind: str, i: int):
+    return {"int": i, "str": f"v{i}", "tuple": ("v", i)}[kind]
+
+
+def _scrambled_graph(kind: str, directed: bool) -> Graph:
+    """A graph whose neighbour order is not the canonical rebuild's.
+
+    Edges arrive out of order and a removal and re-addition move an entry
+    to the back of its neighbour lists, so only an order-exact capture
+    reproduces the iteration order; vertex 9 stays isolated.
+    """
+    g = Graph(directed=directed)
+    g.add_vertex(_label(kind, 9))
+    for u, v in [(3, 1), (0, 4), (2, 0), (1, 0), (4, 2), (0, 3), (5, 1), (2, 5)]:
+        g.add_edge(_label(kind, u), _label(kind, v))
+    g.remove_edge(_label(kind, 0), _label(kind, 4))
+    g.add_edge(_label(kind, 0), _label(kind, 4))
+    return g
+
+
+def _adjacency_order(g: Graph) -> list:
+    return [
+        (v, list(g.out_neighbors(v)), list(g.in_neighbors(v)))
+        for v in g.vertices()
+    ]
+
+
+class TestAdjacencyPayload:
+    """The payload is how a worker receives the driver's graph: inherited
+    under ``fork``, pickled under ``spawn``.  Either way the rebuilt graph
+    must iterate exactly as the driver's does."""
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("kind", ["int", "str", "tuple"])
+    def test_pickled_payload_rebuilds_order_exactly(self, kind, directed):
+        g = _scrambled_graph(kind, directed)
+        payload = pickle.loads(pickle.dumps(g.adjacency_payload()))
+        rebuilt = Graph.from_adjacency_payload(payload, directed=directed)
+        assert rebuilt.directed is directed
+        assert rebuilt.vertex_list() == g.vertex_list()
+        assert _adjacency_order(rebuilt) == _adjacency_order(g)
+        assert rebuilt.num_edges == g.num_edges == len(g.edge_list())
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_isolated_vertices_survive(self, directed):
+        g = Graph(directed=directed)
+        for v in ["a", "b", "c"]:
+            g.add_vertex(v)
+        g.add_edge("c", "a")
+        rebuilt = Graph.from_adjacency_payload(g.adjacency_payload(), directed=directed)
+        assert rebuilt.vertex_list() == ["a", "b", "c"]
+        assert list(rebuilt.neighbors("b")) == []
+        assert rebuilt.num_edges == 1
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_empty_graph_round_trips(self, directed):
+        g = Graph(directed=directed)
+        rebuilt = Graph.from_adjacency_payload(g.adjacency_payload(), directed=directed)
+        assert rebuilt.num_vertices == rebuilt.num_edges == 0
+        assert rebuilt.directed is directed
+
+    def test_rebuilt_graph_is_independent_of_the_payload(self):
+        g = _scrambled_graph("int", directed=False)
+        payload = g.adjacency_payload()
+        rebuilt = Graph.from_adjacency_payload(payload)
+        rebuilt.remove_edge(3, 1)
+        rebuilt.add_vertex(7)
+        assert Graph.from_adjacency_payload(payload).has_edge(3, 1)
+        assert g.has_edge(3, 1) and not g.has_vertex(7)

@@ -3,11 +3,14 @@
 The kill/recovery behaviour itself is pinned by ``tests/test_shard_chaos.py``;
 this module covers the deterministic machinery around it: ``shard://`` URI
 resolution, the on-disk layout and manifest codec, the ``pick_shard``
-rebalancing rule, and the coordinator's refusal paths.
+rebalancing rule, the coordinator's refusal paths, and what crosses the
+worker boundary (start payloads and pickled batch messages).
 """
 
 import os
+import pickle
 import random
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
@@ -18,8 +21,11 @@ from repro.exceptions import (
     StoreCorruptedError,
     WorkerFailedError,
 )
+from repro.graph import Graph
 from repro.parallel import ShardCoordinator
 from repro.storage import create_store, parse_store_uri
+from repro.storage.buffers import active_segments
+from repro.storage.partition import partition_sources
 from repro.storage.shard import (
     DEFAULT_CHECKPOINT_EVERY,
     ShardLayout,
@@ -29,6 +35,7 @@ from repro.storage.shard import (
 )
 
 from tests.helpers import random_connected_graph
+from tests.test_shard_chaos import build_graph, update_stream
 
 
 class TestShardURI:
@@ -413,3 +420,76 @@ class TestCoordinatorReadsEachSidecarOnce:
         shutil.copy(layout.checkpoint_path(0), layout.checkpoint_path(1))
         with pytest.raises(StoreCorruptedError, match="belongs to shard 0, not 1"):
             ShardCoordinator.resume(layout.root)
+
+
+def _adjacency_order(graph):
+    return [
+        (v, list(graph.out_neighbors(v)), list(graph.in_neighbors(v)))
+        for v in graph.vertices()
+    ]
+
+
+class TestWorkerBoundary:
+    """Workers share nothing with the driver but their pipes: a fresh
+    worker's start payload carries the graph as plain data, and every batch
+    is one pickled ``("apply", cursor, batch, adopt)`` message."""
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("durable", [False, True], ids=["rootless", "shard"])
+    def test_a_run_creates_no_segment(self, tmp_path, durable, directed):
+        graph = build_graph(directed)
+        layout = (
+            ShardLayout(root=tmp_path / "shards", num_shards=2, checkpoint_every=2)
+            if durable
+            else None
+        )
+        before = active_segments()
+        with ShardCoordinator(graph, layout, num_workers=2) as coordinator:
+            for update in update_stream(graph, length=4):
+                coordinator.apply_batch([update])
+            coordinator.betweenness()
+            assert active_segments() == before
+        assert active_segments() == before
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_fresh_start_payload_is_plain_data(self, directed, monkeypatch):
+        payloads = []
+        real_spawn = ShardCoordinator._spawn
+
+        def recording(self, shard_id, payload):
+            payloads.append(payload)
+            real_spawn(self, shard_id, payload)
+
+        monkeypatch.setattr(ShardCoordinator, "_spawn", recording)
+        graph = build_graph(directed)
+        with ShardCoordinator(graph, num_workers=2):
+            pass
+        assert len(payloads) == 2
+        driver = graph.copy()
+        for payload in payloads:
+            assert payload["checkpoint_path"] is None
+            assert pickle.loads(pickle.dumps(payload)) == payload
+            assert payload["directed"] is directed
+            rebuilt = Graph.from_adjacency_payload(
+                payload["adjacency"], directed=payload["directed"]
+            )
+            assert _adjacency_order(rebuilt) == _adjacency_order(driver)
+        # One capture, shared by every worker's payload.
+        assert payloads[0]["adjacency"] is payloads[1]["adjacency"]
+
+    @pytest.mark.parametrize("birth", [False, True], ids=["edges", "birth"])
+    def test_payload_bytes_count_the_pickled_apply_messages(self, birth):
+        graph = random_connected_graph(10, 0.25, seed=4)
+        batch = [EdgeUpdate.addition(0, 100 if birth else 9)]
+        if graph.has_edge(0, 9):
+            graph.remove_edge(0, 9)
+        sizes = [len(p.sources) for p in partition_sources(graph.vertex_list(), 2)]
+        adopter = pick_shard(sizes)
+        adopt = [[100] if birth and i == adopter else [] for i in range(2)]
+        expected = sum(
+            len(ForkingPickler.dumps(("apply", 0, batch, adopt[i]))) for i in range(2)
+        )
+        with ShardCoordinator(graph, num_workers=2) as coordinator:
+            report = coordinator.apply_batch(batch)
+            assert report.payload_bytes == expected
+            assert coordinator.apply_batch([]).payload_bytes == 0

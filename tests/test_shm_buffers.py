@@ -24,10 +24,51 @@ from repro.storage.buffers import (
 )
 
 
-def _create_segment(hint: str) -> shared_memory.SharedMemory:
+def _create_segment(
+    hint: str, pid: int = None, prefix: str = SEGMENT_PREFIX
+) -> shared_memory.SharedMemory:
     """A segment named like the namespace's: prefix, hint, creator's pid."""
-    name = f"{SEGMENT_PREFIX}{hint}-p{os.getpid():x}-{secrets.token_hex(4)}"
+    pid = os.getpid() if pid is None else pid
+    name = f"{prefix}{hint}-p{pid:x}-{secrets.token_hex(4)}"
     return shared_memory.SharedMemory(name=name, create=True, size=128)
+
+
+def _remove(segment: shared_memory.SharedMemory) -> None:
+    segment.close()
+    try:
+        segment.unlink()
+    except FileNotFoundError:  # already reclaimed by the test
+        pass
+
+
+class TestActiveSegments:
+    def test_lists_only_the_namespace_sorted(self):
+        ours = [_create_segment("b"), _create_segment("a")]
+        foreign = _create_segment("x", prefix="notrepro_")
+        try:
+            listed = active_segments()
+            assert listed == sorted(listed)
+            assert {s.name for s in ours} <= set(listed)
+            assert foreign.name not in listed
+            assert all(name.startswith(SEGMENT_PREFIX) for name in listed)
+        finally:
+            for segment in ours + [foreign]:
+                _remove(segment)
+
+    def test_honours_a_custom_prefix(self):
+        foreign = _create_segment("x", prefix="notrepro_")
+        try:
+            assert foreign.name in active_segments(prefix="notrepro_")
+            assert foreign.name not in active_segments()
+        finally:
+            _remove(foreign)
+
+    def test_is_empty_without_a_dev_shm_view(self, monkeypatch):
+        def no_dev_shm(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(os, "listdir", no_dev_shm)
+        assert active_segments() == []
 
 
 class TestCrashReclaim:
@@ -77,6 +118,32 @@ class TestCrashReclaim:
                 process.kill()
                 process.join(5.0)
             parent_end.close()
+
+    def test_sweep_matches_the_whole_pid_marker(self):
+        """Pid 0x1's marker ``-p1-`` is a substring of no other pid's."""
+        segment = _create_segment("marker", pid=0x11)
+        try:
+            assert reclaim_process_segments(0x1) == []
+            assert segment.name in active_segments()
+            assert reclaim_process_segments(0x11) == [segment.name]
+            assert segment.name not in active_segments()
+        finally:
+            _remove(segment)
+
+    def test_sweep_leaves_other_namespaces_alone(self):
+        """A segment outside ``repro_`` is never ours to unlink, whatever
+        its name says about its creator."""
+        foreign = _create_segment("x", pid=0x11, prefix="notrepro_")
+        try:
+            assert reclaim_process_segments(0x11) == []
+            assert foreign.name in active_segments(prefix="notrepro_")
+        finally:
+            _remove(foreign)
+
+    def test_sweep_of_a_pid_with_nothing_left_is_empty(self):
+        before = active_segments()
+        assert reclaim_process_segments(0x7FFFFFF0) == []
+        assert active_segments() == before
 
     def test_sweep_spares_segments_of_other_processes(self):
         """Reclaiming a dead pid must never touch a live owner's segments."""
