@@ -49,6 +49,8 @@ class BootstrapCompleted(SessionEvent):
 class UpdateApplied(SessionEvent):
     """One edge update was applied through :meth:`BetweennessSession.apply`.
 
+    The update is a batch of one, so ``batch_index`` counts it among the
+    session's batches (0-based, shared with :class:`BatchApplied`).
     ``result`` is the engine's result object — an
     :class:`~repro.core.result.UpdateResult` under the serial executor, a
     :class:`~repro.parallel.shards.ParallelBatchReport` under ``process``
@@ -57,6 +59,7 @@ class UpdateApplied(SessionEvent):
 
     update: EdgeUpdate = None  # type: ignore[assignment]
     result: Any = None
+    batch_index: int = 0
 
 
 @dataclass(frozen=True)

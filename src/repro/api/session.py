@@ -468,8 +468,11 @@ class BetweennessSession:
         with self._state_lock:
             self._ensure_open()
             result = self._engine().apply(update)
+            batch_index = self._batch_index
             self._batch_index += 1
-            self._commit(UpdateApplied, update=update, result=result)
+            self._commit(
+                UpdateApplied, update=update, result=result, batch_index=batch_index
+            )
             return result
 
     def apply_batch(self, updates: Iterable[EdgeUpdate]):
@@ -766,7 +769,6 @@ def open_session(
 
 def resume_session(
     checkpoint_path: PathLike,
-    store: Optional[BDStore] = None,
     config: Optional[BetweennessConfig] = None,
     **overrides: Any,
 ) -> BetweennessSession:
@@ -776,10 +778,11 @@ def resume_session(
     kwargs are needed; pass ``config`` to replace it wholesale, or
     individual :class:`~repro.api.config.BetweennessConfig` fields as
     ``overrides`` (e.g. ``resume_session(path, backend="arrays")`` to
-    resume a dicts-backend checkpoint on the arrays kernel).  ``store``
-    optionally supplies the record store explicitly, exactly like
+    resume a dicts-backend checkpoint on the arrays kernel).  The records
+    come from where the sidecar says, exactly as in
     :meth:`IncrementalBetweenness.resume
-    <repro.core.framework.IncrementalBetweenness.resume>`.
+    <repro.core.framework.IncrementalBetweenness.resume>`: a durable store
+    file at the recorded generation, or the embedded column payload.
 
     ``checkpoint_path`` may also be a **shard root** (the directory a
     ``shard://`` URI names, or its ``manifest.bin``): the whole sharded
@@ -790,7 +793,7 @@ def resume_session(
     The sidecar — which may embed a full ``BD[.]`` snapshot — is read and
     deserialized exactly once here.
     """
-    if store is None and ShardLayout.is_shard_root(checkpoint_path):
+    if ShardLayout.is_shard_root(checkpoint_path):
         return _resume_shard_session(checkpoint_path, config, overrides)
     ckpt = _load_checkpoint_for_resume(checkpoint_path)
     if config is None:
@@ -813,7 +816,7 @@ def resume_session(
             recv_timeout=None,
         )
     framework = IncrementalBetweenness.resume(
-        checkpoint_path, store=store, backend=config.backend, checkpoint=ckpt
+        checkpoint_path, backend=config.backend, checkpoint=ckpt
     )
     # Sidecars written before serial sessions recorded their count carry no
     # cursor; those resume counting from zero.

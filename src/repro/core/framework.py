@@ -118,7 +118,7 @@ class IncrementalBetweenness:
     >>> ibc.add_edge(0, 3)
     UpdateResult(...)
     >>> round(ibc.vertex_score(1), 6)
-    2.0
+    1.0
     """
 
     def __init__(
@@ -153,8 +153,6 @@ class IncrementalBetweenness:
                 )
             )
             self._kernel = ArrayKernel(self._graph, self._store)
-            self._vertex_scores = self._kernel.vertex_score_view()
-            self._edge_scores = self._kernel.edge_score_view()
         else:
             self._store = store if store is not None else InMemoryBDStore()
             self._vertex_scores: VertexScores = {
@@ -164,31 +162,6 @@ class IncrementalBetweenness:
                 self._edge_key(u, v): 0.0 for u, v in self._graph.edges()
             }
         self._initialize(source_list)
-
-    @classmethod
-    def from_source_data(
-        cls,
-        graph: Graph,
-        source_data: Dict[Vertex, SourceData],
-        store: Optional[BDStore] = None,
-        restricted: bool = True,
-        backend: str = "dicts",
-    ) -> "IncrementalBetweenness":
-        """Build an instance from existing ``BD[.]`` records, skipping Brandes.
-
-        The (partial) vertex scores are rebuilt from the stored dependencies
-        (``score[v] = sum_s delta_s[v]``) and the edge scores from the
-        shortest-path DAG each record encodes, so the result is exactly the
-        instance that running Brandes over ``source_data``'s sources would
-        produce.  This is how an instance is cloned from a snapshot of an
-        existing store (:meth:`~repro.storage.base.BDStore.snapshot`)
-        instead of re-running the bootstrap.
-        """
-        self = cls._bare(graph, store, restricted, backend)
-        self._store.load_snapshot(source_data.values())
-        for data in source_data.values():
-            self._accumulate_record(data)
-        return self
 
     @classmethod
     def from_store(
@@ -272,8 +245,6 @@ class IncrementalBetweenness:
             )
             # The kernel starts every edge at a 0.0 score entry.
             self._kernel = ArrayKernel(self._graph, self._store)
-            self._vertex_scores = self._kernel.vertex_score_view()
-            self._edge_scores = self._kernel.edge_score_view()
         else:
             self._store = store if store is not None else InMemoryBDStore()
             self._vertex_scores = {v: 0.0 for v in self._graph.vertices()}
@@ -332,14 +303,22 @@ class IncrementalBetweenness:
                     else pair[:num_edges] + pair[num_edges:]
                 )
 
-        for vertex in self._graph.vertices():
-            if vertex in index:
-                self._vertex_scores[vertex] = float(vertex_acc[index.slot(vertex)])
-        for position, (key, _, _) in enumerate(edge_entries):
-            self._edge_scores[key] = float(edge_acc[position])
+        vertex_scores = {
+            vertex: float(vertex_acc[index.slot(vertex)])
+            for vertex in self._graph.vertices()
+            if vertex in index
+        }
+        edge_scores = {
+            key: score for (key, _, _), score in zip(edge_entries, edge_acc.tolist())
+        }
+        if self._kernel is not None:
+            self._kernel.load_scores(vertex_scores, edge_scores)
+        else:
+            self._vertex_scores.update(vertex_scores)
+            self._edge_scores.update(edge_scores)
 
     def _accumulate_record(self, data: SourceData) -> None:
-        """Fold one ``BD[s]`` record into the global vertex/edge scores."""
+        """Fold one ``BD[s]`` record into the dicts backend's scores."""
         source = data.source
         for vertex, dependency in data.delta.items():
             if vertex != source:
@@ -419,8 +398,8 @@ class IncrementalBetweenness:
         else:
             columns = export_columns(self._store, self._graph.vertex_list())
         return FrameworkCheckpoint(
-            vertex_scores=dict(self._vertex_scores),
-            edge_scores=dict(self._edge_scores),
+            vertex_scores=self.vertex_betweenness(),
+            edge_scores=self.edge_betweenness(),
             restricted=self._restricted,
             store_path=store_path,
             columns=columns,
@@ -436,19 +415,18 @@ class IncrementalBetweenness:
     def resume(
         cls,
         checkpoint_path: PathLike,
-        store: Optional[BDStore] = None,
         backend: str = "dicts",
         checkpoint: Optional[FrameworkCheckpoint] = None,
     ) -> "IncrementalBetweenness":
         """Rebuild an instance from a :meth:`checkpoint` sidecar — no Brandes.
 
         The graph and the global scores come straight from the sidecar;
-        the ``BD[.]`` records come from (in order of precedence) the
-        explicitly passed ``store``, the durable store file recorded in the
-        checkpoint (reopened via :meth:`DiskBDStore.open
-        <repro.storage.disk.DiskBDStore.open>`), or the column payload
-        embedded in the sidecar (imported into the fresh in-RAM store
-        ``backend`` runs on, in the checkpointed slot and row order).
+        the ``BD[.]`` records come from the durable store file recorded in
+        the checkpoint (reopened via :meth:`DiskBDStore.open
+        <repro.storage.disk.DiskBDStore.open>`, refused unless it is at the
+        recorded generation), or else from the column payload embedded in
+        the sidecar (imported into the fresh in-RAM store ``backend`` runs
+        on, in the checkpointed slot and row order).
 
         A caller that already parsed the sidecar (the session layer reads
         the embedded config first) passes it as ``checkpoint`` so the file
@@ -460,38 +438,32 @@ class IncrementalBetweenness:
         # in the same neighbor order the checkpointing process would have,
         # so a resumed run is bit-identical to an unbroken one.
         graph = Graph.from_adjacency_payload(ckpt.adjacency, directed=ckpt.directed)
-        if store is None:
-            if ckpt.store_path is not None:
-                store = DiskBDStore.open(ckpt.store_path)
-                if (
-                    ckpt.store_generation is not None
-                    and store.generation != ckpt.store_generation
-                ):
-                    generation = store.generation
-                    store.close()
-                    raise ConfigurationError(
-                        f"store {ckpt.store_path} is at generation "
-                        f"{generation} but the checkpoint was written at "
-                        f"generation {ckpt.store_generation}: the store was "
-                        "modified after checkpointing, so the sidecar's "
-                        "scores no longer describe it — re-checkpoint after "
-                        "every session that writes to the store"
-                    )
-            elif ckpt.columns is not None:
-                store = import_columns(ckpt.columns, backend, graph.directed)
-            else:
+        if ckpt.store_path is not None:
+            store = DiskBDStore.open(ckpt.store_path)
+            if (
+                ckpt.store_generation is not None
+                and store.generation != ckpt.store_generation
+            ):
+                generation = store.generation
+                store.close()
                 raise ConfigurationError(
-                    f"checkpoint {checkpoint_path} records neither a store "
-                    "path nor embedded records; pass a store explicitly"
+                    f"store {ckpt.store_path} is at generation "
+                    f"{generation} but the checkpoint was written at "
+                    f"generation {ckpt.store_generation}: the store was "
+                    "modified after checkpointing, so the sidecar's "
+                    "scores no longer describe it — re-checkpoint after "
+                    "every session that writes to the store"
                 )
+        elif ckpt.columns is not None:
+            store = import_columns(ckpt.columns, backend, graph.directed)
+        else:
+            raise ConfigurationError(
+                f"checkpoint {checkpoint_path} records neither a store "
+                "path nor embedded records"
+            )
         self = cls._bare(graph, store, ckpt.restricted, backend, copy_graph=False)
-        if self._backend == "arrays":
-            # The facades stay in place; the checkpointed values are loaded
-            # into the kernel's flat score structures verbatim.
-            for vertex, score in ckpt.vertex_scores.items():
-                self._vertex_scores[vertex] = score
-            for key, score in ckpt.edge_scores.items():
-                self._edge_scores[key] = score
+        if self._kernel is not None:
+            self._kernel.load_scores(ckpt.vertex_scores, ckpt.edge_scores)
         else:
             self._vertex_scores = dict(ckpt.vertex_scores)
             self._edge_scores = dict(ckpt.edge_scores)
@@ -503,8 +475,7 @@ class IncrementalBetweenness:
     def _initialize(self, sources: Sequence[Vertex]) -> None:
         if self._backend == "arrays":
             # Vectorized Brandes over the CSR mirror; records land in the
-            # column store and the scores in the kernel's flat structures
-            # (already exposed through the facades).
+            # column store and the scores in the kernel's arrays.
             self._kernel.bootstrap(sources)
             return
         result = brandes_betweenness(
@@ -544,11 +515,23 @@ class IncrementalBetweenness:
         return len(self._store)
 
     def vertex_betweenness(self) -> VertexScores:
-        """Copy of the current vertex betweenness scores."""
+        """Copy of the current vertex betweenness scores.
+
+        The arrays backend lists its vertices in slot order, the dicts
+        backend in its dict's order.
+        """
+        if self._kernel is not None:
+            return self._kernel.vertex_column().to_dict()
         return dict(self._vertex_scores)
 
     def edge_betweenness(self) -> EdgeScores:
-        """Copy of the current edge betweenness scores."""
+        """Copy of the current edge betweenness scores.
+
+        The arrays backend lists its edges in ascending registry id, the
+        dicts backend in its dict's order.
+        """
+        if self._kernel is not None:
+            return self._kernel.edge_column().to_dict()
         return dict(self._edge_scores)
 
     def score_columns(self) -> Tuple[ScoreColumn, ScoreColumn]:
@@ -558,18 +541,22 @@ class IncrementalBetweenness:
         the dicts backend copies its two dicts.
         """
         if self._kernel is not None:
-            return self._kernel.score_columns()
+            return self._kernel.vertex_column(), self._kernel.edge_column()
         return (
             ScoreColumn.from_mapping(dict(self._vertex_scores)),
             ScoreColumn.from_mapping(dict(self._edge_scores)),
         )
 
     def vertex_score(self, vertex: Vertex) -> float:
-        """Current betweenness of ``vertex``."""
+        """Current betweenness of ``vertex`` (``KeyError`` if unknown)."""
+        if self._kernel is not None:
+            return self._kernel.vertex_score(vertex)
         return self._vertex_scores[vertex]
 
     def edge_score(self, u: Vertex, v: Vertex) -> float:
-        """Current betweenness of the edge ``(u, v)``."""
+        """Current betweenness of the edge ``(u, v)`` (``KeyError`` if absent)."""
+        if self._kernel is not None:
+            return self._kernel.edge_score(u, v)
         return self._edge_scores[self._edge_key(u, v)]
 
     # ------------------------------------------------------------------ #
@@ -637,7 +624,9 @@ class IncrementalBetweenness:
         if not self._graph.has_vertex(vertex):
             self._graph.add_vertex(vertex)
         self._register_vertex(vertex)
-        self._vertex_scores.setdefault(vertex, 0.0)
+        if self._kernel is None:
+            # The kernel's registration already gave it a 0.0 score.
+            self._vertex_scores.setdefault(vertex, 0.0)
         if vertex not in self._store:
             self._store.add_source(vertex)
 
@@ -814,10 +803,6 @@ class IncrementalBetweenness:
             for index in range(first_update, len(batch)):
                 self._kernel.repair_update_cohort(index, results[index])
             self._kernel.flush_cohort_scores()
-            # The repairs went through the store's own matrices; all that is
-            # left is the store's write accounting.
-            for source in loaded:
-                self._store.record_written(source)
         except BaseException:
             self._kernel.rollback_batch(*marks)
             raise
@@ -950,15 +935,20 @@ class IncrementalBetweenness:
                 self._graph_add_edge(u, v)
             else:
                 self._graph_remove_edge(u, v)
-        for vertex in births:
-            self._vertex_scores.setdefault(vertex, 0.0)
         # An edge's score entry exists exactly while the edge does; within a
         # batch only the final state matters (net-zero contributions of an
         # edge added and removed in the same batch disappear with its key).
-        for update in batch:
-            u, v = update.endpoints
+        edges = [update.endpoints for update in batch]
+        present = [self._graph.has_edge(u, v) for u, v in edges]
+        if self._kernel is not None:
+            # Born vertices hold 0.0 scores since their registration.
+            self._kernel.settle_edges(edges, present)
+            return
+        for vertex in births:
+            self._vertex_scores.setdefault(vertex, 0.0)
+        for (u, v), keep in zip(edges, present):
             key = self._edge_key(u, v)
-            if self._graph.has_edge(u, v):
+            if keep:
                 self._edge_scores.setdefault(key, 0.0)
             else:
                 self._edge_scores.pop(key, None)

@@ -24,7 +24,12 @@ PairSpace`; the ``*_cohort`` routines of :mod:`repro.core.addition`,
   scores are a flat float64 array plus a slot-pair edge registry.  A solo
   source is a cohort of one; there is no other update path;
 * the **skip test** (Proposition 3.1) is evaluated for a whole batch and
-  every source with one fancy-indexed gather over the distance columns.
+  every source with one fancy-indexed gather over the distance columns;
+* the **scores** stay in those two arrays: the framework reads them as
+  score columns (vertices in slot order, present edges in ascending
+  registry id) or one key at a time, bulk-loads them on resume and
+  settles a batch's edge keys through :class:`ArrayKernel` methods, with
+  no dict in between.
 
 Bit-identity with the dict backend is by construction, not by accident:
 the label graph's insertion-ordered adjacency is mirrored slot for slot by
@@ -44,9 +49,9 @@ from types import MappingProxyType
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -104,7 +109,6 @@ _COLUMN_PROTOCOL = (
     "add_source",
     "put_columns",
     "sweep_rows",
-    "record_written",
     "column_matrices",
     "peek_distance_block",
 )
@@ -121,33 +125,30 @@ def _directed_slot_edge_key(i: int, j: int) -> Tuple[int, int]:
 
 
 class EdgeScoreRegistry:
-    """Slot-pair edge scores as a flat float64 array behind a dict facade.
+    """Slot-pair edge scores as a flat float64 array with permanent ids.
 
     The vectorized accumulation folds a whole level's edge contributions
     into one scatter-add, which needs every edge score to live at a stable
     integer id.  The registry assigns each slot pair a *permanent* id on
     first sight (ids survive the edge being removed and re-added) and keeps
-    the scores in :attr:`values` with an :attr:`active` mask tracking which
-    pairs currently "exist" as dict keys.  These ids are the kernel's CSR
-    entry ids, so every patched snapshot of a batch scatters straight into
-    the same accumulators.
+    the scores in :attr:`values` with an :attr:`active` mask marking the
+    pairs that are present edges.  These ids are the kernel's CSR entry
+    ids, so every patched snapshot of a batch scatters straight into the
+    same accumulators.
 
-    The mapping face reproduces plain-dict semantics for the label
-    facade: ``pop`` deactivates *and zeroes* the slot,
-    so a re-added edge starts from the same ``get(key, 0.0)`` baseline the
-    dict backend sees.  Iteration runs in ascending id order — a permuted
-    key order relative to the dict backend, which only equality / per-key
-    comparisons observe (none of the consumers depend on insertion order).
+    An inactive id always holds 0.0: :meth:`deactivate` zeroes what it
+    retires, so a re-added edge starts from 0.0, as a fresh one does.
+    Present edges export in ascending id (:meth:`export`), the one order
+    every score reader sees.
     """
 
-    __slots__ = ("_id_of", "_pairs", "values", "active", "_count")
+    __slots__ = ("_id_of", "_pairs", "values", "active")
 
     def __init__(self) -> None:
         self._id_of: Dict[Tuple[int, int], int] = {}
         self._pairs: List[Tuple[int, int]] = []
         self.values = np.zeros(8, dtype=np.float64)
         self.active = np.zeros(8, dtype=np.bool_)
-        self._count = 0
 
     def _ensure_capacity(self, needed: int) -> None:
         capacity = len(self.values)
@@ -161,7 +162,6 @@ class EdgeScoreRegistry:
         self.values = values
         self.active = active
 
-    # -- id management (cohort sweep) ----------------------------------- #
     def ensure_id(self, pair: Tuple[int, int]) -> int:
         """Permanent id of ``pair``, assigning one on first sight."""
         edge_id = self._id_of.get(pair)
@@ -172,18 +172,25 @@ class EdgeScoreRegistry:
             self._ensure_capacity(edge_id + 1)
         return edge_id
 
-    def activate_written(self, ids: np.ndarray) -> None:
-        """Make every id in ``ids`` an active key before it is scattered to.
+    def active_id(self, pair: Tuple[int, int]) -> Optional[int]:
+        """Id of ``pair`` while it is a present edge, else ``None``."""
+        edge_id = self._id_of.get(pair)
+        if edge_id is None or not self.active[edge_id]:
+            return None
+        return edge_id
 
-        Freshly activated slots start from 0.0 — the ``get(key, 0.0)``
-        baseline the dict backend's accumulation uses for unseen edges.
-        """
+    def activate_written(self, ids: np.ndarray) -> None:
+        """Make every id in ``ids`` a present edge; inactive ones start at 0.0."""
         inactive = ids[~self.active[ids]]
         if inactive.size:
             fresh = np.unique(inactive)
             self.values[fresh] = 0.0
             self.active[fresh] = True
-            self._count += int(fresh.size)
+
+    def deactivate(self, ids: np.ndarray) -> None:
+        """Retire every id in ``ids``: no longer present, score zeroed."""
+        self.values[ids] = 0.0
+        self.active[ids] = False
 
     def reset(self, pairs: Sequence[Tuple[int, int]], scores: np.ndarray) -> None:
         """Replace the whole registry: ``pairs[k]`` gets id ``k``, all active.
@@ -199,210 +206,12 @@ class EdgeScoreRegistry:
         self.values[:count] = scores
         self.active = np.zeros(capacity, dtype=np.bool_)
         self.active[:count] = True
-        self._count = count
-
-    # -- mapping face (label facade) ------------------------------------ #
-    def get(self, key: Tuple[int, int], default=None):
-        edge_id = self._id_of.get(key)
-        if edge_id is None or not self.active[edge_id]:
-            return default
-        return float(self.values[edge_id])
-
-    def __getitem__(self, key: Tuple[int, int]) -> float:
-        edge_id = self._id_of.get(key)
-        if edge_id is None or not self.active[edge_id]:
-            raise KeyError(key)
-        return float(self.values[edge_id])
-
-    def __setitem__(self, key: Tuple[int, int], value: float) -> None:
-        edge_id = self.ensure_id(key)
-        if not self.active[edge_id]:
-            self.active[edge_id] = True
-            self._count += 1
-        self.values[edge_id] = value
-
-    def setdefault(self, key: Tuple[int, int], default: float = 0.0) -> float:
-        edge_id = self.ensure_id(key)
-        if not self.active[edge_id]:
-            self.active[edge_id] = True
-            self._count += 1
-            self.values[edge_id] = default
-        return float(self.values[edge_id])
-
-    def pop(self, key: Tuple[int, int], default=None):
-        edge_id = self._id_of.get(key)
-        if edge_id is None or not self.active[edge_id]:
-            return default
-        value = float(self.values[edge_id])
-        self.active[edge_id] = False
-        self.values[edge_id] = 0.0
-        self._count -= 1
-        return value
-
-    def __contains__(self, key: Tuple[int, int]) -> bool:
-        edge_id = self._id_of.get(key)
-        return edge_id is not None and bool(self.active[edge_id])
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        active = self.active
-        for edge_id, pair in enumerate(self._pairs):
-            if active[edge_id]:
-                yield pair
-
-    def __len__(self) -> int:
-        return self._count
-
-    def keys(self) -> List[Tuple[int, int]]:
-        return list(self)
-
-    def items(self) -> Iterator[Tuple[Tuple[int, int], float]]:
-        active = self.active
-        values = self.values
-        for edge_id, pair in enumerate(self._pairs):
-            if active[edge_id]:
-                yield pair, float(values[edge_id])
-
-    def copy(self) -> Dict[Tuple[int, int], float]:
-        return dict(self.items())
 
     def export(self) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, int]]]:
         """Copies of the active ids, their scores and the id -> pair list."""
         pairs = list(self._pairs)
         ids = np.flatnonzero(self.active[: len(pairs)])
         return ids, self.values[ids], pairs
-
-
-# --------------------------------------------------------------------------- #
-# Label-keyed facades (what the framework exposes as its score mappings)
-# --------------------------------------------------------------------------- #
-class LabelVertexScores:
-    """Label-keyed mapping facade over the kernel's vertex-score array.
-
-    Behaves like the dict backend's ``{vertex: score}`` dictionary for
-    every operation the framework (and its callers) perform, while the
-    values live in one flat float64 array.
-    """
-
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: "ArrayKernel") -> None:
-        self._kernel = kernel
-
-    def _slot(self, label: Vertex) -> int:
-        try:
-            return self._kernel.index.slot(label)
-        except Exception:
-            raise KeyError(label) from None
-
-    def __getitem__(self, label: Vertex) -> float:
-        return float(self._kernel._vscore[self._slot(label)])
-
-    def get(self, label: Vertex, default=None):
-        if label not in self._kernel.index:
-            return default
-        return float(self._kernel._vscore[self._kernel.index.slot(label)])
-
-    def __setitem__(self, label: Vertex, value: float) -> None:
-        self._kernel._vscore[self._slot(label)] = value
-
-    def setdefault(self, label: Vertex, default: float = 0.0) -> float:
-        return float(self._kernel._vscore[self._slot(label)])
-
-    def __contains__(self, label: Vertex) -> bool:
-        return label in self._kernel.index
-
-    def __iter__(self) -> Iterator[Vertex]:
-        return iter(self._kernel.index.vertices())
-
-    def __len__(self) -> int:
-        return len(self._kernel.index)
-
-    def keys(self):
-        return self._kernel.index.vertices()
-
-    def items(self):
-        vscore = self._kernel._vscore
-        for slot, label in enumerate(self._kernel.index.vertices()):
-            yield label, float(vscore[slot])
-
-    def copy(self) -> Dict[Vertex, float]:
-        return dict(self.items())
-
-
-class LabelEdgeScores:
-    """Label-keyed mapping facade over the kernel's slot-pair edge scores."""
-
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: "ArrayKernel") -> None:
-        self._kernel = kernel
-
-    def _slot_key(self, key: Tuple[Vertex, Vertex]) -> Tuple[int, int]:
-        u, v = key
-        index = self._kernel.index
-        try:
-            return self._kernel.slot_edge_key(index.slot(u), index.slot(v))
-        except Exception:
-            raise KeyError(key) from None
-
-    def _label_key(self, slot_key: Tuple[int, int]) -> Tuple[Vertex, Vertex]:
-        index = self._kernel.index
-        u = index.vertex(slot_key[0])
-        v = index.vertex(slot_key[1])
-        if self._kernel.directed:
-            return (u, v)
-        return canonical_edge(u, v)
-
-    def __getitem__(self, key) -> float:
-        slot_key = self._slot_key(key)
-        try:
-            return self._kernel._escore[slot_key]
-        except KeyError:
-            raise KeyError(key) from None
-
-    def get(self, key, default=None):
-        try:
-            slot_key = self._slot_key(key)
-        except KeyError:
-            return default
-        return self._kernel._escore.get(slot_key, default)
-
-    def __setitem__(self, key, value: float) -> None:
-        self._kernel._escore[self._slot_key(key)] = value
-
-    def setdefault(self, key, default: float = 0.0) -> float:
-        return self._kernel._escore.setdefault(self._slot_key(key), default)
-
-    def pop(self, key, default=None):
-        try:
-            slot_key = self._slot_key(key)
-        except KeyError:
-            return default
-        return self._kernel._escore.pop(slot_key, default)
-
-    def __contains__(self, key) -> bool:
-        try:
-            slot_key = self._slot_key(key)
-        except KeyError:
-            return False
-        return slot_key in self._kernel._escore
-
-    def __iter__(self) -> Iterator[Tuple[Vertex, Vertex]]:
-        for slot_key in self._kernel._escore:
-            yield self._label_key(slot_key)
-
-    def __len__(self) -> int:
-        return len(self._kernel._escore)
-
-    def keys(self):
-        return list(self)
-
-    def items(self):
-        for slot_key, value in self._kernel._escore.items():
-            yield self._label_key(slot_key), value
-
-    def copy(self) -> Dict[Tuple[Vertex, Vertex], float]:
-        return dict(self.items())
 
 
 class ScoreColumn:
@@ -431,11 +240,15 @@ class ScoreColumn:
         column._mapping = MappingProxyType(scores)
         return column
 
+    def to_dict(self) -> Dict[Any, float]:
+        """A fresh ``{label: score}`` dict, in entry order."""
+        labels = map(self.label, range(self.values.shape[0]))
+        return dict(zip(labels, self.values.tolist()))
+
     def mapping(self) -> MappingProxyType:
         """Read-only ``{label: score}`` view, built on first use."""
         if self._mapping is None:
-            labels = map(self.label, range(self.values.shape[0]))
-            self._mapping = MappingProxyType(dict(zip(labels, self.values.tolist())))
+            self._mapping = MappingProxyType(self.to_dict())
         return self._mapping
 
     def top_k(self, k: int) -> List[Tuple[Any, float]]:
@@ -573,7 +386,7 @@ class ArrayKernel:
     """Array-native state and operations behind ``backend="arrays"``.
 
     Owns the CSR mirror of the framework's graph, the flat vertex-score
-    array, the slot-pair edge-score dict, and the link to a *column store*
+    array, the slot-pair edge-score registry, and the link to a *column store*
     (:class:`~repro.storage.arrays.ArrayBDStore` or
     :class:`~repro.storage.disk.DiskBDStore`) whose vertex index doubles as
     the label ↔ slot mapping.
@@ -620,18 +433,17 @@ class ArrayKernel:
         self.phase_timings: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------------ #
-    # Facades
+    # Scores: label-keyed reads and writes of the flat score arrays
     # ------------------------------------------------------------------ #
-    def vertex_score_view(self) -> LabelVertexScores:
-        return LabelVertexScores(self)
-
-    def edge_score_view(self) -> LabelEdgeScores:
-        return LabelEdgeScores(self)
-
-    def score_columns(self) -> Tuple[ScoreColumn, ScoreColumn]:
-        """Both score sides as private copies, for a batch-boundary snapshot."""
+    def vertex_column(self) -> ScoreColumn:
+        """Every indexed vertex's score in slot order, as a private copy."""
         labels = self.index.vertices()
-        vertices = ScoreColumn(self._vscore[: len(labels)].copy(), labels.__getitem__)
+        return ScoreColumn(self._vscore[: len(labels)].copy(), labels.__getitem__)
+
+    def edge_column(self) -> ScoreColumn:
+        """Every present edge's score in ascending registry id, as a private
+        copy; undirected edges are named by :func:`canonical_edge`."""
+        labels = self.index.vertices()
         ids, values, pairs = self._escore.export()
         name = (lambda u, v: (u, v)) if self.directed else canonical_edge
 
@@ -639,7 +451,56 @@ class ArrayKernel:
             a, b = pairs[ids[i]]
             return name(labels[a], labels[b])
 
-        return vertices, ScoreColumn(values, edge_label)
+        return ScoreColumn(values, edge_label)
+
+    def vertex_score(self, label: Vertex) -> float:
+        """Score of one vertex (``KeyError`` if it has no slot)."""
+        return float(self._vscore[self.index.slot(label)])
+
+    def edge_score(self, u: Vertex, v: Vertex) -> float:
+        """Score of one present edge (``KeyError`` if it is absent)."""
+        edge_id = self._escore.active_id(
+            self.slot_edge_key(self.index.slot(u), self.index.slot(v))
+        )
+        if edge_id is None:
+            raise KeyError((u, v))
+        return float(self._escore.values[edge_id])
+
+    def load_scores(
+        self,
+        vertex_scores: Dict[Vertex, float],
+        edge_scores: Dict[Tuple[Vertex, Vertex], float],
+    ) -> None:
+        """Overwrite the named vertices' and edges' scores with the given
+        values, verbatim; every named edge becomes present."""
+        count = len(vertex_scores)
+        slots = np.fromiter(map(self.index.slot, vertex_scores), np.int64, count)
+        self._vscore[slots] = np.fromiter(vertex_scores.values(), np.float64, count)
+        ids = self._edge_ids(edge_scores)
+        self._escore.activate_written(ids)
+        self._escore.values[ids] = np.fromiter(
+            edge_scores.values(), np.float64, ids.size
+        )
+
+    def settle_edges(
+        self, edges: Sequence[Tuple[Vertex, Vertex]], present: Sequence[bool]
+    ) -> None:
+        """Fix the score keys of a committed batch's edges by their state
+        after the batch: a present edge keeps its score (0.0 if its id was
+        inactive), an absent one is retired and zeroed.  So an edge removed
+        and re-added within the batch keeps the batch's contributions, and
+        one added and removed loses them with its key."""
+        ids = self._edge_ids(edges)
+        keep = np.fromiter(present, np.bool_, ids.size)
+        self._escore.activate_written(ids[keep])
+        self._escore.deactivate(ids[~keep])
+
+    def _edge_ids(self, edges: Collection[Tuple[Vertex, Vertex]]) -> np.ndarray:
+        """Registry ids of label-keyed edges, assigned on first sight."""
+        slot, key, ensure = self.index.slot, self.slot_edge_key, self._escore.ensure_id
+        return np.fromiter(
+            (ensure(key(slot(u), slot(v))) for u, v in edges), np.int64, len(edges)
+        )
 
     # ------------------------------------------------------------------ #
     # Graph mirroring

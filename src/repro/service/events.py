@@ -20,7 +20,9 @@ This module is the adapter between the two worlds:
 Frame schema (all frames carry ``type``; events carry ``sequence``)::
 
     {"type": "bootstrap_completed", "sequence": 0, "num_vertices": ..., ...}
-    {"type": "batch_applied", "sequence": 3, "batch_index": 0,
+    {"type": "update_applied", "sequence": 2, "batch_index": 0,
+     "update": {"kind": "add", "u": ..., "v": ...}}
+    {"type": "batch_applied", "sequence": 3, "batch_index": 1,
      "updates": [{"kind": "add", "u": ..., "v": ...}, ...],
      "num_updates": 2}
     {"type": "checkpoint_written", "sequence": 4, "path": "..."}
@@ -79,6 +81,7 @@ def encode_event(event: SessionEvent) -> Optional[Dict[str, Any]]:
         return {
             "type": "update_applied",
             "sequence": event.sequence,
+            "batch_index": event.batch_index,
             "update": _encode_update(event.update),
         }
     if isinstance(event, CheckpointWritten):

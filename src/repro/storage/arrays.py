@@ -4,8 +4,8 @@
 matrices — distance, sigma and delta — with one row per *owned source* and
 one column per vertex slot.  It implements the full
 :class:`repro.storage.base.BDStore` interface, so everything that works
-against the in-memory dict store (snapshots, checkpoints, the parallel
-drivers) works against it, *plus* the column protocol the array-native
+against the in-memory dict store (checkpoints, the parallel drivers)
+works against it, *plus* the column protocol the array-native
 kernel uses:
 
 * :meth:`column_matrices` hands out the live matrices, C-contiguous
@@ -37,8 +37,9 @@ The durable :class:`~repro.storage.disk.DiskBDStore` is this class with the
 three matrices mapped from a file; it overrides only the allocation and the
 no-op durability hooks (:meth:`_mark_dirty`, :meth:`_sync_metadata`,
 :meth:`_resized`).  Both count the bytes their record paths move
-(``_bytes_read`` / ``_bytes_written``, a whole record per record opened
-or repaired); the disk store reports them.
+(``_bytes_read`` / ``_bytes_written``, a whole record per record read or
+written; :meth:`sweep_rows` charges each record it opens as both); the
+disk store reports them.
 """
 
 from __future__ import annotations
@@ -299,11 +300,6 @@ class ArrayBDStore(BDStore):
         self._index.truncate(vertex_count)
         self._sync_metadata()
 
-    def snapshot(self) -> Dict[Vertex, SourceData]:
-        """Every record; decoding already yields fresh objects, so no
-        defensive copy is needed (unlike the in-memory store)."""
-        return {source: self.get(source) for source in self.sources()}
-
     def sources(self) -> Iterator[Vertex]:
         self._ensure_open()
         return iter(list(self._source_list))
@@ -364,8 +360,7 @@ class ArrayBDStore(BDStore):
 
         Returns their rows (in ``sources`` order) of the
         :meth:`column_matrices`, which the caller then writes directly;
-        each record counts as read, and the caller finishes each with
-        :meth:`record_written`.
+        each record counts as read and as written.
         """
         self._ensure_open()
         rows = np.fromiter(
@@ -376,12 +371,8 @@ class ArrayBDStore(BDStore):
         if rows.size:
             self._mark_dirty()
         self._bytes_read += rows.size * self._record_bytes
+        self._bytes_written += rows.size * self._record_bytes
         return rows
-
-    def record_written(self, source: Vertex) -> None:
-        """Account for an in-place record repair."""
-        self._ensure_open()
-        self._bytes_written += self._record_bytes
 
     def column_matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live ``(distance, sigma, delta)`` matrices, rows = sources.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.algorithms.brandes import SourceData
 from repro.types import Vertex
@@ -17,6 +17,11 @@ class BDStore(abc.ABC):
     peeks at the distances of the two updated endpoints (to apply the
     ``dd == 0`` skip without materialising the whole record), loads the full
     record for sources that need work, and saves the repaired record back.
+
+    Records leave a store only through this interface or, for the column
+    stores, as a :class:`~repro.storage.columns.ColumnBlock` checkpoint
+    payload; a framework over an already-filled store is rebuilt with
+    :meth:`~repro.core.framework.IncrementalBetweenness.from_store`.
     """
 
     # ------------------------------------------------------------------ #
@@ -53,35 +58,6 @@ class BDStore(abc.ABC):
         need to allocate a column slot before such a record can be saved;
         dictionary-backed stores need to do nothing, which is the default.
         """
-
-    # ------------------------------------------------------------------ #
-    # Snapshots
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[Vertex, SourceData]:
-        """Materialise every record as a picklable ``{source: BD[s]}`` dict.
-
-        Used to clone framework instances without re-running Brandes
-        (:meth:`~repro.core.framework.IncrementalBetweenness.from_source_data`).
-        The returned
-        records are independent copies: in-memory stores hand out live
-        references from :meth:`get`, and a snapshot that aliased them would
-        couple the clone's repairs to the original's.
-        """
-        result: Dict[Vertex, SourceData] = {}
-        for source in self.sources():
-            data = self.get(source)
-            result[source] = SourceData(
-                source=data.source,
-                distance=dict(data.distance),
-                sigma=dict(data.sigma),
-                delta=dict(data.delta),
-            )
-        return result
-
-    def load_snapshot(self, records: Iterable[SourceData]) -> None:
-        """Bulk-insert records previously produced by :meth:`snapshot`."""
-        for data in records:
-            self.put(data)
 
     # ------------------------------------------------------------------ #
     # Enumeration

@@ -10,11 +10,14 @@ from __future__ import annotations
 import os
 import random
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.algorithms import brandes_betweenness
+from repro.algorithms.brandes import SourceData
 from repro.core.framework import IncrementalBetweenness
 from repro.graph import Graph
+from repro.storage import BDStore, InMemoryBDStore
+from repro.types import Vertex
 
 TOLERANCE = 1e-8
 
@@ -76,6 +79,28 @@ def assert_framework_matches_recompute(
         assert stored.distance == expected.distance, f"distance mismatch for source {source!r}"
         assert stored.sigma == expected.sigma, f"sigma mismatch for source {source!r}"
         assert_scores_equal(stored.delta, expected.delta, tolerance, f"delta[{source!r}]")
+
+
+def copy_records(
+    store: BDStore,
+    sources: Optional[Iterable[Vertex]] = None,
+    into: Optional[BDStore] = None,
+) -> BDStore:
+    """``into`` (a fresh in-memory store by default) holding independent
+    copies of ``store``'s records of ``sources`` (default: all), put in
+    that order — a store to rebuild a framework from with ``from_store``."""
+    target = InMemoryBDStore() if into is None else into
+    for source in store.sources() if sources is None else sources:
+        data = store.get(source)
+        target.put(
+            SourceData(
+                source=data.source,
+                distance=dict(data.distance),
+                sigma=dict(data.sigma),
+                delta=dict(data.delta),
+            )
+        )
+    return target
 
 
 def graphs_equal(a: Graph, b: Graph) -> bool:

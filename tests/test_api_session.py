@@ -357,6 +357,20 @@ class TestEventsAndSubscribers:
         assert events[1].batch_index == 1  # apply() was batch 0
         assert events[1].updates[0].is_removal
 
+    def test_update_applied_names_its_batch(self, path5):
+        from repro.service.events import encode_event
+
+        events = []
+        with BetweennessSession(path5) as session:
+            session.subscribe(events.append)
+            session.apply(EdgeUpdate.addition(0, 4))
+            session.apply_batch([EdgeUpdate.addition(1, 3)])
+        update, batch = events[:2]
+        assert isinstance(update, UpdateApplied) and update.batch_index == 0
+        assert isinstance(batch, BatchApplied) and batch.batch_index == 1
+        assert encode_event(update)["batch_index"] == 0
+        assert encode_event(batch)["batch_index"] == 1
+
     def test_subscriber_object_receives_attach(self, path5):
         subscriber = RecordingSubscriber()
         with BetweennessSession(path5) as session:

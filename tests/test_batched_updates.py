@@ -9,7 +9,7 @@ from repro.core import EdgeUpdate, IncrementalBetweenness, batches
 from repro.exceptions import UpdateError
 from repro.storage.disk import DiskBDStore
 
-from tests.helpers import assert_scores_equal, random_connected_graph
+from tests.helpers import assert_scores_equal, copy_records, random_connected_graph
 
 TOLERANCE = 1e-9
 
@@ -215,12 +215,12 @@ class TestBatchesHelper:
             list(batches([], 0))
 
 
-class TestFromSourceData:
-    def test_rebuilds_scores_from_snapshot(self):
+class TestFromStore:
+    def test_rebuilds_scores_from_copied_records(self):
         graph = random_connected_graph(14, 0.15, seed=17)
         original = IncrementalBetweenness(graph)
-        clone = IncrementalBetweenness.from_source_data(
-            graph, original.store.snapshot(), restricted=False
+        clone = IncrementalBetweenness.from_store(
+            graph, copy_records(original.store), restricted=False
         )
         assert_scores_equal(
             clone.vertex_betweenness(), original.vertex_betweenness(), TOLERANCE
@@ -235,14 +235,14 @@ class TestFromSourceData:
             clone.vertex_betweenness(), reference.vertex_scores, TOLERANCE
         )
 
-    def test_snapshot_is_independent_of_the_original(self):
+    def test_clone_is_independent_of_the_original(self):
         graph = random_connected_graph(15, 0.25, seed=23)
         original = IncrementalBetweenness(graph)
-        clone = IncrementalBetweenness.from_source_data(
-            graph, original.store.snapshot(), restricted=False
+        clone = IncrementalBetweenness.from_store(
+            graph, copy_records(original.store), restricted=False
         )
         # Applying the same removal to both must not crash or cross-talk:
-        # a snapshot sharing live records with the original would make the
+        # a clone sharing live records with the original would make the
         # second instance repair an already-repaired BD[s].
         u, v = graph.edge_list()[3]
         original.remove_edge(u, v)
@@ -255,12 +255,13 @@ class TestFromSourceData:
             original.vertex_betweenness(), reference.vertex_scores, TOLERANCE
         )
 
-    def test_partial_snapshot_gives_partial_scores(self):
+    def test_partial_store_gives_partial_scores(self):
         graph = random_connected_graph(10, 0.2, seed=19)
         original = IncrementalBetweenness(graph)
         half = list(graph.vertices())[:5]
-        snapshot = {s: original.store.get(s) for s in half}
-        partial = IncrementalBetweenness.from_source_data(graph, snapshot)
+        partial = IncrementalBetweenness.from_store(
+            graph, copy_records(original.store, half)
+        )
         reference = brandes_betweenness(graph, sources=half)
         assert_scores_equal(
             partial.vertex_betweenness(), reference.vertex_scores, TOLERANCE

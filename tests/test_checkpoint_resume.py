@@ -11,9 +11,9 @@ from repro.generators import erdos_renyi_digraph
 from repro.graph import Graph
 from repro.parallel import ShardCoordinator
 from repro.parallel.shards import merge_partial_scores
-from repro.storage import DiskBDStore
+from repro.storage import ArrayBDStore, DiskBDStore
 
-from tests.helpers import assert_scores_equal, random_connected_graph
+from tests.helpers import assert_scores_equal, copy_records, random_connected_graph
 from tests.test_batched_updates import random_update_sequence
 
 
@@ -235,16 +235,17 @@ class TestFileSeededExecutor:
             references = []
             for partition in partitions:
                 sources = list(partition.sources)
-                reference = IncrementalBetweenness.from_source_data(
+                if store == "disk":
+                    seeded = DiskBDStore(
+                        graph.vertex_list(), sources=sources, directed=directed
+                    )
+                elif backend == "arrays":
+                    seeded = ArrayBDStore(graph.vertex_list(), directed=directed)
+                else:
+                    seeded = None
+                reference = IncrementalBetweenness.from_store(
                     graph,
-                    {s: durable.get(s) for s in sources},
-                    store=(
-                        None
-                        if store == "memory"
-                        else DiskBDStore(
-                            graph.vertex_list(), sources=sources, directed=directed
-                        )
-                    ),
+                    copy_records(durable, sources, into=seeded),
                     restricted=True,
                     backend=backend,
                 )

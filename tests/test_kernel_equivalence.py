@@ -25,6 +25,7 @@ from repro.core.kernel import brandes_betweenness_arrays
 from repro.exceptions import ConfigurationError
 from repro.graph import CSRGraph, Graph
 from repro.storage import ArrayBDStore, DiskBDStore, VertexIndex
+from tests.helpers import copy_records
 
 MAX_VERTICES = 8
 
@@ -194,20 +195,22 @@ class TestBackendBitIdentity:
         for vertex in expected:
             assert merged[vertex] == pytest.approx(expected[vertex], abs=1e-12)
 
-    def test_from_source_data_matches_dict_backend(self):
+    def test_from_store_matches_dict_backend(self):
         graph = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         seed = IncrementalBetweenness(graph, backend="dicts")
-        snapshot = seed.store.snapshot()
-        arrays = IncrementalBetweenness.from_source_data(
-            graph, snapshot, restricted=False, backend="arrays"
+        arrays = IncrementalBetweenness.from_store(
+            graph,
+            copy_records(seed.store, into=ArrayBDStore(graph.vertex_list())),
+            restricted=False,
+            backend="arrays",
         )
-        dicts = IncrementalBetweenness.from_source_data(
-            graph, snapshot, restricted=False, backend="dicts"
+        dicts = IncrementalBetweenness.from_store(
+            graph, copy_records(seed.store), restricted=False, backend="dicts"
         )
-        assert_bit_identical(arrays, dicts, "from_source_data")
+        assert_bit_identical(arrays, dicts, "from_store")
         arrays.add_edge(0, 2)
         dicts.add_edge(0, 2)
-        assert_bit_identical(arrays, dicts, "from_source_data + update")
+        assert_bit_identical(arrays, dicts, "from_store + update")
 
 
 class TestBrandesArraysBackend:
@@ -328,11 +331,10 @@ class TestArrayStore:
         assert store.get(0).distance == result.source_data[0].distance
         assert store.endpoint_distances(0, 1, 8) == (1, None)
 
-    def test_snapshot_is_independent(self):
+    def test_get_returns_an_independent_record(self):
         store = ArrayBDStore(range(3))
         store.add_source(0)
-        snapshot = store.snapshot()
-        snapshot[0].distance[1] = 5
+        store.get(0).distance[1] = 5
         assert store.get(0).distance == {0: 0}
 
     def test_arrays_backend_rejects_dict_store(self):

@@ -227,7 +227,6 @@ class TestColumnProtocol:
         (row,) = store.sweep_rows([0])
         distance, sigma, delta = (m[row] for m in store.column_matrices())
         distance[1], sigma[1], delta[1] = 1, 3, 0.5
-        store.record_written(0)
         dist_m, sigma_m, delta_m = store.column_matrices()
         row = store.row_of_source_slot(store.vertex_index.slot(0))
         assert (dist_m[row, 1], sigma_m[row, 1], delta_m[row, 1]) == (1, 3, 0.5)

@@ -22,7 +22,7 @@ from repro.exceptions import (
     StoreVersionError,
 )
 from repro.storage import DiskBDStore
-from repro.storage.codec import MAX_DISTANCE, MAX_SIGMA
+from repro.storage.codec import MAX_DISTANCE, MAX_SIGMA, record_size
 from repro.storage.header import (
     HEADER_SIZE,
     STORE_MAGIC,
@@ -138,7 +138,6 @@ class TestReopenRoundTrip:
         (row,) = store.sweep_rows([0])
         distance, sigma, delta = (m[row] for m in store.column_matrices())
         distance[1], sigma[1], delta[1] = 1, 3, 0.5
-        store.record_written(0)
         generation = store.generation
         store.close()
         reopened = DiskBDStore.open(tmp_path / "bd.bin")
@@ -321,6 +320,19 @@ class TestAccountingAndModes:
         reopened.put(make_data(0, {0: (0, 1, 0.0), 1: (1, 1, 0.0)}))
         assert reopened.generation == created + 2
         reopened.close()
+
+    def test_sweep_rows_charges_each_record_read_and_written(self, tmp_path):
+        # An in-place repair writes the records it opens; the charge is
+        # taken once, when they are opened.  The first sweep marks the
+        # file dirty (a header write), so the second one is measured.
+        store = DiskBDStore([0, 1, 2], path=tmp_path / "bd.bin", capacity=3)
+        store.sweep_rows([1])
+        read, written = store.bytes_read, store.bytes_written
+        store.sweep_rows([0, 2])
+        record = record_size(store.capacity)
+        assert store.bytes_read - read == 2 * record
+        assert store.bytes_written - written == 2 * record
+        store.close()
 
 
 class TestFlushIsDurable:
