@@ -44,7 +44,9 @@ from repro.core.flat import (
     FlatBatchState,
     PairSpace,
     group_by_level,
+    interleave,
     merge_order,
+    scan_entries,
     slice_positions,
 )
 from repro.core.repair import RepairPlan
@@ -527,10 +529,9 @@ PairSpace`), which multiplies chunk widths by the cohort size and
       row's subsequence of the merged chunk deque is its own FIFO level
       queue, flattened edges follow adjacency order, fringe admission
       order is emission order, and each edge's new contribution precedes
-      its old one (:func:`~repro.core.flat.merge_order` puts the selected
-      new-DAG entries before old-DAG entries of the same position); an
-      edge-score accumulator takes at most one entry's contributions per
-      chunk, so the edge stream needs only new before old;
+      its old one; an edge-score accumulator takes at most one entry's
+      contributions per chunk, so the edge stream needs only new before
+      old;
     * the shared ``vscore`` / edge-score arrays are never *read* during the
       batch sweep, so their writes are recorded into ``streams`` (see
       :class:`CohortScoreStreams`) and applied source-major after the whole
@@ -545,9 +546,27 @@ PairSpace`), which multiplies chunk widths by the cohort size and
     so a new-DAG parent is exactly ``d'[p] == level - 1`` (``-1`` cannot
     equal ``level - 1 >= 0``) and an old-DAG parent exactly ``d[p] + 1 ==
     d[w]`` (an unreachable ``d[w] = -1`` would need ``d[p] = -2``, and an
-    unreachable ``d[p] = -1`` would need ``d[w] = 0``, the source).  The
-    new-edge exclusion, edge-id gathers and member lookups then run on the
-    selected entries only.
+    unreachable ``d[p] = -1`` would need ``d[w] = 0``, the source).
+
+    Only the new test runs over every entry; the old one runs by
+    exception (:meth:`~repro.core.flat.PairSpace.old_parents`).  At an
+    entry whose member kept its level (``d[w] == level``) and whose parent
+    is neither ``AFFECTED`` nor ``DROPPED``, ``d[p]`` is the live
+    ``d'[p]``, so ``d[p] + 1 == d[w]`` is exactly ``d'[p] == level - 1``.
+    The old selection can therefore differ from the new one only at
+    entries of moved members (``d[w] == -1`` included) and of moved
+    parents, which lie in rows where the update wrote a distance.  The old
+    test runs there alone, and where it flips no outcome the new selection
+    is the old one.  The new-edge exclusion, edge-id gathers and member
+    lookups then run on the selected entries only.
+
+    A parent's dependency takes its contributions in the scalar visitation
+    order: entries ascending, each entry's new contribution before its old
+    one.  When both DAGs selected the same entries, that sequence is an
+    interleave (:func:`~repro.core.flat.interleave`: new, then old where
+    kept, entry by entry); otherwise :func:`~repro.core.flat.merge_order`
+    merges the two selections, new before old at the same entry.  Either
+    way the scalar order is kept, so no float moves.
 
     Inputs: the row-indexed source slots and batch ordinals of the cohort,
     the merged plan chunks as ``(pair, level)`` columns, removal seeds as
@@ -655,64 +674,77 @@ PairSpace`), which multiplies chunk widths by the cohort size and
             deln = delta[mpid]
             delo = np.where(wdo != -1, pairs.log_delta[mpos], 0.0)
 
-            positions, counts = slice_positions(in_indptr, chunk)
+            positions, member, bounds = scan_entries(in_indptr, chunk)
             if positions.size:
                 # Exact parent tests (see the docstring): one gather and one
-                # comparison per entry and DAG; everything else runs on the
-                # selected entries, whose member the entry -> member index
-                # names.
-                member = np.repeat(np.arange(chunk.size), counts)
-                ppid = np.repeat(kc * width, counts) + in_indices[positions]
-                pdist = distance[ppid]
-                pflags = flags[ppid]
-                i_new = np.flatnonzero(pdist == level - 1)
-                i_old = np.flatnonzero(
-                    pairs.old_distance(ppid, pdist, pflags)
-                    == np.repeat(wdo - 1, counts)
+                # comparison per entry for the new DAG, and the old DAG's
+                # test only where it can differ; everything else runs on
+                # the selected entries, whose member ``member`` names.
+                ppid = (kc * width)[member]
+                ppid += in_indices[positions]
+                i_new = np.flatnonzero(distance[ppid] == level - 1)
+                i_old = pairs.old_parents(
+                    ppid, member, bounds, kc, wdo, level, i_new
                 )
-                eid_old = in_edge_ids[positions[i_old]]
-                if exclude_new_edge:
-                    # The added edge did not exist before the update, so it
-                    # carries no old dependency; it is the only entry with
-                    # its registry id.
-                    kept = eid_old != state.edge_id
-                    i_old = i_old[kept]
-                    eid_old = eid_old[kept]
                 rn = member[i_new]
-                ro = member[i_old]
-                po = ppid[i_old]
-                oflags = pflags[i_old]
+                pn = ppid[i_new]
+                nflags = flags[pn]
+                eid_new = in_edge_ids[positions[i_new]]
+                shared = i_old is i_new
+                if shared:
+                    ro, po, oflags, eid_old = rn, pn, nflags, eid_new
+                else:
+                    ro = member[i_old]
+                    po = ppid[i_old]
+                    oflags = flags[po]
+                    eid_old = in_edge_ids[positions[i_old]]
                 # Member terms once per member, then one gather per entry.
-                c_new = (
-                    sigma[ppid[i_new]] / sigma[mpid][rn] * (1.0 + deln)[rn]
-                )
+                c_new = sigma[pn] / sigma[mpid][rn] * (1.0 + deln)[rn]
                 c_old = (
                     pairs.old_sigma(po, oflags)
                     / pairs.log_sigma[mpos][ro]
                     * (1.0 + delo)[ro]
                 )
+                # A parent's dependency takes all but the old contributions
+                # of affected parents, which rebuild theirs from scratch.
+                # The chunk's own marks land after this point, so the flags
+                # gathered with the entries are still every target's.
+                keep_old = (oflags & AFFECTED) == 0
+                ko, eo, vo = kc[ro], eid_old, -c_old
+                if exclude_new_edge:
+                    # The added edge did not exist before the update, so it
+                    # carries no old dependency; it is the only entry with
+                    # its registry id.
+                    kept = eid_old != state.edge_id
+                    if not kept.all():
+                        ko, eo, vo = ko[kept], eo[kept], vo[kept]
+                        keep_old &= kept
 
                 # Edge scores take every contribution.  An edge gets at most
                 # one new and one old contribution in a chunk, both from one
                 # entry (a new-DAG edge joins two levels, and an edge between
                 # two members is an old-DAG edge from one side only), so
                 # news-then-olds keeps every edge accumulator's scalar order.
-                es_k.append(np.concatenate((kc[rn], kc[ro])))
-                es_id.append(
-                    np.concatenate((in_edge_ids[positions[i_new]], eid_old))
-                )
-                es_val.append(np.concatenate((c_new, -c_old)))
-                # A parent's dependency takes all but the old contributions
-                # of affected parents, which rebuild theirs from scratch, in
-                # the scalar visitation order: one merge puts entries
-                # ascending, an entry's new contribution before its old one.
-                keep_old = (oflags & AFFECTED) == 0
-                order = merge_order(i_new, i_old[keep_old])
-                nd_pid = np.concatenate((ppid[i_new], po[keep_old]))[order]
-                nd_values = np.concatenate((c_new, -c_old[keep_old]))[order]
-                # The chunk's own marks land after this point, so the flags
-                # gathered with the entries are still every target's.
-                nd_flags = np.concatenate((pflags[i_new], oflags[keep_old]))[order]
+                es_k.append(np.concatenate((kc[rn], ko)))
+                es_id.append(np.concatenate((eid_new, eo)))
+                es_val.append(np.concatenate((c_new, vo)))
+                # Dependencies take theirs in the scalar visitation order:
+                # entries ascending, an entry's new contribution before its
+                # old one.  When both DAGs selected the same entries that is
+                # an interleave; otherwise one merge puts them in order.
+                if shared:
+                    mask = None
+                    if not keep_old.all():
+                        mask = np.ones(2 * keep_old.size, dtype=np.bool_)
+                        mask[1::2] = keep_old
+                    nd_pid = interleave(pn, pn, mask)
+                    nd_values = interleave(c_new, -c_old, mask)
+                    nd_flags = interleave(nflags, nflags, mask)
+                else:
+                    order = merge_order(i_new, i_old[keep_old])
+                    nd_pid = np.concatenate((pn, po[keep_old]))[order]
+                    nd_values = np.concatenate((c_new, -c_old[keep_old]))[order]
+                    nd_flags = np.concatenate((nflags, oflags[keep_old]))[order]
 
                 # Untracked targets are never logged: in an undirected graph
                 # a dropped pair next to a reachable member is reachable.
@@ -722,13 +754,9 @@ PairSpace`), which multiplies chunk widths by the cohort size and
                 if fresh.size:
                     pairs.touch(fresh, bits=TRACKED)
                     touched += fresh.size
-                    fk = fresh // width
-                    fs = fresh - fk * width
-                    flvl = distance[fresh].astype(np.int64)
-                    for lvl, sel in group_by_level(
-                        np.arange(fk.size, dtype=np.int64), flvl
-                    ):
-                        pair_chunk = (fk[sel], fs[sel])
+                    for lvl, group in group_by_level(fresh, distance[fresh]):
+                        gk = group // width
+                        pair_chunk = (gk, group - gk * width)
                         if lvl == level:
                             queue.append(pair_chunk)
                         else:
@@ -742,10 +770,7 @@ PairSpace`), which multiplies chunk widths by the cohort size and
             ts = chunk[keep]
             vs_k.append(np.repeat(tk, 2))
             vs_slot.append(np.repeat(ts, 2))
-            vals = np.empty(ts.size * 2, dtype=np.float64)
-            vals[0::2] = deln[keep]
-            vals[1::2] = -delo[keep]
-            vs_val.append(vals)
+            vs_val.append(interleave(deln[keep], -delo[keep]))
 
     # Disconnected tails, merged across the cohort (Algorithm 10): each
     # row's entries keep their discovery order, and the ordinal-stable
@@ -920,10 +945,7 @@ def _accumulate_directed_cohort(
         ts = region_s[keep]
         vs_k.append(np.repeat(tk, 2))
         vs_slot.append(np.repeat(ts, 2))
-        vals = np.empty(ts.size * 2, dtype=np.float64)
-        vals[0::2] = wdeln[keep]
-        vals[1::2] = -wdelo[keep]
-        vs_val.append(vals)
+        vs_val.append(interleave(wdeln[keep], -wdelo[keep]))
 
         positions, counts = slice_positions(in_indptr, region_s)
         if positions.size:

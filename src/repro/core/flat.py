@@ -18,19 +18,29 @@ pair, the pair's pre-update triple goes into a compact undo log; reads of
 pre-update values come from the live matrices except at logged pairs.  The
 same log rolls a failed batch back.  Per-pair bookkeeping (the repair
 walks' visited sets) is bits in one persistent store-shaped byte array,
-cleared only where it was set.
+cleared only where it was set, and the rows in which the current update
+wrote a distance are one persistent byte per row.
 
 The tricks carry the bit-identity burden:
 
 * :func:`slice_positions` flattens the adjacency slices of a vertex array in
   *vertex order* — the exact sequence a scalar ``for v: for nbr in adj[v]``
-  double loop visits;
+  double loop visits; :func:`scan_entries` adds each entry's vertex, so
+  every other per-entry repeat of a per-vertex array is one gather;
 * :meth:`PairSpace.first_occurrence` deduplicates such a flattened sequence
   keeping the first copy of every pair in encounter order — the exact
   sequence in which a scalar loop guarded by a "seen" set admits them;
 * :func:`merge_order` interleaves two selections of one flattened sequence
   back into visitation order — the order in which a scalar loop testing
-  both conditions per element emits them.
+  both conditions per element emits them; when both selections are the
+  same entries, :func:`interleave` lays out that order with no sort.
+
+Full-length passes over a scan are what the sweeps pay for, so the
+helpers avoid them where the answer is known.
+:meth:`PairSpace.old_parents` evaluates the accumulation's old-DAG parent
+test only at the entries where it can disagree with the new-DAG one and
+reuses the new selection when it does not; :func:`group_by_level`
+returns a one-level group without a distinct-value pass or a copy.
 
 Everything else in the vectorized phases is arithmetic on arrays arranged by
 these orders, applied through ``np.add.at``, which applies duplicate
@@ -47,7 +57,9 @@ __all__ = [
     "FlatBatchState",
     "PairSpace",
     "slice_positions",
+    "scan_entries",
     "merge_order",
+    "interleave",
     "group_by_level",
 ]
 
@@ -116,6 +128,27 @@ def slice_positions(
     return positions, counts
 
 
+def scan_entries(
+    indptr: np.ndarray, vertices: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`slice_positions` plus each entry's vertex and each vertex's entries.
+
+    Returns ``(positions, member, bounds)``: ``positions`` walks the slices
+    in ``vertices`` order, ``member[e]`` is the index into ``vertices`` of
+    entry ``e``'s vertex, and entries ``bounds[j]:bounds[j + 1]`` are
+    vertex ``j``'s.  Every other per-entry repeat of a per-vertex array is
+    one gather through ``member``.
+    """
+    starts = indptr[vertices]
+    counts = indptr[vertices + 1] - starts
+    bounds = np.zeros(vertices.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    member = np.repeat(np.arange(vertices.size, dtype=np.int64), counts)
+    positions = (starts - bounds[:-1])[member]
+    positions += np.arange(member.size, dtype=np.int64)
+    return positions, member, bounds
+
+
 class PairSpace:
     """The store's column matrices as flat pair arrays, plus an undo log.
 
@@ -153,6 +186,9 @@ class PairSpace:
         #: True once the current update wrote a distance: until then old
         #: and live distances agree everywhere.
         self.distance_moved = False
+        #: Per store row: did the current update write a distance in it?
+        #: Old and live distances agree everywhere in the other rows.
+        self.moved_rows = np.zeros(0, dtype=np.bool_)
         self._unlogged: List[np.ndarray] = []
         #: Log position where each update of the batch starts its segment.
         self._starts: List[int] = []
@@ -171,6 +207,8 @@ class PairSpace:
         if self.flags.size != distance.size:
             self.flags = np.zeros(distance.size, dtype=np.uint8)
             self.position = np.empty(distance.size, dtype=np.int32)
+        if self.moved_rows.size != distance.shape[0]:
+            self.moved_rows = np.zeros(distance.shape[0], dtype=np.bool_)
 
     def unbind(self) -> None:
         """Forget the batch: clear every bit, drop the log and the views."""
@@ -228,6 +266,7 @@ class PairSpace:
         """
         if distance:
             self.distance_moved = True
+            self.moved_rows[pids // self.width] = True
         flags = self.flags[pids]
         self.flags[pids] = flags | (bits | LOGGED)
         fresh_sel = (flags & LOGGED) == 0
@@ -269,7 +308,7 @@ class PairSpace:
         if self.distance_moved:
             if flags is None:
                 flags = self.flags[pids]
-            hit = np.flatnonzero(flags & _MOVABLE)
+            hit = np.flatnonzero((flags & _MOVABLE) != 0)
             if hit.size:
                 values[hit] = self.log_distance[self.position[pids[hit]]]
         return values
@@ -281,10 +320,79 @@ class PairSpace:
         values = self.sigma[pids]
         if flags is None:
             flags = self.flags[pids]
-        hit = np.flatnonzero(flags & AFFECTED)
+        hit = np.flatnonzero((flags & AFFECTED) != 0)
         if hit.size:
             values[hit] = self.log_sigma[self.position[pids[hit]]]
         return values
+
+    def old_parents(
+        self,
+        ppid: np.ndarray,
+        member: np.ndarray,
+        bounds: np.ndarray,
+        rows: np.ndarray,
+        wdo: np.ndarray,
+        level: int,
+        i_new: np.ndarray,
+    ) -> np.ndarray:
+        """Entries of a chunk scan whose parent is an old-DAG parent.
+
+        A chunk's members sit on new level ``level``; entry ``e`` pairs
+        member ``member[e]`` (pre-update distance ``wdo[member[e]]``,
+        entries ``bounds[j]:bounds[j + 1]`` for member ``j``) with the
+        parent pair ``ppid[e]``.  ``i_new`` are the entries whose parent
+        passes the new-DAG test ``d'[p] == level - 1``.  Returns the
+        ascending entries that pass the old-DAG test
+        ``old_distance(p) == wdo - 1``, the same selection as that formula
+        evaluated at every entry.
+
+        The old test is evaluated only where it can differ from the new
+        one.  At a member that kept its level (``wdo == level``) and a
+        parent that is neither ``AFFECTED`` nor ``DROPPED``,
+        ``old_distance(p)`` is the live ``d'[p]``, so the two tests are the
+        same comparison.  The exceptions are the entries of moved members
+        (``wdo == -1`` included) and entries whose parent carries either
+        bit in a row ``rows[member[e]]`` where the update wrote a distance
+        (:meth:`touch` with ``distance=True``): elsewhere a logged distance
+        is the live one.  The result is ``i_new`` itself when no exception
+        changes an outcome.
+        """
+        moved = np.flatnonzero(wdo != level)
+        exceptions, _ = slice_positions(bounds, moved)
+        if self.distance_moved:
+            # A parent shares its member's row, and only a row in which
+            # the update wrote a distance can hold a moved one.
+            suspects = np.flatnonzero(self.moved_rows[rows])
+            if suspects.size == rows.size:
+                hit = np.flatnonzero((self.flags[ppid] & _MOVABLE) != 0)
+            else:
+                entries, _ = slice_positions(bounds, suspects)
+                hit = entries[(self.flags[ppid[entries]] & _MOVABLE) != 0]
+            if exceptions.size:
+                # Moved members' entries are exceptions already.
+                hit = hit[wdo[member[hit]] == level]
+                exceptions = np.concatenate((exceptions, hit))
+            else:
+                exceptions = hit
+        if exceptions.size == 0:
+            return i_new
+        pids = ppid[exceptions]
+        live = self.distance[pids]
+        new_ok = live == level - 1
+        old_ok = self.old_distance(pids, live) == wdo[member[exceptions]] - 1
+        lost = exceptions[new_ok & ~old_ok]
+        gained = exceptions[old_ok & ~new_ok]
+        if lost.size == 0 and gained.size == 0:
+            return i_new
+        i_old = i_new
+        if lost.size:
+            kept = np.ones(i_new.size, dtype=np.bool_)
+            kept[np.searchsorted(i_new, lost)] = False
+            i_old = i_new[kept]
+        if gained.size:
+            gained.sort()
+            i_old = np.insert(i_old, np.searchsorted(i_old, gained), gained)
+        return i_old
 
     # -- update and batch boundaries -------------------------------------- #
     def begin_update(self) -> None:
@@ -316,6 +424,8 @@ class PairSpace:
             self._unlogged = []
         if self._starts:
             self.flags[self.log_pid[self._starts[-1] : self.size]] = 0
+        if self.distance_moved:
+            self.moved_rows.fill(False)
         self.distance_moved = False
 
 
@@ -338,11 +448,32 @@ def group_by_level(
 
     The scalar code appends each vertex to ``buckets[level]`` while
     iterating ``vertices``; a stable selection per distinct level reproduces
-    every bucket's append order exactly.
+    every bucket's append order exactly.  A single level's group is
+    ``vertices`` itself, not a copy.
     """
-    out: List[Tuple[int, np.ndarray]] = []
     if vertices.size == 0:
-        return out
-    for level in np.unique(levels):
-        out.append((int(level), vertices[levels == level]))
-    return out
+        return []
+    first = levels[0]
+    if (levels == first).all():
+        # Most groups are one level (a chunk's parents all sit one level
+        # up): no distinct-value pass.
+        return [(int(first), vertices)]
+    return [
+        (int(level), vertices[levels == level]) for level in np.unique(levels)
+    ]
+
+
+def interleave(
+    first: np.ndarray, second: np.ndarray, keep: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``first[0], second[0], first[1], second[1], ...`` as one array.
+
+    ``keep`` (optional, flat, ``2 * first.size`` booleans) drops the
+    positions it marks False.  When two selections of one scan are the
+    same entries, this is :func:`merge_order`'s merged sequence without a
+    sort: each entry's ``first`` element precedes its ``second``.
+    """
+    out = np.empty(2 * first.size, dtype=np.result_type(first, second))
+    out[0::2] = first
+    out[1::2] = second
+    return out if keep is None else out[keep]

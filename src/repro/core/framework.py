@@ -775,31 +775,29 @@ class IncrementalBetweenness:
         marks = (len(self._kernel.index), len(self._store))
         try:
             self._register_births(births)
-            sources = list(self._store.sources())
-            to_load = self._kernel.sources_to_load(sources, batch)
+            source_count = len(self._store)
+            slots, firsts = self._kernel.sources_to_load(batch)
             self._kernel.begin_batch(batch)
-            active: List[Tuple[Vertex, int]] = [
-                (source, to_load[source]) for source in sources if source in to_load
-            ]
-            batch_result.sources_peek_skipped += len(sources) - len(active)
+            batch_result.sources_peek_skipped += source_count - slots.size
             # A peek-skipped source is a proven skip for every update, a
             # loaded one for the updates before its first failing peek (on
             # an untouched record) — counted per update, not repaired.
-            proven = [len(sources) - len(active)] * len(batch)
-            for _source, first in active:
-                for index in range(first):
-                    proven[index] += 1
-            for result, skipped in zip(results, proven):
+            opened = np.cumsum(np.bincount(firsts, minlength=len(batch)))
+            for result, skipped in zip(results, (source_count - opened).tolist()):
                 result.fold({UpdateCase.SKIP: skipped})
             # Row growth reallocates the store's matrices, so every born
             # source gets its row before the rows are opened.
-            for vertex, birth in sorted(adopted.items(), key=lambda item: item[1]):
+            born = sorted(adopted.items(), key=lambda item: item[1])
+            for vertex, _birth in born:
                 self._store.add_source(vertex)
-                active.append((vertex, birth))
-            loaded = [source for source, _first in active]
-            self._kernel.open_sources(loaded, [first for _source, first in active])
-            batch_result.sources_loaded += len(loaded)
-            first_update = min((first for _source, first in active), default=len(batch))
+            if born:
+                slots = np.concatenate(
+                    (slots, [self._kernel.index.slot(vertex) for vertex, _ in born])
+                )
+                firsts = np.concatenate((firsts, [birth for _, birth in born]))
+            self._kernel.open_sources(slots, firsts)
+            batch_result.sources_loaded += slots.size
+            first_update = int(firsts.min()) if firsts.size else len(batch)
             for index in range(first_update, len(batch)):
                 self._kernel.repair_update_cohort(index, results[index])
             self._kernel.flush_cohort_scores()

@@ -108,6 +108,7 @@ _COLUMN_PROTOCOL = (
     "register_vertex",
     "add_source",
     "put_columns",
+    "source_slots",
     "sweep_rows",
     "column_matrices",
     "peek_distance_block",
@@ -583,30 +584,25 @@ without_edge` patch per update, stashing the out-/in-CSR families after
         self._cohort_streams = None
         self._pairs.unbind()
 
-    def open_sources(
-        self, sources: Sequence[Vertex], firsts: Sequence[int]
-    ) -> None:
+    def open_sources(self, slots: np.ndarray, firsts: np.ndarray) -> None:
         """Open the batch's loaded sources for repair in place.
 
-        ``sources`` are in load order (the order of the framework's
-        source-outer reference loop) and ``firsts[i]`` is the first update
-        of the batch that may affect ``sources[i]``.  Their store rows are
-        swept in place through the store's column matrices, which must not
-        be regrown until the batch ends.
+        ``slots`` are the sources' vertex slots in load order (the order of
+        the framework's source-outer reference loop) and ``firsts[i]`` is
+        the first update of the batch that may affect the source at
+        ``slots[i]``.  Their store rows are swept in place through the
+        store's column matrices, which must not be regrown until the batch
+        ends.
         """
         store = self._store
-        rows = store.sweep_rows(sources)
+        rows = store.sweep_rows(slots)
         matrices = store.column_matrices()
         self._pairs.bind(matrices)
         row_capacity = matrices[0].shape[0]
         self._rows = rows
         self._firsts = np.asarray(firsts, dtype=np.int64)
         self._source_of_row = np.full(row_capacity, -1, dtype=np.int64)
-        self._source_of_row[rows] = np.fromiter(
-            (self.index.slot(source) for source in sources),
-            dtype=np.int64,
-            count=len(sources),
-        )
+        self._source_of_row[rows] = slots
         self._ordinal_of_row = np.zeros(row_capacity, dtype=np.int64)
         self._ordinal_of_row[rows] = np.arange(rows.size, dtype=np.int64)
 
@@ -766,29 +762,30 @@ without_edge` patch per update, stashing the out-/in-CSR families after
     # Batched Proposition 3.1 peek
     # ------------------------------------------------------------------ #
     def sources_to_load(
-        self, sources: Sequence[Vertex], batch: Sequence[EdgeUpdate]
-    ) -> Dict[Vertex, int]:
+        self, batch: Sequence[EdgeUpdate]
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """First update of the batch that may affect each source, batched.
 
         Semantics are exactly those of the scalar per-(source, update) peek
         — undirected: skip iff both endpoint distances are equal (with
         "unreachable" compared as ``-1 == -1``); directed (edge ``u -> v``):
         skip iff the tail is unreachable or the head is no farther than the
-        tail — only the evaluation is batched.  Returns a map from every
-        possibly-affected source to the index of the first update whose
-        peek fails; sources absent from the map are provably skipped for
-        the whole batch, and a present source is provably SKIP for every
-        update before its first index (a passing peek leaves the record
-        untouched, so the induction the scalar peek relies on holds per
-        prefix).
+        tail — only the evaluation is batched.  Returns ``(slots, firsts)``
+        for every possibly-affected source, in the store's source order:
+        its vertex slot and the index of the first update whose peek fails.
+        Sources absent from ``slots`` are provably skipped for the whole
+        batch, and a present source is provably SKIP for every update
+        before its first index (a passing peek leaves the record untouched,
+        so the induction the scalar peek relies on holds per prefix).
         """
-        if not sources or not batch:
-            return {}
+        source_slots = self._store.source_slots()
+        if not source_slots.size or not batch:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
         endpoint_slots: List[int] = []
         for update in batch:
             endpoint_slots.append(self.index.slot(update.u))
             endpoint_slots.append(self.index.slot(update.v))
-        source_slots = [self.index.slot(source) for source in sources]
         block = self._store.peek_distance_block(source_slots, endpoint_slots)
         us = block[:, 0::2]
         vs = block[:, 1::2]
@@ -796,15 +793,8 @@ without_edge` patch per update, stashing the out-/in-CSR families after
             affected = (us != UNREACHABLE) & ((vs == UNREACHABLE) | (vs > us))
         else:
             affected = us != vs
-        any_hit = affected.any(axis=1)
-        firsts = np.argmax(affected, axis=1)
-        return {
-            source: int(first)
-            for source, hit, first in zip(
-                sources, any_hit.tolist(), firsts.tolist()
-            )
-            if hit
-        }
+        hit = np.flatnonzero(affected.any(axis=1))
+        return source_slots[hit], np.argmax(affected[hit], axis=1)
 
     # ------------------------------------------------------------------ #
     # Step 1: vectorized Brandes bootstrap

@@ -355,19 +355,26 @@ class ArrayBDStore(BDStore):
         self._delta[row, :k] = delta
         self._bytes_written += self._record_bytes
 
-    def sweep_rows(self, sources: Sequence[Vertex]) -> np.ndarray:
-        """Open the records of ``sources`` for an in-place repair.
+    def source_slots(self) -> np.ndarray:
+        """Vertex slots of every source, in :meth:`sources` order."""
+        self._ensure_open()
+        slots = np.flatnonzero(self._row_of_slot >= 0)
+        slot_of_row = np.empty(self._row_count, dtype=np.int64)
+        slot_of_row[self._row_of_slot[slots]] = slots
+        # The row map is filled and emptied in source order.
+        rows = np.fromiter(self._row_of.values(), np.int64, len(self._row_of))
+        return slot_of_row[rows]
 
-        Returns their rows (in ``sources`` order) of the
+    def sweep_rows(self, source_slots: Sequence[int]) -> np.ndarray:
+        """Open the records of the sources at ``source_slots`` for an
+        in-place repair.
+
+        Returns their rows (in ``source_slots`` order) of the
         :meth:`column_matrices`, which the caller then writes directly;
         each record counts as read and as written.
         """
         self._ensure_open()
-        rows = np.fromiter(
-            (self._row(source) for source in sources),
-            dtype=np.int64,
-            count=len(sources),
-        )
+        rows = self._source_rows(source_slots)
         if rows.size:
             self._mark_dirty()
         self._bytes_read += rows.size * self._record_bytes
@@ -406,11 +413,7 @@ class ArrayBDStore(BDStore):
         skip test consumes.
         """
         self._ensure_open()
-        src = np.asarray(source_slots, dtype=np.int64)
-        rows = self._row_of_slot[src]
-        if rows.size and int(rows.min()) < 0:
-            missing = int(src[int(np.argmin(rows))])
-            raise KeyError(self._index.vertex(missing))
+        rows = self._source_rows(source_slots)
         cols = np.asarray(vertex_slots, dtype=np.int64)
         self._bytes_read += rows.size * cols.size * DISTANCE_DTYPE.itemsize
         return self._dist[rows[:, None], cols[None, :]]
@@ -418,6 +421,16 @@ class ArrayBDStore(BDStore):
     # ------------------------------------------------------------------ #
     # Rows, slots and growth
     # ------------------------------------------------------------------ #
+    def _source_rows(self, source_slots: Sequence[int]) -> np.ndarray:
+        """Rows of the sources at ``source_slots`` (``KeyError`` for a slot
+        whose vertex is not a source)."""
+        slots = np.asarray(source_slots, dtype=np.int64)
+        rows = self._row_of_slot[slots]
+        if rows.size and int(rows.min()) < 0:
+            missing = int(slots[int(np.argmin(rows))])
+            raise KeyError(self._index.vertex(missing))
+        return rows
+
     def _row(self, source: Vertex) -> int:
         try:
             return self._row_of[source]

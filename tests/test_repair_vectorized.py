@@ -44,7 +44,17 @@ from hypothesis import strategies as st
 import repro.core
 from repro.api import BetweennessConfig, BetweennessSession
 from repro.core import ArrayKernel, EdgeUpdate, IncrementalBetweenness
-from repro.core.flat import merge_order
+from repro.core.flat import (
+    AFFECTED,
+    DROPPED,
+    TRACKED,
+    PairSpace,
+    group_by_level,
+    interleave,
+    merge_order,
+    scan_entries,
+    slice_positions,
+)
 from repro.exceptions import StoreCorruptedError
 from repro.graph import CSRGraph, Graph
 from repro.storage import ArrayBDStore, DiskBDStore
@@ -576,6 +586,168 @@ class TestMergeOrder:
         b = np.array(sorted(second), dtype=np.int64)
         expected = np.argsort(np.concatenate((2 * a, 2 * b + 1)))
         assert merge_order(a, b).tolist() == expected.tolist()
+
+
+class TestInterleave:
+    """When both DAGs select the same entries, the accumulation interleaves
+    their contributions instead of merging them: the same sequence as
+    :func:`merge_order`'s, also where some old contributions are dropped."""
+
+    @example(positions={0, 4, 7}, data=[False, True, False])
+    @example(positions={3}, data=[False])
+    @example(positions=set(), data=[])
+    @given(
+        positions=st.sets(st.integers(min_value=0, max_value=60)),
+        data=st.lists(st.booleans(), max_size=61),
+    )
+    def test_equals_the_merge_of_one_selection(self, positions, data):
+        entries = np.array(sorted(positions), dtype=np.int64)
+        keep_old = np.resize(np.array(data + [True], dtype=np.bool_), entries.size)
+        new = entries * 1.5 + 0.25
+        old = -(entries * 0.5) - 1.0
+        merged = np.concatenate((new, old[keep_old]))[
+            merge_order(entries, entries[keep_old])
+        ]
+        keep = np.ones(2 * entries.size, dtype=np.bool_)
+        keep[1::2] = keep_old
+        assert interleave(new, old, keep).tolist() == merged.tolist()
+        if keep_old.all():
+            assert interleave(new, old).tolist() == merged.tolist()
+
+
+@st.composite
+def chunk_scans(draw):
+    """A pair space in the middle of an update and one chunk's parent scan.
+
+    Logged pairs are moved (a distance write under ``AFFECTED`` or
+    ``DROPPED``, unreachable included), affected without a distance write,
+    or only tracked.  Chunk members sit on new level ``level`` with any
+    pre-update distance (``-1``, the level, or off it), and each member's
+    entries are its slot's in-neighbours in its own row.
+    """
+    rows = draw(st.integers(min_value=1, max_value=4))
+    width = draw(st.integers(min_value=2, max_value=7))
+    level = draw(st.integers(min_value=1, max_value=4))
+    size = rows * width
+    values = st.integers(min_value=-1, max_value=level + 2)
+    distance = np.array(
+        draw(st.lists(values, min_size=size, max_size=size)), dtype=np.int16
+    ).reshape(rows, width)
+    sigma = np.ones((rows, width), dtype=np.int64)
+    delta = np.zeros((rows, width), dtype=np.float64)
+    pairs = PairSpace()
+    pairs.bind((distance, sigma, delta))
+    pairs.begin_update()
+    logged = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+    for pid in logged:
+        kind = draw(st.sampled_from(["moved", "dropped", "affected", "tracked"]))
+        pid_array = np.array([pid], dtype=np.int64)
+        if kind in ("moved", "dropped"):
+            bit = AFFECTED if kind == "moved" else DROPPED
+            pairs.touch(pid_array, distance=True, bits=bit)
+            pairs.distance[pid] = draw(values)
+        else:
+            pairs.touch(pid_array, bits=AFFECTED if kind == "affected" else TRACKED)
+    member_pids = np.array(
+        draw(st.lists(st.integers(0, size - 1), unique=True, min_size=1, max_size=8)),
+        dtype=np.int64,
+    )
+    wdo = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([-1, level - 1, level, level, level + 1]),
+                min_size=member_pids.size,
+                max_size=member_pids.size,
+            )
+        ),
+        dtype=np.int16,
+    )
+    adjacency = draw(
+        st.lists(
+            st.lists(st.integers(0, width - 1), max_size=5),
+            min_size=width,
+            max_size=width,
+        )
+    )
+    indptr = np.zeros(width + 1, dtype=np.int64)
+    np.cumsum([len(nbrs) for nbrs in adjacency], out=indptr[1:])
+    indices = np.array([v for nbrs in adjacency for v in nbrs], dtype=np.int64)
+    return pairs, level, member_pids // width, member_pids % width, wdo, indptr, indices
+
+
+class TestOldParents:
+    """The old-DAG selection evaluated only where it can differ from the
+    new one equals the full-length formula at every entry."""
+
+    @given(scan=chunk_scans())
+    @settings(max_examples=200)
+    def test_equals_the_full_length_formula(self, scan):
+        pairs, level, rows, chunk, wdo, indptr, indices = scan
+        positions, member, bounds = scan_entries(indptr, chunk)
+        expected_positions, counts = slice_positions(indptr, chunk)
+        assert positions.tolist() == expected_positions.tolist()
+        assert member.tolist() == np.repeat(np.arange(chunk.size), counts).tolist()
+        ppid = rows[member] * pairs.width + indices[positions]
+        i_new = np.flatnonzero(pairs.distance[ppid] == level - 1)
+        brute = np.flatnonzero(pairs.old_distance(ppid) == np.repeat(wdo - 1, counts))
+        selected = pairs.old_parents(ppid, member, bounds, rows, wdo, level, i_new)
+        assert selected.tolist() == brute.tolist()
+
+    def test_moved_parents_and_members(self):
+        # Row 0 keeps its distances.  In row 1 the update moved slot 1 from
+        # level 1 to 2 and dropped slot 2, both old parents of the member
+        # at slot 3, which kept level 2; the member at slot 4 was
+        # unreachable before.  Slot 3's in-neighbours are 1 and 2, slot
+        # 4's are 1, 2 and 3.
+        distance = np.array([[0, 1, 1, 2, 2], [0, 1, 1, 2, 2]], dtype=np.int16)
+        pairs = PairSpace()
+        pairs.bind((distance, np.ones((2, 5), np.int64), np.zeros((2, 5))))
+        pairs.begin_update()
+        pairs.touch(np.array([6]), distance=True, bits=AFFECTED)
+        pairs.touch(np.array([7]), distance=True, bits=DROPPED)
+        pairs.distance[6], pairs.distance[7] = 2, -1
+        indptr = np.array([0, 0, 0, 0, 2, 5])
+        indices = np.array([1, 2, 1, 2, 3])
+        rows, chunk = np.array([0, 1, 1]), np.array([4, 3, 4])
+        wdo = np.array([2, 2, -1], dtype=np.int16)
+        positions, member, bounds = scan_entries(indptr, chunk)
+        ppid = rows[member] * 5 + indices[positions]
+        i_new = np.flatnonzero(pairs.distance[ppid] == 1)
+        counts = np.diff(bounds)
+        brute = np.flatnonzero(pairs.old_distance(ppid) == np.repeat(wdo - 1, counts))
+        assert i_new.tolist() == [0, 1]
+        assert brute.tolist() == [0, 1, 3, 4]
+        assert pairs.old_parents(ppid, member, bounds, rows, wdo, 2, i_new).tolist() == (
+            brute.tolist()
+        )
+
+    def test_unmoved_rows_reuse_the_new_selection(self):
+        distance = np.array([[0, 1, 2], [0, 1, 2]], dtype=np.int16)
+        pairs = PairSpace()
+        pairs.bind((distance, np.ones((2, 3), np.int64), np.zeros((2, 3))))
+        pairs.begin_update()
+        pairs.touch(np.array([1]), bits=AFFECTED)  # a path count moved
+        positions, member, bounds = scan_entries(np.array([0, 0, 0, 2]), np.array([2, 2]))
+        rows = np.array([0, 1])
+        ppid = rows[member] * 3 + np.array([0, 1])[positions]
+        i_new = np.flatnonzero(pairs.distance[ppid] == 1)
+        wdo = np.array([2, 2], dtype=np.int16)
+        assert pairs.old_parents(ppid, member, bounds, rows, wdo, 2, i_new) is i_new
+
+
+class TestGroupByLevel:
+    """Per-level groups keep their members' order, one level or many."""
+
+    @given(levels=st.lists(st.integers(min_value=0, max_value=3), max_size=20))
+    def test_equals_a_selection_per_distinct_level(self, levels):
+        level_array = np.array(levels, dtype=np.int64)
+        vertices = np.arange(level_array.size, dtype=np.int64) * 7
+        groups = group_by_level(vertices, level_array)
+        expected = [
+            (level, vertices[level_array == level].tolist())
+            for level in sorted(set(levels))
+        ]
+        assert [(level, group.tolist()) for level, group in groups] == expected
 
 
 def test_core_reads_no_environment_switch():

@@ -264,6 +264,32 @@ class TestColumnProtocol:
         assert record.sigma == {0: 1, 1: 2, 2: 1}
         store.close()
 
+    def test_rows_open_by_source_slot_in_source_order(self, kind, grown, tmp_path):
+        # The kernel's batch sweep finds and opens rows by vertex slot:
+        # ``source_slots`` follows ``sources()`` (also where adoption order
+        # and slot order differ, and after a failed batch's births are
+        # forgotten), and ``sweep_rows`` refuses a slot that is no source.
+        store = column_store(kind, grown, tmp_path / "bd.bin")
+        marks = (len(store.vertex_index), len(store))
+        for vertex in (10, 11):
+            store.register_vertex(vertex)
+        for vertex in (11, 10):
+            store.add_source(vertex)
+        index = store.vertex_index
+        slots = store.source_slots()
+        assert slots.tolist() == [index.slot(source) for source in store.sources()]
+        assert store.sweep_rows(slots).tolist() == [
+            store.row_of_source_slot(slot) for slot in slots.tolist()
+        ]
+        store.forget_since(*marks)
+        assert store.source_slots().tolist() == [
+            index.slot(source) for source in store.sources()
+        ]
+        store.register_vertex(12)
+        with pytest.raises(KeyError):
+            store.sweep_rows([index.slot(12)])
+        store.close()
+
 
 class TestPartition:
     def test_balanced_sizes(self):
