@@ -97,10 +97,12 @@ class Ranking(tuple):
 class SessionSnapshot:
     """Immutable view of a session's scores at one batch boundary.
 
-    A serial session publishes one at every boundary (bootstrap, resume,
+    Every session publishes one at every boundary (bootstrap, resume,
     ``apply``, ``apply_batch``) and every read uses the current one, so
-    reads take no lock.  The score mappings are built from the published
-    arrays on first use; rankings are cached per side.
+    reads take no lock.  A serial session publishes its engine's score
+    arrays; a process or shard session the coordinator's fold of the
+    partials its workers' replies carried.  The score mappings are built
+    from the published arrays on first use; rankings are cached per side.
     """
 
     __slots__ = (
@@ -167,20 +169,21 @@ class BetweennessSession:
     **Thread-safety contract.**  Every state transition (``apply``,
     ``apply_batch``, ``checkpoint``, ``close``) runs under one internal
     re-entrant lock.  Reads (``vertex_betweenness``, ``edge_betweenness``,
-    ``top_k``, ``snapshot``, ``batches_applied``) of a serial session take
-    no lock: at every batch boundary the writer publishes an immutable
+    ``top_k``, ``snapshot``, ``batches_applied``) take no lock, under every
+    executor: at every batch boundary the writer publishes an immutable
     :class:`SessionSnapshot` (before the boundary's event is emitted), and
     each read uses the current one — so a reader in another thread sees
     the scores from before or after a concurrently applied batch, never a
-    half-repaired intermediate, and never waits for a batch or checkpoint.
-    ``batches_applied`` is the snapshot's.  Process and shard sessions
-    read under the lock (their scores are collected from the workers).
-    Writes are still expected to come from one writer at a time (the
-    service layer funnels them through a single worker per session); the
-    lock makes ``close`` safe to call from any thread — including
-    concurrently with a pending checkpoint, which it waits out.  The lock
-    is re-entrant so subscribers may query or checkpoint the session from
-    inside an event handler.
+    half-repaired intermediate, and never waits for a batch, a worker or a
+    checkpoint.  ``batches_applied`` is the snapshot's.  Once a worker
+    failure has shut a process or shard session's pool down, reads raise
+    :class:`~repro.exceptions.ConfigurationError` rather than serve the
+    dead ensemble's last boundary.  Writes are still expected to come
+    from one writer at a time (the service layer funnels them through a
+    single worker per session); the lock makes ``close`` safe to call
+    from any thread — including concurrently with a pending checkpoint,
+    which it waits out.  The lock is re-entrant so subscribers may query
+    or checkpoint the session from inside an event handler.
 
     **Checkpoint policy.**  A session checkpoints itself at birth, after
     every batch on its cadence (``config.checkpoint_every``, or a shard
@@ -369,8 +372,8 @@ class BetweennessSession:
     def batches_applied(self) -> int:
         """Batches applied through this session.  A resumed session includes
         the batches its checkpoint covers (a serial sidecar's cursor, a
-        shard root's manifest cursor), so the count is lifetime-wide.  A
-        serial session reports its published snapshot's count."""
+        shard root's manifest cursor), so the count is lifetime-wide; it is
+        the published snapshot's."""
         published = self._published
         if published is not None:
             return published.batches_applied
@@ -554,19 +557,11 @@ class BetweennessSession:
     # ------------------------------------------------------------------ #
     def vertex_betweenness(self) -> VertexScores:
         """Current (merged) vertex betweenness scores (batch-boundary view)."""
-        snapshot = self._current_snapshot()
-        if snapshot is not None:
-            return snapshot.vertex_scores.copy()
-        with self._state_lock:
-            return self._engine().vertex_betweenness()
+        return self._current_snapshot().vertex_scores.copy()
 
     def edge_betweenness(self) -> EdgeScores:
         """Current (merged) edge betweenness scores (batch-boundary view)."""
-        snapshot = self._current_snapshot()
-        if snapshot is not None:
-            return snapshot.edge_scores.copy()
-        with self._state_lock:
-            return self._engine().edge_betweenness()
+        return self._current_snapshot().edge_scores.copy()
 
     def top_k(self, k: int = 10, edges: bool = False) -> Ranking:
         """The ``k`` most central vertices (or edges) as ``(item, score)``.
@@ -576,34 +571,12 @@ class BetweennessSession:
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         snapshot = self._current_snapshot()
-        if snapshot is not None:
-            return snapshot.top_edges(k) if edges else snapshot.top_vertices(k)
-        with self._state_lock:
-            engine = self._engine()
-            scores = engine.edge_betweenness() if edges else engine.vertex_betweenness()
-            return Ranking(
-                ScoreColumn.from_mapping(scores).top_k(k), self._batch_index
-            )
+        return snapshot.top_edges(k) if edges else snapshot.top_vertices(k)
 
     def snapshot(self) -> SessionSnapshot:
-        """Graph size and both score sides at one batch boundary.
-
-        A serial session returns its published snapshot; a process or
-        shard session collects both sides in one round under the lock.
-        """
-        snapshot = self._current_snapshot()
-        if snapshot is not None:
-            return snapshot
-        with self._state_lock:
-            graph = self._engine().graph
-            vertex_scores, edge_scores = self._cluster.betweenness()
-            return SessionSnapshot(
-                self._batch_index,
-                graph.num_vertices,
-                graph.num_edges,
-                ScoreColumn.from_mapping(vertex_scores),
-                ScoreColumn.from_mapping(edge_scores),
-            )
+        """Graph size and both score sides at the last batch boundary: the
+        snapshot the writer published there, under every executor."""
+        return self._current_snapshot()
 
     # ------------------------------------------------------------------ #
     # Checkpoint / resume
@@ -635,7 +608,7 @@ class BetweennessSession:
             if self._framework is None:
                 raise ConfigurationError(
                     "checkpoint() requires the serial or shard executor; "
-                    "collect scores with snapshot() instead, or run "
+                    "read scores with snapshot() instead, or run "
                     "serial/shard sessions for durable state"
                 )
             if path is None:
@@ -704,20 +677,22 @@ class BetweennessSession:
         return self._framework if self._framework is not None else self._cluster
 
     def _publish(self) -> None:
-        """Publish the serial engine's current boundary for lock-free reads."""
-        if self._framework is None:
-            return
-        graph = self._framework.graph
-        vertices, edges = self._framework.score_columns()
+        """Publish the engine's current boundary for lock-free reads."""
+        engine = self._engine()
+        graph = engine.graph
+        vertices, edges = engine.score_columns()
         self._published = SessionSnapshot(
             self._batch_index, graph.num_vertices, graph.num_edges, vertices, edges
         )
 
-    def _current_snapshot(self) -> Optional[SessionSnapshot]:
-        """A serial session's published snapshot (``None`` for process and
-        shard sessions); raises once the session is closed."""
+    def _current_snapshot(self) -> SessionSnapshot:
+        """The published snapshot; raises once the session is closed, or
+        once a worker failure has closed its pool."""
+        published = self._published  # read before the checks: close clears it
         self._ensure_open()
-        return self._published
+        if self._cluster is not None and self._cluster.closed:
+            raise ConfigurationError("the shard coordinator has been closed")
+        return published
 
     def _announce_round(self) -> Path:
         """Announce the coordinator's newest round; returns its manifest."""

@@ -53,6 +53,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -95,6 +96,8 @@ from repro.utils.stats import top_k_ranked
 __all__ = [
     "ArrayKernel",
     "EdgeScoreRegistry",
+    "KeyNumbering",
+    "NumberedScores",
     "ScoreColumn",
     "brandes_betweenness_arrays",
 ]
@@ -214,6 +217,17 @@ class EdgeScoreRegistry:
         ids = np.flatnonzero(self.active[: len(pairs)])
         return ids, self.values[ids], pairs
 
+    def numbered(self) -> Tuple[np.ndarray, Optional[np.ndarray], Callable]:
+        """Copies of every id's score and of the active mask (``None``: all
+        ids are active), and the live id -> pair lookup."""
+        count = len(self._pairs)
+        active = self.active[:count]
+        return (
+            self.values[:count].copy(),
+            None if active.all() else active.copy(),
+            self._pairs.__getitem__,
+        )
+
 
 class ScoreColumn:
     """One side (vertices or edges) of the scores at one batch boundary.
@@ -255,6 +269,48 @@ class ScoreColumn:
     def top_k(self, k: int) -> List[Tuple[Any, float]]:
         """The ``k`` best ``(label, score)`` pairs (see :func:`top_k_ranked`)."""
         return top_k_ranked(self.values, k, self.label)
+
+
+class NumberedScores(NamedTuple):
+    """One score side over permanent entry numbers, for a reducer that
+    meets it again after every batch (a shard worker's partial).
+
+    ``values[i]`` is entry ``i``'s score and holds 0.0 while the entry is
+    absent, ``present`` masks the present entries (``None``: all are) and
+    ``label(i)`` names entry ``i``.  Numbers are only ever appended, so a
+    reader names each one once; ``label`` reads the live numbering.
+    """
+
+    values: np.ndarray
+    present: Optional[np.ndarray]
+    label: Callable[[int], Any]
+
+
+class KeyNumbering:
+    """Permanent numbers for the keys of a score dict, in first-seen order
+    (the dicts backend's :class:`NumberedScores`)."""
+
+    __slots__ = ("_number_of", "_keys")
+
+    def __init__(self) -> None:
+        self._number_of: Dict[Any, int] = {}
+        self._keys: List[Any] = []
+
+    def number(self, scores: Dict[Any, float]) -> NumberedScores:
+        """``scores`` over the numbers; a key never seen before gets the next."""
+        number_of, keys = self._number_of, self._keys
+        for key in scores:
+            if key not in number_of:
+                number_of[key] = len(keys)
+                keys.append(key)
+        numbers = np.fromiter(map(number_of.__getitem__, scores), np.int64, len(scores))
+        values = np.zeros(len(keys), dtype=np.float64)
+        values[numbers] = np.fromiter(scores.values(), np.float64, len(scores))
+        present = None
+        if len(scores) < len(keys):
+            present = np.zeros(len(keys), dtype=np.bool_)
+            present[numbers] = True
+        return NumberedScores(values, present, keys.__getitem__)
 
 
 # --------------------------------------------------------------------------- #
@@ -453,6 +509,22 @@ class ArrayKernel:
             return name(labels[a], labels[b])
 
         return ScoreColumn(values, edge_label)
+
+    def numbered_scores(self) -> Tuple[NumberedScores, NumberedScores]:
+        """Both score sides over permanent numbers: vertex slots and edge
+        registry ids (a retired id holds 0.0 and is masked absent)."""
+        vertex = self.index.vertex
+        values, active, pair = self._escore.numbered()
+        name = (lambda u, v: (u, v)) if self.directed else canonical_edge
+
+        def edge_label(i: int) -> Tuple[Vertex, Vertex]:
+            a, b = pair(i)
+            return name(vertex(a), vertex(b))
+
+        return (
+            NumberedScores(self._vscore[: len(self.index)].copy(), None, vertex),
+            NumberedScores(values, active, edge_label),
+        )
 
     def vertex_score(self, label: Vertex) -> float:
         """Score of one vertex (``KeyError`` if it has no slot)."""

@@ -3,10 +3,14 @@
 The source set is partitioned across genuine OS processes, each owning a
 restricted :class:`~repro.core.framework.IncrementalBetweenness` instance
 (one mapper of Figure 4), and both the initial Brandes phase and every
-incremental repair run concurrently.  The reduce step
-(:func:`merge_partial_scores`) sums the partial vertex/edge scores in
-partition order, so the merged result is the serial framework's — what
-the partitioning changes is real wall-clock time.
+incremental repair run concurrently.  The reduce step sums the partial
+vertex/edge scores in partition order, so the merged result is the serial
+framework's — what the partitioning changes is real wall-clock time.  It
+runs once per batch: every ``ready`` and ``applied`` reply carries the
+worker's partial score columns, and the coordinator folds them key by key
+(:class:`_ScoreFold`, bit-identical to :func:`merge_partial_scores` over the
+partial dicts), so the reduced scores are current at every batch boundary
+and a read never sends the workers anything.
 
 :class:`ShardCoordinator` is the one driver.  It dispatches batches over
 pipes, monitors worker health (poll with liveness checks and an optional
@@ -54,7 +58,8 @@ it rebuilds its graph with :meth:`~repro.graph.Graph.from_adjacency_payload`
 exactly as a resumed worker does.  Under ``fork`` the worker inherits the
 payload; under ``spawn`` it is pickled.  Every batch then crosses the pipe
 as one pickled ``("apply", cursor, batch, adopt)`` message, the same one
-replay sends after a recovery.  A worker seeded from a durable store file
+replay sends after a recovery, and comes back as one ``applied`` reply
+with the worker's partial scores.  A worker seeded from a durable store file
 reads its partition's records out of the file as one
 :class:`~repro.storage.columns.ColumnBlock`; opening the file never writes
 it, so every worker reads the one file at once.  A seed file, sidecar or
@@ -76,12 +81,15 @@ from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.checkpoint import (
     FrameworkCheckpoint,
     load_checkpoint,
     save_checkpoint,
 )
 from repro.core.framework import IncrementalBetweenness
+from repro.core.kernel import ScoreColumn
 from repro.core.result import BatchResult
 from repro.core.updates import EdgeUpdate, UpdateKind, batches, validate_batch
 from repro.exceptions import (
@@ -233,6 +241,25 @@ def _check_shard_sidecar(ckpt: FrameworkCheckpoint, payload: dict) -> None:
         )
 
 
+def _partials(framework: IncrementalBetweenness, named: List[int]) -> tuple:
+    """A worker's partial scores for its next reply, one triple per side.
+
+    Each side crosses as ``(labels, present, values)``: ``values`` is one
+    float64 array over the worker's permanent entry numbers
+    (:meth:`~repro.core.framework.IncrementalBetweenness.numbered_scores`),
+    ``present`` masks its present entries (``None``: all are) and
+    ``labels`` names only the numbers new since the previous reply —
+    ``named`` counts, per side, the numbers already named.
+    """
+    sides = []
+    for side, (values, present, label) in enumerate(framework.numbered_scores()):
+        sides.append(
+            ([label(i) for i in range(named[side], len(values))], present, values)
+        )
+        named[side] = len(values)
+    return tuple(sides)
+
+
 def _worker_main(connection, payload: dict) -> None:
     """Entry point of every worker process (one mapper of Figure 4).
 
@@ -242,21 +269,24 @@ def _worker_main(connection, payload: dict) -> None:
     or names the shard sidecar to resume from, with the coordinator's
     cursor to check it against (:func:`_check_shard_sidecar`).  A refusal
     of the state on disk is answered ``("refused", exception)``.  The
-    worker answers ``("ready", seconds, sidecar_cursor)`` once seeded
-    (``None`` when fresh), so the coordinator never reads the sidecar
-    itself.
+    worker answers ``("ready", seconds, sidecar_cursor, partials)`` once
+    seeded (``sidecar_cursor`` is ``None`` when fresh), so the coordinator
+    never reads the sidecar itself.
 
     Protocol (all tuples over the pipe):
 
     * ``("apply", cursor, batch, adopt)`` → ``("applied", cursor, result,
-      cpu_seconds)`` — apply a batch (batched pipeline) against this
-      worker's partition; ``adopt`` names the stream-born vertices it
+      cpu_seconds, partials)`` — apply a batch (batched pipeline) against
+      this worker's partition; ``adopt`` names the stream-born vertices it
       takes ownership of.  Dispatch and replay send the same message.
     * ``("checkpoint", cursor)`` → ``("checkpointed", cursor, seconds)``
       (durable shards only)
-    * ``("collect", vertex, edge)`` → ``("scores", vertex_partial,
-      edge_partial)``; a side whose flag is false is ``None``, never built
     * ``("stop",)`` → ``("stopped",)``
+
+    ``partials`` are the worker's partial scores after the reply's
+    boundary, one ``(labels, present, values)`` triple per side (see
+    :func:`_partials`), so the coordinator reduces every batch without
+    asking again.
 
     ``payload["chaos"]`` is test-only fault injection: ``{"cursor": k,
     "when": "before"|"after"}`` SIGKILLs the process at batch ``k`` either
@@ -289,7 +319,8 @@ def _worker_main(connection, payload: dict) -> None:
             except ReproError as exc:
                 connection.send(("refused", exc))
                 return
-        connection.send(("ready", timer.total, cursor))
+        named = [0, 0]
+        connection.send(("ready", timer.total, cursor, _partials(framework, named)))
         while True:
             # Sleep until a command arrives or the driver dies.  The pipe
             # alone cannot tell: under ``fork`` every sibling inherits the
@@ -313,7 +344,8 @@ def _worker_main(connection, payload: dict) -> None:
                     # the work is lost and must be replayed onto the
                     # replacement from the shard checkpoint.
                     os.kill(os.getpid(), signal.SIGKILL)
-                connection.send(("applied", cursor, result, cpu_seconds))
+                partials = _partials(framework, named)
+                connection.send(("applied", cursor, result, cpu_seconds, partials))
             elif command == "checkpoint":
                 _, cursor = message
                 round_timer = Timer()
@@ -326,15 +358,6 @@ def _worker_main(connection, payload: dict) -> None:
                         cursor,
                     )
                 connection.send(("checkpointed", cursor, round_timer.total))
-            elif command == "collect":
-                _, vertex, edge = message
-                connection.send(
-                    (
-                        "scores",
-                        framework.vertex_betweenness() if vertex else None,
-                        framework.edge_betweenness() if edge else None,
-                    )
-                )
             elif command == "stop":
                 connection.send(("stopped",))
                 return
@@ -359,10 +382,12 @@ def _worker_main(connection, payload: dict) -> None:
 def merge_partial_scores(partials: Sequence[Dict]) -> Dict:
     """Reduce step: sum partial score dictionaries key by key.
 
-    The summation order is part of the contract, because float addition is
-    not associative: partials are folded **in the order given**, which every
-    caller in this package makes the stable partition order (worker 0 first,
-    then worker 1, ...) — never completion order.  Two runs that produce the
+    This is the reference the coordinator's per-batch fold
+    (:class:`_ScoreFold`) reproduces bit for bit over score columns.  The
+    summation order is part of the contract, because float addition is
+    not associative: partials are folded **in the order given**, the stable
+    partition order (worker 0 first, then worker 1, ...) — never
+    completion order.  Two runs that produce the
     same partials therefore produce bit-identical merged scores, which is
     what lets the coordinator promise ``==`` equality after crash recovery.
 
@@ -381,6 +406,61 @@ def merge_partial_scores(partials: Sequence[Dict]) -> Dict:
     return merged
 
 
+#: A shard before its first reply: no numbered entries.
+_NO_PARTIAL = (np.empty(0, dtype=np.int64), None, np.empty(0, dtype=np.float64))
+
+
+class _ScoreFold:
+    """One score side reduced over every shard's partial, key by key.
+
+    Each shard's entry numbers map to positions in one reduced key list
+    (keys in first-seen order), so the fold is key-aligned: a replacement
+    worker that numbers its edges differently lands on the same keys.
+    :meth:`fold` adds the shards' value arrays into zeros in shard order —
+    ``(0.0 + p0) + p1`` per key, the additions of
+    :func:`merge_partial_scores` — and keeps the keys some shard holds
+    present, so its column is that merge, bit for bit.
+    """
+
+    def __init__(self, num_shards: int) -> None:
+        self._keys: List = []
+        self._position_of: Dict = {}
+        self._shards: List[Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]] = [
+            _NO_PARTIAL
+        ] * num_shards
+
+    def take(self, shard_id: int, partial: tuple, fresh: bool) -> None:
+        """Adopt one reply's ``(labels, present, values)``; ``fresh``: the
+        reply comes from a newly seeded worker, which numbers from 0."""
+        labels, present, values = partial
+        positions = _NO_PARTIAL[0] if fresh else self._shards[shard_id][0]
+        if labels:
+            named = np.fromiter(map(self._position, labels), np.int64, len(labels))
+            positions = np.concatenate((positions, named))
+        self._shards[shard_id] = (positions, present, values)
+
+    def _position(self, key) -> int:
+        position = self._position_of.get(key)
+        if position is None:
+            position = self._position_of[key] = len(self._keys)
+            self._keys.append(key)
+        return position
+
+    def fold(self) -> ScoreColumn:
+        """The reduced side as a fresh column (the key list only grows, so
+        every column may share it)."""
+        keys = self._keys
+        total = np.zeros(len(keys), dtype=np.float64)
+        held = np.zeros(len(keys), dtype=np.bool_)
+        for positions, present, values in self._shards:
+            total[positions] += values
+            held[positions if present is None else positions[present]] = True
+        if held.all():
+            return ScoreColumn(total, keys.__getitem__)
+        ids = np.flatnonzero(held)
+        return ScoreColumn(total[ids], lambda i: keys[ids[i]])
+
+
 # --------------------------------------------------------------------------- #
 # Reports
 # --------------------------------------------------------------------------- #
@@ -393,7 +473,8 @@ class ParallelBatchReport:
     for the round trip, including IPC.  Cluster semantics follow Section
     5.4: wall-clock is the slowest mapper, cumulative cost is the sum.
     ``payload_bytes`` is the exact pickled size of what the driver wrote to
-    all worker pipes for the batch.
+    all worker pipes for the batch, ``reply_bytes`` that of the replies it
+    read back (partial score columns included).
     """
 
     updates: List[EdgeUpdate] = field(default_factory=list)
@@ -402,6 +483,7 @@ class ParallelBatchReport:
     worker_results: List[BatchResult] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     payload_bytes: int = 0
+    reply_bytes: int = 0
 
     @property
     def num_updates(self) -> int:
@@ -553,6 +635,9 @@ class ShardCoordinator:
         self._log: Dict[int, Tuple[List[EdgeUpdate], List[List[Vertex]]]] = {}
         self._partitions: Tuple = ()
         self._bytes_sent = 0
+        self._bytes_received = 0
+        self._folds = (_ScoreFold(num_workers), _ScoreFold(num_workers))
+        self._columns: Tuple[ScoreColumn, ScoreColumn] = ()
         self._closed = False
 
         try:
@@ -565,6 +650,7 @@ class ShardCoordinator:
                         "ShardCoordinator.resume to restore one from disk)"
                     )
                 self._init_fresh(graph, store, source_store_path)
+            self._fold()
         except BaseException:
             self.close(checkpoint=False)
             raise
@@ -734,6 +820,12 @@ class ShardCoordinator:
         """Bootstrap wall-clock: the slowest worker's initial phase."""
         return max(self._init_seconds)
 
+    @property
+    def closed(self) -> bool:
+        """Whether the pool is shut down (by :meth:`close` or a terminal
+        worker failure)."""
+        return self._closed
+
     def shard_of(self, vertex: Vertex) -> Optional[int]:
         """Which shard adopted a stream-born ``vertex`` (None if not born)."""
         for candidate, shard_id in self._assignment:
@@ -741,22 +833,24 @@ class ShardCoordinator:
                 return shard_id
         return None
 
+    def score_columns(self) -> Tuple[ScoreColumn, ScoreColumn]:
+        """Both reduced score sides as of the last batch boundary: the
+        fold of the partials the workers' replies carried."""
+        self._ensure_open()
+        return self._columns
+
     def vertex_betweenness(self) -> VertexScores:
         """Reduced (global) vertex betweenness scores."""
-        vertex_partials, _ = self._collect(vertex=True, edge=False)
-        return merge_partial_scores(vertex_partials)
+        return self.score_columns()[0].to_dict()
 
     def edge_betweenness(self) -> EdgeScores:
         """Reduced (global) edge betweenness scores."""
-        _, edge_partials = self._collect(vertex=False, edge=True)
-        return merge_partial_scores(edge_partials)
+        return self.score_columns()[1].to_dict()
 
     def betweenness(self) -> Tuple[VertexScores, EdgeScores]:
-        """Both reduced score dictionaries from a single collect round."""
-        vertex_partials, edge_partials = self._collect(vertex=True, edge=True)
-        return merge_partial_scores(vertex_partials), merge_partial_scores(
-            edge_partials
-        )
+        """Both reduced score dictionaries."""
+        vertices, edges = self.score_columns()
+        return vertices.to_dict(), edges.to_dict()
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -800,14 +894,15 @@ class ShardCoordinator:
             self._shard_sizes[shard_id] += 1
             self._assignment.append((vertex, shard_id))
         cursor = self._cursor
-        bytes_before = self._bytes_sent
+        sent, received = self._bytes_sent, self._bytes_received
 
         timer = Timer()
         with timer.measure():
             replies = self._broadcast(
                 lambda i: ("apply", cursor, batch, adopt_per_shard[i]), "applied"
             )
-        payload_bytes = self._bytes_sent - bytes_before
+        payload_bytes = self._bytes_sent - sent
+        reply_bytes = self._bytes_received - received
 
         for update in batch:  # keep the coordinator's graph in sync
             u, v = update.endpoints
@@ -822,6 +917,7 @@ class ShardCoordinator:
             self._log[cursor] = (batch, adopt_per_shard)
             if self._cursor - self._last_round >= self._layout.checkpoint_every:
                 self._checkpoint_round()
+        self._fold()
 
         return ParallelBatchReport(
             updates=batch,
@@ -830,6 +926,7 @@ class ShardCoordinator:
             worker_results=[reply[2] for reply in replies],
             elapsed_seconds=timer.total,
             payload_bytes=payload_bytes,
+            reply_bytes=reply_bytes,
         )
 
     def process_stream(
@@ -1003,6 +1100,10 @@ class ShardCoordinator:
     def _recv(self, shard_id: int):
         """Receive one message from a worker without risking a driver hang.
 
+        Like :meth:`_send`, it unpickles what ``recv_bytes`` read with the
+        reducer ``Connection.recv`` uses, counting the exact size into
+        :attr:`ParallelBatchReport.reply_bytes`.
+
         A blocking ``Pipe.recv`` would wait forever on a worker that was
         SIGKILLed mid-batch (the write end of the pipe stays open in the
         driver itself, so no EOF ever arrives).  Poll in short slices and
@@ -1021,7 +1122,7 @@ class ShardCoordinator:
         while True:
             try:
                 if handle.connection.poll(0.05):
-                    return handle.connection.recv()
+                    return self._load(handle.connection.recv_bytes())
             except (EOFError, OSError) as exc:
                 raise WorkerFailedError(
                     f"shard {shard_id} worker closed its pipe "
@@ -1031,7 +1132,7 @@ class ShardCoordinator:
                 # Drain a reply that raced the death before declaring it.
                 try:
                     if handle.connection.poll(0):
-                        return handle.connection.recv()
+                        return self._load(handle.connection.recv_bytes())
                 except (EOFError, OSError):
                     pass
                 raise WorkerFailedError(
@@ -1043,6 +1144,10 @@ class ShardCoordinator:
                     f"shard {shard_id} worker did not reply within "
                     f"{self._recv_timeout}s"
                 )
+
+    def _load(self, data: bytes):
+        self._bytes_received += len(data)
+        return ForkingPickler.loads(data)
 
     def _expect(self, shard_id: int, expected: str):
         message = self._recv(shard_id)
@@ -1064,22 +1169,35 @@ class ShardCoordinator:
                 f"unexpected shard {shard_id} reply {message[0]!r} "
                 f"(wanted {expected!r})"
             )
+        if expected in ("ready", "applied"):
+            for fold, partial in zip(self._folds, message[-1]):
+                fold.take(shard_id, partial, fresh=expected == "ready")
         return message
+
+    def _fold(self) -> None:
+        """Reduce the partials of the boundary every worker has reached."""
+        self._columns = tuple(fold.fold() for fold in self._folds)
 
     def _broadcast(self, message_for: Callable[[int], tuple], expected: str):
         """Send a command to every shard and gather replies by shard id.
 
         Replies are indexed by shard, never by completion order, so the
         reduce step downstream sums partials in stable partition order no
-        matter which worker answered first.
+        matter which worker answered first.  A shard that cannot be
+        restored ends the ensemble: its siblings may have the command
+        already, so the pool is closed rather than left half advanced.
         """
         for shard_id in range(self.num_shards):
             try:
                 self._send(shard_id, message_for(shard_id))
             except WorkerFailedError as exc:
                 self._fail_without_root(shard_id, exc)
-                self._recover_shard(shard_id, exc)
-                self._send(shard_id, message_for(shard_id))
+                try:
+                    self._recover_shard(shard_id, exc)
+                    self._send(shard_id, message_for(shard_id))
+                except BaseException:
+                    self.close(checkpoint=False)
+                    raise
         return [
             self._await_reply(shard_id, message_for, expected)
             for shard_id in range(self.num_shards)
@@ -1105,6 +1223,9 @@ class ShardCoordinator:
                 except WorkerFailedError:
                     # The replacement died too; count another attempt.
                     self._teardown_handle(shard_id)
+                except BaseException:
+                    self.close(checkpoint=False)  # see _broadcast
+                    raise
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _fail_without_root(self, shard_id: int, failure: Exception) -> None:
@@ -1172,13 +1293,3 @@ class ShardCoordinator:
             replayed_batches=self._cursor - start,
             seconds=timer.total,
         )
-
-    def _collect(
-        self, vertex: bool, edge: bool
-    ) -> Tuple[List[Optional[VertexScores]], List[Optional[EdgeScores]]]:
-        """Every worker's partials of the sides asked for, in shard order."""
-        self._ensure_open()
-        replies = self._broadcast(lambda i: ("collect", vertex, edge), "scores")
-        vertex_partials = [reply[1] for reply in replies]
-        edge_partials = [reply[2] for reply in replies]
-        return vertex_partials, edge_partials

@@ -30,10 +30,10 @@ All updates for a session flow through one **single-writer asyncio
 worker**: concurrent POSTs enqueue jobs and await their futures, the
 worker applies them strictly in arrival order on an executor thread, so
 ``apply_batch`` calls never interleave and the event stream stays gap
-free.  A serial session's reads run inline on the event loop: they read
-the snapshot the writer published at the last batch boundary and never
-block.  Process and shard sessions collect scores from their workers
-under the session lock, so their reads run on executor threads.
+free.  Reads run inline on the event loop, under every executor: they
+read the snapshot the writer published at the last batch boundary (a
+shard session's is the fold of its workers' last replies) and never
+block.
 """
 
 from __future__ import annotations
@@ -293,16 +293,11 @@ class ManagedSession:
         return await future
 
     async def read(self, fn, *args, **kwargs):
-        """Run a session read: inline for a serial session (a lock-free
-        snapshot read), on an executor thread otherwise (a worker collect
-        under the session lock)."""
+        """Run a session read inline: a lock-free read of the snapshot
+        published at the last batch boundary."""
         if self._closing:
             raise SessionClosed(self.name)
-        if self.session.config.executor == "serial":
-            return fn(*args, **kwargs)
-        return await self._loop.run_in_executor(
-            None, lambda: fn(*args, **kwargs)
-        )
+        return fn(*args, **kwargs)
 
     async def close(self) -> None:
         """Drain the worker, close the session (tail checkpoint included).

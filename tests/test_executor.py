@@ -85,24 +85,21 @@ class TestExecutorEquivalence:
 
 class TestOneSidedCollect:
     def test_side_reads_equal_the_both_sides_merge(self, monkeypatch):
+        """Reads are the last batch's fold: no side sends a worker round."""
         graph = random_connected_graph(12, 0.2, seed=81)
         with ShardCoordinator(graph, num_workers=2) as cluster:
             cluster.apply_batch([EdgeUpdate.addition(0, 99)])
             both = cluster.betweenness()
-            replies = []
-            broadcast = cluster._broadcast
+            rounds = []
 
             def spy(message_for, expected):
-                replies.append(broadcast(message_for, expected))
-                return replies[-1]
+                rounds.append(expected)
+                raise AssertionError("a read sent a worker round")
 
             monkeypatch.setattr(cluster, "_broadcast", spy)
             assert cluster.vertex_betweenness() == both[0]
             assert cluster.edge_betweenness() == both[1]
-        vertex_round, edge_round = replies
-        assert len(vertex_round) == len(edge_round) == 2
-        assert all(r[1] is not None and r[2] is None for r in vertex_round)
-        assert all(r[1] is None and r[2] is not None for r in edge_round)
+        assert rounds == []
 
 
 class TestExecutorBehaviour:
@@ -177,12 +174,15 @@ class TestExecutorFaultDetection:
             os.kill(cluster._handles[1].process.pid, signal.SIGKILL)
             cluster._handles[1].process.join(timeout=10.0)
             with pytest.raises(WorkerFailedError, match="shard 1"):
-                cluster.betweenness()
+                cluster.add_edge(*_absent_edge(cluster.graph))
         finally:
             cluster.close()
-        # The failure closed the cluster; further use is refused, not hung.
+        # The failure closed the cluster; further use is refused, not hung,
+        # and the last fold is not served.
         with pytest.raises(ConfigurationError):
             cluster.add_edge(0, 1)
+        with pytest.raises(ConfigurationError):
+            cluster.betweenness()
 
     def test_recv_timeout_bounds_the_wait(self, cycle6):
         """A generous timeout never fires for a healthy worker."""

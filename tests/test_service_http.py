@@ -8,6 +8,9 @@ the test is about the wire framing itself.
 import asyncio
 import json
 import logging
+import os
+import signal
+import threading
 
 import pytest
 
@@ -457,6 +460,61 @@ class TestLifecycle:
 
                 _, reads = await asyncio.gather(writer(), reader())
                 assert reads > 0
+            finally:
+                await client.close()
+                await server.stop()
+
+        run(scenario())
+
+    def test_shard_top_k_answers_while_its_post_is_in_flight(self, tmp_path):
+        """A SIGSTOPped worker holds the shard session's batch; /top_k
+        still answers at once, naming the previous boundary."""
+        edges = [list(e) for e in random_connected_graph(16, 0.2, seed=46).edge_list()]
+
+        async def scenario():
+            server, client, port = await _boot(tmp_path)
+            try:
+                await client.create_session(
+                    "demo",
+                    edges=edges,
+                    config={"executor": "shard", "store": "shard://?shards=2"},
+                )
+                await client.post_updates("demo", [("add", 0, 100)])
+                before = await client.top_k("demo", k=3)
+                assert before["batches_applied"] == 1
+
+                cluster = server.registry.get("demo").session.engine
+                in_flight = threading.Event()
+                broadcast = cluster._broadcast
+
+                def flagged(message_for, expected):
+                    in_flight.set()
+                    return broadcast(message_for, expected)
+
+                cluster._broadcast = flagged
+                held = cluster._handles[0].process.pid
+                os.kill(held, signal.SIGSTOP)
+                try:
+                    async with ServiceClient(
+                        "127.0.0.1", port, api_key="secret"
+                    ) as writer:
+                        post = asyncio.create_task(
+                            writer.post_updates("demo", [("add", 100, 101)])
+                        )
+                        loop = asyncio.get_running_loop()
+                        assert await loop.run_in_executor(None, in_flight.wait, 10.0)
+                        during = await asyncio.wait_for(
+                            client.top_k("demo", k=3), 2.0
+                        )
+                        assert not post.done()
+                        os.kill(held, signal.SIGCONT)
+                        summary = await asyncio.wait_for(post, 30.0)
+                finally:
+                    os.kill(held, signal.SIGCONT)
+                assert during == before
+                assert summary["batch_index"] == 1
+                after = await client.top_k("demo", k=3)
+                assert after["batches_applied"] == 2
             finally:
                 await client.close()
                 await server.stop()
