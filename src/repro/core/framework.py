@@ -32,12 +32,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.classification import UpdateCase
-from repro.core.kernel import (
-    ArrayKernel,
-    KeyNumbering,
-    NumberedScores,
-    ScoreColumn,
-)
+from repro.core.kernel import ArrayKernel, NumberedScores, ScoreColumn
 from repro.core.result import BatchResult, SourceUpdateStats, UpdateResult
 from repro.core.source_update import update_source
 from repro.core.updates import EdgeUpdate, UpdateKind, validate_batch
@@ -138,7 +133,6 @@ class IncrementalBetweenness:
         self._graph = graph.copy()
         self._backend = validate_backend(backend)
         self._kernel: Optional[ArrayKernel] = None
-        self._numbering: Optional[Tuple[KeyNumbering, KeyNumbering]] = None
         self._restricted = sources is not None
         self._maintain_predecessors = maintain_predecessors
         self._predecessors: Dict[Vertex, Dict[Vertex, set]] = {}
@@ -239,7 +233,6 @@ class IncrementalBetweenness:
         self._graph = graph.copy() if copy_graph else graph
         self._backend = validate_backend(backend)
         self._kernel = None
-        self._numbering = None
         self._restricted = restricted
         self._maintain_predecessors = False
         self._predecessors = {}
@@ -554,19 +547,15 @@ class IncrementalBetweenness:
             ScoreColumn.from_mapping(dict(self._edge_scores)),
         )
 
-    def numbered_scores(self) -> Tuple[NumberedScores, NumberedScores]:
-        """Both score sides over permanent entry numbers, as a shard worker
-        sends its partials (:class:`~repro.core.kernel.NumberedScores`).
-
-        The arrays backend numbers by vertex slot and edge registry id; the
-        dicts backend numbers its keys in first-seen order.
+    def numbered_scores(self) -> Optional[Tuple[NumberedScores, NumberedScores]]:
+        """Both score sides over the arrays kernel's permanent entry
+        numbers (:class:`~repro.core.kernel.NumberedScores`): vertex slots
+        and edge registry ids.  ``None`` on the dicts backend, whose scores
+        have no numbering.
         """
-        if self._kernel is not None:
-            return self._kernel.numbered_scores()
-        if self._numbering is None:
-            self._numbering = (KeyNumbering(), KeyNumbering())
-        vertices, edges = self._numbering
-        return vertices.number(self._vertex_scores), edges.number(self._edge_scores)
+        if self._kernel is None:
+            return None
+        return self._kernel.numbered_scores()
 
     def vertex_score(self, vertex: Vertex) -> float:
         """Current betweenness of ``vertex`` (``KeyError`` if unknown)."""

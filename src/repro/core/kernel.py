@@ -96,7 +96,6 @@ from repro.utils.stats import top_k_ranked
 __all__ = [
     "ArrayKernel",
     "EdgeScoreRegistry",
-    "KeyNumbering",
     "NumberedScores",
     "ScoreColumn",
     "brandes_betweenness_arrays",
@@ -272,45 +271,19 @@ class ScoreColumn:
 
 
 class NumberedScores(NamedTuple):
-    """One score side over permanent entry numbers, for a reducer that
-    meets it again after every batch (a shard worker's partial).
+    """One score side over the kernel's permanent entry numbers (vertex
+    slots or edge registry ids), for a reader that diffs it from batch to
+    batch (a shard worker's partial).
 
     ``values[i]`` is entry ``i``'s score and holds 0.0 while the entry is
     absent, ``present`` masks the present entries (``None``: all are) and
-    ``label(i)`` names entry ``i``.  Numbers are only ever appended, so a
-    reader names each one once; ``label`` reads the live numbering.
+    ``label(i)`` names entry ``i``.  Numbers are only ever appended and
+    never name another entry; ``label`` reads the live numbering.
     """
 
     values: np.ndarray
     present: Optional[np.ndarray]
     label: Callable[[int], Any]
-
-
-class KeyNumbering:
-    """Permanent numbers for the keys of a score dict, in first-seen order
-    (the dicts backend's :class:`NumberedScores`)."""
-
-    __slots__ = ("_number_of", "_keys")
-
-    def __init__(self) -> None:
-        self._number_of: Dict[Any, int] = {}
-        self._keys: List[Any] = []
-
-    def number(self, scores: Dict[Any, float]) -> NumberedScores:
-        """``scores`` over the numbers; a key never seen before gets the next."""
-        number_of, keys = self._number_of, self._keys
-        for key in scores:
-            if key not in number_of:
-                number_of[key] = len(keys)
-                keys.append(key)
-        numbers = np.fromiter(map(number_of.__getitem__, scores), np.int64, len(scores))
-        values = np.zeros(len(keys), dtype=np.float64)
-        values[numbers] = np.fromiter(scores.values(), np.float64, len(scores))
-        present = None
-        if len(scores) < len(keys):
-            present = np.zeros(len(keys), dtype=np.bool_)
-            present[numbers] = True
-        return NumberedScores(values, present, keys.__getitem__)
 
 
 # --------------------------------------------------------------------------- #

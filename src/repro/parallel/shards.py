@@ -6,11 +6,13 @@ restricted :class:`~repro.core.framework.IncrementalBetweenness` instance
 incremental repair run concurrently.  The reduce step sums the partial
 vertex/edge scores in partition order, so the merged result is the serial
 framework's — what the partitioning changes is real wall-clock time.  It
-runs once per batch: every ``ready`` and ``applied`` reply carries the
-worker's partial score columns, and the coordinator folds them key by key
-(:class:`_ScoreFold`, bit-identical to :func:`merge_partial_scores` over the
-partial dicts), so the reduced scores are current at every batch boundary
-and a read never sends the workers anything.
+runs once per batch: every ``ready`` and ``applied`` reply carries what
+changed in the worker's partial scores since its previous reply
+(:class:`_PartialFeed`), the coordinator patches its copy of each partial
+and folds them key by key (:class:`_ScoreFold`, bit-identical to
+:func:`merge_partial_scores` over the partial dicts), so the reduced scores
+are current at every batch boundary and a read never sends the workers
+anything.
 
 :class:`ShardCoordinator` is the one driver.  It dispatches batches over
 pipes, monitors worker health (poll with liveness checks and an optional
@@ -89,7 +91,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.framework import IncrementalBetweenness
-from repro.core.kernel import ScoreColumn
+from repro.core.kernel import NumberedScores, ScoreColumn
 from repro.core.result import BatchResult
 from repro.core.updates import EdgeUpdate, UpdateKind, batches, validate_batch
 from repro.exceptions import (
@@ -241,23 +243,119 @@ def _check_shard_sidecar(ckpt: FrameworkCheckpoint, payload: dict) -> None:
         )
 
 
-def _partials(framework: IncrementalBetweenness, named: List[int]) -> tuple:
-    """A worker's partial scores for its next reply, one triple per side.
+class _KeyNumbering:
+    """Numbers for the keys of one dicts-backend score side, so it reads as
+    :class:`~repro.core.kernel.NumberedScores` like an arrays kernel's.
 
-    Each side crosses as ``(labels, present, values)``: ``values`` is one
-    float64 array over the worker's permanent entry numbers
-    (:meth:`~repro.core.framework.IncrementalBetweenness.numbered_scores`),
-    ``present`` masks its present entries (``None``: all are) and
-    ``labels`` names only the numbers new since the previous reply —
-    ``named`` counts, per side, the numbers already named.
+    While a side only gains keys, the order of the last call is a prefix
+    of the dict's, so numbering it costs a list comparison; only a batch
+    that removed a key walks the keys.  The number of a key that went is
+    reused, from the next call on, so numbers stay as many as the keys
+    present at once.
     """
-    sides = []
-    for side, (values, present, label) in enumerate(framework.numbered_scores()):
-        sides.append(
-            ([label(i) for i in range(named[side], len(values))], present, values)
-        )
-        named[side] = len(values)
-    return tuple(sides)
+
+    def __init__(self) -> None:
+        self._number_of: Dict = {}
+        self._keys: List = []  # number -> key
+        self._free: List[int] = []
+        self._order: List = []  # the keys in the dict's order at the last call
+        self._numbers = np.zeros(0, dtype=np.int64)  # and their numbers
+
+    def number(self, scores: Dict) -> NumberedScores:
+        order = list(scores)
+        seen = len(self._order)
+        if order[:seen] == self._order:
+            numbers = np.concatenate((self._numbers, self._assign(order[seen:])))
+        else:
+            gone = [key for key in self._order if key not in scores]
+            freed = [self._number_of.pop(key) for key in gone]
+            numbers = self._renumber(order)
+            self._free.extend(freed)
+        self._order, self._numbers = order, numbers
+        values = np.zeros(len(self._keys))
+        values[numbers] = np.fromiter(scores.values(), np.float64, len(order))
+        present = None
+        if len(order) < len(self._keys):
+            present = np.zeros(len(self._keys), dtype=np.bool_)
+            present[numbers] = True
+        return NumberedScores(values, present, self._keys.__getitem__)
+
+    def _renumber(self, order: List) -> np.ndarray:
+        """Numbers of ``order``'s keys, assigning one to each new key."""
+        known = self._number_of
+        new = [key for key in order if key not in known]
+        self._assign(new)
+        return np.fromiter(map(known.__getitem__, order), np.int64, len(order))
+
+    def _assign(self, keys: List) -> np.ndarray:
+        numbers = np.empty(len(keys), dtype=np.int64)
+        for i, key in enumerate(keys):
+            if self._free:
+                number = self._free.pop()
+                self._keys[number] = key
+            else:
+                number = len(self._keys)
+                self._keys.append(key)
+            self._number_of[key] = numbers[i] = number
+        return numbers
+
+
+class _PartialFeed:
+    """A worker's partial scores, sent as what changed since its last reply.
+
+    Each reply carries, per side, ``(entering, labels, numbers, values,
+    gone)`` over the worker's entry numbers (vertex slots and edge
+    registry ids on the arrays backend, :class:`_KeyNumbering` on the
+    dicts one): the numbers that became present, with ``labels[i]`` naming
+    ``entering[i]``; the present entries whose score changed (entering ones
+    included) with their new scores; and the numbers that went absent.  An
+    entry is named each time it enters, so the coordinator forgets a number
+    when it goes.  When at most half the numbers changed, ``numbers`` lists
+    them and ``values`` holds their scores; otherwise ``numbers`` is
+    ``None`` and ``values`` is the whole column, which is then the smaller
+    message.  So a reply costs what the batch changed, never more than the
+    column.  The first reply of a worker sends every present entry.
+
+    Finding the changes compares whole columns.  On the arrays backend they
+    span every edge registry id, so that vectorized pass grows with the
+    edges ever seen, as the registry does; the dicts numbering reuses the
+    numbers of keys that went.
+    """
+
+    def __init__(self, framework: IncrementalBetweenness) -> None:
+        self._framework = framework
+        self._numberings = (_KeyNumbering(), _KeyNumbering())
+        self._last = [(np.zeros(0), np.zeros(0, dtype=np.bool_))] * 2
+
+    def next(self) -> tuple:
+        """Both sides' changes since the previous call."""
+        framework = self._framework
+        numbered = framework.numbered_scores()
+        if numbered is None:
+            vertices, edges = self._numberings
+            numbered = (
+                vertices.number(framework.vertex_betweenness()),
+                edges.number(framework.edge_betweenness()),
+            )
+        return tuple(self._changes(side, *numbered[side]) for side in (0, 1))
+
+    def _changes(self, side: int, values, present, label) -> tuple:
+        last_values, last_present = self._last[side]
+        count, seen = len(values), len(last_values)
+        now = np.ones(count, dtype=np.bool_) if present is None else present
+        was = np.zeros(count, dtype=np.bool_)
+        was[:seen] = last_present
+        old = np.zeros(count)
+        old[:seen] = last_values
+        self._last[side] = (values, now)
+        entering = np.flatnonzero(now & ~was)
+        gone = np.flatnonzero(was & ~now)
+        labels = [label(i) for i in entering.tolist()]
+        moved = values.view(np.int64) != old.view(np.int64)
+        numbers = np.flatnonzero(now & (moved | ~was))
+        if 2 * len(numbers) > count:
+            return entering, labels, None, values, gone
+        return entering, labels, numbers, values[numbers], gone
 
 
 def _worker_main(connection, payload: dict) -> None:
@@ -283,10 +381,9 @@ def _worker_main(connection, payload: dict) -> None:
       (durable shards only)
     * ``("stop",)`` → ``("stopped",)``
 
-    ``partials`` are the worker's partial scores after the reply's
-    boundary, one ``(labels, present, values)`` triple per side (see
-    :func:`_partials`), so the coordinator reduces every batch without
-    asking again.
+    ``partials`` are what changed in the worker's partial scores up to the
+    reply's boundary (:class:`_PartialFeed`), so the coordinator reduces
+    every batch without asking again.
 
     ``payload["chaos"]`` is test-only fault injection: ``{"cursor": k,
     "when": "before"|"after"}`` SIGKILLs the process at batch ``k`` either
@@ -319,8 +416,8 @@ def _worker_main(connection, payload: dict) -> None:
             except ReproError as exc:
                 connection.send(("refused", exc))
                 return
-        named = [0, 0]
-        connection.send(("ready", timer.total, cursor, _partials(framework, named)))
+        feed = _PartialFeed(framework)
+        connection.send(("ready", timer.total, cursor, feed.next()))
         while True:
             # Sleep until a command arrives or the driver dies.  The pipe
             # alone cannot tell: under ``fork`` every sibling inherits the
@@ -344,7 +441,7 @@ def _worker_main(connection, payload: dict) -> None:
                     # the work is lost and must be replayed onto the
                     # replacement from the shard checkpoint.
                     os.kill(os.getpid(), signal.SIGKILL)
-                partials = _partials(framework, named)
+                partials = feed.next()
                 connection.send(("applied", cursor, result, cpu_seconds, partials))
             elif command == "checkpoint":
                 _, cursor = message
@@ -406,38 +503,73 @@ def merge_partial_scores(partials: Sequence[Dict]) -> Dict:
     return merged
 
 
-#: A shard before its first reply: no numbered entries.
-_NO_PARTIAL = (np.empty(0, dtype=np.int64), None, np.empty(0, dtype=np.float64))
+def _grown(array: np.ndarray, size: int, fill) -> np.ndarray:
+    """``array`` if it holds ``size`` entries, else a copy padded with
+    ``fill`` to at least that (doubling, so appends stay amortized)."""
+    if len(array) >= size:
+        return array
+    grown = np.full(max(size, 2 * len(array)), fill, dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
+
+
+class _ShardPartial:
+    """One shard's partial of one side, over the worker's entry numbers."""
+
+    __slots__ = ("positions", "present", "values", "live", "at")
+
+    def __init__(self) -> None:
+        self.positions = np.zeros(0, dtype=np.int64)  # present number -> position
+        self.present = np.zeros(0, dtype=np.bool_)
+        self.values = np.zeros(0)
+        self.live = self.at = np.zeros(0, dtype=np.int64)  # present numbers, positions
 
 
 class _ScoreFold:
     """One score side reduced over every shard's partial, key by key.
 
-    Each shard's entry numbers map to positions in one reduced key list
-    (keys in first-seen order), so the fold is key-aligned: a replacement
-    worker that numbers its edges differently lands on the same keys.
-    :meth:`fold` adds the shards' value arrays into zeros in shard order —
+    The reduced keys sit at positions in one key list (first-seen order),
+    and each shard maps its present entry numbers to positions, so the fold
+    is key-aligned: a replacement worker that numbers its edges differently
+    lands on the same keys.  :meth:`take` patches a shard's partial with
+    the changes a reply carries (:class:`_PartialFeed`).  :meth:`fold` adds
+    the shards' present values into zeros in shard order —
     ``(0.0 + p0) + p1`` per key, the additions of
     :func:`merge_partial_scores` — and keeps the keys some shard holds
-    present, so its column is that merge, bit for bit.
+    present, so its column is that merge, bit for bit.  Positions no shard
+    holds are dropped once they outnumber the held ones, so the fold costs
+    the live keys, not every key ever seen.
     """
 
     def __init__(self, num_shards: int) -> None:
         self._keys: List = []
         self._position_of: Dict = {}
-        self._shards: List[Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]] = [
-            _NO_PARTIAL
-        ] * num_shards
+        self._shards = [_ShardPartial() for _ in range(num_shards)]
 
     def take(self, shard_id: int, partial: tuple, fresh: bool) -> None:
-        """Adopt one reply's ``(labels, present, values)``; ``fresh``: the
-        reply comes from a newly seeded worker, which numbers from 0."""
-        labels, present, values = partial
-        positions = _NO_PARTIAL[0] if fresh else self._shards[shard_id][0]
-        if labels:
-            named = np.fromiter(map(self._position, labels), np.int64, len(labels))
-            positions = np.concatenate((positions, named))
-        self._shards[shard_id] = (positions, present, values)
+        """Patch one shard with a reply's changes; ``fresh``: the reply
+        comes from a newly seeded worker, which starts from nothing."""
+        entering, labels, numbers, values, gone = partial
+        if fresh:
+            self._shards[shard_id] = _ShardPartial()
+        shard = self._shards[shard_id]
+        if numbers is None:
+            shard.values = values
+        elif len(numbers):
+            shard.values = _grown(shard.values, int(numbers[-1]) + 1, 0.0)
+            shard.values[numbers] = values
+        if len(gone) or len(entering):
+            shard.present[gone] = False
+            if len(entering):
+                size = int(entering.max()) + 1
+                shard.positions = _grown(shard.positions, size, -1)
+                shard.present = _grown(shard.present, size, False)
+                shard.positions[entering] = np.fromiter(
+                    map(self._position, labels), np.int64, len(labels)
+                )
+                shard.present[entering] = True
+            shard.live = np.flatnonzero(shard.present)
+            shard.at = shard.positions[shard.live]
 
     def _position(self, key) -> int:
         position = self._position_of.get(key)
@@ -447,18 +579,30 @@ class _ScoreFold:
         return position
 
     def fold(self) -> ScoreColumn:
-        """The reduced side as a fresh column (the key list only grows, so
-        every column may share it)."""
+        """The reduced side as a fresh column.  The key list is only ever
+        appended to or replaced, so every column may share it."""
         keys = self._keys
-        total = np.zeros(len(keys), dtype=np.float64)
+        total = np.zeros(len(keys))
         held = np.zeros(len(keys), dtype=np.bool_)
-        for positions, present, values in self._shards:
-            total[positions] += values
-            held[positions if present is None else positions[present]] = True
+        for shard in self._shards:
+            total[shard.at] += shard.values[shard.live]
+            held[shard.at] = True
         if held.all():
             return ScoreColumn(total, keys.__getitem__)
         ids = np.flatnonzero(held)
+        if 2 * len(ids) < len(keys):
+            self._compact(ids)
         return ScoreColumn(total[ids], lambda i: keys[ids[i]])
+
+    def _compact(self, kept: np.ndarray) -> None:
+        """Keep only the positions in ``kept`` (every held one)."""
+        renumbered = np.full(len(self._keys), -1, dtype=np.int64)
+        renumbered[kept] = np.arange(len(kept))
+        self._keys = [self._keys[i] for i in kept.tolist()]
+        self._position_of = {key: i for i, key in enumerate(self._keys)}
+        for shard in self._shards:
+            shard.at = renumbered[shard.at]
+            shard.positions[shard.live] = shard.at
 
 
 # --------------------------------------------------------------------------- #
@@ -474,7 +618,7 @@ class ParallelBatchReport:
     5.4: wall-clock is the slowest mapper, cumulative cost is the sum.
     ``payload_bytes`` is the exact pickled size of what the driver wrote to
     all worker pipes for the batch, ``reply_bytes`` that of the replies it
-    read back (partial score columns included).
+    read back (the partial scores' changes included).
     """
 
     updates: List[EdgeUpdate] = field(default_factory=list)
@@ -911,13 +1055,13 @@ class ShardCoordinator:
             else:
                 self._graph.remove_edge(u, v)
         self._cursor = cursor + 1
+        self._fold()  # a recovery in the round below changes no value
         if self._layout is not None:
             # A failure *during* the batch re-sends it; from here on a
             # replacement seeded from an older sidecar needs it replayed.
             self._log[cursor] = (batch, adopt_per_shard)
             if self._cursor - self._last_round >= self._layout.checkpoint_every:
                 self._checkpoint_round()
-        self._fold()
 
         return ParallelBatchReport(
             updates=batch,

@@ -1,19 +1,21 @@
 """Cluster sessions publish their scores at every batch boundary.
 
-Every worker's ``ready`` and ``applied`` replies carry its partial score
-columns, and the coordinator folds them once per batch.  These tests hold
-the fold to the reduce it replaces — after every batch the published
-scores ``==`` :func:`merge_partial_scores` over the partitions' own
-partials, computed in-process by an oracle that repeats the coordinator's
-partitioning and adoptions — across births, removed-then-re-added edges, a
-SIGKILLed worker and a resume from the shard manifest.  They also pin the
-read path: reads never wait for an in-flight batch, and never serve a
-dead ensemble's last boundary.
+Every worker's ``ready`` and ``applied`` replies carry what changed in its
+partial scores, and the coordinator patches its copies and folds them once
+per batch.  These tests hold the fold to the reduce it replaces — after
+every batch the published scores ``==`` :func:`merge_partial_scores` over
+the partitions' own partials, computed in-process by an oracle that repeats
+the coordinator's partitioning and adoptions — across births,
+removed-then-re-added edges, a SIGKILLed worker, a resume from the shard
+manifest and a sliding window of edges.  They also pin the read path: reads
+never wait for an in-flight batch, and never serve a dead ensemble's last
+boundary.
 """
 
 import os
 import signal
 import threading
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
@@ -28,7 +30,12 @@ from repro.core.updates import UpdateKind, validate_batch
 from repro.exceptions import ConfigurationError, WorkerFailedError
 from repro.graph import Graph
 from repro.parallel import ShardCoordinator
-from repro.parallel.shards import merge_partial_scores
+from repro.parallel.shards import (
+    _KeyNumbering,
+    _PartialFeed,
+    _ScoreFold,
+    merge_partial_scores,
+)
 from repro.storage.partition import partition_sources
 from repro.storage.shard import ShardLayout, pick_shard
 
@@ -201,6 +208,89 @@ class TestPublishedBoundaries:
         assert events == ["worker_failed", "shard_recovered"]
 
 
+def two_component_graph() -> Graph:
+    """A connected graph plus a separate path, so a batch on the path
+    leaves every score of the larger part as it was."""
+    graph = random_connected_graph(16, 0.15, seed=47)
+    for vertex in range(100, 109):
+        graph.add_edge(vertex, vertex + 1)
+    return graph
+
+
+def sliding_window(graph: Graph, batches: int):
+    """Each batch adds two never-seen edges and removes the oldest two it
+    added, alternating between the two components, so the graph stays the
+    same size while the edges ever present keep growing."""
+    window, used = [], set(graph.edge_list())
+    for index in range(batches):
+        part = [v for v in graph.vertex_list() if (v >= 100) == (index % 2 == 1)]
+        fresh = [(u, v) for u in part for v in part if u < v and (u, v) not in used]
+        batch = [add(*edge) for edge in fresh[:2]]
+        used.update(fresh[:2])
+        window.extend(fresh[:2])
+        while len(window) > 4:
+            batch.append(remove(*window.pop(0)))
+        for update in batch:
+            if update.kind is UpdateKind.ADDITION:
+                graph.add_edge(*update.endpoints)
+            else:
+                graph.remove_edge(*update.endpoints)
+        yield batch
+
+
+@pytest.mark.parametrize("backend", ["dicts", "arrays"])
+class TestChangeFeed:
+    def test_folded_changes_equal_the_merge_and_forget_dead_keys(self, backend):
+        """Worker feeds and the coordinator's folds in-process, every reply
+        pickled as it crosses the pipe: each boundary equals the merge,
+        a batch on the path sends only what it changed, and neither the
+        dicts numbering nor the fold keeps every edge ever seen."""
+        graph = two_component_graph()
+        oracle = PartitionOracle(graph, backend)
+        feeds = [_PartialFeed(framework) for framework in oracle.frameworks]
+        folds = (_ScoreFold(WORKERS), _ScoreFold(WORKERS))
+
+        def exchange(fresh):
+            """Scores sent, summed over the workers and both sides."""
+            sent = 0
+            for shard_id, feed in enumerate(feeds):
+                data = bytes(ForkingPickler.dumps(feed.next()))
+                for fold, partial in zip(folds, ForkingPickler.loads(data)):
+                    fold.take(shard_id, partial, fresh)
+                    sent += len(partial[3])
+                    if fresh:  # every entry is new: the whole column is smaller
+                        assert partial[2] is None
+            assert tuple(fold.fold().to_dict() for fold in folds) == oracle.merged()
+            return sent
+
+        assert exchange(fresh=True) > 0
+        assert exchange(fresh=False) == 0  # nothing changed
+        seen = set(graph.edge_list())
+        sizes = {False: [], True: []}
+        for index, batch in enumerate(sliding_window(graph.copy(), 30)):
+            oracle.apply(batch)
+            seen.update(u.endpoints for u in batch)
+            sizes[index % 2 == 1].append(exchange(fresh=False))
+        assert max(sizes[True]) < min(sizes[False]) / 2  # the path's batches
+        live = oracle.driver.num_edges
+        assert len(seen) > 2 * live
+        assert len(folds[1]._keys) <= 2 * live
+        if backend == "dicts":
+            for feed in feeds:
+                assert len(feed._numberings[1]._keys) <= live + 2
+
+    def test_a_freed_number_is_reused_from_the_next_call_on(self, backend):
+        numbering = _KeyNumbering()
+        numbering.number({"a": 1.0, "b": 2.0, "c": 3.0})
+        values, present, label = numbering.number({"a": 1.0, "c": 3.0, "d": 4.0})
+        assert [label(3)] == ["d"] and present.tolist() == [True, False, True, True]
+        values, present, label = numbering.number(
+            {"a": 1.0, "c": 3.0, "d": 4.0, "e": 5.0}
+        )
+        assert label(1) == "e" and present is None
+        assert values.tolist() == [1.0, 5.0, 3.0, 4.0]
+
+
 class TestReplyBytes:
     def test_reply_bytes_count_every_reply_read_for_the_batch(self):
         graph = build_graph(directed=False)
@@ -221,6 +311,28 @@ class TestReplyBytes:
                 assert len(seen) == WORKERS
                 assert report.reply_bytes == sum(seen)
                 assert report.payload_bytes > 0
+
+
+def test_a_failed_checkpoint_round_still_publishes_the_applied_batch(tmp_path):
+    """Every worker applied the batch before the round failed, so the
+    coordinator's scores name that boundary, as its cursor does."""
+    graph = build_graph(directed=False)
+    oracle = PartitionOracle(graph, "arrays")
+    layout = ShardLayout(
+        root=tmp_path / "shards", num_shards=WORKERS, checkpoint_every=1
+    )
+    with ShardCoordinator(graph, layout, backend="arrays") as cluster:
+
+        def failing_round():
+            raise OSError("disk full")
+
+        cluster._checkpoint_round = failing_round
+        batch = boundary_stream(graph)[1]
+        with pytest.raises(OSError):
+            cluster.apply_batch(batch)
+        oracle.apply(batch)
+        assert cluster.batch_cursor == 1
+        assert cluster.betweenness() == oracle.merged()
 
 
 @pytest.mark.parametrize("executor", ["process", "shard"])
